@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -19,19 +20,49 @@ import (
 
 // Typed evaluation functions: the compiler dispatches on the checked
 // static type so the hot paths (real and integer arithmetic) never box.
+// Checked and direct kernels share this one closure shape; the single
+// context pointer is the cheapest signature for both (one register to
+// pass and to spill around each child call — BenchmarkKernelDispatch).
 type (
-	evalF func(en *env, fr []int64) float64
-	evalI func(en *env, fr []int64) int64
-	evalB func(en *env, fr []int64) bool
-	evalA func(en *env, fr []int64) any
+	evalF = func(k *kctx) float64
+	evalI = func(k *kctx) int64
+	evalB = func(k *kctx) bool
+	evalA = func(k *kctx) any
 )
+
+// kctx is the evaluation context every compiled closure receives.
+// Checked leaves read only en and fr, so a checked closure runs on any
+// context. Direct leaves read the span tables below, which only a
+// specialized span fills (specializeEquation): raw backing slices and
+// the current certified flat offset per access, plus the scalars hoisted
+// at span entry — the per-point path is slice reads and arithmetic only.
+type kctx struct {
+	en   *env
+	fr   []int64
+	offs []int64     // current flat offset per access
+	fs   [][]float64 // float64 backing per access (nil for int-backed)
+	is   [][]int64   // int64 backing per access
+	sf   []float64   // hoisted real scalars
+	sn   []int64     // hoisted integer scalars
+	sb   []bool      // hoisted bool scalars
+}
+
+// checked returns the env's checked-mode evaluation context at frame fr.
+// The context lives in the env so that the per-point kernel call
+// allocates nothing; every env copy (worker state) carries its own and
+// it is re-pointed on each call, so copies never share one.
+func (en *env) checked(fr []int64) *kctx {
+	k := &en.ck
+	k.en, k.fr = en, fr
+	return k
+}
 
 // kernelFn executes one equation at the current index frame.
 type kernelFn func(en *env, fr []int64)
 
 // compiledModule is one module ready to run: equation kernels compiled
-// once, the two lowered plan variants, slot-resolved bound thunks, and
-// precomputed allocation descriptors.
+// once, the six lowered [fuse][mode] plan variants, slot-resolved bound
+// thunks, and precomputed allocation descriptors.
 type compiledModule struct {
 	m     *sem.Module
 	sched *core.Schedule
@@ -210,18 +241,39 @@ type allocDim struct {
 	window int
 }
 
-// compiler compiles one module's equations.
+// compiler compiles one module's equations: the only code that turns a
+// PS expression into a Go closure.
 type compiler struct {
 	p  *Program
 	cm *compiledModule
 	m  *sem.Module
 	eq *sem.Equation
+	// direct, when non-nil, selects the direct addressing mode: array and
+	// scalar leaves register with its access and hoist tables instead of
+	// reading the env, and anything outside the specializable fragment
+	// bails. nil is the checked mode.
+	direct *speccer
 }
 
 type compileError struct{ err error }
 
+// failf aborts compilation. In direct mode that only abandons the
+// specialization attempt: the checked kernel remains the equation's
+// kernel and the message becomes its reported reason.
 func (c *compiler) failf(format string, args ...any) {
+	if c.direct != nil {
+		c.direct.bail(format, args...)
+	}
 	panic(compileError{fmt.Errorf("interp: "+format, args...)})
+}
+
+// unsupported rejects an expression the current mode cannot lower.
+func (c *compiler) unsupported(what string, e ast.Expr) {
+	verb := "compile"
+	if c.direct != nil {
+		verb = "specialize"
+	}
+	c.failf("cannot %s %s %s", verb, what, ast.ExprString(e))
 }
 
 func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compiledModule, err error) {
@@ -343,90 +395,79 @@ func (c *compiler) compileEquation(eq *sem.Equation) kernelFn {
 	if eq.MultiCall != nil || eq.WholeCall != nil {
 		return c.compileCallEquation(eq)
 	}
+	store := c.compileStore(eq)
+	return func(en *env, fr []int64) { store(en.checked(fr)) }
+}
+
+// compileStore compiles eq's right-hand side and the checked store of
+// its value into the target. The value is computed first, then the
+// element is located (subscripts range-checked), then written.
+func (c *compiler) compileStore(eq *sem.Equation) func(k *kctx) {
 	target := eq.Targets[0]
 	sym := target.Sym
-	si := c.cm.symIdx[sym]
-
-	// Compile explicit LHS subscripts and implicit dimension slots.
-	subs := make([]evalI, len(target.Subs))
-	for i, s := range target.Subs {
-		subs[i] = c.compileI(s)
+	if target.Rank() == 0 {
+		si := c.cm.symIdx[sym]
+		rhs := c.compileAs(eq.RHS, sym.Type)
+		return func(k *kctx) { k.en.scalars[si] = rhs(k) }
 	}
-	implicit := make([]int, len(target.Implicit))
-	for i, v := range target.Implicit {
-		implicit[i] = c.cm.slotOf[v]
-	}
-	rank := len(subs) + len(implicit)
-
-	if rank == 0 {
-		// Scalar target.
-		rhs := c.compileScalarAs(eq.RHS, sym.Type)
-		return func(en *env, fr []int64) {
-			en.scalars[si] = rhs(en, fr)
-		}
-	}
-
-	elem := sym.Type.(*types.Array).Elem
-	idxOf := func(en *env, fr []int64, idx []int64) {
-		for i, f := range subs {
-			idx[i] = f(en, fr)
-		}
-		for i, slot := range implicit {
-			idx[len(subs)+i] = fr[slot]
-		}
-	}
-	switch elem.Kind() {
-	case types.RealKind:
+	r := c.checkedRef(sym, target.Subs, c.targetSlots(target))
+	switch elem := sym.Type.(*types.Array).Elem; {
+	case elem.Kind() == types.RealKind:
 		rhs := c.compileF(eq.RHS)
-		return func(en *env, fr []int64) {
-			var buf [maxRank]int64
-			idx := buf[:rank]
-			idxOf(en, fr, idx)
-			a := en.arrays[si]
-			v := rhs(en, fr)
-			if en.strict {
+		return func(k *kctx) {
+			v := rhs(k)
+			if k.en.strict {
+				var buf [maxRank]int64
+				a, idx := r.index(k, &buf)
 				a.SetF(idx, v)
-			} else {
-				a.F[arrOffset(a, idx)] = v
+				return
 			}
+			a, off := r.offset(k)
+			a.F[off] = v
 		}
-	case types.BoolKind:
-		rhs := c.compileB(eq.RHS)
-		return func(en *env, fr []int64) {
-			var buf [maxRank]int64
-			idx := buf[:rank]
-			idxOf(en, fr, idx)
-			a := en.arrays[si]
-			v := rhs(en, fr)
-			if en.strict {
-				a.SetB(idx, v)
-			} else {
-				a.B[arrOffset(a, idx)] = v
-			}
-		}
-	case types.IntKind, types.SubrangeKind, types.CharKind, types.EnumKind:
+	case intBacked(elem):
 		rhs := c.compileI(eq.RHS)
-		return func(en *env, fr []int64) {
-			var buf [maxRank]int64
-			idx := buf[:rank]
-			idxOf(en, fr, idx)
-			a := en.arrays[si]
-			v := rhs(en, fr)
-			if en.strict {
+		return func(k *kctx) {
+			v := rhs(k)
+			if k.en.strict {
+				var buf [maxRank]int64
+				a, idx := r.index(k, &buf)
 				a.SetI(idx, v)
-			} else {
-				a.I[arrOffset(a, idx)] = v
+				return
 			}
+			a, off := r.offset(k)
+			a.I[off] = v
 		}
-	default:
-		rhs := c.compileA(eq.RHS)
-		return func(en *env, fr []int64) {
-			var buf [maxRank]int64
-			idx := buf[:rank]
-			idxOf(en, fr, idx)
-			en.arrays[si].Set(idx, rhs(en, fr))
+	case elem.Kind() == types.BoolKind:
+		rhs := c.compileB(eq.RHS)
+		return func(k *kctx) {
+			v := rhs(k)
+			if k.en.strict {
+				var buf [maxRank]int64
+				a, idx := r.index(k, &buf)
+				a.SetB(idx, v)
+				return
+			}
+			a, off := r.offset(k)
+			a.B[off] = v
 		}
 	}
+	rhs := c.compileA(eq.RHS)
+	return func(k *kctx) {
+		v := rhs(k)
+		var buf [maxRank]int64
+		a, idx := r.index(k, &buf)
+		a.Set(idx, v)
+	}
+}
+
+// targetSlots returns the frame slots of a target's implicit dimensions.
+func (c *compiler) targetSlots(t *sem.Target) []int {
+	slots := make([]int, len(t.Implicit))
+	for i, v := range t.Implicit {
+		slots[i] = c.cm.slotOf[v]
+	}
+	return slots
 }
 
 // compileCallEquation handles whole-value module calls: x = f(...) and
@@ -436,19 +477,7 @@ func (c *compiler) compileCallEquation(eq *sem.Equation) kernelFn {
 	if eq.MultiCall != nil {
 		call = eq.MultiCall
 	}
-	callee := c.m.Prog.Module(call.Fun.Name)
-	sub, ok := c.p.mods[callee]
-	if !ok {
-		var err error
-		sub, err = c.p.compileCallee(callee)
-		if err != nil {
-			c.failf("compiling callee %s: %v", callee.Name, err)
-		}
-	}
-	args := make([]evalA, len(call.Args))
-	for i, a := range call.Args {
-		args[i] = c.compileA(a)
-	}
+	invoke := c.compileInvoke(call)
 	slots := make([]int, len(eq.Targets))
 	isArray := make([]bool, len(eq.Targets))
 	for i, t := range eq.Targets {
@@ -459,14 +488,7 @@ func (c *compiler) compileCallEquation(eq *sem.Equation) kernelFn {
 		isArray[i] = types.Rank(t.Sym.Type) > 0
 	}
 	return func(en *env, fr []int64) {
-		argv := make([]any, len(args))
-		for i, f := range args {
-			argv[i] = f(en, fr)
-		}
-		results, err := c.p.runModule(en.rs, sub, argv, en.inParallel, en.inParallel || en.inSpan)
-		if err != nil {
-			panic(runtimeError{err: fmt.Errorf("call %s: %w", sub.m.Name, err)})
-		}
+		results := invoke(en.checked(fr))
 		for i, slot := range slots {
 			if isArray[i] {
 				en.arrays[slot] = results[i].(*value.Array)
@@ -477,24 +499,59 @@ func (c *compiler) compileCallEquation(eq *sem.Equation) kernelFn {
 	}
 }
 
-// --- expression compilation ---------------------------------------------------
-
-// compileScalarAs compiles e coerced to the scalar type t.
-func (c *compiler) compileScalarAs(e ast.Expr, t types.Type) evalA {
-	switch t.Kind() {
-	case types.RealKind:
-		f := c.compileF(e)
-		return func(en *env, fr []int64) any { return f(en, fr) }
-	case types.IntKind, types.SubrangeKind, types.CharKind, types.EnumKind:
-		f := c.compileI(e)
-		return func(en *env, fr []int64) any { return f(en, fr) }
-	case types.BoolKind:
-		f := c.compileB(e)
-		return func(en *env, fr []int64) any { return f(en, fr) }
-	default:
-		return c.compileA(e)
+// compileInvoke is the one lowering of a module call, whole-value or
+// expression-level: resolve (compiling on demand) the callee, box the
+// arguments, run one activation and return every result.
+func (c *compiler) compileInvoke(x *ast.Call) func(k *kctx) []any {
+	if c.direct != nil {
+		c.failf("call %s is not a specializable builtin", x.Fun.Name)
+	}
+	callee := c.m.Prog.Module(x.Fun.Name)
+	if callee == nil {
+		c.failf("unknown function %s", x.Fun.Name)
+	}
+	sub, ok := c.p.mods[callee]
+	if !ok {
+		var err error
+		sub, err = c.p.compileCallee(callee)
+		if err != nil {
+			c.failf("compiling callee %s: %v", callee.Name, err)
+		}
+	}
+	args := make([]evalA, len(x.Args))
+	for i, a := range x.Args {
+		args[i] = c.compileA(a)
+	}
+	p := c.p
+	return func(k *kctx) []any {
+		en := k.en
+		argv := make([]any, len(args))
+		for i, f := range args {
+			argv[i] = f(k)
+		}
+		results, err := p.runModule(en.rs, sub, argv, en.inParallel, en.inParallel || en.inSpan)
+		if err != nil {
+			panic(runtimeError{err: fmt.Errorf("call %s: %w", sub.m.Name, err)})
+		}
+		return results
 	}
 }
+
+// compileModuleCall compiles a single-result module invocation inside an
+// expression.
+func (c *compiler) compileModuleCall(x *ast.Call) evalA {
+	invoke := c.compileInvoke(x)
+	return func(k *kctx) any { return invoke(k)[0] }
+}
+
+// --- expression compilation ---------------------------------------------------
+//
+// compileF/I/B/A dispatch on the checked static type so the hot paths
+// (real and integer arithmetic) never box. Everything above the leaves
+// — literals, widening, operators, the div/mod zero check, comparisons,
+// conditionals, builtins — is mode-independent and written once; only
+// the leaf helpers (scalarF/I/B, readF/I/B, compileInvoke) look at
+// c.direct.
 
 func (c *compiler) typeOf(e ast.Expr) types.Type {
 	t := c.m.TypeOf(e)
@@ -504,123 +561,125 @@ func (c *compiler) typeOf(e ast.Expr) types.Type {
 	return t
 }
 
+// intBacked reports whether values of t are stored as int64: integers,
+// subranges, chars and enum ordinals.
+func intBacked(t types.Type) bool {
+	return types.IsInteger(t) || t.Kind() == types.CharKind || t.Kind() == types.EnumKind
+}
+
+func constant[T any](v T) func(*kctx) T { return func(*kctx) T { return v } }
+
+func box[T any](f func(*kctx) T) evalA { return func(k *kctx) any { return f(k) } }
+
+// arith builds l op r for the operators real and integer arithmetic
+// share, or nil for any other operator.
+func arith[T float64 | int64](op string, l, r func(*kctx) T) func(*kctx) T {
+	switch op {
+	case "+":
+		return func(k *kctx) T { return l(k) + r(k) }
+	case "-":
+		return func(k *kctx) T { return l(k) - r(k) }
+	case "*":
+		return func(k *kctx) T { return l(k) * r(k) }
+	}
+	return nil
+}
+
+// negate builds the unary operator op over f: "-" negates, "+" is f.
+func negate[T float64 | int64](op string, f func(*kctx) T) func(*kctx) T {
+	if op == "-" {
+		return func(k *kctx) T { return -f(k) }
+	}
+	return f
+}
+
+// compare builds the relational operator op over reals, integers
+// (including char and enum ordinals) or strings, or nil for an unknown
+// operator.
+func compare[T cmp.Ordered](op string, l, r func(*kctx) T) evalB {
+	switch op {
+	case "=":
+		return func(k *kctx) bool { return l(k) == r(k) }
+	case "<>":
+		return func(k *kctx) bool { return l(k) != r(k) }
+	case "<":
+		return func(k *kctx) bool { return l(k) < r(k) }
+	case "<=":
+		return func(k *kctx) bool { return l(k) <= r(k) }
+	case ">":
+		return func(k *kctx) bool { return l(k) > r(k) }
+	case ">=":
+		return func(k *kctx) bool { return l(k) >= r(k) }
+	}
+	return nil
+}
+
+// compileIf compiles an if/elsif chain whose arms compile with arm.
+func compileIf[T any](c *compiler, x *ast.IfExpr, arm func(ast.Expr) func(*kctx) T) func(*kctx) T {
+	conds := []evalB{c.compileB(x.Cond)}
+	thens := []func(*kctx) T{arm(x.Then)}
+	for _, e := range x.Elifs {
+		conds = append(conds, c.compileB(e.Cond))
+		thens = append(thens, arm(e.Then))
+	}
+	els := arm(x.Else)
+	return func(k *kctx) T {
+		for i, cond := range conds {
+			if cond(k) {
+				return thens[i](k)
+			}
+		}
+		return els(k)
+	}
+}
+
 // compileF compiles a numeric expression to a float64 evaluator, widening
 // integer subexpressions. Array-typed expressions in element context
 // (e.g. the RHS of A[1] = InitialA) compile to implicitly-aligned element
 // reads.
 func (c *compiler) compileF(e ast.Expr) evalF {
-	t := c.typeOf(e)
-	if types.IsInteger(t) || t.Kind() == types.CharKind || t.Kind() == types.EnumKind {
+	switch t := c.typeOf(e); {
+	case intBacked(t):
 		f := c.compileI(e)
-		return func(en *env, fr []int64) float64 { return float64(f(en, fr)) }
-	}
-	if t.Kind() == types.ArrayKind {
-		si, subs, rank := c.compileElemAccess(e)
-		return func(en *env, fr []int64) float64 {
-			var buf [maxRank]int64
-			idx := buf[:rank]
-			for i, f := range subs {
-				idx[i] = f(en, fr)
-			}
-			a := en.arrays[si]
-			if en.strict {
-				return a.GetF(idx)
-			}
-			return a.F[arrOffset(a, idx)]
-		}
-	}
-	if t.Kind() != types.RealKind {
+		return func(k *kctx) float64 { return float64(f(k)) }
+	case t.Kind() == types.ArrayKind:
+		return c.readF(e)
+	case t.Kind() != types.RealKind:
 		c.failf("expression %s has type %s, want real", ast.ExprString(e), t)
 	}
 	switch x := e.(type) {
 	case *ast.RealLit:
-		v := x.Value
-		return func(*env, []int64) float64 { return v }
+		return constant(x.Value)
 	case *ast.Paren:
 		return c.compileF(x.X)
 	case *ast.Ident:
-		si := c.scalarSlot(x.Name)
-		return func(en *env, fr []int64) float64 { return en.scalars[si].(float64) }
+		return c.scalarF(x.Name)
 	case *ast.Unary:
-		f := c.compileF(x.X)
-		if x.Op.String() == "-" {
-			return func(en *env, fr []int64) float64 { return -f(en, fr) }
-		}
-		return f
+		return negate(x.Op.String(), c.compileF(x.X))
 	case *ast.Binary:
-		return c.compileBinaryF(x)
+		l, r := c.compileF(x.X), c.compileF(x.Y)
+		op := x.Op.String()
+		if f := arith(op, l, r); f != nil {
+			return f
+		}
+		if op == "/" {
+			return func(k *kctx) float64 { return l(k) / r(k) }
+		}
+		c.failf("invalid real operator %s", op)
 	case *ast.IfExpr:
-		arms := c.compileIfArms(x)
-		thenF := make([]evalF, len(arms.thens))
-		for i, a := range arms.thens {
-			thenF[i] = c.compileF(a)
-		}
-		elseF := c.compileF(x.Else)
-		conds := arms.conds
-		return func(en *env, fr []int64) float64 {
-			for i, cond := range conds {
-				if cond(en, fr) {
-					return thenF[i](en, fr)
-				}
-			}
-			return elseF(en, fr)
-		}
+		return compileIf(c, x, c.compileF)
 	case *ast.Index:
-		return c.compileIndexF(x)
+		return c.readF(x)
 	case *ast.Field:
-		g := c.compileFieldAccess(x)
-		return func(en *env, fr []int64) float64 { return value.ToFloat(g(en, fr)) }
+		if c.direct == nil {
+			g := c.compileFieldAccess(x)
+			return func(k *kctx) float64 { return value.ToFloat(g(k)) }
+		}
 	case *ast.Call:
 		return c.compileCallF(x)
 	}
-	c.failf("cannot compile real expression %s", ast.ExprString(e))
+	c.unsupported("real expression", e)
 	return nil
-}
-
-func (c *compiler) compileBinaryF(x *ast.Binary) evalF {
-	l := c.compileF(x.X)
-	r := c.compileF(x.Y)
-	switch x.Op.String() {
-	case "+":
-		return func(en *env, fr []int64) float64 { return l(en, fr) + r(en, fr) }
-	case "-":
-		return func(en *env, fr []int64) float64 { return l(en, fr) - r(en, fr) }
-	case "*":
-		return func(en *env, fr []int64) float64 { return l(en, fr) * r(en, fr) }
-	case "/":
-		return func(en *env, fr []int64) float64 { return l(en, fr) / r(en, fr) }
-	}
-	c.failf("invalid real operator %s", x.Op)
-	return nil
-}
-
-// compileElemAccess compiles an array-typed expression appearing in
-// element context: a whole or partially subscripted reference whose
-// remaining dimensions align with the equation's implicit variables.
-// Conditional arms delegate back to the typed compilers.
-func (c *compiler) compileElemAccess(e ast.Expr) (int, []evalI, int) {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		sym := c.m.Lookup(x.Name)
-		if sym == nil || !sym.IsData() {
-			c.failf("unknown array %s", x.Name)
-		}
-		arr, isArr := sym.Type.(*types.Array)
-		if !isArr {
-			c.failf("%s is not an array", x.Name)
-		}
-		imp := c.implicitSlots(len(arr.Dims))
-		subs := make([]evalI, len(imp))
-		for i, slot := range imp {
-			s := slot
-			subs[i] = func(en *env, fr []int64) int64 { return fr[s] }
-		}
-		return c.cm.symIdx[sym], subs, len(arr.Dims)
-	case *ast.Index:
-		return c.compileIndexCommon(x)
-	}
-	c.failf("array-valued expression %s cannot be read element-wise", ast.ExprString(e))
-	return 0, nil, 0
 }
 
 // compileI compiles an integer-backed expression (int, subrange, char,
@@ -629,27 +688,13 @@ func (c *compiler) compileI(e ast.Expr) evalI {
 	// Subrange bound expressions are compiled without checked types; the
 	// nil-tolerant lookup only matters for the array element case.
 	if t := c.m.TypeOf(e); t != nil && t.Kind() == types.ArrayKind {
-		si, subs, rank := c.compileElemAccess(e)
-		return func(en *env, fr []int64) int64 {
-			var buf [maxRank]int64
-			idx := buf[:rank]
-			for i, f := range subs {
-				idx[i] = f(en, fr)
-			}
-			a := en.arrays[si]
-			if en.strict {
-				return a.GetI(idx)
-			}
-			return a.I[arrOffset(a, idx)]
-		}
+		return c.readI(e)
 	}
 	switch x := e.(type) {
 	case *ast.IntLit:
-		v := x.Value
-		return func(*env, []int64) int64 { return v }
+		return constant(x.Value)
 	case *ast.CharLit:
-		v := int64(x.Value)
-		return func(*env, []int64) int64 { return v }
+		return constant(int64(x.Value))
 	case *ast.Paren:
 		return c.compileI(x.X)
 	case *ast.Ident:
@@ -658,148 +703,97 @@ func (c *compiler) compileI(e ast.Expr) evalI {
 			if !ok {
 				c.failf("no frame slot for index %s", x.Name)
 			}
-			return func(en *env, fr []int64) int64 { return fr[slot] }
+			return frameSlot(slot)
 		}
-		sym := c.m.Lookup(x.Name)
-		if sym != nil && sym.Kind == sem.EnumConstSym {
-			v := int64(sym.Index)
-			return func(*env, []int64) int64 { return v }
+		if sym := c.m.Lookup(x.Name); sym != nil && sym.Kind == sem.EnumConstSym {
+			return constant(int64(sym.Index))
 		}
-		si := c.scalarSlot(x.Name)
-		return func(en *env, fr []int64) int64 { return en.scalars[si].(int64) }
+		return c.scalarI(x.Name)
 	case *ast.Unary:
-		f := c.compileI(x.X)
-		if x.Op.String() == "-" {
-			return func(en *env, fr []int64) int64 { return -f(en, fr) }
-		}
-		return f
+		return negate(x.Op.String(), c.compileI(x.X))
 	case *ast.Binary:
-		return c.compileBinaryI(x)
-	case *ast.IfExpr:
-		arms := c.compileIfArms(x)
-		thenF := make([]evalI, len(arms.thens))
-		for i, a := range arms.thens {
-			thenF[i] = c.compileI(a)
+		l, r := c.compileI(x.X), c.compileI(x.Y)
+		op := x.Op.String()
+		if f := arith(op, l, r); f != nil {
+			return f
 		}
-		elseF := c.compileI(x.Else)
-		conds := arms.conds
-		return func(en *env, fr []int64) int64 {
-			for i, cond := range conds {
-				if cond(en, fr) {
-					return thenF[i](en, fr)
-				}
+		switch op {
+		case "div":
+			return func(k *kctx) int64 {
+				d := nonzero(r(k))
+				return l(k) / d
 			}
-			return elseF(en, fr)
+		case "mod":
+			return func(k *kctx) int64 {
+				d := nonzero(r(k))
+				return l(k) % d
+			}
 		}
+		c.failf("invalid integer operator %s", op)
+	case *ast.IfExpr:
+		return compileIf(c, x, c.compileI)
 	case *ast.Index:
-		return c.compileIndexI(x)
+		return c.readI(x)
 	case *ast.Field:
-		g := c.compileFieldAccess(x)
-		return func(en *env, fr []int64) int64 { return value.ToInt(g(en, fr)) }
+		if c.direct == nil {
+			g := c.compileFieldAccess(x)
+			return func(k *kctx) int64 { return value.ToInt(g(k)) }
+		}
 	case *ast.Call:
 		return c.compileCallI(x)
 	}
-	c.failf("cannot compile integer expression %s", ast.ExprString(e))
+	c.unsupported("integer expression", e)
 	return nil
 }
 
-func (c *compiler) compileBinaryI(x *ast.Binary) evalI {
-	l := c.compileI(x.X)
-	r := c.compileI(x.Y)
-	switch x.Op.String() {
-	case "+":
-		return func(en *env, fr []int64) int64 { return l(en, fr) + r(en, fr) }
-	case "-":
-		return func(en *env, fr []int64) int64 { return l(en, fr) - r(en, fr) }
-	case "*":
-		return func(en *env, fr []int64) int64 { return l(en, fr) * r(en, fr) }
-	case "div":
-		return func(en *env, fr []int64) int64 {
-			d := r(en, fr)
-			if d == 0 {
-				panic(runtimeError{err: fmt.Errorf("division by zero")})
-			}
-			return l(en, fr) / d
-		}
-	case "mod":
-		return func(en *env, fr []int64) int64 {
-			d := r(en, fr)
-			if d == 0 {
-				panic(runtimeError{err: fmt.Errorf("division by zero")})
-			}
-			return l(en, fr) % d
-		}
+// nonzero returns the divisor d of a div or mod, raising the run-time
+// error when it is zero.
+func nonzero(d int64) int64 {
+	if d == 0 {
+		panic(runtimeError{err: fmt.Errorf("division by zero")})
 	}
-	c.failf("invalid integer operator %s", x.Op)
-	return nil
+	return d
 }
+
+// frameSlot reads a loop index from the frame — the same in both modes.
+func frameSlot(slot int) evalI { return func(k *kctx) int64 { return k.fr[slot] } }
 
 // compileB compiles a boolean expression.
 func (c *compiler) compileB(e ast.Expr) evalB {
 	if t := c.m.TypeOf(e); t != nil && t.Kind() == types.ArrayKind {
-		si, subs, rank := c.compileElemAccess(e)
-		return func(en *env, fr []int64) bool {
-			var buf [maxRank]int64
-			idx := buf[:rank]
-			for i, f := range subs {
-				idx[i] = f(en, fr)
-			}
-			a := en.arrays[si]
-			if en.strict {
-				return a.GetB(idx)
-			}
-			return a.B[arrOffset(a, idx)]
+		if c.direct != nil {
+			c.failf("array %s read in boolean context", ast.ExprString(e))
 		}
+		return c.readB(e)
 	}
 	switch x := e.(type) {
 	case *ast.BoolLit:
-		v := x.Value
-		return func(*env, []int64) bool { return v }
+		return constant(x.Value)
 	case *ast.Paren:
 		return c.compileB(x.X)
 	case *ast.Ident:
-		si := c.scalarSlot(x.Name)
-		return func(en *env, fr []int64) bool { return en.scalars[si].(bool) }
+		return c.scalarB(x.Name)
 	case *ast.Unary:
 		f := c.compileB(x.X)
-		return func(en *env, fr []int64) bool { return !f(en, fr) }
+		return func(k *kctx) bool { return !f(k) }
 	case *ast.Binary:
 		return c.compileBinaryB(x)
 	case *ast.IfExpr:
-		arms := c.compileIfArms(x)
-		thenF := make([]evalB, len(arms.thens))
-		for i, a := range arms.thens {
-			thenF[i] = c.compileB(a)
-		}
-		elseF := c.compileB(x.Else)
-		conds := arms.conds
-		return func(en *env, fr []int64) bool {
-			for i, cond := range conds {
-				if cond(en, fr) {
-					return thenF[i](en, fr)
-				}
-			}
-			return elseF(en, fr)
-		}
+		return compileIf(c, x, c.compileB)
 	case *ast.Index:
-		si, subs, rank := c.compileIndexCommon(x)
-		return func(en *env, fr []int64) bool {
-			var buf [maxRank]int64
-			idx := buf[:rank]
-			for i, f := range subs {
-				idx[i] = f(en, fr)
-			}
-			a := en.arrays[si]
-			if en.strict {
-				return a.GetB(idx)
-			}
-			return a.B[arrOffset(a, idx)]
+		if c.direct == nil {
+			return c.readB(x)
 		}
 	case *ast.Field:
-		g := c.compileFieldAccess(x)
-		return func(en *env, fr []int64) bool { return g(en, fr).(bool) }
+		if c.direct == nil {
+			g := c.compileFieldAccess(x)
+			return func(k *kctx) bool { return g(k).(bool) }
+		}
+	case *ast.Call:
+		g := c.compileModuleCall(x)
+		return func(k *kctx) bool { return g(k).(bool) }
 	}
-	c.failf("cannot compile boolean expression %s", ast.ExprString(e))
+	c.unsupported("boolean expression", e)
 	return nil
 }
 
@@ -808,151 +802,125 @@ func (c *compiler) compileBinaryB(x *ast.Binary) evalB {
 	switch op {
 	case "and":
 		l, r := c.compileB(x.X), c.compileB(x.Y)
-		return func(en *env, fr []int64) bool { return l(en, fr) && r(en, fr) }
+		return func(k *kctx) bool { return l(k) && r(k) }
 	case "or":
 		l, r := c.compileB(x.X), c.compileB(x.Y)
-		return func(en *env, fr []int64) bool { return l(en, fr) || r(en, fr) }
+		return func(k *kctx) bool { return l(k) || r(k) }
 	}
 	// Relational operators: compare by operand type.
-	lt := c.typeOf(x.X)
-	rt := c.typeOf(x.Y)
-	switch {
+	var rel evalB
+	switch lt, rt := c.typeOf(x.X), c.typeOf(x.Y); {
 	case lt.Kind() == types.RealKind || rt.Kind() == types.RealKind:
-		l, r := c.compileF(x.X), c.compileF(x.Y)
-		return compareF(op, l, r, c)
-	case types.IsInteger(lt) || lt.Kind() == types.CharKind || lt.Kind() == types.EnumKind:
-		l, r := c.compileI(x.X), c.compileI(x.Y)
-		return compareI(op, l, r, c)
+		rel = compare(op, c.compileF(x.X), c.compileF(x.Y))
+	case intBacked(lt):
+		rel = compare(op, c.compileI(x.X), c.compileI(x.Y))
 	case lt.Kind() == types.BoolKind:
 		l, r := c.compileB(x.X), c.compileB(x.Y)
 		switch op {
 		case "=":
-			return func(en *env, fr []int64) bool { return l(en, fr) == r(en, fr) }
+			rel = func(k *kctx) bool { return l(k) == r(k) }
 		case "<>":
-			return func(en *env, fr []int64) bool { return l(en, fr) != r(en, fr) }
+			rel = func(k *kctx) bool { return l(k) != r(k) }
 		}
-	case lt.Kind() == types.StringKind:
-		l, r := c.compileA(x.X), c.compileA(x.Y)
-		return compareS(op, l, r, c)
+	case lt.Kind() == types.StringKind && c.direct == nil:
+		rel = compare(op, c.compileS(x.X), c.compileS(x.Y))
 	}
-	c.failf("cannot compile comparison %s", ast.ExprString(x))
-	return nil
+	if rel == nil {
+		c.unsupported("comparison", x)
+	}
+	return rel
 }
 
-func compareF(op string, l, r evalF, c *compiler) evalB {
-	switch op {
-	case "=":
-		return func(en *env, fr []int64) bool { return l(en, fr) == r(en, fr) }
-	case "<>":
-		return func(en *env, fr []int64) bool { return l(en, fr) != r(en, fr) }
-	case "<":
-		return func(en *env, fr []int64) bool { return l(en, fr) < r(en, fr) }
-	case "<=":
-		return func(en *env, fr []int64) bool { return l(en, fr) <= r(en, fr) }
-	case ">":
-		return func(en *env, fr []int64) bool { return l(en, fr) > r(en, fr) }
-	case ">=":
-		return func(en *env, fr []int64) bool { return l(en, fr) >= r(en, fr) }
-	}
-	c.failf("invalid comparison operator %s", op)
-	return nil
+// compileS compiles a string expression (boxed at run time).
+func (c *compiler) compileS(e ast.Expr) func(*kctx) string {
+	g := c.compileA(e)
+	return func(k *kctx) string { return g(k).(string) }
 }
 
-func compareI(op string, l, r evalI, c *compiler) evalB {
-	switch op {
-	case "=":
-		return func(en *env, fr []int64) bool { return l(en, fr) == r(en, fr) }
-	case "<>":
-		return func(en *env, fr []int64) bool { return l(en, fr) != r(en, fr) }
-	case "<":
-		return func(en *env, fr []int64) bool { return l(en, fr) < r(en, fr) }
-	case "<=":
-		return func(en *env, fr []int64) bool { return l(en, fr) <= r(en, fr) }
-	case ">":
-		return func(en *env, fr []int64) bool { return l(en, fr) > r(en, fr) }
-	case ">=":
-		return func(en *env, fr []int64) bool { return l(en, fr) >= r(en, fr) }
+// --- leaves: scalars -----------------------------------------------------------
+//
+// A scalar read unboxes the env slot in checked mode; in direct mode the
+// slot is interned in the speccer's hoist table and read from the copy
+// the span loop takes at span entry (module scalars cannot change while
+// an equation's span runs).
+
+func (c *compiler) scalarSlot(name string) int {
+	sym := c.m.Lookup(name)
+	if sym == nil || !sym.IsData() {
+		c.failf("unknown name %s", name)
 	}
-	c.failf("invalid comparison operator %s", op)
-	return nil
+	if types.Rank(sym.Type) > 0 {
+		c.failf("array %s used as scalar", name)
+	}
+	return c.cm.symIdx[sym]
 }
 
-func compareS(op string, l, r evalA, c *compiler) evalB {
-	cmp := func(en *env, fr []int64) int {
-		return strings.Compare(l(en, fr).(string), r(en, fr).(string))
+func (c *compiler) scalarF(name string) evalF {
+	si := c.scalarSlot(name)
+	if s := c.direct; s != nil {
+		hi := s.sf.intern(si)
+		return func(k *kctx) float64 { return k.sf[hi] }
 	}
-	switch op {
-	case "=":
-		return func(en *env, fr []int64) bool { return cmp(en, fr) == 0 }
-	case "<>":
-		return func(en *env, fr []int64) bool { return cmp(en, fr) != 0 }
-	case "<":
-		return func(en *env, fr []int64) bool { return cmp(en, fr) < 0 }
-	case "<=":
-		return func(en *env, fr []int64) bool { return cmp(en, fr) <= 0 }
-	case ">":
-		return func(en *env, fr []int64) bool { return cmp(en, fr) > 0 }
-	case ">=":
-		return func(en *env, fr []int64) bool { return cmp(en, fr) >= 0 }
-	}
-	c.failf("invalid comparison operator %s", op)
-	return nil
+	return func(k *kctx) float64 { return k.en.scalars[si].(float64) }
 }
 
-// ifArms pairs the compiled conditions of an if/elsif chain with the
-// uncompiled arm expressions.
-type ifArms struct {
-	conds []evalB
-	thens []ast.Expr
-}
-
-func (c *compiler) compileIfArms(x *ast.IfExpr) ifArms {
-	arms := ifArms{conds: []evalB{c.compileB(x.Cond)}, thens: []ast.Expr{x.Then}}
-	for _, e := range x.Elifs {
-		arms.conds = append(arms.conds, c.compileB(e.Cond))
-		arms.thens = append(arms.thens, e.Then)
+func (c *compiler) scalarI(name string) evalI {
+	si := c.scalarSlot(name)
+	if s := c.direct; s != nil {
+		hi := s.sn.intern(si)
+		return func(k *kctx) int64 { return k.sn[hi] }
 	}
-	return arms
+	return func(k *kctx) int64 { return k.en.scalars[si].(int64) }
 }
 
-// --- array references ----------------------------------------------------------
+func (c *compiler) scalarB(name string) evalB {
+	si := c.scalarSlot(name)
+	if s := c.direct; s != nil {
+		hi := s.sb.intern(si)
+		return func(k *kctx) bool { return k.sb[hi] }
+	}
+	return func(k *kctx) bool { return k.en.scalars[si].(bool) }
+}
+
+// --- leaves: array references ----------------------------------------------------
 
 // maxRank bounds the subscript buffer kept on the evaluator's stack.
 const maxRank = 8
 
-// compileIndexCommon compiles an array reference's base slot and full-rank
-// subscript evaluators (explicit subscripts plus implicit alignment).
-func (c *compiler) compileIndexCommon(x *ast.Index) (int, []evalI, int) {
-	base, ok := ast.Unparen(x.Base).(*ast.Ident)
-	if !ok {
-		c.failf("subscripted value %s must be a named array", ast.ExprString(x.Base))
+// resolveRef decomposes an array reference — a whole array or a fully
+// or partially subscripted one — into its symbol, explicit subscripts
+// and the frame slots of the trailing dimensions left implicit, which
+// align with the equation's implicit variables (newA = A[maxK] reads
+// A[maxK,i,j]).
+func (c *compiler) resolveRef(e ast.Expr) (sym *sem.Symbol, explicit []ast.Expr, implicit []int) {
+	var name string
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		name = x.Name
+	case *ast.Index:
+		base, ok := ast.Unparen(x.Base).(*ast.Ident)
+		if !ok {
+			c.failf("subscripted value %s must be a named array", ast.ExprString(x.Base))
+		}
+		name, explicit = base.Name, x.Subs
+	default:
+		c.failf("array-valued expression %s cannot be read element-wise", ast.ExprString(e))
 	}
-	sym := c.m.Lookup(base.Name)
+	sym = c.m.Lookup(name)
 	if sym == nil || !sym.IsData() {
-		c.failf("unknown array %s", base.Name)
+		c.failf("unknown array %s", name)
 	}
 	arr, isArr := sym.Type.(*types.Array)
 	if !isArr {
-		c.failf("%s is not an array", base.Name)
-	}
-	si := c.cm.symIdx[sym]
-	subs := make([]evalI, 0, len(arr.Dims))
-	for _, s := range x.Subs {
-		subs = append(subs, c.compileI(s))
-	}
-	if len(subs) < len(arr.Dims) {
-		// Partial reference: align the remaining dimensions with the
-		// equation's implicit variables (newA = A[maxK] reads A[maxK,i,j]).
-		imp := c.implicitSlots(len(arr.Dims) - len(subs))
-		for _, slot := range imp {
-			s := slot
-			subs = append(subs, func(en *env, fr []int64) int64 { return fr[s] })
-		}
+		c.failf("%s is not an array", name)
 	}
 	if len(arr.Dims) > maxRank {
-		c.failf("array %s has rank %d > %d", base.Name, len(arr.Dims), maxRank)
+		c.failf("array %s has rank %d > %d", name, len(arr.Dims), maxRank)
 	}
-	return si, subs, len(arr.Dims)
+	if n := len(arr.Dims) - len(explicit); n > 0 {
+		implicit = c.implicitSlots(n)
+	}
+	return sym, explicit, implicit
 }
 
 // implicitSlots returns the frame slots of the current equation's last n
@@ -972,43 +940,33 @@ func (c *compiler) implicitSlots(n int) []int {
 	return out
 }
 
-func (c *compiler) compileIndexF(x *ast.Index) evalF {
-	si, subs, rank := c.compileIndexCommon(x)
-	return func(en *env, fr []int64) float64 {
-		var buf [maxRank]int64
-		idx := buf[:rank]
-		for i, f := range subs {
-			idx[i] = f(en, fr)
-		}
-		a := en.arrays[si]
-		if en.strict {
-			return a.GetF(idx)
-		}
-		return a.F[arrOffset(a, idx)]
-	}
+// elemRef is a checked array reference: the symbol slot and one
+// subscript evaluator per dimension.
+type elemRef struct {
+	si   int
+	subs []evalI
 }
 
-func (c *compiler) compileIndexI(x *ast.Index) evalI {
-	si, subs, rank := c.compileIndexCommon(x)
-	return func(en *env, fr []int64) int64 {
-		var buf [maxRank]int64
-		idx := buf[:rank]
-		for i, f := range subs {
-			idx[i] = f(en, fr)
-		}
-		a := en.arrays[si]
-		if en.strict {
-			return a.GetI(idx)
-		}
-		return a.I[arrOffset(a, idx)]
+// checkedRef compiles the subscripts of a reference in checked mode.
+func (c *compiler) checkedRef(sym *sem.Symbol, explicit []ast.Expr, implicit []int) *elemRef {
+	r := &elemRef{si: c.cm.symIdx[sym]}
+	for _, e := range explicit {
+		r.subs = append(r.subs, c.compileI(e))
 	}
+	for _, slot := range implicit {
+		r.subs = append(r.subs, frameSlot(slot))
+	}
+	return r
 }
 
-// arrOffset computes the physical offset of idx in a with window
-// wrap-around, panicking with a runtimeError when out of range.
-func arrOffset(a *value.Array, idx []int64) int64 {
+// offset evaluates the subscripts and returns the array with the
+// element's physical offset (window wrap-around applied), panicking
+// with a runtimeError when a subscript is out of range.
+func (r *elemRef) offset(k *kctx) (*value.Array, int64) {
+	a := k.en.arrays[r.si]
 	var off int64
-	for d, x := range idx {
+	for d, f := range r.subs {
+		x := f(k)
 		ax := a.Axes[d]
 		if x < ax.Lo || x > ax.Hi {
 			panic(runtimeError{err: fmt.Errorf("subscript %d out of range %d..%d in dimension %d", x, ax.Lo, ax.Hi, d+1)})
@@ -1019,10 +977,83 @@ func arrOffset(a *value.Array, idx []int64) int64 {
 		}
 		off += p * a.Strides[d]
 	}
-	return off
+	return a, off
 }
 
-// --- calls -------------------------------------------------------------------
+// index evaluates the subscripts into buf for value.Array's own checked
+// accessors: strict mode (definedness and single-assignment tracking)
+// and boxed elements.
+func (r *elemRef) index(k *kctx, buf *[maxRank]int64) (*value.Array, []int64) {
+	idx := buf[:len(r.subs)]
+	for i, f := range r.subs {
+		idx[i] = f(k)
+	}
+	return k.en.arrays[r.si], idx
+}
+
+// readF compiles an array reference read as one real element; integer
+// elements widen. Checked mode goes through the subscripts, direct mode
+// through the access's certified offset.
+func (c *compiler) readF(e ast.Expr) evalF {
+	sym, explicit, implicit := c.resolveRef(e)
+	if intBacked(sym.Type.(*types.Array).Elem) {
+		f := c.readI(e)
+		return func(k *kctx) float64 { return float64(f(k)) }
+	}
+	if s := c.direct; s != nil {
+		ai := s.access(sym, explicit, implicit)
+		return func(k *kctx) float64 { return k.fs[ai][k.offs[ai]] }
+	}
+	r := c.checkedRef(sym, explicit, implicit)
+	return func(k *kctx) float64 {
+		if k.en.strict {
+			var buf [maxRank]int64
+			a, idx := r.index(k, &buf)
+			return a.GetF(idx)
+		}
+		a, off := r.offset(k)
+		return a.F[off]
+	}
+}
+
+// readI compiles an array reference read as one integer-backed element.
+func (c *compiler) readI(e ast.Expr) evalI {
+	sym, explicit, implicit := c.resolveRef(e)
+	if sym.Type.(*types.Array).Elem.Kind() == types.RealKind {
+		c.failf("real array %s read in integer context", sym.Name)
+	}
+	if s := c.direct; s != nil {
+		ai := s.access(sym, explicit, implicit)
+		return func(k *kctx) int64 { return k.is[ai][k.offs[ai]] }
+	}
+	r := c.checkedRef(sym, explicit, implicit)
+	return func(k *kctx) int64 {
+		if k.en.strict {
+			var buf [maxRank]int64
+			a, idx := r.index(k, &buf)
+			return a.GetI(idx)
+		}
+		a, off := r.offset(k)
+		return a.I[off]
+	}
+}
+
+// readB compiles an array reference read as one bool element (checked
+// mode only: bool arrays are outside the direct fragment).
+func (c *compiler) readB(e ast.Expr) evalB {
+	r := c.checkedRef(c.resolveRef(e))
+	return func(k *kctx) bool {
+		if k.en.strict {
+			var buf [maxRank]int64
+			a, idx := r.index(k, &buf)
+			return a.GetB(idx)
+		}
+		a, off := r.offset(k)
+		return a.B[off]
+	}
+}
+
+// --- builtins ------------------------------------------------------------------
 
 func (c *compiler) compileCallF(x *ast.Call) evalF {
 	name := strings.ToLower(x.Fun.Name)
@@ -1042,26 +1073,26 @@ func (c *compiler) compileCallF(x *ast.Call) evalF {
 		case "ln":
 			fn = math.Log
 		}
-		return func(en *env, fr []int64) float64 { return fn(f(en, fr)) }
+		return func(k *kctx) float64 { return fn(f(k)) }
 	case "pow":
 		l, r := c.compileF(x.Args[0]), c.compileF(x.Args[1])
-		return func(en *env, fr []int64) float64 { return math.Pow(l(en, fr), r(en, fr)) }
+		return func(k *kctx) float64 { return math.Pow(l(k), r(k)) }
 	case "abs":
 		f := c.compileF(x.Args[0])
-		return func(en *env, fr []int64) float64 { return math.Abs(f(en, fr)) }
+		return func(k *kctx) float64 { return math.Abs(f(k)) }
 	case "min":
 		l, r := c.compileF(x.Args[0]), c.compileF(x.Args[1])
-		return func(en *env, fr []int64) float64 { return math.Min(l(en, fr), r(en, fr)) }
+		return func(k *kctx) float64 { return math.Min(l(k), r(k)) }
 	case "max":
 		l, r := c.compileF(x.Args[0]), c.compileF(x.Args[1])
-		return func(en *env, fr []int64) float64 { return math.Max(l(en, fr), r(en, fr)) }
+		return func(k *kctx) float64 { return math.Max(l(k), r(k)) }
 	case "float":
 		f := c.compileI(x.Args[0])
-		return func(en *env, fr []int64) float64 { return float64(f(en, fr)) }
+		return func(k *kctx) float64 { return float64(f(k)) }
 	}
 	// Module call returning a real.
 	g := c.compileModuleCall(x)
-	return func(en *env, fr []int64) float64 { return value.ToFloat(g(en, fr)) }
+	return func(k *kctx) float64 { return value.ToFloat(g(k)) }
 }
 
 func (c *compiler) compileCallI(x *ast.Call) evalI {
@@ -1069,8 +1100,8 @@ func (c *compiler) compileCallI(x *ast.Call) evalI {
 	switch name {
 	case "abs":
 		f := c.compileI(x.Args[0])
-		return func(en *env, fr []int64) int64 {
-			v := f(en, fr)
+		return func(k *kctx) int64 {
+			v := f(k)
 			if v < 0 {
 				return -v
 			}
@@ -1078,8 +1109,8 @@ func (c *compiler) compileCallI(x *ast.Call) evalI {
 		}
 	case "min":
 		l, r := c.compileI(x.Args[0]), c.compileI(x.Args[1])
-		return func(en *env, fr []int64) int64 {
-			a, b := l(en, fr), r(en, fr)
+		return func(k *kctx) int64 {
+			a, b := l(k), r(k)
 			if a < b {
 				return a
 			}
@@ -1087,8 +1118,8 @@ func (c *compiler) compileCallI(x *ast.Call) evalI {
 		}
 	case "max":
 		l, r := c.compileI(x.Args[0]), c.compileI(x.Args[1])
-		return func(en *env, fr []int64) int64 {
-			a, b := l(en, fr), r(en, fr)
+		return func(k *kctx) int64 {
+			a, b := l(k), r(k)
 			if a > b {
 				return a
 			}
@@ -1096,16 +1127,18 @@ func (c *compiler) compileCallI(x *ast.Call) evalI {
 		}
 	case "trunc":
 		f := c.compileF(x.Args[0])
-		return func(en *env, fr []int64) int64 { return int64(math.Trunc(f(en, fr))) }
+		return func(k *kctx) int64 { return int64(math.Trunc(f(k))) }
 	case "round":
 		f := c.compileF(x.Args[0])
-		return func(en *env, fr []int64) int64 { return int64(math.Round(f(en, fr))) }
+		return func(k *kctx) int64 { return int64(math.Round(f(k))) }
 	case "ord":
 		return c.compileI(x.Args[0])
 	}
 	g := c.compileModuleCall(x)
-	return func(en *env, fr []int64) int64 { return value.ToInt(g(en, fr)) }
+	return func(k *kctx) int64 { return value.ToInt(g(k)) }
 }
+
+// --- boxed values ----------------------------------------------------------------
 
 // compileFieldAccess compiles a record field selection to a boxed
 // evaluator, bypassing the scalar-type dispatch of compileA (which would
@@ -1113,64 +1146,32 @@ func (c *compiler) compileCallI(x *ast.Call) evalI {
 func (c *compiler) compileFieldAccess(x *ast.Field) evalA {
 	g := c.compileA(x.Base)
 	name := x.Sel.Name
-	return func(en *env, fr []int64) any {
-		return g(en, fr).(*value.Record).Field(name)
-	}
-}
-
-// compileModuleCall compiles a single-result module invocation.
-func (c *compiler) compileModuleCall(x *ast.Call) evalA {
-	callee := c.m.Prog.Module(x.Fun.Name)
-	if callee == nil {
-		c.failf("unknown function %s", x.Fun.Name)
-	}
-	sub, ok := c.p.mods[callee]
-	if !ok {
-		var err error
-		sub, err = c.p.compileCallee(callee)
-		if err != nil {
-			c.failf("compiling callee %s: %v", callee.Name, err)
-		}
-	}
-	args := make([]evalA, len(x.Args))
-	for i, a := range x.Args {
-		args[i] = c.compileA(a)
-	}
-	p := c.p
-	return func(en *env, fr []int64) any {
-		argv := make([]any, len(args))
-		for i, f := range args {
-			argv[i] = f(en, fr)
-		}
-		results, err := p.runModule(en.rs, sub, argv, en.inParallel, en.inParallel || en.inSpan)
-		if err != nil {
-			panic(runtimeError{err: fmt.Errorf("call %s: %w", sub.m.Name, err)})
-		}
-		return results[0]
+	return func(k *kctx) any {
+		return g(k).(*value.Record).Field(name)
 	}
 }
 
 // compileA compiles any expression to a boxed evaluator: whole arrays,
 // records, strings, and scalars used as call arguments.
-func (c *compiler) compileA(e ast.Expr) evalA {
-	t := c.typeOf(e)
-	switch t.Kind() {
-	case types.RealKind:
-		f := c.compileF(e)
-		return func(en *env, fr []int64) any { return f(en, fr) }
-	case types.IntKind, types.SubrangeKind, types.CharKind, types.EnumKind:
-		f := c.compileI(e)
-		return func(en *env, fr []int64) any { return f(en, fr) }
-	case types.BoolKind:
-		f := c.compileB(e)
-		return func(en *env, fr []int64) any { return f(en, fr) }
+func (c *compiler) compileA(e ast.Expr) evalA { return c.compileAs(e, c.typeOf(e)) }
+
+// compileAs compiles e boxed as a value of type t: scalar types coerce
+// through the typed compilers (an integer expression assigned to a real
+// scalar widens), everything else stays boxed.
+func (c *compiler) compileAs(e ast.Expr, t types.Type) evalA {
+	switch {
+	case t.Kind() == types.RealKind:
+		return box(c.compileF(e))
+	case intBacked(t):
+		return box(c.compileI(e))
+	case t.Kind() == types.BoolKind:
+		return box(c.compileB(e))
 	}
 	switch x := e.(type) {
 	case *ast.Paren:
 		return c.compileA(x.X)
 	case *ast.StringLit:
-		v := x.Value
-		return func(*env, []int64) any { return v }
+		return constant[any](x.Value)
 	case *ast.Ident:
 		sym := c.m.Lookup(x.Name)
 		if sym == nil || !sym.IsData() {
@@ -1178,51 +1179,23 @@ func (c *compiler) compileA(e ast.Expr) evalA {
 		}
 		si := c.cm.symIdx[sym]
 		if types.Rank(sym.Type) > 0 {
-			return func(en *env, fr []int64) any { return en.arrays[si] }
+			return func(k *kctx) any { return k.en.arrays[si] }
 		}
-		return func(en *env, fr []int64) any { return en.scalars[si] }
+		return func(k *kctx) any { return k.en.scalars[si] }
 	case *ast.Field:
 		return c.compileFieldAccess(x)
 	case *ast.Index:
-		si, subs, rank := c.compileIndexCommon(x)
-		return func(en *env, fr []int64) any {
+		r := c.checkedRef(c.resolveRef(x))
+		return func(k *kctx) any {
 			var buf [maxRank]int64
-			idx := buf[:rank]
-			for i, f := range subs {
-				idx[i] = f(en, fr)
-			}
-			return en.arrays[si].Get(idx)
+			a, idx := r.index(k, &buf)
+			return a.Get(idx)
 		}
 	case *ast.Call:
 		return c.compileModuleCall(x)
 	case *ast.IfExpr:
-		arms := c.compileIfArms(x)
-		thenF := make([]evalA, len(arms.thens))
-		for i, a := range arms.thens {
-			thenF[i] = c.compileA(a)
-		}
-		elseF := c.compileA(x.Else)
-		conds := arms.conds
-		return func(en *env, fr []int64) any {
-			for i, cond := range conds {
-				if cond(en, fr) {
-					return thenF[i](en, fr)
-				}
-			}
-			return elseF(en, fr)
-		}
+		return compileIf(c, x, c.compileA)
 	}
-	c.failf("cannot compile expression %s", ast.ExprString(e))
+	c.unsupported("expression", e)
 	return nil
-}
-
-func (c *compiler) scalarSlot(name string) int {
-	sym := c.m.Lookup(name)
-	if sym == nil || !sym.IsData() {
-		c.failf("unknown name %s", name)
-	}
-	if types.Rank(sym.Type) > 0 {
-		c.failf("array %s used as scalar", name)
-	}
-	return c.cm.symIdx[sym]
 }

@@ -5,6 +5,30 @@
 // (internal/plan), and activations execute plan instructions with
 // virtual dimensions allocated as sliding windows.
 //
+// # One expression compiler, two addressing modes
+//
+// Restructuring changes loops and subscripts only; an equation's
+// right-hand side is the same under every schedule. Accordingly one
+// compiler (compile.go) is the only code that turns a PS expression into
+// a Go closure, and every closure has one shape, func(*kctx) T.
+// Literals, widening, operators, the div/mod zero check, comparisons,
+// if/elsif and every builtin are written once. The compiler's
+// addressing mode decides the leaves alone:
+//
+//   - checked: scalars unbox from the env, array elements go through
+//     evaluated, range-checked (and under Strict, definedness-checked)
+//     subscripts. Every equation has a checked kernel.
+//   - direct: scalars are hoisted at span entry and array elements read
+//     through offsets certified once per span (specialize.go holds the
+//     access and hoist tables and the span loop). Shapes outside the
+//     fragment — module calls, record fields, strings, bool arrays,
+//     subscripts that are not unit-stride — bail with a reason
+//     (Program.Kernels), leaving the checked kernel.
+//
+// Points a span's certificate cannot cover run the checked kernel, so
+// the two modes are bitwise identical by construction: a new operator
+// or builtin is one edit.
+//
 // # Contract
 //
 // A compiled Program is immutable and safe for concurrent Run/RunCtx
@@ -17,9 +41,10 @@
 //
 // # Plan-variant matrix
 //
-// Options select among the four compiled [fuse][hyperplane] plan
-// variants at activation time (variants that lower identically share a
-// compiled plan); equation kernels are compiled once and shared by all
+// Options select among the six compiled [fuse][mode] plan variants at
+// activation time — mode is restructuring off, the auto cascade or the
+// pipeline-first cascade; variants that lower identically share a
+// compiled plan. Equation kernels are compiled once and shared by all
 // of them. Wavefront steps additionally choose an execution strategy
 // per activation: the per-plane barrier sweep or the doacross tile
 // pipeline (internal/sched), forced by Options.Schedule or chosen

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/plan"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -156,29 +157,56 @@ end MinMax;
 }
 
 // TestExpressionLevelModuleCall covers scalar module calls inside
-// expressions (evaluated per element).
+// expressions (evaluated per element), one per scalar result kind: a
+// bool-returning call used to fail to compile.
 func TestExpressionLevelModuleCall(t *testing.T) {
 	src := `
-Caller: module (N: int): [Ys: array [I] of real];
+Caller: module (N: int): [Ys: array [I] of real; Ns: array [I] of int; Bs: array [I] of real];
 type I = 1 .. N;
 define
     Ys[I] = Square(float(I)) + 0.5;
+    Ns[I] = Twice(I) + 1;
+    Bs[I] = if IsBig(float(I)) then 1.0 else 0.0;
 end Caller;
 Square: module (x: real): [y: real];
 define
     y = x * x;
 end Square;
+Twice: module (n: int): [m: int];
+define
+    m = 2 * n;
+end Twice;
+IsBig: module (x: real): [b: bool];
+define
+    b = x > 2.5;
+end IsBig;
 `
 	ip := compileSrc(t, src)
 	res, err := ip.Run("Caller", []any{4}, interp.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ys := res[0].(*value.Array)
+	ys, ns, bs := res[0].(*value.Array), res[1].(*value.Array), res[2].(*value.Array)
 	for i := int64(1); i <= 4; i++ {
-		want := float64(i*i) + 0.5
-		if got := ys.GetF([]int64{i}); got != want {
+		idx := []int64{i}
+		if got, want := ys.GetF(idx), float64(i*i)+0.5; got != want {
 			t.Errorf("Ys[%d] = %g, want %g", i, got, want)
+		}
+		if got, want := ns.GetI(idx), 2*i+1; got != want {
+			t.Errorf("Ns[%d] = %d, want %d", i, got, want)
+		}
+		want := 0.0
+		if i >= 3 {
+			want = 1.0
+		}
+		if got := bs.GetF(idx); got != want {
+			t.Errorf("Bs[%d] = %g, want %g", i, got, want)
+		}
+	}
+	// Module calls stay outside the direct addressing mode.
+	for _, ks := range ip.Kernels("Caller", plan.Options{}) {
+		if ks.Specialized || !strings.Contains(ks.Reason, "is not a specializable builtin") {
+			t.Errorf("%s: specialized=%v reason=%q, want a module-call bail", ks.Eq, ks.Specialized, ks.Reason)
 		}
 	}
 }

@@ -197,7 +197,7 @@ type runtimeError struct {
 // Compile prepares every module of a checked program for execution:
 // each module's dependency graph is scheduled with the core scheduler
 // and the resulting flowchart is lowered once into the flat plan IR
-// (base and fused variants) that Run executes.
+// (all six [fuse][mode] variants) that Run executes.
 func Compile(prog *sem.Program) (*Program, error) {
 	p := &Program{
 		Prog:   prog,
@@ -283,7 +283,7 @@ func (rs *runState) cancelChan() <-chan struct{} {
 // env is the runtime state of one module activation.
 type env struct {
 	cm *compiledModule
-	// cp is the plan variant this activation executes (base or fused).
+	// cp is the plan variant this activation executes ([fuse][mode]).
 	cp      *compiledPlan
 	scalars []any
 	arrays  []*value.Array
@@ -318,6 +318,8 @@ type env struct {
 	// nested sequential steps — and nested module calls — must not emit
 	// their own: overlapping spans would double-count the breakdown.
 	inSpan bool
+	// ck is the context checked kernels evaluate on (env.checked).
+	ck kctx
 }
 
 // eqLabel resolves the executing equation's label for error reports.
@@ -328,12 +330,120 @@ func (en *env) eqLabel() string {
 	return ""
 }
 
+// beginSpan opens a sequential compute span — a DOALL step, a stage
+// sweep or an inline plane run on the activation goroutine — returning
+// the ring to close it on and its start time. The ring is nil when
+// tracing is off or an enclosing span (a worker chunk, an open
+// sequential span) already covers this work. Until endSpan, nested
+// sequential steps and module calls emit nothing (en.inSpan).
+func (en *env) beginSpan() (ring *obs.Ring, t0 int64) {
+	if en.ring == nil || en.inParallel || en.inSpan {
+		return nil, 0
+	}
+	en.inSpan = true
+	return en.ring, en.ring.Now()
+}
+
+// endSpan closes and records the span beginSpan opened, if any.
+func (en *env) endSpan(ring *obs.Ring, kind obs.Kind, t0, arg0, arg1 int64) {
+	if ring != nil {
+		en.inSpan = false
+		ring.Emit(kind, t0, ring.Now()-t0, arg0, arg1)
+	}
+}
+
 // workerState is pooled per-chunk execution state: a private env copy
 // and index frame reused across DOALL dispatches instead of allocated
 // per chunk.
 type workerState struct {
 	en env
 	fr []int64
+}
+
+// workerScope is what the bodies of one parallel dispatch share: the
+// dispatching activation's env and frame, whether a body is a pool
+// chunk, and the first failure any body raised.
+type workerScope struct {
+	en *env
+	fr []int64
+	// chunk is set for DOALL and wavefront-plane chunks: each body then
+	// counts in Stats.Chunks and, when tracing, emits a KChunk span whose
+	// second argument is wavefront (0 = DOALL chunk, 1 = plane chunk).
+	// Pipeline stage bodies and doacross tiles leave it unset: pipe.Run
+	// and sched.Run record those spans on their own rings.
+	chunk     bool
+	wavefront int64
+	once      sync.Once
+	panicked  any
+}
+
+// run executes body on pooled worker state — a private env copy and
+// index frame borrowed from cm.ws instead of allocated per body — with
+// the frame starting at the dispatcher's coordinates. The copy's
+// instance counters start at zero and are flushed into the run's Stats
+// when body returns or fails. A failure (runtimeError, value.Error or a
+// foreign panic) is captured once, for rethrow on the dispatching
+// goroutine after every body has stopped, and reported as false.
+func (w *workerScope) run(points int64, body func(sub *env, wfr []int64)) (ok bool) {
+	rs, cm := w.en.rs, w.en.cm
+	ws, _ := cm.ws.Get().(*workerState)
+	if ws == nil {
+		ws = &workerState{}
+	}
+	if cap(ws.fr) < len(w.fr) {
+		ws.fr = make([]int64, len(w.fr))
+	}
+	wfr := ws.fr[:len(w.fr)]
+	copy(wfr, w.fr)
+	ws.en = *w.en
+	sub := &ws.en
+	sub.inParallel = true
+	sub.eqCount = 0
+	sub.specCount = 0
+	// The env copy aliased the caller's ring; a chunk emits on its own
+	// exclusively-owned ring (or none).
+	sub.ring = nil
+	var t0 int64
+	if w.chunk && rs.rec != nil {
+		sub.ring = rs.rec.Acquire()
+		t0 = sub.ring.Now()
+	}
+	defer func() {
+		if rs.stats != nil {
+			if w.chunk {
+				rs.stats.Chunks.Add(1)
+			}
+			rs.stats.EqInstances.Add(sub.eqCount)
+			rs.stats.Specialized.Add(sub.specCount)
+		}
+		if sub.ring != nil {
+			sub.ring.Emit(obs.KChunk, t0, sub.ring.Now()-t0, points, w.wavefront)
+			rs.rec.Release(sub.ring)
+		}
+		if r := recover(); r != nil {
+			switch e := r.(type) {
+			case runtimeError:
+				if e.eq == "" {
+					e.eq = sub.eqLabel()
+				}
+				r = e
+			case value.Error:
+				r = runtimeError{err: e, eq: sub.eqLabel()}
+			}
+			w.once.Do(func() { w.panicked = r })
+			ok = false
+		}
+		cm.ws.Put(ws)
+	}()
+	body(sub, wfr)
+	return true
+}
+
+// rethrow re-raises the failure a body recorded, if any.
+func (w *workerScope) rethrow() {
+	if w.panicked != nil {
+		panic(w.panicked)
+	}
 }
 
 // Run executes the named module with the given arguments. Scalar
@@ -491,8 +601,9 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 	// array allocations below read the resolved values by frame slot.
 	fr := make([]int64, cm.nSlots)
 	en.bounds = make([][2]int64, cm.nSlots)
+	k := en.checked(fr)
 	for i, b := range cm.bounds {
-		en.bounds[i] = [2]int64{b[0](en, fr), b[1](en, fr)}
+		en.bounds[i] = [2]int64{b[0](k), b[1](k)}
 	}
 
 	// Allocate result and local arrays from the plan variant's
@@ -680,18 +791,8 @@ func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 	if rs.pool == nil || en.inParallel || rs.pool.Workers() == 1 {
 		// Sequential execution of the collapsed nest: walk the linear
 		// space odometer-style, innermost dimension fastest. The step is
-		// recorded as one KDoAll span — only on the activation's own
-		// ring: inside a parallel chunk (or an already-open sequential
-		// span) the enclosing span already covers this work.
-		ring := en.ring
-		if en.inParallel || en.inSpan {
-			ring = nil
-		}
-		var t0 int64
-		if ring != nil {
-			t0 = ring.Now()
-			en.inSpan = true
-		}
+		// recorded as one KDoAll span.
+		ring, t0 := en.beginSpan()
 		for d := 0; d < ndim; d++ {
 			fr[st.Dims[d]] = lob[d]
 		}
@@ -719,10 +820,7 @@ func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 				fr[st.Dims[ndim-1]] = hib[ndim-1]
 				advance(fr, st.Dims, &lob, &hib)
 			}
-			if ring != nil {
-				en.inSpan = false
-				ring.Emit(obs.KDoAll, t0, ring.Now()-t0, total, 0)
-			}
+			en.endSpan(ring, obs.KDoAll, t0, total, 0)
 			return
 		}
 		for c := int64(0); c < total; c++ {
@@ -732,120 +830,67 @@ func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 			p.execSteps(en, fr, bodyLo, bodyHi)
 			advance(fr, st.Dims, &lob, &hib)
 		}
-		if ring != nil {
-			en.inSpan = false
-			ring.Emit(obs.KDoAll, t0, ring.Now()-t0, total, 0)
-		}
+		en.endSpan(ring, obs.KDoAll, t0, total, 0)
 		return
 	}
 
-	// Parallel dispatch. Each chunk borrows pooled worker state (env +
-	// frame) instead of allocating, decomposes its start index once, and
-	// advances the frame odometer-style — no div/mod per iteration.
-	// Panics (runtime failures in workers) are captured once and
-	// re-raised on the caller; the pool stops claiming chunks when the
-	// run's context fires.
-	var panicOnce sync.Once
-	var panicked any
-	cm := en.cm
+	// Parallel dispatch. Each chunk runs on pooled worker state (env +
+	// frame), decomposes its start index once, and advances the frame
+	// odometer-style — no div/mod per iteration. Runtime failures in
+	// workers are captured once and re-raised on the caller; the pool
+	// stops claiming chunks when the run's context fires.
+	scope := workerScope{en: en, fr: fr, chunk: true}
 	leaf := st.Leaf
 	work := func(start, end int64) {
-		ws, _ := cm.ws.Get().(*workerState)
-		if ws == nil {
-			ws = &workerState{}
-		}
-		if cap(ws.fr) < len(fr) {
-			ws.fr = make([]int64, len(fr))
-		}
-		wfr := ws.fr[:len(fr)]
-		copy(wfr, fr)
-		ws.en = *en
-		sub := &ws.en
-		sub.inParallel = true
-		sub.eqCount = 0
-		sub.specCount = 0
-		// The env copy aliased the caller's ring; a chunk emits on its
-		// own exclusively-owned ring (or none).
-		sub.ring = nil
-		var t0 int64
-		if rs.rec != nil {
-			sub.ring = rs.rec.Acquire()
-			t0 = sub.ring.Now()
-		}
-		defer func() {
-			if rs.stats != nil {
-				rs.stats.Chunks.Add(1)
-				rs.stats.EqInstances.Add(sub.eqCount)
-				rs.stats.Specialized.Add(sub.specCount)
+		scope.run(end-start+1, func(sub *env, wfr []int64) {
+			rem := start
+			for d := ndim - 1; d >= 0; d-- {
+				n := hib[d] - lob[d] + 1
+				wfr[st.Dims[d]] = lob[d] + rem%n
+				rem /= n
 			}
-			if sub.ring != nil {
-				sub.ring.Emit(obs.KChunk, t0, sub.ring.Now()-t0, end-start+1, 0)
-				rs.rec.Release(sub.ring)
-			}
-			if r := recover(); r != nil {
-				switch e := r.(type) {
-				case runtimeError:
-					if e.eq == "" {
-						e.eq = sub.eqLabel()
+			if leaf {
+				// Leaf fast path: the body is equation steps only, so hand
+				// the kernels row spans clipped to this chunk instead of
+				// re-entering the step dispatcher per point.
+				steps := sub.cp.pl.Steps
+				spans := sub.cp.spans
+				innerSlot := st.Dims[ndim-1]
+				rowSlots := st.Dims[ndim-1:]
+				for li := start; ; {
+					seg := hib[ndim-1] - wfr[innerSlot] + 1
+					if li+seg-1 > end {
+						seg = end - li + 1
 					}
-					panicOnce.Do(func() { panicked = e })
-				case value.Error:
-					panicOnce.Do(func() { panicked = runtimeError{err: e, eq: sub.eqLabel()} })
-				default:
-					panicOnce.Do(func() { panicked = r })
+					for k := bodyLo; k < bodyHi; k++ {
+						eqi := steps[k].Eq
+						sub.curEq = int32(eqi)
+						spans[eqi].fn(sub, wfr, rowSlots, unitDir, seg)
+					}
+					li += seg
+					if li > end {
+						break
+					}
+					wfr[innerSlot] += seg - 1
+					advance(wfr, st.Dims, &lob, &hib)
 				}
+				return
 			}
-			cm.ws.Put(ws)
-		}()
-		rem := start
-		for d := ndim - 1; d >= 0; d-- {
-			n := hib[d] - lob[d] + 1
-			wfr[st.Dims[d]] = lob[d] + rem%n
-			rem /= n
-		}
-		if leaf {
-			// Leaf fast path: the body is equation steps only, so hand
-			// the kernels row spans clipped to this chunk instead of
-			// re-entering the step dispatcher per point.
-			steps := sub.cp.pl.Steps
-			spans := sub.cp.spans
-			innerSlot := st.Dims[ndim-1]
-			rowSlots := st.Dims[ndim-1:]
-			for li := start; ; {
-				seg := hib[ndim-1] - wfr[innerSlot] + 1
-				if li+seg-1 > end {
-					seg = end - li + 1
-				}
-				for k := bodyLo; k < bodyHi; k++ {
-					eqi := steps[k].Eq
-					sub.curEq = int32(eqi)
-					spans[eqi].fn(sub, wfr, rowSlots, unitDir, seg)
-				}
-				li += seg
-				if li > end {
+			for li := start; ; li++ {
+				p.execSteps(sub, wfr, bodyLo, bodyHi)
+				if li == end {
 					break
 				}
-				wfr[innerSlot] += seg - 1
 				advance(wfr, st.Dims, &lob, &hib)
 			}
-			return
-		}
-		for li := start; ; li++ {
-			p.execSteps(sub, wfr, bodyLo, bodyHi)
-			if li == end {
-				break
-			}
-			advance(wfr, st.Dims, &lob, &hib)
-		}
+		})
 	}
 	if rs.labels {
 		work = labeled(rs, work, pprof.Labels(
-			"ps_module", cm.m.Name, "ps_step", "doall", "ps_eqs", stepEqs(en.cp, bodyLo, bodyHi)))
+			"ps_module", en.cm.m.Name, "ps_step", "doall", "ps_eqs", stepEqs(en.cp, bodyLo, bodyHi)))
 	}
 	completed := rs.pool.ForRangesOpts(rs.cancelChan(), 0, total-1, rs.opts.Grain, work)
-	if panicked != nil {
-		panic(panicked)
-	}
+	scope.rethrow()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})
 	}
@@ -915,17 +960,9 @@ func (p *Program) execPipeline(en *env, fr []int64, st *plan.Step) {
 	}
 	if rs.pool == nil || en.inParallel || rs.pool.Workers() == 1 || tokens == 1 {
 		canceled := rs.canceled
-		ring := en.ring
-		if en.inParallel || en.inSpan {
-			ring = nil // the enclosing span already covers this work
-		}
 		for k := range pi.Stages {
 			sg := &pi.Stages[k]
-			var t0 int64
-			if ring != nil {
-				t0 = ring.Now()
-				en.inSpan = true
-			}
+			ring, t0 := en.beginSpan()
 			for v := b[0]; v <= b[1]; v++ {
 				if canceled != nil && canceled.Load() {
 					panic(runtimeError{err: rs.ctx.Err()})
@@ -933,12 +970,9 @@ func (p *Program) execPipeline(en *env, fr []int64, st *plan.Step) {
 				fr[slot] = v
 				p.execSteps(en, fr, sg.First, sg.End)
 			}
-			if ring != nil {
-				// One span per stage-ordered sweep; token -1 marks the
-				// degenerate (sequential) execution of all tokens.
-				en.inSpan = false
-				ring.Emit(obs.KStage, t0, ring.Now()-t0, int64(k), -1)
-			}
+			// One span per stage-ordered sweep; token -1 marks the
+			// degenerate (sequential) execution of all tokens.
+			en.endSpan(ring, obs.KStage, t0, int64(k), -1)
 		}
 		return
 	}
@@ -955,76 +989,41 @@ func (p *Program) execPipeline(en *env, fr []int64, st *plan.Step) {
 		stages[k] = pipe.Stage{Parallel: sg.Parallel, Deps: deps}
 	}
 
-	// Every body invocation borrows pooled worker state (env + frame)
+	// Every body invocation runs on pooled worker state (env + frame)
 	// like a DOALL chunk: one token is a full sweep of the stage's
-	// remaining dimensions, so the pool round-trip amortizes. Panics are
+	// remaining dimensions, so the pool round-trip amortizes. Failures are
 	// recorded once and re-raised after every stage goroutine stopped.
-	var panicOnce sync.Once
-	var panicked any
-	cm := en.cm
+	scope := workerScope{en: en, fr: fr}
 	var stageLbls []pprof.LabelSet
 	if rs.labels {
 		stageLbls = make([]pprof.LabelSet, len(pi.Stages))
 		for k, sg := range pi.Stages {
-			stageLbls[k] = pprof.Labels("ps_module", cm.m.Name,
+			stageLbls[k] = pprof.Labels("ps_module", en.cm.m.Name,
 				"ps_step", "pipeline", "ps_eqs", stepEqs(en.cp, sg.First, sg.End))
 		}
 	}
 	var pstats pipe.Stats
-	err := pipe.Run(stages, tokens, rs.pool.Workers(), rs.cancelChan(), func(stage, _ int, token int64) (err error) {
-		ws, _ := cm.ws.Get().(*workerState)
-		if ws == nil {
-			ws = &workerState{}
-		}
-		if cap(ws.fr) < len(fr) {
-			ws.fr = make([]int64, len(fr))
-		}
-		wfr := ws.fr[:len(fr)]
-		copy(wfr, fr)
-		ws.en = *en
-		sub := &ws.en
-		sub.inParallel = true
-		sub.ring = nil // pipe.Run records the stage span on its own ring
-		sub.eqCount = 0
-		sub.specCount = 0
-		defer func() {
-			if rs.stats != nil {
-				rs.stats.EqInstances.Add(sub.eqCount)
-				rs.stats.Specialized.Add(sub.specCount)
-			}
-			if r := recover(); r != nil {
-				switch e := r.(type) {
-				case runtimeError:
-					if e.eq == "" {
-						e.eq = sub.eqLabel()
-					}
-					panicOnce.Do(func() { panicked = e })
-				case value.Error:
-					panicOnce.Do(func() { panicked = runtimeError{err: e, eq: sub.eqLabel()} })
-				default:
-					panicOnce.Do(func() { panicked = r })
-				}
-				err = errPipelineAbort
-			}
-			cm.ws.Put(ws)
-		}()
-		sg := &pi.Stages[stage]
-		wfr[slot] = b[0] + token
-		if stageLbls != nil {
-			pprof.Do(rs.ctx, stageLbls[stage], func(context.Context) {
+	err := pipe.Run(stages, tokens, rs.pool.Workers(), rs.cancelChan(), func(stage, _ int, token int64) error {
+		ok := scope.run(0, func(sub *env, wfr []int64) {
+			sg := &pi.Stages[stage]
+			wfr[slot] = b[0] + token
+			if stageLbls != nil {
+				pprof.Do(rs.ctx, stageLbls[stage], func(context.Context) {
+					p.execSteps(sub, wfr, sg.First, sg.End)
+				})
+			} else {
 				p.execSteps(sub, wfr, sg.First, sg.End)
-			})
-		} else {
-			p.execSteps(sub, wfr, sg.First, sg.End)
+			}
+		})
+		if !ok {
+			return errPipelineAbort
 		}
 		return nil
 	}, &pstats, rs.rec)
 	if rs.stats != nil {
 		rs.stats.PipelineStalls.Add(pstats.Stalls.Load())
 	}
-	if panicked != nil {
-		panic(panicked)
-	}
+	scope.rethrow()
 	if err != nil {
 		// Only cancellation reaches here: body failures travel through
 		// the recorded panic above.
@@ -1339,7 +1338,6 @@ func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) 
 	// threshold starts at the fixed default and is re-read after the
 	// first plane calibrates the measured kernel cost.
 	inline := en.cp.wavefrontGrain()
-	cm := en.cm
 	// Plane spans land on the activation's ring; inside a parallel chunk
 	// (or an already-open sequential span) the enclosing span covers the
 	// work and nothing is emitted here.
@@ -1349,9 +1347,10 @@ func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) 
 	}
 	var wfLbls pprof.LabelSet
 	if rs.labels {
-		wfLbls = pprof.Labels("ps_module", cm.m.Name,
+		wfLbls = pprof.Labels("ps_module", en.cm.m.Name,
 			"ps_step", "wavefront", "ps_eqs", eqsLabel(en.cp, w.eqis))
 	}
+	scope := workerScope{en: en, fr: fr, chunk: true, wavefront: 1}
 
 	for t := w.tlo[0]; t <= w.thi[0]; t++ {
 		if canceled != nil && canceled.Load() {
@@ -1366,11 +1365,7 @@ func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) 
 			rs.stats.Planes.Add(1)
 		}
 		if noPool || planeTotal < inline {
-			var t0 int64
-			if ring != nil {
-				t0 = ring.Now()
-				en.inSpan = true
-			}
+			sring, t0 := en.beginSpan()
 			if en.cp.wfCost.Load() == 0 && planeTotal >= 8 {
 				// One-shot grain calibration: time this inline plane and
 				// derive the per-plan threshold from its measured kernel
@@ -1385,66 +1380,18 @@ func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) 
 			} else {
 				p.execPlaneBox(en, fr, &w, t, &plo, &phi, 0, planeTotal-1)
 			}
-			if ring != nil {
-				en.inSpan = false
-				ring.Emit(obs.KPlane, t0, ring.Now()-t0, t, 0)
-			}
+			en.endSpan(sring, obs.KPlane, t0, t, 0)
 			continue
 		}
 
-		// Parallel plane: chunked exactly like a DOALL, with pooled
-		// worker state; each chunk decomposes its start index once and
-		// walks the plane odometer-style, updating the T⁻¹ preimage
-		// incrementally instead of remapping per point.
-		var panicOnce sync.Once
-		var panicked any
+		// Parallel plane: chunked exactly like a DOALL, on pooled worker
+		// state; each chunk decomposes its start index once and walks the
+		// plane odometer-style, updating the T⁻¹ preimage incrementally
+		// instead of remapping per point.
 		work := func(start, end int64) {
-			ws, _ := cm.ws.Get().(*workerState)
-			if ws == nil {
-				ws = &workerState{}
-			}
-			if cap(ws.fr) < len(fr) {
-				ws.fr = make([]int64, len(fr))
-			}
-			wfr := ws.fr[:len(fr)]
-			copy(wfr, fr)
-			ws.en = *en
-			sub := &ws.en
-			sub.inParallel = true
-			sub.ring = nil
-			sub.eqCount = 0
-			sub.specCount = 0
-			var t0 int64
-			if rs.rec != nil {
-				sub.ring = rs.rec.Acquire()
-				t0 = sub.ring.Now()
-			}
-			defer func() {
-				if sub.ring != nil {
-					sub.ring.Emit(obs.KChunk, t0, sub.ring.Now()-t0, end-start+1, 1)
-					rs.rec.Release(sub.ring)
-				}
-				if rs.stats != nil {
-					rs.stats.Chunks.Add(1)
-					rs.stats.EqInstances.Add(sub.eqCount)
-					rs.stats.Specialized.Add(sub.specCount)
-				}
-				if r := recover(); r != nil {
-					switch e := r.(type) {
-					case runtimeError:
-						if e.eq == "" {
-							e.eq = sub.eqLabel()
-						}
-						panicOnce.Do(func() { panicked = e })
-					case value.Error:
-						panicOnce.Do(func() { panicked = runtimeError{err: e, eq: sub.eqLabel()} })
-					default:
-						panicOnce.Do(func() { panicked = r })
-					}
-				}
-				cm.ws.Put(ws)
-			}()
-			p.execPlaneBox(sub, wfr, &w, t, &plo, &phi, start, end)
+			scope.run(end-start+1, func(sub *env, wfr []int64) {
+				p.execPlaneBox(sub, wfr, &w, t, &plo, &phi, start, end)
+			})
 		}
 		if rs.labels {
 			work = labeled(rs, work, wfLbls)
@@ -1459,9 +1406,7 @@ func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) 
 			// the compute, so Breakdown turns this into barrier idle.
 			ring.Emit(obs.KPlane, t0, ring.Now()-t0, t, 1)
 		}
-		if panicked != nil {
-			panic(panicked)
-		}
+		scope.rethrow()
 		if !completed {
 			panic(runtimeError{err: rs.ctx.Err()})
 		}
@@ -1505,8 +1450,7 @@ func (p *Program) execWavefrontDoacross(en *env, fr []int64, w *wfSpace) {
 	if rs.stats != nil {
 		doStats = &rs.stats.Doacross
 	}
-	var panicOnce sync.Once
-	var panicked any
+	scope := workerScope{en: en, fr: fr}
 	canceled := rs.canceled
 	body := func(_ int, t int64, k int, blo, bhi int64) bool {
 		// Most tile instances of a narrow plane are empty (the tile grid
@@ -1537,7 +1481,24 @@ func (p *Program) execWavefrontDoacross(en *env, fr []int64, w *wfSpace) {
 		for r := 1; r < w.n; r++ {
 			total *= phi[r] - plo[r] + 1
 		}
-		ok := p.execDoacrossTile(en, fr, w, t, &plo, &phi, total, &panicOnce, &panicked)
+		// The tile runs on pooled worker state, capturing failures the way
+		// DOALL chunks do: a recorded failure stops the scheduling here and
+		// re-raises after Run.
+		ok := scope.run(0, func(sub *env, wfr []int64) {
+			// Tiles are narrow by construction, so calibration accepts any
+			// instance with at least two executed points; the threshold it
+			// feeds is clamped, which bounds the effect of timing noise.
+			if cp := sub.cp; cp.wfCost.Load() == 0 && total >= 2 {
+				before := sub.eqCount
+				start := time.Now()
+				p.execPlaneBox(sub, wfr, w, t, &plo, &phi, 0, total-1)
+				if points := w.points(sub.eqCount - before); points > 0 {
+					cp.noteWavefrontCost(points, time.Since(start))
+				}
+				return
+			}
+			p.execPlaneBox(sub, wfr, w, t, &plo, &phi, 0, total-1)
+		})
 		return ok && !(canceled != nil && canceled.Load())
 	}
 	if rs.labels {
@@ -1550,71 +1511,10 @@ func (p *Program) execWavefrontDoacross(en *env, fr []int64, w *wfSpace) {
 		}
 	}
 	completed := sched.Run(nest, rs.pool, rs.cancelChan(), body, doStats, rs.rec)
-	if panicked != nil {
-		panic(panicked)
-	}
+	scope.rethrow()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})
 	}
-}
-
-// execDoacrossTile runs one non-empty tile instance on pooled worker
-// state, capturing runtime failures the way DOALL chunks do; false
-// means a panic was recorded and the run must abort.
-func (p *Program) execDoacrossTile(en *env, fr []int64, w *wfSpace, t int64, plo, phi *[plan.MaxCollapse]int64, total int64, panicOnce *sync.Once, panicked *any) (ok bool) {
-	rs := en.rs
-	cm := en.cm
-	ws, _ := cm.ws.Get().(*workerState)
-	if ws == nil {
-		ws = &workerState{}
-	}
-	if cap(ws.fr) < len(fr) {
-		ws.fr = make([]int64, len(fr))
-	}
-	wfr := ws.fr[:len(fr)]
-	copy(wfr, fr)
-	ws.en = *en
-	sub := &ws.en
-	sub.inParallel = true
-	sub.ring = nil // sched.Run records the tile span on its own ring
-	sub.eqCount = 0
-	sub.specCount = 0
-	ok = true
-	defer func() {
-		if rs.stats != nil {
-			rs.stats.EqInstances.Add(sub.eqCount)
-			rs.stats.Specialized.Add(sub.specCount)
-		}
-		if r := recover(); r != nil {
-			switch e := r.(type) {
-			case runtimeError:
-				if e.eq == "" {
-					e.eq = sub.eqLabel()
-				}
-				panicOnce.Do(func() { *panicked = e })
-			case value.Error:
-				panicOnce.Do(func() { *panicked = runtimeError{err: e, eq: sub.eqLabel()} })
-			default:
-				panicOnce.Do(func() { *panicked = r })
-			}
-			ok = false // stop scheduling; the panic re-raises after Run
-		}
-		cm.ws.Put(ws)
-	}()
-	// Tiles are narrow by construction, so calibration accepts any
-	// instance with at least two executed points; the threshold it
-	// feeds is clamped, which bounds the effect of timing noise.
-	if en.cp.wfCost.Load() == 0 && total >= 2 {
-		before := sub.eqCount
-		start := time.Now()
-		p.execPlaneBox(sub, wfr, w, t, plo, phi, 0, total-1)
-		if points := w.points(sub.eqCount - before); points > 0 {
-			en.cp.noteWavefrontCost(points, time.Since(start))
-		}
-		return ok
-	}
-	p.execPlaneBox(sub, wfr, w, t, plo, phi, 0, total-1)
-	return ok
 }
 
 // ceilDiv and floorDiv divide with rounding toward +∞/−∞; b must be

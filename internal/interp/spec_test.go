@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/interp"
@@ -121,6 +122,149 @@ func TestSpanDispatchParity(t *testing.T) {
 				t.Errorf("Specialized (%d) exceeds EqInstances (%d)", spec, eq)
 			}
 		})
+	}
+}
+
+// opTable exercises every operator and builtin of the specializable
+// fragment over real and integer-backed (int, char, enum) arrays, so
+// the one expression lowering is checked in both addressing modes.
+const opTable = `
+Ops: module (Xs: array [I] of real; Ys: array [I] of real; Hs: array [I] of real;
+             Ps: array [I] of int; Qs: array [I] of int; Cs: array [I] of char;
+             N: int; s: real; shift: int; flag: bool):
+    [RA: array [I] of real; RB: array [I] of real; RC: array [I] of real;
+     RD: array [I] of real; RE: array [I] of real; RF: array [I] of real;
+     RG: array [I] of real; RH: array [I] of real;
+     IA: array [I] of int; IB: array [I] of int; IC: array [I] of int;
+     ID: array [I] of int; IE: array [I] of int; IG: array [I] of int];
+type
+    I = 1 .. N;
+    Color = (green, yellow, red);
+var
+    Hue: array [1 .. N] of Color;
+define
+    Hue[I] = if Ps[I] mod 3 = 0 then red elsif Ps[I] mod 3 = 1 then green else yellow;
+    RA[I] = Xs[I] + Ys[I] * s - Xs[I] / Ys[I];
+    RB[I] = -Xs[I] - (-(Ys[I] * 0.0));
+    RC[I] = sqrt(abs(Xs[I])) + sin(Xs[I]) * cos(Ys[I]) + exp(min(Xs[I], 3.0))
+            + ln(abs(Ys[I]) + 1.0) + pow(abs(Xs[I]), 0.5);
+    RD[I] = min(Xs[I], Ys[I]);
+    RE[I] = max(Xs[I], Ys[I]);
+    RF[I] = float(Ps[I]) + Qs[I] + float(I) + Hs[I] * shift;
+    RG[I] = if Xs[I] < Ys[I] then 1.0
+            elsif Xs[I] = Ys[I] then (if Xs[I] <= 0.0 then 2.0 else 2.5)
+            elsif Xs[I] > Ys[I] then (if Xs[I] >= 1.0 then 3.0 elsif Ys[I] <> 0.0 then 3.25 else 3.5)
+            else 4.0;
+    RH[I] = if ((Xs[I] <> Ys[I]) = flag) and not ((Ps[I] < Qs[I]) <> flag) then 1.0
+            elsif (Xs[I] > 0.0) or flag then 2.0 else 3.0;
+    IA[I] = Ps[I] + Qs[I] * 2 - Ps[I] div Qs[I] + Ps[I] mod Qs[I] + shift;
+    IB[I] = abs(Ps[I]) + min(Ps[I], Qs[I]) - max(Ps[I], Qs[I]) + (-Ps[I]);
+    IC[I] = trunc(Hs[I]) * 100 + round(Hs[I]);
+    ID[I] = ord(Cs[I]) + (if (Cs[I] >= 'a') and (Cs[I] <= 'z') then 1 elsif Cs[I] = 'Q' then 2 else 0);
+    IE[I] = if Hue[I] = red then 1 elsif Hue[I] < yellow then 2 elsif Hue[I] <> yellow then 3 else 4;
+    IG[I] = if Ps[I] <= Qs[I] then (if Ps[I] = Qs[I] then 0 else -1)
+            elsif Ps[I] >= 2 * Qs[I] then 2 else 1;
+end Ops;
+`
+
+// TestOperatorTableParity runs opTable — NaN, ±Inf and −0.0 operands,
+// negative div/mod, min/max with NaN, trunc/round at .5, char, enum and
+// bool comparisons, nested if/elsif — through the direct kernels
+// (default), the checked kernels (NoSpecialize) and strict mode,
+// sequentially and on two workers, and demands bitwise-equal outputs.
+// Every equation must specialize, and Specialized must be positive in
+// the default rows only.
+func TestOperatorTableParity(t *testing.T) {
+	ip := compileSrc(t, opTable)
+	for _, ks := range ip.Kernels("Ops", plan.Options{}) {
+		if !ks.Specialized {
+			t.Errorf("%s (%s) left the specializable fragment: %s", ks.Eq, ks.Target, ks.Reason)
+		}
+	}
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	xs := []float64{nan, negZero, 0, 1.5, -2.5, inf, -inf, 3, nan, negZero, 1e300, -7.25}
+	ys := []float64{1, 0, negZero, nan, -2.5, 2, -inf, negZero, nan, negZero, 1e300, 0.5}
+	hs := []float64{-2.5, -1.5, -0.5, 0.5, 1.5, 2.5, negZero, 0.49999999999999994, -3.7, 3.7, 1e15 + 0.5, -1e15 - 0.5}
+	ps := []int64{-7, 7, -7, 7, 0, -1, 9, -9, 6, -6, 1 << 40, -(1 << 40)}
+	qs := []int64{2, -2, -2, 2, 5, 1, -3, 3, 6, -6, 3, 7}
+	cs := []int64{'a', 'z', 'Q', 'A', '{', '`', 'm', ' ', 'q', 'Z', '0', '~'}
+	n := int64(len(xs))
+	reals := func(v []float64) *value.Array {
+		a := value.NewArray(types.RealKind, []value.Axis{{Lo: 1, Hi: n}})
+		copy(a.F, v)
+		return a
+	}
+	ints := func(kind types.Kind, v []int64) *value.Array {
+		a := value.NewArray(kind, []value.Axis{{Lo: 1, Hi: n}})
+		copy(a.I, v)
+		return a
+	}
+	args := []any{reals(xs), reals(ys), reals(hs), ints(types.IntKind, ps), ints(types.IntKind, qs),
+		ints(types.CharKind, cs), n, 0.75, int64(-3), true}
+
+	var want []any
+	for _, tc := range []struct {
+		name        string
+		opts        interp.Options
+		specialized bool
+	}{
+		{"Seq", interp.Options{Sequential: true}, true},
+		{"Par2", interp.Options{Workers: 2}, true},
+		{"SeqNoSpec", interp.Options{Sequential: true, NoSpecialize: true}, false},
+		{"Par2NoSpec", interp.Options{Workers: 2, NoSpecialize: true}, false},
+		{"SeqStrict", interp.Options{Sequential: true, Strict: true}, false},
+		{"Par2Strict", interp.Options{Workers: 2, Strict: true}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var st interp.Stats
+			opts := tc.opts
+			opts.Stats = &st
+			got, err := ip.Run("Ops", args, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spec := st.Specialized.Load(); (spec > 0) != tc.specialized {
+				t.Errorf("Specialized = %d, want positive: %v", spec, tc.specialized)
+			}
+			if want == nil {
+				want = got
+				return
+			}
+			for r, res := range got {
+				g, w := res.(*value.Array), want[r].(*value.Array)
+				for i := range w.F {
+					if math.Float64bits(g.F[i]) != math.Float64bits(w.F[i]) {
+						t.Errorf("result %d [%d] = %v (%#x), want %v (%#x)", r, i+1,
+							g.F[i], math.Float64bits(g.F[i]), w.F[i], math.Float64bits(w.F[i]))
+					}
+				}
+				for i := range w.I {
+					if g.I[i] != w.I[i] {
+						t.Errorf("result %d [%d] = %d, want %d", r, i+1, g.I[i], w.I[i])
+					}
+				}
+			}
+		})
+	}
+	if want == nil {
+		t.Fatal("no reference row ran")
+	}
+	// Spot-check the reference row itself against Go's own semantics, so
+	// the six rows cannot agree on a wrong answer for the corner cases.
+	ia, ic, rd, re := want[8].(*value.Array).I, want[10].(*value.Array).I, want[3].(*value.Array).F, want[4].(*value.Array).F
+	for i := range ps {
+		if w := ps[i] + qs[i]*2 - ps[i]/qs[i] + ps[i]%qs[i] - 3; ia[i] != w {
+			t.Errorf("IA[%d] = %d, want %d (truncated div/mod)", i+1, ia[i], w)
+		}
+		if w := int64(math.Trunc(hs[i]))*100 + int64(math.Round(hs[i])); ic[i] != w {
+			t.Errorf("IC[%d] = %d, want %d (trunc/round of %v)", i+1, ic[i], w, hs[i])
+		}
+		if w := math.Min(xs[i], ys[i]); math.Float64bits(rd[i]) != math.Float64bits(w) {
+			t.Errorf("RD[%d] = %v, want %v", i+1, rd[i], w)
+		}
+		if w := math.Max(xs[i], ys[i]); math.Float64bits(re[i]) != math.Float64bits(w) {
+			t.Errorf("RE[%d] = %v, want %v", i+1, re[i], w)
+		}
 	}
 }
 

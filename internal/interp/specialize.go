@@ -3,8 +3,10 @@ package interp
 // Kernel specialization (the perf core of the §3–§4 reproduction): when
 // an equation body is a recognized shape — unit-stride affine reads of
 // flat float64/int64 arrays combined with +,−,×,÷, literals, loop
-// indices and builtins — the compiler emits a *direct kernel* alongside
-// the checked closure tree: a closure over raw backing slices whose
+// indices and builtins — the compiler runs a second time in its direct
+// addressing mode (compile.go: same expression lowering, different
+// leaves) and emits a *direct kernel* alongside the checked closure
+// tree: a closure over raw backing slices whose
 // operand offsets are maintained incrementally along a run of
 // consecutive points (strength reduction), with array bounds certified
 // once per run so the per-point path is branch-free. Executors hand
@@ -15,7 +17,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -68,38 +69,15 @@ func genericSpanFn(gen kernelFn) spanFn {
 	}
 }
 
-// kctx is the runtime state of one specialized span: raw backing slices
-// and current flat offsets per access, plus scalars hoisted once at span
-// entry. Specialized evaluators close over access indices into these
-// tables, so the per-point path is slice reads and arithmetic only.
-type kctx struct {
-	en    *env
-	fr    []int64
-	offs  []int64     // current flat offset per access
-	slope []int64     // per-point offset increment per access
-	fs    [][]float64 // float64 backing per access (nil for int-backed)
-	is    [][]int64   // int64 backing per access
-	sf    []float64   // hoisted real scalars
-	sn    []int64     // hoisted integer scalars
-	sb    []bool      // hoisted bool scalars
-}
-
-// Specialized evaluators: the direct-kernel mirror of evalF/evalI/evalB.
-type (
-	kevF func(k *kctx) float64
-	kevI func(k *kctx) int64
-	kevB func(k *kctx) bool
-)
-
-// specAbort is the bail panic of the specializing compiler: the
+// specAbort is the bail panic of the compiler's direct mode: the
 // equation shape is outside the recognized fragment, so the checked
 // closure tree remains the only kernel.
 type specAbort struct{ reason string }
 
 // specSub is one dimension of a specialized array access.
 type specSub struct {
-	// base evaluates the subscript at the span's first point (the
-	// checked compiler's own evaluator, run once per span).
+	// base evaluates the subscript at the span's first point (compiled in
+	// checked mode, run once per span).
 	base evalI
 	// dimVar is the frame slot of the subscript's unit-coefficient
 	// index variable, or -1 for a constant subscript. Eligibility
@@ -115,52 +93,53 @@ type specAccess struct {
 	subs []specSub
 }
 
-// speccer compiles one equation into a specialized kernel, sharing the
-// checked compiler's symbol resolution.
+// hoistTab lists the symbol slots of the scalars of one type that a
+// specialized equation reads; a slot's position is its index in the
+// matching kctx table (sf, sn or sb), filled at span entry.
+type hoistTab []int
+
+// intern returns the position of symbol slot si, adding it when new.
+func (h *hoistTab) intern(si int) int {
+	for i, s := range *h {
+		if s == si {
+			return i
+		}
+	}
+	*h = append(*h, si)
+	return len(*h) - 1
+}
+
+// speccer holds what the direct addressing mode adds to the compiler
+// for one equation: the access table its array leaves index and the
+// hoist tables its scalar leaves index. The expression lowering itself
+// is the compiler's, shared with the checked mode.
 type speccer struct {
-	c     *compiler
-	accs  []*specAccess
-	byKey map[string]int
-	// Hoisted scalar tables: symbol slot → position in kctx.sf/sn/sb.
-	sfIdx, snIdx, sbIdx map[int]int
-	sfSlots, snSlots    []int
-	sbSlots             []int
+	// c is the checked-mode compiler, used for subscript base evaluators.
+	c          *compiler
+	accs       []*specAccess
+	byKey      map[string]int
+	sf, sn, sb hoistTab
 }
 
 func (s *speccer) bail(format string, args ...any) {
 	panic(specAbort{reason: fmt.Sprintf(format, args...)})
 }
 
-// access registers an array reference (explicit subscripts plus
-// implicit trailing alignment) and returns its index in the access
-// tables. Identical references share one table slot, which is safe even
-// across the write target: offsets are positions, not values.
-func (s *speccer) access(sym *sem.Symbol, explicit []ast.Expr, nImplicit int) int {
-	arr, isArr := sym.Type.(*types.Array)
-	if !isArr {
-		s.bail("%s is not an array", sym.Name)
-	}
-	var isF bool
-	switch arr.Elem.Kind() {
-	case types.RealKind:
-		isF = true
-	case types.IntKind, types.SubrangeKind, types.CharKind, types.EnumKind:
-		isF = false
-	default:
+// access registers an array reference (explicit subscripts plus the
+// frame slots of implicit trailing dimensions) and returns its index in
+// the access tables. Identical references share one table slot, which is
+// safe even across the write target: offsets are positions, not values.
+func (s *speccer) access(sym *sem.Symbol, explicit []ast.Expr, implicit []int) int {
+	arr := sym.Type.(*types.Array)
+	isF := arr.Elem.Kind() == types.RealKind
+	if !isF && !intBacked(arr.Elem) {
 		s.bail("array %s has %s elements", sym.Name, arr.Elem)
-	}
-	if len(explicit)+nImplicit != len(arr.Dims) {
-		s.bail("reference to %s covers %d of %d dimensions", sym.Name, len(explicit)+nImplicit, len(arr.Dims))
-	}
-	var imp []int
-	if nImplicit > 0 {
-		imp = s.c.implicitSlots(nImplicit)
 	}
 	key := fmt.Sprintf("%d", s.c.cm.symIdx[sym])
 	for _, e := range explicit {
 		key += "|" + ast.ExprString(e)
 	}
-	for _, slot := range imp {
+	for _, slot := range implicit {
 		key += fmt.Sprintf("|@%d", slot)
 	}
 	if ai, ok := s.byKey[key]; ok {
@@ -170,12 +149,8 @@ func (s *speccer) access(sym *sem.Symbol, explicit []ast.Expr, nImplicit int) in
 	for _, e := range explicit {
 		ac.subs = append(ac.subs, s.subscript(e))
 	}
-	for _, slot := range imp {
-		sl := slot
-		ac.subs = append(ac.subs, specSub{
-			base:   func(en *env, fr []int64) int64 { return fr[sl] },
-			dimVar: sl,
-		})
+	for _, slot := range implicit {
+		ac.subs = append(ac.subs, specSub{base: frameSlot(slot), dimVar: slot})
 	}
 	ai := len(s.accs)
 	s.accs = append(s.accs, ac)
@@ -218,447 +193,15 @@ func (s *speccer) subscript(e ast.Expr) specSub {
 	return sub
 }
 
-// elemF reads access ai as float64 through the certified offset.
-func elemF(ai int) kevF { return func(k *kctx) float64 { return k.fs[ai][k.offs[ai]] } }
-
-// elemI reads access ai as int64 through the certified offset.
-func elemI(ai int) kevI { return func(k *kctx) int64 { return k.is[ai][k.offs[ai]] } }
-
-// hoistF interns a real scalar slot, returning its kctx.sf position.
-func (s *speccer) hoistF(si int) int {
-	if i, ok := s.sfIdx[si]; ok {
-		return i
-	}
-	i := len(s.sfSlots)
-	s.sfIdx[si] = i
-	s.sfSlots = append(s.sfSlots, si)
-	return i
-}
-
-func (s *speccer) hoistI(si int) int {
-	if i, ok := s.snIdx[si]; ok {
-		return i
-	}
-	i := len(s.snSlots)
-	s.snIdx[si] = i
-	s.snSlots = append(s.snSlots, si)
-	return i
-}
-
-func (s *speccer) hoistB(si int) int {
-	if i, ok := s.sbIdx[si]; ok {
-		return i
-	}
-	i := len(s.sbSlots)
-	s.sbIdx[si] = i
-	s.sbSlots = append(s.sbSlots, si)
-	return i
-}
-
-// --- the specializing expression compiler -----------------------------------
-//
-// Each kcompile* mirrors its compile* counterpart operator-for-operator
-// (same widening, same short-circuit order, same division-by-zero
-// panics), differing only in operand addressing: array elements read
-// through certified incremental offsets, scalars through span-entry
-// hoists. Shapes outside the fragment bail to the checked kernel.
-
-func (s *speccer) kcompileF(e ast.Expr) kevF {
-	c := s.c
-	t := c.typeOf(e)
-	if types.IsInteger(t) || t.Kind() == types.CharKind || t.Kind() == types.EnumKind {
-		f := s.kcompileI(e)
-		return func(k *kctx) float64 { return float64(f(k)) }
-	}
-	if t.Kind() == types.ArrayKind {
-		return s.kelemAccessF(e)
-	}
-	if t.Kind() != types.RealKind {
-		s.bail("expression %s has type %s, want real", ast.ExprString(e), t)
-	}
-	switch x := e.(type) {
-	case *ast.RealLit:
-		v := x.Value
-		return func(*kctx) float64 { return v }
-	case *ast.Paren:
-		return s.kcompileF(x.X)
-	case *ast.Ident:
-		hi := s.hoistF(c.scalarSlot(x.Name))
-		return func(k *kctx) float64 { return k.sf[hi] }
-	case *ast.Unary:
-		f := s.kcompileF(x.X)
-		if x.Op.String() == "-" {
-			return func(k *kctx) float64 { return -f(k) }
-		}
-		return f
-	case *ast.Binary:
-		l, r := s.kcompileF(x.X), s.kcompileF(x.Y)
-		switch x.Op.String() {
-		case "+":
-			return func(k *kctx) float64 { return l(k) + r(k) }
-		case "-":
-			return func(k *kctx) float64 { return l(k) - r(k) }
-		case "*":
-			return func(k *kctx) float64 { return l(k) * r(k) }
-		case "/":
-			return func(k *kctx) float64 { return l(k) / r(k) }
-		}
-		s.bail("invalid real operator %s", x.Op)
-	case *ast.IfExpr:
-		conds, thens := s.kcompileConds(x)
-		thenF := make([]kevF, len(thens))
-		for i, a := range thens {
-			thenF[i] = s.kcompileF(a)
-		}
-		elseF := s.kcompileF(x.Else)
-		return func(k *kctx) float64 {
-			for i, cond := range conds {
-				if cond(k) {
-					return thenF[i](k)
-				}
-			}
-			return elseF(k)
-		}
-	case *ast.Index:
-		return s.kelemAccessF(x)
-	case *ast.Call:
-		return s.kcompileCallF(x)
-	}
-	s.bail("cannot specialize real expression %s", ast.ExprString(e))
-	return nil
-}
-
-// kelemAccessF compiles an array reference in real element context.
-func (s *speccer) kelemAccessF(e ast.Expr) kevF {
-	sym, explicit, nImp := s.resolveRef(e)
-	ai := s.access(sym, explicit, nImp)
-	if !s.accs[ai].isF {
-		f := elemI(ai)
-		return func(k *kctx) float64 { return float64(f(k)) }
-	}
-	return elemF(ai)
-}
-
-// kelemAccessI compiles an array reference in integer element context.
-func (s *speccer) kelemAccessI(e ast.Expr) kevI {
-	sym, explicit, nImp := s.resolveRef(e)
-	ai := s.access(sym, explicit, nImp)
-	if s.accs[ai].isF {
-		s.bail("real array %s read in integer context", sym.Name)
-	}
-	return elemI(ai)
-}
-
-// resolveRef decomposes an array-valued expression into its base symbol,
-// explicit subscripts, and implicit trailing dimension count.
-func (s *speccer) resolveRef(e ast.Expr) (*sem.Symbol, []ast.Expr, int) {
-	c := s.c
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		sym := c.m.Lookup(x.Name)
-		if sym == nil || !sym.IsData() {
-			s.bail("unknown array %s", x.Name)
-		}
-		arr, isArr := sym.Type.(*types.Array)
-		if !isArr {
-			s.bail("%s is not an array", x.Name)
-		}
-		return sym, nil, len(arr.Dims)
-	case *ast.Index:
-		base, ok := ast.Unparen(x.Base).(*ast.Ident)
-		if !ok {
-			s.bail("subscripted value %s is not a named array", ast.ExprString(x.Base))
-		}
-		sym := c.m.Lookup(base.Name)
-		if sym == nil || !sym.IsData() {
-			s.bail("unknown array %s", base.Name)
-		}
-		arr, isArr := sym.Type.(*types.Array)
-		if !isArr {
-			s.bail("%s is not an array", base.Name)
-		}
-		return sym, x.Subs, len(arr.Dims) - len(x.Subs)
-	}
-	s.bail("array-valued expression %s cannot be read element-wise", ast.ExprString(e))
-	return nil, nil, 0
-}
-
-func (s *speccer) kcompileI(e ast.Expr) kevI {
-	c := s.c
-	if t := c.m.TypeOf(e); t != nil && t.Kind() == types.ArrayKind {
-		return s.kelemAccessI(e)
-	}
-	switch x := e.(type) {
-	case *ast.IntLit:
-		v := x.Value
-		return func(*kctx) int64 { return v }
-	case *ast.CharLit:
-		v := int64(x.Value)
-		return func(*kctx) int64 { return v }
-	case *ast.Paren:
-		return s.kcompileI(x.X)
-	case *ast.Ident:
-		if iv := c.m.IndexVar(x.Name); iv != nil {
-			slot, ok := c.cm.slotOf[iv]
-			if !ok {
-				s.bail("no frame slot for index %s", x.Name)
-			}
-			return func(k *kctx) int64 { return k.fr[slot] }
-		}
-		if sym := c.m.Lookup(x.Name); sym != nil && sym.Kind == sem.EnumConstSym {
-			v := int64(sym.Index)
-			return func(*kctx) int64 { return v }
-		}
-		hi := s.hoistI(c.scalarSlot(x.Name))
-		return func(k *kctx) int64 { return k.sn[hi] }
-	case *ast.Unary:
-		f := s.kcompileI(x.X)
-		if x.Op.String() == "-" {
-			return func(k *kctx) int64 { return -f(k) }
-		}
-		return f
-	case *ast.Binary:
-		l, r := s.kcompileI(x.X), s.kcompileI(x.Y)
-		switch x.Op.String() {
-		case "+":
-			return func(k *kctx) int64 { return l(k) + r(k) }
-		case "-":
-			return func(k *kctx) int64 { return l(k) - r(k) }
-		case "*":
-			return func(k *kctx) int64 { return l(k) * r(k) }
-		case "div":
-			return func(k *kctx) int64 {
-				d := r(k)
-				if d == 0 {
-					panic(runtimeError{err: fmt.Errorf("division by zero")})
-				}
-				return l(k) / d
-			}
-		case "mod":
-			return func(k *kctx) int64 {
-				d := r(k)
-				if d == 0 {
-					panic(runtimeError{err: fmt.Errorf("division by zero")})
-				}
-				return l(k) % d
-			}
-		}
-		s.bail("invalid integer operator %s", x.Op)
-	case *ast.IfExpr:
-		conds, thens := s.kcompileConds(x)
-		thenF := make([]kevI, len(thens))
-		for i, a := range thens {
-			thenF[i] = s.kcompileI(a)
-		}
-		elseF := s.kcompileI(x.Else)
-		return func(k *kctx) int64 {
-			for i, cond := range conds {
-				if cond(k) {
-					return thenF[i](k)
-				}
-			}
-			return elseF(k)
-		}
-	case *ast.Index:
-		return s.kelemAccessI(x)
-	case *ast.Call:
-		return s.kcompileCallI(x)
-	}
-	s.bail("cannot specialize integer expression %s", ast.ExprString(e))
-	return nil
-}
-
-func (s *speccer) kcompileB(e ast.Expr) kevB {
-	c := s.c
-	if t := c.m.TypeOf(e); t != nil && t.Kind() == types.ArrayKind {
-		s.bail("array %s read in boolean context", ast.ExprString(e))
-	}
-	switch x := e.(type) {
-	case *ast.BoolLit:
-		v := x.Value
-		return func(*kctx) bool { return v }
-	case *ast.Paren:
-		return s.kcompileB(x.X)
-	case *ast.Ident:
-		hi := s.hoistB(c.scalarSlot(x.Name))
-		return func(k *kctx) bool { return k.sb[hi] }
-	case *ast.Unary:
-		f := s.kcompileB(x.X)
-		return func(k *kctx) bool { return !f(k) }
-	case *ast.Binary:
-		return s.kcompileBinaryB(x)
-	case *ast.IfExpr:
-		conds, thens := s.kcompileConds(x)
-		thenF := make([]kevB, len(thens))
-		for i, a := range thens {
-			thenF[i] = s.kcompileB(a)
-		}
-		elseF := s.kcompileB(x.Else)
-		return func(k *kctx) bool {
-			for i, cond := range conds {
-				if cond(k) {
-					return thenF[i](k)
-				}
-			}
-			return elseF(k)
-		}
-	}
-	s.bail("cannot specialize boolean expression %s", ast.ExprString(e))
-	return nil
-}
-
-func (s *speccer) kcompileBinaryB(x *ast.Binary) kevB {
-	c := s.c
-	op := x.Op.String()
-	switch op {
-	case "and":
-		l, r := s.kcompileB(x.X), s.kcompileB(x.Y)
-		return func(k *kctx) bool { return l(k) && r(k) }
-	case "or":
-		l, r := s.kcompileB(x.X), s.kcompileB(x.Y)
-		return func(k *kctx) bool { return l(k) || r(k) }
-	}
-	lt := c.typeOf(x.X)
-	rt := c.typeOf(x.Y)
-	switch {
-	case lt.Kind() == types.RealKind || rt.Kind() == types.RealKind:
-		l, r := s.kcompileF(x.X), s.kcompileF(x.Y)
-		switch op {
-		case "=":
-			return func(k *kctx) bool { return l(k) == r(k) }
-		case "<>":
-			return func(k *kctx) bool { return l(k) != r(k) }
-		case "<":
-			return func(k *kctx) bool { return l(k) < r(k) }
-		case "<=":
-			return func(k *kctx) bool { return l(k) <= r(k) }
-		case ">":
-			return func(k *kctx) bool { return l(k) > r(k) }
-		case ">=":
-			return func(k *kctx) bool { return l(k) >= r(k) }
-		}
-	case types.IsInteger(lt) || lt.Kind() == types.CharKind || lt.Kind() == types.EnumKind:
-		l, r := s.kcompileI(x.X), s.kcompileI(x.Y)
-		switch op {
-		case "=":
-			return func(k *kctx) bool { return l(k) == r(k) }
-		case "<>":
-			return func(k *kctx) bool { return l(k) != r(k) }
-		case "<":
-			return func(k *kctx) bool { return l(k) < r(k) }
-		case "<=":
-			return func(k *kctx) bool { return l(k) <= r(k) }
-		case ">":
-			return func(k *kctx) bool { return l(k) > r(k) }
-		case ">=":
-			return func(k *kctx) bool { return l(k) >= r(k) }
-		}
-	case lt.Kind() == types.BoolKind:
-		l, r := s.kcompileB(x.X), s.kcompileB(x.Y)
-		switch op {
-		case "=":
-			return func(k *kctx) bool { return l(k) == r(k) }
-		case "<>":
-			return func(k *kctx) bool { return l(k) != r(k) }
-		}
-	}
-	s.bail("cannot specialize comparison %s", ast.ExprString(x))
-	return nil
-}
-
-func (s *speccer) kcompileConds(x *ast.IfExpr) ([]kevB, []ast.Expr) {
-	conds := []kevB{s.kcompileB(x.Cond)}
-	thens := []ast.Expr{x.Then}
-	for _, e := range x.Elifs {
-		conds = append(conds, s.kcompileB(e.Cond))
-		thens = append(thens, e.Then)
-	}
-	return conds, thens
-}
-
-func (s *speccer) kcompileCallF(x *ast.Call) kevF {
-	name := strings.ToLower(x.Fun.Name)
-	switch name {
-	case "sqrt", "sin", "cos", "exp", "ln":
-		f := s.kcompileF(x.Args[0])
-		var fn func(float64) float64
-		switch name {
-		case "sqrt":
-			fn = math.Sqrt
-		case "sin":
-			fn = math.Sin
-		case "cos":
-			fn = math.Cos
-		case "exp":
-			fn = math.Exp
-		case "ln":
-			fn = math.Log
-		}
-		return func(k *kctx) float64 { return fn(f(k)) }
-	case "pow":
-		l, r := s.kcompileF(x.Args[0]), s.kcompileF(x.Args[1])
-		return func(k *kctx) float64 { return math.Pow(l(k), r(k)) }
-	case "abs":
-		f := s.kcompileF(x.Args[0])
-		return func(k *kctx) float64 { return math.Abs(f(k)) }
-	case "min":
-		l, r := s.kcompileF(x.Args[0]), s.kcompileF(x.Args[1])
-		return func(k *kctx) float64 { return math.Min(l(k), r(k)) }
-	case "max":
-		l, r := s.kcompileF(x.Args[0]), s.kcompileF(x.Args[1])
-		return func(k *kctx) float64 { return math.Max(l(k), r(k)) }
-	case "float":
-		f := s.kcompileI(x.Args[0])
-		return func(k *kctx) float64 { return float64(f(k)) }
-	}
-	s.bail("call %s is not a specializable builtin", x.Fun.Name)
-	return nil
-}
-
-func (s *speccer) kcompileCallI(x *ast.Call) kevI {
-	name := strings.ToLower(x.Fun.Name)
-	switch name {
-	case "abs":
-		f := s.kcompileI(x.Args[0])
-		return func(k *kctx) int64 {
-			v := f(k)
-			if v < 0 {
-				return -v
-			}
-			return v
-		}
-	case "min":
-		l, r := s.kcompileI(x.Args[0]), s.kcompileI(x.Args[1])
-		return func(k *kctx) int64 {
-			a, b := l(k), r(k)
-			if a < b {
-				return a
-			}
-			return b
-		}
-	case "max":
-		l, r := s.kcompileI(x.Args[0]), s.kcompileI(x.Args[1])
-		return func(k *kctx) int64 {
-			a, b := l(k), r(k)
-			if a > b {
-				return a
-			}
-			return b
-		}
-	case "trunc":
-		f := s.kcompileF(x.Args[0])
-		return func(k *kctx) int64 { return int64(math.Trunc(f(k))) }
-	case "round":
-		f := s.kcompileF(x.Args[0])
-		return func(k *kctx) int64 { return int64(math.Round(f(k))) }
-	case "ord":
-		return s.kcompileI(x.Args[0])
-	}
-	s.bail("call %s is not a specializable builtin", x.Fun.Name)
-	return nil
-}
-
 // --- building the specialized span -------------------------------------------
+
+// spanState is the pooled working set of one specialized span: the
+// context its direct closures evaluate on and each access's per-point
+// offset increment.
+type spanState struct {
+	kctx
+	slope []int64
+}
 
 // specializeEquation compiles eq's span executor: the specialized
 // direct kernel when the body fits the recognized fragment, the checked
@@ -686,43 +229,36 @@ func (c *compiler) specializeEquation(eq *sem.Equation, gen kernelFn) (sp eqSpan
 		sp.why = "scalar target"
 		return sp
 	}
-	s := &speccer{
-		c:     c,
-		byKey: make(map[string]int),
-		sfIdx: make(map[int]int),
-		snIdx: make(map[int]int),
-		sbIdx: make(map[int]int),
-	}
-	// The write target is access 0 unless a read deduplicates onto it;
-	// either way tai addresses the stored element.
-	tai := s.access(target.Sym, target.Subs, len(target.Implicit))
+	// Lower the right-hand side once more with the same compiler in
+	// direct mode. The write target is access 0 unless a read
+	// deduplicates onto it; either way ti addresses the stored element.
+	s := &speccer{c: c, byKey: make(map[string]int)}
+	dc := *c
+	dc.direct = s
+	ti := s.access(target.Sym, target.Subs, c.targetSlots(target))
 	var store func(k *kctx)
-	switch target.Sym.Type.(*types.Array).Elem.Kind() {
-	case types.RealKind:
-		rhs := s.kcompileF(eq.RHS)
-		ti := tai
+	if s.accs[ti].isF {
+		rhs := dc.compileF(eq.RHS)
 		store = func(k *kctx) { k.fs[ti][k.offs[ti]] = rhs(k) }
-	case types.IntKind, types.SubrangeKind, types.CharKind, types.EnumKind:
-		rhs := s.kcompileI(eq.RHS)
-		ti := tai
+	} else {
+		rhs := dc.compileI(eq.RHS)
 		store = func(k *kctx) { k.is[ti][k.offs[ti]] = rhs(k) }
-	default:
-		sp.why = fmt.Sprintf("target %s has %s elements", target.Sym.Name, target.Sym.Type.(*types.Array).Elem)
-		return sp
 	}
 
 	accs := s.accs
-	sfSlots, snSlots, sbSlots := s.sfSlots, s.snSlots, s.sbSlots
+	sfSlots, snSlots, sbSlots := s.sf, s.sn, s.sb
 	nacc := len(accs)
 	pool := &sync.Pool{New: func() any {
-		return &kctx{
-			offs:  make([]int64, nacc),
+		return &spanState{
+			kctx: kctx{
+				offs: make([]int64, nacc),
+				fs:   make([][]float64, nacc),
+				is:   make([][]int64, nacc),
+				sf:   make([]float64, len(sfSlots)),
+				sn:   make([]int64, len(snSlots)),
+				sb:   make([]bool, len(sbSlots)),
+			},
 			slope: make([]int64, nacc),
-			fs:    make([][]float64, nacc),
-			is:    make([][]int64, nacc),
-			sf:    make([]float64, len(sfSlots)),
-			sn:    make([]int64, len(snSlots)),
-			sb:    make([]bool, len(sbSlots)),
 		}
 	}}
 
@@ -736,7 +272,8 @@ func (c *compiler) specializeEquation(eq *sem.Equation, gen kernelFn) (sp eqSpan
 			runSpanGeneric(gen, en, fr, slots, dir, n)
 			return
 		}
-		k := pool.Get().(*kctx)
+		st := pool.Get().(*spanState)
+		k := &st.kctx
 		k.en, k.fr = en, fr
 		// Certify the span: resolve each access's backing, entry offset
 		// and per-point slope, and intersect the sub-interval [cLo,cHi]
@@ -754,7 +291,7 @@ func (c *compiler) specializeEquation(eq *sem.Equation, gen kernelFn) (sp eqSpan
 			}
 			var off, slope int64
 			for d, sb := range ac.subs {
-				x0 := sb.base(en, fr)
+				x0 := sb.base(k)
 				ax := a.Axes[d]
 				var sl int64
 				if sb.dimVar >= 0 {
@@ -803,7 +340,7 @@ func (c *compiler) specializeEquation(eq *sem.Equation, gen kernelFn) (sp eqSpan
 				off += (x0 - ax.Lo) * a.Strides[d]
 				slope += sl * a.Strides[d]
 			}
-			k.offs[ai], k.slope[ai] = off, slope
+			k.offs[ai], st.slope[ai] = off, slope
 		}
 		if !ok || cLo > cHi {
 			cLo, cHi = n, n-1 // nothing certified: all points generic
@@ -840,7 +377,7 @@ func (c *compiler) specializeEquation(eq *sem.Equation, gen kernelFn) (sp eqSpan
 		// Certified run: branch-free stores with incremental offsets.
 		if cLo <= cHi {
 			for ai := range accs {
-				k.offs[ai] += k.slope[ai] * cLo
+				k.offs[ai] += st.slope[ai] * cLo
 			}
 			cnt := cHi - cLo + 1
 			en.eqCount += cnt
@@ -848,7 +385,7 @@ func (c *compiler) specializeEquation(eq *sem.Equation, gen kernelFn) (sp eqSpan
 			for p := int64(0); p < cnt; p++ {
 				store(k)
 				for ai := range accs {
-					k.offs[ai] += k.slope[ai]
+					k.offs[ai] += st.slope[ai]
 				}
 				for j, sv := range slots {
 					fr[sv] += dir[j]
@@ -870,7 +407,7 @@ func (c *compiler) specializeEquation(eq *sem.Equation, gen kernelFn) (sp eqSpan
 			fr[sv] -= n * dir[j]
 		}
 		k.en, k.fr = nil, nil
-		pool.Put(k)
+		pool.Put(st)
 	}
 	return sp
 }

@@ -8,53 +8,6 @@ import (
 	"repro/internal/par"
 )
 
-// TestRunnerForCoverage verifies that every index is visited exactly once
-// across worker counts and ranges.
-func TestRunnerForCoverage(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, n := range []int64{0, 1, 2, 7, 100, 1023} {
-			r := par.New(workers)
-			counts := make([]atomic.Int32, n+1)
-			r.For(0, n-1, func(i int64) { counts[i].Add(1) })
-			for i := int64(0); i < n; i++ {
-				if c := counts[i].Load(); c != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
-				}
-			}
-		}
-	}
-}
-
-// TestRunnerEmptyRange verifies lo > hi is a no-op.
-func TestRunnerEmptyRange(t *testing.T) {
-	r := par.New(4)
-	called := atomic.Int32{}
-	r.For(5, 4, func(i int64) { called.Add(1) })
-	if called.Load() != 0 {
-		t.Error("body called on empty range")
-	}
-}
-
-// TestRunnerForRanges verifies chunked dispatch covers the range with
-// disjoint, ordered chunks.
-func TestRunnerForRanges(t *testing.T) {
-	r := par.New(4)
-	var mask [512]atomic.Int32
-	r.ForRanges(0, 511, func(start, end int64) {
-		if start > end {
-			t.Error("inverted chunk")
-		}
-		for i := start; i <= end; i++ {
-			mask[i].Add(1)
-		}
-	})
-	for i := range mask {
-		if mask[i].Load() != 1 {
-			t.Fatalf("index %d covered %d times", i, mask[i].Load())
-		}
-	}
-}
-
 // TestPoolCoverage verifies the persistent pool across many reuses —
 // the wavefront dispatch pattern.
 func TestPoolCoverage(t *testing.T) {
@@ -83,15 +36,18 @@ func TestPoolSingleWorker(t *testing.T) {
 	}
 }
 
-// TestPoolGrain verifies grain settings do not lose iterations.
+// TestPoolGrain verifies a per-loop grain does not lose iterations and
+// an empty range (lo > hi) is a no-op.
 func TestPoolGrain(t *testing.T) {
 	p := par.NewPool(3)
 	defer p.Close()
-	p.SetGrain(64)
 	var count atomic.Int64
-	p.For(0, 999, func(i int64) { count.Add(1) })
-	if count.Load() != 1000 {
+	body := func(start, end int64) { count.Add(end - start + 1) }
+	if !p.ForRangesOpts(nil, 0, 999, 64, body) || count.Load() != 1000 {
 		t.Errorf("visited %d, want 1000", count.Load())
+	}
+	if !p.ForRangesOpts(nil, 5, 4, 64, body) || count.Load() != 1000 {
+		t.Error("body called on empty range")
 	}
 }
 
@@ -105,12 +61,13 @@ func TestPoolCloseIdempotent(t *testing.T) {
 // TestForProperty is a property test: arbitrary ranges sum correctly
 // under parallel execution.
 func TestForProperty(t *testing.T) {
-	r := par.New(0)
+	p := par.NewPool(0)
+	defer p.Close()
 	f := func(loRaw int16, span uint16) bool {
 		lo := int64(loRaw)
 		hi := lo + int64(span%2000)
 		var sum atomic.Int64
-		r.For(lo, hi, func(i int64) { sum.Add(i) })
+		p.For(lo, hi, func(i int64) { sum.Add(i) })
 		n := hi - lo + 1
 		want := n * (lo + hi) / 2
 		return sum.Load() == want
@@ -124,11 +81,5 @@ func TestForProperty(t *testing.T) {
 func TestDefaultWorkers(t *testing.T) {
 	if par.DefaultWorkers() < 1 {
 		t.Error("DefaultWorkers < 1")
-	}
-	var r *par.Runner // nil runner uses defaults
-	var sum atomic.Int64
-	r.For(1, 10, func(i int64) { sum.Add(i) })
-	if sum.Load() != 55 {
-		t.Errorf("nil runner sum %d", sum.Load())
 	}
 }

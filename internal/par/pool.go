@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent worker pool for repeated parallel loops. Unlike
-// Runner.For, which spawns goroutines per call, a Pool keeps its workers
-// parked between loops — essential for wavefront execution, where one
-// outer iterative loop dispatches hundreds of small DOALL planes
-// (paper §4's transformed schedules).
+// Pool is a persistent worker pool for repeated parallel loops. Instead
+// of spawning goroutines per loop it keeps its workers parked between
+// loops — essential for wavefront execution, where one outer iterative
+// loop dispatches hundreds of small DOALL planes (paper §4's
+// transformed schedules).
 type Pool struct {
 	workers int
-	grain   int64
 	wake    chan *loopJob
 	closed  atomic.Bool
 	wg      sync.WaitGroup
@@ -41,7 +40,7 @@ func NewPool(workers int) *Pool {
 	// The wake channel is buffered to the worker count so dispatch never
 	// blocks; a worker receiving a job that has already been fully
 	// consumed simply finds no chunk and signals done.
-	p := &Pool{workers: workers, grain: 1, wake: make(chan *loopJob, workers)}
+	p := &Pool{workers: workers, wake: make(chan *loopJob, workers)}
 	for i := 0; i < workers-1; i++ {
 		p.wg.Add(1)
 		go func() {
@@ -79,13 +78,6 @@ func (p *Pool) take() (*loopJob, bool) {
 	return job, ok
 }
 
-// SetGrain sets the minimum iterations per chunk.
-func (p *Pool) SetGrain(g int64) {
-	if g > 0 {
-		p.grain = g
-	}
-}
-
 // Workers returns the configured worker count.
 func (p *Pool) Workers() int { return p.workers }
 
@@ -121,12 +113,12 @@ func (j *loopJob) run() {
 // ForRanges executes body over [lo, hi] in chunks distributed across the
 // pool's workers and the calling goroutine.
 func (p *Pool) ForRanges(lo, hi int64, body func(start, end int64)) {
-	p.ForRangesOpts(nil, lo, hi, p.grain, body)
+	p.ForRangesOpts(nil, lo, hi, 1, body)
 }
 
 // ForRangesOpts is ForRanges with per-call options, letting concurrent
 // activations share one pool without racing on its configuration: grain
-// is this loop's minimum chunk size (<= 0 uses the pool default), and
+// is this loop's minimum chunk size (<= 0 means 1), and
 // cancel, when non-nil, stops workers from claiming further chunks once
 // closed. It reports whether the loop ran to completion; false means it
 // was cancelled with iterations unvisited. A Pool is safe for concurrent
@@ -139,7 +131,7 @@ func (p *Pool) ForRangesOpts(cancel <-chan struct{}, lo, hi, grain int64, body f
 		return true
 	}
 	if grain <= 0 {
-		grain = p.grain
+		grain = 1
 	}
 	if p.workers == 1 || n == 1 {
 		if cancel != nil {
