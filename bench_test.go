@@ -1,6 +1,4 @@
-// Package repro benchmarks every experiment artifact of the paper
-// (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md for the
-// recorded results):
+// Package repro benchmarks every experiment artifact of the paper:
 //
 //   - BenchmarkFig5_Scheduling: the scheduler itself (component
 //     decomposition + flowchart construction).
@@ -363,14 +361,6 @@ func benchWavefront(b *testing.B, file, module string, argsFor func(m, maxK int6
 			})
 			b.Run(fmt.Sprintf("%s/AutoPar%d", sz.name, w), func(b *testing.B) {
 				run(b, ps.Workers(w))
-			})
-			// The schedule ablation: the same wavefront plan under the
-			// pinned per-plane barrier sweep vs the doacross pipeline.
-			b.Run(fmt.Sprintf("%s/BarrierPar%d", sz.name, w), func(b *testing.B) {
-				run(b, ps.Workers(w), ps.WithSchedule(ps.ScheduleBarrier))
-			})
-			b.Run(fmt.Sprintf("%s/DoacrossPar%d", sz.name, w), func(b *testing.B) {
-				run(b, ps.Workers(w), ps.WithSchedule(ps.ScheduleDoacross))
 			})
 		}
 	}

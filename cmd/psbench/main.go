@@ -1,9 +1,9 @@
 // Command psbench measures the wavefront execution variants on the
 // dependence-carrying corpus modules and writes the results as
 // machine-readable JSON, so the performance trajectory of the §4
-// schedules (sequential baseline, untransformed nest, barrier sweep,
-// doacross pipeline, auto selection) can be tracked across commits
-// without parsing `go test -bench` text.
+// schedules (sequential baseline, untransformed nest, the default
+// wavefront plan, pipeline-first) can be tracked across commits without
+// parsing `go test -bench` text.
 //
 // Usage:
 //
@@ -17,7 +17,7 @@
 //
 //	{"workers": 4, "benchmarks": [
 //	  {"name": "gauss_seidel/Seq", "ns_per_op": 1842003, "allocs_per_op": 12, "runs": 8},
-//	  {"name": "gauss_seidel/DoacrossPar4", "ns_per_op": 612345, "allocs_per_op": 90, "runs": 21},
+//	  {"name": "gauss_seidel/AutoPar4", "ns_per_op": 612345, "allocs_per_op": 90, "runs": 21},
 //	  ...]}
 //
 // Each variant is measured -samples times and the fastest sample is
@@ -251,8 +251,6 @@ func main() {
 		{"SeqNoArena", []ps.RunOption{ps.Sequential(), ps.NoArena()}, false},
 		{fmt.Sprintf("HyperOffPar%d", w), []ps.RunOption{ps.Workers(w), ps.WithHyperplane(ps.HyperplaneOff)}, false},
 		{fmt.Sprintf("AutoPar%d", w), []ps.RunOption{ps.Workers(w)}, false},
-		{fmt.Sprintf("BarrierPar%d", w), []ps.RunOption{ps.Workers(w), ps.WithSchedule(ps.ScheduleBarrier)}, false},
-		{fmt.Sprintf("DoacrossPar%d", w), []ps.RunOption{ps.Workers(w), ps.WithSchedule(ps.ScheduleDoacross)}, false},
 		{fmt.Sprintf("PipelinePar%d", w), []ps.RunOption{ps.Workers(w), ps.WithSchedule(ps.SchedulePipeline)}, false},
 		// TracedAutoPar measures the recording-on cost of the execution
 		// recorder (TraceRun vs the AutoPar baseline). It is recorded
@@ -275,8 +273,8 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			// Warm once: allocations, pool spin-up, and the one-shot
-			// wavefront grain calibration all land outside the timing.
+			// Warm once: allocations and pool spin-up land outside the
+			// timing.
 			if _, _, err := run.Run(nil, args); err != nil {
 				fatal(err)
 			}

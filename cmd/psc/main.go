@@ -6,7 +6,7 @@
 //
 //	psc [-module name] [-dump c|flowchart|plan|components|graph|dot|virtual|source]
 //	    [-openmp] [-no-virtual] [-hyperplane auto|off]
-//	    [-schedule auto|barrier|doacross|pipeline] [-transform eq.N] file.ps
+//	    [-schedule auto|pipeline|doacross] [-transform eq.N] file.ps
 //
 // Examples:
 //
@@ -33,7 +33,7 @@ func main() {
 	openmp := flag.Bool("openmp", false, "emit #pragma omp parallel for above DOALL loops")
 	noVirtual := flag.Bool("no-virtual", false, "allocate every dimension physically")
 	hyper := flag.String("hyperplane", "auto", "automatic §4 wavefront restructuring of eligible sequential nests: auto or off")
-	schedule := flag.String("schedule", "auto", "scheduling strategy: auto/barrier (per-plane parallel sweep), doacross (omp ordered/depend pipelining) or pipeline (prefer PS-DSWP stage decoupling in the lowering cascade)")
+	schedule := flag.String("schedule", "auto", "auto (wavefront nests in C as a per-plane parallel sweep), pipeline (prefer PS-DSWP stage decoupling in the lowering cascade) or doacross (the auto plan, wavefront nests in C as one omp ordered/depend nest)")
 	transform := flag.String("transform", "", "apply the §4 hyperplane transformation to the named equation and emit the rewritten PS source")
 	flag.Parse()
 
@@ -47,12 +47,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "psc: invalid -hyperplane %q (want auto or off)\n", *hyper)
 		os.Exit(2)
 	}
-	sch, err := ps.ParseSchedule(*schedule)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "psc: %v\n", err)
-		os.Exit(2)
+	// doacross names a C form of the auto plan's wavefront nests, not a
+	// plan: the runtime has one tile executor and nothing to select.
+	cDoacross := *schedule == "doacross"
+	if !cDoacross {
+		sch, err := ps.ParseSchedule(*schedule)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "psc: %v, or doacross for the C form\n", err)
+			os.Exit(2)
+		}
+		planOpts.Schedule = sch
 	}
-	planOpts.Schedule = sch
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: psc [flags] file.ps")
@@ -93,7 +98,7 @@ func main() {
 
 	switch *dump {
 	case "c":
-		c, err := m.GenerateCWith(planOpts, ps.CGenOptions{OpenMP: *openmp, NoVirtual: *noVirtual, Schedule: sch})
+		c, err := m.GenerateCWith(planOpts, ps.CGenOptions{OpenMP: *openmp, NoVirtual: *noVirtual, Doacross: cDoacross})
 		if err != nil {
 			fatal(err)
 		}

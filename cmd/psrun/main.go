@@ -5,7 +5,7 @@
 //
 //	psrun [-module name] [-workers N] [-seq] [-strict] [-grain N]
 //	      [-fused] [-hyperplane auto|off]
-//	      [-schedule auto|barrier|doacross|pipeline]
+//	      [-schedule auto|pipeline]
 //	      [-timeout d] [-stats] [-trace out.json] [-explain]
 //	      [-in inputs.json] [-cpuprofile f] [-memprofile f] file.ps
 //
@@ -18,8 +18,8 @@
 //
 // -timeout bounds the run with a context deadline; -stats prints the
 // run's counters (equation instances, DOALL chunks, workers, wall time)
-// plus a per-schedule timing breakdown (compute/stall/barrier-idle per
-// worker) to standard error. -trace records the run and writes a Chrome
+// plus a per-schedule timing breakdown (compute/stall/idle per worker)
+// to standard error. -trace records the run and writes a Chrome
 // trace-event JSON timeline (loadable in Perfetto or chrome://tracing)
 // to the named file; -stats and -trace share one traced execution.
 // -cpuprofile and -memprofile write pprof profiles covering the run
@@ -53,10 +53,10 @@ func main() {
 	workers := flag.Int("workers", 0, "DOALL workers (0 = all CPUs)")
 	seq := flag.Bool("seq", false, "force sequential execution")
 	strict := flag.Bool("strict", false, "enable single-assignment checking")
-	grain := flag.Int64("grain", 0, "minimum iterations per parallel chunk")
+	grain := flag.Int64("grain", 0, "minimum iterations per parallel chunk; wavefront nests tile when their average plane holds grain x workers points (default grain 32), at this tile width")
 	fused := flag.Bool("fused", false, "execute the loop-fused plan variant (§5)")
 	hyper := flag.String("hyperplane", "auto", "automatic §4 wavefront restructuring of eligible sequential nests: auto or off")
-	schedule := flag.String("schedule", "auto", "scheduling strategy: auto, barrier (per-plane fork/join), doacross (pipelined tiles) or pipeline (prefer PS-DSWP decoupled stages over wavefronts)")
+	schedule := flag.String("schedule", "auto", "lowering cascade order: auto or pipeline (prefer PS-DSWP decoupled stages over wavefronts)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	stats := flag.Bool("stats", false, "print run statistics and a timing breakdown to stderr")
 	trace := flag.String("trace", "", "record the run and write Chrome trace-event JSON to this file")

@@ -48,7 +48,7 @@ func main() {
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant token-bucket rate in requests/s (0 = unlimited)")
 		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant token-bucket burst (default: ceil(rate))")
 		runTimeout  = flag.Duration("run-timeout", 0, "bound on one fused batch execution (0 = unbounded)")
-		schedule    = flag.String("schedule", "auto", "wavefront schedule: auto, barrier or doacross")
+		schedule    = flag.String("schedule", "auto", "lowering cascade order: auto or pipeline")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 		trace       = flag.Bool("trace", false, "allow ?trace=1 traced runs and GET /v1/trace export")
 		accessLog   = flag.String("access-log", "", "write JSON access-log lines to this file (- for stderr)")

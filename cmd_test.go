@@ -50,6 +50,14 @@ func TestPscC(t *testing.T) {
 			t.Errorf("C output missing %q", want)
 		}
 	}
+	// -schedule doacross is psc's alone: the C form of a wavefront nest.
+	out, errOut, err = runGo(t, "", "./cmd/psc", "-dump", "c", "-openmp", "-schedule", "doacross", "testdata/gauss_seidel.ps")
+	if err != nil {
+		t.Fatalf("psc -schedule doacross: %v\n%s", err, errOut)
+	}
+	if !strings.Contains(out, "#pragma omp for ordered(3) schedule(static, 1)") {
+		t.Errorf("doacross C output has no ordered(3) nest:\n%s", out)
+	}
 }
 
 // TestPscTransform drives the §4 rewrite from the CLI.
@@ -144,6 +152,13 @@ func TestPsrunExitCodes(t *testing.T) {
 	// Usage: unknown module → 2.
 	if code, _ := exitCode("-module", "Nope", "testdata/relaxation.ps"); code != 2 {
 		t.Errorf("unknown module: exit %d, want 2", code)
+	}
+	// Usage: barrier and doacross named executors, and nothing selects
+	// one any more → 2.
+	for _, v := range []string{"barrier", "doacross"} {
+		if code, stderr := exitCode("-schedule", v, "testdata/relaxation.ps"); code != 2 || !strings.Contains(stderr, "invalid schedule") {
+			t.Errorf("-schedule %s: exit %d, want 2 and an invalid-schedule message:\n%s", v, code, stderr)
+		}
 	}
 	// Program diagnostic: missing inputs → 1, with typed fields.
 	code, stderr := exitCode("testdata/relaxation.ps")

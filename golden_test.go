@@ -136,8 +136,6 @@ func TestGoldenExplain(t *testing.T) {
 		{"gauss_seidel_explain_par2.txt", []ps.RunOption{ps.Workers(2)}},
 		{"gauss_seidel_explain_par2_hyperoff.txt", []ps.RunOption{ps.Workers(2), ps.WithHyperplane(ps.HyperplaneOff)}},
 		{"gauss_seidel_explain_seq.txt", []ps.RunOption{ps.Sequential()}},
-		{"gauss_seidel_explain_par2_doacross.txt", []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.ScheduleDoacross)}},
-		{"gauss_seidel_explain_par2_barrier.txt", []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.ScheduleBarrier)}},
 	} {
 		run, err := prog.Prepare("Relaxation", tc.opts...)
 		if err != nil {

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/plan"
-	"repro/internal/sched"
 	"repro/internal/sem"
 	"repro/internal/token"
 	"repro/internal/types"
@@ -27,15 +26,15 @@ type Options struct {
 	OpenMP bool
 	// NoVirtual allocates every dimension physically.
 	NoVirtual bool
-	// Schedule selects the wavefront nest form: barrier/auto emit the
-	// per-plane parallel sweep (tightened plane bounds under one
-	// parallel-for per plane); doacross emits the pipelined form — the
-	// whole transformed bounding box as one perfectly nested loop nest
-	// under "#pragma omp for ordered(n)", with one "depend(sink:)"
-	// vector per transformed dependence so iterations wait point-to-
-	// point instead of at a plane barrier. Both forms compute identical
-	// results (and compile to a valid sequential nest without OpenMP).
-	Schedule sched.Policy
+	// Doacross selects the wavefront nest form. Unset emits the per-plane
+	// parallel sweep (tightened plane bounds under one parallel-for per
+	// plane); set emits the pipelined form — the whole transformed
+	// bounding box as one perfectly nested loop nest under "#pragma omp
+	// for ordered(n)", with one "depend(sink:)" vector per transformed
+	// dependence so iterations wait point-to-point instead of at a plane
+	// barrier. Both forms compute identical results (and compile to a
+	// valid sequential nest without OpenMP).
+	Doacross bool
 }
 
 // Generate emits a C translation unit for one lowered module plan.
@@ -341,7 +340,7 @@ func (g *generator) emitWavefront(st *plan.Step, bodyLo int) {
 	for j, slot := range st.Dims {
 		names[j] = g.pl.Bounds[slot].Subrange.Name
 	}
-	if g.opts.Schedule == sched.PolicyDoacross && len(hy.TDeps) > 0 {
+	if g.opts.Doacross && len(hy.TDeps) > 0 {
 		g.emitWavefrontDoacross(st, bodyLo, names)
 		return
 	}

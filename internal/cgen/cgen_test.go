@@ -18,7 +18,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/plan"
 	"repro/internal/psrc"
-	"repro/internal/sched"
 	"repro/internal/sem"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -279,7 +278,7 @@ func TestGeneratedCDoacrossShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := plan.Lower(m, schd, plan.Options{Hyperplane: true})
-	c, err := cgen.Generate(m, pl, cgen.Options{OpenMP: true, Schedule: sched.PolicyDoacross})
+	c, err := cgen.Generate(m, pl, cgen.Options{OpenMP: true, Doacross: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +320,7 @@ func TestGeneratedCDoacrossShape(t *testing.T) {
 // validates the parallel doacross binary when the compiler supports it.
 func TestCompiledCDoacrossMatchesInterpreter(t *testing.T) {
 	ccValidate(t, psrc.RelaxationGS, "Relaxation", plan.Options{Hyperplane: true},
-		cgen.Options{OpenMP: true, Schedule: sched.PolicyDoacross},
+		cgen.Options{OpenMP: true, Doacross: true},
 		[][]string{{"-O2"}, {"-fopenmp", "-O2"}}, 9, 6, true)
 }
 
@@ -382,7 +381,7 @@ func TestGeneratedCMultiKernelWavefrontShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doacross, err := cgen.Generate(m, pl, cgen.Options{OpenMP: true, Schedule: sched.PolicyDoacross})
+	doacross, err := cgen.Generate(m, pl, cgen.Options{OpenMP: true, Doacross: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +421,7 @@ func TestCompiledCMultiKernelWavefrontMatchesInterpreter(t *testing.T) {
 	ccValidate(t, psrc.CoupledGrid, "CoupledGrid", plan.Options{Hyperplane: true},
 		cgen.Options{}, [][]string{{"-O2"}}, 9, 3, true)
 	ccValidate(t, psrc.CoupledGrid, "CoupledGrid", plan.Options{Hyperplane: true},
-		cgen.Options{OpenMP: true, Schedule: sched.PolicyDoacross},
+		cgen.Options{OpenMP: true, Doacross: true},
 		[][]string{{"-O2"}, {"-fopenmp", "-O2"}}, 9, 3, true)
 }
 

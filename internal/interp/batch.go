@@ -12,9 +12,9 @@ import (
 // test (the §5 fusion argument generalized to the batch axis), and the
 // whole batch dispatches to the worker pool as one parallel loop — the
 // same chunked claim machinery that serves collapsed DOALL steps.
-// Plan lookup, bound-thunk tables and the one-shot wavefront grain
-// calibration are shared across all elements, which is what makes
-// batched serving cheaper than len(batch) independent activations.
+// Plan lookup, bound-thunk tables and one pool dispatch are shared
+// across all elements, which is what makes batched serving cheaper than
+// len(batch) independent activations.
 //
 // Each element runs with the semantics of an independent RunCtx call:
 // results[i] and errs[i] mirror exactly what Run would return for

@@ -4,11 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/ast"
 	"repro/internal/core"
@@ -124,100 +121,6 @@ type compiledPlan struct {
 	// allocs describes the result and local arrays allocated per
 	// activation, with §3.4 windows resolved at compile time.
 	allocs []allocInfo
-	// wfCost is the measured wavefront kernel cost in ns per executed
-	// point, published once after wfCalibrateSamples plane timings have
-	// accumulated; it calibrates the inline-plane threshold and the
-	// auto barrier/doacross choice. 0 until calibrated.
-	wfCost atomic.Int64
-	// wfMu guards wfSamples, the pre-publication plane timings. The
-	// first sample is always discarded: the first plane a fresh
-	// activation executes pays arena warm-up and specialization-miss
-	// costs that would bias wfCost high and flip the auto
-	// barrier/doacross policy between activations.
-	wfMu      sync.Mutex
-	wfSamples []int64
-}
-
-// wfCalibrateSamples is the number of plane timings collected before
-// wfCost publishes: the warm-up sample plus three steady-state samples
-// whose median becomes the cost.
-const wfCalibrateSamples = 4
-
-// defaultInlinePlane is the uncalibrated inline-plane threshold: planes
-// below it run on the sweeping goroutine instead of the pool.
-const defaultInlinePlane = 32
-
-// wfDispatchNs models the fixed cost of dispatching one plane to the
-// pool (wake, chunk claims, join); the calibrated threshold is the
-// plane size whose kernel work amortizes it.
-const wfDispatchNs = 8000
-
-// wavefrontGrain returns the plan's current inline-plane threshold:
-// the measured-cost calibration when available, the fixed default
-// before the first run.
-func (cp *compiledPlan) wavefrontGrain() int64 {
-	c := cp.wfCost.Load()
-	if c <= 0 {
-		return defaultInlinePlane
-	}
-	g := wfDispatchNs / c
-	if g < 8 {
-		g = 8
-	}
-	if g > 4096 {
-		g = 4096
-	}
-	return g
-}
-
-// noteWavefrontCost accumulates one plane timing toward the
-// steady-state calibration. The first sample (arena warm-up,
-// specialization effects) is discarded; once wfCalibrateSamples have
-// arrived, the median of the rest publishes as wfCost and the value is
-// immutable from then on, so the auto barrier/doacross policy is stable
-// across repeated activations.
-func (cp *compiledPlan) noteWavefrontCost(points int64, elapsed time.Duration) {
-	if points <= 0 || cp.wfCost.Load() != 0 {
-		return
-	}
-	ns := elapsed.Nanoseconds() / points
-	if ns < 1 {
-		ns = 1
-	}
-	cp.wfMu.Lock()
-	defer cp.wfMu.Unlock()
-	if cp.wfCost.Load() != 0 {
-		return
-	}
-	cp.wfSamples = append(cp.wfSamples, ns)
-	if len(cp.wfSamples) < wfCalibrateSamples {
-		return
-	}
-	steady := append([]int64(nil), cp.wfSamples[1:]...)
-	sort.Slice(steady, func(i, j int) bool { return steady[i] < steady[j] })
-	med := steady[len(steady)/2]
-	if med < 1 {
-		med = 1
-	}
-	cp.wfSamples = nil
-	cp.wfCost.Store(med)
-}
-
-// WavefrontGrain reports the inline-plane threshold the named module's
-// plan variant currently uses and the measured kernel cost it derives
-// from (nsPerPoint is 0 before the first run calibrates it). Runner
-// Explain surfaces both.
-func (p *Program) WavefrontGrain(name string, opts plan.Options) (grain, nsPerPoint int64) {
-	m := p.Prog.Module(name)
-	if m == nil {
-		return defaultInlinePlane, 0
-	}
-	cm := p.mods[m]
-	if cm == nil {
-		return defaultInlinePlane, 0
-	}
-	cp := cm.variant(opts.Fuse, planMode(opts))
-	return cp.wavefrontGrain(), cp.wfCost.Load()
 }
 
 // allocInfo describes one array allocated at activation entry.

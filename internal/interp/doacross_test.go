@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/interp"
-	"repro/internal/plan"
 	"repro/internal/psrc"
-	"repro/internal/sched"
 	"repro/internal/value"
 )
 
@@ -22,22 +20,25 @@ func runGS(t *testing.T, ip *interp.Program, m, maxK int64, opts interp.Options)
 }
 
 // TestDoacrossScheduleParity runs the auto-hyperplane Gauss–Seidel nest
-// under every schedule policy at several widths and grains; all must be
-// bitwise identical to the sequential reference, and the doacross runs
-// must actually exercise the tile pipeline (Tiles > 0).
+// on both sides of the dispatch rule at several widths and grains; all
+// runs must be bitwise identical to the sequential reference, and the
+// nest must run on the tile executor (Tiles > 0) exactly when its
+// average plane — 1350 points over 39 planes, 34 — holds grain × workers
+// points. The Doacross*/Barrier* row names predate the single executor:
+// they now pin the tile side and the inline side of the rule.
 func TestDoacrossScheduleParity(t *testing.T) {
 	ip := compileSrc(t, psrc.RelaxationGS)
 	const m, maxK = 13, 7
 	want := runGS(t, ip, m, maxK, interp.Options{Sequential: true})
 	for _, tc := range []struct {
-		name     string
-		opts     interp.Options
-		doacross bool
+		name  string
+		opts  interp.Options
+		tiles bool
 	}{
-		{"DoacrossPar2", interp.Options{Workers: 2, Schedule: sched.PolicyDoacross}, true},
-		{"DoacrossPar4", interp.Options{Workers: 4, Schedule: sched.PolicyDoacross}, true},
-		{"DoacrossPar3Grain8", interp.Options{Workers: 3, Grain: 8, Schedule: sched.PolicyDoacross}, true},
-		{"BarrierPar4", interp.Options{Workers: 4, Schedule: sched.PolicyBarrier}, false},
+		{"DoacrossPar2", interp.Options{Workers: 2, Grain: 1}, true},
+		{"DoacrossPar4", interp.Options{Workers: 4, Grain: 1}, true},
+		{"DoacrossPar3Grain8", interp.Options{Workers: 3, Grain: 8}, true},
+		{"BarrierPar4", interp.Options{Workers: 4, Grain: 1 << 20}, false},
 		{"AutoPar4", interp.Options{Workers: 4}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -47,83 +48,81 @@ func TestDoacrossScheduleParity(t *testing.T) {
 			if !reflect.DeepEqual(got.F, want.F) {
 				t.Errorf("%s diverges from sequential reference", tc.name)
 			}
-			if tc.doacross && stats.Doacross.Tiles.Load() == 0 {
-				t.Errorf("%s executed no doacross tiles", tc.name)
-			}
-			if !tc.doacross && tc.opts.Schedule == sched.PolicyBarrier && stats.Doacross.Tiles.Load() != 0 {
-				t.Errorf("%s executed doacross tiles under the barrier policy", tc.name)
+			if tiles := stats.Doacross.Tiles.Load(); (tiles > 0) != tc.tiles {
+				t.Errorf("%s executed %d tiles, want tiled = %v", tc.name, tiles, tc.tiles)
 			}
 		})
 	}
 }
 
-// TestWavefrontGrainCalibration checks the one-shot kernel-cost
-// measurement: before any run the plan reports the fixed default, and
-// a run through a wavefront nest (either schedule) calibrates a
-// positive ns/point from which the threshold derives.
-func TestWavefrontGrainCalibration(t *testing.T) {
-	ip := compileSrc(t, psrc.RelaxationGS)
-	popts := plan.Options{Hyperplane: true}
-	grain, cost := ip.WavefrontGrain("Relaxation", popts)
-	if cost != 0 {
-		t.Fatalf("plan calibrated before any run: %d ns/point", cost)
-	}
-	if grain != 32 {
-		t.Fatalf("uncalibrated grain = %d, want the 32-point default", grain)
-	}
-	runGS(t, ip, 13, 6, interp.Options{Workers: 2})
-	grain, cost = ip.WavefrontGrain("Relaxation", popts)
-	if cost <= 0 {
-		t.Fatal("run did not calibrate the wavefront kernel cost")
-	}
-	if grain < 8 || grain > 4096 {
-		t.Fatalf("calibrated grain %d outside [8, 4096]", grain)
-	}
-	// Unknown modules fall back to the default, not a panic.
-	if g, c := ip.WavefrontGrain("NoSuchModule", popts); g != 32 || c != 0 {
-		t.Errorf("unknown module grain = (%d, %d)", g, c)
+// TestTilePlane pins the dispatch rule: the threshold is grain × workers
+// with the 32-point default grain, and one worker never tiles.
+func TestTilePlane(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		grain   int64
+		want    int64
+	}{
+		{1, 0, 0}, {1, 1, 0}, {2, 0, 64}, {4, 0, 128}, {2, 1, 2}, {4, 8, 32},
+	} {
+		if got := interp.TilePlane(tc.workers, tc.grain); got != tc.want {
+			t.Errorf("TilePlane(%d, %d) = %d, want %d", tc.workers, tc.grain, got, tc.want)
+		}
 	}
 }
 
-// TestDoacrossGrainControlsTiles checks Options.Grain reaches the
-// doacross executor as the tile width: a grain covering the whole
-// blocked span collapses every plane to one tile, and results stay
-// identical either way.
+// TestDoacrossGrainControlsTiles checks Options.Grain reaches the tile
+// executor as the tile width — a coarser grain means fewer, wider tiles
+// — and that a grain no plane can fill keeps the sweep inline. Results
+// stay identical throughout.
 func TestDoacrossGrainControlsTiles(t *testing.T) {
 	ip := compileSrc(t, psrc.RelaxationGS)
 	const m, maxK = 13, 7
 	want := runGS(t, ip, m, maxK, interp.Options{Sequential: true})
-	var fine, coarse interp.Stats
-	gotFine := runGS(t, ip, m, maxK, interp.Options{Workers: 4, Schedule: sched.PolicyDoacross, Stats: &fine})
-	gotCoarse := runGS(t, ip, m, maxK, interp.Options{Workers: 4, Grain: 1 << 20, Schedule: sched.PolicyDoacross, Stats: &coarse})
-	if !reflect.DeepEqual(gotFine.F, want.F) || !reflect.DeepEqual(gotCoarse.F, want.F) {
-		t.Error("grain variants diverge from sequential reference")
+	var fine, coarse, inline interp.Stats
+	gotFine := runGS(t, ip, m, maxK, interp.Options{Workers: 4, Grain: 1, Stats: &fine})
+	gotCoarse := runGS(t, ip, m, maxK, interp.Options{Workers: 4, Grain: 8, Stats: &coarse})
+	gotInline := runGS(t, ip, m, maxK, interp.Options{Workers: 4, Grain: 1 << 20, Stats: &inline})
+	for _, got := range []*value.Array{gotFine, gotCoarse, gotInline} {
+		if !reflect.DeepEqual(got.F, want.F) {
+			t.Error("grain variants diverge from sequential reference")
+		}
 	}
 	if fine.Doacross.Tiles.Load() <= coarse.Doacross.Tiles.Load() {
 		t.Errorf("coarse grain did not reduce tile instances: fine=%d coarse=%d",
 			fine.Doacross.Tiles.Load(), coarse.Doacross.Tiles.Load())
 	}
-	// A grain beyond the span clamps to one tile per plane: instances
-	// equal the full time range of the sweep (empty planes included).
+	// Every plane has at least one tile instance, whatever the width.
 	if got := coarse.Doacross.Tiles.Load(); got < coarse.Planes.Load() {
 		t.Errorf("coarse run has fewer tiles (%d) than non-empty planes (%d)", got, coarse.Planes.Load())
 	}
+	if got := inline.Doacross.Tiles.Load(); got != 0 {
+		t.Errorf("grain 1<<20 executed %d tiles, want the inline sweep", got)
+	}
+	if inline.Planes.Load() != fine.Planes.Load() {
+		t.Errorf("inline sweep counted %d planes, tiles %d", inline.Planes.Load(), fine.Planes.Load())
+	}
 }
 
-// TestDoacrossAutoNarrowPlanes pins the auto decision's doacross side:
-// a nest whose planes are narrow relative to grain×workers must take
-// the pipelined schedule under PolicyAuto.
+// TestDoacrossAutoNarrowPlanes pins the default rule's inline side: a
+// nest whose planes are narrow relative to 32 × workers sweeps inline
+// under default options — no tile is dispatched, on the first run or any
+// later one.
 func TestDoacrossAutoNarrowPlanes(t *testing.T) {
 	ip := compileSrc(t, psrc.RelaxationGS)
-	var stats interp.Stats
-	// m=4 gives ~36-point average planes; workers=4 with the default
-	// 32-point grain sets the auto cutoff at 128.
-	got := runGS(t, ip, 4, 6, interp.Options{Workers: 4, Stats: &stats})
 	want := runGS(t, ip, 4, 6, interp.Options{Sequential: true})
-	if !reflect.DeepEqual(got.F, want.F) {
-		t.Error("auto doacross run diverges from sequential reference")
-	}
-	if stats.Doacross.Tiles.Load() == 0 {
-		t.Error("auto policy did not choose doacross for narrow planes")
+	for run := 0; run < 3; run++ {
+		var stats interp.Stats
+		// m=4 gives 9-point average planes against a cutoff of 128.
+		got := runGS(t, ip, 4, 6, interp.Options{Workers: 4, Stats: &stats})
+		if !reflect.DeepEqual(got.F, want.F) {
+			t.Error("default run diverges from sequential reference")
+		}
+		if tiles := stats.Doacross.Tiles.Load(); tiles != 0 {
+			t.Errorf("run %d: default options tiled a narrow nest (%d tiles)", run, tiles)
+		}
+		if stats.Planes.Load() == 0 {
+			t.Errorf("run %d: swept no hyperplanes", run)
+		}
 	}
 }

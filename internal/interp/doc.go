@@ -45,14 +45,11 @@
 // activation time — mode is restructuring off, the auto cascade or the
 // pipeline-first cascade; variants that lower identically share a
 // compiled plan. Equation kernels are compiled once and shared by all
-// of them. Wavefront steps additionally choose an execution strategy
-// per activation: the per-plane barrier sweep or the doacross tile
-// pipeline (internal/sched), forced by Options.Schedule or chosen
-// automatically from the measured kernel cost.
+// of them. No option selects an executor: see Wavefront dispatch below.
 //
 // # Bitwise-identical results
 //
-// Every variant × strategy combination runs the same kernel closures at
+// Every variant, tiled or swept inline, runs the same kernel closures at
 // exactly the original iteration points in a dependence-respecting
 // order, so results are bitwise identical to the sequential reference:
 //
@@ -61,18 +58,28 @@
 //     with π·d ≥ 1 for every dependence d of the nest's equation group,
 //     and each in-box plane point runs the group's kernels in scheduled
 //     order, preserving in-plane zero-distance dependences;
-//   - both wavefront strategies share one geometry (wfSpace): the same
-//     per-plane tightened bounds, the same T⁻¹ preimages, the same
-//     guard against bounding-box slack.
+//   - the tile executor and the inline sweep share one geometry
+//     (wfSpace): the same per-plane tightened bounds, the same T⁻¹
+//     preimages, the same guard against bounding-box slack.
 //
 // The variants parity matrix (variants_test.go at the repo root)
 // enforces this across the corpus under -race.
 //
-// # Calibration
+// # Wavefront dispatch
 //
-// The first activation that times a plane writes the plan's one-shot
-// wavefront kernel cost (ns per executed point — for a multi-equation
-// group, the combined cost of every kernel the point runs). The
-// calibrated cost derives the inline-plane threshold and sharpens the
-// auto barrier/doacross decision; until then a fixed default applies.
+// A wavefront step uses the pool in exactly one way: the doacross tile
+// executor (internal/sched, reached through execWavefrontTiles). Whether
+// an activation uses it is a pure function of what its bounds resolve to
+// (TilePlane): the nest is tiled iff the run has a pool of W > 1
+// workers, the step is not already inside a parallel chunk or batch
+// element, and
+//
+//	points / planes ≥ g × W
+//
+// where points and planes are the volume and time extent of the
+// iteration box and g is Options.Grain when the caller set one and 32
+// otherwise. Everything else sweeps the planes in order on the calling
+// goroutine. Nothing is measured and nothing is remembered between
+// activations, so the same bounds always take the same side and
+// Runner.Explain is a function of plan and options alone.
 package interp

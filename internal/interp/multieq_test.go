@@ -7,7 +7,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/plan"
 	"repro/internal/psrc"
-	"repro/internal/sched"
 	"repro/internal/value"
 )
 
@@ -23,30 +22,34 @@ func runCoupled(t *testing.T, ip *interp.Program, m, maxK int64, opts interp.Opt
 
 // TestMultiKernelWavefrontParity runs the two-equation coupled
 // recurrence — lowered to a single wavefront step with two kernels per
-// plane point — under both wavefront schedules at several widths. All
-// runs must be bitwise identical to the sequential reference and must
-// execute exactly the same number of equation instances (the wavefront
-// sweep visits exactly the original points, each running the whole
-// group).
+// plane point — through the inline sweep (the Barrier*/Auto rows: a
+// grain no plane fills, and the default rule on narrow planes) and the
+// tile executor (the Doacross rows: small grains) at several widths.
+// All runs must be bitwise identical to the sequential reference and
+// must execute exactly the same number of equation instances (the
+// wavefront sweep visits exactly the original points, each running the
+// whole group).
 func TestMultiKernelWavefrontParity(t *testing.T) {
 	ip := compileSrc(t, psrc.CoupledGrid)
 	if !ip.Plan("CoupledGrid", plan.Options{Hyperplane: true}).HasWavefront() {
 		t.Fatal("CoupledGrid did not lower to a wavefront plan")
 	}
-	const m, maxK = 13, 3
+	// The I×J sweep inside DO K is 33² points over 65 planes: an average
+	// plane of 16, exactly what grain 4 needs at four workers.
+	const m, maxK = 31, 3
 	var seqStats interp.Stats
 	want := runCoupled(t, ip, m, maxK, interp.Options{Sequential: true, Stats: &seqStats})
 	for _, tc := range []struct {
-		name     string
-		opts     interp.Options
-		doacross bool
+		name  string
+		opts  interp.Options
+		tiles bool
 	}{
-		{"BarrierPar2", interp.Options{Workers: 2, Schedule: sched.PolicyBarrier}, false},
-		{"BarrierPar4", interp.Options{Workers: 4, Schedule: sched.PolicyBarrier}, false},
-		{"DoacrossPar2", interp.Options{Workers: 2, Schedule: sched.PolicyDoacross}, true},
-		{"DoacrossPar4Grain4", interp.Options{Workers: 4, Grain: 4, Schedule: sched.PolicyDoacross}, true},
+		{"BarrierPar2", interp.Options{Workers: 2, Grain: 1 << 20}, false},
+		{"BarrierPar4", interp.Options{Workers: 4, Grain: 1 << 20}, false},
+		{"DoacrossPar2", interp.Options{Workers: 2, Grain: 1}, true},
+		{"DoacrossPar4Grain4", interp.Options{Workers: 4, Grain: 4}, true},
 		{"AutoPar4", interp.Options{Workers: 4}, false},
-		{"StrictDoacrossPar2", interp.Options{Workers: 2, Strict: true, Schedule: sched.PolicyDoacross}, true},
+		{"StrictDoacrossPar2", interp.Options{Workers: 2, Strict: true, Grain: 1}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stats interp.Stats
@@ -61,33 +64,9 @@ func TestMultiKernelWavefrontParity(t *testing.T) {
 			if stats.Planes.Load() == 0 {
 				t.Errorf("%s swept no hyperplanes", tc.name)
 			}
-			if tc.doacross && stats.Doacross.Tiles.Load() == 0 {
-				t.Errorf("%s executed no doacross tiles", tc.name)
+			if tiles := stats.Doacross.Tiles.Load(); (tiles > 0) != tc.tiles {
+				t.Errorf("%s executed %d tiles, want tiled = %v", tc.name, tiles, tc.tiles)
 			}
 		})
-	}
-}
-
-// TestMultiKernelCalibration checks the wavefront grain calibrates over
-// the combined kernel cost: the measured ns/point covers every kernel
-// of the group, so the derived inline threshold stays within its clamp
-// and the plan reports a positive per-point cost after one run.
-func TestMultiKernelCalibration(t *testing.T) {
-	ip := compileSrc(t, psrc.CoupledGrid)
-	popts := plan.Options{Hyperplane: true}
-	if _, cost := ip.WavefrontGrain("CoupledGrid", popts); cost != 0 {
-		t.Fatalf("plan calibrated before any run: %d ns/point", cost)
-	}
-	// The barrier sweep calibrates from the first inline plane with at
-	// least 8 candidate points (a 2-D doacross pipeline blocks its only
-	// plane coordinate into single-point tiles, which the calibration's
-	// noise guard skips).
-	runCoupled(t, ip, 13, 3, interp.Options{Workers: 2, Schedule: sched.PolicyBarrier})
-	grain, cost := ip.WavefrontGrain("CoupledGrid", popts)
-	if cost <= 0 {
-		t.Fatal("run did not calibrate the combined kernel cost")
-	}
-	if grain < 8 || grain > 4096 {
-		t.Fatalf("calibrated grain %d outside [8, 4096]", grain)
 	}
 }

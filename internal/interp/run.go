@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/depgraph"
@@ -34,9 +33,9 @@ type Options struct {
 	// NoVirtual disables window allocation, physically allocating every
 	// dimension (the ablation baseline for §3.4).
 	NoVirtual bool
-	// Grain is the minimum iterations per parallel chunk; under the
-	// doacross wavefront schedule it also bounds the tile width on the
-	// blocked plane coordinate.
+	// Grain is the minimum iterations per parallel chunk. For wavefront
+	// steps it is the g of the dispatch rule (tiled, below) and the tile
+	// width on the blocked plane coordinate.
 	Grain int64
 	// Fuse selects the loop-fused plan variant (the §5 "merge iterative
 	// loops" extension), lowered once at compile time.
@@ -50,12 +49,9 @@ type Options struct {
 	// variant a runner executes — and Explain reports — is deterministic
 	// across hosts.
 	Hyperplane HyperplaneMode
-	// Schedule selects how wavefront steps execute on the pool: the
-	// per-plane barrier sweep, the doacross tile pipeline, or (the zero
-	// value) automatic per-activation selection — doacross when the
-	// plane width per worker is small relative to the measured kernel
-	// cost, where the barrier would dominate. Inert for sequential runs
-	// and plans without wavefront steps.
+	// Schedule selects the plan variant's cascade order: the auto
+	// cascade (the zero value) or pipeline-first. It picks a plan, never
+	// an executor; inert for sequential runs.
 	Schedule sched.Policy
 	// Pool, when non-nil, is a shared worker pool used for every DOALL of
 	// the activation tree instead of spawning a pool per activation. The
@@ -121,16 +117,16 @@ type Stats struct {
 	// EqInstances counts equation instances executed (one per evaluation
 	// of one equation at one index point).
 	EqInstances atomic.Int64
-	// Chunks counts DOALL chunks dispatched to pool workers, including
-	// the chunks carved out of wavefront planes.
+	// Chunks counts DOALL chunks dispatched to pool workers. Wavefront
+	// steps contribute none: their parallel unit is the tile (Doacross).
 	Chunks atomic.Int64
 	// Planes counts hyperplane launches of wavefront steps — one per
 	// time step of every §4-restructured nest — so wavefront work stays
 	// distinguishable from plain DOALL chunking.
 	Planes atomic.Int64
-	// Doacross accumulates the pipelined wavefront executor's counters:
-	// tile instances, stalls (parked waits on predecessor tiles) and
-	// steals. All zero when every wavefront ran the barrier schedule.
+	// Doacross accumulates the wavefront tile executor's counters: tile
+	// instances, stalls (parked waits on predecessor tiles) and steals.
+	// All zero when every wavefront swept inline.
 	Doacross sched.Stats
 	// PipelineStages counts stages launched by PS-DSWP pipeline steps —
 	// one per stage per decoupled pipeline activation — so pipelined
@@ -366,15 +362,13 @@ type workerState struct {
 type workerScope struct {
 	en *env
 	fr []int64
-	// chunk is set for DOALL and wavefront-plane chunks: each body then
-	// counts in Stats.Chunks and, when tracing, emits a KChunk span whose
-	// second argument is wavefront (0 = DOALL chunk, 1 = plane chunk).
-	// Pipeline stage bodies and doacross tiles leave it unset: pipe.Run
-	// and sched.Run record those spans on their own rings.
-	chunk     bool
-	wavefront int64
-	once      sync.Once
-	panicked  any
+	// chunk is set for DOALL chunks: each body then counts in
+	// Stats.Chunks and, when tracing, emits a KChunk span on a ring of
+	// its own. Pipeline stage bodies and wavefront tiles leave it unset:
+	// pipe.Run and sched.Run record those spans on their own rings.
+	chunk    bool
+	once     sync.Once
+	panicked any
 }
 
 // run executes body on pooled worker state — a private env copy and
@@ -383,8 +377,10 @@ type workerScope struct {
 // instance counters start at zero and are flushed into the run's Stats
 // when body returns or fails. A failure (runtimeError, value.Error or a
 // foreign panic) is captured once, for rethrow on the dispatching
-// goroutine after every body has stopped, and reported as false.
-func (w *workerScope) run(points int64, body func(sub *env, wfr []int64)) (ok bool) {
+// goroutine after every body has stopped, and reported as false. ring is
+// the event ring the body's executor already owns on this goroutine (a
+// sched worker's, for tiles), or nil; the body emits its instants there.
+func (w *workerScope) run(points int64, ring *obs.Ring, body func(sub *env, wfr []int64)) (ok bool) {
 	rs, cm := w.en.rs, w.en.cm
 	ws, _ := cm.ws.Get().(*workerState)
 	if ws == nil {
@@ -400,9 +396,10 @@ func (w *workerScope) run(points int64, body func(sub *env, wfr []int64)) (ok bo
 	sub.inParallel = true
 	sub.eqCount = 0
 	sub.specCount = 0
-	// The env copy aliased the caller's ring; a chunk emits on its own
-	// exclusively-owned ring (or none).
-	sub.ring = nil
+	// The env copy aliased the dispatcher's ring, and rings are
+	// single-writer: a body emits on its executor's ring, a chunk on one
+	// acquired here, anything else on none.
+	sub.ring = ring
 	var t0 int64
 	if w.chunk && rs.rec != nil {
 		sub.ring = rs.rec.Acquire()
@@ -416,8 +413,8 @@ func (w *workerScope) run(points int64, body func(sub *env, wfr []int64)) (ok bo
 			rs.stats.EqInstances.Add(sub.eqCount)
 			rs.stats.Specialized.Add(sub.specCount)
 		}
-		if sub.ring != nil {
-			sub.ring.Emit(obs.KChunk, t0, sub.ring.Now()-t0, points, w.wavefront)
+		if w.chunk && sub.ring != nil {
+			sub.ring.Emit(obs.KChunk, t0, sub.ring.Now()-t0, points, 0)
 			rs.rec.Release(sub.ring)
 		}
 		if r := recover(); r != nil {
@@ -842,7 +839,7 @@ func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 	scope := workerScope{en: en, fr: fr, chunk: true}
 	leaf := st.Leaf
 	work := func(start, end int64) {
-		scope.run(end-start+1, func(sub *env, wfr []int64) {
+		scope.run(end-start+1, nil, func(sub *env, wfr []int64) {
 			rem := start
 			for d := ndim - 1; d >= 0; d-- {
 				n := hib[d] - lob[d] + 1
@@ -1004,7 +1001,7 @@ func (p *Program) execPipeline(en *env, fr []int64, st *plan.Step) {
 	}
 	var pstats pipe.Stats
 	err := pipe.Run(stages, tokens, rs.pool.Workers(), rs.cancelChan(), func(stage, _ int, token int64) error {
-		ok := scope.run(0, func(sub *env, wfr []int64) {
+		ok := scope.run(0, nil, func(sub *env, wfr []int64) {
 			sg := &pi.Stages[stage]
 			wfr[slot] = b[0] + token
 			if stageLbls != nil {
@@ -1038,9 +1035,9 @@ func (p *Program) execPipeline(en *env, fr []int64, st *plan.Step) {
 // wfSpace is the resolved geometry of one wavefront activation: the
 // original iteration box, the interval bounds of every transformed
 // coordinate over it, and the π-term sums used for per-plane
-// tightening of basis coordinates. Both wavefront executors — the
-// barrier sweep and the doacross pipeline — work from the same space,
-// which is why they are bitwise identical.
+// tightening of basis coordinates. The inline sweep and the tile
+// executor work from the same space, which is why they are bitwise
+// identical.
 type wfSpace struct {
 	st *plan.Step
 	hy *plan.Hyper
@@ -1123,14 +1120,6 @@ func (w *wfSpace) resolve(en *env, st *plan.Step, bodyLo int) bool {
 		w.dcol = append(w.dcol, w.hy.TInv[j][w.row])
 	}
 	return true
-}
-
-// points converts an executed-instance count back into plane points:
-// every in-box point runs all group kernels, so the combined kernel
-// cost per point — what the grain calibration needs, since thresholds
-// are in points per plane — is elapsed / (instances / len(eqis)).
-func (w *wfSpace) points(instances int64) int64 {
-	return instances / int64(len(w.eqis))
 }
 
 // planeBounds computes plane t's coordinate ranges: start from the box
@@ -1271,87 +1260,64 @@ func (p *Program) execPlaneBox(en *env, fr []int64, w *wfSpace, t int64, plo, ph
 	}
 }
 
-// useDoacross decides the wavefront execution strategy for one
-// activation. Forced policies win; auto chooses the doacross pipeline
-// when the average plane width per worker is below the inline-plane
-// threshold — the regime where the barrier sweep either runs most
-// planes inline (serially) or pays a pool dispatch whose fixed cost
-// rivals the plane's kernel work. The threshold is the calibrated
-// wavefront grain, so the auto decision sharpens after the first run
-// measures the kernel cost.
-func (p *Program) useDoacross(en *env, w *wfSpace) bool {
-	if w.hy.Window < 2 || len(w.hy.Pred) == 0 {
-		return false // no cross-plane dependence metadata to pipeline on
+// minTilePlane is g of the dispatch rule when the caller set no grain:
+// below 32 points per plane and worker, claiming and waiting on tiles
+// costs more than the plane's kernel work.
+const minTilePlane = 32
+
+// TilePlane is the wavefront dispatch rule, a pure function of the
+// run's worker count and grain: it returns the smallest average plane
+// (points / planes of the activation's iteration box) that runs on the
+// tile executor, g × workers, where g is grain when the caller set one
+// and minTilePlane otherwise. 0 means the run never tiles — one worker
+// has nothing to overlap. Narrower nests sweep inline on the calling
+// goroutine.
+func TilePlane(workers int, grain int64) int64 {
+	if workers <= 1 {
+		return 0
 	}
-	switch en.rs.opts.Schedule {
-	case sched.PolicyBarrier:
+	if grain <= 0 {
+		grain = minTilePlane
+	}
+	return grain * int64(workers)
+}
+
+// tiled applies TilePlane to this activation's bounds.
+func (w *wfSpace) tiled(workers int, grain int64) bool {
+	least := TilePlane(workers, grain)
+	if least == 0 {
 		return false
-	case sched.PolicyDoacross:
-		return true
 	}
-	nplanes := w.thi[0] - w.tlo[0] + 1
 	points := int64(1)
 	for j := 0; j < w.n; j++ {
 		points *= w.hi[j] - w.lo[j] + 1
 	}
-	avgWidth := points / nplanes
-	if avgWidth < 1 {
-		avgWidth = 1
-	}
-	grain := en.cp.wavefrontGrain()
-	if en.cp.wfCost.Load() != 0 && avgWidth < grain {
-		// The measured kernel cost says every plane fits under the
-		// inline threshold: the barrier sweep runs the whole nest on the
-		// sweeping goroutine with zero dispatch, which no pipeline can
-		// beat at this width. (Before calibration the default grain is
-		// not evidence, so narrow planes still pipeline below.)
-		return false
-	}
-	return avgWidth < grain*int64(en.rs.pool.Workers())
+	return points/(w.thi[0]-w.tlo[0]+1) >= least
 }
 
 // execWavefront runs one §4-restructured nest: hyperplanes t = π·x
-// executed in dependence order, each plane a parallel traversal of the
-// bounding box of the remaining transformed coordinates. Per point the
-// step's baked T⁻¹ recovers the original indices; points whose
-// preimage falls outside the original iteration box are skipped, so
-// exactly the original points execute, each once, with every
-// dependence satisfied (π·d ≥ 1 places a point's inputs on strictly
-// earlier planes, and in-plane points are independent by
-// construction). Parallel activations choose between two strategies:
-// the barrier sweep below (one fork/join per plane) and the doacross
-// tile pipeline of execWavefrontDoacross.
+// executed in dependence order, each plane a traversal of the bounding
+// box of the remaining transformed coordinates. Per point the step's
+// baked T⁻¹ recovers the original indices; points whose preimage falls
+// outside the original iteration box are skipped, so exactly the
+// original points execute, each once, with every dependence satisfied
+// (π·d ≥ 1 places a point's inputs on strictly earlier planes, and
+// in-plane points are independent by construction). A top-level
+// activation on a pool whose planes are wide enough (tiled) hands the
+// nest to the tile executor; everything else — one worker, a nest inside
+// a parallel chunk or batch element, narrow planes — sweeps the planes
+// in order on the calling goroutine.
 func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) {
 	rs := en.rs
 	var w wfSpace
 	if !w.resolve(en, st, bodyLo) {
 		return // empty dimension: the nest has no iterations
 	}
-	noPool := rs.pool == nil || en.inParallel || rs.pool.Workers() == 1
-	if !noPool && p.useDoacross(en, &w) {
-		p.execWavefrontDoacross(en, fr, &w)
+	if rs.pool != nil && !en.inParallel && w.tiled(rs.pool.Workers(), rs.opts.Grain) {
+		p.execWavefrontTiles(en, fr, &w)
 		return
 	}
 	canceled := rs.canceled
-	// Planes too small to amortize a pool dispatch run inline — the
-	// narrow leading and trailing hyperplanes of every sweep. The
-	// threshold starts at the fixed default and is re-read after the
-	// first plane calibrates the measured kernel cost.
-	inline := en.cp.wavefrontGrain()
-	// Plane spans land on the activation's ring; inside a parallel chunk
-	// (or an already-open sequential span) the enclosing span covers the
-	// work and nothing is emitted here.
-	ring := en.ring
-	if en.inParallel || en.inSpan {
-		ring = nil
-	}
-	var wfLbls pprof.LabelSet
-	if rs.labels {
-		wfLbls = pprof.Labels("ps_module", en.cm.m.Name,
-			"ps_step", "wavefront", "ps_eqs", eqsLabel(en.cp, w.eqis))
-	}
-	scope := workerScope{en: en, fr: fr, chunk: true, wavefront: 1}
-
 	for t := w.tlo[0]; t <= w.thi[0]; t++ {
 		if canceled != nil && canceled.Load() {
 			panic(runtimeError{err: rs.ctx.Err()})
@@ -1364,65 +1330,25 @@ func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) 
 		if rs.stats != nil {
 			rs.stats.Planes.Add(1)
 		}
-		if noPool || planeTotal < inline {
-			sring, t0 := en.beginSpan()
-			if en.cp.wfCost.Load() == 0 && planeTotal >= 8 {
-				// One-shot grain calibration: time this inline plane and
-				// derive the per-plan threshold from its measured kernel
-				// cost (executed points, not box slack).
-				before := en.eqCount
-				start := time.Now()
-				p.execPlaneBox(en, fr, &w, t, &plo, &phi, 0, planeTotal-1)
-				if points := w.points(en.eqCount - before); points > 0 {
-					en.cp.noteWavefrontCost(points, time.Since(start))
-					inline = en.cp.wavefrontGrain()
-				}
-			} else {
-				p.execPlaneBox(en, fr, &w, t, &plo, &phi, 0, planeTotal-1)
-			}
-			en.endSpan(sring, obs.KPlane, t0, t, 0)
-			continue
-		}
-
-		// Parallel plane: chunked exactly like a DOALL, on pooled worker
-		// state; each chunk decomposes its start index once and walks the
-		// plane odometer-style, updating the T⁻¹ preimage incrementally
-		// instead of remapping per point.
-		work := func(start, end int64) {
-			scope.run(end-start+1, func(sub *env, wfr []int64) {
-				p.execPlaneBox(sub, wfr, &w, t, &plo, &phi, start, end)
-			})
-		}
-		if rs.labels {
-			work = labeled(rs, work, wfLbls)
-		}
-		var t0 int64
-		if ring != nil {
-			t0 = ring.Now()
-		}
-		completed := rs.pool.ForRangesOpts(rs.cancelChan(), 0, planeTotal-1, rs.opts.Grain, work)
-		if ring != nil {
-			// The dispatch span covers the fork/join; member chunks carry
-			// the compute, so Breakdown turns this into barrier idle.
-			ring.Emit(obs.KPlane, t0, ring.Now()-t0, t, 1)
-		}
-		scope.rethrow()
-		if !completed {
-			panic(runtimeError{err: rs.ctx.Err()})
-		}
+		// Plane spans land on the activation's ring; inside a parallel
+		// chunk (or an already-open sequential span) the enclosing span
+		// covers the work and nothing is emitted here.
+		ring, t0 := en.beginSpan()
+		p.execPlaneBox(en, fr, &w, t, &plo, &phi, 0, planeTotal-1)
+		en.endSpan(ring, obs.KPlane, t0, t, 0)
 	}
 }
 
-// execWavefrontDoacross runs a wavefront nest as a doacross pipeline:
-// the widest plane coordinate is blocked into tiles on a fixed global
-// grid, each tile carries an atomic completion counter, and a tile
-// entering plane t waits point-to-point only on the predecessor tiles
-// the plan's dependence window implies (internal/sched) — no per-plane
-// pool barrier, so successive hyperplanes overlap. Tile instances
-// compute the same tightened plane bounds as the barrier sweep and run
-// the same kernels at the same points, so the two schedules are
-// bitwise identical.
-func (p *Program) execWavefrontDoacross(en *env, fr []int64, w *wfSpace) {
+// execWavefrontTiles runs a wavefront nest on the pool as a doacross
+// pipeline: the widest plane coordinate is blocked into tiles on a fixed
+// global grid, each tile carries an atomic completion counter, and a
+// tile entering plane t waits point-to-point only on the predecessor
+// tiles the plan's dependence window implies (internal/sched) — no
+// per-plane pool barrier, so successive hyperplanes overlap. Tile
+// instances compute the same tightened plane bounds as the inline sweep
+// and run the same kernels at the same points, so the two are bitwise
+// identical.
+func (p *Program) execWavefrontTiles(en *env, fr []int64, w *wfSpace) {
 	rs := en.rs
 	hy := w.hy
 	// Block the plane coordinate with the widest transformed span: more
@@ -1440,9 +1366,9 @@ func (p *Program) execWavefrontDoacross(en *env, fr []int64, w *wfSpace) {
 		Window:  hy.Window,
 		Preds:   hy.Pred[blk-1],
 		Workers: rs.pool.Workers(),
-		// Options.Grain is the minimum iterations per parallel chunk; for
-		// the doacross schedule the chunk is a tile, so the grain bounds
-		// the tile width on the blocked coordinate (0 keeps the default
+		// Options.Grain is the minimum iterations per parallel chunk; here
+		// the chunk is a tile, so the grain bounds the tile width on the
+		// blocked coordinate (0 keeps the default
 		// span/(workers×TilesPerWorker) blocking).
 		TileWidth: rs.opts.Grain,
 	}
@@ -1452,7 +1378,7 @@ func (p *Program) execWavefrontDoacross(en *env, fr []int64, w *wfSpace) {
 	}
 	scope := workerScope{en: en, fr: fr}
 	canceled := rs.canceled
-	body := func(_ int, t int64, k int, blo, bhi int64) bool {
+	body := func(ring *obs.Ring, t int64, k int, blo, bhi int64) bool {
 		// Most tile instances of a narrow plane are empty (the tile grid
 		// is global, the tightened plane is not), so the bounds check
 		// runs before any pooled-state setup.
@@ -1463,8 +1389,8 @@ func (p *Program) execWavefrontDoacross(en *env, fr []int64, w *wfSpace) {
 		}
 		if k == 0 && rs.stats != nil {
 			// Tile 0 exists on every plane, so it counts each non-empty
-			// plane exactly once — keeping WavefrontPlanes comparable
-			// with the barrier schedule.
+			// plane exactly once — keeping WavefrontPlanes equal to the
+			// inline sweep's.
 			rs.stats.Planes.Add(1)
 		}
 		// Clamp the blocked coordinate to this tile's slice.
@@ -1484,19 +1410,7 @@ func (p *Program) execWavefrontDoacross(en *env, fr []int64, w *wfSpace) {
 		// The tile runs on pooled worker state, capturing failures the way
 		// DOALL chunks do: a recorded failure stops the scheduling here and
 		// re-raises after Run.
-		ok := scope.run(0, func(sub *env, wfr []int64) {
-			// Tiles are narrow by construction, so calibration accepts any
-			// instance with at least two executed points; the threshold it
-			// feeds is clamped, which bounds the effect of timing noise.
-			if cp := sub.cp; cp.wfCost.Load() == 0 && total >= 2 {
-				before := sub.eqCount
-				start := time.Now()
-				p.execPlaneBox(sub, wfr, w, t, &plo, &phi, 0, total-1)
-				if points := w.points(sub.eqCount - before); points > 0 {
-					cp.noteWavefrontCost(points, time.Since(start))
-				}
-				return
-			}
+		ok := scope.run(0, ring, func(sub *env, wfr []int64) {
 			p.execPlaneBox(sub, wfr, w, t, &plo, &phi, 0, total-1)
 		})
 		return ok && !(canceled != nil && canceled.Load())
@@ -1505,8 +1419,8 @@ func (p *Program) execWavefrontDoacross(en *env, fr []int64, w *wfSpace) {
 		lbls := pprof.Labels("ps_module", en.cm.m.Name,
 			"ps_step", "doacross", "ps_eqs", eqsLabel(en.cp, w.eqis))
 		inner := body
-		body = func(wi int, t int64, k int, blo, bhi int64) (ok bool) {
-			pprof.Do(rs.ctx, lbls, func(context.Context) { ok = inner(wi, t, k, blo, bhi) })
+		body = func(ring *obs.Ring, t int64, k int, blo, bhi int64) (ok bool) {
+			pprof.Do(rs.ctx, lbls, func(context.Context) { ok = inner(ring, t, k, blo, bhi) })
 			return ok
 		}
 	}

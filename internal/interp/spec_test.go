@@ -81,8 +81,8 @@ func TestKernelEligibility(t *testing.T) {
 
 // TestSpanDispatchParity runs the wavefront corpus programs with the
 // specialized kernels enabled and disabled across every executor path —
-// sequential leaf spans, barrier plane sweeps, doacross tiles — and
-// demands bitwise-identical results, plus honest Specialized counters:
+// sequential leaf spans, inline plane sweeps, tiles (the Grain1 rows) —
+// and demands bitwise-identical results, plus honest Specialized counters:
 // positive by default, zero under NoSpecialize and Strict (the
 // certified fast path must never claim checked points).
 func TestSpanDispatchParity(t *testing.T) {
@@ -93,15 +93,19 @@ func TestSpanDispatchParity(t *testing.T) {
 		name        string
 		opts        interp.Options
 		specialized bool
+		tiles       bool
 	}{
-		{"Seq", interp.Options{Sequential: true}, true},
-		{"SeqNoArena", interp.Options{Sequential: true, NoArena: true}, true},
-		{"SeqNoSpec", interp.Options{Sequential: true, NoSpecialize: true}, false},
-		{"Par2", interp.Options{Workers: 2}, true},
-		{"Par4NoSpec", interp.Options{Workers: 4, NoSpecialize: true}, false},
-		{"Par4", interp.Options{Workers: 4}, true},
-		{"StrictSeq", interp.Options{Sequential: true, Strict: true}, false},
-		{"StrictPar2", interp.Options{Workers: 2, Strict: true}, false},
+		{"Seq", interp.Options{Sequential: true}, true, false},
+		{"SeqNoArena", interp.Options{Sequential: true, NoArena: true}, true, false},
+		{"SeqNoSpec", interp.Options{Sequential: true, NoSpecialize: true}, false, false},
+		{"Par2", interp.Options{Workers: 2}, true, false},
+		{"Par4NoSpec", interp.Options{Workers: 4, NoSpecialize: true}, false, false},
+		{"Par4", interp.Options{Workers: 4}, true, false},
+		{"Par2Grain1", interp.Options{Workers: 2, Grain: 1}, true, true},
+		{"Par4Grain1NoSpec", interp.Options{Workers: 4, Grain: 1, NoSpecialize: true}, false, true},
+		{"StrictSeq", interp.Options{Sequential: true, Strict: true}, false, false},
+		{"StrictPar2", interp.Options{Workers: 2, Strict: true}, false, false},
+		{"StrictPar2Grain1", interp.Options{Workers: 2, Grain: 1, Strict: true}, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var st interp.Stats
@@ -117,6 +121,9 @@ func TestSpanDispatchParity(t *testing.T) {
 			}
 			if !tc.specialized && spec != 0 {
 				t.Errorf("Specialized = %d on a generic-only run", spec)
+			}
+			if tiles := st.Doacross.Tiles.Load(); (tiles > 0) != tc.tiles {
+				t.Errorf("Doacross.Tiles = %d, want tiled = %v", tiles, tc.tiles)
 			}
 			if eq := st.EqInstances.Load(); spec > eq {
 				t.Errorf("Specialized (%d) exceeds EqInstances (%d)", spec, eq)

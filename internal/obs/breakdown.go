@@ -11,9 +11,9 @@ import (
 // the residual synchronization each schedule pays). All durations are
 // nanoseconds summed across workers, so the per-worker identity is
 //
-//	ComputeNs + StallNs() + BarrierIdleNs + IdleNs = Workers × WallNs
+//	ComputeNs + StallNs() + IdleNs = Workers × WallNs
 //
-// whenever the clamp notes below don't fire.
+// whenever the clamp note below doesn't fire.
 type Breakdown struct {
 	// Workers is the worker count the run was configured with; WallNs
 	// the activation's elapsed wall time. Both are supplied by the
@@ -22,12 +22,12 @@ type Breakdown struct {
 	WallNs  int64
 
 	// ComputeNs sums the executors' working spans: sequential DOALL
-	// steps, parallel chunks (plain and wavefront), inline planes,
-	// doacross tiles and pipeline stage bodies.
+	// steps, parallel chunks, inline planes, wavefront tiles and
+	// pipeline stage bodies.
 	ComputeNs int64
 	// Per-schedule slices of ComputeNs.
-	DOALLNs     int64 // sequential DOALL steps + plain chunks
-	WavefrontNs int64 // inline planes + plane chunks (barrier schedule)
+	DOALLNs     int64 // sequential DOALL steps + chunks
+	WavefrontNs int64 // inline planes
 	DoacrossNs  int64 // tile instances
 	PipelineNs  int64 // stage body invocations
 	// StolenNs is the subset of DoacrossNs run by non-home workers.
@@ -37,10 +37,11 @@ type Breakdown struct {
 	// blocking channel waits of pipeline stages.
 	DoacrossStallNs int64
 	PipelineStallNs int64
-	// BarrierIdleNs estimates the fork/join slack of dispatched
-	// wavefront planes: workers × the planes' dispatch spans, minus the
-	// compute the member chunks actually did (clamped at zero). Inline
-	// planes contribute nothing — they have no join.
+	// BarrierIdleNs is always 0: it is the fork/join slack of planes
+	// dispatched to the pool one at a time, and no executor does that
+	// (tiles wait point-to-point, which DoacrossStallNs counts). The
+	// field stays because the repo benchmark and the fuzzer's timing
+	// identity read it.
 	BarrierIdleNs int64
 	// IdleNs is the unattributed remainder, workers × wall minus
 	// everything above, clamped at zero (pipeline runs can oversubscribe
@@ -73,29 +74,13 @@ func (r *Recorder) Breakdown(workers int, wall time.Duration) Breakdown {
 		workers = 1
 	}
 	b := Breakdown{Workers: workers, WallNs: wall.Nanoseconds(), Events: r.Events(), Dropped: r.Dropped()}
-	var planeDispatchNs, planeChunkNs int64
 	for _, evs := range r.Snapshot() {
 		for _, ev := range evs {
 			switch ev.Kind {
-			case KDoAll:
+			case KDoAll, KChunk:
 				b.DOALLNs += ev.Dur
-			case KChunk:
-				if ev.Arg1 != 0 {
-					b.WavefrontNs += ev.Dur
-					planeChunkNs += ev.Dur
-				} else {
-					b.DOALLNs += ev.Dur
-				}
 			case KPlane:
-				if ev.Arg1 != 0 {
-					// Dispatched plane: the span covers the fork/join on
-					// the sweeping goroutine; the compute is counted by
-					// the member KChunk spans, so this only feeds the
-					// barrier-idle estimate.
-					planeDispatchNs += ev.Dur
-				} else {
-					b.WavefrontNs += ev.Dur
-				}
+				b.WavefrontNs += ev.Dur
 			case KTile:
 				b.DoacrossNs += ev.Dur
 				if ev.Arg1&1 != 0 {
@@ -115,10 +100,7 @@ func (r *Recorder) Breakdown(workers int, wall time.Duration) Breakdown {
 		}
 	}
 	b.ComputeNs = b.DOALLNs + b.WavefrontNs + b.DoacrossNs + b.PipelineNs
-	if idle := int64(workers)*planeDispatchNs - planeChunkNs; idle > 0 {
-		b.BarrierIdleNs = idle
-	}
-	if idle := int64(workers)*b.WallNs - b.ComputeNs - b.StallNs() - b.BarrierIdleNs; idle > 0 {
+	if idle := int64(workers)*b.WallNs - b.ComputeNs - b.StallNs(); idle > 0 {
 		b.IdleNs = idle
 	}
 	return b
@@ -129,8 +111,8 @@ func (r *Recorder) Breakdown(workers int, wall time.Duration) Breakdown {
 func (b *Breakdown) String() string {
 	d := func(ns int64) time.Duration { return time.Duration(ns) }
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "wall=%v workers=%d compute=%v stall=%v barrier_idle=%v idle=%v",
-		d(b.WallNs), b.Workers, d(b.ComputeNs), d(b.StallNs()), d(b.BarrierIdleNs), d(b.IdleNs))
+	fmt.Fprintf(&sb, "wall=%v workers=%d compute=%v stall=%v idle=%v",
+		d(b.WallNs), b.Workers, d(b.ComputeNs), d(b.StallNs()), d(b.IdleNs))
 	fmt.Fprintf(&sb, "\n  compute: doall=%v wavefront=%v doacross=%v (stolen=%v) pipeline=%v",
 		d(b.DOALLNs), d(b.WavefrontNs), d(b.DoacrossNs), d(b.StolenNs), d(b.PipelineNs))
 	fmt.Fprintf(&sb, "\n  stalls: doacross=%v pipeline=%v; spec_fallback_points=%d arena_reuses=%d events=%d",

@@ -33,15 +33,11 @@ const (
 	// KDoAll spans one sequentially executed DOALL step on the
 	// activation goroutine. Arg0 is the collapsed point count.
 	KDoAll
-	// KChunk spans one parallel chunk on a pool worker. Arg0 is the
-	// chunk's point count; Arg1 is 0 for a plain DOALL chunk, 1 for a
-	// chunk carved out of a wavefront plane.
+	// KChunk spans one parallel DOALL chunk on a pool worker. Arg0 is
+	// the chunk's point count.
 	KChunk
-	// KPlane spans one wavefront hyperplane under the barrier schedule.
-	// Arg0 is the plane time t; Arg1 is 0 when the plane ran inline on
-	// the sweeping goroutine, 1 when it was dispatched to the pool (the
-	// span then covers the fork/join, with the member chunks appearing
-	// as KChunk spans on worker rings).
+	// KPlane spans one wavefront hyperplane swept inline on the
+	// activation goroutine. Arg0 is the plane time t.
 	KPlane
 	// KTile spans one doacross tile instance. Arg0 is the plane time t;
 	// Arg1 packs the tile index and the steal flag as k<<1 | stolen.

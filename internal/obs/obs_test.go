@@ -16,7 +16,7 @@ func TestRingEmitAndSnapshot(t *testing.T) {
 		t.Fatalf("first ring id = %d, want 0", g.ID())
 	}
 	g.Emit(KDoAll, 10, 5, 100, 0)
-	g.Emit(KChunk, 20, 7, 50, 1)
+	g.Emit(KChunk, 20, 7, 50, 0)
 	r.Release(g)
 
 	snap := r.Snapshot()
@@ -30,7 +30,7 @@ func TestRingEmitAndSnapshot(t *testing.T) {
 	if evs[0].Kind != KDoAll || evs[0].Start != 10 || evs[0].Dur != 5 || evs[0].Arg0 != 100 {
 		t.Errorf("event 0 = %+v", evs[0])
 	}
-	if evs[1].Kind != KChunk || evs[1].Arg1 != 1 {
+	if evs[1].Kind != KChunk || evs[1].Arg0 != 50 {
 		t.Errorf("event 1 = %+v", evs[1])
 	}
 	if r.Events() != 2 || r.Dropped() != 0 {
@@ -155,10 +155,9 @@ func TestBreakdownAggregation(t *testing.T) {
 	r := NewRecorder(64)
 	g := r.Acquire()
 	g.Emit(KDoAll, 0, 100, 10, 0)       // sequential DOALL: DOALL compute
-	g.Emit(KChunk, 100, 50, 5, 0)       // plain chunk: DOALL compute
-	g.Emit(KChunk, 150, 30, 3, 1)       // wavefront chunk
+	g.Emit(KChunk, 100, 50, 5, 0)       // parallel chunk: DOALL compute
 	g.Emit(KPlane, 180, 40, 1, 0)       // inline plane: wavefront compute
-	g.Emit(KPlane, 220, 90, 2, 1)       // dispatched plane: barrier-idle input
+	g.Emit(KPlane, 220, 30, 2, 0)       // the next plane of the same sweep
 	g.Emit(KTile, 310, 60, 3, 4<<1|1)   // stolen tile
 	g.Emit(KTile, 370, 40, 3, 5<<1)     // home tile
 	g.Emit(KTileWait, 410, 25, 0, 0)    // doacross stall
@@ -174,7 +173,7 @@ func TestBreakdownAggregation(t *testing.T) {
 		t.Errorf("DOALLNs = %d, want 150", b.DOALLNs)
 	}
 	if b.WavefrontNs != 70 {
-		t.Errorf("WavefrontNs = %d, want 70 (chunk 30 + inline plane 40)", b.WavefrontNs)
+		t.Errorf("WavefrontNs = %d, want 70 (inline planes 40 + 30)", b.WavefrontNs)
 	}
 	if b.DoacrossNs != 100 || b.StolenNs != 60 {
 		t.Errorf("DoacrossNs = %d StolenNs = %d, want 100, 60", b.DoacrossNs, b.StolenNs)
@@ -188,19 +187,19 @@ func TestBreakdownAggregation(t *testing.T) {
 	if b.DoacrossStallNs != 25 || b.PipelineStallNs != 15 || b.StallNs() != 40 {
 		t.Errorf("stalls = %d/%d, want 25/15", b.DoacrossStallNs, b.PipelineStallNs)
 	}
-	// Dispatched plane 90ns × 2 workers minus the 30ns wavefront chunk.
-	if b.BarrierIdleNs != 2*90-30 {
-		t.Errorf("BarrierIdleNs = %d, want %d", b.BarrierIdleNs, 2*90-30)
+	// No executor forks and joins per plane, so nothing feeds this field.
+	if b.BarrierIdleNs != 0 {
+		t.Errorf("BarrierIdleNs = %d, want 0", b.BarrierIdleNs)
 	}
-	wantIdle := int64(workers)*1000 - b.ComputeNs - b.StallNs() - b.BarrierIdleNs
+	wantIdle := int64(workers)*1000 - b.ComputeNs - b.StallNs()
 	if b.IdleNs != wantIdle {
 		t.Errorf("IdleNs = %d, want %d", b.IdleNs, wantIdle)
 	}
 	if b.SpecFallbacks != 9 || b.ArenaReuses != 1 {
 		t.Errorf("SpecFallbacks = %d ArenaReuses = %d, want 9, 1", b.SpecFallbacks, b.ArenaReuses)
 	}
-	if b.Events != 12 || b.Dropped != 0 {
-		t.Errorf("Events = %d Dropped = %d, want 12, 0", b.Events, b.Dropped)
+	if b.Events != 11 || b.Dropped != 0 {
+		t.Errorf("Events = %d Dropped = %d, want 11, 0", b.Events, b.Dropped)
 	}
 	s := b.String()
 	for _, want := range []string{"wall=1µs", "workers=2", "compute=400ns", "stall=40ns", "stolen=60ns", "spec_fallback_points=9"} {
@@ -268,7 +267,7 @@ func TestWriteChrome(t *testing.T) {
 	r := NewRecorder(16)
 	g0 := r.Acquire()
 	g0.Emit(KActivation, 0, 2000, 0, 0)
-	g0.Emit(KPlane, 100, 500, 3, 1)
+	g0.Emit(KPlane, 100, 500, 3, 0)
 	g0.Emit(KSpecFallback, 700, 0, 2, 11)
 	r.Release(g0)
 	g1 := r.Acquire() // reuses ring 0; acquire a second concurrently
@@ -303,7 +302,7 @@ func TestWriteChrome(t *testing.T) {
 				t.Errorf("activation span = %+v (want X, ts 0, dur 2µs)", ev)
 			}
 		case "plane":
-			if ev.Args["t"] != 3.0 || ev.Args["dispatched"] != 1.0 {
+			if ev.Args["t"] != 3.0 || len(ev.Args) != 1 {
 				t.Errorf("plane args = %v", ev.Args)
 			}
 		case "tile":

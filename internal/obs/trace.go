@@ -15,8 +15,8 @@ var kindMeta = [numKinds]struct {
 }{
 	KActivation:   {name: "activation", cat: "run"},
 	KDoAll:        {name: "doall", cat: "doall", arg0: "points"},
-	KChunk:        {name: "chunk", cat: "doall", arg0: "points", arg1: "wavefront"},
-	KPlane:        {name: "plane", cat: "wavefront", arg0: "t", arg1: "dispatched"},
+	KChunk:        {name: "chunk", cat: "doall", arg0: "points"},
+	KPlane:        {name: "plane", cat: "wavefront", arg0: "t"},
 	KTile:         {name: "tile", cat: "doacross", arg0: "t", arg1: "k"},
 	KTileWait:     {name: "tile-wait", cat: "doacross"},
 	KStage:        {name: "stage", cat: "pipeline", arg0: "stage", arg1: "token"},

@@ -66,12 +66,15 @@ func (o *Outcome) addf(stage, variant, format string, args ...any) {
 
 // variant is one row of the execution matrix.
 type variant struct {
-	name     string
-	opts     []ps.RunOption
-	traced   bool
-	strict   bool // SpecializedKernels must be 0
-	planes   bool // wavefront plane-count invariant applies
-	doacross bool // forced doacross schedule
+	name   string
+	opts   []ps.RunOption
+	traced bool
+	strict bool // SpecializedKernels must be 0
+	planes bool // wavefront plane-count invariant applies
+	// tiles marks a Grain(1) row: the wavefront nest runs on the tile
+	// executor exactly when its average plane holds one point per worker
+	// (the dispatch rule at g = 1).
+	tiles bool
 }
 
 // matrix builds the variant rows. The first row is always the
@@ -82,7 +85,7 @@ func matrix(quick bool) []variant {
 			{name: "seq", opts: []ps.RunOption{ps.Sequential()}},
 			{name: "w2", opts: []ps.RunOption{ps.Workers(2)}, planes: true},
 			{name: "w2-fused", opts: []ps.RunOption{ps.Workers(2), ps.Fused()}},
-			{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.ScheduleDoacross)}, doacross: true},
+			{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, tiles: true},
 			{name: "w2-pipeline", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.SchedulePipeline)}},
 			{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
 			{name: "w2-traced", opts: []ps.RunOption{ps.Workers(2)}, traced: true},
@@ -96,18 +99,16 @@ func matrix(quick bool) []variant {
 		{name: "w4", opts: []ps.RunOption{ps.Workers(4)}, planes: true},
 		{name: "w2-hpoff", opts: []ps.RunOption{ps.Workers(2), ps.WithHyperplane(ps.HyperplaneOff)}},
 		{name: "w2-fused", opts: []ps.RunOption{ps.Workers(2), ps.Fused()}},
-		{name: "w2-barrier", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.ScheduleBarrier)}, planes: true},
-		{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.ScheduleDoacross)}, planes: true, doacross: true},
-		{name: "w4-doacross", opts: []ps.RunOption{ps.Workers(4), ps.WithSchedule(ps.ScheduleDoacross)}, planes: true, doacross: true},
+		{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, planes: true, tiles: true},
+		{name: "w4-doacross", opts: []ps.RunOption{ps.Workers(4), ps.Grain(1)}, planes: true, tiles: true},
 		{name: "w2-pipeline", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.SchedulePipeline)}},
 		{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
 		{name: "w2-nospec", opts: []ps.RunOption{ps.Workers(2), ps.NoSpecialize()}, strict: true},
 		{name: "w2-noarena", opts: []ps.RunOption{ps.Workers(2), ps.NoArena()}},
 		{name: "w2-novirtual", opts: []ps.RunOption{ps.Workers(2), ps.NoVirtual()}},
-		{name: "w4-grain1", opts: []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
 		{name: "seq-traced", opts: []ps.RunOption{ps.Sequential()}, traced: true},
 		{name: "w2-traced", opts: []ps.RunOption{ps.Workers(2)}, traced: true},
-		{name: "w2-doacross-traced", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.ScheduleDoacross)}, traced: true, doacross: true},
+		{name: "w2-doacross-traced", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, traced: true, tiles: true},
 		{name: "w2-pipeline-traced", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.SchedulePipeline)}, traced: true},
 	}
 }
@@ -334,9 +335,15 @@ func checkStats(out *Outcome, sp *Spec, v variant, ref, st *ps.RunStats, pl *pla
 			out.addf("stats", v.name, "WavefrontPlanes = %d, geometry pi=%v over the box implies %d",
 				st.WavefrontPlanes, pi, planes)
 		}
-		if v.doacross && st.DoacrossTiles < st.WavefrontPlanes {
-			out.addf("stats", v.name, "DoacrossTiles = %d below WavefrontPlanes = %d",
-				st.DoacrossTiles, st.WavefrontPlanes)
+		if v.tiles {
+			switch tiled := sp.Box()/planes >= int64(st.Workers); {
+			case tiled && st.DoacrossTiles < st.WavefrontPlanes:
+				out.addf("stats", v.name, "DoacrossTiles = %d below WavefrontPlanes = %d",
+					st.DoacrossTiles, st.WavefrontPlanes)
+			case !tiled && st.DoacrossTiles != 0:
+				out.addf("stats", v.name, "DoacrossTiles = %d on a nest whose average plane (%d points over %d planes) is under %d",
+					st.DoacrossTiles, sp.Box(), planes, st.Workers)
+			}
 		}
 	}
 	if v.traced {

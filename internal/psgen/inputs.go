@@ -117,8 +117,8 @@ func (sp *Spec) Box() int64 {
 }
 
 // PlanesFor counts the distinct hyperplane values pi·x over the spec's
-// iteration box — the exact WavefrontPlanes a barrier sweep of the
-// nest must report (every plane of a contiguous box with these pools
+// iteration box — the exact WavefrontPlanes a sweep of the nest must
+// report (every plane of a contiguous box with these pools
 // is non-empty).
 func (sp *Spec) PlanesFor(pi []int64) (int64, error) {
 	if len(pi) != len(sp.Dims) {

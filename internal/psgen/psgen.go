@@ -45,7 +45,7 @@ const (
 	// sibling re-merge pre-pass).
 	ClassMultiWavefront
 	// ClassDoacross is wavefront-eligible geometry with wider planes,
-	// generated for runs pinned to the doacross (pipelined tile)
+	// so that the Grain(1) rows put the nest on the doacross (tile)
 	// schedule.
 	ClassDoacross
 	// ClassPipeline generates a recurrence with a reflected-column read

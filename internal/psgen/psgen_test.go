@@ -78,8 +78,8 @@ func TestClassesLandInTargetBackend(t *testing.T) {
 }
 
 // TestDoacrossClassLowersToWavefront pins the doacross class's
-// geometry: wavefront-eligible, so the forced doacross schedule has
-// planes to pipeline.
+// geometry: wavefront-eligible, so the Grain(1) rows have planes to
+// tile.
 func TestDoacrossClassLowersToWavefront(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
 		sp := Generate(seed, ClassDoacross)

@@ -7,7 +7,7 @@ import (
 )
 
 // AllBackends lists every scheduler-cascade backend (plus the runtime
-// doacross schedule) a campaign is expected to reach — the acceptance
+// doacross tile executor) a campaign is expected to reach — the acceptance
 // counters of a generation report.
 var AllBackends = []string{
 	"doall", "wavefront", "multi-wavefront", "doacross", "pipeline", "sequential-reject",

@@ -1,11 +1,14 @@
 // Package sched implements the doacross pipelined executor for §4
-// wavefront nests. The barrier executor (internal/interp's default)
-// sweeps hyperplanes t = π·x one at a time, paying one pool-wide
-// fork/join barrier per plane; for narrow planes — the leading and
-// trailing diagonals of every sweep, and any nest whose plane width per
-// worker is small relative to the kernel cost — that barrier dominates.
+// wavefront nests — the only way a wavefront step uses the worker pool.
+// Sweeping hyperplanes t = π·x one at a time with a pool-wide fork/join
+// per plane would pay a barrier on every plane, and on the narrow
+// leading and trailing diagonals of every sweep that barrier dominates
+// (it won no workload of this repo's benchmark). internal/interp decides
+// per activation, from its bounds alone, between this executor and an
+// inline sweep on the calling goroutine for nests too narrow to occupy
+// the workers.
 //
-// The doacross schedule removes it. One plane coordinate is blocked
+// One plane coordinate is blocked
 // into tiles with a fixed global grid; each tile carries an atomic
 // completion counter (the last hyperplane it finished), and a worker
 // entering tile k on plane t waits point-to-point only on the
@@ -46,7 +49,7 @@
 // Every (plane, tile) instance executes exactly once (CAS-claimed), and
 // no instance starts before all its predecessor instances completed —
 // so a wavefront nest executed through Run computes bitwise-identical
-// results to the barrier sweep: same points, same kernels, every
+// results to the plane-by-plane sweep: same points, same kernels, every
 // cross-plane dependence satisfied point-to-point rather than by a
 // barrier. Cancellation (the caller's abort channel, or the callback
 // returning false) stops further claims and Run reports completion as

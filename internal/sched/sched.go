@@ -9,35 +9,28 @@ import (
 	"repro/internal/obs"
 )
 
-// Policy selects the wavefront execution strategy.
+// Policy selects the order of the lowering cascade, i.e. which plan
+// variant a run executes. It never selects an executor: a wavefront
+// step's dispatch is a function of the activation's bounds (see
+// internal/interp).
 type Policy uint8
 
 const (
-	// PolicyAuto (the default) picks per activation: doacross when the
-	// measured plane width per worker is small relative to the kernel
-	// cost (barrier overhead would dominate), barrier otherwise.
+	// PolicyAuto (the default) is the DOALL → wavefront → pipeline
+	// cascade.
 	PolicyAuto Policy = iota
-	// PolicyBarrier always runs the per-plane fork/join sweep.
-	PolicyBarrier
-	// PolicyDoacross always runs the pipelined tile schedule.
-	PolicyDoacross
 	// PolicyPipeline prefers the PS-DSWP pipeline backend in the plan
 	// cascade: nests with downstream DOALL consumer stages lower as
 	// decoupled pipeline steps even when a wavefront transform would
-	// also apply. Wavefront steps that remain fall back to the auto
-	// barrier/doacross choice.
+	// also apply.
 	PolicyPipeline
 )
 
-// String names the policy the way flags and Explain spell it.
+// String names the policy the way flags spell it.
 func (p Policy) String() string {
 	switch p {
 	case PolicyAuto:
 		return "auto"
-	case PolicyBarrier:
-		return "barrier"
-	case PolicyDoacross:
-		return "doacross"
 	case PolicyPipeline:
 		return "pipeline"
 	}
@@ -49,14 +42,10 @@ func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "auto":
 		return PolicyAuto, nil
-	case "barrier":
-		return PolicyBarrier, nil
-	case "doacross":
-		return PolicyDoacross, nil
 	case "pipeline":
 		return PolicyPipeline, nil
 	}
-	return PolicyAuto, fmt.Errorf("invalid schedule %q (want auto, barrier, doacross or pipeline)", s)
+	return PolicyAuto, fmt.Errorf("invalid schedule %q (want auto or pipeline)", s)
 }
 
 // PredRange bounds the blocked-coordinate shift of the dependences that
@@ -111,10 +100,13 @@ type Nest struct {
 const TilesPerWorker = 4
 
 // Body executes tile k's slice of hyperplane t: every point of the
-// plane whose blocked coordinate lies in [lo, hi]. It returns false to
-// abort the whole run (the caller observed cancellation or captured a
-// panic); sched then stops scheduling and Run reports !completed.
-type Body func(worker int, t int64, k int, lo, hi int64) bool
+// plane whose blocked coordinate lies in [lo, hi]. ring is the calling
+// worker's event ring (nil when the run is not recorded): the body may
+// emit on it, so events raised inside a tile land beside its KTile span
+// without a second ring acquisition. It returns false to abort the whole
+// run (the caller observed cancellation or captured a panic); sched then
+// stops scheduling and Run reports !completed.
+type Body func(ring *obs.Ring, t int64, k int, lo, hi int64) bool
 
 // Looper dispatches the executor's worker loops; *par.Pool satisfies it.
 type Looper interface {
@@ -341,7 +333,7 @@ func (r *run) worker(w, workers int) {
 			if ring != nil {
 				t0 = ring.Now()
 			}
-			ok = r.body(w, t, k, lo, hi)
+			ok = r.body(ring, t, k, lo, hi)
 			// Publish after the body's writes so a predecessor check
 			// (atomic load of done) orders the data reads behind them.
 			r.done[k].v.Store(t)

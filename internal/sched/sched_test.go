@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -73,7 +74,7 @@ func runGrid(t *testing.T, tlo, thi, clo, chi int64, deps []dep, workers int, ti
 	pool := par.NewPool(workers)
 	defer pool.Close()
 	nest := nestFor(tlo, thi, clo, chi, deps, workers, tileW)
-	completed := Run(nest, pool, nil, func(_ int, tt int64, _ int, lo, hi int64) bool {
+	completed := Run(nest, pool, nil, func(_ *obs.Ring, tt int64, _ int, lo, hi int64) bool {
 		for c := lo; c <= hi; c++ {
 			v := int64(1)
 			for _, d := range deps {
@@ -151,7 +152,7 @@ func TestDoacrossStats(t *testing.T) {
 	defer pool.Close()
 	nest := Nest{TLo: 0, THi: 5, CoordLo: 0, CoordHi: 19, Window: 2,
 		Preds: []PredRange{{Has: true, Lo: -20, Hi: 20}}, Workers: 2, TileWidth: 10}
-	completed := Run(nest, pool, nil, func(_ int, tt int64, k int, _, _ int64) bool {
+	completed := Run(nest, pool, nil, func(_ *obs.Ring, tt int64, k int, _, _ int64) bool {
 		if k == 0 {
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -175,7 +176,7 @@ func TestDoacrossSteals(t *testing.T) {
 		Preds: []PredRange{{Has: true, Lo: 0, Hi: 0}}, Workers: 4, TileWidth: 5}
 	var slowTile atomic.Int64
 	slowTile.Store(7)
-	completed := Run(nest, pool, nil, func(_ int, tt int64, k int, _, _ int64) bool {
+	completed := Run(nest, pool, nil, func(_ *obs.Ring, tt int64, k int, _, _ int64) bool {
 		if int64(k) == slowTile.Load() {
 			time.Sleep(50 * time.Microsecond)
 		}
@@ -186,6 +187,50 @@ func TestDoacrossSteals(t *testing.T) {
 	}
 	if stats.Steals.Load() == 0 {
 		t.Error("imbalanced run recorded no steals (work stealing inactive)")
+	}
+}
+
+// TestDoacrossBodyRing checks a recorded run hands each body the ring of
+// the worker executing it: what a body emits there lands in the trace
+// next to the worker's own tile spans, one of each per tile instance,
+// and an unrecorded run hands out nil.
+func TestDoacrossBodyRing(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	nest := Nest{TLo: 0, THi: 9, CoordLo: 0, CoordHi: 19, Window: 2,
+		Preds: []PredRange{{Has: true, Lo: -1, Hi: 1}}, Workers: 2, TileWidth: 5}
+	rec := obs.NewRecorder(0)
+	if !Run(nest, pool, nil, func(ring *obs.Ring, tt int64, k int, _, _ int64) bool {
+		if ring == nil {
+			t.Error("recorded run passed a nil ring")
+			return false
+		}
+		ring.Emit(obs.KSpecFallback, ring.Now(), 0, int64(k), 1)
+		return true
+	}, nil, rec) {
+		t.Fatal("run did not complete")
+	}
+	var tiles, marks int
+	for _, evs := range rec.Snapshot() {
+		for _, ev := range evs {
+			switch ev.Kind {
+			case obs.KTile:
+				tiles++
+			case obs.KSpecFallback:
+				marks++
+			}
+		}
+	}
+	if want := 10 * 4; tiles != want || marks != want {
+		t.Errorf("trace has %d tile spans and %d body events, want %d of each", tiles, marks, want)
+	}
+	if !Run(nest, pool, nil, func(ring *obs.Ring, _ int64, _ int, _, _ int64) bool {
+		if ring != nil {
+			t.Error("unrecorded run passed a ring")
+		}
+		return true
+	}, nil, nil) {
+		t.Fatal("unrecorded run did not complete")
 	}
 }
 
@@ -205,7 +250,7 @@ func TestDoacrossCancel(t *testing.T) {
 		close(cancel)
 	}()
 	start := time.Now()
-	completed := Run(nest, pool, cancel, func(_ int, tt int64, _ int, _, _ int64) bool {
+	completed := Run(nest, pool, cancel, func(_ *obs.Ring, tt int64, _ int, _, _ int64) bool {
 		if once.CompareAndSwap(false, true) {
 			close(started)
 		}
@@ -228,7 +273,7 @@ func TestDoacrossBodyAbort(t *testing.T) {
 	var ran atomic.Int64
 	nest := Nest{TLo: 0, THi: 999, CoordLo: 0, CoordHi: 29, Window: 2,
 		Preds: []PredRange{{Has: true, Lo: 0, Hi: 0}}, Workers: 3, TileWidth: 10}
-	completed := Run(nest, pool, nil, func(_ int, tt int64, _ int, _, _ int64) bool {
+	completed := Run(nest, pool, nil, func(_ *obs.Ring, tt int64, _ int, _, _ int64) bool {
 		return ran.Add(1) < 10
 	}, nil, nil)
 	if completed {
@@ -244,7 +289,7 @@ func TestDoacrossBodyAbort(t *testing.T) {
 func TestDoacrossEmpty(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
-	body := func(_ int, _ int64, _ int, _, _ int64) bool { t.Error("body called"); return true }
+	body := func(_ *obs.Ring, _ int64, _ int, _, _ int64) bool { t.Error("body called"); return true }
 	if !Run(Nest{TLo: 5, THi: 4, CoordLo: 0, CoordHi: 9, Window: 2, Workers: 2}, pool, nil, body, nil, nil) {
 		t.Error("empty time range did not complete")
 	}
@@ -327,7 +372,7 @@ func TestPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		s string
 		p Policy
-	}{{"auto", PolicyAuto}, {"barrier", PolicyBarrier}, {"doacross", PolicyDoacross}} {
+	}{{"auto", PolicyAuto}, {"pipeline", PolicyPipeline}} {
 		p, err := ParsePolicy(tc.s)
 		if err != nil || p != tc.p {
 			t.Errorf("ParsePolicy(%q) = %v, %v", tc.s, p, err)
@@ -336,8 +381,11 @@ func TestPolicy(t *testing.T) {
 			t.Errorf("Policy(%d).String() = %q, want %q", p, p.String(), tc.s)
 		}
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("ParsePolicy accepted a bogus mode")
+	// Executor names are not schedules: nothing selects an executor.
+	for _, s := range []string{"bogus", "barrier", "doacross"} {
+		if _, err := ParsePolicy(s); err == nil {
+			t.Errorf("ParsePolicy accepted %q", s)
+		}
 	}
 	if Policy(99).String() != "?" {
 		t.Error("unknown policy String")

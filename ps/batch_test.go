@@ -86,18 +86,22 @@ func valuesEqualBitwise(t *testing.T, label string, got, want []any) {
 
 // TestRunBatchParity pins the batch-DOALL contract: RunBatch over N
 // distinct activations returns, per element, exactly what N sequential
-// Runner.Run calls return — bitwise, under every wavefront schedule.
-// The batch axis appears in no subscript, so the §5 fusion test admits
-// it trivially; this test is the empirical half of that argument. Run
-// with -race: batch elements execute concurrently on the pool.
+// Runner.Run calls return — bitwise, whatever the grain. Batch elements
+// run inside the batch DOALL, so their wavefront nests sweep inline even
+// at Grain(1), which would tile the same nests in a plain Run (the
+// "doacross" row; "barrier" is a grain no plane fills — both names
+// predate the single executor). The batch axis appears in no subscript,
+// so the §5 fusion test admits it trivially; this test is the empirical
+// half of that argument. Run with -race: batch elements execute
+// concurrently on the pool.
 func TestRunBatchParity(t *testing.T) {
 	const batchN = 7
 	schedules := []struct {
 		name string
 		opts []ps.RunOption
 	}{
-		{"barrier", []ps.RunOption{ps.Workers(4), ps.WithSchedule(ps.ScheduleBarrier)}},
-		{"doacross", []ps.RunOption{ps.Workers(4), ps.WithSchedule(ps.ScheduleDoacross)}},
+		{"barrier", []ps.RunOption{ps.Workers(4), ps.Grain(1 << 20)}},
+		{"doacross", []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
 		{"auto", []ps.RunOption{ps.Workers(4)}},
 		{"sequential", []ps.RunOption{ps.Sequential()}},
 	}
@@ -138,6 +142,9 @@ func TestRunBatchParity(t *testing.T) {
 				}
 				if stats == nil || stats.EquationInstances == 0 {
 					t.Error("batch run reported no equation instances")
+				}
+				if stats != nil && stats.DoacrossTiles != 0 {
+					t.Errorf("a batch element ran %d tiles: nests inside the batch DOALL must sweep inline", stats.DoacrossTiles)
 				}
 				for i, br := range out {
 					if br.Err != nil {

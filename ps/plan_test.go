@@ -67,4 +67,33 @@ func TestRunnerExplain(t *testing.T) {
 			t.Errorf("fused Explain() missing %q:\n%s", want, out)
 		}
 	}
+
+	// A wavefront runner states the dispatch rule with its threshold for
+	// this worker count and grain; plans without a wavefront step and
+	// sequential runners say nothing about dispatch.
+	gs, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		opts []ps.RunOption
+		want string
+	}{
+		{nil, "wavefront dispatch: tiles when the average plane holds >= 96 points (32 x 3 workers), inline sweep otherwise\n"},
+		{[]ps.RunOption{ps.Grain(8)}, "wavefront dispatch: tiles when the average plane holds >= 24 points (8 x 3 workers), inline sweep otherwise\n"},
+		{[]ps.RunOption{ps.Workers(1)}, "wavefront dispatch: inline sweep (one worker)\n"},
+	} {
+		r, err := gs.Prepare("Relaxation", tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := r.Explain(); !strings.Contains(out, tc.want) {
+			t.Errorf("Explain() missing %q:\n%s", tc.want, out)
+		}
+	}
+	for _, r := range []*ps.Runner{run, fused} {
+		if out := r.Explain(); strings.Contains(out, "wavefront dispatch") {
+			t.Errorf("Explain() of a runner with no wavefront step to dispatch:\n%s", out)
+		}
+	}
 }

@@ -175,9 +175,12 @@ func NoSpecialize() RunOption { return func(o *interp.Options) { o.NoSpecialize 
 // imply it.
 func NoArena() RunOption { return func(o *interp.Options) { o.NoArena = true } }
 
-// Grain sets the minimum iterations per parallel chunk; under the
-// doacross wavefront schedule it also sets the tile width on the
-// blocked plane coordinate.
+// Grain sets the minimum iterations per parallel chunk. For wavefront
+// steps it is both the tile width on the blocked plane coordinate and
+// the g of the dispatch rule: a nest runs on the tile executor when its
+// average plane holds at least g × workers points (g defaults to 32)
+// and sweeps inline otherwise, so Grain(1) tiles any nest whose planes
+// can occupy every worker.
 func Grain(n int64) RunOption { return func(o *interp.Options) { o.Grain = n } }
 
 // WithProfileLabels tags worker execution with runtime/pprof labels
@@ -197,9 +200,10 @@ type HyperplaneMode = interp.HyperplaneMode
 const (
 	// HyperplaneAuto (the default) analyzes every fully sequential
 	// recurrence nest at compile time and, when a valid time vector
-	// exists, executes it as a wavefront: a sequential sweep over
-	// hyperplanes with each plane run as a DOALL. Sequential runs keep
-	// the untransformed nest.
+	// exists, executes it as a wavefront: hyperplanes in dependence
+	// order, as pipelined tiles on the pool when the planes are wide
+	// enough (see Grain) and swept inline otherwise. Sequential runs
+	// keep the untransformed nest.
 	HyperplaneAuto = interp.HyperplaneAuto
 	// HyperplaneOff always executes the untransformed sequential nests.
 	HyperplaneOff = interp.HyperplaneOff
@@ -211,48 +215,36 @@ func WithHyperplane(mode HyperplaneMode) RunOption {
 	return func(o *interp.Options) { o.Hyperplane = mode }
 }
 
-// Schedule selects how wavefront steps execute on the worker pool (see
-// WithSchedule).
+// Schedule selects the order of the lowering cascade — which plan a
+// Runner executes (see WithSchedule). It never selects an executor: how
+// a wavefront step uses the pool is a function of the activation's
+// bounds, the worker count and Grain.
 type Schedule = sched.Policy
 
 const (
-	// ScheduleAuto (the default) picks per activation: doacross when
-	// the plane width per worker is small relative to the measured
-	// kernel cost — the regime where the barrier sweep's per-plane
-	// fork/join dominates — and barrier otherwise.
+	// ScheduleAuto (the default) is the DOALL → wavefront → pipeline
+	// cascade.
 	ScheduleAuto = sched.PolicyAuto
-	// ScheduleBarrier always sweeps hyperplanes with one pool-wide
-	// fork/join barrier per plane.
-	ScheduleBarrier = sched.PolicyBarrier
-	// ScheduleDoacross always runs the pipelined tile schedule: the
-	// plane is blocked into tiles with atomic completion counters, and
-	// workers wait point-to-point only on the predecessor tiles implied
-	// by the dependence window, so successive hyperplanes overlap.
-	ScheduleDoacross = sched.PolicyDoacross
 	// SchedulePipeline reorders the lowering cascade to prefer the
 	// PS-DSWP pipeline backend over the wavefront restructuring:
 	// sequential recurrence nests with downstream DOALL consumers run as
 	// decoupled stages over bounded channels, and only nests the
 	// pipeline recognizer rejects fall back to wavefront analysis.
-	// Wavefront steps that remain execute with automatic per-activation
-	// barrier/doacross selection. Results are bitwise identical to every
-	// other schedule.
+	// Results are bitwise identical to the default schedule.
 	SchedulePipeline = sched.PolicyPipeline
 )
 
-// WithSchedule selects the backend-preference and wavefront execution
-// strategy for a Runner (or, via EngineDefaults, for every Runner of an
-// engine): automatic per-activation selection, barrier, doacross, or
-// pipeline-first lowering. All strategies are bitwise identical; the
-// choice is purely about synchronization cost. Inert for sequential
-// runs and modules with neither wavefront nor pipeline steps.
+// WithSchedule selects the backend preference of the lowering cascade
+// for a Runner (or, via EngineDefaults, for every Runner of an engine).
+// Both plans are bitwise identical; the choice is purely about
+// synchronization cost. Inert for sequential runs and modules with no
+// cascade-eligible nest.
 func WithSchedule(s Schedule) RunOption {
 	return func(o *interp.Options) { o.Schedule = s }
 }
 
-// ParseSchedule resolves a -schedule flag value ("auto", "barrier",
-// "doacross" or "pipeline") to the Schedule the CLIs pass to
-// WithSchedule.
+// ParseSchedule resolves a -schedule flag value ("auto" or "pipeline")
+// to the Schedule the CLIs pass to WithSchedule.
 func ParseSchedule(s string) (Schedule, error) { return sched.ParsePolicy(s) }
 
 // Run executes the named module. Scalar arguments are Go ints, float64s,
@@ -298,9 +290,8 @@ type PlanOptions struct {
 	// value (HyperplaneAuto) matches the plan parallel runs execute by
 	// default.
 	Hyperplane HyperplaneMode
-	// Schedule mirrors WithSchedule for plan selection: SchedulePipeline
-	// selects the pipeline-first cascade variant the same runner option
-	// executes. Other schedules share the default (auto-cascade) plan.
+	// Schedule mirrors WithSchedule: SchedulePipeline selects the
+	// pipeline-first cascade variant the same runner option executes.
 	Schedule Schedule
 }
 

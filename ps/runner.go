@@ -116,8 +116,8 @@ func (r *Runner) Explain() string {
 	case pl.HasWavefront():
 		variant = "auto-hyperplane " + variant
 	}
-	if pl.HasPipeline() || pl.HasWavefront() {
-		mode += ", schedule " + r.opts.Schedule.String()
+	if r.opts.Schedule == SchedulePipeline {
+		mode += ", schedule pipeline"
 	}
 	fmt.Fprintf(&sb, "runner %s: %s, %s\n", r.mod.Name(), mode, variant)
 	// The cascade report: per eligible nest, which backend won and why
@@ -127,15 +127,15 @@ func (r *Runner) Explain() string {
 		sb.WriteString(pl.CascadeReport())
 	}
 	if pl.HasWavefront() && !r.opts.Sequential {
-		// The inline-plane threshold starts at the fixed default and is
-		// calibrated once from the measured kernel cost; after this
-		// runner (or any runner sharing the compiled plan) has run, the
-		// calibration shows up here.
-		grain, cost := r.prog.ip.WavefrontGrain(r.mod.sem.Name, planOpts)
-		if cost > 0 {
-			fmt.Fprintf(&sb, "wavefront grain: %d points/plane (calibrated: %d ns/point)\n", grain, cost)
+		// The dispatch rule, evaluated for this runner's worker count and
+		// grain; which side an activation lands on depends only on its
+		// bounds (RunStats.DoacrossTiles is > 0 exactly when it tiled).
+		workers := effectiveWorkers(o)
+		if least := interp.TilePlane(workers, o.Grain); least > 0 {
+			fmt.Fprintf(&sb, "wavefront dispatch: tiles when the average plane holds >= %d points (%d x %d workers), inline sweep otherwise\n",
+				least, least/int64(workers), workers)
 		} else {
-			fmt.Fprintf(&sb, "wavefront grain: %d points/plane default (calibrated from measured kernel cost at first run)\n", grain)
+			sb.WriteString("wavefront dispatch: inline sweep (one worker)\n")
 		}
 	}
 	for _, ks := range r.prog.ip.Kernels(r.mod.sem.Name, planOpts) {
@@ -214,8 +214,8 @@ type BatchResult struct {
 // test), and the whole batch dispatches to the worker pool as one
 // parallel loop. Results are bitwise identical to len(batch)
 // sequential Run calls — per element, out[i] mirrors Run(ctx,
-// batch[i]) including its typed error — while plan lookup and the
-// one-shot wavefront grain calibration are paid once for the batch.
+// batch[i]) including its typed error — while plan lookup and pool
+// dispatch are paid once for the batch.
 // This is the serving layer's execution primitive: N pending requests
 // for one prepared Runner become one activation batch.
 //

@@ -16,8 +16,8 @@ type RunStats struct {
 	// paper's unit of schedulable work.
 	EquationInstances int64
 	// DOALLChunks is the number of parallel chunks dispatched to
-	// workers across all DOALL loops of the run, including the chunks
-	// carved out of wavefront planes.
+	// workers across all DOALL loops of the run. Wavefront steps add
+	// none: their parallel unit is the tile (DoacrossTiles).
 	DOALLChunks int64
 	// WavefrontPlanes is the number of hyperplane launches performed by
 	// §4 auto-restructured (wavefront) steps — one per time step of each
@@ -25,13 +25,14 @@ type RunStats struct {
 	// chunking. Zero when no wavefront step executed.
 	WavefrontPlanes int64
 	// DoacrossTiles is the number of tile instances executed by the
-	// doacross (pipelined) wavefront schedule — one per tile per
-	// hyperplane. Zero when every wavefront ran the barrier schedule.
+	// wavefront tile executor — one per tile per hyperplane. It is > 0
+	// exactly when a wavefront nest of the run was tiled; zero when
+	// every nest swept inline (narrow planes, one worker, a nest inside
+	// a batch element or parallel chunk).
 	DoacrossTiles int64
-	// DoacrossStalls counts the times a doacross worker found no ready
+	// DoacrossStalls counts the times a tile worker found no ready
 	// tile instance and parked until a predecessor completed — the
-	// schedule's residual synchronization cost (a barrier sweep instead
-	// pays workers×planes joins).
+	// executor's residual synchronization cost.
 	DoacrossStalls int64
 	// DoacrossSteals counts tile instances executed by a worker other
 	// than the tile's home worker: how often work stealing rebalanced
@@ -64,7 +65,7 @@ type RunStats struct {
 	// WallTime is the elapsed time of the activation.
 	WallTime time.Duration
 	// Timing is the per-schedule timing breakdown of the run — compute,
-	// stall, barrier-idle and idle time summed across workers. Only
+	// stall and idle time summed across workers. Only
 	// traced runs (Runner.TraceRun, `psrun -trace`/-stats, serve's
 	// ?trace=1) populate it; plain Run leaves it nil, keeping the
 	// untraced hot path free of recording overhead.

@@ -11,14 +11,15 @@ import (
 )
 
 // TimingBreakdown is the aggregated per-schedule timing of one traced
-// run: compute, stall, barrier-idle and idle nanoseconds summed across
-// workers, plus specialization-fallback and arena counters. See
+// run: compute, stall and idle nanoseconds summed across workers, plus
+// specialization-fallback and arena counters. See
 // obs.Breakdown for the per-worker accounting identity.
 type TimingBreakdown = obs.Breakdown
 
 // Trace is the recorded timeline of one TraceRun: per-worker spans of
-// every schedule step (activations, DOALL chunks, wavefront planes,
-// doacross tiles and waits, pipeline stage bodies and channel stalls).
+// every schedule step (activations, DOALL chunks, inline wavefront
+// planes, wavefront tiles and waits, pipeline stage bodies and channel
+// stalls).
 // It is immutable once returned.
 type Trace struct {
 	rec     *obs.Recorder

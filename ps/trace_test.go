@@ -24,8 +24,8 @@ func reflectSeed(n int64) *ps.Array {
 }
 
 // checkBreakdown asserts the per-worker accounting identity of one
-// traced run: compute + stall + barrier idle + idle = workers × wall,
-// exact whenever the idle clamp did not fire (idle > 0 means no clamp).
+// traced run: compute + stall + idle = workers × wall, exact whenever
+// the idle clamp did not fire (idle > 0 means no clamp).
 func checkBreakdown(t *testing.T, b *ps.TimingBreakdown) {
 	t.Helper()
 	if b == nil {
@@ -35,9 +35,12 @@ func checkBreakdown(t *testing.T, b *ps.TimingBreakdown) {
 		t.Errorf("ComputeNs = %d, want > 0", b.ComputeNs)
 	}
 	budget := int64(b.Workers) * b.WallNs
-	sum := b.ComputeNs + b.StallNs() + b.BarrierIdleNs + b.IdleNs
+	if b.BarrierIdleNs != 0 {
+		t.Errorf("BarrierIdleNs = %d, want 0: no executor forks and joins per plane", b.BarrierIdleNs)
+	}
+	sum := b.ComputeNs + b.StallNs() + b.IdleNs
 	if b.IdleNs > 0 && sum != budget {
-		t.Errorf("accounting identity broken: compute+stall+barrier+idle = %d, workers×wall = %d", sum, budget)
+		t.Errorf("accounting identity broken: compute+stall+idle = %d, workers×wall = %d", sum, budget)
 	}
 	if sum < budget {
 		t.Errorf("attributed time %d under workers×wall %d with idle clamped", sum, budget)
@@ -66,11 +69,13 @@ func chromeOf(t *testing.T, tr *ps.Trace) map[string]int {
 	return names
 }
 
-// TestTraceRunWavefront traces the Gauss-Seidel wavefront workload:
-// results must match the untraced run bitwise, the Chrome export must
-// be valid JSON with activation and wavefront spans, the breakdown
-// must reconcile with workers × wall, and the traced run must surface
-// in Explain.
+// TestTraceRunWavefront traces the Gauss-Seidel wavefront workload on
+// both sides of the dispatch rule: results must match the untraced run
+// bitwise, the Chrome export must be valid JSON with an activation span
+// and the side's span kind (tiles or planes, never both), the breakdown
+// must reconcile with workers × wall and account every generic-kernel
+// point as a specialization fallback, and the traced run must surface in
+// Explain.
 func TestTraceRunWavefront(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
@@ -78,52 +83,75 @@ func TestTraceRunWavefront(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := prog.Prepare("Relaxation")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const m, maxK = 20, 10
 	args := []any{seedGrid(m), int64(m), int64(maxK)}
-
-	ref, _, err := run.Run(context.Background(), args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, tr, err := run.TraceRun(context.Background(), args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Error("traced results diverge from the untraced run")
-	}
-	if tr == nil {
-		t.Fatal("TraceRun returned no trace")
-	}
-	checkBreakdown(t, stats.Timing)
-	// The auto cascade may execute the wavefront as barrier planes or as
-	// doacross tiles depending on calibration, so compute can land in
-	// either bucket.
-	if stats.Timing.WavefrontNs+stats.Timing.DoacrossNs <= 0 {
-		t.Errorf("WavefrontNs+DoacrossNs = %d+%d, want > 0 for a wavefront workload",
-			stats.Timing.WavefrontNs, stats.Timing.DoacrossNs)
-	}
-	if stats.WavefrontPlanes == 0 {
-		t.Fatal("wavefront schedule did not engage")
-	}
-	if tr.Events() == 0 {
-		t.Error("trace recorded no events")
-	}
-
-	names := chromeOf(t, tr)
-	if names["activation"] == 0 {
-		t.Error("trace has no activation span")
-	}
-	if names["plane"] == 0 && names["tile"] == 0 {
-		t.Errorf("trace has neither plane nor tile spans: %v", names)
-	}
-
-	if exp := run.Explain(); !strings.Contains(exp, "timing (last traced run)") {
-		t.Error("Explain does not surface the traced run's timing")
+	for _, tc := range []struct {
+		name  string
+		opts  []ps.RunOption
+		tiled bool
+	}{
+		// 4356 points over 59 planes: an average plane of 73 against the
+		// default 32 × 2.
+		{"tiles", nil, true},
+		{"inline", []ps.RunOption{ps.Grain(1 << 20)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run, err := prog.Prepare("Relaxation", tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _, err := run.Run(context.Background(), args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, stats, tr, err := run.TraceRun(context.Background(), args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Error("traced results diverge from the untraced run")
+			}
+			if tr == nil {
+				t.Fatal("TraceRun returned no trace")
+			}
+			checkBreakdown(t, stats.Timing)
+			if stats.WavefrontPlanes == 0 {
+				t.Fatal("wavefront schedule did not engage")
+			}
+			if tr.Events() == 0 {
+				t.Error("trace recorded no events")
+			}
+			names := chromeOf(t, tr)
+			if names["activation"] == 0 {
+				t.Error("trace has no activation span")
+			}
+			if tc.tiled {
+				if stats.DoacrossTiles == 0 || stats.Timing.DoacrossNs <= 0 || stats.Timing.WavefrontNs != 0 {
+					t.Errorf("tiled run: tiles=%d DoacrossNs=%d WavefrontNs=%d", stats.DoacrossTiles, stats.Timing.DoacrossNs, stats.Timing.WavefrontNs)
+				}
+				if names["tile"] == 0 || names["plane"] != 0 {
+					t.Errorf("tiled run's spans: %v", names)
+				}
+			} else {
+				if stats.DoacrossTiles != 0 || stats.Timing.WavefrontNs <= 0 || stats.Timing.DoacrossNs != 0 {
+					t.Errorf("inline run: tiles=%d WavefrontNs=%d DoacrossNs=%d", stats.DoacrossTiles, stats.Timing.WavefrontNs, stats.Timing.DoacrossNs)
+				}
+				if names["plane"] == 0 || names["tile"] != 0 {
+					t.Errorf("inline run's spans: %v", names)
+				}
+			}
+			// All three kernels specialize, so every instance outside the
+			// specialized count is a boundary point a span handed back to
+			// the checked kernel — and each such segment is on the trace,
+			// whichever goroutine's ring it was raised on.
+			if generic := stats.EquationInstances - stats.SpecializedKernels; generic == 0 || stats.Timing.SpecFallbacks != generic {
+				t.Errorf("SpecFallbacks = %d, want EquationInstances − SpecializedKernels = %d − %d",
+					stats.Timing.SpecFallbacks, stats.EquationInstances, stats.SpecializedKernels)
+			}
+			if exp := run.Explain(); !strings.Contains(exp, "timing (last traced run)") {
+				t.Error("Explain does not surface the traced run's timing")
+			}
+		})
 	}
 }
 

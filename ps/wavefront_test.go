@@ -23,15 +23,16 @@ func seedGrid(n int64) *ps.Array {
 	return a
 }
 
-// TestWavefrontStats checks the new RunStats attribution on a module
-// whose recurrence auto-lowers to a wavefront: WavefrontPlanes counts
-// exactly the hyperplanes of the sweep (for Wavefront2D with pi=(1,1)
-// over [0,N+1]² that is 2(N+1)+1 time steps), plane chunks land in
-// DOALLChunks, and the counter stays zero when the transform is off or
-// the run is sequential — so the stats distinguish wavefront work from
-// plain DOALL chunking.
+// TestWavefrontStats checks the RunStats attribution on a module whose
+// recurrence auto-lowers to a wavefront: WavefrontPlanes counts exactly
+// the hyperplanes of the sweep (for Wavefront2D with pi=(1,1) over
+// [0,N+1]² that is 2(N+1)+1 time steps), DOALLChunks counts only the
+// output DOALL's chunks (an inline sweep dispatches nothing), and the
+// plane counter stays zero when the transform is off or the run is
+// sequential — so the stats distinguish wavefront work from plain DOALL
+// chunking.
 func TestWavefrontStats(t *testing.T) {
-	const n = 40 // large enough that planes exceed the inline threshold
+	const n = 40 // 21-point average planes: an inline sweep at two workers
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
 	prog, err := eng.Compile("wf2d.ps", psrc.Wavefront2D)
@@ -54,7 +55,10 @@ func TestWavefrontStats(t *testing.T) {
 		t.Errorf("WavefrontPlanes = %d, want %d", stats.WavefrontPlanes, wantPlanes)
 	}
 	if stats.DOALLChunks == 0 {
-		t.Error("wavefront planes dispatched no chunks")
+		t.Error("the output DOALL dispatched no chunks")
+	}
+	if stats.DoacrossTiles != 0 {
+		t.Errorf("narrow planes ran %d tiles under default options", stats.DoacrossTiles)
 	}
 	// eq.1 runs once per in-box point (bounding-box slack is skipped
 	// before the kernel), eq.2 once per point of the output DOALL.
@@ -86,11 +90,11 @@ func TestWavefrontStats(t *testing.T) {
 	}
 }
 
-// TestDoacrossStats pins the doacross counters on a forced pipelined
-// run: tiles execute (and are attributed to the run), results match the
-// barrier schedule bitwise, and the counters stay zero under the
-// barrier policy and for sequential runs — so RunStats cleanly tells
-// the two wavefront strategies apart.
+// TestDoacrossStats pins the tile counters: a run whose grain puts the
+// nest on the tile executor reports its tiles, results match the inline
+// sweep bitwise, and the counters stay zero for the inline sweep and for
+// sequential runs — so RunStats cleanly tells the two sides of the
+// dispatch rule apart.
 func TestDoacrossStats(t *testing.T) {
 	const n = 40
 	eng := ps.NewEngine(ps.EngineWorkers(2))
@@ -101,23 +105,23 @@ func TestDoacrossStats(t *testing.T) {
 	}
 	args := []any{seedGrid(n), int64(n)}
 
-	barrier, err := prog.Prepare("Wavefront2D", ps.WithSchedule(ps.ScheduleBarrier))
+	inline, err := prog.Prepare("Wavefront2D")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, bStats, err := barrier.Run(context.Background(), args)
+	wantRes, iStats, err := inline.Run(context.Background(), args)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bStats.DoacrossTiles != 0 || bStats.DoacrossStalls != 0 || bStats.DoacrossSteals != 0 {
-		t.Errorf("barrier run reports doacross counters: %s", bStats)
+	if iStats.DoacrossTiles != 0 || iStats.DoacrossStalls != 0 || iStats.DoacrossSteals != 0 {
+		t.Errorf("inline sweep reports tile counters: %s", iStats)
 	}
 	want, err := ps.ResultsToJSON(prog, "Wavefront2D", wantRes)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	run, err := prog.Prepare("Wavefront2D", ps.WithSchedule(ps.ScheduleDoacross))
+	run, err := prog.Prepare("Wavefront2D", ps.Grain(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +134,15 @@ func TestDoacrossStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("doacross run diverges from the barrier schedule")
+		t.Error("tiled run diverges from the inline sweep")
 	}
-	if stats.DoacrossTiles == 0 {
-		t.Error("doacross run executed no tiles")
+	// Tile width 1 over the 42-wide blocked coordinate: every plane of
+	// the time range runs all 42 tile instances (most of them empty).
+	if want := int64((2*(n+1) + 1) * (n + 2)); stats.DoacrossTiles != want {
+		t.Errorf("DoacrossTiles = %d, want %d", stats.DoacrossTiles, want)
 	}
 	// The sweep still counts hyperplanes: pi=(1,1) over [0,N+1]² has
-	// 2(N+1)+1 non-empty planes regardless of schedule.
+	// 2(N+1)+1 non-empty planes on either side of the rule.
 	if want := int64(2*(n+1) + 1); stats.WavefrontPlanes != want {
 		t.Errorf("WavefrontPlanes = %d, want %d", stats.WavefrontPlanes, want)
 	}
@@ -146,7 +152,23 @@ func TestDoacrossStats(t *testing.T) {
 		}
 	}
 
-	seq, err := prog.Prepare("Wavefront2D", ps.Sequential(), ps.WithSchedule(ps.ScheduleDoacross))
+	// pprof labels wrap every tile body; they must not change what runs.
+	labeled, err := prog.Prepare("Wavefront2D", ps.Grain(1), ps.WithProfileLabels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, lStats, err := labeled.Run(context.Background(), args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ps.ResultsToJSON(prog, "Wavefront2D", res); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("labeled tiled run diverges from the inline sweep (err %v)", err)
+	}
+	if lStats.DoacrossTiles != stats.DoacrossTiles {
+		t.Errorf("labeled run executed %d tiles, unlabeled %d", lStats.DoacrossTiles, stats.DoacrossTiles)
+	}
+
+	seq, err := prog.Prepare("Wavefront2D", ps.Sequential(), ps.Grain(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +177,74 @@ func TestDoacrossStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sStats.DoacrossTiles != 0 {
-		t.Errorf("sequential run executed doacross tiles: %s", sStats)
+		t.Errorf("sequential run executed tiles: %s", sStats)
+	}
+}
+
+// TestWavefrontDispatchDeterministic pins that a wavefront step's
+// executor is a function of the activation's bounds and nothing else: at
+// each size, eight fresh engines report the same DoacrossTiles on their
+// first and their fifth run — positive at the benchmark's corpus sizes,
+// zero at its small-activation sizes — and Explain is byte-identical
+// before and after the runs (nothing is calibrated, so the first
+// activation cannot shape the later ones).
+func TestWavefrontDispatchDeterministic(t *testing.T) {
+	symbols := func(n int64) *ps.Array {
+		a := ps.NewIntArray(ps.Axis{Lo: 1, Hi: n})
+		for i := int64(1); i <= n; i++ {
+			a.SetI([]int64{i}, (i*5+3)%4)
+		}
+		return a
+	}
+	gs := func(m int64) []any { return []any{seedGrid(m), m, int64(6)} }
+	ed := func(n, m int64) []any { return []any{symbols(n), symbols(m), n, m} }
+	for _, tc := range []struct {
+		name, src, module string
+		args              []any
+		tiled             bool
+	}{
+		{"gauss_seidel/M192", psrc.RelaxationGS, "Relaxation", gs(192), true},
+		{"gauss_seidel/M16", psrc.RelaxationGS, "Relaxation", gs(16), false},
+		{"edit_distance/384x448", psrc.EditDistance, "EditDistance", ed(384, 448), true},
+		{"edit_distance/24x24", psrc.EditDistance, "EditDistance", ed(24, 24), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := int64(-1)
+			for e := 0; e < 8; e++ {
+				eng := ps.NewEngine(ps.EngineWorkers(2))
+				prog, err := eng.Compile(tc.module+".ps", tc.src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run, err := prog.Prepare(tc.module)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := run.Explain()
+				for i := 1; i <= 5; i++ {
+					_, stats, err := run.Run(context.Background(), tc.args)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i != 1 && i != 5 {
+						continue
+					}
+					if want < 0 {
+						want = stats.DoacrossTiles
+						if (want > 0) != tc.tiled {
+							t.Fatalf("DoacrossTiles = %d, want tiled = %v", want, tc.tiled)
+						}
+					}
+					if stats.DoacrossTiles != want {
+						t.Errorf("engine %d run %d: DoacrossTiles = %d, engine 0 run 1 had %d", e, i, stats.DoacrossTiles, want)
+					}
+				}
+				if after := run.Explain(); after != before {
+					t.Errorf("engine %d: Explain changed across runs:\n%s\n---\n%s", e, before, after)
+				}
+				eng.Close()
+			}
+		})
 	}
 }
 
@@ -176,12 +265,14 @@ func TestDoacrossStalls(t *testing.T) {
 	}
 	// Grain 13 over the I span of 26 gives two fat tiles; window 3 makes
 	// tile 1 wait on tile 0's in-flight planes, the shape most likely to
-	// exhaust the spin window and park.
-	run, err := prog.Prepare("Relaxation", ps.WithSchedule(ps.ScheduleDoacross), ps.Grain(13))
+	// exhaust the spin window and park. The average plane (7436 points
+	// over 71 planes, 104) clears the rule at both grains: 13 × 4 and
+	// 1 × 4.
+	run, err := prog.Prepare("Relaxation", ps.Grain(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := prog.Prepare("Relaxation", ps.WithSchedule(ps.ScheduleDoacross))
+	wide, err := prog.Prepare("Relaxation", ps.Grain(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +286,7 @@ func TestDoacrossStalls(t *testing.T) {
 				t.Fatal(err)
 			}
 			if stats.DoacrossTiles == 0 {
-				t.Fatal("doacross schedule did not engage")
+				t.Fatal("the nest did not run on the tile executor")
 			}
 			if stats.DoacrossTiles < stats.WavefrontPlanes {
 				t.Errorf("fewer tiles than planes (%d < %d): planes were not blocked",
@@ -206,14 +297,14 @@ func TestDoacrossStalls(t *testing.T) {
 		}
 	}
 	if stalls+steals == 0 {
-		t.Error("50 pipelined runs recorded neither stalls nor steals: residual-sync counters are not wired")
+		t.Error("50 tiled runs recorded neither stalls nor steals: residual-sync counters are not wired")
 	}
 	t.Logf("accumulated stalls=%d steals=%d", stalls, steals)
 }
 
-// TestDoacrossCancellation aborts a long forced-doacross sweep
-// mid-flight: per-tile cancellation polling must notice the context
-// within a few tiles and return the typed cancellation error.
+// TestDoacrossCancellation aborts a long tiled sweep mid-flight:
+// per-tile cancellation polling must notice the context within a few
+// tiles and return the typed cancellation error.
 func TestDoacrossCancellation(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
@@ -221,7 +312,9 @@ func TestDoacrossCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := prog.Prepare("Relaxation", ps.WithSchedule(ps.ScheduleDoacross))
+	// Default options: 66² × 2047 points over 4223 planes is an average
+	// plane of 2111, far past 32 × 2.
+	run, err := prog.Prepare("Relaxation")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +335,12 @@ func TestDoacrossCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("doacross cancellation took %v", elapsed)
+		t.Fatalf("tile cancellation took %v", elapsed)
+	}
+	// (Allocation alone can outlast the 20 ms; the sweep may not have
+	// started.)
+	if stats != nil && stats.WavefrontPlanes > 0 && stats.DoacrossTiles == 0 {
+		t.Error("the cancelled sweep was not running on the tile executor")
 	}
 	// The sweep has ~2·maxK+m planes; a run that ignored the abort would
 	// execute them all, so finishing with under half proves the executor
@@ -256,9 +354,9 @@ func TestDoacrossCancellation(t *testing.T) {
 	}
 }
 
-// TestWavefrontCancellation aborts a long wavefront sweep mid-flight:
-// the plane loop must notice the context within a few planes and return
-// a typed cancellation error.
+// TestWavefrontCancellation aborts a long inline wavefront sweep
+// mid-flight: the plane loop must notice the context within a few planes
+// and return a typed cancellation error.
 func TestWavefrontCancellation(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
@@ -266,7 +364,8 @@ func TestWavefrontCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := prog.Prepare("Relaxation")
+	// A grain no plane fills keeps the sweep on the calling goroutine.
+	run, err := prog.Prepare("Relaxation", ps.Grain(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +386,9 @@ func TestWavefrontCancellation(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("wavefront cancellation took %v", elapsed)
+	}
+	if stats != nil && stats.DoacrossTiles != 0 {
+		t.Errorf("the inline sweep ran %d tiles", stats.DoacrossTiles)
 	}
 	if stats == nil {
 		t.Fatal("cancelled run did not report stats")

@@ -166,17 +166,23 @@ func TestVariantParity(t *testing.T) {
 		{"HyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff)}},
 		{"HyperOffPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8), ps.WithHyperplane(ps.HyperplaneOff)}},
 		{"HyperOffFusedPar4", []ps.RunOption{ps.Workers(4), ps.Fused(), ps.WithHyperplane(ps.HyperplaneOff)}},
-		// Schedule rows: the doacross pipeline and the pinned barrier
-		// sweep must both match the sequential reference bitwise, alone
-		// and crossed with fusion, grain, strictness and hyperplane-off
-		// (where the schedule option must be inert).
-		{"BarrierPar4", []ps.RunOption{ps.Workers(4), ps.WithSchedule(ps.ScheduleBarrier)}},
-		{"DoacrossPar2", []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.ScheduleDoacross)}},
-		{"DoacrossPar4", []ps.RunOption{ps.Workers(4), ps.WithSchedule(ps.ScheduleDoacross)}},
-		{"DoacrossPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8), ps.WithSchedule(ps.ScheduleDoacross)}},
-		{"DoacrossFusedPar4", []ps.RunOption{ps.Workers(4), ps.Fused(), ps.WithSchedule(ps.ScheduleDoacross)}},
-		{"DoacrossStrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict(), ps.WithSchedule(ps.ScheduleDoacross)}},
-		{"DoacrossHyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff), ps.WithSchedule(ps.ScheduleDoacross)}},
+		// Dispatch rows. A wavefront nest runs on the tile executor when
+		// its average plane holds grain × workers points and sweeps inline
+		// otherwise, so at these sizes the default rows above all sweep
+		// inline. The Doacross rows set Grain(1), which tiles every nest
+		// whose planes can occupy the workers, alone and crossed with
+		// fusion, strictness and hyperplane-off (no wavefront step: the
+		// grain only chunks DOALLs); the Barrier row sets a grain no plane
+		// fills, pinning the inline sweep on a four-worker pool. The row
+		// names predate the single executor and are kept as stable test
+		// IDs; DoacrossPar3Grain8 has the options of Par3Grain8.
+		{"BarrierPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1 << 20)}},
+		{"DoacrossPar2", []ps.RunOption{ps.Workers(2), ps.Grain(1)}},
+		{"DoacrossPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
+		{"DoacrossPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8)}},
+		{"DoacrossFusedPar4", []ps.RunOption{ps.Workers(4), ps.Fused(), ps.Grain(1)}},
+		{"DoacrossStrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict(), ps.Grain(1)}},
+		{"DoacrossHyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff), ps.Grain(1)}},
 		// Pipeline rows: the pipeline-first cascade (PS-DSWP decoupled
 		// stages over bounded channels) must match the sequential
 		// reference bitwise, alone and crossed with workers, fusion,
