@@ -155,6 +155,18 @@ func TestGoldenExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "coupled_explain_par2.txt", run.Explain())
+
+	// A two-equation sequential body: its specialized kernels are reached
+	// one point at a time, and Explain must say so.
+	reflectProg, err := ps.CompileProgram("reflect.ps", mustRead(t, "testdata/reflect.ps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err = reflectProg.Prepare("Reflect", ps.Sequential())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "reflect_explain_seq.txt", run.Explain())
 }
 
 // TestGoldenPscPlan drives `psc -dump plan` the way a user would and

@@ -29,15 +29,25 @@
 // the two modes are bitwise identical by construction: a new operator
 // or builtin is one edit.
 //
+// Every loop that hands kernels contiguous runs of points reaches the
+// direct mode through one span executor: DOALL rows, wavefront plane
+// rows and tiles, and the leaf DO — the innermost sequential loop of a
+// recurrence nest whose body is one equation (the paper's §3 iterative
+// loop), which runs its whole range as one span. The span stores each
+// point before the next point reads, so a read carried along the loop
+// at any distance sees program order. A DO around two or more
+// equations, or around a nested loop, runs its body point by point
+// (Program.Kernels reports why).
+//
 // # Contract
 //
 // A compiled Program is immutable and safe for concurrent Run/RunCtx
 // calls: every activation builds its own environment, and pooled
 // per-worker state (env copies and index frames) is reused across DOALL
 // chunks without sharing mutable state between concurrent activations.
-// Cancellation aborts sequential loops within one iteration and
-// in-flight parallel work within one chunk/tile, and Stats counters are
-// valid up to the abort.
+// Cancellation aborts sequential loops within one iteration (a leaf DO
+// within one span) and in-flight parallel work within one chunk/tile,
+// and Stats counters are valid up to the abort.
 //
 // # Plan-variant matrix
 //

@@ -309,8 +309,8 @@ type env struct {
 	// chunk) emits trace spans on; nil when tracing is off. Every
 	// worker-state copy of an env resets it — rings are single-writer.
 	ring *obs.Ring
-	// inSpan marks that an enclosing compute span (sequential DOALL,
-	// inline plane, stage-ordered sweep) is already open on ring, so
+	// inSpan marks that an enclosing compute span (DO nest, sequential
+	// DOALL, inline plane, stage-ordered sweep) is already open on ring, so
 	// nested sequential steps — and nested module calls — must not emit
 	// their own: overlapping spans would double-count the breakdown.
 	inSpan bool
@@ -326,8 +326,8 @@ func (en *env) eqLabel() string {
 	return ""
 }
 
-// beginSpan opens a sequential compute span — a DOALL step, a stage
-// sweep or an inline plane run on the activation goroutine — returning
+// beginSpan opens a sequential compute span — a DO nest, a DOALL step, a
+// stage sweep or an inline plane run on the activation goroutine — returning
 // the ring to close it on and its start time. The ring is nil when
 // tracing is off or an enclosing span (a worker chunk, an open
 // sequential span) already covers this work. Until endSpan, nested
@@ -451,8 +451,9 @@ func (p *Program) Run(name string, args []any, opts Options) ([]any, error) {
 }
 
 // RunCtx is Run with a context: cancellation or deadline expiry aborts
-// sequential loops within one iteration and in-flight DOALLs within one
-// chunk, returning a *RunError wrapping ctx.Err().
+// sequential loops within one iteration (a leaf DO within one span) and
+// in-flight DOALLs within one chunk, returning a *RunError wrapping
+// ctx.Err().
 func (p *Program) RunCtx(ctx context.Context, name string, args []any, opts Options) ([]any, error) {
 	m := p.Prog.Module(name)
 	if m == nil {
@@ -739,16 +740,7 @@ func (p *Program) execSteps(en *env, fr []int64, lo, hi int) {
 			kernels[st.Eq](en, fr)
 			i++
 		case plan.OpDo:
-			slot := st.Dims[0]
-			b := en.bounds[slot]
-			canceled := en.rs.canceled
-			for v := b[0]; v <= b[1]; v++ {
-				if canceled != nil && canceled.Load() {
-					panic(runtimeError{err: en.rs.ctx.Err()})
-				}
-				fr[slot] = v
-				p.execSteps(en, fr, i+1, st.End)
-			}
+			p.execDo(en, fr, st, i)
 			i = st.End
 		case plan.OpWavefront:
 			p.execWavefront(en, fr, st, i+1)
@@ -763,8 +755,60 @@ func (p *Program) execSteps(en *env, fr []int64, lo, hi int) {
 	}
 }
 
-// unitDir is the span direction of a DOALL row: the innermost collapsed
-// dimension advances by one per point. Read-only.
+// seqNest reports whether the loop step at i holds only DO and equation
+// steps, so nothing in it leaves the calling goroutine.
+func seqNest(steps []plan.Step, i int) bool {
+	for k := i + 1; k < steps[i].End; k++ {
+		if op := steps[k].Op; op != plan.OpDo && op != plan.OpEq {
+			return false
+		}
+	}
+	return true
+}
+
+// execDo runs one sequential DO step at the step index self. A leaf DO
+// is the paper's §3 iterative loop around a single equation: its whole
+// range is one span of that kernel, ascending by one, which the
+// specialized kernel certifies once and runs store-before-next-read, so
+// reads carried along the loop see exactly the point-wise program order.
+// Cancellation is polled per span there and per iteration otherwise.
+// Either way the frame is left at the last iteration. A nest of DO and
+// equation steps runs whole on this goroutine, so its outermost DO
+// records one KDo span (beginSpan declines inside an open span or a
+// chunk).
+func (p *Program) execDo(en *env, fr []int64, st *plan.Step, self int) {
+	if en.ring != nil && seqNest(en.cp.pl.Steps, self) {
+		ring, t0 := en.beginSpan()
+		defer en.endSpan(ring, obs.KDo, t0, int64(self), 0)
+	}
+	slot := st.Dims[0]
+	b := en.bounds[slot]
+	canceled := en.rs.canceled
+	if st.Leaf {
+		if b[1] < b[0] {
+			return
+		}
+		if canceled != nil && canceled.Load() {
+			panic(runtimeError{err: en.rs.ctx.Err()})
+		}
+		eqi := en.cp.pl.Steps[self+1].Eq
+		en.curEq = int32(eqi)
+		fr[slot] = b[0]
+		en.cp.spans[eqi].fn(en, fr, st.Dims, unitDir, b[1]-b[0]+1)
+		fr[slot] = b[1]
+		return
+	}
+	for v := b[0]; v <= b[1]; v++ {
+		if canceled != nil && canceled.Load() {
+			panic(runtimeError{err: en.rs.ctx.Err()})
+		}
+		fr[slot] = v
+		p.execSteps(en, fr, self+1, st.End)
+	}
+}
+
+// unitDir is the span direction of a DOALL row or a leaf DO: the
+// innermost dimension advances by one per point. Read-only.
 var unitDir = []int64{1}
 
 // execDoAll runs one (pre-collapsed) DOALL step: the plan has already

@@ -10,10 +10,14 @@ package interp
 // operand offsets are maintained incrementally along a run of
 // consecutive points (strength reduction), with array bounds certified
 // once per run so the per-point path is branch-free. Executors hand
-// kernels contiguous spans instead of single points; points the
-// certification cannot cover (span edges, windowed axes in motion,
-// strict mode) fall back to the checked kernel, so specialized and
-// generic execution are bitwise identical.
+// kernels contiguous spans instead of single points — DOALL rows,
+// wavefront rows, and the leaf DO of a sequential recurrence nest, whose
+// reads carried along the span see program order because each point's
+// store lands before the next point's reads. A windowed axis the span
+// does not move folds into the base offset; points the certification
+// cannot cover (span edges, windowed axes in motion, strict mode) fall
+// back to the checked kernel, so specialized and generic execution are
+// bitwise identical.
 
 import (
 	"fmt"
@@ -31,10 +35,10 @@ import (
 // spanFn executes n consecutive points of one equation. The span starts
 // at the frame's current coordinates and advances fr[slots[j]] += dir[j]
 // between points (a wavefront row moves every original coordinate by a
-// T⁻¹ column; a DOALL row moves the innermost dimension by one). The
-// frame is restored to the span's first point before returning, so
-// multi-equation bodies replay the same run per kernel. en.eqCount is
-// incremented per executed point.
+// T⁻¹ column; a DOALL row or a leaf DO moves its innermost dimension by
+// one). The frame is restored to the span's first point before
+// returning, so multi-equation bodies replay the same run per kernel.
+// en.eqCount is incremented per executed point.
 type spanFn func(en *env, fr []int64, slots []int, dir []int64, n int64)
 
 // eqSpan pairs one equation's span executor with its specialization
@@ -421,10 +425,14 @@ type KernelSpec struct {
 	Target      string // target symbol name(s)
 	Specialized bool
 	Reason      string // why the equation stayed generic ("" when specialized)
+	// PointWise is why the selected plan reaches the kernel one point at
+	// a time, so its specialized form never runs ("" when a loop hands
+	// it spans).
+	PointWise string
 }
 
 // Kernels reports the specialization outcome per equation of the named
-// module's selected plan variant.
+// module's selected plan variant, and how that plan reaches it.
 func (p *Program) Kernels(name string, opts plan.Options) []KernelSpec {
 	m := p.Prog.Module(name)
 	if m == nil {
@@ -436,6 +444,7 @@ func (p *Program) Kernels(name string, opts plan.Options) []KernelSpec {
 	}
 	cp := cm.variant(opts.Fuse, planMode(opts))
 	specs := make([]KernelSpec, len(cp.pl.Eqs))
+	pointWise := cp.pl.PointWise()
 	for i, eq := range cp.pl.Eqs {
 		names := make([]string, len(eq.Targets))
 		for j, t := range eq.Targets {
@@ -446,6 +455,7 @@ func (p *Program) Kernels(name string, opts plan.Options) []KernelSpec {
 			Target:      strings.Join(names, ", "),
 			Specialized: cp.spans[i].specialized,
 			Reason:      cp.spans[i].why,
+			PointWise:   pointWise[i],
 		}
 	}
 	return specs

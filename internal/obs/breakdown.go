@@ -21,11 +21,12 @@ type Breakdown struct {
 	Workers int
 	WallNs  int64
 
-	// ComputeNs sums the executors' working spans: sequential DOALL
-	// steps, parallel chunks, inline planes, wavefront tiles and
-	// pipeline stage bodies.
+	// ComputeNs sums the executors' working spans: sequential DO nests,
+	// sequential DOALL steps, parallel chunks, inline planes, wavefront
+	// tiles and pipeline stage bodies.
 	ComputeNs int64
 	// Per-schedule slices of ComputeNs.
+	DoNs        int64 // sequential DO nests
 	DOALLNs     int64 // sequential DOALL steps + chunks
 	WavefrontNs int64 // inline planes
 	DoacrossNs  int64 // tile instances
@@ -77,6 +78,8 @@ func (r *Recorder) Breakdown(workers int, wall time.Duration) Breakdown {
 	for _, evs := range r.Snapshot() {
 		for _, ev := range evs {
 			switch ev.Kind {
+			case KDo:
+				b.DoNs += ev.Dur
 			case KDoAll, KChunk:
 				b.DOALLNs += ev.Dur
 			case KPlane:
@@ -99,7 +102,7 @@ func (r *Recorder) Breakdown(workers int, wall time.Duration) Breakdown {
 			}
 		}
 	}
-	b.ComputeNs = b.DOALLNs + b.WavefrontNs + b.DoacrossNs + b.PipelineNs
+	b.ComputeNs = b.DoNs + b.DOALLNs + b.WavefrontNs + b.DoacrossNs + b.PipelineNs
 	if idle := int64(workers)*b.WallNs - b.ComputeNs - b.StallNs(); idle > 0 {
 		b.IdleNs = idle
 	}
@@ -113,8 +116,8 @@ func (b *Breakdown) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "wall=%v workers=%d compute=%v stall=%v idle=%v",
 		d(b.WallNs), b.Workers, d(b.ComputeNs), d(b.StallNs()), d(b.IdleNs))
-	fmt.Fprintf(&sb, "\n  compute: doall=%v wavefront=%v doacross=%v (stolen=%v) pipeline=%v",
-		d(b.DOALLNs), d(b.WavefrontNs), d(b.DoacrossNs), d(b.StolenNs), d(b.PipelineNs))
+	fmt.Fprintf(&sb, "\n  compute: do=%v doall=%v wavefront=%v doacross=%v (stolen=%v) pipeline=%v",
+		d(b.DoNs), d(b.DOALLNs), d(b.WavefrontNs), d(b.DoacrossNs), d(b.StolenNs), d(b.PipelineNs))
 	fmt.Fprintf(&sb, "\n  stalls: doacross=%v pipeline=%v; spec_fallback_points=%d arena_reuses=%d events=%d",
 		d(b.DoacrossStallNs), d(b.PipelineStallNs), b.SpecFallbacks, b.ArenaReuses, b.Events)
 	if b.Dropped > 0 {

@@ -1,9 +1,9 @@
 // Package obs is the execution recorder behind `psrun -trace` and
 // Runner.TraceRun: per-goroutine, cache-padded ring buffers of
 // timestamped span events emitted from the executors' hot paths
-// (activations, DOALL chunks, wavefront planes, doacross tiles and
-// waits, pipeline stages and stalls, specialization fallbacks, arena
-// reuses).
+// (activations, sequential DO nests, DOALL chunks, wavefront planes,
+// doacross tiles and waits, pipeline stages and stalls, specialization
+// fallbacks, arena reuses).
 //
 // The design optimizes for the disabled case and the single-writer
 // case. Disabled tracing is a nil check on the executor's ring pointer
@@ -33,6 +33,10 @@ const (
 	// KDoAll spans one sequentially executed DOALL step on the
 	// activation goroutine. Arg0 is the collapsed point count.
 	KDoAll
+	// KDo spans one sequential DO nest run whole on the activation
+	// goroutine: an outermost DO whose body holds only DO and equation
+	// steps. Arg0 is the nest's plan step index.
+	KDo
 	// KChunk spans one parallel DOALL chunk on a pool worker. Arg0 is
 	// the chunk's point count.
 	KChunk

@@ -134,7 +134,7 @@ func TestConcurrentEmit(t *testing.T) {
 
 func TestKindStringAndInstant(t *testing.T) {
 	for k, want := range map[Kind]string{
-		KActivation: "activation", KDoAll: "doall", KChunk: "chunk",
+		KActivation: "activation", KDoAll: "doall", KDo: "do", KChunk: "chunk",
 		KPlane: "plane", KTile: "tile", KTileWait: "tile-wait",
 		KStage: "stage", KStageStall: "stage-stall",
 		KSpecFallback: "spec-fallback", KArenaReuse: "arena-reuse",
@@ -165,10 +165,14 @@ func TestBreakdownAggregation(t *testing.T) {
 	g.Emit(KStageStall, 515, 15, 0, 1)  // pipeline stall
 	g.Emit(KSpecFallback, 530, 0, 2, 9) // 9 fallback points of eq 2
 	g.Emit(KArenaReuse, 530, 0, 1, 0)
+	g.Emit(KDo, 530, 120, 4, 0) // sequential DO nest: DO compute
 	r.Release(g)
 
 	workers := 2
 	b := r.Breakdown(workers, time.Microsecond) // wall = 1000ns
+	if b.DoNs != 120 {
+		t.Errorf("DoNs = %d, want 120", b.DoNs)
+	}
 	if b.DOALLNs != 150 {
 		t.Errorf("DOALLNs = %d, want 150", b.DOALLNs)
 	}
@@ -181,8 +185,8 @@ func TestBreakdownAggregation(t *testing.T) {
 	if b.PipelineNs != 80 {
 		t.Errorf("PipelineNs = %d, want 80", b.PipelineNs)
 	}
-	if b.ComputeNs != 150+70+100+80 {
-		t.Errorf("ComputeNs = %d, want %d", b.ComputeNs, 150+70+100+80)
+	if b.ComputeNs != 120+150+70+100+80 {
+		t.Errorf("ComputeNs = %d, want %d", b.ComputeNs, 120+150+70+100+80)
 	}
 	if b.DoacrossStallNs != 25 || b.PipelineStallNs != 15 || b.StallNs() != 40 {
 		t.Errorf("stalls = %d/%d, want 25/15", b.DoacrossStallNs, b.PipelineStallNs)
@@ -198,11 +202,11 @@ func TestBreakdownAggregation(t *testing.T) {
 	if b.SpecFallbacks != 9 || b.ArenaReuses != 1 {
 		t.Errorf("SpecFallbacks = %d ArenaReuses = %d, want 9, 1", b.SpecFallbacks, b.ArenaReuses)
 	}
-	if b.Events != 11 || b.Dropped != 0 {
-		t.Errorf("Events = %d Dropped = %d, want 11, 0", b.Events, b.Dropped)
+	if b.Events != 12 || b.Dropped != 0 {
+		t.Errorf("Events = %d Dropped = %d, want 12, 0", b.Events, b.Dropped)
 	}
 	s := b.String()
-	for _, want := range []string{"wall=1µs", "workers=2", "compute=400ns", "stall=40ns", "stolen=60ns", "spec_fallback_points=9"} {
+	for _, want := range []string{"wall=1µs", "workers=2", "compute=520ns", "do=120ns", "stall=40ns", "stolen=60ns", "spec_fallback_points=9"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q in %q", want, s)
 		}

@@ -15,6 +15,7 @@ var kindMeta = [numKinds]struct {
 }{
 	KActivation:   {name: "activation", cat: "run"},
 	KDoAll:        {name: "doall", cat: "doall", arg0: "points"},
+	KDo:           {name: "do", cat: "do", arg0: "step"},
 	KChunk:        {name: "chunk", cat: "doall", arg0: "points"},
 	KPlane:        {name: "plane", cat: "wavefront", arg0: "t"},
 	KTile:         {name: "tile", cat: "doacross", arg0: "t", arg1: "k"},

@@ -168,17 +168,8 @@ func (lw *lowerer) emitPipeline(l *core.LoopDesc, pp *pipePlan) {
 			dself := len(lw.p.Steps)
 			lw.p.Steps = append(lw.p.Steps, Step{Op: OpDoAll, Dims: dims})
 			lw.lower(c.body)
-			st := &lw.p.Steps[dself]
-			st.End = len(lw.p.Steps)
-			if st.End > dself+1 {
-				st.Leaf = true
-				for k := dself + 1; k < st.End; k++ {
-					if lw.p.Steps[k].Op != OpEq {
-						st.Leaf = false
-						break
-					}
-				}
-			}
+			lw.p.Steps[dself].End = len(lw.p.Steps)
+			lw.markLeaf(dself)
 		} else {
 			lw.lower(c.body)
 		}

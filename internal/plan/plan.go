@@ -77,9 +77,12 @@ type Step struct {
 	// End is one past the last body step for loop ops (body is
 	// Steps[i+1:End]); meaningless for OpEq.
 	End int
-	// Leaf marks a DOALL whose body is equation steps only, letting
-	// executors run the collapsed iteration space without re-entering the
-	// step dispatcher per point.
+	// Leaf marks a loop executors hand to the kernels as contiguous
+	// spans instead of re-entering the step dispatcher per point: a
+	// DOALL whose body is equation steps only, or a DO whose body is
+	// exactly one equation step (the §3 iterative loop — one kernel runs
+	// its points in ascending order, so carried reads along the loop see
+	// program order).
 	Leaf bool
 	// Hyper carries the §4 restructuring data for OpWavefront steps; nil
 	// for every other op.
@@ -388,6 +391,47 @@ func (p *Program) HasPipeline() bool {
 	return false
 }
 
+// PointWise reports, per kernel, why the plan reaches it only one point
+// at a time, or "" when its enclosing loop hands it contiguous spans (a
+// leaf DOALL or DO, or a wavefront row).
+func (p *Program) PointWise() []string {
+	why := make([]string, len(p.Eqs))
+	var walk func(parent, lo, hi int)
+	walk = func(parent, lo, hi int) {
+		for i := lo; i < hi; {
+			st := &p.Steps[i]
+			if st.Op != OpEq {
+				walk(i, i+1, st.End)
+				i = st.End
+				continue
+			}
+			why[st.Eq] = p.reach(parent)
+			i++
+		}
+	}
+	walk(-1, 0, len(p.Steps))
+	return why
+}
+
+// reach explains how the loop step at parent (-1: none) runs the
+// equation steps directly in its body: "" for spans, else the reason
+// they run point-wise.
+func (p *Program) reach(parent int) string {
+	if parent < 0 || p.Steps[parent].Op == OpPipeline {
+		return "no enclosing loop"
+	}
+	st := &p.Steps[parent]
+	if st.Leaf || st.Op == OpWavefront {
+		return ""
+	}
+	for i := parent + 1; i < st.End; i++ {
+		if p.Steps[i].Op != OpEq {
+			return fmt.Sprintf("%s body holds a nested loop", st.Op)
+		}
+	}
+	return fmt.Sprintf("%d-equation sequential body", st.End-parent-1)
+}
+
 // lowerer carries lowering state for one Lower call.
 type lowerer struct {
 	p      *Program
@@ -604,17 +648,25 @@ func (lw *lowerer) lowerLoop(l *core.LoopDesc) {
 	self := len(lw.p.Steps)
 	lw.p.Steps = append(lw.p.Steps, Step{Op: op, Dims: dims})
 	lw.lower(body)
+	lw.p.Steps[self].End = len(lw.p.Steps)
+	lw.markLeaf(self)
+}
+
+// markLeaf sets Leaf on the loop step at self once its body is lowered:
+// a DOALL whose body is equation steps only, or a DO whose body is
+// exactly one equation step.
+func (lw *lowerer) markLeaf(self int) {
 	st := &lw.p.Steps[self]
-	st.End = len(lw.p.Steps)
-	if op == OpDoAll && st.End > self+1 {
-		st.Leaf = true
-		for i := self + 1; i < st.End; i++ {
-			if lw.p.Steps[i].Op != OpEq {
-				st.Leaf = false
-				break
-			}
+	n := st.End - self - 1
+	if n == 0 || (st.Op == OpDo && n != 1) {
+		return
+	}
+	for i := self + 1; i < st.End; i++ {
+		if lw.p.Steps[i].Op != OpEq {
+			return
 		}
 	}
+	st.Leaf = true
 }
 
 // wavefrontAnalysis recognizes the §4-eligible shape under l — a
@@ -818,11 +870,8 @@ func (p *Program) String() string {
 				targets[j] = t.Sym.Name
 			}
 			fmt.Fprintf(&sb, "%s -> %s  [kernel %d]\n", eq.Label, strings.Join(targets, ", "), st.Eq)
-		case OpDo:
-			fmt.Fprintf(&sb, "do %s\n", p.dimNames(&st))
-			depth = append(depth, st.End)
-		case OpDoAll:
-			fmt.Fprintf(&sb, "doall %s", p.dimNames(&st))
+		case OpDo, OpDoAll:
+			fmt.Fprintf(&sb, "%s %s", st.Op, p.dimNames(&st))
 			if len(st.Dims) > 1 {
 				fmt.Fprintf(&sb, " collapse(%d)", len(st.Dims))
 			}

@@ -87,6 +87,60 @@ func TestLowerGaussSeidel(t *testing.T) {
 	}
 }
 
+// TestLeafDo pins which sequential DOs executors may hand to a kernel as
+// one span: exactly those whose body is a single equation step. A DO
+// around a nested loop (DO, DOALL) or around two equations stays
+// point-wise, and PointWise says why for every kernel it reaches.
+func TestLeafDo(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, module string
+		leaf              map[string]bool // DO dimension -> Leaf
+		pointWise         map[string]string
+	}{
+		{"GaussSeidel", psrc.RelaxationGS, "Relaxation",
+			map[string]bool{"K": false, "I": false, "J": true},
+			map[string]string{"eq.1": "", "eq.2": "", "eq.3": ""}},
+		{"Relaxation", psrc.Relaxation, "Relaxation",
+			map[string]bool{"K": false},
+			map[string]string{"eq.1": "", "eq.2": "", "eq.3": ""}},
+		{"CoupledGrid", psrc.CoupledGrid, "CoupledGrid",
+			map[string]bool{"I": false, "J": false},
+			map[string]string{"eq.1": "2-equation sequential body", "eq.2": "2-equation sequential body", "eq.3": ""}},
+		{"Prefix", psrc.Prefix, "Prefix",
+			map[string]bool{"I2": true},
+			map[string]string{"eq.1": "no enclosing loop", "eq.2": "", "eq.3": ""}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := lower(t, tc.src, tc.module, plan.Options{})
+			seen := map[string]bool{}
+			for i := range p.Steps {
+				st := &p.Steps[i]
+				if st.Op != plan.OpDo {
+					continue
+				}
+				dim := p.Bounds[st.Dims[0]].Subrange.Name
+				seen[dim] = true
+				if want, ok := tc.leaf[dim]; !ok || st.Leaf != want {
+					t.Errorf("do %s: Leaf = %v, want %v (listed: %v)", dim, st.Leaf, want, ok)
+				}
+				if st.Leaf && (st.End != i+2 || p.Steps[i+1].Op != plan.OpEq) {
+					t.Errorf("do %s is leaf but its body is not one equation step", dim)
+				}
+			}
+			for dim := range tc.leaf {
+				if !seen[dim] {
+					t.Errorf("no do %s in %s", dim, p.Compact())
+				}
+			}
+			for k, why := range p.PointWise() {
+				if want := tc.pointWise[p.Eqs[k].Label]; why != want {
+					t.Errorf("%s: PointWise = %q, want %q", p.Eqs[k].Label, why, want)
+				}
+			}
+		})
+	}
+}
+
 // TestLowerFused checks fusion is applied at lowering time: the four
 // element-wise chain loops merge into one collapsed DOALL.
 func TestLowerFused(t *testing.T) {

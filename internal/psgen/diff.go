@@ -78,11 +78,14 @@ type variant struct {
 }
 
 // matrix builds the variant rows. The first row is always the
-// sequential reference.
+// sequential reference; the second, seq-nospec, runs the same plan on
+// the checked kernels alone, so the span kernels the reference reaches
+// are themselves diffed against a point-wise evaluation.
 func matrix(quick bool) []variant {
 	if quick {
 		return []variant{
 			{name: "seq", opts: []ps.RunOption{ps.Sequential()}},
+			{name: "seq-nospec", opts: []ps.RunOption{ps.Sequential(), ps.NoSpecialize()}, strict: true},
 			{name: "w2", opts: []ps.RunOption{ps.Workers(2)}, planes: true},
 			{name: "w2-fused", opts: []ps.RunOption{ps.Workers(2), ps.Fused()}},
 			{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, tiles: true},
@@ -93,6 +96,7 @@ func matrix(quick bool) []variant {
 	}
 	return []variant{
 		{name: "seq", opts: []ps.RunOption{ps.Sequential()}},
+		{name: "seq-nospec", opts: []ps.RunOption{ps.Sequential(), ps.NoSpecialize()}, strict: true},
 		{name: "seq-fused", opts: []ps.RunOption{ps.Sequential(), ps.Fused()}},
 		{name: "w1", opts: []ps.RunOption{ps.Workers(1)}},
 		{name: "w2", opts: []ps.RunOption{ps.Workers(2)}, planes: true},

@@ -53,10 +53,11 @@ const (
 	// downstream DOALL consumers streaming its rows: the PS-DSWP
 	// pipeline backend's shape.
 	ClassPipeline
-	// ClassSequential generates a 1-D first-order recurrence with a
-	// boundary initializer equation and a consumer iterating a
-	// different subrange: every backend declines and the DO loop
-	// survives (the cascade's rejected/sequential witness).
+	// ClassSequential generates a 1-D first- or (odd Pattern) second-
+	// order recurrence with a boundary initializer equation and a
+	// consumer iterating a different subrange: every backend declines and
+	// the DO loop survives (the cascade's rejected/sequential witness). Its
+	// single-equation DO runs as one span under Sequential.
 	ClassSequential
 	// NumClasses is the number of generator classes.
 	NumClasses
@@ -514,7 +515,15 @@ func (sp *Spec) renderBody(b *strings.Builder) {
 	case ClassSequential:
 		d := sp.Dims[0]
 		fmt.Fprintf(b, "    X[%d] = Seed[%d];\n", d.Lo, d.Lo)
-		fmt.Fprintf(b, "    X[I2] = %s * X[I2-1] + Seed[I2];\n", lit(c[0]))
+		if sp.Pattern%2 == 1 {
+			// Second order: the recurrence carries distances 1 and 2 along
+			// its DO, and its first point is a boundary the span's
+			// certificate excludes (X[I2-2] is below the array there).
+			fmt.Fprintf(b, "    X[I2] = if I2 = %d then %s * X[I2-1] + Seed[I2]\n             else %s * X[I2-1] - %s * X[I2-2] + Seed[I2];\n",
+				d.Lo+1, lit(c[0]), lit(c[0]), lit(c[1]))
+		} else {
+			fmt.Fprintf(b, "    X[I2] = %s * X[I2-1] + Seed[I2];\n", lit(c[0]))
+		}
 		fmt.Fprintf(b, "    Out[%s] = %s;\n", d.Name, sp.escapeTerm(fmt.Sprintf("X[%s]", d.Name)))
 	}
 

@@ -116,6 +116,9 @@ func (sp *Spec) allDeps() [][]int64 {
 	case ClassPipeline:
 		return [][]int64{{1, 0}, {0, 1}}
 	case ClassSequential:
+		if sp.Pattern%2 == 1 {
+			return [][]int64{{1}, {2}}
+		}
 		return [][]int64{{1}}
 	}
 	return sp.Deps

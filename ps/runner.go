@@ -139,9 +139,12 @@ func (r *Runner) Explain() string {
 		}
 	}
 	for _, ks := range r.prog.ip.Kernels(r.mod.sem.Name, planOpts) {
-		if ks.Specialized {
+		switch {
+		case ks.Specialized && ks.PointWise != "":
+			fmt.Fprintf(&sb, "kernel %s (%s): specialized (point-wise: %s)\n", ks.Eq, ks.Target, ks.PointWise)
+		case ks.Specialized:
 			fmt.Fprintf(&sb, "kernel %s (%s): specialized\n", ks.Eq, ks.Target)
-		} else {
+		default:
 			fmt.Fprintf(&sb, "kernel %s (%s): generic (%s)\n", ks.Eq, ks.Target, ks.Reason)
 		}
 	}
@@ -161,7 +164,8 @@ func (r *Runner) Explain() string {
 // accumulated up to the abort).
 //
 // ctx cancellation or deadline expiry aborts sequential loops within
-// one iteration and in-flight DOALLs within one chunk; the returned
+// one iteration (an innermost single-equation DO within its one span)
+// and in-flight DOALLs within one chunk; the returned
 // error then satisfies errors.Is(err, ctx.Err()).
 func (r *Runner) Run(ctx context.Context, args []any) ([]any, *RunStats, error) {
 	o := r.opts

@@ -17,9 +17,9 @@ import (
 type TimingBreakdown = obs.Breakdown
 
 // Trace is the recorded timeline of one TraceRun: per-worker spans of
-// every schedule step (activations, DOALL chunks, inline wavefront
-// planes, wavefront tiles and waits, pipeline stage bodies and channel
-// stalls).
+// every schedule step (activations, sequential DO nests, DOALL chunks,
+// inline wavefront planes, wavefront tiles and waits, pipeline stage
+// bodies and channel stalls).
 // It is immutable once returned.
 type Trace struct {
 	rec     *obs.Recorder
