@@ -96,6 +96,20 @@ func TestPsrunJSON(t *testing.T) {
 	}
 }
 
+// TestPsrunJSONGolden pins psrun's indented stdout byte for byte for a
+// module with every JSON-convertible type: the non-finite spellings,
+// −0, exponent forms, int64 extremes and bools. Regenerate with
+//
+//	go test -run TestPsrunJSONGolden -update
+func TestPsrunJSONGolden(t *testing.T) {
+	out, errOut, err := runGo(t, "",
+		"./cmd/psrun", "-in", "testdata/json_types.inputs.json", "testdata/json_types.ps")
+	if err != nil {
+		t.Fatalf("psrun: %v\n%s", err, errOut)
+	}
+	checkGolden(t, "json_types_psrun.txt", out)
+}
+
 // TestPscPlan drives psc -dump plan: the lowered loop program listing.
 func TestPscPlan(t *testing.T) {
 	out, errOut, err := runGo(t, "", "./cmd/psc", "-dump", "plan", "testdata/relaxation.ps")

@@ -1,10 +1,17 @@
 package ps_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/types"
+	"repro/internal/value"
 	"repro/ps"
 )
 
@@ -169,8 +176,69 @@ func TestJSONAllTypesErrors(t *testing.T) {
 		t.Error("scalar string \"bogus\" accepted as real")
 	}
 
+	// A number in a bool array is an input error, not a panic.
+	in = base()
+	in["Fs"] = json.RawMessage(`[1, 0]`)
+	_, err = ps.ArgsFromJSON(prog, "Types", in)
+	var pe *ps.Error
+	if !errors.As(err, &pe) || pe.Err.Error() != "input Fs: element [1] is not a bool" {
+		t.Errorf("numeric bool element: %v", err)
+	}
+
+	// Int elements decode exactly, as int scalars do: a fraction or an
+	// exponent is refused rather than truncated, and a literal beyond
+	// float64's 53 bits survives.
+	for _, ks := range []string{`[1.5, 2]`, `[1, 1e300]`, `[1, 9223372036854775808]`} {
+		in = base()
+		in["Ks"] = json.RawMessage(ks)
+		if _, err := ps.ArgsFromJSON(prog, "Types", in); err == nil {
+			t.Errorf("int elements %s accepted", ks)
+		}
+	}
+	in = base()
+	in["Ks"] = json.RawMessage(`[9007199254740993, -9223372036854775808]`)
+	args, err := ps.ArgsFromJSON(prog, "Types", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := args[4].(*ps.Array)
+	if got := ks.GetI([]int64{1}); got != 9007199254740993 {
+		t.Errorf("Ks[1] = %d, want 9007199254740993", got)
+	}
+	if got := ks.GetI([]int64{2}); got != math.MinInt64 {
+		t.Errorf("Ks[2] = %d, want MinInt64", got)
+	}
+
+	// Bounds the input cannot fill are refused before anything is
+	// allocated: inverted ones, and ones larger than the input.
+	for _, n := range []string{`-3`, `1000000000000`} {
+		in = base()
+		in["N"] = json.RawMessage(n)
+		if _, err := ps.ArgsFromJSON(prog, "Types", in); err == nil {
+			t.Errorf("N = %s accepted", n)
+		}
+	}
+
 	if _, err := ps.ArgsFromJSON(prog, "NoSuch", base()); err == nil {
 		t.Error("unknown module accepted")
+	}
+
+	// String and record elements have no JSON form.
+	strs, err := ps.CompileProgram("strs.ps", `
+Strs: module (N: int; Ws: array[I] of string): [Vs: array[I] of string];
+type I = 1 .. N;
+define
+    Vs[I] = Ws[I];
+end Strs;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ps.ArgsFromJSON(strs, "Strs", map[string]json.RawMessage{
+		"N": json.RawMessage(`1`), "Ws": json.RawMessage(`["a"]`),
+	})
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "not supported over JSON") {
+		t.Errorf("string array: %v", err)
 	}
 }
 
@@ -181,4 +249,234 @@ func mustRaw(t *testing.T, v any) json.RawMessage {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// arrayElems are the element types FuzzArrayJSON covers, one per typed
+// backing.
+var arrayElems = []types.Type{types.Real, types.Int, types.Bool}
+
+// compileCopy compiles module M, which copies its array parameter A to
+// its result B; axis d runs over Ld .. Hd, both int parameters.
+func compileCopy(tb testing.TB, elem types.Type, rank int) *ps.Program {
+	tb.Helper()
+	var params, decls, subs []string
+	for d := 1; d <= rank; d++ {
+		params = append(params, fmt.Sprintf("L%d: int; H%d: int", d, d))
+		decls = append(decls, fmt.Sprintf("I%d = L%d .. H%d;", d, d, d))
+		subs = append(subs, fmt.Sprintf("I%d", d))
+	}
+	arr := fmt.Sprintf("array[%s] of %s", strings.Join(subs, ", "), elem)
+	src := fmt.Sprintf("M: module (%s; A: %s): [B: %s];\ntype %s\ndefine\n    B[%[5]s] = A[%[5]s];\nend M;\n",
+		strings.Join(params, "; "), arr, arr, strings.Join(decls, " "), strings.Join(subs, ", "))
+	prog, err := ps.CompileProgram("copy.ps", src)
+	if err != nil {
+		tb.Fatalf("%v\n%s", err, src)
+	}
+	return prog
+}
+
+// boundInputs is the scalar half of M's inputs for the given axes.
+func boundInputs(axes []value.Axis) map[string]json.RawMessage {
+	in := make(map[string]json.RawMessage, 2*len(axes)+1)
+	for d, ax := range axes {
+		in[fmt.Sprintf("L%d", d+1)] = json.RawMessage(strconv.FormatInt(ax.Lo, 10))
+		in[fmt.Sprintf("H%d", d+1)] = json.RawMessage(strconv.FormatInt(ax.Hi, 10))
+	}
+	return in
+}
+
+// oracleDecode runs the old decoder, which panics on a number in a bool
+// array.
+func oracleDecode(raw []byte, elem types.Type, axes []value.Axis) (arr *value.Array, panicked bool, err error) {
+	defer func() {
+		if recover() != nil {
+			arr, panicked, err = nil, true, nil
+		}
+	}()
+	arr, err = arrayFromJSON(raw, elem, axes)
+	return arr, false, err
+}
+
+// inexactIntLeaf reports whether a valid JSON array holds a number that
+// is not an exact int64 literal: the old decoder truncated those through
+// float64, the scanner refuses them.
+func inexactIntLeaf(raw []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if dec.Decode(&v) != nil {
+		return false
+	}
+	var walk func(v any) bool
+	walk = func(v any) bool {
+		switch x := v.(type) {
+		case []any:
+			for _, item := range x {
+				if walk(item) {
+					return true
+				}
+			}
+		case json.Number:
+			_, err := strconv.ParseInt(string(x), 10, 64)
+			return err != nil
+		}
+		return false
+	}
+	return walk(v)
+}
+
+// checkEncode compares the JSON of ResultsToJSON's row views of arr
+// with that of the old boxed tree, byte for byte.
+func checkEncode(t *testing.T, prog *ps.Program, arr *value.Array) {
+	t.Helper()
+	out, err := ps.ResultsToJSON(prog, "M", []any{arr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gerr := json.Marshal(out)
+	want, werr := json.Marshal(map[string]any{"B": arrayToJSON(arr, make([]int64, 0, arr.Rank()))})
+	if !bytes.Equal(got, want) || (gerr == nil) != (werr == nil) {
+		t.Fatalf("encoding differs:\n got  %s (%v)\n want %s (%v)", got, gerr, want, werr)
+	}
+}
+
+// FuzzArrayJSON holds the array scanner and the row-view encoder to the
+// old nested-[]any path (json_oracle_test.go). kind picks real, int or
+// bool elements; shape packs the rank (1 + bits 0-1 mod 3) and, per
+// axis d, an extent 0..3 (bits 2+4d, 3+4d) and a lower bound -1..2
+// (bits 4+4d, 5+4d). The scanner must accept exactly what the oracle
+// accepts, into a bitwise-equal array, except for the oracle's two bugs,
+// which it must refuse: a number in a bool array (the oracle panics)
+// and an int element that is not an exact integer literal (the oracle
+// truncated it through float64). Encoding must match byte for byte, both
+// for accepted arrays and for the array filled with data's raw bits.
+func FuzzArrayJSON(f *testing.F) {
+	var progs [3][3]*ps.Program
+	for k, elem := range arrayElems {
+		for r := range progs[k] {
+			progs[k][r] = compileCopy(f, elem, r+1)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, kind uint8, shape uint16) {
+		k, rank := int(kind)%3, 1+int(shape&3)%3
+		elem, prog := arrayElems[k], progs[k][rank-1]
+		axes := make([]value.Axis, rank)
+		for d := range axes {
+			ext, lo := int64(shape>>(2+4*d)&3), int64(shape>>(4+4*d)&3)-1
+			axes[d] = value.Axis{Lo: lo, Hi: lo + ext - 1}
+		}
+		in := boundInputs(axes)
+		in["A"] = data
+
+		want, panicked, werr := oracleDecode(data, elem, axes)
+		args, err := ps.ArgsFromJSON(prog, "M", in)
+		switch {
+		case err != nil && panicked:
+			if elem != types.Bool {
+				t.Fatalf("oracle panicked on %s elements", elem)
+			}
+			return
+		case err != nil && werr == nil:
+			if elem != types.Int || !inexactIntLeaf(data) {
+				t.Fatalf("refused what the oracle accepts: %v", err)
+			}
+			return
+		case err != nil:
+			return
+		case werr != nil || panicked:
+			t.Fatalf("accepted what the oracle refuses (%v, panicked %v)", werr, panicked)
+		}
+
+		got := args[len(args)-1].(*value.Array)
+		for i := range want.F {
+			a, b := got.F[i], want.F[i]
+			if math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+				t.Fatalf("element %d: %v (%#x), oracle %v (%#x)", i, a, math.Float64bits(a), b, math.Float64bits(b))
+			}
+		}
+		for i := range want.I {
+			// The oracle's int64(float64(v)) only differs where v has no
+			// exact float64.
+			if a := got.I[i]; a != want.I[i] && int64(float64(a)) == a {
+				t.Fatalf("element %d: %d, oracle %d", i, a, want.I[i])
+			}
+		}
+		for i := range want.B {
+			if got.B[i] != want.B[i] {
+				t.Fatalf("element %d: %v, oracle %v", i, got.B[i], want.B[i])
+			}
+		}
+		checkEncode(t, prog, got)
+
+		// The same shape over data's raw bits: NaN payloads, subnormals,
+		// every int64.
+		raw := value.NewArray(elem.Kind(), axes)
+		word := func(i int) uint64 {
+			var w uint64
+			for j := 0; j < 8 && len(data) > 0; j++ {
+				w = w<<8 | uint64(data[(8*i+j)%len(data)])
+			}
+			return w
+		}
+		for i := range raw.F {
+			raw.F[i] = math.Float64frombits(word(i))
+		}
+		for i := range raw.I {
+			raw.I[i] = int64(word(i))
+		}
+		for i := range raw.B {
+			raw.B[i] = word(i)&1 == 1
+		}
+		checkEncode(t, prog, raw)
+	})
+}
+
+// BenchmarkArrayJSON times both halves of the array wire format on the
+// corpus's transport sizes: 2 050 reals in one row, and a 34×34 grid.
+// Decode is ArgsFromJSON; encode is ResultsToJSON plus json.Marshal.
+func BenchmarkArrayJSON(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		axes []value.Axis
+	}{
+		{"2050", []value.Axis{{Lo: 1, Hi: 2050}}},
+		{"34x34", []value.Axis{{Lo: 0, Hi: 33}, {Lo: 0, Hi: 33}}},
+	} {
+		prog := compileCopy(b, types.Real, len(c.axes))
+		arr := value.NewArray(types.RealKind, c.axes)
+		for i := range arr.F {
+			arr.F[i] = float64(i%97)/97 - 0.25
+		}
+		data, err := json.Marshal(map[string]any{"B": arrayToJSON(arr, nil)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out map[string]json.RawMessage
+		if err := json.Unmarshal(data, &out); err != nil {
+			b.Fatal(err)
+		}
+		in := boundInputs(c.axes)
+		in["A"] = out["B"]
+
+		b.Run("decode/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := ps.ArgsFromJSON(prog, "M", in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("encode/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				res, err := ps.ResultsToJSON(prog, "M", []any{arr})
+				if err == nil {
+					_, err = json.Marshal(res)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

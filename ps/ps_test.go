@@ -114,14 +114,18 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ys, ok := out["Ys"].([]any)
+	// A rank-1 real result is one typed row viewing the result storage.
+	ys, ok := out["Ys"].([]float64)
 	if !ok || len(ys) != 6 {
 		t.Fatalf("Ys = %#v", out["Ys"])
 	}
-	if ys[0].(float64) != 0 || ys[5].(float64) != 25 {
+	if &ys[0] != &results[0].(*ps.Array).F[0] {
+		t.Error("Ys is a copy, not a view of the result")
+	}
+	if ys[0] != 0 || ys[5] != 25 {
 		t.Error("boundary values wrong")
 	}
-	if got := ys[1].(float64); got != (0.0+1+4)/3 {
+	if got := ys[1]; got != (0.0+1+4)/3 {
 		t.Errorf("Ys[1] = %v", got)
 	}
 

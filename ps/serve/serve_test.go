@@ -529,7 +529,16 @@ func TestServeReloadExplain(t *testing.T) {
 
 // TestServeBadRequests pins the 4xx surface.
 func TestServeBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	if err := srv.AddProgram("flags", `
+Flags: module (N: int; Fs: array[I] of bool): [Gs: array[I] of bool];
+type I = 1 .. N;
+define
+    Gs[I] = Fs[I];
+end Flags;
+`); err != nil {
+		t.Fatal(err)
+	}
 	post := func(body string) (int, []byte) {
 		t.Helper()
 		resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
@@ -551,6 +560,8 @@ func TestServeBadRequests(t *testing.T) {
 		{"unknown module", `{"program":"smooth","module":"Nope","inputs":{}}`, http.StatusNotFound},
 		{"missing inputs", `{"program":"smooth","module":"Smooth","inputs":{}}`, http.StatusBadRequest},
 		{"bad input type", `{"program":"smooth","module":"Smooth","inputs":{"Xs":"zap","N":2}}`, http.StatusBadRequest},
+		{"number in a bool array", `{"program":"flags","module":"Flags","inputs":{"N":2,"Fs":[1,0]}}`, http.StatusBadRequest},
+		{"bound beyond the input", `{"program":"smooth","module":"Smooth","inputs":{"Xs":[0,1],"N":1000000000000}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if code, body := post(c.body); code != c.want {
