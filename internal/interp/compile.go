@@ -606,6 +606,9 @@ func (c *compiler) compileI(e ast.Expr) evalI {
 			if !ok {
 				c.failf("no frame slot for index %s", x.Name)
 			}
+			if c.direct != nil {
+				c.direct.readsIdx = true // the span must keep the frame current
+			}
 			return frameSlot(slot)
 		}
 		if sym := c.m.Lookup(x.Name); sym != nil && sym.Kind == sem.EnumConstSym {

@@ -25,9 +25,17 @@
 //     subscripts that are not unit-stride — bail with a reason
 //     (Program.Kernels), leaving the checked kernel.
 //
-// Points a span's certificate cannot cover run the checked kernel, so
-// the two modes are bitwise identical by construction: a new operator
-// or builtin is one edit.
+// A body `if g1 then a1 elsif … else aN` whose guards are span-affine —
+// true/false, not, and, or over comparisons of affine integer index
+// expressions with span-invariant terms — compiles one direct store per
+// arm (index-set splitting). A span evaluates each comparison once,
+// cuts itself at the ≤ 2 points per comparison where the comparison's
+// truth can change, and runs each piece with the arm its guard selects,
+// certified against that arm's accesses alone; any other body is the
+// one-arm, zero-cut case of the same span loop. Points a piece's
+// certificate cannot cover run the checked kernel, so the two modes are
+// bitwise identical by construction: a new operator or builtin is one
+// edit.
 //
 // Every loop that hands kernels contiguous runs of points reaches the
 // direct mode through one span executor: DOALL rows, wavefront plane

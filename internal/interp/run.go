@@ -1476,19 +1476,23 @@ func (p *Program) execWavefrontTiles(en *env, fr []int64, w *wfSpace) {
 }
 
 // ceilDiv and floorDiv divide with rounding toward +∞/−∞; b must be
-// positive (π coefficients are non-negative by construction).
+// positive (π coefficients are non-negative by construction). Neither
+// overflows for any a: the span splitter divides differences that may
+// be near the int64 limits.
 func ceilDiv(a, b int64) int64 {
-	if a >= 0 {
-		return (a + b - 1) / b
+	q := a / b
+	if a%b > 0 {
+		q++
 	}
-	return -(-a / b)
+	return q
 }
 
 func floorDiv(a, b int64) int64 {
-	if a >= 0 {
-		return a / b
+	q := a / b
+	if a%b < 0 {
+		q--
 	}
-	return -((-a + b - 1) / b)
+	return q
 }
 
 // preimage computes x = T⁻¹·xp.

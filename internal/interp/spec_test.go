@@ -28,46 +28,53 @@ end Mirror;
 `
 
 // TestKernelEligibility pins which corpus equations compile to a
-// specialized kernel and why the negatives stay generic. The positive
-// set is deliberately broad — every wavefront corpus equation must
-// specialize, and so do degenerate single-point spans like Prefix's
-// P[1] — while the pinned negatives cover the bail-outs: module calls
-// and non-unit-stride subscripts.
+// specialized kernel, how many guard comparisons their spans split on,
+// and why the negatives stay generic. The positive set is deliberately
+// broad — every wavefront corpus equation must specialize, and so do
+// degenerate single-point spans like Prefix's P[1] — while the pinned
+// negatives cover the bail-outs: module calls and non-unit-stride
+// subscripts.
 func TestKernelEligibility(t *testing.T) {
 	cases := []struct {
 		name, src, module string
 		want              map[string]bool // equation label -> specialized
+		guards            map[string]int  // equation label -> split comparisons (absent: 0)
 		reasons           map[string]string
 	}{
 		{"RelaxationGS", psrc.RelaxationGS, "Relaxation",
-			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, nil},
+			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, map[string]int{"eq.3": 4}, nil},
 		{"Wavefront2D", psrc.Wavefront2D, "Wavefront2D",
-			map[string]bool{"eq.1": true, "eq.2": true}, nil},
+			map[string]bool{"eq.1": true, "eq.2": true}, map[string]int{"eq.1": 2}, nil},
 		{"Heat1D", psrc.Heat1D, "Heat1D",
-			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, nil},
+			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, map[string]int{"eq.3": 2}, nil},
 		{"CoupledGrid", psrc.CoupledGrid, "CoupledGrid",
-			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, nil},
+			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, map[string]int{"eq.1": 2, "eq.2": 2}, nil},
 		{"Prefix", psrc.Prefix, "Prefix",
-			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, nil},
+			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, nil, nil},
 		{"Pipeline", psrc.Pipeline, "Pipeline",
-			map[string]bool{"eq.1": false, "eq.2": false},
+			map[string]bool{"eq.1": false, "eq.2": false}, nil,
 			map[string]string{"eq.1": "module call"}},
 		{"Mirror", reflectedRead, "Mirror",
-			map[string]bool{"eq.1": false, "eq.2": true},
+			map[string]bool{"eq.1": false, "eq.2": true}, nil,
 			map[string]string{"eq.1": "subscript N + 1 - J is not unit-stride"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ip := compileSrc(t, tc.src)
 			got := map[string]bool{}
+			guards := map[string]int{}
 			reasons := map[string]string{}
 			for _, ks := range ip.Kernels(tc.module, plan.Options{Hyperplane: true}) {
 				got[ks.Eq] = ks.Specialized
+				guards[ks.Eq] = ks.Guards
 				reasons[ks.Eq] = ks.Reason
 			}
 			for eq, want := range tc.want {
 				if got[eq] != want {
 					t.Errorf("%s specialized=%v (reason %q), want %v", eq, got[eq], reasons[eq], want)
+				}
+				if guards[eq] != tc.guards[eq] {
+					t.Errorf("%s splits on %d guards, want %d", eq, guards[eq], tc.guards[eq])
 				}
 			}
 			for eq, want := range tc.reasons {
@@ -305,26 +312,33 @@ func TestSpanParityRepeated(t *testing.T) {
 // BenchmarkKernelDispatch measures the per-point cost of the generic
 // checked closure tree against the specialized span kernel on the
 // 3-point stencil (psrc.Smooth), the smallest body where addressing
-// overhead dominates.
+// overhead dominates, and on the boundary-guarded 5-point relaxation
+// (psrc.Relaxation), whose spans split on their four guard comparisons.
 func BenchmarkKernelDispatch(b *testing.B) {
-	ip := compileSrc(b, psrc.Smooth)
+	smooth := compileSrc(b, psrc.Smooth)
 	const n = 4096
 	xs := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: n + 1}})
 	for i := int64(0); i <= n+1; i++ {
 		xs.SetF([]int64{i}, float64((i*13+5)%23)/7.0)
 	}
-	args := []any{xs, int64(n)}
+	relax := compileSrc(b, psrc.Relaxation)
+	const m = 62
 	for _, tc := range []struct {
-		name string
-		opts interp.Options
+		name   string
+		ip     *interp.Program
+		module string
+		args   []any
+		opts   interp.Options
 	}{
-		{"Specialized", interp.Options{Sequential: true}},
-		{"Generic", interp.Options{Sequential: true, NoSpecialize: true}},
+		{"Specialized", smooth, "Smooth", []any{xs, int64(n)}, interp.Options{Sequential: true}},
+		{"Generic", smooth, "Smooth", []any{xs, int64(n)}, interp.Options{Sequential: true, NoSpecialize: true}},
+		{"GuardedSpecialized", relax, "Relaxation", []any{grid(m), int64(m), int64(3)}, interp.Options{Sequential: true}},
+		{"GuardedGeneric", relax, "Relaxation", []any{grid(m), int64(m), int64(3)}, interp.Options{Sequential: true, NoSpecialize: true}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ip.Run("Smooth", args, tc.opts); err != nil {
+				if _, err := tc.ip.Run(tc.module, tc.args, tc.opts); err != nil {
 					b.Fatal(err)
 				}
 			}

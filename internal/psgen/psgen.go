@@ -158,6 +158,12 @@ type Spec struct {
 	// Escape is the specializer/finite-arithmetic escape applied to a
 	// consumer equation.
 	Escape Escape
+	// Guard selects the form of the recurrences' boundary guards, all
+	// span-affine so the span splitter cuts them: 0 equality disjuncts
+	// (I = lo) or …, 1 ranges (I <= lo+p-1) or (I >= hi-n+1), 2 the
+	// negated interior not ((I > …) and (I < …) and …), 3 an elsif
+	// chain with one arm per dimension.
+	Guard int
 }
 
 // rng is splitmix64: tiny, seedable, and stable across Go versions —
@@ -258,6 +264,9 @@ func Generate(seed uint64, class Class) Spec {
 		dims(1, 6, 10)
 		sp.Escape = consumerEscape(r)
 	}
+	// Drawn last, so every earlier draw — and every pinned spec, which
+	// loads with Guard 0 — renders as before.
+	sp.Guard = r.intn(4)
 	return sp
 }
 
@@ -318,13 +327,14 @@ func (sp *Spec) readAt(arr string, dep []int64) string {
 	return fmt.Sprintf("%s[%s]", arr, strings.Join(terms, ","))
 }
 
-// guard renders the boundary predicate covering every read of the
-// given dependence vectors: for each dimension, equality disjuncts for
-// the first maxPositive points (reads at D-p) and the last maxNegative
-// points (reads at D+n). The bounds are literal, so the disjuncts are
-// literal comparisons.
-func (sp *Spec) guard(deps [][]int64) string {
-	var terms []string
+// guardDims renders the boundary predicate covering every read of the
+// given dependence vectors, one entry per dimension that needs one: the
+// first maxPositive points (reads at D-p) and the last maxNegative
+// points (reads at D+n). Guard 0 and 3 write equality disjuncts, 1 two
+// ranges, and 2 the interior conjuncts its caller negates. The bounds
+// are literal, so every comparison is literal.
+func (sp *Spec) guardDims(deps [][]int64) []string {
+	var dims []string
 	for k, d := range sp.Dims {
 		var pos, neg int64
 		for _, dep := range deps {
@@ -335,17 +345,66 @@ func (sp *Spec) guard(deps [][]int64) string {
 				neg = -dep[k]
 			}
 		}
-		for o := int64(0); o < pos; o++ {
-			terms = append(terms, fmt.Sprintf("(%s = %d)", d.Name, d.Lo+o))
+		var terms []string
+		switch sp.Guard {
+		case 1:
+			if pos > 0 {
+				terms = append(terms, fmt.Sprintf("(%s <= %d)", d.Name, d.Lo+pos-1))
+			}
+			if neg > 0 {
+				terms = append(terms, fmt.Sprintf("(%s >= %d)", d.Name, d.Hi-neg+1))
+			}
+		case 2:
+			if pos > 0 {
+				terms = append(terms, fmt.Sprintf("(%s > %d)", d.Name, d.Lo+pos-1))
+			}
+			if neg > 0 {
+				terms = append(terms, fmt.Sprintf("(%s < %d)", d.Name, d.Hi-neg+1))
+			}
+		default:
+			for o := int64(0); o < pos; o++ {
+				terms = append(terms, fmt.Sprintf("(%s = %d)", d.Name, d.Lo+o))
+			}
+			for o := int64(0); o < neg; o++ {
+				terms = append(terms, fmt.Sprintf("(%s = %d)", d.Name, d.Hi-o))
+			}
 		}
-		for o := int64(0); o < neg; o++ {
-			terms = append(terms, fmt.Sprintf("(%s = %d)", d.Name, d.Hi-o))
+		if len(terms) > 0 {
+			join := " or "
+			if sp.Guard == 2 {
+				join = " and "
+			}
+			dims = append(dims, strings.Join(terms, join))
 		}
 	}
-	if len(terms) == 0 {
+	return dims
+}
+
+// guard renders the whole boundary predicate for deps.
+func (sp *Spec) guard(deps [][]int64) string {
+	dims := sp.guardDims(deps)
+	switch {
+	case len(dims) == 0:
 		return "false"
+	case sp.Guard == 2:
+		return fmt.Sprintf("not (%s)", strings.Join(dims, " and "))
 	}
-	return strings.Join(terms, " or ")
+	return strings.Join(dims, " or ")
+}
+
+// boundary renders "if <guard> then <then>" for deps — under Guard 3 an
+// elsif chain, one arm per dimension — with sep before each keyword
+// after the first; the caller appends the else arm.
+func (sp *Spec) boundary(deps [][]int64, then, sep string) string {
+	dims := sp.guardDims(deps)
+	if sp.Guard != 3 || len(dims) < 2 {
+		return fmt.Sprintf("if %s%sthen %s", sp.guard(deps), sep, then)
+	}
+	arms := make([]string, len(dims))
+	for i, g := range dims {
+		arms[i] = fmt.Sprintf("%s%sthen %s", g, sep, then)
+	}
+	return "if " + strings.Join(arms, sep+"elsif ")
 }
 
 // escapeTerm renders the escape's contribution to a consumer body
@@ -467,8 +526,8 @@ func (sp *Spec) renderBody(b *strings.Builder) {
 			}
 			rec = strings.Join(parts, " + ")
 		}
-		fmt.Fprintf(b, "    X[%s] = if %s\n             then %s\n             else %s;\n",
-			idx, sp.guard(sp.Deps), seed, rec)
+		fmt.Fprintf(b, "    X[%s] = %s\n             else %s;\n",
+			idx, sp.boundary(sp.Deps, seed, "\n             "), rec)
 		fmt.Fprintf(b, "    Out[%s] = %s;\n", idx, sp.escapeTerm(fmt.Sprintf("X[%s]", idx)))
 
 	case ClassMultiWavefront:
@@ -492,21 +551,21 @@ func (sp *Spec) renderBody(b *strings.Builder) {
 			uReads = []string{sp.readAt("Y", []int64{1, 0}), sp.readAt("X", []int64{0, 1})}
 			vReads = []string{sp.readAt("X", []int64{1, 0}), sp.readAt("Y", []int64{0, 1})}
 		}
-		guard := sp.guard(append(append([][]int64{}, uDeps...), vDeps...))
-		fmt.Fprintf(b, "    X[%s] = if %s then %s\n             else (%s + %s) / %d.0;\n",
-			idx, guard, seed, strings.Join(uReads, " + "), seed, len(uReads)+1)
-		fmt.Fprintf(b, "    Y[%s] = if %s then %s * %s\n             else (%s + %s) / %d.0;\n",
-			idx, guard, lit(c[0]), seed, strings.Join(vReads, " + "), seed, len(vReads)+1)
+		deps := append(append([][]int64{}, uDeps...), vDeps...)
+		fmt.Fprintf(b, "    X[%s] = %s\n             else (%s + %s) / %d.0;\n",
+			idx, sp.boundary(deps, seed, " "), strings.Join(uReads, " + "), seed, len(uReads)+1)
+		fmt.Fprintf(b, "    Y[%s] = %s\n             else (%s + %s) / %d.0;\n",
+			idx, sp.boundary(deps, lit(c[0])+" * "+seed, " "), strings.Join(vReads, " + "), seed, len(vReads)+1)
 		fmt.Fprintf(b, "    Out[%s] = %s;\n", idx, sp.escapeTerm(fmt.Sprintf("X[%s] + Y[%s]", idx, idx)))
 
 	case ClassPipeline:
 		last := sp.Dims[1]
 		reflect := fmt.Sprintf("X[%s, %d-%s]", sub(sp.Dims[0].Name, 1), last.Lo+last.Hi, last.Name)
-		guard := sp.guard([][]int64{{1, 0}, {0, 1}})
-		fmt.Fprintf(b, "    X[%s] = if %s then %s\n             else (%s + %s) / 2.0;\n",
-			idx, guard, seed, sp.readAt("X", []int64{1, 0}), sp.readAt("Y", []int64{0, 1}))
-		fmt.Fprintf(b, "    Y[%s] = if %s then %s * %s\n             else (%s + %s + %s) / 3.0;\n",
-			idx, guard, lit(c[0]), seed, sp.readAt("Y", []int64{1, 0}), sp.readAt("X", []int64{0, 1}), reflect)
+		deps := [][]int64{{1, 0}, {0, 1}}
+		fmt.Fprintf(b, "    X[%s] = %s\n             else (%s + %s) / 2.0;\n",
+			idx, sp.boundary(deps, seed, " "), sp.readAt("X", []int64{1, 0}), sp.readAt("Y", []int64{0, 1}))
+		fmt.Fprintf(b, "    Y[%s] = %s\n             else (%s + %s + %s) / 3.0;\n",
+			idx, sp.boundary(deps, lit(c[0])+" * "+seed, " "), sp.readAt("Y", []int64{1, 0}), sp.readAt("X", []int64{0, 1}), reflect)
 		fmt.Fprintf(b, "    Out[%s] = %s;\n", idx, sp.escapeTerm(fmt.Sprintf("%s * X[%s]", lit(c[1]), idx)))
 		if sp.Consumers > 1 {
 			fmt.Fprintf(b, "    Out3[%s] = Y[%s] + %s;\n", idx, idx, lit(c[2]))

@@ -14,7 +14,8 @@ import (
 // runs are spent). Reductions, in order of how much program they
 // remove: drop the sibling pair and extra consumers, drop equations'
 // optional inputs, drop dependence vectors, shrink dimension extents,
-// simplify the body pattern, and finally remove the escape.
+// simplify the body pattern, remove the escape, and finally restore the
+// equality guard form.
 func Shrink(ctx context.Context, sp Spec, o Options, budget int) Spec {
 	if budget <= 0 {
 		budget = 120
@@ -77,6 +78,9 @@ func reductions(sp Spec) []Spec {
 	}
 	if sp.Escape != EscapeNone {
 		add(func(c *Spec) { c.Escape = EscapeNone })
+	}
+	if sp.Guard != 0 {
+		add(func(c *Spec) { c.Guard = 0 })
 	}
 	return cands
 }

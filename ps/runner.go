@@ -139,14 +139,22 @@ func (r *Runner) Explain() string {
 		}
 	}
 	for _, ks := range r.prog.ip.Kernels(r.mod.sem.Name, planOpts) {
-		switch {
-		case ks.Specialized && ks.PointWise != "":
-			fmt.Fprintf(&sb, "kernel %s (%s): specialized (point-wise: %s)\n", ks.Eq, ks.Target, ks.PointWise)
-		case ks.Specialized:
-			fmt.Fprintf(&sb, "kernel %s (%s): specialized\n", ks.Eq, ks.Target)
-		default:
+		if !ks.Specialized {
 			fmt.Fprintf(&sb, "kernel %s (%s): generic (%s)\n", ks.Eq, ks.Target, ks.Reason)
+			continue
 		}
+		fmt.Fprintf(&sb, "kernel %s (%s): specialized", ks.Eq, ks.Target)
+		switch ks.Guards {
+		case 0:
+		case 1:
+			sb.WriteString(", split on 1 guard")
+		default:
+			fmt.Fprintf(&sb, ", split on %d guards", ks.Guards)
+		}
+		if ks.PointWise != "" {
+			fmt.Fprintf(&sb, " (point-wise: %s)", ks.PointWise)
+		}
+		sb.WriteString("\n")
 	}
 	if tb := r.lastTiming.Load(); tb != nil {
 		// Present only after a TraceRun: where the workers' time went,

@@ -69,17 +69,31 @@ func chromeOf(t *testing.T, tr *ps.Trace) map[string]int {
 	return names
 }
 
+// realGuardGS is the Gauss-Seidel module with its boundary guard over
+// reals: the span splitter refuses it by design, so every span certifies
+// against both arms and its boundary points fall back to the checked
+// kernel.
+var realGuardGS = strings.NewReplacer(
+	"(I = 0)", "(float(I) = 0.0)", "(J = 0)", "(float(J) = 0.0)",
+	"(I = M+1)", "(float(I) = float(M+1))", "(J = M+1)", "(float(J) = float(M+1))",
+).Replace(psrc.RelaxationGS)
+
 // TestTraceRunWavefront traces the Gauss-Seidel wavefront workload on
 // both sides of the dispatch rule: results must match the untraced run
 // bitwise, the Chrome export must be valid JSON with an activation span
 // and the side's span kind (tiles or planes, never both), the breakdown
 // must reconcile with workers × wall and account every generic-kernel
 // point as a specialization fallback, and the traced run must surface in
-// Explain.
+// Explain. The real-guarded variant does fall back, and its fallbacks
+// must reach the trace whichever goroutine raised them.
 func TestTraceRunWavefront(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
 	prog, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	realProg, err := eng.Compile("gs_real_guard.ps", realGuardGS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +154,27 @@ func TestTraceRunWavefront(t *testing.T) {
 					t.Errorf("inline run's spans: %v", names)
 				}
 			}
-			// All three kernels specialize, so every instance outside the
-			// specialized count is a boundary point a span handed back to
-			// the checked kernel — and each such segment is on the trace,
-			// whichever goroutine's ring it was raised on.
-			if generic := stats.EquationInstances - stats.SpecializedKernels; generic == 0 || stats.Timing.SpecFallbacks != generic {
+			// All three kernels specialize and split their guards, so no
+			// instance should leave the specialized count; any that does is
+			// a fallback segment and must be on the trace.
+			if generic := stats.EquationInstances - stats.SpecializedKernels; stats.Timing.SpecFallbacks != generic {
 				t.Errorf("SpecFallbacks = %d, want EquationInstances − SpecializedKernels = %d − %d",
 					stats.Timing.SpecFallbacks, stats.EquationInstances, stats.SpecializedKernels)
+			}
+			realRun, err := realProg.Prepare("Relaxation", tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rstats, _, err := realRun.TraceRun(context.Background(), args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (rstats.DoacrossTiles > 0) != tc.tiled {
+				t.Errorf("real-guarded run: tiles=%d, want tiled = %v", rstats.DoacrossTiles, tc.tiled)
+			}
+			if generic := rstats.EquationInstances - rstats.SpecializedKernels; generic == 0 || rstats.Timing.SpecFallbacks != generic {
+				t.Errorf("real-guarded run: SpecFallbacks = %d, want EquationInstances − SpecializedKernels = %d − %d > 0",
+					rstats.Timing.SpecFallbacks, rstats.EquationInstances, rstats.SpecializedKernels)
 			}
 			if exp := run.Explain(); !strings.Contains(exp, "timing (last traced run)") {
 				t.Error("Explain does not surface the traced run's timing")
@@ -214,8 +242,8 @@ func TestTraceRunSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wide rows and few of them: about 2 fallback instants per row must
-	// fit the ring, while the nest dwarfs the activation's prologue.
+	// Wide rows and few of them: the nest dwarfs the activation's
+	// prologue.
 	const m, maxK = 198, 10
 	args := []any{seedGrid(m), int64(m), int64(maxK)}
 	// The compute share is a timing: a GC pause or a preemption outside
