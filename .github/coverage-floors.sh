@@ -25,7 +25,6 @@ internal/interp|repro/internal/interp|75|. ./ps ./internal/interp ./internal/cge
 internal/value|repro/internal/value|75|./internal/value . ./ps ./internal/interp
 ps/serve|repro/ps/serve|75|./ps/serve
 internal/core|repro/internal/core|90|./internal/core
-internal/pipe|repro/internal/pipe|75|./internal/pipe ./internal/interp
 internal/obs|repro/internal/obs|75|./internal/obs . ./ps ./internal/interp
 EOF
 exit $fail

@@ -2,7 +2,7 @@
 // dependence-carrying corpus modules and writes the results as
 // machine-readable JSON, so the performance trajectory of the §4
 // schedules (sequential baseline, untransformed nest, the default
-// wavefront plan, pipeline-first) can be tracked across commits without
+// wavefront plan) can be tracked across commits without
 // parsing `go test -bench` text.
 //
 // Usage:
@@ -221,9 +221,9 @@ func main() {
 		// of an anti-diagonal interior with integer-sequence reads.
 		{"edit_distance", psrc.EditDistance, "EditDistance",
 			func() []any { return []any{seedSymbols(192), seedSymbols(224), int64(192), int64(224)} }},
-		// The two pipeline-cascade workloads: reflect decouples under the
-		// auto cascade (its reflected-column read defeats the wavefront),
-		// mutual wavefronts under auto and decouples under PipelinePar.
+		// The two cascade-ordering workloads: reflect's reflected-column
+		// read defeats the wavefront, so its nest stays sequential; mutual
+		// wavefronts once the re-merge pre-pass rejoins its split nests.
 		{"reflect", psrc.Reflect, "Reflect",
 			func() []any { return []any{seedSquare(128), int64(128)} }},
 		{"mutual", psrc.Mutual, "Mutual",
@@ -251,7 +251,6 @@ func main() {
 		{"SeqNoArena", []ps.RunOption{ps.Sequential(), ps.NoArena()}, false},
 		{fmt.Sprintf("HyperOffPar%d", w), []ps.RunOption{ps.Workers(w), ps.WithHyperplane(ps.HyperplaneOff)}, false},
 		{fmt.Sprintf("AutoPar%d", w), []ps.RunOption{ps.Workers(w)}, false},
-		{fmt.Sprintf("PipelinePar%d", w), []ps.RunOption{ps.Workers(w), ps.WithSchedule(ps.SchedulePipeline)}, false},
 		// TracedAutoPar measures the recording-on cost of the execution
 		// recorder (TraceRun vs the AutoPar baseline). It is recorded
 		// for the trajectory but exempt from the -compare gate: tracing

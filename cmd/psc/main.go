@@ -6,7 +6,7 @@
 //
 //	psc [-module name] [-dump c|flowchart|plan|components|graph|dot|virtual|source]
 //	    [-openmp] [-no-virtual] [-hyperplane auto|off]
-//	    [-schedule auto|pipeline|doacross] [-transform eq.N] file.ps
+//	    [-schedule auto|doacross] [-transform eq.N] file.ps
 //
 // Examples:
 //
@@ -33,7 +33,7 @@ func main() {
 	openmp := flag.Bool("openmp", false, "emit #pragma omp parallel for above DOALL loops")
 	noVirtual := flag.Bool("no-virtual", false, "allocate every dimension physically")
 	hyper := flag.String("hyperplane", "auto", "automatic §4 wavefront restructuring of eligible sequential nests: auto or off")
-	schedule := flag.String("schedule", "auto", "auto (wavefront nests in C as a per-plane parallel sweep), pipeline (prefer PS-DSWP stage decoupling in the lowering cascade) or doacross (the auto plan, wavefront nests in C as one omp ordered/depend nest)")
+	schedule := flag.String("schedule", "auto", "C form of wavefront nests: auto (a per-plane parallel sweep) or doacross (one omp ordered/depend nest)")
 	transform := flag.String("transform", "", "apply the §4 hyperplane transformation to the named equation and emit the rewritten PS source")
 	flag.Parse()
 
@@ -47,16 +47,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "psc: invalid -hyperplane %q (want auto or off)\n", *hyper)
 		os.Exit(2)
 	}
-	// doacross names a C form of the auto plan's wavefront nests, not a
+	// -schedule names a C form of the plan's wavefront nests, not a
 	// plan: the runtime has one tile executor and nothing to select.
-	cDoacross := *schedule == "doacross"
-	if !cDoacross {
-		sch, err := ps.ParseSchedule(*schedule)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "psc: %v, or doacross for the C form\n", err)
-			os.Exit(2)
-		}
-		planOpts.Schedule = sch
+	var cDoacross bool
+	switch *schedule {
+	case "auto":
+	case "doacross":
+		cDoacross = true
+	default:
+		fmt.Fprintf(os.Stderr, "psc: invalid -schedule %q (want auto or doacross)\n", *schedule)
+		os.Exit(2)
 	}
 
 	if flag.NArg() != 1 {

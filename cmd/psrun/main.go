@@ -5,7 +5,6 @@
 //
 //	psrun [-module name] [-workers N] [-seq] [-strict] [-grain N]
 //	      [-fused] [-hyperplane auto|off]
-//	      [-schedule auto|pipeline]
 //	      [-timeout d] [-stats] [-trace out.json] [-explain]
 //	      [-in inputs.json] [-cpuprofile f] [-memprofile f] file.ps
 //
@@ -56,7 +55,6 @@ func main() {
 	grain := flag.Int64("grain", 0, "minimum iterations per parallel chunk; wavefront nests tile when their average plane holds grain x workers points (default grain 32), at this tile width")
 	fused := flag.Bool("fused", false, "execute the loop-fused plan variant (§5)")
 	hyper := flag.String("hyperplane", "auto", "automatic §4 wavefront restructuring of eligible sequential nests: auto or off")
-	schedule := flag.String("schedule", "auto", "lowering cascade order: auto or pipeline (prefer PS-DSWP decoupled stages over wavefronts)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	stats := flag.Bool("stats", false, "print run statistics and a timing breakdown to stderr")
 	trace := flag.String("trace", "", "record the run and write Chrome trace-event JSON to this file")
@@ -135,11 +133,6 @@ func main() {
 	default:
 		fatalUsage(fmt.Errorf("invalid -hyperplane %q (want auto or off)", *hyper))
 	}
-	sch, err := ps.ParseSchedule(*schedule)
-	if err != nil {
-		fatalUsage(err)
-	}
-	opts = append(opts, ps.WithSchedule(sch))
 	run, err := prog.Prepare(name, opts...)
 	if err != nil {
 		if prog.Module(name) == nil {

@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/ps"
 	"repro/ps/serve"
 )
 
@@ -48,7 +47,6 @@ func main() {
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant token-bucket rate in requests/s (0 = unlimited)")
 		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant token-bucket burst (default: ceil(rate))")
 		runTimeout  = flag.Duration("run-timeout", 0, "bound on one fused batch execution (0 = unbounded)")
-		schedule    = flag.String("schedule", "auto", "lowering cascade order: auto or pipeline")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 		trace       = flag.Bool("trace", false, "allow ?trace=1 traced runs and GET /v1/trace export")
 		accessLog   = flag.String("access-log", "", "write JSON access-log lines to this file (- for stderr)")
@@ -58,10 +56,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "psserve: -programs is required")
 		flag.Usage()
 		os.Exit(2)
-	}
-	sched, err := ps.ParseSchedule(*schedule)
-	if err != nil {
-		log.Fatalf("psserve: %v", err)
 	}
 	var logw io.Writer
 	switch *accessLog {
@@ -80,7 +74,6 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		Workers:     *workers,
 		CacheLimit:  *cacheLimit,
-		RunOptions:  []ps.RunOption{ps.WithSchedule(sched)},
 		BatchWindow: *batchWindow,
 		MaxBatch:    *maxBatch,
 		QueueDepth:  *queueDepth,

@@ -167,11 +167,11 @@ func TestPsrunExitCodes(t *testing.T) {
 	if code, _ := exitCode("-module", "Nope", "testdata/relaxation.ps"); code != 2 {
 		t.Errorf("unknown module: exit %d, want 2", code)
 	}
-	// Usage: barrier and doacross named executors, and nothing selects
-	// one any more → 2.
+	// Usage: psrun has no -schedule flag (nothing selects an executor or
+	// a cascade order) → 2.
 	for _, v := range []string{"barrier", "doacross"} {
-		if code, stderr := exitCode("-schedule", v, "testdata/relaxation.ps"); code != 2 || !strings.Contains(stderr, "invalid schedule") {
-			t.Errorf("-schedule %s: exit %d, want 2 and an invalid-schedule message:\n%s", v, code, stderr)
+		if code, stderr := exitCode("-schedule", v, "testdata/relaxation.ps"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -schedule") {
+			t.Errorf("-schedule %s: exit %d, want 2 and an undefined-flag message:\n%s", v, code, stderr)
 		}
 	}
 	// Program diagnostic: missing inputs → 1, with typed fields.

@@ -265,9 +265,6 @@ func (g *generator) emitSteps(lo, hi int) {
 		case plan.OpWavefront:
 			g.emitWavefront(st, i+1)
 			i = st.End
-		case plan.OpPipeline:
-			g.emitPipeline(st)
-			i = st.End
 		default:
 			names := make([]string, len(st.Dims))
 			for d, slot := range st.Dims {
@@ -300,31 +297,6 @@ func (g *generator) emitSteps(lo, hi int) {
 			}
 			i = st.End
 		}
-	}
-}
-
-// emitPipeline renders a PS-DSWP step in its stage-ordered degenerate
-// schedule: each stage sweeps the full streamed range before the next
-// stage starts — the original loop sequence the stages were carved
-// from, so results match the decoupled Go runtime bitwise. Parallel
-// stage bodies keep their DOALL loops (and OpenMP annotations) over
-// the remaining, non-streamed dimensions.
-func (g *generator) emitPipeline(st *plan.Step) {
-	pi := st.Pipe
-	name := g.pl.Bounds[pi.Stream].Subrange.Name
-	g.line("/* PIPELINE %s: %d stages, stage-ordered */", name, len(pi.Stages))
-	for k := range pi.Stages {
-		sg := &pi.Stages[k]
-		kind := "seq"
-		if sg.Parallel {
-			kind = "par"
-		}
-		g.line("/* stage %d (%s) */", k, kind)
-		g.line("for (long %s = %s_lo; %s <= %s_hi; %s++) {", name, name, name, name, name)
-		g.ind++
-		g.emitSteps(sg.First, sg.End)
-		g.ind--
-		g.line("}")
 	}
 }
 

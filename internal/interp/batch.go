@@ -110,9 +110,8 @@ func (p *Program) CompiledSize() int64 {
 		total += int64(len(cm.bounds)) * perBound
 		total += int64(len(cm.syms)) * perSym
 		seen := make(map[*compiledPlan]bool, 4)
-		for fi := 0; fi < 2; fi++ {
-			for hi := 0; hi < 2; hi++ {
-				cp := cm.plans[fi][hi]
+		for _, row := range cm.plans {
+			for _, cp := range row {
 				if cp == nil || seen[cp] {
 					continue
 				}

@@ -4,15 +4,22 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/interp"
 	"repro/internal/plan"
 	"repro/internal/psrc"
-	"repro/internal/sched"
 	"repro/internal/types"
 	"repro/internal/value"
 )
+
+// The tests in this file keep the Pipeline names of the decoupled-
+// pipeline backend Reflect and Mutual used to exercise; that backend is
+// gone, and the names stay as stable test IDs for the cascade's other
+// ends: Reflect's wavefront-ineligible nest staying sequential, and
+// Mutual's re-merged nest wavefronting.
 
 // seed builds an n×n input over [1,n]².
 func seed(n int64) *value.Array {
@@ -25,15 +32,23 @@ func seed(n int64) *value.Array {
 	return a
 }
 
-// TestPipelineParity runs the pipeline-lowered reflect workload across
-// worker counts and toggles, comparing every run bitwise against the
-// sequential reference and checking that the decoupled backend actually
-// engaged (stages launched, same instance count).
+// TestPipelineParity pins the cascade's sequential end on Reflect: the
+// reflected read X[I-1, N+1-J] has no constant offset, so the wavefront
+// analysis refuses the recurrence nest and it lowers to the same DO nest
+// as with the cascade off. Every worker count and toggle must match the
+// sequential reference bitwise and execute the same instances; wider
+// runs dispatch only the two DOALL copy-outs.
 func TestPipelineParity(t *testing.T) {
 	ip := compileSrc(t, psrc.Reflect)
 	pl := ip.Plan("Reflect", plan.Options{Hyperplane: true})
-	if !pl.HasPipeline() {
-		t.Fatalf("Reflect did not lower to a pipeline plan:\n%s", pl)
+	const want = "DO I (DO J (eq.2; eq.1)); DOALL I×J (eq.3); DOALL I×J (eq.4)"
+	if got := pl.Compact(); got != want || pl.HasWavefront() {
+		t.Fatalf("Reflect auto plan = %q, want %q", got, want)
+	}
+	d := pl.Cascade[0]
+	if d.Choice != "sequential" || len(d.Rejections) != 2 || d.Rejections[1].Backend != "wavefront" ||
+		!strings.Contains(d.Rejections[1].Reason, "X[I - 1,N + 1 - J] is not a constant-offset reference to X") {
+		t.Fatalf("Reflect nest decision = %+v, want sequential after the wavefront's constant-offset rejection", d)
 	}
 	const n = 17
 	args := []any{seed(n), int64(n)}
@@ -43,16 +58,15 @@ func TestPipelineParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name    string
-		opts    interp.Options
-		coupled bool // expects the concurrent pipeline to engage
+		name   string
+		opts   interp.Options
+		chunks bool // expects the DOALL copy-outs on the pool
 	}{
 		{"Par2", interp.Options{Workers: 2}, true},
 		{"Par4", interp.Options{Workers: 4}, true},
 		{"Par8", interp.Options{Workers: 8}, true},
 		{"StrictPar2", interp.Options{Workers: 2, Strict: true}, true},
-		{"PipelineFirstPar4", interp.Options{Workers: 4, Schedule: sched.PolicyPipeline}, true},
-		// One worker degenerates to the stage-ordered loop.
+		{"PipelineFirstPar4", interp.Options{Workers: 4}, true},
 		{"Par1", interp.Options{Workers: 1}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,28 +84,22 @@ func TestPipelineParity(t *testing.T) {
 			if got, want := stats.EqInstances.Load(), seqStats.EqInstances.Load(); got != want {
 				t.Errorf("executed %d equation instances, sequential executed %d", got, want)
 			}
-			if engaged := stats.PipelineStages.Load() > 0; engaged != tc.coupled {
-				t.Errorf("pipeline stages = %d, want engaged=%v", stats.PipelineStages.Load(), tc.coupled)
-			}
-			if tc.coupled && stats.PipelineStages.Load() != 3 {
-				t.Errorf("pipeline stages = %d, want 3 (1 producer + 2 consumers)", stats.PipelineStages.Load())
+			if dispatched := stats.Chunks.Load() > 0; dispatched != tc.chunks {
+				t.Errorf("DOALL chunks = %d, want dispatched = %v", stats.Chunks.Load(), tc.chunks)
 			}
 		})
 	}
 }
 
-// TestPipelineFirstCascade pins the schedule-driven plan flip: mutual
-// wavefronts under the auto cascade but decouples under PolicyPipeline,
-// and both execute bitwise identically.
+// TestPipelineFirstCascade pins Mutual's plan: the scheduler splits its
+// component into two sibling DO J nests, the re-merge pre-pass rejoins
+// them, and the union of dependence vectors admits π = (1,1), so the
+// cascade wavefronts it. Every row matches the sequential reference.
 func TestPipelineFirstCascade(t *testing.T) {
 	ip := compileSrc(t, psrc.Mutual)
 	auto := ip.Plan("Mutual", plan.Options{Hyperplane: true})
-	if !auto.HasWavefront() || auto.HasPipeline() {
+	if !auto.HasWavefront() || !auto.Cascade[0].Merged {
 		t.Fatalf("auto cascade did not wavefront the re-merged nest:\n%s", auto)
-	}
-	pf := ip.Plan("Mutual", plan.Options{Hyperplane: true, PipelineFirst: true})
-	if !pf.HasPipeline() || pf.HasWavefront() {
-		t.Fatalf("pipeline-first cascade did not decouple the nest:\n%s", pf)
 	}
 	// Mutual's arrays span [0, N+1]; build a matching seed.
 	const n = 11
@@ -111,8 +119,8 @@ func TestPipelineFirstCascade(t *testing.T) {
 		opts interp.Options
 	}{
 		{"AutoPar4", interp.Options{Workers: 4}},
-		{"PipelinePar2", interp.Options{Workers: 2, Schedule: sched.PolicyPipeline}},
-		{"PipelinePar4", interp.Options{Workers: 4, Schedule: sched.PolicyPipeline}},
+		{"PipelinePar2", interp.Options{Workers: 2}},
+		{"PipelinePar4", interp.Options{Workers: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stats interp.Stats
@@ -126,24 +134,38 @@ func TestPipelineFirstCascade(t *testing.T) {
 					t.Errorf("result %d diverges from sequential reference", i)
 				}
 			}
-			if tc.opts.Schedule == sched.PolicyPipeline && stats.PipelineStages.Load() == 0 {
-				t.Error("pipeline-first run launched no stages")
-			}
-			if tc.opts.Schedule != sched.PolicyPipeline && stats.PipelineStages.Load() != 0 {
-				t.Error("auto run launched pipeline stages for a wavefront plan")
+			if stats.Planes.Load() == 0 {
+				t.Error("the wavefront step swept no planes")
 			}
 		})
 	}
 }
 
-// TestPipelineCancellation checks a context cancelled mid-run aborts
-// the decoupled pipeline and reports the context error.
+// TestPipelineCancellation checks cancellation of Reflect: a context
+// already done is refused before the run starts, and one that fires
+// mid-run lands inside the producer's sequential DO nest — the error
+// names one of its two equations — well before the nest would finish.
 func TestPipelineCancellation(t *testing.T) {
 	ip := compileSrc(t, psrc.Reflect)
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already done: the run must refuse immediately
+	cancel()
 	_, err := ip.RunCtx(ctx, "Reflect", []any{seed(64), int64(64)}, interp.Options{Workers: 4})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+
+	// At N = 1024 the producer nest is a million two-equation points, far
+	// longer than the timeout on any host.
+	const n = 1024
+	args := []any{seed(n), int64(n)}
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err = ip.RunCtx(ctx, "Reflect", args, interp.Options{Workers: 2})
+	var re *interp.RunError
+	if !errors.As(err, &re) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want a RunError wrapping context.DeadlineExceeded", err)
+	}
+	if re.Equation != "eq.1" && re.Equation != "eq.2" {
+		t.Errorf("cancelled in %q, want inside the producer nest (eq.1 or eq.2)", re.Equation)
 	}
 }

@@ -58,19 +58,18 @@ func (en *env) checked(fr []int64) *kctx {
 type kernelFn func(en *env, fr []int64)
 
 // compiledModule is one module ready to run: equation kernels compiled
-// once, the six lowered [fuse][mode] plan variants, slot-resolved bound
-// thunks, and precomputed allocation descriptors.
+// once, the four lowered [fuse][cascade] plan variants, slot-resolved
+// bound thunks, and precomputed allocation descriptors.
 type compiledModule struct {
 	m     *sem.Module
 	sched *core.Schedule
-	// plans holds the lowered variants indexed [fuse][mode], where mode
-	// is 0 = hyperplane off, 1 = the auto cascade, 2 = the
-	// pipeline-first cascade (WithSchedule(SchedulePipeline)). Options
-	// select one at activation time; all are lowered once here, not per
-	// run. Variants that lower identically — a module with no
-	// cascade-eligible nest has equal base and auto plans — share one
-	// compiledPlan.
-	plans [2][3]*compiledPlan
+	// plans holds the lowered variants indexed [fuse][cascade], where
+	// cascade is 0 = hyperplane off, 1 = the DOALL → wavefront →
+	// sequential cascade. Options select one at activation time; all are
+	// lowered once here, not per run. Variants that lower identically —
+	// a module with no wavefront-eligible nest has equal base and auto
+	// plans — share one compiledPlan.
+	plans [2][2]*compiledPlan
 	// slotOf assigns every subrange type a frame slot for its index
 	// value — the plan's Bounds order, shared by every variant. It is
 	// consulted at compile time only; execution reads slots baked into
@@ -87,25 +86,17 @@ type compiledModule struct {
 	ws sync.Pool
 }
 
-// variant selects the compiled plan for one (fuse, mode) pair.
-func (cm *compiledModule) variant(fuse bool, mode int) *compiledPlan {
-	fi := 0
-	if fuse {
-		fi = 1
-	}
-	return cm.plans[fi][mode]
+// variant selects the compiled plan for one (fuse, cascade) pair.
+func (cm *compiledModule) variant(fuse, cascade bool) *compiledPlan {
+	return cm.plans[b2i(fuse)][b2i(cascade)]
 }
 
-// planMode maps plan options onto the variant mode index: 0 =
-// hyperplane off, 1 = the auto cascade, 2 = the pipeline-first cascade.
-func planMode(o plan.Options) int {
-	switch {
-	case !o.Hyperplane:
-		return 0
-	case o.PipelineFirst:
-		return 2
+// b2i indexes the plan matrix by a bool.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return 1
+	return 0
 }
 
 // compiledPlan pairs one lowered plan variant with its kernel table
@@ -196,8 +187,6 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 	fusedPl := plan.Lower(m, sched, plan.Options{Fuse: true})
 	hyperPl := plan.Lower(m, sched, plan.Options{Hyperplane: true})
 	hyperFusedPl := plan.Lower(m, sched, plan.Options{Fuse: true, Hyperplane: true})
-	pipePl := plan.Lower(m, sched, plan.Options{Hyperplane: true, PipelineFirst: true})
-	pipeFusedPl := plan.Lower(m, sched, plan.Options{Fuse: true, Hyperplane: true, PipelineFirst: true})
 	cm = &compiledModule{
 		m:      m,
 		sched:  sched,
@@ -229,33 +218,21 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 		specs[eq] = c.specializeEquation(eq, kernels[eq])
 		c.eq = nil
 	}
-	cm.plans[0][0] = cm.bindPlan(basePl, kernels, specs)
-	cm.plans[1][0] = cm.bindPlan(fusedPl, kernels, specs)
-	// A module where no cascade backend fires lowers identically with
-	// the cascade on; share the untransformed compiledPlan then. The
-	// pipeline-first mode likewise shares the auto plan unless flipping
-	// the cascade order actually changed the lowering.
-	if hyperPl.HasWavefront() || hyperPl.HasPipeline() {
-		cm.plans[0][1] = cm.bindPlan(hyperPl, kernels, specs)
-	} else {
-		cm.plans[0][1] = cm.plans[0][0]
-	}
-	if hyperFusedPl.HasWavefront() || hyperFusedPl.HasPipeline() {
-		cm.plans[1][1] = cm.bindPlan(hyperFusedPl, kernels, specs)
-	} else {
-		cm.plans[1][1] = cm.plans[1][0]
-	}
-	if pipePl.String() == hyperPl.String() {
-		cm.plans[0][2] = cm.plans[0][1]
-	} else {
-		cm.plans[0][2] = cm.bindPlan(pipePl, kernels, specs)
-	}
-	if pipeFusedPl.String() == hyperFusedPl.String() {
-		cm.plans[1][2] = cm.plans[1][1]
-	} else {
-		cm.plans[1][2] = cm.bindPlan(pipeFusedPl, kernels, specs)
-	}
+	cm.plans[0] = cm.bindRow(basePl, hyperPl, kernels, specs)
+	cm.plans[1] = cm.bindRow(fusedPl, hyperFusedPl, kernels, specs)
 	return cm, nil
+}
+
+// bindRow binds one fusion row of the plan matrix, [hyperplane off,
+// cascade]. A row where no nest wavefronts lowers identically either
+// way, so both columns share the cascade's compiledPlan, whose Cascade
+// still records each nest's decision for Explain.
+func (cm *compiledModule) bindRow(off, on *plan.Program, kernels map[*sem.Equation]kernelFn, specs map[*sem.Equation]eqSpan) [2]*compiledPlan {
+	cp := cm.bindPlan(on, kernels, specs)
+	if !on.HasWavefront() {
+		return [2]*compiledPlan{cp, cp}
+	}
+	return [2]*compiledPlan{cm.bindPlan(off, kernels, specs), cp}
 }
 
 // bindPlan aligns the shared kernel table with one plan variant's

@@ -52,18 +52,23 @@
 // A compiled Program is immutable and safe for concurrent Run/RunCtx
 // calls: every activation builds its own environment, and pooled
 // per-worker state (env copies and index frames) is reused across DOALL
-// chunks without sharing mutable state between concurrent activations.
+// chunks and wavefront tiles without sharing mutable state between
+// concurrent activations. An activation never runs on more goroutines
+// than its worker count — the pool's workers, the caller among them —
+// which is what makes a traced run's compute + stall + idle add up to
+// exactly workers × wall.
 // Cancellation aborts sequential loops within one iteration (a leaf DO
 // within one span) and in-flight parallel work within one chunk/tile,
 // and Stats counters are valid up to the abort.
 //
 // # Plan-variant matrix
 //
-// Options select among the six compiled [fuse][mode] plan variants at
-// activation time — mode is restructuring off, the auto cascade or the
-// pipeline-first cascade; variants that lower identically share a
-// compiled plan. Equation kernels are compiled once and shared by all
-// of them. No option selects an executor: see Wavefront dispatch below.
+// Options select among the four compiled [fuse][cascade] plan variants
+// at activation time — the cascade column is restructuring off or the
+// DOALL → wavefront → sequential cascade; a row whose nests never
+// wavefront lowers identically either way and shares one compiled plan.
+// Equation kernels are compiled once and shared by all of them. No
+// option selects an executor: see Wavefront dispatch below.
 //
 // # Bitwise-identical results
 //

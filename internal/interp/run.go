@@ -2,7 +2,6 @@ package interp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/pprof"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/depgraph"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/pipe"
 	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/sem"
@@ -49,10 +47,6 @@ type Options struct {
 	// variant a runner executes — and Explain reports — is deterministic
 	// across hosts.
 	Hyperplane HyperplaneMode
-	// Schedule selects the plan variant's cascade order: the auto
-	// cascade (the zero value) or pipeline-first. It picks a plan, never
-	// an executor; inert for sequential runs.
-	Schedule sched.Policy
 	// Pool, when non-nil, is a shared worker pool used for every DOALL of
 	// the activation tree instead of spawning a pool per activation. The
 	// run does not close it, and its worker count takes precedence over
@@ -69,7 +63,7 @@ type Options struct {
 	// baseline).
 	NoArena bool
 	// Trace, when non-nil, records timestamped span events (activation,
-	// chunks, planes, tiles, stages, stalls, ...) on per-worker rings as
+	// DO nests, chunks, planes, tiles, stalls, ...) on per-worker rings as
 	// the run executes. nil tracing costs one branch per emission site.
 	Trace *obs.Recorder
 	// ProfileLabels wraps dispatched work in runtime/pprof label sets
@@ -91,23 +85,10 @@ const (
 )
 
 // EffectiveHyperplane reports whether a run with these options executes
-// the auto-hyperplane plan variant.
+// the auto-hyperplane (cascade) plan variant. Sequential runs never do —
+// the untransformed nests double as the parity reference.
 func (o *Options) EffectiveHyperplane() bool {
 	return o.Hyperplane == HyperplaneAuto && !o.Sequential
-}
-
-// planMode selects the compiled plan variant column for these options:
-// 0 (restructuring off), 1 (auto cascade) or 2 (pipeline-first cascade,
-// the PolicyPipeline schedule). Sequential runs always take column 0 —
-// the untransformed nests double as the parity reference.
-func (o *Options) planMode() int {
-	if !o.EffectiveHyperplane() {
-		return 0
-	}
-	if o.Schedule == sched.PolicyPipeline {
-		return 2
-	}
-	return 1
 }
 
 // Stats accumulates per-run execution counters. The counters are updated
@@ -128,16 +109,6 @@ type Stats struct {
 	// instances, stalls (parked waits on predecessor tiles) and steals.
 	// All zero when every wavefront swept inline.
 	Doacross sched.Stats
-	// PipelineStages counts stages launched by PS-DSWP pipeline steps —
-	// one per stage per decoupled pipeline activation — so pipelined
-	// execution stays distinguishable from DOALL chunking and wavefront
-	// planes. Zero when every pipeline step ran stage-ordered
-	// (sequentially).
-	PipelineStages atomic.Int64
-	// PipelineStalls accumulates the pipeline runtime's blocking waits:
-	// a stage starved on an empty input channel or backpressured on a
-	// full output channel (internal/pipe).
-	PipelineStalls atomic.Int64
 	// Specialized counts equation instances executed through the
 	// branch-free specialized kernel path (a subset of EqInstances);
 	// the remainder ran the checked closure tree.
@@ -193,7 +164,7 @@ type runtimeError struct {
 // Compile prepares every module of a checked program for execution:
 // each module's dependency graph is scheduled with the core scheduler
 // and the resulting flowchart is lowered once into the flat plan IR
-// (all six [fuse][mode] variants) that Run executes.
+// (all four [fuse][cascade] variants) that Run executes.
 func Compile(prog *sem.Program) (*Program, error) {
 	p := &Program{
 		Prog:   prog,
@@ -234,6 +205,8 @@ func (p *Program) Schedule(name string) *core.Schedule {
 
 // Plan returns the lowered loop program for a module in the requested
 // variant (fusion × auto-hyperplane). It is nil for unknown modules.
+// Where no nest wavefronts, both hyperplane settings return the one
+// cascade-lowered program, so its Cascade is set either way.
 func (p *Program) Plan(name string, opts plan.Options) *plan.Program {
 	m := p.Prog.Module(name)
 	if m == nil {
@@ -243,7 +216,7 @@ func (p *Program) Plan(name string, opts plan.Options) *plan.Program {
 	if cm == nil {
 		return nil
 	}
-	return cm.variant(opts.Fuse, planMode(opts)).pl
+	return cm.variant(opts.Fuse, opts.Hyperplane).pl
 }
 
 // runState is the execution context shared by a root activation and
@@ -279,7 +252,7 @@ func (rs *runState) cancelChan() <-chan struct{} {
 // env is the runtime state of one module activation.
 type env struct {
 	cm *compiledModule
-	// cp is the plan variant this activation executes ([fuse][mode]).
+	// cp is the plan variant this activation executes ([fuse][cascade]).
 	cp      *compiledPlan
 	scalars []any
 	arrays  []*value.Array
@@ -310,7 +283,7 @@ type env struct {
 	// worker-state copy of an env resets it — rings are single-writer.
 	ring *obs.Ring
 	// inSpan marks that an enclosing compute span (DO nest, sequential
-	// DOALL, inline plane, stage-ordered sweep) is already open on ring, so
+	// DOALL, inline plane) is already open on ring, so
 	// nested sequential steps — and nested module calls — must not emit
 	// their own: overlapping spans would double-count the breakdown.
 	inSpan bool
@@ -326,8 +299,8 @@ func (en *env) eqLabel() string {
 	return ""
 }
 
-// beginSpan opens a sequential compute span — a DO nest, a DOALL step, a
-// stage sweep or an inline plane run on the activation goroutine — returning
+// beginSpan opens a sequential compute span — a DO nest, a DOALL step or
+// an inline plane run on the activation goroutine — returning
 // the ring to close it on and its start time. The ring is nil when
 // tracing is off or an enclosing span (a worker chunk, an open
 // sequential span) already covers this work. Until endSpan, nested
@@ -364,8 +337,8 @@ type workerScope struct {
 	fr []int64
 	// chunk is set for DOALL chunks: each body then counts in
 	// Stats.Chunks and, when tracing, emits a KChunk span on a ring of
-	// its own. Pipeline stage bodies and wavefront tiles leave it unset:
-	// pipe.Run and sched.Run record those spans on their own rings.
+	// its own. Wavefront tiles leave it unset: sched.Run records their
+	// spans on its own rings.
 	chunk    bool
 	once     sync.Once
 	panicked any
@@ -562,7 +535,7 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 	opts := rs.opts
 	en = &env{
 		cm:         cm,
-		cp:         cm.variant(opts.Fuse, opts.planMode()),
+		cp:         cm.variant(opts.Fuse, opts.EffectiveHyperplane()),
 		scalars:    make([]any, len(cm.syms)),
 		arrays:     make([]*value.Array, len(cm.syms)),
 		rs:         rs,
@@ -744,9 +717,6 @@ func (p *Program) execSteps(en *env, fr []int64, lo, hi int) {
 			i = st.End
 		case plan.OpWavefront:
 			p.execWavefront(en, fr, st, i+1)
-			i = st.End
-		case plan.OpPipeline:
-			p.execPipeline(en, fr, st)
 			i = st.End
 		default: // plan.OpDoAll
 			p.execDoAll(en, fr, st, i+1)
@@ -972,108 +942,6 @@ func eqsLabel(cp *compiledPlan, eqis []int) string {
 		sb.WriteString(cp.pl.Eqs[eqi].Label)
 	}
 	return sb.String()
-}
-
-// errPipelineAbort is the sentinel a pipeline stage body returns after
-// recording a panic; only the recorded panic is reported.
-var errPipelineAbort = errors.New("interp: pipeline stage failed")
-
-// execPipeline runs one PS-DSWP decoupled step: the streamed
-// dimension's iterations are tokens flowing through the stage DAG of
-// st.Pipe over bounded channels (internal/pipe). The sequential
-// producer stage processes every token in ascending order on one
-// goroutine; parallel consumer stages replicate across the worker
-// count. Stage bodies execute the same kernels at the same frames as
-// the untransformed plan — a stage runs token t only after every
-// upstream stage finished it, which satisfies all cross-stage reads —
-// so results are bitwise identical to the sequential reference.
-// Sequential activations (and nested-parallel ones) degenerate to
-// running the stages in order, which is exactly the original loop
-// sequence the stages were carved from.
-func (p *Program) execPipeline(en *env, fr []int64, st *plan.Step) {
-	rs := en.rs
-	pi := st.Pipe
-	slot := pi.Stream
-	b := en.bounds[slot]
-	tokens := b[1] - b[0] + 1
-	if tokens <= 0 {
-		return
-	}
-	if rs.pool == nil || en.inParallel || rs.pool.Workers() == 1 || tokens == 1 {
-		canceled := rs.canceled
-		for k := range pi.Stages {
-			sg := &pi.Stages[k]
-			ring, t0 := en.beginSpan()
-			for v := b[0]; v <= b[1]; v++ {
-				if canceled != nil && canceled.Load() {
-					panic(runtimeError{err: rs.ctx.Err()})
-				}
-				fr[slot] = v
-				p.execSteps(en, fr, sg.First, sg.End)
-			}
-			// One span per stage-ordered sweep; token -1 marks the
-			// degenerate (sequential) execution of all tokens.
-			en.endSpan(ring, obs.KStage, t0, int64(k), -1)
-		}
-		return
-	}
-
-	if rs.stats != nil {
-		rs.stats.PipelineStages.Add(int64(len(pi.Stages)))
-	}
-	stages := make([]pipe.Stage, len(pi.Stages))
-	for k, sg := range pi.Stages {
-		deps := make([]pipe.Dep, len(sg.Deps))
-		for di, d := range sg.Deps {
-			deps[di] = pipe.Dep{Stage: d.Stage, Window: int(d.Dist) + 1}
-		}
-		stages[k] = pipe.Stage{Parallel: sg.Parallel, Deps: deps}
-	}
-
-	// Every body invocation runs on pooled worker state (env + frame)
-	// like a DOALL chunk: one token is a full sweep of the stage's
-	// remaining dimensions, so the pool round-trip amortizes. Failures are
-	// recorded once and re-raised after every stage goroutine stopped.
-	scope := workerScope{en: en, fr: fr}
-	var stageLbls []pprof.LabelSet
-	if rs.labels {
-		stageLbls = make([]pprof.LabelSet, len(pi.Stages))
-		for k, sg := range pi.Stages {
-			stageLbls[k] = pprof.Labels("ps_module", en.cm.m.Name,
-				"ps_step", "pipeline", "ps_eqs", stepEqs(en.cp, sg.First, sg.End))
-		}
-	}
-	var pstats pipe.Stats
-	err := pipe.Run(stages, tokens, rs.pool.Workers(), rs.cancelChan(), func(stage, _ int, token int64) error {
-		ok := scope.run(0, nil, func(sub *env, wfr []int64) {
-			sg := &pi.Stages[stage]
-			wfr[slot] = b[0] + token
-			if stageLbls != nil {
-				pprof.Do(rs.ctx, stageLbls[stage], func(context.Context) {
-					p.execSteps(sub, wfr, sg.First, sg.End)
-				})
-			} else {
-				p.execSteps(sub, wfr, sg.First, sg.End)
-			}
-		})
-		if !ok {
-			return errPipelineAbort
-		}
-		return nil
-	}, &pstats, rs.rec)
-	if rs.stats != nil {
-		rs.stats.PipelineStalls.Add(pstats.Stalls.Load())
-	}
-	scope.rethrow()
-	if err != nil {
-		// Only cancellation reaches here: body failures travel through
-		// the recorded panic above.
-		cerr := rs.ctx.Err()
-		if cerr == nil {
-			cerr = err
-		}
-		panic(runtimeError{err: cerr})
-	}
 }
 
 // wfSpace is the resolved geometry of one wavefront activation: the

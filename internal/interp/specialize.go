@@ -754,7 +754,7 @@ func (p *Program) Kernels(name string, opts plan.Options) []KernelSpec {
 	if cm == nil {
 		return nil
 	}
-	cp := cm.variant(opts.Fuse, planMode(opts))
+	cp := cm.variant(opts.Fuse, opts.Hyperplane)
 	specs := make([]KernelSpec, len(cp.pl.Eqs))
 	pointWise := cp.pl.PointWise()
 	for i, eq := range cp.pl.Eqs {

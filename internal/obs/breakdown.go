@@ -13,7 +13,7 @@ import (
 //
 //	ComputeNs + StallNs() + IdleNs = Workers × WallNs
 //
-// whenever the clamp note below doesn't fire.
+// exactly, unless the clamp on IdleNs fires.
 type Breakdown struct {
 	// Workers is the worker count the run was configured with; WallNs
 	// the activation's elapsed wall time. Both are supplied by the
@@ -22,22 +22,19 @@ type Breakdown struct {
 	WallNs  int64
 
 	// ComputeNs sums the executors' working spans: sequential DO nests,
-	// sequential DOALL steps, parallel chunks, inline planes, wavefront
-	// tiles and pipeline stage bodies.
+	// sequential DOALL steps, parallel chunks, inline planes and
+	// wavefront tiles.
 	ComputeNs int64
 	// Per-schedule slices of ComputeNs.
 	DoNs        int64 // sequential DO nests
 	DOALLNs     int64 // sequential DOALL steps + chunks
 	WavefrontNs int64 // inline planes
 	DoacrossNs  int64 // tile instances
-	PipelineNs  int64 // stage body invocations
 	// StolenNs is the subset of DoacrossNs run by non-home workers.
 	StolenNs int64
 
-	// DoacrossStallNs sums parked doacross waits; PipelineStallNs sums
-	// blocking channel waits of pipeline stages.
+	// DoacrossStallNs sums parked doacross waits.
 	DoacrossStallNs int64
-	PipelineStallNs int64
 	// BarrierIdleNs is always 0: it is the fork/join slack of planes
 	// dispatched to the pool one at a time, and no executor does that
 	// (tiles wait point-to-point, which DoacrossStallNs counts). The
@@ -45,9 +42,10 @@ type Breakdown struct {
 	// identity read it.
 	BarrierIdleNs int64
 	// IdleNs is the unattributed remainder, workers × wall minus
-	// everything above, clamped at zero (pipeline runs can oversubscribe
-	// — replicas + the sequential stage can exceed the worker count — in
-	// which case compute legitimately exceeds workers × wall).
+	// everything above, clamped at zero. No executor runs more than
+	// Workers goroutines of one run at a time, and wall brackets every
+	// span, so the clamp fires only if a span was recorded outside the
+	// run or the configured worker count understates the real one.
 	IdleNs int64
 
 	// SpecFallbacks counts points that fell back from a specialized
@@ -64,7 +62,7 @@ type Breakdown struct {
 }
 
 // StallNs is the run's total attributed synchronization time.
-func (b *Breakdown) StallNs() int64 { return b.DoacrossStallNs + b.PipelineStallNs }
+func (b *Breakdown) StallNs() int64 { return b.DoacrossStallNs }
 
 // Breakdown aggregates the recorded events. workers is the run's
 // configured worker count, wall its elapsed time; both come from the
@@ -91,10 +89,6 @@ func (r *Recorder) Breakdown(workers int, wall time.Duration) Breakdown {
 				}
 			case KTileWait:
 				b.DoacrossStallNs += ev.Dur
-			case KStage:
-				b.PipelineNs += ev.Dur
-			case KStageStall:
-				b.PipelineStallNs += ev.Dur
 			case KSpecFallback:
 				b.SpecFallbacks += ev.Arg1
 			case KArenaReuse:
@@ -102,7 +96,7 @@ func (r *Recorder) Breakdown(workers int, wall time.Duration) Breakdown {
 			}
 		}
 	}
-	b.ComputeNs = b.DoNs + b.DOALLNs + b.WavefrontNs + b.DoacrossNs + b.PipelineNs
+	b.ComputeNs = b.DoNs + b.DOALLNs + b.WavefrontNs + b.DoacrossNs
 	if idle := int64(workers)*b.WallNs - b.ComputeNs - b.StallNs(); idle > 0 {
 		b.IdleNs = idle
 	}
@@ -116,10 +110,10 @@ func (b *Breakdown) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "wall=%v workers=%d compute=%v stall=%v idle=%v",
 		d(b.WallNs), b.Workers, d(b.ComputeNs), d(b.StallNs()), d(b.IdleNs))
-	fmt.Fprintf(&sb, "\n  compute: do=%v doall=%v wavefront=%v doacross=%v (stolen=%v) pipeline=%v",
-		d(b.DoNs), d(b.DOALLNs), d(b.WavefrontNs), d(b.DoacrossNs), d(b.StolenNs), d(b.PipelineNs))
-	fmt.Fprintf(&sb, "\n  stalls: doacross=%v pipeline=%v; spec_fallback_points=%d arena_reuses=%d events=%d",
-		d(b.DoacrossStallNs), d(b.PipelineStallNs), b.SpecFallbacks, b.ArenaReuses, b.Events)
+	fmt.Fprintf(&sb, "\n  compute: do=%v doall=%v wavefront=%v doacross=%v (stolen=%v)",
+		d(b.DoNs), d(b.DOALLNs), d(b.WavefrontNs), d(b.DoacrossNs), d(b.StolenNs))
+	fmt.Fprintf(&sb, "\n  stalls: doacross=%v; spec_fallback_points=%d arena_reuses=%d events=%d",
+		d(b.DoacrossStallNs), b.SpecFallbacks, b.ArenaReuses, b.Events)
 	if b.Dropped > 0 {
 		fmt.Fprintf(&sb, " dropped=%d", b.Dropped)
 	}

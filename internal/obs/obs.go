@@ -2,8 +2,7 @@
 // Runner.TraceRun: per-goroutine, cache-padded ring buffers of
 // timestamped span events emitted from the executors' hot paths
 // (activations, sequential DO nests, DOALL chunks, wavefront planes,
-// doacross tiles and waits, pipeline stages and stalls, specialization
-// fallbacks, arena reuses).
+// doacross tiles and waits, specialization fallbacks, arena reuses).
 //
 // The design optimizes for the disabled case and the single-writer
 // case. Disabled tracing is a nil check on the executor's ring pointer
@@ -49,13 +48,6 @@ const (
 	// KTileWait spans one parked wait of a doacross worker: no tile was
 	// ready and the worker blocked until a completion woke it.
 	KTileWait
-	// KStage spans one pipeline stage body invocation (one token
-	// through one stage). Arg0 is the stage index, Arg1 the token.
-	KStage
-	// KStageStall spans one blocking pipeline wait. Arg0 is the stage
-	// index; Arg1 is 0 for a starved receive, 1 for a backpressured
-	// send.
-	KStageStall
 	// KSpecFallback is an instant event: a specialized span kernel fell
 	// back to the generic evaluator for its un-certified prefix/suffix
 	// points. Arg0 is the equation index, Arg1 the fallback point count.

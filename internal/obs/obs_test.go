@@ -136,7 +136,6 @@ func TestKindStringAndInstant(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KActivation: "activation", KDoAll: "doall", KDo: "do", KChunk: "chunk",
 		KPlane: "plane", KTile: "tile", KTileWait: "tile-wait",
-		KStage: "stage", KStageStall: "stage-stall",
 		KSpecFallback: "spec-fallback", KArenaReuse: "arena-reuse",
 	} {
 		if got := k.String(); got != want {
@@ -161,8 +160,6 @@ func TestBreakdownAggregation(t *testing.T) {
 	g.Emit(KTile, 310, 60, 3, 4<<1|1)   // stolen tile
 	g.Emit(KTile, 370, 40, 3, 5<<1)     // home tile
 	g.Emit(KTileWait, 410, 25, 0, 0)    // doacross stall
-	g.Emit(KStage, 435, 80, 0, 7)       // pipeline body
-	g.Emit(KStageStall, 515, 15, 0, 1)  // pipeline stall
 	g.Emit(KSpecFallback, 530, 0, 2, 9) // 9 fallback points of eq 2
 	g.Emit(KArenaReuse, 530, 0, 1, 0)
 	g.Emit(KDo, 530, 120, 4, 0) // sequential DO nest: DO compute
@@ -182,14 +179,11 @@ func TestBreakdownAggregation(t *testing.T) {
 	if b.DoacrossNs != 100 || b.StolenNs != 60 {
 		t.Errorf("DoacrossNs = %d StolenNs = %d, want 100, 60", b.DoacrossNs, b.StolenNs)
 	}
-	if b.PipelineNs != 80 {
-		t.Errorf("PipelineNs = %d, want 80", b.PipelineNs)
+	if b.ComputeNs != 120+150+70+100 {
+		t.Errorf("ComputeNs = %d, want %d", b.ComputeNs, 120+150+70+100)
 	}
-	if b.ComputeNs != 120+150+70+100+80 {
-		t.Errorf("ComputeNs = %d, want %d", b.ComputeNs, 120+150+70+100+80)
-	}
-	if b.DoacrossStallNs != 25 || b.PipelineStallNs != 15 || b.StallNs() != 40 {
-		t.Errorf("stalls = %d/%d, want 25/15", b.DoacrossStallNs, b.PipelineStallNs)
+	if b.DoacrossStallNs != 25 || b.StallNs() != 25 {
+		t.Errorf("stalls = %d (StallNs %d), want 25", b.DoacrossStallNs, b.StallNs())
 	}
 	// No executor forks and joins per plane, so nothing feeds this field.
 	if b.BarrierIdleNs != 0 {
@@ -202,11 +196,11 @@ func TestBreakdownAggregation(t *testing.T) {
 	if b.SpecFallbacks != 9 || b.ArenaReuses != 1 {
 		t.Errorf("SpecFallbacks = %d ArenaReuses = %d, want 9, 1", b.SpecFallbacks, b.ArenaReuses)
 	}
-	if b.Events != 12 || b.Dropped != 0 {
-		t.Errorf("Events = %d Dropped = %d, want 12, 0", b.Events, b.Dropped)
+	if b.Events != 10 || b.Dropped != 0 {
+		t.Errorf("Events = %d Dropped = %d, want 10, 0", b.Events, b.Dropped)
 	}
 	s := b.String()
-	for _, want := range []string{"wall=1µs", "workers=2", "compute=520ns", "do=120ns", "stall=40ns", "stolen=60ns", "spec_fallback_points=9"} {
+	for _, want := range []string{"wall=1µs", "workers=2", "compute=440ns", "do=120ns", "stall=25ns", "stolen=60ns", "spec_fallback_points=9"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q in %q", want, s)
 		}
@@ -217,11 +211,12 @@ func TestBreakdownAggregation(t *testing.T) {
 }
 
 func TestBreakdownIdleClamp(t *testing.T) {
-	// Pipeline replicas can oversubscribe workers: compute beyond
-	// workers × wall must clamp idle at zero, not go negative.
+	// Compute beyond workers × wall (a span outside the run's wall, or
+	// an understated worker count) must clamp idle at zero, not go
+	// negative.
 	r := NewRecorder(8)
 	g := r.Acquire()
-	g.Emit(KStage, 0, 5000, 0, 0)
+	g.Emit(KDoAll, 0, 5000, 0, 0)
 	r.Release(g)
 	b := r.Breakdown(1, time.Microsecond) // wall 1000ns < compute 5000ns
 	if b.IdleNs != 0 {
@@ -277,7 +272,7 @@ func TestWriteChrome(t *testing.T) {
 	g1 := r.Acquire() // reuses ring 0; acquire a second concurrently
 	g2 := r.Acquire()
 	g2.Emit(KTile, 1000, 250, 4, 9<<1|1)
-	g2.Emit(KStageStall, 1300, 40, 1, 0)
+	g2.Emit(KTileWait, 1300, 40, 0, 0)
 	r.Release(g1)
 	r.Release(g2)
 
@@ -323,9 +318,9 @@ func TestWriteChrome(t *testing.T) {
 			if ev.Args["eq"] != 2.0 || ev.Args["points"] != 11.0 {
 				t.Errorf("spec-fallback args = %v", ev.Args)
 			}
-		case "stage-stall":
-			if ev.Args["stage"] != 1.0 || ev.Args["send"] != 0.0 {
-				t.Errorf("stage-stall args = %v", ev.Args)
+		case "tile-wait":
+			if ev.Ph != "X" || ev.Cat != "doacross" || len(ev.Args) != 0 {
+				t.Errorf("tile-wait span = %+v (want X, cat doacross, no args)", ev)
 			}
 		}
 	}

@@ -20,8 +20,6 @@ var kindMeta = [numKinds]struct {
 	KPlane:        {name: "plane", cat: "wavefront", arg0: "t"},
 	KTile:         {name: "tile", cat: "doacross", arg0: "t", arg1: "k"},
 	KTileWait:     {name: "tile-wait", cat: "doacross"},
-	KStage:        {name: "stage", cat: "pipeline", arg0: "stage", arg1: "token"},
-	KStageStall:   {name: "stage-stall", cat: "pipeline", arg0: "stage", arg1: "send"},
 	KSpecFallback: {name: "spec-fallback", cat: "kernel", arg0: "eq", arg1: "points"},
 	KArenaReuse:   {name: "arena-reuse", cat: "memory", arg0: "slot"},
 }

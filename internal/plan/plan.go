@@ -28,14 +28,6 @@ const (
 	// (DOALL) traversal of each plane, with the T⁻¹ remap back to the
 	// original index frame baked into the step (see Hyper).
 	OpWavefront
-	// OpPipeline is a PS-DSWP decoupled software pipeline: a fully
-	// sequential producer nest and the downstream DOALL nests that
-	// consume its outputs at the same or earlier iterations of the
-	// nest's outer dimension, partitioned into stages that stream that
-	// dimension's iterations ("tokens") through bounded channels. The
-	// sequential stage keeps one goroutine; parallel stages replicate.
-	// See Pipe.
-	OpPipeline
 )
 
 // String names the opcode.
@@ -49,8 +41,6 @@ func (o Op) String() string {
 		return "doall"
 	case OpWavefront:
 		return "wavefront"
-	case OpPipeline:
-		return "pipeline"
 	}
 	return "?"
 }
@@ -87,52 +77,6 @@ type Step struct {
 	// Hyper carries the §4 restructuring data for OpWavefront steps; nil
 	// for every other op.
 	Hyper *Hyper
-	// Pipe carries the stage partition for OpPipeline steps; nil for
-	// every other op.
-	Pipe *Pipe
-}
-
-// Pipe is the stage partition of one OpPipeline step. The dependence
-// SCC DAG of the region — the producer nest plus its downstream DOALL
-// consumers — is grouped into stages; the streamed dimension's
-// iterations are the pipeline tokens, and every cross-stage dependence
-// reaches only the same or earlier tokens, so a stage may start token t
-// as soon as each upstream stage has finished token t (the backward
-// distances in Deps relax that to t - Dist).
-type Pipe struct {
-	// Stream is the frame slot of the streamed (outer sequential)
-	// dimension.
-	Stream int
-	// Window is 1 + the largest backward token distance any cross-stage
-	// dependence carries — the channel capacity bound, playing the role
-	// Hyper.Window plays for wavefronts.
-	Window int
-	// Stages partitions the step's body: stage k's body is
-	// Steps[Stages[k].First:Stages[k].End], executed once per token with
-	// the stream slot pinned.
-	Stages []PipeStage
-}
-
-// PipeStage is one pipeline stage.
-type PipeStage struct {
-	// First, End bound the stage's body steps.
-	First, End int
-	// Parallel marks a DOALL-able stage the runtime replicates
-	// PS-DSWP-style; the sequential producer stage (always stage 0) gets
-	// exactly one goroutine.
-	Parallel bool
-	// Deps lists the upstream stages whose outputs this stage reads,
-	// with the largest backward distance along the streamed dimension:
-	// token t of this stage needs token t - Dist … t of stage Stage.
-	Deps []PipeDep
-}
-
-// PipeDep is one cross-stage dependence.
-type PipeDep struct {
-	Stage int
-	// Dist is the largest backward distance along the streamed
-	// dimension (0 = same token).
-	Dist int64
 }
 
 // Hyper is the hyperplane restructuring of one sequential loop nest
@@ -255,7 +199,7 @@ type Program struct {
 
 // Rejection records why one cascade backend declined a nest.
 type Rejection struct {
-	Backend string // "doall", "wavefront", "pipeline"
+	Backend string // "doall", "wavefront"
 	Reason  string
 }
 
@@ -267,11 +211,11 @@ type Decision struct {
 	Step int
 	// Nest names the nest's dimensions, outermost first.
 	Nest string
-	// Choice is the winning backend: "doall", "wavefront", "pipeline"
-	// or "sequential".
+	// Choice is the winning backend: "doall", "wavefront" or
+	// "sequential".
 	Choice string
-	// Detail is backend-specific: the chosen π for wavefronts, the
-	// stage split for pipelines.
+	// Detail is backend-specific: the chosen π and window for
+	// wavefronts.
 	Detail string
 	// Merged marks a nest the re-merge pre-pass rebuilt from sibling
 	// nests the scheduler had split.
@@ -285,10 +229,10 @@ type Decision struct {
 // "" when the cascade did not run:
 //
 //	cascade:
-//	  step 0: nest I, J -> doall
-//	  step 4: nest I -> pipeline (3 stages: 1 seq + 2 par, window 1)
-//	          doall rejected: 2 loop-carried dependence edge(s)
+//	  step 0: nest I -> sequential
+//	          doall rejected: 2 loop-carried dependence edge(s) force ascending order
 //	          wavefront rejected: hyperplane: ...
+//	  step 4: nest I, J -> doall
 func (p *Program) CascadeReport() string {
 	if len(p.Cascade) == 0 {
 		return ""
@@ -337,16 +281,14 @@ type Options struct {
 	// Fuse applies §5 loop fusion to the flowchart before lowering.
 	Fuse bool
 	// Hyperplane runs the scheduler selection cascade: each nest tries
-	// DOALL first, then the automatic §4 wavefront restructuring, then
-	// the PS-DSWP pipeline backend, and falls back to a sequential DO
-	// nest only when every backend declines. It also enables the
-	// re-merge pre-pass rejoining sibling nests whose unioned
-	// dependence vectors admit a π.
+	// DOALL first, then the automatic §4 wavefront restructuring, and
+	// falls back to a sequential DO nest when both decline. It also
+	// enables the re-merge pre-pass rejoining sibling nests whose
+	// unioned dependence vectors admit a π.
 	Hyperplane bool
-	// PipelineFirst flips the cascade's tie-break to prefer the
-	// pipeline backend over the wavefront transform (the
-	// WithSchedule(SchedulePipeline) variant). Meaningless without
-	// Hyperplane.
+	// PipelineFirst is ignored: it selected a cascade backend that no
+	// longer exists. It stays only because the repo benchmark
+	// (benchmark/layers.go) still sets it.
 	PipelineFirst bool
 }
 
@@ -381,16 +323,6 @@ func (p *Program) HasWavefront() bool {
 	return false
 }
 
-// HasPipeline reports whether the plan contains a PS-DSWP pipeline step.
-func (p *Program) HasPipeline() bool {
-	for i := range p.Steps {
-		if p.Steps[i].Op == OpPipeline {
-			return true
-		}
-	}
-	return false
-}
-
 // PointWise reports, per kernel, why the plan reaches it only one point
 // at a time, or "" when its enclosing loop hands it contiguous spans (a
 // leaf DOALL or DO, or a wavefront row).
@@ -417,7 +349,7 @@ func (p *Program) PointWise() []string {
 // equation steps directly in its body: "" for spans, else the reason
 // they run point-wise.
 func (p *Program) reach(parent int) string {
-	if parent < 0 || p.Steps[parent].Op == OpPipeline {
+	if parent < 0 {
 		return "no enclosing loop"
 	}
 	st := &p.Steps[parent]
@@ -443,17 +375,15 @@ type lowerer struct {
 }
 
 func (lw *lowerer) lower(fc core.Flowchart) {
-	for i := 0; i < len(fc); i++ {
-		switch x := fc[i].(type) {
+	for _, d := range fc {
+		switch x := d.(type) {
 		case *core.NodeDesc:
 			if x.Node.Eq != nil {
 				lw.p.Steps = append(lw.p.Steps, Step{Op: OpEq, Eq: lw.kernel(x.Node.Eq)})
 			}
 		case *core.LoopDesc:
 			if lw.opts.Hyperplane {
-				// The cascade may absorb downstream siblings into a
-				// pipeline step.
-				i += lw.lowerCascade(fc, i) - 1
+				lw.lowerCascade(x)
 			} else {
 				lw.lowerLoop(x)
 			}
@@ -524,73 +454,38 @@ func (lw *lowerer) tryRemerge(l *core.LoopDesc) (*core.LoopDesc, bool) {
 	return cand, true
 }
 
-// lowerCascade lowers the loop at fc[i] through the backend selection
-// cascade — DOALL, then wavefront, then pipeline (the last two swap
-// under Options.PipelineFirst) — records the Decision, and returns how
-// many region descriptors it consumed (a pipeline absorbs the
-// downstream sibling nests it stages).
-func (lw *lowerer) lowerCascade(fc core.Flowchart, i int) int {
-	l := fc[i].(*core.LoopDesc)
+// lowerCascade lowers l through the backend selection cascade — DOALL,
+// then wavefront, then a sequential DO nest — and records the Decision.
+// Decisions are kept in step order: a sequential nest's own precedes
+// those of the loops nested in it.
+func (lw *lowerer) lowerCascade(l *core.LoopDesc) {
 	step := len(lw.p.Steps)
+	at := len(lw.p.Cascade)
+	lw.p.Cascade = append(lw.p.Cascade, Decision{Step: step})
+	// lowerLoop appends the nested loops' decisions, which may move
+	// Cascade: no pointer into it is used after that call.
 	if l.Parallel {
 		lw.lowerLoop(l)
-		lw.p.Cascade = append(lw.p.Cascade, Decision{
-			Step:   step,
-			Nest:   lw.p.dimNames(&lw.p.Steps[step]),
-			Choice: "doall",
-		})
-		return 1
+		lw.p.Cascade[at].Nest, lw.p.Cascade[at].Choice = lw.p.dimNames(&lw.p.Steps[step]), "doall"
+		return
 	}
-	d := Decision{Step: step, Nest: l.Subrange.Name, Merged: lw.merged[l]}
-	d.Rejections = append(d.Rejections, Rejection{"doall", doallReason(l)})
-	consumed := 0
-	try := func(backend string) bool {
-		switch backend {
-		case "wavefront":
-			an, eqs, err := lw.wavefrontAnalysis(l)
-			if err != nil {
-				d.Rejections = append(d.Rejections, Rejection{"wavefront", err.Error()})
-				return false
-			}
-			lw.emitWavefront(an, eqs)
-			names := make([]string, len(an.Dims))
-			for k, dim := range an.Dims {
-				names[k] = dim.Name
-			}
-			d.Nest = strings.Join(names, ", ")
-			d.Choice = "wavefront"
-			d.Detail = fmt.Sprintf("pi = %s, window %d", vecString(an.Pi), an.Window)
-			consumed = 1
-			return true
-		case "pipeline":
-			pp, reason := lw.tryPipeline(fc, i)
-			if pp == nil {
-				d.Rejections = append(d.Rejections, Rejection{"pipeline", reason})
-				return false
-			}
-			lw.emitPipeline(l, pp)
-			d.Choice = "pipeline"
-			d.Detail = fmt.Sprintf("%d stages: 1 seq + %d par, window %d, stream %s",
-				1+len(pp.consumers), len(pp.consumers), pp.window, l.Subrange.Name)
-			consumed = 1 + len(pp.consumers)
-			return true
-		}
-		return false
+	d := &lw.p.Cascade[at]
+	d.Nest, d.Merged = l.Subrange.Name, lw.merged[l]
+	d.Rejections = []Rejection{{"doall", doallReason(l)}}
+	an, eqs, err := lw.wavefrontAnalysis(l)
+	if err != nil {
+		d.Rejections = append(d.Rejections, Rejection{"wavefront", err.Error()})
+		d.Choice = "sequential"
+		lw.lowerLoop(l)
+		return
 	}
-	order := []string{"wavefront", "pipeline"}
-	if lw.opts.PipelineFirst {
-		order = []string{"pipeline", "wavefront"}
+	names := make([]string, len(an.Dims))
+	for k, dim := range an.Dims {
+		names[k] = dim.Name
 	}
-	for _, b := range order {
-		if try(b) {
-			lw.p.Cascade = append(lw.p.Cascade, d)
-			return consumed
-		}
-	}
-	lw.lowerLoop(l)
-	d.Choice = "sequential"
-	lw.p.Cascade = append(lw.p.Cascade, d)
-	return 1
+	d.Nest, d.Choice = strings.Join(names, ", "), "wavefront"
+	d.Detail = fmt.Sprintf("pi = %s, window %d", vecString(an.Pi), an.Window)
+	lw.emitWavefront(an, eqs)
 }
 
 // doallReason explains why a sequential loop cannot be a DOALL.
@@ -844,9 +739,6 @@ func (p *Program) String() string {
 	if p.HasWavefront() {
 		variant += ", auto-hyperplane"
 	}
-	if p.HasPipeline() {
-		variant += ", pipelined"
-	}
 	fmt.Fprintf(&sb, "plan %s (%d steps, %d slots%s)\n", p.Module, len(p.Steps), len(p.Bounds), variant)
 	for i, b := range p.Bounds {
 		fmt.Fprintf(&sb, "  bound %s = %s .. %s [slot %d]\n",
@@ -899,35 +791,6 @@ func (p *Program) String() string {
 			}
 			sb.WriteByte('\n')
 			depth = append(depth, st.End)
-		case OpPipeline:
-			pp := st.Pipe
-			npar := 0
-			for _, sg := range pp.Stages {
-				if sg.Parallel {
-					npar++
-				}
-			}
-			fmt.Fprintf(&sb, "pipeline %s  stages %d (%d seq + %d par), window %d\n",
-				p.Bounds[pp.Stream].Subrange.Name, len(pp.Stages), len(pp.Stages)-npar, npar, pp.Window)
-			// The stage table: which body steps each stage owns and
-			// which upstream stages (with backward token distance) gate
-			// its tokens.
-			pad := strings.Repeat("    ", len(depth))
-			for k, sg := range pp.Stages {
-				kind := "seq"
-				if sg.Parallel {
-					kind = "par"
-				}
-				fmt.Fprintf(&sb, "      %sstage %d: %s steps %d..%d", pad, k, kind, sg.First, sg.End-1)
-				for di, dep := range sg.Deps {
-					if di == 0 {
-						sb.WriteString("  after")
-					}
-					fmt.Fprintf(&sb, " s%d+%d", dep.Stage, dep.Dist)
-				}
-				sb.WriteByte('\n')
-			}
-			depth = append(depth, st.End)
 		}
 	}
 	return sb.String()
@@ -936,46 +799,30 @@ func (p *Program) String() string {
 // Compact renders the loop program on one line in the flowchart's
 // Figure 6 style, with collapsed DOALL nests joined by "×":
 // "DOALL I×J (eq.1); DO K (DOALL I×J (eq.3)); ...".
-func (p *Program) Compact() string {
-	s, _ := p.compactRange(0, len(p.Steps))
-	return s
-}
+func (p *Program) Compact() string { return p.compactRange(0, len(p.Steps)) }
 
-func (p *Program) compactRange(lo, hi int) (string, int) {
+func (p *Program) compactRange(lo, hi int) string {
 	var parts []string
-	i := lo
-	for i < hi {
+	for i := lo; i < hi; {
 		st := &p.Steps[i]
-		switch st.Op {
-		case OpEq:
+		if st.Op == OpEq {
 			parts = append(parts, p.Eqs[st.Eq].Label)
 			i++
-		case OpPipeline:
-			// Stage bodies joined by "|" — the decoupled stages of one
-			// PS-DSWP step.
-			stages := make([]string, len(st.Pipe.Stages))
-			for k, sg := range st.Pipe.Stages {
-				stages[k], _ = p.compactRange(sg.First, sg.End)
-			}
-			parts = append(parts, fmt.Sprintf("PIPELINE[%s] (%s)",
-				p.Bounds[st.Pipe.Stream].Subrange.Name, strings.Join(stages, " | ")))
-			i = st.End
-		default:
-			kw := "DO"
-			switch st.Op {
-			case OpDoAll:
-				kw = "DOALL"
-			case OpWavefront:
-				kw = fmt.Sprintf("WAVEFRONT[pi=%s]", vecString(st.Hyper.Pi))
-			}
-			names := make([]string, len(st.Dims))
-			for j, s := range st.Dims {
-				names[j] = p.Bounds[s].Subrange.Name
-			}
-			body, _ := p.compactRange(i+1, st.End)
-			parts = append(parts, fmt.Sprintf("%s %s (%s)", kw, strings.Join(names, "×"), body))
-			i = st.End
+			continue
 		}
+		kw := "DO"
+		switch st.Op {
+		case OpDoAll:
+			kw = "DOALL"
+		case OpWavefront:
+			kw = fmt.Sprintf("WAVEFRONT[pi=%s]", vecString(st.Hyper.Pi))
+		}
+		names := make([]string, len(st.Dims))
+		for j, s := range st.Dims {
+			names[j] = p.Bounds[s].Subrange.Name
+		}
+		parts = append(parts, fmt.Sprintf("%s %s (%s)", kw, strings.Join(names, "×"), p.compactRange(i+1, st.End)))
+		i = st.End
 	}
-	return strings.Join(parts, "; "), i
+	return strings.Join(parts, "; ")
 }

@@ -429,21 +429,19 @@ end Reflect;
 	if p.HasWavefront() {
 		t.Errorf("non-constant-offset group was transformed:\n%s", p)
 	}
-	// Wavefront-ineligible is no longer sequential: the cascade falls
-	// through to the PS-DSWP pipeline backend, which decouples the
-	// recurrence nest from its downstream DOALL consumers.
-	if !p.HasPipeline() {
-		t.Errorf("wavefront-ineligible nest with DOALL consumers did not pipeline:\n%s", p)
+	// Wavefront-ineligible falls to the end of the cascade: the nest
+	// keeps its sequential DO chain, exactly as with the cascade off, and
+	// the decision records both rejections.
+	const want = "DO I (DO J (eq.2; eq.1)); DOALL I×J (eq.3); DOALL I×J (eq.4)"
+	if got := p.Compact(); got != want {
+		t.Errorf("compact auto plan = %q, want %q", got, want)
 	}
-	if got, want := p.Compact(), "PIPELINE[I] (DO J (eq.2; eq.1) | DOALL J (eq.3) | DOALL J (eq.4))"; got != want {
-		t.Errorf("compact pipeline plan = %q, want %q", got, want)
-	}
-	// With the cascade disabled the nest keeps its sequential DO chain.
-	base := lower(t, reflectSrc, "Reflect", plan.Options{})
-	if base.HasWavefront() || base.HasPipeline() {
-		t.Errorf("base plan restructured:\n%s", base)
-	}
-	if got, want := base.Compact(), "DO I (DO J (eq.2; eq.1)); DOALL I×J (eq.3); DOALL I×J (eq.4)"; got != want {
+	if got := lower(t, reflectSrc, "Reflect", plan.Options{}).Compact(); got != want {
 		t.Errorf("compact base plan = %q, want %q", got, want)
+	}
+	d := p.Cascade[0]
+	if d.Choice != "sequential" || len(d.Rejections) != 2 ||
+		d.Rejections[0].Backend != "doall" || d.Rejections[1].Backend != "wavefront" {
+		t.Errorf("cascade decision = %+v, want sequential after doall and wavefront rejections", d)
 	}
 }

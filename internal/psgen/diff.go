@@ -48,8 +48,8 @@ func (f Finding) String() string {
 type Outcome struct {
 	Spec Spec
 	// Backends marks cascade backends this program's lowering reached:
-	// "doall", "wavefront", "multi-wavefront", "pipeline",
-	// "sequential-reject", plus the runtime-observed "doacross".
+	// "doall", "wavefront", "multi-wavefront", "sequential-reject", plus
+	// the runtime-observed "doacross".
 	Backends map[string]bool
 	// SpecFallback reports that a non-strict parallel run executed at
 	// least one equation instance on the generic checked kernel.
@@ -89,7 +89,6 @@ func matrix(quick bool) []variant {
 			{name: "w2", opts: []ps.RunOption{ps.Workers(2)}, planes: true},
 			{name: "w2-fused", opts: []ps.RunOption{ps.Workers(2), ps.Fused()}},
 			{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, tiles: true},
-			{name: "w2-pipeline", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.SchedulePipeline)}},
 			{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
 			{name: "w2-traced", opts: []ps.RunOption{ps.Workers(2)}, traced: true},
 		}
@@ -105,7 +104,6 @@ func matrix(quick bool) []variant {
 		{name: "w2-fused", opts: []ps.RunOption{ps.Workers(2), ps.Fused()}},
 		{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, planes: true, tiles: true},
 		{name: "w4-doacross", opts: []ps.RunOption{ps.Workers(4), ps.Grain(1)}, planes: true, tiles: true},
-		{name: "w2-pipeline", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.SchedulePipeline)}},
 		{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
 		{name: "w2-nospec", opts: []ps.RunOption{ps.Workers(2), ps.NoSpecialize()}, strict: true},
 		{name: "w2-noarena", opts: []ps.RunOption{ps.Workers(2), ps.NoArena()}},
@@ -113,7 +111,6 @@ func matrix(quick bool) []variant {
 		{name: "seq-traced", opts: []ps.RunOption{ps.Sequential()}, traced: true},
 		{name: "w2-traced", opts: []ps.RunOption{ps.Workers(2)}, traced: true},
 		{name: "w2-doacross-traced", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, traced: true, tiles: true},
-		{name: "w2-pipeline-traced", opts: []ps.RunOption{ps.Workers(2), ps.WithSchedule(ps.SchedulePipeline)}, traced: true},
 	}
 }
 
@@ -268,8 +265,6 @@ func classify(pl *plan.Program, out *Outcome) {
 			} else {
 				out.Backends["wavefront"] = true
 			}
-		case "pipeline":
-			out.Backends["pipeline"] = true
 		case "sequential":
 			if len(d.Rejections) > 0 {
 				out.Backends["sequential-reject"] = true
@@ -356,8 +351,10 @@ func checkStats(out *Outcome, sp *Spec, v variant, ref, st *ps.RunStats, pl *pla
 }
 
 // checkTiming enforces the per-worker accounting identity of traced
-// runs: IdleNs is exactly the non-negative remainder of
-// Workers×Wall − Compute − Stall − BarrierIdle.
+// runs: IdleNs is exactly Workers×Wall − Compute − Stall − BarrierIdle,
+// and that remainder is never negative — no executor runs more than
+// Workers goroutines of one activation at a time, so the clamp on
+// IdleNs must not fire.
 func checkTiming(out *Outcome, v variant, st *ps.RunStats) {
 	b := st.Timing
 	if b == nil {
@@ -366,8 +363,7 @@ func checkTiming(out *Outcome, v variant, st *ps.RunStats) {
 	}
 	for name, ns := range map[string]int64{
 		"ComputeNs": b.ComputeNs, "DoacrossStallNs": b.DoacrossStallNs,
-		"PipelineStallNs": b.PipelineStallNs, "BarrierIdleNs": b.BarrierIdleNs,
-		"IdleNs": b.IdleNs, "WallNs": b.WallNs,
+		"BarrierIdleNs": b.BarrierIdleNs, "IdleNs": b.IdleNs, "WallNs": b.WallNs,
 	} {
 		if ns < 0 {
 			out.addf("stats", v.name, "timing %s = %d is negative", name, ns)
@@ -375,6 +371,8 @@ func checkTiming(out *Outcome, v variant, st *ps.RunStats) {
 	}
 	want := int64(b.Workers)*b.WallNs - b.ComputeNs - b.StallNs() - b.BarrierIdleNs
 	if want < 0 {
+		out.addf("stats", v.name, "timing oversubscribed: compute + stall = %d exceeds workers×wall = %d",
+			b.ComputeNs+b.StallNs(), int64(b.Workers)*b.WallNs)
 		want = 0
 	}
 	if b.IdleNs != want {

@@ -8,9 +8,8 @@
 // boundary initializers whose dependence-vector sets deterministically
 // land the scheduler selection cascade in one backend — DOALL,
 // single-equation wavefront, multi-equation wavefront, doacross-
-// favoured wavefront geometry, PS-DSWP pipeline, or rejected/
-// sequential — so a bounded campaign provably reaches every executor
-// path. Orthogonal knobs add §5-fusable sibling pairs, integer inputs,
+// favoured wavefront geometry, or rejected/sequential — so a bounded
+// campaign provably reaches every executor path. Orthogonal knobs add §5-fusable sibling pairs, integer inputs,
 // and deliberate escapes from the specializer's recognized body grammar
 // (reflected subscripts, non-finite arithmetic) so the generic checked
 // kernels and the non-finite JSON/C conventions are exercised too.
@@ -49,9 +48,12 @@ const (
 	// schedule.
 	ClassDoacross
 	// ClassPipeline generates a recurrence with a reflected-column read
-	// (not a constant offset, so the wavefront analysis refuses) plus
-	// downstream DOALL consumers streaming its rows: the PS-DSWP
-	// pipeline backend's shape.
+	// (not a constant offset, so the wavefront analysis refuses and the
+	// nest stays sequential) plus downstream DOALL consumers of its rows.
+	// It is named for the decoupled-pipeline backend that shape once
+	// targeted; it remains the generator's only sequential producer with
+	// a non-affine read feeding DOALL consumers, the shape behind the
+	// pinned §3.4 window regression (testdata/fuzz/seed5_pipeline).
 	ClassPipeline
 	// ClassSequential generates a 1-D first- or (odd Pattern) second-
 	// order recurrence with a boundary initializer equation and a

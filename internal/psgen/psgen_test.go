@@ -16,7 +16,7 @@ var backendTarget = map[Class]string{
 	ClassWavefront:      "wavefront",
 	ClassMultiWavefront: "multi-wavefront",
 	ClassDoacross:       "doacross",
-	ClassPipeline:       "pipeline",
+	ClassPipeline:       "sequential-reject",
 	ClassSequential:     "sequential-reject",
 }
 

@@ -10,7 +10,7 @@ import (
 // doacross tile executor) a campaign is expected to reach — the acceptance
 // counters of a generation report.
 var AllBackends = []string{
-	"doall", "wavefront", "multi-wavefront", "doacross", "pipeline", "sequential-reject",
+	"doall", "wavefront", "multi-wavefront", "doacross", "sequential-reject",
 }
 
 // Report aggregates the outcomes of a campaign: how many programs

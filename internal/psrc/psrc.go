@@ -165,13 +165,11 @@ define
 end Wavefront2D;
 `
 
-// Reflect is the pipeline-positive workload (also pinned as
+// Reflect is the cascade's sequential witness (also pinned as
 // testdata/reflect.ps): the reflected previous-row read X[I-1, N+1-J]
 // in eq.2 has no constant column offset, so the wavefront analysis
-// refuses the recurrence nest — but its outer dimension still streams
-// to the two DOALL output copies, so the lowering cascade decouples it
-// into a PS-DSWP pipeline: the sequential DO I (DO J) producer stage
-// feeding two replicated consumer stages.
+// refuses the recurrence nest and it stays a sequential DO I (DO J)
+// nest ahead of the two DOALL output copies.
 const Reflect = `
 Reflect: module (Seed: array[I,J] of real; N: int):
     [OutX: array [I,J] of real; OutY: array [I,J] of real];
@@ -196,9 +194,7 @@ end Reflect;
 // testdata/mutual.ps): two mutually recursive arrays whose scheduler
 // output is DO I (DO J (eq.2); DO J (eq.1)). The re-merge pre-pass
 // rejoins the sibling nests and the union of dependence vectors
-// {(1,0),(0,1)} admits pi = (1,1), so the auto cascade wavefronts it —
-// while the pipeline-first cascade decouples the same nest into stages
-// instead.
+// {(1,0),(0,1)} admits pi = (1,1), so the auto cascade wavefronts it.
 const Mutual = `
 Mutual: module (Seed: array[I,J] of real; N: int):
     [OutX: array [I,J] of real; OutY: array [I,J] of real];

@@ -1,5 +1,9 @@
-// Package sched implements the doacross pipelined executor for §4
-// wavefront nests — the only way a wavefront step uses the worker pool.
+// Package sched implements the doacross tile executor for §4 wavefront
+// nests — the only way a wavefront step uses the worker pool, and the
+// only parallel executor besides the DOALL chunk dispatch of
+// internal/par. Which plan a run executes is decided at lowering time
+// (the DOALL → wavefront → sequential cascade of internal/plan); this
+// package holds no schedule selection of its own.
 // Sweeping hyperplanes t = π·x one at a time with a pool-wide fork/join
 // per plane would pay a barrier on every plane, and on the narrow
 // leading and trailing diagonals of every sweep that barrier dominates

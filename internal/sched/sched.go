@@ -1,52 +1,12 @@
 package sched
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 )
-
-// Policy selects the order of the lowering cascade, i.e. which plan
-// variant a run executes. It never selects an executor: a wavefront
-// step's dispatch is a function of the activation's bounds (see
-// internal/interp).
-type Policy uint8
-
-const (
-	// PolicyAuto (the default) is the DOALL → wavefront → pipeline
-	// cascade.
-	PolicyAuto Policy = iota
-	// PolicyPipeline prefers the PS-DSWP pipeline backend in the plan
-	// cascade: nests with downstream DOALL consumer stages lower as
-	// decoupled pipeline steps even when a wavefront transform would
-	// also apply.
-	PolicyPipeline
-)
-
-// String names the policy the way flags spell it.
-func (p Policy) String() string {
-	switch p {
-	case PolicyAuto:
-		return "auto"
-	case PolicyPipeline:
-		return "pipeline"
-	}
-	return "?"
-}
-
-// ParsePolicy resolves a -schedule flag value.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "auto":
-		return PolicyAuto, nil
-	case "pipeline":
-		return PolicyPipeline, nil
-	}
-	return PolicyAuto, fmt.Errorf("invalid schedule %q (want auto or pipeline)", s)
-}
 
 // PredRange bounds the blocked-coordinate shift of the dependences that
 // reach a fixed number of hyperplanes back: a point with blocked

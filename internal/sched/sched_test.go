@@ -367,31 +367,6 @@ func TestPredTiles(t *testing.T) {
 	}
 }
 
-// TestPolicy pins the flag spellings.
-func TestPolicy(t *testing.T) {
-	for _, tc := range []struct {
-		s string
-		p Policy
-	}{{"auto", PolicyAuto}, {"pipeline", PolicyPipeline}} {
-		p, err := ParsePolicy(tc.s)
-		if err != nil || p != tc.p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", tc.s, p, err)
-		}
-		if p.String() != tc.s {
-			t.Errorf("Policy(%d).String() = %q, want %q", p, p.String(), tc.s)
-		}
-	}
-	// Executor names are not schedules: nothing selects an executor.
-	for _, s := range []string{"bogus", "barrier", "doacross"} {
-		if _, err := ParsePolicy(s); err == nil {
-			t.Errorf("ParsePolicy accepted %q", s)
-		}
-	}
-	if Policy(99).String() != "?" {
-		t.Error("unknown policy String")
-	}
-}
-
 // TestFloorDiv pins the rounding helper.
 func TestFloorDiv(t *testing.T) {
 	cases := [][3]int64{{7, 2, 3}, {-7, 2, -4}, {6, 3, 2}, {-6, 3, -2}, {0, 5, 0}, {-1, 10, -1}}

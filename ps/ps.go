@@ -55,7 +55,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/parser"
 	"repro/internal/plan"
-	"repro/internal/sched"
 	"repro/internal/sem"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -215,38 +214,6 @@ func WithHyperplane(mode HyperplaneMode) RunOption {
 	return func(o *interp.Options) { o.Hyperplane = mode }
 }
 
-// Schedule selects the order of the lowering cascade — which plan a
-// Runner executes (see WithSchedule). It never selects an executor: how
-// a wavefront step uses the pool is a function of the activation's
-// bounds, the worker count and Grain.
-type Schedule = sched.Policy
-
-const (
-	// ScheduleAuto (the default) is the DOALL → wavefront → pipeline
-	// cascade.
-	ScheduleAuto = sched.PolicyAuto
-	// SchedulePipeline reorders the lowering cascade to prefer the
-	// PS-DSWP pipeline backend over the wavefront restructuring:
-	// sequential recurrence nests with downstream DOALL consumers run as
-	// decoupled stages over bounded channels, and only nests the
-	// pipeline recognizer rejects fall back to wavefront analysis.
-	// Results are bitwise identical to the default schedule.
-	SchedulePipeline = sched.PolicyPipeline
-)
-
-// WithSchedule selects the backend preference of the lowering cascade
-// for a Runner (or, via EngineDefaults, for every Runner of an engine).
-// Both plans are bitwise identical; the choice is purely about
-// synchronization cost. Inert for sequential runs and modules with no
-// cascade-eligible nest.
-func WithSchedule(s Schedule) RunOption {
-	return func(o *interp.Options) { o.Schedule = s }
-}
-
-// ParseSchedule resolves a -schedule flag value ("auto" or "pipeline")
-// to the Schedule the CLIs pass to WithSchedule.
-func ParseSchedule(s string) (Schedule, error) { return sched.ParsePolicy(s) }
-
 // Run executes the named module. Scalar arguments are Go ints, float64s,
 // bools or strings; array arguments are *ps.Array. One value is returned
 // per declared module result.
@@ -285,24 +252,15 @@ func (m *Module) FlowchartFused() string { return core.Fuse(m.sched.Flowchart).C
 type PlanOptions struct {
 	// Fused selects the §5 loop-fused variant.
 	Fused bool
-	// Hyperplane selects whether the automatic restructuring cascade
-	// (§4 wavefront and PS-DSWP pipeline lowering) is applied; the zero
-	// value (HyperplaneAuto) matches the plan parallel runs execute by
-	// default.
+	// Hyperplane selects whether the DOALL → wavefront → sequential
+	// cascade (§4 wavefront lowering) is applied; the zero value
+	// (HyperplaneAuto) matches the plan parallel runs execute by default.
 	Hyperplane HyperplaneMode
-	// Schedule mirrors WithSchedule: SchedulePipeline selects the
-	// pipeline-first cascade variant the same runner option executes.
-	Schedule Schedule
 }
 
 // planFor resolves a plan variant.
 func (m *Module) planFor(o PlanOptions) *plan.Program {
-	hyper := o.Hyperplane == HyperplaneAuto
-	return m.prog.ip.Plan(m.sem.Name, plan.Options{
-		Fuse:          o.Fused,
-		Hyperplane:    hyper,
-		PipelineFirst: hyper && o.Schedule == SchedulePipeline,
-	})
+	return m.prog.ip.Plan(m.sem.Name, plan.Options{Fuse: o.Fused, Hyperplane: o.Hyperplane == HyperplaneAuto})
 }
 
 // Plan returns the lowered loop program — the flat, slot-resolved IR

@@ -98,31 +98,18 @@ func (r *Runner) Explain() string {
 	if r.opts.Hyperplane == HyperplaneOff {
 		mode += ", hyperplane off"
 	}
-	planOpts := plan.Options{
-		Fuse:          o.Fuse,
-		Hyperplane:    o.EffectiveHyperplane(),
-		PipelineFirst: o.EffectiveHyperplane() && o.Schedule == SchedulePipeline,
-	}
+	planOpts := plan.Options{Fuse: o.Fuse, Hyperplane: o.EffectiveHyperplane()}
 	pl := r.prog.ip.Plan(r.mod.sem.Name, planOpts)
 	variant := "base plan"
 	if r.opts.Fuse {
 		variant = "fused plan"
 	}
-	switch {
-	case pl.HasPipeline() && pl.HasWavefront():
-		variant = "auto-cascade (wavefront+pipeline) " + variant
-	case pl.HasPipeline():
-		variant = "auto-pipeline " + variant
-	case pl.HasWavefront():
+	if pl.HasWavefront() {
 		variant = "auto-hyperplane " + variant
 	}
-	if r.opts.Schedule == SchedulePipeline {
-		mode += ", schedule pipeline"
-	}
 	fmt.Fprintf(&sb, "runner %s: %s, %s\n", r.mod.Name(), mode, variant)
-	// The cascade report: per eligible nest, which backend won and why
-	// the earlier stages of the DOALL → wavefront → pipeline cascade
-	// (reordered under SchedulePipeline) were rejected.
+	// The cascade report: per nest, which backend won and why the earlier
+	// stages of the DOALL → wavefront → sequential cascade were rejected.
 	if planOpts.Hyperplane {
 		sb.WriteString(pl.CascadeReport())
 	}
@@ -187,20 +174,7 @@ func (r *Runner) Run(ctx context.Context, args []any) ([]any, *RunStats, error) 
 	}
 	start := time.Now()
 	results, err := r.prog.ip.RunCtx(ctx, r.mod.Name(), args, o)
-	stats := &RunStats{
-		EquationInstances:  st.EqInstances.Load(),
-		DOALLChunks:        st.Chunks.Load(),
-		WavefrontPlanes:    st.Planes.Load(),
-		DoacrossTiles:      st.Doacross.Tiles.Load(),
-		DoacrossStalls:     st.Doacross.Stalls.Load(),
-		DoacrossSteals:     st.Doacross.Steals.Load(),
-		PipelineStages:     st.PipelineStages.Load(),
-		StageStalls:        st.PipelineStalls.Load(),
-		SpecializedKernels: st.Specialized.Load(),
-		ArenaReuses:        st.ArenaReuses.Load(),
-		Workers:            effectiveWorkers(o),
-		WallTime:           time.Since(start),
-	}
+	stats := newRunStats(&st, effectiveWorkers(o), time.Since(start))
 	if err != nil {
 		return nil, stats, runError(r.mod.Name(), err)
 	}
@@ -248,20 +222,7 @@ func (r *Runner) RunBatch(ctx context.Context, batch []Args) ([]BatchResult, *Ru
 	}
 	start := time.Now()
 	results, errs, err := r.prog.ip.RunBatchCtx(ctx, r.mod.Name(), batch, o)
-	stats := &RunStats{
-		EquationInstances:  st.EqInstances.Load(),
-		DOALLChunks:        st.Chunks.Load(),
-		WavefrontPlanes:    st.Planes.Load(),
-		DoacrossTiles:      st.Doacross.Tiles.Load(),
-		DoacrossStalls:     st.Doacross.Stalls.Load(),
-		DoacrossSteals:     st.Doacross.Steals.Load(),
-		PipelineStages:     st.PipelineStages.Load(),
-		StageStalls:        st.PipelineStalls.Load(),
-		SpecializedKernels: st.Specialized.Load(),
-		ArenaReuses:        st.ArenaReuses.Load(),
-		Workers:            effectiveWorkers(o),
-		WallTime:           time.Since(start),
-	}
+	stats := newRunStats(&st, effectiveWorkers(o), time.Since(start))
 	if err != nil {
 		return nil, stats, runError(r.mod.Name(), err)
 	}

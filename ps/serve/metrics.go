@@ -34,8 +34,6 @@ type metrics struct {
 	doacrossTiles   atomic.Int64
 	doacrossStalls  atomic.Int64
 	doacrossSteals  atomic.Int64
-	pipelineStages  atomic.Int64
-	stageStalls     atomic.Int64
 	specialized     atomic.Int64
 	arenaReuses     atomic.Int64
 
@@ -71,8 +69,6 @@ func (m *metrics) noteRunStats(st *ps.RunStats) {
 	m.doacrossTiles.Add(st.DoacrossTiles)
 	m.doacrossStalls.Add(st.DoacrossStalls)
 	m.doacrossSteals.Add(st.DoacrossSteals)
-	m.pipelineStages.Add(st.PipelineStages)
-	m.stageStalls.Add(st.StageStalls)
 	m.specialized.Add(st.SpecializedKernels)
 	m.arenaReuses.Add(st.ArenaReuses)
 	m.runWall.observe(st.WallTime.Microseconds())
@@ -239,8 +235,6 @@ func (m *metrics) render(sb *strings.Builder, queueDepths []labeledValue, es ps.
 	counter("ps_run_doacross_tiles_total", "Doacross tile instances executed.", m.doacrossTiles.Load())
 	counter("ps_run_doacross_stalls_total", "Doacross workers parked on predecessor tiles.", m.doacrossStalls.Load())
 	counter("ps_run_doacross_steals_total", "Doacross tile instances run by non-home workers.", m.doacrossSteals.Load())
-	counter("ps_run_pipeline_stages_total", "PS-DSWP stages launched by decoupled pipeline steps.", m.pipelineStages.Load())
-	counter("ps_run_stage_stalls_total", "Pipeline stages blocked on starved or backpressured channels.", m.stageStalls.Load())
 	counter("ps_run_specialized_total", "Equation instances executed by specialized kernels.", m.specialized.Load())
 	counter("ps_run_arena_reuses_total", "Activation arrays recycled from the arena.", m.arenaReuses.Load())
 

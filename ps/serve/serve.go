@@ -32,8 +32,8 @@ type Config struct {
 	// CacheLimit bounds the owned engine's compiled-program cache in
 	// compiled-size bytes (0 = unbounded). Ignored when Engine is set.
 	CacheLimit int64
-	// RunOptions apply to every prepared Runner (schedule, hyperplane
-	// mode, grain, ...).
+	// RunOptions apply to every prepared Runner (hyperplane mode,
+	// grain, ...).
 	RunOptions []ps.RunOption
 
 	// BatchWindow is how long the batcher holds the first pending

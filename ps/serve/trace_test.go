@@ -284,8 +284,7 @@ func TestServeObsMetrics(t *testing.T) {
 	text := string(data)
 
 	for _, series := range []string{
-		"ps_run_pipeline_stages_total ",
-		"ps_run_stage_stalls_total ",
+		"ps_run_doacross_tiles_total ",
 		"ps_run_specialized_total ",
 		"ps_run_arena_reuses_total ",
 		"ps_run_wall_us_count ",
@@ -294,6 +293,11 @@ func TestServeObsMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("metrics missing series %s", series)
+		}
+	}
+	for _, gone := range []string{"ps_run_pipeline_stages_total", "ps_run_stage_stalls_total"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("metrics still export %s", gone)
 		}
 	}
 	for _, l := range strings.Split(text, "\n") {

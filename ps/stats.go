@@ -3,6 +3,8 @@ package ps
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/interp"
 )
 
 // RunStats reports per-run execution counters for capacity planning:
@@ -36,19 +38,12 @@ type RunStats struct {
 	DoacrossStalls int64
 	// DoacrossSteals counts tile instances executed by a worker other
 	// than the tile's home worker: how often work stealing rebalanced
-	// the pipeline.
+	// the tiles.
 	DoacrossSteals int64
-	// PipelineStages is the number of PS-DSWP stages launched by
-	// decoupled pipeline steps — one per stage per pipeline activation.
-	// Zero when no nest ran the pipeline backend concurrently (including
-	// sequential runs, where pipeline steps degenerate to stage-ordered
-	// loops).
-	PipelineStages int64
-	// StageStalls counts blocking waits inside pipeline runs: a stage
-	// starved on an empty input channel or backpressured on a full
-	// output channel — the decoupled schedule's residual
-	// synchronization cost.
-	StageStalls int64
+	// PipelineStages and StageStalls are always 0: they counted a
+	// pipeline backend that no longer exists. They stay only because the
+	// repo benchmark (benchmark/harness.go) still reads them.
+	PipelineStages, StageStalls int64
 	// SpecializedKernels is the number of equation instances executed
 	// by a specialized (strength-reduced, bounds-certified) kernel
 	// rather than the generic checked evaluator. At most
@@ -74,8 +69,24 @@ type RunStats struct {
 
 // String renders the stats on one line.
 func (s *RunStats) String() string {
-	return fmt.Sprintf("eq_instances=%d specialized=%d doall_chunks=%d wavefront_planes=%d doacross_tiles=%d doacross_stalls=%d doacross_steals=%d pipeline_stages=%d stage_stalls=%d arena_reuses=%d workers=%d wall=%s",
+	return fmt.Sprintf("eq_instances=%d specialized=%d doall_chunks=%d wavefront_planes=%d doacross_tiles=%d doacross_stalls=%d doacross_steals=%d arena_reuses=%d workers=%d wall=%s",
 		s.EquationInstances, s.SpecializedKernels, s.DOALLChunks, s.WavefrontPlanes,
-		s.DoacrossTiles, s.DoacrossStalls, s.DoacrossSteals, s.PipelineStages, s.StageStalls,
+		s.DoacrossTiles, s.DoacrossStalls, s.DoacrossSteals,
 		s.ArenaReuses, s.Workers, s.WallTime)
+}
+
+// newRunStats reads an activation's interpreter counters into RunStats.
+func newRunStats(st *interp.Stats, workers int, wall time.Duration) *RunStats {
+	return &RunStats{
+		EquationInstances:  st.EqInstances.Load(),
+		DOALLChunks:        st.Chunks.Load(),
+		WavefrontPlanes:    st.Planes.Load(),
+		DoacrossTiles:      st.Doacross.Tiles.Load(),
+		DoacrossStalls:     st.Doacross.Stalls.Load(),
+		DoacrossSteals:     st.Doacross.Steals.Load(),
+		SpecializedKernels: st.Specialized.Load(),
+		ArenaReuses:        st.ArenaReuses.Load(),
+		Workers:            workers,
+		WallTime:           wall,
+	}
 }

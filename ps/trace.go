@@ -18,8 +18,7 @@ type TimingBreakdown = obs.Breakdown
 
 // Trace is the recorded timeline of one TraceRun: per-worker spans of
 // every schedule step (activations, sequential DO nests, DOALL chunks,
-// inline wavefront planes, wavefront tiles and waits, pipeline stage
-// bodies and channel stalls).
+// inline wavefront planes, wavefront tiles and waits).
 // It is immutable once returned.
 type Trace struct {
 	rec     *obs.Recorder
@@ -31,7 +30,7 @@ type Trace struct {
 // WriteChrome renders the trace as Chrome trace-event JSON, loadable
 // in Perfetto (https://ui.perfetto.dev) and chrome://tracing. Each
 // worker ring is one thread row; spans carry their schedule category
-// and payload (plane t, tile coordinates, stage/token, point counts).
+// and payload (plane t, tile coordinates, point counts).
 func (t *Trace) WriteChrome(w io.Writer) error {
 	return t.rec.WriteChrome(w, t.process)
 }
@@ -75,20 +74,7 @@ func (r *Runner) TraceRun(ctx context.Context, args []any) ([]any, *RunStats, *T
 	results, err := r.prog.ip.RunCtx(ctx, r.mod.Name(), args, o)
 	wall := time.Since(start)
 	workers := effectiveWorkers(o)
-	stats := &RunStats{
-		EquationInstances:  st.EqInstances.Load(),
-		DOALLChunks:        st.Chunks.Load(),
-		WavefrontPlanes:    st.Planes.Load(),
-		DoacrossTiles:      st.Doacross.Tiles.Load(),
-		DoacrossStalls:     st.Doacross.Stalls.Load(),
-		DoacrossSteals:     st.Doacross.Steals.Load(),
-		PipelineStages:     st.PipelineStages.Load(),
-		StageStalls:        st.PipelineStalls.Load(),
-		SpecializedKernels: st.Specialized.Load(),
-		ArenaReuses:        st.ArenaReuses.Load(),
-		Workers:            workers,
-		WallTime:           wall,
-	}
+	stats := newRunStats(&st, workers, wall)
 	tr := &Trace{rec: rec, process: "ps/" + r.mod.Name(), workers: workers, wall: wall}
 	stats.Timing = tr.Breakdown()
 	r.lastTiming.Store(stats.Timing)
