@@ -24,6 +24,7 @@ internal/sched|repro/internal/sched|75|./internal/sched . ./ps ./internal/interp
 internal/interp|repro/internal/interp|75|. ./ps ./internal/interp ./internal/cgen
 internal/value|repro/internal/value|75|./internal/value . ./ps ./internal/interp
 ps/serve|repro/ps/serve|75|./ps/serve
+internal/jsonscan|repro/internal/jsonscan|75|./ps ./ps/serve
 internal/core|repro/internal/core|90|./internal/core
 internal/obs|repro/internal/obs|75|./internal/obs . ./ps ./internal/interp
 EOF

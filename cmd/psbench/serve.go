@@ -41,17 +41,17 @@ type serveResponse struct {
 }
 
 // runServeBench measures end-to-end requests/s through the HTTP
-// serving layer at client concurrencies 1, 8 and 64 — the coalescing
-// window turns concurrency into fused batch size, so the levels trace
-// the batch-DOALL throughput curve of the serving path.
+// serving layer at client concurrencies 1, 8 and 64 — requests that
+// queue while a batch runs form the next batch, so concurrency turns
+// into fused batch size and the levels trace the batch-DOALL throughput
+// curve of the serving path.
 func runServeBench(out string, workers int, per time.Duration) error {
 	const n = 2048
 	srv, err := serve.New(serve.Config{
-		Workers:     workers,
-		CacheLimit:  64 << 20,
-		BatchWindow: time.Millisecond,
-		MaxBatch:    64,
-		QueueDepth:  4096,
+		Workers:    workers,
+		CacheLimit: 64 << 20,
+		MaxBatch:   64,
+		QueueDepth: 4096,
 	})
 	if err != nil {
 		return err

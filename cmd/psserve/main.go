@@ -6,8 +6,9 @@
 //	psserve -programs ./testdata -addr :8080
 //
 // Every *.ps file in the program directory is compiled and served
-// under its base name. POST /v1/run executes a module activation
-// (coalesced into fused batch DOALLs across concurrent requests),
+// under its base name. POST /v1/run executes a module activation: an
+// idle server runs it at once, and activations that arrive while a
+// batch runs are coalesced into the next fused batch DOALL,
 // GET /metrics exposes Prometheus counters, GET /explain?program=&module=
 // prints a lowered plan, GET /healthz reports liveness, and POST
 // /reload re-reads the program directory. SIGINT/SIGTERM drain
@@ -41,8 +42,7 @@ func main() {
 		programs    = flag.String("programs", "", "directory of *.ps programs to serve (required)")
 		workers     = flag.Int("workers", 0, "worker pool width (0 = all CPUs)")
 		cacheLimit  = flag.Int64("cache-limit", 64<<20, "compiled-program cache budget in bytes (0 = unbounded)")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "how long to hold a batch open for coalescing")
-		maxBatch    = flag.Int("max-batch", 64, "dispatch a batch early at this many pending activations")
+		maxBatch    = flag.Int("max-batch", 64, "most queued activations one fused batch takes")
 		queueDepth  = flag.Int("queue-depth", 256, "per-tenant bound on queued activations")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant token-bucket rate in requests/s (0 = unlimited)")
 		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant token-bucket burst (default: ceil(rate))")
@@ -74,7 +74,6 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		Workers:     *workers,
 		CacheLimit:  *cacheLimit,
-		BatchWindow: *batchWindow,
 		MaxBatch:    *maxBatch,
 		QueueDepth:  *queueDepth,
 		TenantRate:  *tenantRate,

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"repro/internal/ast"
+	"repro/internal/jsonscan"
 	"repro/internal/sem"
 	"repro/internal/token"
 	"repro/internal/types"
@@ -210,36 +211,35 @@ func arrayFromJSON(raw json.RawMessage, elem types.Type, axes []value.Axis) (*va
 		}
 		n *= ext
 	}
-	s := arrayScanner{data: raw, arr: value.NewArray(kind, axes)}
-	s.space()
+	s := arrayScanner{Scanner: jsonscan.Scanner{Data: raw}, arr: value.NewArray(kind, axes)}
+	s.Space()
 	if err := s.list(0); err != nil {
 		return nil, err
 	}
-	if s.space(); s.pos < len(s.data) {
-		return nil, s.syntaxError()
+	if s.Space(); s.Pos < len(s.Data) {
+		return nil, s.SyntaxError()
 	}
 	return s.arr, nil
 }
 
-// arrayScanner is arrayFromJSON's cursor: the input, the read position,
+// arrayScanner is arrayFromJSON's cursor: the input and read position,
 // and the array being filled with the row-major offset of its next
 // element.
 type arrayScanner struct {
-	data []byte
-	pos  int
-	arr  *value.Array
-	off  int64
+	jsonscan.Scanner
+	arr *value.Array
+	off int64
 }
 
 // list scans the list at depth d, its elements and their sublists.
 func (s *arrayScanner) list(d int) error {
-	if !s.consume('[') {
+	if !s.Consume('[') {
 		return fmt.Errorf("expected a list at depth %d", d)
 	}
 	n := s.arr.Axes[d].Extent()
 	leaf := d == len(s.arr.Axes)-1
-	s.space()
-	if s.consume(']') {
+	s.Space()
+	if s.Consume(']') {
 		if n != 0 {
 			return fmt.Errorf("dimension %d has 0 elements, want %d", d+1, n)
 		}
@@ -258,17 +258,17 @@ func (s *arrayScanner) list(d int) error {
 		if err != nil {
 			return err
 		}
-		s.space()
+		s.Space()
 		switch {
-		case s.consume(','):
-			s.space()
-		case s.consume(']'):
+		case s.Consume(','):
+			s.Space()
+		case s.Consume(']'):
 			if k != n {
 				return fmt.Errorf("dimension %d has %d elements, want %d", d+1, k, n)
 			}
 			return nil
 		default:
-			return s.syntaxError()
+			return s.SyntaxError()
 		}
 	}
 }
@@ -279,8 +279,8 @@ func (s *arrayScanner) element() error {
 	switch {
 	case a.F != nil:
 		var f float64
-		if s.consume('"') {
-			str, err := s.stringBody()
+		if s.Consume('"') {
+			str, err := s.StringBody()
 			if err != nil {
 				return err
 			}
@@ -289,7 +289,7 @@ func (s *arrayScanner) element() error {
 				return s.elementError("is not a number")
 			}
 		} else {
-			lit, _ := s.number()
+			lit, _ := s.Number()
 			if lit == nil {
 				return s.elementError("is not a number")
 			}
@@ -302,15 +302,15 @@ func (s *arrayScanner) element() error {
 		a.F[s.off] = f
 	case a.B != nil:
 		switch {
-		case s.literal("true"):
+		case s.Literal("true"):
 			a.B[s.off] = true
-		case s.literal("false"):
+		case s.Literal("false"):
 			a.B[s.off] = false
 		default:
 			return s.elementError("is not a bool")
 		}
 	default:
-		lit, isInt := s.number()
+		lit, isInt := s.Number()
 		if !isInt {
 			return s.elementError("is not an integer")
 		}
@@ -322,122 +322,6 @@ func (s *arrayScanner) element() error {
 	}
 	s.off++
 	return nil
-}
-
-// number scans a number in JSON's grammar, the only one strconv is
-// handed, returning its literal and whether it is an integer (no
-// fraction or exponent). lit is nil when the input does not continue
-// with a well-formed number.
-func (s *arrayScanner) number() (lit []byte, isInt bool) {
-	d, i := s.data, s.pos
-	if i < len(d) && d[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(d) && d[i] == '0':
-		i++
-	case i < len(d) && '1' <= d[i] && d[i] <= '9':
-		i = digits(d, i+1)
-	default:
-		return nil, false
-	}
-	isInt = true
-	if i < len(d) && d[i] == '.' {
-		isInt = false
-		j := digits(d, i+1)
-		if j == i+1 {
-			return nil, false
-		}
-		i = j
-	}
-	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		isInt = false
-		i++
-		if i < len(d) && (d[i] == '+' || d[i] == '-') {
-			i++
-		}
-		j := digits(d, i)
-		if j == i {
-			return nil, false
-		}
-		i = j
-	}
-	lit, s.pos = d[s.pos:i], i
-	return lit, isInt
-}
-
-// digits returns the index of the first non-digit at or after i.
-func digits(d []byte, i int) int {
-	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// stringBody scans the rest of a string whose opening quote was
-// consumed and returns its value. A string without escapes is returned
-// as it stands, unvalidated: the caller only matches it against the
-// non-finite spellings, and a string encoding/json would refuse never
-// equals one. Escapes are left to encoding/json.
-func (s *arrayScanner) stringBody() (string, error) {
-	start, escaped := s.pos, false
-	for i := start; i < len(s.data); i++ {
-		switch s.data[i] {
-		case '"':
-			s.pos = i + 1
-			if !escaped {
-				return string(s.data[start:i]), nil
-			}
-			var str string
-			if err := json.Unmarshal(s.data[start-1:i+1], &str); err != nil {
-				return "", err
-			}
-			return str, nil
-		case '\\':
-			escaped = true
-			i++
-		}
-	}
-	s.pos = len(s.data)
-	return "", s.syntaxError()
-}
-
-// literal consumes word if the input continues with it.
-func (s *arrayScanner) literal(word string) bool {
-	if len(s.data)-s.pos >= len(word) && string(s.data[s.pos:s.pos+len(word)]) == word {
-		s.pos += len(word)
-		return true
-	}
-	return false
-}
-
-// consume consumes c if it is the next byte.
-func (s *arrayScanner) consume(c byte) bool {
-	if s.pos < len(s.data) && s.data[s.pos] == c {
-		s.pos++
-		return true
-	}
-	return false
-}
-
-// space skips JSON whitespace.
-func (s *arrayScanner) space() {
-	for s.pos < len(s.data) {
-		switch s.data[s.pos] {
-		case ' ', '\t', '\n', '\r':
-			s.pos++
-		default:
-			return
-		}
-	}
-}
-
-// syntaxError reports the byte at the read position.
-func (s *arrayScanner) syntaxError() error {
-	if s.pos >= len(s.data) {
-		return fmt.Errorf("unexpected end of JSON input")
-	}
-	return fmt.Errorf("invalid character %q at offset %d", s.data[s.pos], s.pos)
 }
 
 // elementError reports the element being scanned by its logical index.

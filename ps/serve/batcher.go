@@ -13,9 +13,10 @@ import (
 // listening (client disconnect): delivery is a non-blocking send into
 // the buffer.
 type pending struct {
-	tenant  *tenant
-	args    ps.Args
-	outcome chan outcome
+	tenant   *tenant
+	args     ps.Args
+	outcome  chan outcome
+	enqueued time.Time // start of the queue wait ps_serve_queue_wait_us observes
 }
 
 // outcome is what the batch execution resolved one request to.
@@ -26,10 +27,12 @@ type outcome struct {
 }
 
 // batcher coalesces pending activations of one (program, module) pair
-// into fused batches: requests accumulate for at most BatchWindow (or
-// until MaxBatch are waiting), then drain round-robin across tenants
-// into a single Runner.RunBatch call — the batch axis is the §5 fusion
-// argument applied to serving. One goroutine per batcher executes
+// into fused batches — the batch axis is the §5 fusion argument applied
+// to serving. It is work-conserving: an idle batcher dispatches the
+// first request at once, and the requests that queue while a batch runs
+// become the next batch, up to MaxBatch of them drained round-robin
+// across tenants into a single Runner.RunBatch call. Batches grow with
+// load and never wait on a timer. One goroutine per batcher executes
 // batches in arrival order; distinct (program, module) pairs batch and
 // run independently.
 type batcher struct {
@@ -67,6 +70,7 @@ func (b *batcher) enqueue(p *pending) bool {
 		b.mu.Unlock()
 		return false
 	}
+	p.enqueued = time.Now()
 	name := p.tenant.name
 	if len(b.queues[name]) == 0 {
 		b.order = append(b.order, name)
@@ -124,11 +128,12 @@ func (b *batcher) takeLocked(max int) []*pending {
 	return out
 }
 
-// loop is the batcher goroutine: wait for the first pending request,
-// hold the batch window open (unless the batch fills or the batcher
-// closes first), then drain and execute fused batches until empty.
+// loop is the batcher goroutine: wait until a request is pending, take
+// what has queued (at most MaxBatch) and execute it as one batch; exit
+// once closed and empty.
 func (b *batcher) loop() {
 	defer close(b.stopped)
+	m := b.srv.metrics
 	for {
 		b.mu.Lock()
 		for b.total == 0 && !b.closed {
@@ -136,47 +141,24 @@ func (b *batcher) loop() {
 			<-b.wake
 			b.mu.Lock()
 		}
-		if b.total == 0 && b.closed {
-			b.mu.Unlock()
+		reqs := b.takeLocked(b.srv.cfg.MaxBatch)
+		b.mu.Unlock()
+		if len(reqs) == 0 {
 			return
 		}
-		window := b.srv.cfg.BatchWindow
-		full := b.total >= b.srv.cfg.MaxBatch || b.closed
-		b.mu.Unlock()
-
-		if window > 0 && !full {
-			timer := time.NewTimer(window)
-		wait:
-			for {
-				select {
-				case <-timer.C:
-					break wait
-				case <-b.wake:
-					b.mu.Lock()
-					full = b.total >= b.srv.cfg.MaxBatch || b.closed
-					b.mu.Unlock()
-					if full {
-						timer.Stop()
-						break wait
-					}
-				}
-			}
+		now := time.Now()
+		for _, p := range reqs {
+			m.queueWait.observe(now.Sub(p.enqueued).Microseconds())
 		}
-
-		for {
-			b.mu.Lock()
-			reqs := b.takeLocked(b.srv.cfg.MaxBatch)
-			b.mu.Unlock()
-			if len(reqs) == 0 {
-				break
-			}
-			b.execute(reqs)
-		}
+		b.execute(reqs)
 	}
 }
 
 // execute runs one fused batch and delivers per-request outcomes.
 func (b *batcher) execute(reqs []*pending) {
+	if hook := b.srv.execHook; hook != nil {
+		hook(len(reqs))
+	}
 	args := make([]ps.Args, len(reqs))
 	for i, p := range reqs {
 		args[i] = p.args

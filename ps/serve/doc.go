@@ -5,11 +5,19 @@
 // when N independent activations of the same module are pending, the
 // batch index appears in no subscript expression, so the dependence
 // test trivially admits a fused batch DOALL over the batch axis. The
-// server's batcher coalesces pending activations per (program, module)
-// pair within a configurable window and dispatches them as one
-// Runner.RunBatch call — results are bitwise identical to N sequential
-// Runner.Run calls, because every plan variant in this repository
-// computes identical values by construction.
+// server's batcher per (program, module) pair is work-conserving: an
+// idle batcher runs a request at once, and the activations that queue
+// while a batch runs are dispatched together as the next
+// Runner.RunBatch call, so batches grow with load and no request waits
+// on a timer. Results are bitwise identical to N sequential Runner.Run
+// calls, because every plan variant in this repository computes
+// identical values by construction.
+//
+// A /v1/run body is read into a pooled buffer and its envelope split in
+// one validating pass, each input handed to ps.ArgsFromJSON as a
+// sub-slice of the buffer; a body outside the canonical subset that
+// pass accepts is decoded by encoding/json, so what is accepted, and
+// every error text, is encoding/json's.
 //
 // Around that core the package provides the operational surface a
 // shared engine needs:
@@ -24,8 +32,9 @@
 //     /reload re-reads the program directory, and the content-hash
 //     cache key makes unchanged programs free.
 //   - Observability: /metrics exposes Prometheus text-format counters
-//     (requests, rejections, batch-size histogram, queue depths, the
-//     run counters from RunStats, and engine cache stats), /explain
+//     (requests, rejections, batch-size and queue-wait histograms,
+//     queue depths, the run counters from RunStats, and engine cache
+//     stats), /explain
 //     prints a module's lowered plan, /healthz reports liveness.
 //
 // See cmd/psserve for the standalone binary.

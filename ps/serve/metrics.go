@@ -40,6 +40,9 @@ type metrics struct {
 	// runWall is the fused-dispatch wall time in microseconds — the
 	// run-timing histogram scrapes see without tracing.
 	runWall *histogram
+	// queueWait is each batched request's wait in microseconds, from
+	// enqueue to the start of its batch.
+	queueWait *histogram
 	// httpLatency is per-endpoint request latency in microseconds.
 	httpLatency *labeledHistogram
 	// tracedRuns counts ?trace=1 activations served.
@@ -52,6 +55,7 @@ func newMetrics() *metrics {
 		rejected:  newLabeledCounter(),
 		batchSize: newHistogram(1, 2, 4, 8, 16, 32, 64, 128),
 		runWall:   newHistogram(100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 1000000),
+		queueWait: newHistogram(10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 1000000),
 		httpLatency: newLabeledHistogram(
 			100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 1000000),
 	}
@@ -199,15 +203,9 @@ func (m *metrics) render(sb *strings.Builder, queueDepths []labeledValue, es ps.
 	counter("ps_serve_reloads_total", "Successful program reload sweeps.", m.reloads.Load())
 
 	fmt.Fprintf(sb, "# HELP ps_serve_batch_size Elements per dispatched batch.\n# TYPE ps_serve_batch_size histogram\n")
-	var cum int64
-	for i, bound := range m.batchSize.bounds {
-		cum += m.batchSize.buckets[i].Load()
-		fmt.Fprintf(sb, "ps_serve_batch_size_bucket{le=\"%d\"} %d\n", bound, cum)
-	}
-	cum += m.batchSize.buckets[len(m.batchSize.bounds)].Load()
-	fmt.Fprintf(sb, "ps_serve_batch_size_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(sb, "ps_serve_batch_size_sum %d\n", m.batchSize.sum.Load())
-	fmt.Fprintf(sb, "ps_serve_batch_size_count %d\n", m.batchSize.count.Load())
+	writeHistogram(sb, "ps_serve_batch_size", "", m.batchSize)
+	fmt.Fprintf(sb, "# HELP ps_serve_queue_wait_us Wait of each batched request in microseconds, from enqueue to the start of its batch.\n# TYPE ps_serve_queue_wait_us histogram\n")
+	writeHistogram(sb, "ps_serve_queue_wait_us", "", m.queueWait)
 
 	fmt.Fprintf(sb, "# HELP ps_serve_queue_depth Requests queued per tenant, awaiting a batch.\n# TYPE ps_serve_queue_depth gauge\n")
 	for _, lv := range queueDepths {
@@ -216,15 +214,7 @@ func (m *metrics) render(sb *strings.Builder, queueDepths []labeledValue, es ps.
 
 	fmt.Fprintf(sb, "# HELP ps_serve_http_latency_us Request latency in microseconds, by endpoint.\n# TYPE ps_serve_http_latency_us histogram\n")
 	for _, ls := range m.httpLatency.snapshot() {
-		var cum int64
-		for i, bound := range ls.h.bounds {
-			cum += ls.h.buckets[i].Load()
-			fmt.Fprintf(sb, "ps_serve_http_latency_us_bucket{endpoint=%q,le=\"%d\"} %d\n", ls.label, bound, cum)
-		}
-		cum += ls.h.buckets[len(ls.h.bounds)].Load()
-		fmt.Fprintf(sb, "ps_serve_http_latency_us_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ls.label, cum)
-		fmt.Fprintf(sb, "ps_serve_http_latency_us_sum{endpoint=%q} %d\n", ls.label, ls.h.sum.Load())
-		fmt.Fprintf(sb, "ps_serve_http_latency_us_count{endpoint=%q} %d\n", ls.label, ls.h.count.Load())
+		writeHistogram(sb, "ps_serve_http_latency_us", fmt.Sprintf("endpoint=%q", ls.label), ls.h)
 	}
 
 	counter("ps_serve_traced_runs_total", "Activations executed with ?trace=1 recording.", m.tracedRuns.Load())
@@ -239,19 +229,30 @@ func (m *metrics) render(sb *strings.Builder, queueDepths []labeledValue, es ps.
 	counter("ps_run_arena_reuses_total", "Activation arrays recycled from the arena.", m.arenaReuses.Load())
 
 	fmt.Fprintf(sb, "# HELP ps_run_wall_us Fused-dispatch wall time in microseconds.\n# TYPE ps_run_wall_us histogram\n")
-	var cumWall int64
-	for i, bound := range m.runWall.bounds {
-		cumWall += m.runWall.buckets[i].Load()
-		fmt.Fprintf(sb, "ps_run_wall_us_bucket{le=\"%d\"} %d\n", bound, cumWall)
-	}
-	cumWall += m.runWall.buckets[len(m.runWall.bounds)].Load()
-	fmt.Fprintf(sb, "ps_run_wall_us_bucket{le=\"+Inf\"} %d\n", cumWall)
-	fmt.Fprintf(sb, "ps_run_wall_us_sum %d\n", m.runWall.sum.Load())
-	fmt.Fprintf(sb, "ps_run_wall_us_count %d\n", m.runWall.count.Load())
+	writeHistogram(sb, "ps_run_wall_us", "", m.runWall)
 
 	counter("ps_engine_cache_hits_total", "Compile calls served from the program cache.", es.CacheHits)
 	counter("ps_engine_cache_misses_total", "Compile calls that missed the program cache.", es.CacheMisses)
 	counter("ps_engine_cache_evictions_total", "Programs evicted from the cache by the LRU budget.", es.CacheEvictions)
 	gauge("ps_engine_cache_programs", "Programs currently cached.", int64(es.CachedPrograms))
 	gauge("ps_engine_cache_bytes", "Compiled-size accounting of cached programs.", es.CacheBytes)
+}
+
+// writeHistogram renders one histogram's series: cumulative buckets, sum
+// and count. labels is the series' label set without braces (e.g.
+// endpoint="run"), or empty.
+func writeHistogram(sb *strings.Builder, name, labels string, h *histogram) {
+	sel, le := "", ""
+	if labels != "" {
+		sel, le = "{"+labels+"}", labels+","
+	}
+	var cum int64
+	for i, bound := range h.bounds {
+		cum += h.buckets[i].Load()
+		fmt.Fprintf(sb, "%s_bucket{%sle=\"%d\"} %d\n", name, le, bound, cum)
+	}
+	cum += h.buckets[len(h.bounds)].Load()
+	fmt.Fprintf(sb, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, cum)
+	fmt.Fprintf(sb, "%s_sum%s %d\n", name, sel, h.sum.Load())
+	fmt.Fprintf(sb, "%s_count%s %d\n", name, sel, h.count.Load())
 }

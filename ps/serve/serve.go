@@ -19,8 +19,10 @@ import (
 )
 
 // Config parameterizes a Server. The zero value is usable: an owned
-// engine with all CPUs, a 2ms batch window, batches of up to 64, a
-// 256-deep per-tenant queue and no rate quota.
+// engine with all CPUs, batches of up to 64, a 256-deep per-tenant
+// queue and no rate quota. There is no batching delay to set: a batcher
+// dispatches as soon as it is idle, and a batch is whatever queued while
+// the previous one ran.
 type Config struct {
 	// Engine, when non-nil, is the execution engine to serve from; the
 	// server does not close it. When nil the server creates (and owns)
@@ -36,12 +38,8 @@ type Config struct {
 	// grain, ...).
 	RunOptions []ps.RunOption
 
-	// BatchWindow is how long the batcher holds the first pending
-	// activation open for coalescing (default 2ms; negative disables
-	// the window, batching only what is already queued).
-	BatchWindow time.Duration
-	// MaxBatch closes a batch early when this many activations are
-	// pending (default 64).
+	// MaxBatch bounds how many queued activations one fused batch
+	// takes (default 64).
 	MaxBatch int
 	// QueueDepth bounds each tenant's queued-but-unbatched requests
 	// (default 256; negative disables the bound).
@@ -70,12 +68,6 @@ type Config struct {
 
 // withDefaults resolves the zero values.
 func (c Config) withDefaults() Config {
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.BatchWindow < 0 {
-		c.BatchWindow = 0
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -121,6 +113,11 @@ type Server struct {
 	programs map[string]*servedProgram
 	tenants  map[string]*tenant
 	batchers map[string]*batcher
+
+	// execHook, when set (by tests only), is called at the top of every
+	// batch execution with the batch size, so a test can hold a batch
+	// while it queues requests behind it.
+	execHook func(batch int)
 }
 
 // servedProgram is one compiled source with its prepared runners.
@@ -383,14 +380,6 @@ func (s *Server) Close() {
 	}
 }
 
-// runRequest is the /v1/run payload.
-type runRequest struct {
-	Program string                     `json:"program"`
-	Module  string                     `json:"module"`
-	Tenant  string                     `json:"tenant,omitempty"`
-	Inputs  map[string]json.RawMessage `json:"inputs"`
-}
-
 // runResponse is the /v1/run success payload. TraceID and Timing are
 // present only on ?trace=1 runs: the ID retrieves the Chrome trace via
 // GET /v1/trace, the breakdown summarizes where worker time went.
@@ -413,6 +402,16 @@ type errorResponse struct {
 // maxBody bounds request payloads (arrays travel as JSON).
 const maxBody = 64 << 20
 
+// queueFullRetrySeconds is the Retry-After of a full tenant queue. The
+// queue empties as fast as batches execute, well under a second, so the
+// smallest whole-second hint is the honest one.
+const queueFullRetrySeconds = 1
+
+// handleRun serves POST /v1/run: it reads the body into a pooled buffer
+// and splits the envelope in one pass (readRunRequest), converts the
+// inputs while they still alias that buffer, admits the request, and
+// queues it on its (program, module) batcher, which runs it in the next
+// fused batch; traced runs execute alone instead.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -423,9 +422,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var req runRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	if err := dec.Decode(&req); err != nil {
+	buf := getBody(r.ContentLength)
+	defer func() { putBody(buf) }()
+	req, err := readRunRequest(buf, http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -458,6 +458,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// args own their storage; the raw inputs alias buf, which the next
+	// request may now reuse.
+	putBody(buf)
+	buf, req.Inputs = nil, nil
 
 	// Admission: quota first (cheap, no state to roll back), then the
 	// queue-depth reservation the batcher releases on drain.
@@ -475,7 +479,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if !t.tryEnqueue(s.cfg.QueueDepth) {
 		s.metrics.rejected.add("queue_full", 1)
-		s.reject(w, http.StatusTooManyRequests, retrySeconds(s.cfg.BatchWindow), fmt.Sprintf("tenant %q queue is full", tenantName))
+		s.reject(w, http.StatusTooManyRequests, queueFullRetrySeconds, fmt.Sprintf("tenant %q queue is full", tenantName))
 		return
 	}
 

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -113,27 +114,133 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-// postRun issues one /v1/run and returns status, headers and body.
-func postRun(t *testing.T, ts *httptest.Server, tenant, prog, module string, i int) (int, http.Header, []byte) {
-	t.Helper()
+// runBody is the /v1/run request body of the i-th input set.
+func runBody(tenant, prog, module string, i int) []byte {
 	payload := map[string]any{"program": prog, "module": module, "inputs": testInputs(prog, i)}
 	if tenant != "" {
 		payload["tenant"] = tenant
 	}
 	body, err := json.Marshal(payload)
 	if err != nil {
-		t.Fatal(err)
+		panic(err) // testInputs holds only numbers
 	}
-	resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+	return body
+}
+
+// tryRun issues one /v1/run and returns status, headers and body; it is
+// safe off the test goroutine.
+func tryRun(ts *httptest.Server, tenant, prog, module string, i int) (int, http.Header, []byte, error) {
+	resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(runBody(tenant, prog, module, i)))
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, resp.Header, data, err
+}
+
+// postRun is tryRun on the test goroutine, failing the test on a
+// transport error.
+func postRun(t *testing.T, ts *httptest.Server, tenant, prog, module string, i int) (int, http.Header, []byte) {
+	t.Helper()
+	code, hdr, data, err := tryRun(ts, tenant, prog, module, i)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, resp.Header, data
+	return code, hdr, data
+}
+
+// runResult is one asynchronous /v1/run's reply.
+type runResult struct {
+	code int
+	body []byte
+	err  error
+}
+
+// goRun issues one /v1/run on its own goroutine; the channel receives
+// the reply.
+func goRun(ts *httptest.Server, tenant, prog, module string, i int) <-chan runResult {
+	c := make(chan runResult, 1)
+	go func() {
+		code, _, body, err := tryRun(ts, tenant, prog, module, i)
+		c <- runResult{code, body, err}
+	}()
+	return c
+}
+
+// batchHold holds every batch of a server at the top of its execution
+// until release, recording each batch's size as it arrives.
+type batchHold struct {
+	gate  chan struct{}
+	once  sync.Once
+	mu    sync.Mutex
+	sizes []int
+}
+
+// holdBatches installs a batchHold on srv; it must run before the
+// server's first request. The hold is released at cleanup at the
+// latest, so the server can close.
+func holdBatches(t *testing.T, srv *Server) *batchHold {
+	h := &batchHold{gate: make(chan struct{})}
+	srv.execHook = func(n int) {
+		h.mu.Lock()
+		h.sizes = append(h.sizes, n)
+		h.mu.Unlock()
+		<-h.gate
+	}
+	t.Cleanup(h.release)
+	return h
+}
+
+func (h *batchHold) release() { h.once.Do(func() { close(h.gate) }) }
+
+// batches returns the sizes of the batches that reached the hold so far.
+func (h *batchHold) batches() []int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]int(nil), h.sizes...)
+}
+
+// queuedTotal counts the requests waiting in the server's batchers.
+func queuedTotal(srv *Server) int {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	n := 0
+	for _, b := range srv.batchers {
+		b.mu.Lock()
+		n += b.total
+		b.mu.Unlock()
+	}
+	return n
+}
+
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// checkRun requires a 200 reply whose results equal want byte for byte,
+// and returns its batch size.
+func checkRun(t *testing.T, label string, r runResult, want string) int {
+	t.Helper()
+	if r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("%s: status %d, err %v: %s", label, r.code, r.err, r.body)
+	}
+	var rr rawResponse
+	if err := json.Unmarshal(r.body, &rr); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if string(rr.Results) != want {
+		t.Errorf("%s: results differ from a direct run:\n got %s\nwant %s", label, rr.Results, want)
+	}
+	return rr.BatchSize
 }
 
 // rawResponse decodes just enough of a /v1/run reply to compare the
@@ -147,14 +254,16 @@ type rawResponse struct {
 // hammer two programs concurrently, responses are coalesced into fused
 // batches, and every response must equal — bitwise, via the canonical
 // JSON encoding — a direct sequential Runner.Run of the same
-// activation. Run with -race.
+// activation. The first batch of each program is held until every
+// goroutine's first request has queued, so fused batches of several
+// requests are certain. Run with -race.
 func TestServeBatchParityStress(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		Workers:     4,
-		BatchWindow: 500 * time.Microsecond,
-		MaxBatch:    16,
-		QueueDepth:  1024,
+		Workers:    4,
+		MaxBatch:   16,
+		QueueDepth: 1024,
 	})
+	hold := holdBatches(t, srv)
 
 	const inputsPerProgram = 3
 	refs := make(map[string]string)
@@ -176,7 +285,11 @@ func TestServeBatchParityStress(t *testing.T) {
 			for r := 0; r < runsEach; r++ {
 				prog := progNames[(g+r)%len(progNames)]
 				i := (g * r) % inputsPerProgram
-				code, _, body := postRun(t, ts, tenant, prog, testPrograms[prog].module, i)
+				code, _, body, err := tryRun(ts, tenant, prog, testPrograms[prog].module, i)
+				if err != nil {
+					errc <- err
+					continue
+				}
 				if code != http.StatusOK {
 					errc <- fmt.Errorf("%s/%d: status %d: %s", prog, i, code, body)
 					continue
@@ -195,10 +308,24 @@ func TestServeBatchParityStress(t *testing.T) {
 			}
 		}(g)
 	}
+	// Both programs have one batch held; the other first requests wait
+	// behind them.
+	waitFor(t, "the first requests to queue", func() bool {
+		held := 0
+		for _, n := range hold.batches() {
+			held += n
+		}
+		return len(hold.batches()) == len(progNames) && held+queuedTotal(srv) == goroutines
+	})
+	hold.release()
 	wg.Wait()
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+	// Four first requests per program ran in at most two batches.
+	if sizes := hold.batches(); slices.Max(sizes) < 2 {
+		t.Errorf("no fused batch: batch sizes %v", sizes)
 	}
 
 	// The stress must have produced real batching state: every request
@@ -250,9 +377,9 @@ func TestServeQuota(t *testing.T) {
 
 // TestServeQuotaRetryAfterGrows pins the end-to-end Retry-After hint on
 // a drained bucket: repeated rejections quote growing waits derived from
-// the bucket's actual refill rate — and far above the momentary
-// batch-window hint a full queue quotes — instead of a constant ~1s
-// that would stampede every backed-off client at once.
+// the bucket's actual refill rate — and far above the one-second hint a
+// full queue quotes — instead of a constant ~1s that would stampede
+// every backed-off client at once.
 func TestServeQuotaRetryAfterGrows(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:    2,
@@ -278,96 +405,72 @@ func TestServeQuotaRetryAfterGrows(t *testing.T) {
 		}
 		prev = ra
 	}
-	// The drained-bucket wait dwarfs a queue-full hint, which quotes at
-	// most the batch window (whole seconds, minimum 1).
-	if queueHint := retrySeconds(time.Second); prev <= queueHint {
-		t.Errorf("drained-bucket Retry-After %d not above queue-full hint %d", prev, queueHint)
+	// The drained-bucket wait dwarfs the queue-full hint.
+	if prev <= queueFullRetrySeconds {
+		t.Errorf("drained-bucket Retry-After %d not above queue-full hint %d", prev, queueFullRetrySeconds)
 	}
 }
 
-// TestServeQueueFull pins backpressure: with a queue depth of 1 and a
-// long batch window, a second concurrent request is rejected with 429
-// while the first is still waiting for its batch.
+// TestServeQueueFull pins backpressure: with a queue depth of 1, request
+// A executes (held), B takes the one queue slot, and C is rejected with
+// 429 and the queue-full Retry-After; both admitted requests then
+// complete.
 func TestServeQueueFull(t *testing.T) {
-	srv, ts := newTestServer(t, Config{
-		Workers:     2,
-		BatchWindow: 400 * time.Millisecond,
-		QueueDepth:  1,
-	})
-	type result struct {
-		code int
-		body []byte
-	}
-	first := make(chan result, 1)
-	go func() {
-		code, _, body := postRun(t, ts, "", "smooth", "Smooth", 0)
-		first <- result{code, body}
-	}()
-	// Wait until the first request holds the queue slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.tenantFor("default").queued.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	code, hdr, body := postRun(t, ts, "", "smooth", "Smooth", 1)
+	srv, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 1})
+	hold := holdBatches(t, srv)
+	a := goRun(ts, "", "smooth", "Smooth", 0)
+	waitFor(t, "A's batch to start", func() bool { return len(hold.batches()) == 1 })
+	b := goRun(ts, "", "smooth", "Smooth", 1)
+	waitFor(t, "B to queue", func() bool { return queuedTotal(srv) == 1 })
+
+	code, hdr, body := postRun(t, ts, "", "smooth", "Smooth", 2)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-depth request: %d: %s", code, body)
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("queue-full rejection missing Retry-After")
+	if got := hdr.Get("Retry-After"); got != strconv.Itoa(queueFullRetrySeconds) {
+		t.Errorf("queue-full Retry-After = %q, want %d", got, queueFullRetrySeconds)
 	}
 	if !strings.Contains(string(body), "queue is full") {
 		t.Errorf("queue-full body: %s", body)
 	}
-	if r := <-first; r.code != http.StatusOK {
-		t.Fatalf("queued request: %d: %s", r.code, r.body)
-	}
+	hold.release()
+	checkRun(t, "A", <-a, referenceJSON(t, "smooth", 0))
+	checkRun(t, "B", <-b, referenceJSON(t, "smooth", 1))
 }
 
-// TestServeDrain pins graceful shutdown: a request waiting in a batch
-// window completes when Drain flushes it, and the drained server
-// answers 503 (run) / 503 (healthz) afterwards.
+// TestServeDrain pins graceful shutdown: with A's batch held and B
+// queued behind it, Drain returns only after both have answered 200
+// with results equal to direct runs, and the drained server answers 503
+// (run) / 503 (healthz) afterwards.
 func TestServeDrain(t *testing.T) {
-	srv, ts := newTestServer(t, Config{
-		Workers:     2,
-		BatchWindow: 10 * time.Second, // only drain can flush this
-	})
-	want := referenceJSON(t, "smooth", 0)
-	type result struct {
-		code int
-		body []byte
-	}
-	first := make(chan result, 1)
-	go func() {
-		code, _, body := postRun(t, ts, "", "smooth", "Smooth", 0)
-		first <- result{code, body}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.tenantFor("default").queued.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	hold := holdBatches(t, srv)
+	a := goRun(ts, "", "smooth", "Smooth", 0)
+	waitFor(t, "A's batch to start", func() bool { return len(hold.batches()) == 1 })
+	b := goRun(ts, "", "smooth", "Smooth", 1)
+	waitFor(t, "B to queue", func() bool { return queuedTotal(srv) == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(ctx) }()
+	waitFor(t, "Drain to stop admission", srv.draining.Load)
+	hold.release()
+	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	r := <-first
-	if r.code != http.StatusOK {
-		t.Fatalf("in-flight request during drain: %d: %s", r.code, r.body)
+	// Drain returned after both handlers had answered.
+	var answered int64
+	for _, lv := range srv.metrics.requests.snapshot() {
+		if lv.label == "200" {
+			answered = lv.value
+		}
 	}
-	var rr rawResponse
-	if err := json.Unmarshal(r.body, &rr); err != nil {
-		t.Fatal(err)
+	if answered != 2 {
+		t.Errorf("200 responses when Drain returned = %d, want 2", answered)
 	}
-	if string(rr.Results) != want {
-		t.Errorf("drained request results differ:\n got %s\nwant %s", rr.Results, want)
-	}
+	checkRun(t, "A", <-a, referenceJSON(t, "smooth", 0))
+	checkRun(t, "B", <-b, referenceJSON(t, "smooth", 1))
 
 	if code, hdr, _ := postRun(t, ts, "", "smooth", "Smooth", 0); code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Errorf("post-drain run: %d, Retry-After %q", code, hdr.Get("Retry-After"))
@@ -379,6 +482,58 @@ func TestServeDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-drain healthz: %d", resp.StatusCode)
+	}
+}
+
+// TestServeCoalescesWhileBusy pins work-conserving batching: the
+// requests that queue while a batch runs — five, from two tenants —
+// become exactly one next batch, and each of their responses reports
+// batch_size 5.
+func TestServeCoalescesWhileBusy(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	hold := holdBatches(t, srv)
+	first := goRun(ts, "t0", "smooth", "Smooth", 0)
+	waitFor(t, "the first batch to start", func() bool { return len(hold.batches()) == 1 })
+	var rest []<-chan runResult
+	for k := 0; k < 5; k++ {
+		rest = append(rest, goRun(ts, "t"+strconv.Itoa(k%2), "smooth", "Smooth", k))
+	}
+	waitFor(t, "five requests to queue", func() bool { return queuedTotal(srv) == 5 })
+	hold.release()
+
+	if n := checkRun(t, "first", <-first, referenceJSON(t, "smooth", 0)); n != 1 {
+		t.Errorf("first: batch_size %d, want 1", n)
+	}
+	for k, c := range rest {
+		if n := checkRun(t, fmt.Sprintf("queued %d", k), <-c, referenceJSON(t, "smooth", k)); n != 5 {
+			t.Errorf("queued %d: batch_size %d, want 5", k, n)
+		}
+	}
+	if got := hold.batches(); !slices.Equal(got, []int{1, 5}) {
+		t.Errorf("batch sizes %v, want [1 5]", got)
+	}
+}
+
+// TestServeIdleDispatch pins that an idle server runs a request at once:
+// no batching delay is added when there is nothing to coalesce. Nine
+// back-to-back tiny activations must report a median wall_ms under 2 ms.
+func TestServeIdleDispatch(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	postRun(t, ts, "", "smooth", "Smooth", 0) // compile and prepare
+	walls := make([]float64, 9)
+	for k := range walls {
+		code, _, body := postRun(t, ts, "", "smooth", "Smooth", 0)
+		var resp struct {
+			WallMs float64 `json:"wall_ms"`
+		}
+		if err := json.Unmarshal(body, &resp); code != http.StatusOK || err != nil {
+			t.Fatalf("run %d: %d (%v): %s", k, code, err, body)
+		}
+		walls[k] = resp.WallMs
+	}
+	slices.Sort(walls)
+	if med := walls[len(walls)/2]; med >= 2 {
+		t.Errorf("median wall_ms %.3f on an idle server, want < 2 (all: %v)", med, walls)
 	}
 }
 
@@ -421,6 +576,9 @@ func TestServeMetrics(t *testing.T) {
 	if v, ok := metricValue("ps_serve_batch_size_count"); !ok || v < 1 {
 		t.Errorf("ps_serve_batch_size_count = %d (found %v)", v, ok)
 	}
+	if v, ok := metricValue("ps_serve_queue_wait_us_count"); !ok || v != 2 {
+		t.Errorf("ps_serve_queue_wait_us_count = %d (found %v), want one per batched request", v, ok)
+	}
 	if v, ok := metricValue(`ps_serve_rejected_total{reason="quota"}`); !ok || v != 1 {
 		t.Errorf("quota rejection counter = %d (found %v)", v, ok)
 	}
@@ -434,6 +592,8 @@ func TestServeMetrics(t *testing.T) {
 		"ps_engine_cache_misses_total",
 		"ps_engine_cache_programs",
 		`ps_serve_batch_size_bucket{le="+Inf"}`,
+		`ps_serve_queue_wait_us_bucket{le="+Inf"}`,
+		"ps_serve_queue_wait_us_sum",
 	} {
 		if _, ok := metricValue(series); !ok {
 			t.Errorf("metrics missing series %s", series)
