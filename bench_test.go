@@ -492,8 +492,10 @@ func TestNativeWavefrontMatchesSeq(t *testing.T) {
 }
 
 // BenchmarkFusion is the ablation for the §5 loop-merging extension: a
-// four-pass element-wise module executed with separate loops versus the
-// fused single nest (fewer loop dispatches, better locality).
+// four-pass element-wise module executed with separate loops (the
+// schedule as emitted, which sequential runs execute) versus the single
+// nest the cascade fuses them into on one worker (fewer loop
+// dispatches, better locality).
 func BenchmarkFusion(b *testing.B) {
 	const src = `
 Chain: module (Xs: array[I] of real; N: int):
@@ -515,14 +517,14 @@ end Chain;
 	}
 	b.Run("Unfused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := prog.Run("Chain", []any{xs, int64(n)}, ps.Workers(1)); err != nil {
+			if _, err := prog.Run("Chain", []any{xs, int64(n)}, ps.Sequential()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("Fused", func(b *testing.B) {
+	b.Run("Cascade", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := prog.Run("Chain", []any{xs, int64(n)}, ps.Workers(1), ps.Fused()); err != nil {
+			if _, err := prog.Run("Chain", []any{xs, int64(n)}, ps.Workers(1)); err != nil {
 				b.Fatal(err)
 			}
 		}

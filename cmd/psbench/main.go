@@ -75,8 +75,7 @@ type workload struct {
 
 // activationChain is the repeated-activation workload: a pipeline of
 // local stage arrays whose allocation (not computation) dominates the
-// run, so the arena's effect on allocs/op is directly visible in the
-// Seq vs SeqNoArena pair.
+// run, so the arena's effect shows in allocs/op.
 const activationChain = `
 ActChain: module (X: array[I,J] of real; N: int): [Out: array[I,J] of real];
 type
@@ -223,7 +222,7 @@ func main() {
 			func() []any { return []any{seedSymbols(192), seedSymbols(224), int64(192), int64(224)} }},
 		// The two cascade-ordering workloads: reflect's reflected-column
 		// read defeats the wavefront, so its nest stays sequential; mutual
-		// wavefronts once the re-merge pre-pass rejoins its split nests.
+		// wavefronts once the cascade's fusion step rejoins its split nests.
 		{"reflect", psrc.Reflect, "Reflect",
 			func() []any { return []any{seedSquare(128), int64(128)} }},
 		{"mutual", psrc.Mutual, "Mutual",
@@ -246,9 +245,6 @@ func main() {
 		traced bool
 	}{
 		{"Seq", []ps.RunOption{ps.Sequential()}, false},
-		// SeqNoArena isolates the arena's contribution: identical
-		// execution with activation-array pooling disabled.
-		{"SeqNoArena", []ps.RunOption{ps.Sequential(), ps.NoArena()}, false},
 		{fmt.Sprintf("HyperOffPar%d", w), []ps.RunOption{ps.Workers(w), ps.WithHyperplane(ps.HyperplaneOff)}, false},
 		{fmt.Sprintf("AutoPar%d", w), []ps.RunOption{ps.Workers(w)}, false},
 		// TracedAutoPar measures the recording-on cost of the execution

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	psrun [-module name] [-workers N] [-seq] [-strict] [-grain N]
-//	      [-fused] [-hyperplane auto|off]
+//	      [-hyperplane auto|off]
 //	      [-timeout d] [-stats] [-trace out.json] [-explain]
 //	      [-in inputs.json] [-cpuprofile f] [-memprofile f] file.ps
 //
@@ -53,7 +53,6 @@ func main() {
 	seq := flag.Bool("seq", false, "force sequential execution")
 	strict := flag.Bool("strict", false, "enable single-assignment checking")
 	grain := flag.Int64("grain", 0, "minimum iterations per parallel chunk; wavefront nests tile when their average plane holds grain x workers points (default grain 32), at this tile width")
-	fused := flag.Bool("fused", false, "execute the loop-fused plan variant (§5)")
 	hyper := flag.String("hyperplane", "auto", "automatic §4 wavefront restructuring of eligible sequential nests: auto or off")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	stats := flag.Bool("stats", false, "print run statistics and a timing breakdown to stderr")
@@ -122,9 +121,6 @@ func main() {
 	}
 	if *grain > 0 {
 		opts = append(opts, ps.Grain(*grain))
-	}
-	if *fused {
-		opts = append(opts, ps.Fused())
 	}
 	switch *hyper {
 	case "auto":

@@ -126,11 +126,11 @@ func TestPscPlan(t *testing.T) {
 // TestPsrunExplain drives psrun -explain: prints the plan the selected
 // options would execute without running the module.
 func TestPsrunExplain(t *testing.T) {
-	out, errOut, err := runGo(t, "", "./cmd/psrun", "-explain", "-fused", "-grain", "32", "testdata/relaxation.ps")
+	out, errOut, err := runGo(t, "", "./cmd/psrun", "-explain", "-grain", "32", "testdata/relaxation.ps")
 	if err != nil {
 		t.Fatalf("psrun -explain: %v\n%s", err, errOut)
 	}
-	for _, want := range []string{"grain 32, fused plan", "plan Relaxation", "do K"} {
+	for _, want := range []string{"grain 32, base plan", "plan Relaxation", "do K"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-explain output missing %q:\n%s", want, out)
 		}
@@ -173,6 +173,10 @@ func TestPsrunExitCodes(t *testing.T) {
 		if code, stderr := exitCode("-schedule", v, "testdata/relaxation.ps"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -schedule") {
 			t.Errorf("-schedule %s: exit %d, want 2 and an undefined-flag message:\n%s", v, code, stderr)
 		}
+	}
+	// Usage: fusion is a cascade decision, not a flag → 2.
+	if code, stderr := exitCode("-fused", "testdata/relaxation.ps"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -fused") {
+		t.Errorf("-fused: exit %d, want 2 and an undefined-flag message:\n%s", code, stderr)
 	}
 	// Program diagnostic: missing inputs → 1, with typed fields.
 	code, stderr := exitCode("testdata/relaxation.ps")

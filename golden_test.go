@@ -77,13 +77,13 @@ func TestGoldenPlanListings(t *testing.T) {
 	checkGolden(t, "diag_chain_plan.txt", diag.Plan())
 
 	// Multi-equation groups: the coupled component's single two-kernel
-	// wavefront step, and the fused pair whose merged body collapses
-	// into one wavefront only in the fused variant.
+	// wavefront step, and the pair of recurrence nests the cascade fuses
+	// because the merged nest collapses into one wavefront.
 	coupled := goldenModule(t, mustRead(t, "testdata/coupled.ps"), "Coupled")
 	checkGolden(t, "coupled_plan.txt", coupled.Plan())
 
 	fp := goldenModule(t, mustRead(t, "testdata/fuse_pair.ps"), "FusePair")
-	checkGolden(t, "fuse_pair_plan_fused.txt", fp.PlanWith(ps.PlanOptions{Fused: true}))
+	checkGolden(t, "fuse_pair_plan_fused.txt", fp.Plan())
 
 	// The DP-wavefront corpus program: anti-diagonal time vector with
 	// an integer-sequence comparison feeding the recurrence.

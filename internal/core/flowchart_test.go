@@ -58,8 +58,8 @@ func TestFlowchartLoops(t *testing.T) {
 	}
 }
 
-// TestFusedEquationCount pins the ablation-reporting helper: after
-// fusion the co-resident equations report the shared loop body size.
+// TestFusedEquationCount pins the loop body sizes fusion leaves: every
+// equation alone in its loop before, both co-resident in one body after.
 func TestFusedEquationCount(t *testing.T) {
 	src := `
 Two: module (Xs: array[I] of real; N: int): [Ys: array [I] of real; Zs: array [I] of real];
@@ -70,19 +70,18 @@ define
 end Two;
 `
 	_, sched := compile(t, src)
-	for eq, n := range core.FusedEquationCount(sched.Flowchart) {
-		if n != 1 {
-			t.Errorf("unfused equation %v reports body size %d, want 1", eq, n)
+	bodySizes := func(fc core.Flowchart) []int {
+		var sizes []int
+		for _, l := range fc.Loops() {
+			sizes = append(sizes, len(l.Body.Equations()))
 		}
+		return sizes
 	}
-	counts := core.FusedEquationCount(core.Fuse(sched.Flowchart))
-	if len(counts) != 2 {
-		t.Fatalf("%d equations counted, want 2", len(counts))
+	if got := bodySizes(sched.Flowchart); len(got) != 2 || got[0] != 1 || got[1] != 1 {
+		t.Errorf("unfused loop body sizes %v, want [1 1]", got)
 	}
-	for eq, n := range counts {
-		if n != 2 {
-			t.Errorf("fused equation %v reports body size %d, want 2", eq, n)
-		}
+	if got := bodySizes(core.Fuse(sched.Flowchart)); len(got) != 1 || got[0] != 2 {
+		t.Errorf("fused loop body sizes %v, want [2]", got)
 	}
 }
 

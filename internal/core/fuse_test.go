@@ -47,21 +47,54 @@ end Fwd;
 	}
 }
 
-// TestFuseBackwardRefAllowed fuses when the consumer reads earlier
-// iterations only.
+// TestFuseBackwardRefAllowed fuses iterative loops whose consumer reads
+// earlier iterations, and keeps DOALL loops with the same read apart: a
+// fused DOALL runs in chunks, and the element read at a chunk's first
+// point belongs to another chunk.
 func TestFuseBackwardRefAllowed(t *testing.T) {
 	src := `
 Back: module (Xs: array[I] of real; N: int): [Ys: array [I] of real; Zs: array [I] of real];
 type I = 0 .. N;
+var P: array [0 .. N] of real;
 define
-    Ys[I] = Xs[I] * 2.0;
+    P[I] = if I = 0 then Xs[I] else P[I-1] + Xs[I];
+    Ys[I] = if I = 0 then P[I] else Ys[I-1] + P[I-1];
     Zs[I] = if I = 0 then Ys[I] else Ys[I-1];
 end Back;
 `
 	_, sched := compile(t, src)
+	plain := sched.Flowchart.Compact()
+	if plain != "DO I (eq.1); DO I (eq.2); DOALL I (eq.3)" {
+		t.Fatalf("unfused schedule %q", plain)
+	}
 	fused := core.Fuse(sched.Flowchart).Compact()
-	if fused != "DOALL I (eq.1; eq.2)" {
-		t.Errorf("backward reference did not fuse: %q", fused)
+	if fused != "DO I (eq.1; eq.2); DOALL I (eq.3)" {
+		t.Errorf("backward reference: fused schedule %q, want the DO pair merged and the DOALL apart", fused)
+	}
+}
+
+// TestFuseDoAllSameIteration admits a DOALL merge only for reads of the
+// element the same iteration wrote: a transposed or diagonal read of an
+// identity-written array names the fused dimension, but at another
+// position, so the element may belong to another chunk.
+func TestFuseDoAllSameIteration(t *testing.T) {
+	for _, tc := range []struct{ read, want string }{
+		{"Ys[I,J]", "DOALL I (DOALL J (eq.1; eq.2))"},
+		{"Ys[J,I]", "DOALL I (DOALL J (eq.1)); DOALL I (DOALL J (eq.2))"},
+		{"Ys[I,I]", "DOALL I (DOALL J (eq.1)); DOALL I (DOALL J (eq.2))"},
+	} {
+		src := `
+Tr: module (Xs: array[I,J] of real; N: int): [Ys: array [I,J] of real; Zs: array [I,J] of real];
+type I = 0 .. N; J = 0 .. N;
+define
+    Ys[I,J] = Xs[I,J] * 2.0;
+    Zs[I,J] = ` + tc.read + ` + 1.0;
+end Tr;
+`
+		_, sched := compile(t, src)
+		if got := core.Fuse(sched.Flowchart).Compact(); got != tc.want {
+			t.Errorf("read %s: fused schedule %q, want %q", tc.read, got, tc.want)
+		}
 	}
 }
 

@@ -91,7 +91,7 @@ func (p *Program) RunBatchCtx(ctx context.Context, name string, batch [][]any, o
 
 // CompiledSize estimates the resident size in bytes of the compiled
 // program: plan steps, kernel closures, bound thunks and symbol tables
-// across every distinct plan variant of every module, plus a fixed
+// across both distinct plans of every module, plus a fixed
 // per-module overhead. It is a stable, platform-independent accounting
 // basis for cache eviction — not an exact heap measurement — so
 // eviction order is deterministic across hosts.
@@ -109,17 +109,13 @@ func (p *Program) CompiledSize() int64 {
 		total += moduleOverhead
 		total += int64(len(cm.bounds)) * perBound
 		total += int64(len(cm.syms)) * perSym
-		seen := make(map[*compiledPlan]bool, 4)
-		for _, row := range cm.plans {
-			for _, cp := range row {
-				if cp == nil || seen[cp] {
-					continue
-				}
-				seen[cp] = true
-				total += int64(len(cp.pl.Steps))*perStep +
-					int64(len(cp.kernels))*perKernel +
-					int64(len(cp.pl.Eqs))*perEq
+		for i, cp := range cm.plans {
+			if cp == nil || (i > 0 && cp == cm.plans[0]) {
+				continue
 			}
+			total += int64(len(cp.pl.Steps))*perStep +
+				int64(len(cp.kernels))*perKernel +
+				int64(len(cp.pl.Eqs))*perEq
 		}
 	}
 	return total

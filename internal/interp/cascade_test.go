@@ -19,7 +19,7 @@ import (
 // pipeline backend Reflect and Mutual used to exercise; that backend is
 // gone, and the names stay as stable test IDs for the cascade's other
 // ends: Reflect's wavefront-ineligible nest staying sequential, and
-// Mutual's re-merged nest wavefronting.
+// Mutual's fused nest wavefronting.
 
 // seed builds an n×n input over [1,n]².
 func seed(n int64) *value.Array {
@@ -37,11 +37,11 @@ func seed(n int64) *value.Array {
 // analysis refuses the recurrence nest and it lowers to the same DO nest
 // as with the cascade off. Every worker count and toggle must match the
 // sequential reference bitwise and execute the same instances; wider
-// runs dispatch only the two DOALL copy-outs.
+// runs dispatch only the copy-outs, fused into one DOALL.
 func TestPipelineParity(t *testing.T) {
 	ip := compileSrc(t, psrc.Reflect)
 	pl := ip.Plan("Reflect", plan.Options{Hyperplane: true})
-	const want = "DO I (DO J (eq.2; eq.1)); DOALL I×J (eq.3); DOALL I×J (eq.4)"
+	const want = "DO I (DO J (eq.2; eq.1)); DOALL I×J (eq.3; eq.4)"
 	if got := pl.Compact(); got != want || pl.HasWavefront() {
 		t.Fatalf("Reflect auto plan = %q, want %q", got, want)
 	}
@@ -92,14 +92,14 @@ func TestPipelineParity(t *testing.T) {
 }
 
 // TestPipelineFirstCascade pins Mutual's plan: the scheduler splits its
-// component into two sibling DO J nests, the re-merge pre-pass rejoins
-// them, and the union of dependence vectors admits π = (1,1), so the
-// cascade wavefronts it. Every row matches the sequential reference.
+// component into two sibling DO J nests, the cascade's fusion step
+// rejoins them because the union of dependence vectors admits π = (1,1),
+// and the cascade wavefronts the merged nest. Every row matches the sequential reference.
 func TestPipelineFirstCascade(t *testing.T) {
 	ip := compileSrc(t, psrc.Mutual)
 	auto := ip.Plan("Mutual", plan.Options{Hyperplane: true})
 	if !auto.HasWavefront() || !auto.Cascade[0].Merged {
-		t.Fatalf("auto cascade did not wavefront the re-merged nest:\n%s", auto)
+		t.Fatalf("auto cascade did not wavefront the fused nest:\n%s", auto)
 	}
 	// Mutual's arrays span [0, N+1]; build a matching seed.
 	const n = 11

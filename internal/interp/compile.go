@@ -58,18 +58,16 @@ func (en *env) checked(fr []int64) *kctx {
 type kernelFn func(en *env, fr []int64)
 
 // compiledModule is one module ready to run: equation kernels compiled
-// once, the four lowered [fuse][cascade] plan variants, slot-resolved
+// once, the two lowered plans (one per execution mode), slot-resolved
 // bound thunks, and precomputed allocation descriptors.
 type compiledModule struct {
 	m     *sem.Module
 	sched *core.Schedule
-	// plans holds the lowered variants indexed [fuse][cascade], where
-	// cascade is 0 = hyperplane off, 1 = the DOALL → wavefront →
-	// sequential cascade. Options select one at activation time; all are
-	// lowered once here, not per run. Variants that lower identically —
-	// a module with no wavefront-eligible nest has equal base and auto
-	// plans — share one compiledPlan.
-	plans [2][2]*compiledPlan
+	// plans holds the plans lowered once here, indexed by cascade: 0 =
+	// the schedule as emitted (sequential runs, hyperplane off), 1 = the
+	// cascade every default parallel run executes. They share one
+	// compiledPlan when the cascade neither fuses nor wavefronts a nest.
+	plans [2]*compiledPlan
 	// slotOf assigns every subrange type a frame slot for its index
 	// value — the plan's Bounds order, shared by every variant. It is
 	// consulted at compile time only; execution reads slots baked into
@@ -86,17 +84,12 @@ type compiledModule struct {
 	ws sync.Pool
 }
 
-// variant selects the compiled plan for one (fuse, cascade) pair.
-func (cm *compiledModule) variant(fuse, cascade bool) *compiledPlan {
-	return cm.plans[b2i(fuse)][b2i(cascade)]
-}
-
-// b2i indexes the plan matrix by a bool.
-func b2i(b bool) int {
-	if b {
-		return 1
+// variant selects the compiled plan with or without the cascade.
+func (cm *compiledModule) variant(cascade bool) *compiledPlan {
+	if cascade {
+		return cm.plans[1]
 	}
-	return 0
+	return cm.plans[0]
 }
 
 // compiledPlan pairs one lowered plan variant with its kernel table
@@ -180,13 +173,11 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 			panic(r)
 		}
 	}()
-	// Lower the schedule once into every plan variant; everything below
-	// compiles against the plan's slot assignment, which all variants
-	// share (Bounds come from the module's subrange table).
+	// Lower the schedule once per execution mode; everything below
+	// compiles against the plan's slot assignment, which both plans share
+	// (Bounds come from the module's subrange table).
 	basePl := plan.Lower(m, sched, plan.Options{})
-	fusedPl := plan.Lower(m, sched, plan.Options{Fuse: true})
 	hyperPl := plan.Lower(m, sched, plan.Options{Hyperplane: true})
-	hyperFusedPl := plan.Lower(m, sched, plan.Options{Fuse: true, Hyperplane: true})
 	cm = &compiledModule{
 		m:      m,
 		sched:  sched,
@@ -218,21 +209,15 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 		specs[eq] = c.specializeEquation(eq, kernels[eq])
 		c.eq = nil
 	}
-	cm.plans[0] = cm.bindRow(basePl, hyperPl, kernels, specs)
-	cm.plans[1] = cm.bindRow(fusedPl, hyperFusedPl, kernels, specs)
-	return cm, nil
-}
-
-// bindRow binds one fusion row of the plan matrix, [hyperplane off,
-// cascade]. A row where no nest wavefronts lowers identically either
-// way, so both columns share the cascade's compiledPlan, whose Cascade
-// still records each nest's decision for Explain.
-func (cm *compiledModule) bindRow(off, on *plan.Program, kernels map[*sem.Equation]kernelFn, specs map[*sem.Equation]eqSpan) [2]*compiledPlan {
-	cp := cm.bindPlan(on, kernels, specs)
-	if !on.HasWavefront() {
-		return [2]*compiledPlan{cp, cp}
+	// A cascade that neither fused nor wavefronted a nest lowered the
+	// schedule as emitted, so both modes share its compiledPlan, whose
+	// Cascade still records each nest's decision for Explain.
+	cp := cm.bindPlan(hyperPl, kernels, specs)
+	cm.plans = [2]*compiledPlan{cp, cp}
+	if hyperPl.Restructured() {
+		cm.plans[0] = cm.bindPlan(basePl, kernels, specs)
 	}
-	return [2]*compiledPlan{cm.bindPlan(off, kernels, specs), cp}
+	return cm, nil
 }
 
 // bindPlan aligns the shared kernel table with one plan variant's

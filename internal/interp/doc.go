@@ -1,9 +1,9 @@
 // Package interp executes scheduled PS modules — the execution
 // substrate standing in for the paper's MIMD target. Each module is
 // compiled once: equations become typed closure kernels, the core
-// schedule is lowered into every variant of the flat loop-plan IR
-// (internal/plan), and activations execute plan instructions with
-// virtual dimensions allocated as sliding windows.
+// schedule is lowered into the flat loop-plan IR (internal/plan) once per
+// execution mode, and activations execute plan instructions with virtual
+// dimensions allocated as sliding windows.
 //
 // # One expression compiler, two addressing modes
 //
@@ -61,22 +61,26 @@
 // within one span) and in-flight parallel work within one chunk/tile,
 // and Stats counters are valid up to the abort.
 //
-// # Plan-variant matrix
+// # One plan per execution mode
 //
-// Options select among the four compiled [fuse][cascade] plan variants
-// at activation time — the cascade column is restructuring off or the
-// DOALL → wavefront → sequential cascade; a row whose nests never
-// wavefront lowers identically either way and shares one compiled plan.
-// Equation kernels are compiled once and shared by all of them. No
-// option selects an executor: see Wavefront dispatch below.
+// Options select one of two compiled plans at activation time: the
+// cascade plan every default parallel run executes (W = 1 included) —
+// §5 fusion where a merge yields a parallel step, then DOALL → wavefront
+// → sequential — or the schedule as emitted, which Sequential and
+// HyperplaneOff runs execute and which is the parity reference. When the
+// cascade changes nothing the two share one compiled plan. Equation
+// kernels are compiled once and shared. No option selects an executor:
+// see Wavefront dispatch below.
 //
 // # Bitwise-identical results
 //
-// Every variant, tiled or swept inline, runs the same kernel closures at
+// Every plan, tiled or swept inline, runs the same kernel closures at
 // exactly the original iteration points in a dependence-respecting
 // order, so results are bitwise identical to the sequential reference:
 //
-//   - DOALL steps permute independent points only;
+//   - DOALL steps permute independent points only; a fused DOALL's
+//     kernels read each other only at the point being executed, so each
+//     runs its own span per chunk;
 //   - wavefront steps execute hyperplanes t = π·x in ascending order
 //     with π·d ≥ 1 for every dependence d of the nest's equation group,
 //     and each in-box plane point runs the group's kernels in scheduled

@@ -4,31 +4,35 @@ import (
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/plan"
 	"repro/internal/psrc"
 	"repro/internal/types"
 	"repro/internal/value"
 )
 
-// TestFusedExecutionEquals verifies that running the loop-fused schedule
-// produces exactly the unfused results across the bundled workloads.
+// TestFusedExecutionEquals verifies that the default parallel plan, where
+// the cascade's §5 step fuses nests, produces exactly the results of the
+// unfused schedule sequential runs execute, across the bundled workloads.
 func TestFusedExecutionEquals(t *testing.T) {
 	cases := []struct {
 		name, src, module string
 		args              func() []any
+		// fused is the cascade plan's compact form when it merges nests.
+		fused string
 	}{
 		{"Jacobi", psrc.Relaxation, "Relaxation", func() []any {
 			return []any{grid(9), int64(9), int64(5)}
-		}},
+		}, ""},
 		{"GaussSeidel", psrc.RelaxationGS, "Relaxation", func() []any {
 			return []any{grid(9), int64(9), int64(5)}
-		}},
+		}, ""},
 		{"Prefix", psrc.Prefix, "Prefix", func() []any {
 			xs := value.NewArray(types.RealKind, []value.Axis{{Lo: 1, Hi: 12}})
 			for i := int64(1); i <= 12; i++ {
 				xs.SetF([]int64{i}, float64(i%5))
 			}
 			return []any{xs, int64(12)}
-		}},
+		}, ""},
 		{"TwoPass", `
 Two: module (Xs: array[I] of real; N: int): [Ys: array [I] of real; Zs: array [I] of real];
 type I = 0 .. N;
@@ -42,16 +46,21 @@ end Two;
 				xs.SetF([]int64{i}, float64(i))
 			}
 			return []any{xs, int64(20)}
-		}},
+		}, "DOALL I (eq.1; eq.2)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ip := compileSrc(t, tc.src)
-			plain, err := ip.Run(tc.module, tc.args(), interp.Options{Workers: 2})
+			if tc.fused != "" {
+				if got := ip.Plan(tc.module, plan.Options{Hyperplane: true}).Compact(); got != tc.fused {
+					t.Errorf("cascade plan %q, want %q", got, tc.fused)
+				}
+			}
+			plain, err := ip.Run(tc.module, tc.args(), interp.Options{Sequential: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fused, err := ip.Run(tc.module, tc.args(), interp.Options{Workers: 2, Fuse: true})
+			fused, err := ip.Run(tc.module, tc.args(), interp.Options{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

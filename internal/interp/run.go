@@ -35,14 +35,13 @@ type Options struct {
 	// steps it is the g of the dispatch rule (tiled, below) and the tile
 	// width on the blocked plane coordinate.
 	Grain int64
-	// Fuse selects the loop-fused plan variant (the §5 "merge iterative
-	// loops" extension), lowered once at compile time.
-	Fuse bool
-	// Hyperplane selects whether eligible sequential loop nests execute
-	// the automatically §4-restructured (wavefront) plan variant. The
-	// zero value is HyperplaneAuto: parallel runs use the wavefront
-	// variant, sequential runs keep the untransformed nest (the sweep's
-	// bounding box and guards only pay off when planes run on workers).
+	// Hyperplane selects whether the run executes the cascade plan, in
+	// which §5 fusion merges nests where the merge yields a parallel step
+	// and eligible sequential loop nests become §4 wavefronts. The zero
+	// value is HyperplaneAuto: parallel runs use the cascade plan,
+	// sequential runs keep the schedule as emitted (the sweep's bounding
+	// box and guards only pay off when planes run on workers, and a fused
+	// sequential body would run point by point).
 	// Selection deliberately ignores the effective worker count so the
 	// variant a runner executes — and Explain reports — is deterministic
 	// across hosts.
@@ -85,8 +84,8 @@ const (
 )
 
 // EffectiveHyperplane reports whether a run with these options executes
-// the auto-hyperplane (cascade) plan variant. Sequential runs never do —
-// the untransformed nests double as the parity reference.
+// the cascade plan. Sequential runs never do — the schedule as emitted
+// doubles as the parity reference.
 func (o *Options) EffectiveHyperplane() bool {
 	return o.Hyperplane == HyperplaneAuto && !o.Sequential
 }
@@ -164,7 +163,7 @@ type runtimeError struct {
 // Compile prepares every module of a checked program for execution:
 // each module's dependency graph is scheduled with the core scheduler
 // and the resulting flowchart is lowered once into the flat plan IR
-// (all four [fuse][cascade] variants) that Run executes.
+// (one plan per execution mode) that Run executes.
 func Compile(prog *sem.Program) (*Program, error) {
 	p := &Program{
 		Prog:   prog,
@@ -203,10 +202,10 @@ func (p *Program) Schedule(name string) *core.Schedule {
 	return p.Scheds[m]
 }
 
-// Plan returns the lowered loop program for a module in the requested
-// variant (fusion × auto-hyperplane). It is nil for unknown modules.
-// Where no nest wavefronts, both hyperplane settings return the one
-// cascade-lowered program, so its Cascade is set either way.
+// Plan returns the lowered loop program for a module with or without the
+// cascade (opts.Hyperplane). It is nil for unknown modules. Where the
+// cascade neither fuses nor wavefronts a nest, both settings return the
+// one cascade-lowered program, so its Cascade is set either way.
 func (p *Program) Plan(name string, opts plan.Options) *plan.Program {
 	m := p.Prog.Module(name)
 	if m == nil {
@@ -216,7 +215,7 @@ func (p *Program) Plan(name string, opts plan.Options) *plan.Program {
 	if cm == nil {
 		return nil
 	}
-	return cm.variant(opts.Fuse, opts.Hyperplane).pl
+	return cm.variant(opts.Hyperplane).pl
 }
 
 // runState is the execution context shared by a root activation and
@@ -252,7 +251,7 @@ func (rs *runState) cancelChan() <-chan struct{} {
 // env is the runtime state of one module activation.
 type env struct {
 	cm *compiledModule
-	// cp is the plan variant this activation executes ([fuse][cascade]).
+	// cp is the plan this activation executes (cascade or not).
 	cp      *compiledPlan
 	scalars []any
 	arrays  []*value.Array
@@ -535,7 +534,7 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 	opts := rs.opts
 	en = &env{
 		cm:         cm,
-		cp:         cm.variant(opts.Fuse, opts.EffectiveHyperplane()),
+		cp:         cm.variant(opts.EffectiveHyperplane()),
 		scalars:    make([]any, len(cm.syms)),
 		arrays:     make([]*value.Array, len(cm.syms)),
 		rs:         rs,

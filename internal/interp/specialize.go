@@ -744,7 +744,7 @@ type KernelSpec struct {
 }
 
 // Kernels reports the specialization outcome per equation of the named
-// module's selected plan variant, and how that plan reaches it.
+// module's selected plan, and how that plan reaches it.
 func (p *Program) Kernels(name string, opts plan.Options) []KernelSpec {
 	m := p.Prog.Module(name)
 	if m == nil {
@@ -754,7 +754,7 @@ func (p *Program) Kernels(name string, opts plan.Options) []KernelSpec {
 	if cm == nil {
 		return nil
 	}
-	cp := cm.variant(opts.Fuse, opts.Hyperplane)
+	cp := cm.variant(opts.Hyperplane)
 	specs := make([]KernelSpec, len(cp.pl.Eqs))
 	pointWise := cp.pl.PointWise()
 	for i, eq := range cp.pl.Eqs {

@@ -10,26 +10,27 @@
 // returned Program and never re-analyze core.Flowchart at run time.
 // Lowering resolves loops to frame slots (Bounds order), collapses
 // directly nested DOALL loops into one multi-dimensional parallel step,
-// applies §5 loop fusion (Options.Fuse) before lowering, assigns every
-// equation a kernel index, and — under Options.Hyperplane — replaces
-// every eligible fully sequential nest with an OpWavefront step via
-// internal/hyperplane.
+// assigns every equation a kernel index, and — under Options.Hyperplane
+// — runs the cascade: at each flowchart level §5 loop fusion merges
+// sibling nests where the merged nest is a leaf DOALL or a wavefront,
+// then every eligible fully sequential nest becomes an OpWavefront step
+// via internal/hyperplane. Merged nests carry Decision.Merged.
 //
 // A wavefront step covers a singleton recurrence or a multi-equation
-// group (a strongly connected component scheduled into one body, or a
-// §5-fused group): the step's body is one OpEq step per equation in
+// group (a strongly connected component scheduled into one body, or
+// nests the fusion step merged): the step's body is one OpEq step per equation in
 // scheduled order, and its Hyper block carries one π/T/T⁻¹ solved for
 // the union of the group's dependence vectors.
 //
-// # Plan-variant matrix
+// # One plan per execution mode
 //
-// The interpreter compiles all four [fuse][hyperplane] variants up
-// front; variants that lower identically share one compiled plan. Every
-// variant of a module shares the same Bounds order (and therefore the
+// The interpreter compiles two plans up front: with the cascade (default
+// parallel runs) and without it (the schedule as emitted, which
+// sequential runs execute); when the cascade changes nothing they share
+// one compiled plan. Both share the same Bounds order (and therefore the
 // same frame-slot assignment), and equation kernels are compiled once
-// and shared across variants — which is why all variants are bitwise
-// identical: they run the same kernels at the same points in
-// dependence-respecting orders.
+// and shared — which is why the two are bitwise identical: they run the
+// same kernels at the same points in dependence-respecting orders.
 //
 // # Invariants
 //

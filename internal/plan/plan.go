@@ -179,8 +179,6 @@ func vecString(v []int64) string {
 type Program struct {
 	// Module is the source module's name.
 	Module string
-	// Fused records whether §5 loop fusion was applied at lowering.
-	Fused bool
 	// Bounds lists every subrange of the module in declaration order.
 	// The index of a bound is the frame slot of its loop variable, so a
 	// frame is []int64 of length len(Bounds).
@@ -217,8 +215,8 @@ type Decision struct {
 	// Detail is backend-specific: the chosen π and window for
 	// wavefronts.
 	Detail string
-	// Merged marks a nest the re-merge pre-pass rebuilt from sibling
-	// nests the scheduler had split.
+	// Merged marks a nest the cascade's §5 fusion step built by merging
+	// sibling loops; its body lists the fused equations.
 	Merged bool
 	// Rejections lists the backends tried before Choice, in cascade
 	// order, with the reason each declined.
@@ -232,7 +230,7 @@ type Decision struct {
 //	  step 0: nest I -> sequential
 //	          doall rejected: 2 loop-carried dependence edge(s) force ascending order
 //	          wavefront rejected: hyperplane: ...
-//	  step 4: nest I, J -> doall
+//	  step 4: nest I, J -> doall [fused eq.3, eq.4]
 func (p *Program) CascadeReport() string {
 	if len(p.Cascade) == 0 {
 		return ""
@@ -245,7 +243,11 @@ func (p *Program) CascadeReport() string {
 			fmt.Fprintf(&sb, " (%s)", d.Detail)
 		}
 		if d.Merged {
-			sb.WriteString(" [re-merged sibling nests]")
+			var labels []string
+			for _, eq := range p.BodyEqs(d.Step) {
+				labels = append(labels, eq.Label)
+			}
+			fmt.Fprintf(&sb, " [fused %s]", strings.Join(labels, ", "))
 		}
 		sb.WriteByte('\n')
 		for _, r := range d.Rejections {
@@ -253,6 +255,29 @@ func (p *Program) CascadeReport() string {
 		}
 	}
 	return sb.String()
+}
+
+// BodyEqs returns the equations run directly in the body of the loop
+// step at i, in execution order.
+func (p *Program) BodyEqs(i int) []*sem.Equation {
+	var eqs []*sem.Equation
+	for j := i + 1; j < p.Steps[i].End; j++ {
+		if st := &p.Steps[j]; st.Op == OpEq {
+			eqs = append(eqs, p.Eqs[st.Eq])
+		}
+	}
+	return eqs
+}
+
+// fused reports whether the cascade's fusion step built the loop step at
+// i (any step when i < 0).
+func (p *Program) fused(i int) bool {
+	for _, d := range p.Cascade {
+		if d.Merged && (i < 0 || d.Step == i) {
+			return true
+		}
+	}
+	return false
 }
 
 // NSlots returns the index-frame length plans of this module require.
@@ -278,13 +303,14 @@ const MaxCollapse = 8
 
 // Options select the plan variant to lower.
 type Options struct {
-	// Fuse applies §5 loop fusion to the flowchart before lowering.
+	// Fuse is ignored: §5 fusion is a step of the cascade. It stays only
+	// because the repo benchmark (benchmark/layers.go) still sets it.
 	Fuse bool
-	// Hyperplane runs the scheduler selection cascade: each nest tries
-	// DOALL first, then the automatic §4 wavefront restructuring, and
-	// falls back to a sequential DO nest when both decline. It also
-	// enables the re-merge pre-pass rejoining sibling nests whose
-	// unioned dependence vectors admit a π.
+	// Hyperplane runs the scheduler selection cascade: at each flowchart
+	// level §5 fusion merges nests where that yields a parallel step
+	// (fuse), then each nest tries DOALL, then the automatic §4 wavefront
+	// restructuring, and falls back to a sequential DO nest when both
+	// decline. Without it the schedule lowers as emitted.
 	Hyperplane bool
 	// PipelineFirst is ignored: it selected a cascade backend that no
 	// longer exists. It stays only because the repo benchmark
@@ -296,20 +322,14 @@ type Options struct {
 // single point where flowchart descriptors are interpreted; backends
 // must consume the returned Program instead of the flowchart.
 func Lower(m *sem.Module, sched *core.Schedule, opts Options) *Program {
-	p := &Program{Module: m.Name, Fused: opts.Fuse, Virtual: sched.Virtual}
-	lw := &lowerer{p: p, m: m, opts: opts, slot: make(map[*types.Subrange]int, len(m.Subranges))}
+	p := &Program{Module: m.Name, Virtual: sched.Virtual}
+	lw := &lowerer{p: p, m: m, opts: opts, slot: make(map[*types.Subrange]int, len(m.Subranges)),
+		merged: make(map[*core.LoopDesc]bool)}
 	for i, info := range m.Subranges {
 		lw.slot[info.Type] = i
 		p.Bounds = append(p.Bounds, Bound{Subrange: info.Type, Lo: info.Type.Lo, Hi: info.Type.Hi})
 	}
-	fc := sched.Flowchart
-	if opts.Fuse {
-		fc = core.Fuse(fc)
-	}
-	if opts.Hyperplane {
-		fc = lw.remerge(fc)
-	}
-	lw.lower(fc)
+	lw.lower(sched.Flowchart)
 	return p
 }
 
@@ -321,6 +341,12 @@ func (p *Program) HasWavefront() bool {
 		}
 	}
 	return false
+}
+
+// Restructured reports whether the cascade lowered the plan differently
+// from the schedule as emitted: a wavefront step or a fused nest.
+func (p *Program) Restructured() bool {
+	return p.HasWavefront() || p.fused(-1)
 }
 
 // PointWise reports, per kernel, why the plan reaches it only one point
@@ -375,6 +401,9 @@ type lowerer struct {
 }
 
 func (lw *lowerer) lower(fc core.Flowchart) {
+	if lw.opts.Hyperplane {
+		fc = lw.fuse(fc)
+	}
 	for _, d := range fc {
 		switch x := d.(type) {
 		case *core.NodeDesc:
@@ -391,67 +420,38 @@ func (lw *lowerer) lower(fc core.Flowchart) {
 	}
 }
 
-// remerge is the cascade pre-pass: when a sequential loop's body was
-// split by the scheduler into sibling DO nests over one common subrange
-// (deleting the cross edges of a strongly connected component splits it
-// into per-equation loops), re-merge the siblings with the §5 fusion
-// rules and keep the merged nest exactly when the unioned dependence
-// vectors of the rejoined body admit a time vector — so the base
-// schedule of a program like mutual.ps wavefronts the way its fused
-// variant does.
-func (lw *lowerer) remerge(fc core.Flowchart) core.Flowchart {
-	out := make(core.Flowchart, 0, len(fc))
-	for _, d := range fc {
-		l, ok := d.(*core.LoopDesc)
-		if !ok {
-			out = append(out, d)
-			continue
+// fuse is the cascade's §5 step, "merge iterative loops" with core's
+// legality, applied to one flowchart level before its nests are lowered.
+// A merge is made only where the merged nest runs as a parallel step:
+// sibling DOALLs become one leaf DOALL (core admits only reads of the
+// same iteration's writes, so each kernel still runs its own row span
+// per chunk, and one fork/join is saved); sibling DO nests, or the nests
+// the scheduler split inside one DO, merge when the merged nest is a
+// wavefront. A merged sequential body of several equations would run
+// point by point where the unmerged nests ran spans, so it is refused.
+func (lw *lowerer) fuse(fc core.Flowchart) core.Flowchart {
+	return core.FuseIf(fc, func(l *core.LoopDesc) bool {
+		ok := leafDoAll(l)
+		if !l.Parallel {
+			_, _, err := lw.wavefrontAnalysis(l)
+			ok = err == nil
 		}
-		nl := &core.LoopDesc{
-			Subrange: l.Subrange,
-			Parallel: l.Parallel,
-			Body:     lw.remerge(l.Body),
-			Deleted:  l.Deleted,
-		}
-		if cand, ok := lw.tryRemerge(nl); ok {
-			if lw.merged == nil {
-				lw.merged = make(map[*core.LoopDesc]bool)
-			}
-			lw.merged[cand] = true
-			nl = cand
-		}
-		out = append(out, nl)
-	}
-	return out
+		lw.merged[l] = ok
+		return ok
+	})
 }
 
-// tryRemerge rebuilds l with its sibling body nests fused, keeping the
-// result only when the merged nest admits a π.
-func (lw *lowerer) tryRemerge(l *core.LoopDesc) (*core.LoopDesc, bool) {
-	if l.Parallel || len(l.Body) < 2 {
-		return nil, false
-	}
-	var sub *types.Subrange
-	for _, d := range l.Body {
-		inner, ok := d.(*core.LoopDesc)
-		if !ok || inner.Parallel {
-			return nil, false
+// leafDoAll reports whether l is a perfect DOALL nest around equations
+// only, which lowerLoop collapses into a leaf step.
+func leafDoAll(l *core.LoopDesc) bool {
+	for l.Parallel && len(l.Body) == 1 {
+		inner, ok := l.Body[0].(*core.LoopDesc)
+		if !ok {
+			break
 		}
-		if sub == nil {
-			sub = inner.Subrange
-		} else if inner.Subrange != sub {
-			return nil, false
-		}
+		l = inner
 	}
-	fused := core.Fuse(l.Body)
-	if len(fused) != 1 {
-		return nil, false
-	}
-	cand := &core.LoopDesc{Subrange: l.Subrange, Body: fused, Deleted: l.Deleted}
-	if _, _, err := lw.wavefrontAnalysis(cand); err != nil {
-		return nil, false
-	}
-	return cand, true
+	return l.Parallel && equationBody(l.Body) != nil
 }
 
 // lowerCascade lowers l through the backend selection cascade — DOALL,
@@ -461,7 +461,7 @@ func (lw *lowerer) tryRemerge(l *core.LoopDesc) (*core.LoopDesc, bool) {
 func (lw *lowerer) lowerCascade(l *core.LoopDesc) {
 	step := len(lw.p.Steps)
 	at := len(lw.p.Cascade)
-	lw.p.Cascade = append(lw.p.Cascade, Decision{Step: step})
+	lw.p.Cascade = append(lw.p.Cascade, Decision{Step: step, Merged: lw.merged[l]})
 	// lowerLoop appends the nested loops' decisions, which may move
 	// Cascade: no pointer into it is used after that call.
 	if l.Parallel {
@@ -470,7 +470,7 @@ func (lw *lowerer) lowerCascade(l *core.LoopDesc) {
 		return
 	}
 	d := &lw.p.Cascade[at]
-	d.Nest, d.Merged = l.Subrange.Name, lw.merged[l]
+	d.Nest = l.Subrange.Name
 	d.Rejections = []Rejection{{"doall", doallReason(l)}}
 	an, eqs, err := lw.wavefrontAnalysis(l)
 	if err != nil {
@@ -568,7 +568,8 @@ func (lw *lowerer) markLeaf(self int) {
 // maximal nest of fully sequential singleton loops whose innermost body
 // is one or more recurrence equations iterating exactly the nest's
 // dimensions (one equation, a strongly connected component the
-// scheduler put into one nest, or a §5-fused group) — and runs the
+// scheduler put into one nest, or a group the cascade's fusion step is
+// weighing) — and runs the
 // hyperplane analysis on the union of the group's dependence vectors.
 // On any ineligibility it returns an error naming the reason, which the
 // cascade records as the wavefront backend's rejection; the transform
@@ -733,11 +734,8 @@ func (p *Program) dimNames(st *Step) string {
 func (p *Program) String() string {
 	var sb strings.Builder
 	variant := ""
-	if p.Fused {
-		variant = ", fused"
-	}
 	if p.HasWavefront() {
-		variant += ", auto-hyperplane"
+		variant = ", auto-hyperplane"
 	}
 	fmt.Fprintf(&sb, "plan %s (%d steps, %d slots%s)\n", p.Module, len(p.Steps), len(p.Bounds), variant)
 	for i, b := range p.Bounds {
@@ -762,6 +760,7 @@ func (p *Program) String() string {
 				targets[j] = t.Sym.Name
 			}
 			fmt.Fprintf(&sb, "%s -> %s  [kernel %d]\n", eq.Label, strings.Join(targets, ", "), st.Eq)
+			continue
 		case OpDo, OpDoAll:
 			fmt.Fprintf(&sb, "%s %s", st.Op, p.dimNames(&st))
 			if len(st.Dims) > 1 {
@@ -770,8 +769,6 @@ func (p *Program) String() string {
 			if st.Leaf {
 				sb.WriteString(" leaf")
 			}
-			sb.WriteByte('\n')
-			depth = append(depth, st.End)
 		case OpWavefront:
 			names := make([]string, len(st.Dims))
 			for j, s := range st.Dims {
@@ -789,9 +786,12 @@ func (p *Program) String() string {
 				// kernels sharing this π, executed in order per point.
 				fmt.Fprintf(&sb, ", kernels %d", nk)
 			}
-			sb.WriteByte('\n')
-			depth = append(depth, st.End)
 		}
+		if p.fused(i) {
+			sb.WriteString(" [fused]")
+		}
+		sb.WriteByte('\n')
+		depth = append(depth, st.End)
 	}
 	return sb.String()
 }

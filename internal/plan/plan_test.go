@@ -141,8 +141,10 @@ func TestLeafDo(t *testing.T) {
 	}
 }
 
-// TestLowerFused checks fusion is applied at lowering time: the four
-// element-wise chain loops merge into one collapsed DOALL.
+// TestLowerFused checks §5 fusion is a step of the cascade: the
+// element-wise chain's two DOALLs merge into one leaf DOALL under the
+// cascade, the decision and the listing mark the merged nest, and the
+// schedule as emitted (the sequential reference) keeps both loops.
 func TestLowerFused(t *testing.T) {
 	const src = `
 Chain: module (Xs: array[I] of real; N: int):
@@ -154,24 +156,66 @@ define
 end Chain;
 `
 	base := lower(t, src, "Chain", plan.Options{})
-	fused := lower(t, src, "Chain", plan.Options{Fuse: true})
-	if !fused.Fused {
-		t.Error("fused plan not marked Fused")
+	fused := lower(t, src, "Chain", plan.Options{Hyperplane: true})
+	if got, want := base.Compact(), "DOALL I (eq.1); DOALL I (eq.2)"; got != want {
+		t.Errorf("base Compact = %q, want %q", got, want)
 	}
-	countLoops := func(p *plan.Program) int {
-		n := 0
-		for _, st := range p.Steps {
-			if st.Op != plan.OpEq {
-				n++
-			}
-		}
-		return n
-	}
-	if b, f := countLoops(base), countLoops(fused); f >= b {
-		t.Errorf("fusion did not reduce loop count: base %d, fused %d", b, f)
+	if got := lower(t, src, "Chain", plan.Options{Fuse: true}).Compact(); got != base.Compact() {
+		t.Errorf("Options.Fuse is not ignored: %q", got)
 	}
 	if got, want := fused.Compact(), "DOALL I (eq.1; eq.2)"; got != want {
 		t.Errorf("fused Compact = %q, want %q", got, want)
+	}
+	if !fused.Steps[0].Leaf {
+		t.Error("fused DOALL is not a leaf")
+	}
+	if !fused.Restructured() || base.Restructured() {
+		t.Errorf("Restructured: cascade %v, base %v", fused.Restructured(), base.Restructured())
+	}
+	if r := fused.CascadeReport(); !strings.Contains(r, "step 0: nest I -> doall [fused eq.1, eq.2]") {
+		t.Errorf("cascade report does not mark the merge:\n%s", r)
+	}
+	if l := fused.String(); !strings.Contains(l, "doall I leaf [fused]") || strings.Contains(l, ", fused") {
+		t.Errorf("listing does not mark the merged nest:\n%s", l)
+	}
+}
+
+// TestCascadeFusionRule pins the sibling merges the cascade weighs
+// beyond TestLowerFused's DOALL pair: a DO pair merges when its merged
+// nest is a wavefront; a DOALL pair across an "I - c" read, and a DO pair
+// whose merged body would run point by point, stay apart.
+func TestCascadeFusionRule(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"DoAllBackwardRead", `
+M: module (Xs: array[I] of real; N: int): [Ys: array [I] of real; Zs: array [I] of real];
+type I = 0 .. N;
+define
+    Ys[I] = Xs[I] * 2.0 + 1.0;
+    Zs[I] = if I = 0 then Ys[I] else Ys[I-1];
+end M;
+`, "DOALL I (eq.1); DOALL I (eq.2)"},
+		{"DoPair1D", `
+M: module (Xs: array[I] of real; N: int): [Ys: array [I] of real; Zs: array [I] of real];
+type I = 0 .. N;
+define
+    Ys[I] = if I = 0 then Xs[I] else Ys[I-1] + Xs[I];
+    Zs[I] = if I = 0 then Xs[I] else Zs[I-1] * 0.5;
+end M;
+`, "DO I (eq.2); DO I (eq.1)"},
+		{"DoPairWavefront", `
+M: module (Xs: array[I,J] of real; N: int): [Ys: array [I,J] of real; Zs: array [I,J] of real];
+type I, J = 0 .. N;
+define
+    Ys[I,J] = if (I = 0) or (J = 0) then Xs[I,J] else Ys[I-1,J] + Ys[I,J-1];
+    Zs[I,J] = if (I = 0) or (J = 0) then Xs[I,J] else Zs[I-1,J] + Zs[I,J-1] + Ys[I,J];
+end M;
+`, "WAVEFRONT[pi=(1,1)] I×J (eq.1; eq.2)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := lower(t, tc.src, "M", plan.Options{Hyperplane: true}).Compact(); got != tc.want {
+				t.Errorf("cascade plan %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -432,11 +476,11 @@ end Reflect;
 	// Wavefront-ineligible falls to the end of the cascade: the nest
 	// keeps its sequential DO chain, exactly as with the cascade off, and
 	// the decision records both rejections.
-	const want = "DO I (DO J (eq.2; eq.1)); DOALL I×J (eq.3); DOALL I×J (eq.4)"
-	if got := p.Compact(); got != want {
+	// Only the copy-out DOALLs fuse.
+	if got, want := p.Compact(), "DO I (DO J (eq.2; eq.1)); DOALL I×J (eq.3; eq.4)"; got != want {
 		t.Errorf("compact auto plan = %q, want %q", got, want)
 	}
-	if got := lower(t, reflectSrc, "Reflect", plan.Options{}).Compact(); got != want {
+	if got, want := lower(t, reflectSrc, "Reflect", plan.Options{}).Compact(), "DO I (DO J (eq.2; eq.1)); DOALL I×J (eq.3); DOALL I×J (eq.4)"; got != want {
 		t.Errorf("compact base plan = %q, want %q", got, want)
 	}
 	d := p.Cascade[0]

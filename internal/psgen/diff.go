@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/depgraph"
+	"repro/internal/interp"
 	"repro/internal/parser"
 	"repro/internal/plan"
 	"repro/internal/sem"
@@ -48,8 +49,8 @@ func (f Finding) String() string {
 type Outcome struct {
 	Spec Spec
 	// Backends marks cascade backends this program's lowering reached:
-	// "doall", "wavefront", "multi-wavefront", "sequential-reject", plus
-	// the runtime-observed "doacross".
+	// "doall", "wavefront", "multi-wavefront", "sequential-reject", the
+	// fusion step's "fused", plus the runtime-observed "doacross".
 	Backends map[string]bool
 	// SpecFallback reports that a non-strict parallel run executed at
 	// least one equation instance on the generic checked kernel.
@@ -77,6 +78,10 @@ type variant struct {
 	tiles bool
 }
 
+// noArena allocates fresh zeroed storage for every activation array
+// instead of recycling arena backings.
+var noArena = ps.RunOption(func(o *interp.Options) { o.NoArena = true })
+
 // matrix builds the variant rows. The first row is always the
 // sequential reference; the second, seq-nospec, runs the same plan on
 // the checked kernels alone, so the span kernels the reference reaches
@@ -87,7 +92,6 @@ func matrix(quick bool) []variant {
 			{name: "seq", opts: []ps.RunOption{ps.Sequential()}},
 			{name: "seq-nospec", opts: []ps.RunOption{ps.Sequential(), ps.NoSpecialize()}, strict: true},
 			{name: "w2", opts: []ps.RunOption{ps.Workers(2)}, planes: true},
-			{name: "w2-fused", opts: []ps.RunOption{ps.Workers(2), ps.Fused()}},
 			{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, tiles: true},
 			{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
 			{name: "w2-traced", opts: []ps.RunOption{ps.Workers(2)}, traced: true},
@@ -96,17 +100,15 @@ func matrix(quick bool) []variant {
 	return []variant{
 		{name: "seq", opts: []ps.RunOption{ps.Sequential()}},
 		{name: "seq-nospec", opts: []ps.RunOption{ps.Sequential(), ps.NoSpecialize()}, strict: true},
-		{name: "seq-fused", opts: []ps.RunOption{ps.Sequential(), ps.Fused()}},
 		{name: "w1", opts: []ps.RunOption{ps.Workers(1)}},
 		{name: "w2", opts: []ps.RunOption{ps.Workers(2)}, planes: true},
 		{name: "w4", opts: []ps.RunOption{ps.Workers(4)}, planes: true},
 		{name: "w2-hpoff", opts: []ps.RunOption{ps.Workers(2), ps.WithHyperplane(ps.HyperplaneOff)}},
-		{name: "w2-fused", opts: []ps.RunOption{ps.Workers(2), ps.Fused()}},
 		{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, planes: true, tiles: true},
 		{name: "w4-doacross", opts: []ps.RunOption{ps.Workers(4), ps.Grain(1)}, planes: true, tiles: true},
 		{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
 		{name: "w2-nospec", opts: []ps.RunOption{ps.Workers(2), ps.NoSpecialize()}, strict: true},
-		{name: "w2-noarena", opts: []ps.RunOption{ps.Workers(2), ps.NoArena()}},
+		{name: "w2-noarena", opts: []ps.RunOption{ps.Workers(2), noArena}},
 		{name: "w2-novirtual", opts: []ps.RunOption{ps.Workers(2), ps.NoVirtual()}},
 		{name: "seq-traced", opts: []ps.RunOption{ps.Sequential()}, traced: true},
 		{name: "w2-traced", opts: []ps.RunOption{ps.Workers(2)}, traced: true},
@@ -255,12 +257,14 @@ func frontend(src string) (*frontendResult, error) {
 // classify folds the cascade decisions into the outcome's backend set.
 func classify(pl *plan.Program, out *Outcome) {
 	for _, d := range pl.Cascade {
+		if d.Merged {
+			out.Backends["fused"] = true
+		}
 		switch d.Choice {
 		case "doall":
 			out.Backends["doall"] = true
 		case "wavefront":
-			st := &pl.Steps[d.Step]
-			if kernels(pl, st) >= 2 {
+			if len(pl.BodyEqs(d.Step)) >= 2 {
 				out.Backends["multi-wavefront"] = true
 			} else {
 				out.Backends["wavefront"] = true
@@ -271,26 +275,6 @@ func classify(pl *plan.Program, out *Outcome) {
 			}
 		}
 	}
-}
-
-// kernels counts the equation steps in a loop step's body.
-func kernels(pl *plan.Program, st *plan.Step) int {
-	n := 0
-	for i := stepIndex(pl, st) + 1; i < st.End; i++ {
-		if pl.Steps[i].Op == plan.OpEq {
-			n++
-		}
-	}
-	return n
-}
-
-func stepIndex(pl *plan.Program, st *plan.Step) int {
-	for i := range pl.Steps {
-		if &pl.Steps[i] == st {
-			return i
-		}
-	}
-	return -1
 }
 
 // wavefrontGeometry extracts the lowered plan's time vector and the

@@ -41,7 +41,7 @@ const (
 	// ClassMultiWavefront generates two mutually recursive equations
 	// whose union dependence set admits one time vector — the §4
 	// multi-equation analysis (and, for the split-nest pattern, the
-	// sibling re-merge pre-pass).
+	// cascade's fusion step).
 	ClassMultiWavefront
 	// ClassDoacross is wavefront-eligible geometry with wider planes,
 	// so that the Grain(1) rows put the nest on the doacross (tile)
@@ -151,6 +151,11 @@ type Spec struct {
 	// Sibling adds a §5-fusable sibling output equation over the same
 	// nest.
 	Sibling bool
+	// SiblingRead makes the sibling read the primary output Out: 0 not at
+	// all, 1 at distance 0 (the cascade fuses the two DOALLs), 2 one
+	// iteration back along the first dimension (fusing them would race
+	// across chunks, so they must stay apart).
+	SiblingRead int
 	// IntInput adds an integer array parameter read through float()
 	// (ClassDOALL only).
 	IntInput bool
@@ -256,7 +261,7 @@ func Generate(seed uint64, class Class) Spec {
 		sp.Escape = consumerEscape(r)
 	case ClassMultiWavefront:
 		dims(2, 4, 7)
-		sp.Pattern = r.intn(2) // 0: coupled cross-reads; 1: split-nest re-merge
+		sp.Pattern = r.intn(2) // 0: coupled cross-reads; 1: split nests the cascade fuses
 		sp.Escape = consumerEscape(r)
 	case ClassPipeline:
 		dims(2, 4, 7)
@@ -267,8 +272,9 @@ func Generate(seed uint64, class Class) Spec {
 		sp.Escape = consumerEscape(r)
 	}
 	// Drawn last, so every earlier draw — and every pinned spec, which
-	// loads with Guard 0 — renders as before.
+	// loads with Guard 0 and SiblingRead 0 — renders as before.
 	sp.Guard = r.intn(4)
+	sp.SiblingRead = r.intn(3)
 	return sp
 }
 
@@ -546,8 +552,8 @@ func (sp *Spec) renderBody(b *strings.Builder) {
 			// Mutual split-nest: each equation self-depends at the inner
 			// level and cross-reads the other at (1,0), so the scheduler
 			// splits the component into sibling sequential nests; the
-			// re-merge pre-pass rejoins them and the union {(1,0),(0,1)}
-			// admits a π.
+			// cascade's fusion step rejoins them because the union
+			// {(1,0),(0,1)} admits a π.
 			uDeps = [][]int64{{1, 0}, {0, 1}}
 			vDeps = uDeps
 			uReads = []string{sp.readAt("Y", []int64{1, 0}), sp.readAt("X", []int64{0, 1})}
@@ -589,7 +595,16 @@ func (sp *Spec) renderBody(b *strings.Builder) {
 	}
 
 	if sp.Sibling {
-		idx := sp.idxList()
-		fmt.Fprintf(b, "    Out2[%s] = %s * Seed[%s] - %s;\n", idx, lit(sp.Coefs[2]), idx, lit(sp.Coefs[3]))
+		body := fmt.Sprintf("%s * Seed[%s] - %s", lit(sp.Coefs[2]), idx, lit(sp.Coefs[3]))
+		switch sp.SiblingRead {
+		case 1:
+			body = fmt.Sprintf("%s + Out[%s]", body, idx)
+		case 2:
+			back := make([]int64, len(sp.Dims))
+			back[0] = 1
+			body = fmt.Sprintf("if %s = %d then %s else %s + %s",
+				sp.Dims[0].Name, sp.Dims[0].Lo, body, body, sp.readAt("Out", back))
+		}
+		fmt.Fprintf(b, "    Out2[%s] = %s;\n", idx, body)
 	}
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // AllBackends lists every scheduler-cascade backend (plus the runtime
-// doacross tile executor) a campaign is expected to reach — the acceptance
-// counters of a generation report.
+// doacross tile executor and the cascade's fusion step) a campaign is
+// expected to reach — the acceptance counters of a generation report.
 var AllBackends = []string{
-	"doall", "wavefront", "multi-wavefront", "doacross", "sequential-reject",
+	"doall", "wavefront", "multi-wavefront", "doacross", "sequential-reject", "fused",
 }
 
 // Report aggregates the outcomes of a campaign: how many programs

@@ -55,6 +55,9 @@ func reductions(sp Spec) []Spec {
 	if sp.Sibling {
 		add(func(c *Spec) { c.Sibling = false })
 	}
+	if sp.SiblingRead != 0 {
+		add(func(c *Spec) { c.SiblingRead = 0 })
+	}
 	if sp.Consumers > 1 {
 		add(func(c *Spec) { c.Consumers = 1 })
 	}

@@ -192,9 +192,9 @@ end Reflect;
 
 // Mutual is the cascade-ordering workload (also pinned as
 // testdata/mutual.ps): two mutually recursive arrays whose scheduler
-// output is DO I (DO J (eq.2); DO J (eq.1)). The re-merge pre-pass
-// rejoins the sibling nests and the union of dependence vectors
-// {(1,0),(0,1)} admits pi = (1,1), so the auto cascade wavefronts it.
+// output is DO I (DO J (eq.2); DO J (eq.1)). The cascade's fusion step
+// rejoins the sibling nests because the union of dependence vectors
+// {(1,0),(0,1)} admits pi = (1,1), and wavefronts the merged nest.
 const Mutual = `
 Mutual: module (Seed: array[I,J] of real; N: int):
     [OutX: array [I,J] of real; OutY: array [I,J] of real];

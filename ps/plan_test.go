@@ -32,9 +32,10 @@ func TestModulePlan(t *testing.T) {
 	if got, want := m.PlanCompact(), "DOALL I×J (eq.1); DO K (DOALL I×J (eq.3)); DOALL I×J (eq.2)"; got != want {
 		t.Errorf("PlanCompact() = %q, want %q", got, want)
 	}
-	// The fused variant is lowered separately and marked as such.
-	if !strings.Contains(m.PlanFused(), "fused") {
-		t.Errorf("PlanFused() not marked fused:\n%s", m.PlanFused())
+	// Nothing in relaxation fuses or wavefronts: the sequential plan is
+	// the same listing.
+	if off := m.PlanWith(ps.PlanOptions{Hyperplane: ps.HyperplaneOff}); off != listing {
+		t.Errorf("hyperplane-off plan differs from the default:\n%s", off)
 	}
 }
 
@@ -57,14 +58,14 @@ func TestRunnerExplain(t *testing.T) {
 			t.Errorf("Explain() missing %q:\n%s", want, out)
 		}
 	}
-	fused, err := prog.Prepare("Relaxation", ps.Sequential(), ps.Fused())
+	seq, err := prog.Prepare("Relaxation", ps.Sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = fused.Explain()
-	for _, want := range []string{"sequential", "fused plan", "plan Relaxation"} {
+	out = seq.Explain()
+	for _, want := range []string{"runner Relaxation: sequential, base plan", "plan Relaxation"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("fused Explain() missing %q:\n%s", want, out)
+			t.Errorf("sequential Explain() missing %q:\n%s", want, out)
 		}
 	}
 
@@ -91,7 +92,7 @@ func TestRunnerExplain(t *testing.T) {
 			t.Errorf("Explain() missing %q:\n%s", tc.want, out)
 		}
 	}
-	for _, r := range []*ps.Runner{run, fused} {
+	for _, r := range []*ps.Runner{run, seq} {
 		if out := r.Explain(); strings.Contains(out, "wavefront dispatch") {
 			t.Errorf("Explain() of a runner with no wavefront step to dispatch:\n%s", out)
 		}

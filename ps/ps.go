@@ -169,11 +169,6 @@ func NoVirtual() RunOption { return func(o *interp.Options) { o.NoVirtual = true
 // and benchmarking control; results are identical either way.
 func NoSpecialize() RunOption { return func(o *interp.Options) { o.NoSpecialize = true } }
 
-// NoArena disables arena pooling of activation arrays, allocating fresh
-// zeroed storage for every run (the pre-pooling behaviour). Strict runs
-// imply it.
-func NoArena() RunOption { return func(o *interp.Options) { o.NoArena = true } }
-
 // Grain sets the minimum iterations per parallel chunk. For wavefront
 // steps it is both the tile width on the blocked plane coordinate and
 // the g of the dispatch rule: a nest runs on the tile executor when its
@@ -188,9 +183,6 @@ func Grain(n int64) RunOption { return func(o *interp.Options) { o.Grain = n } }
 // executing when each sample hit. Costs one label-set install per
 // parallel dispatch — negligible next to any profiled workload.
 func WithProfileLabels() RunOption { return func(o *interp.Options) { o.ProfileLabels = true } }
-
-// Fused executes the loop-fused schedule variant (§5 extension).
-func Fused() RunOption { return func(o *interp.Options) { o.Fuse = true } }
 
 // HyperplaneMode controls the automatic §4 restructuring of sequential
 // loop nests (see WithHyperplane).
@@ -243,24 +235,18 @@ func (m *Module) Flowchart() string { return m.sched.Flowchart.String() }
 // "DO K (DOALL I (DOALL J (eq.3)))".
 func (m *Module) FlowchartCompact() string { return m.sched.Flowchart.Compact() }
 
-// FlowchartFused returns the loop-fused schedule variant (§5 extension):
-// loops over the same subrange merged when dependences permit.
-func (m *Module) FlowchartFused() string { return core.Fuse(m.sched.Flowchart).Compact() }
-
-// PlanOptions select a lowered plan variant for inspection and C
-// generation.
+// PlanOptions select a lowered plan for inspection and C generation.
 type PlanOptions struct {
-	// Fused selects the §5 loop-fused variant.
-	Fused bool
-	// Hyperplane selects whether the DOALL → wavefront → sequential
-	// cascade (§4 wavefront lowering) is applied; the zero value
-	// (HyperplaneAuto) matches the plan parallel runs execute by default.
+	// Hyperplane selects whether the cascade — §5 fusion where it yields
+	// a parallel step, then DOALL → wavefront → sequential — is applied;
+	// the zero value (HyperplaneAuto) matches the plan parallel runs
+	// execute by default, HyperplaneOff the one sequential runs execute.
 	Hyperplane HyperplaneMode
 }
 
 // planFor resolves a plan variant.
 func (m *Module) planFor(o PlanOptions) *plan.Program {
-	return m.prog.ip.Plan(m.sem.Name, plan.Options{Fuse: o.Fused, Hyperplane: o.Hyperplane == HyperplaneAuto})
+	return m.prog.ip.Plan(m.sem.Name, plan.Options{Hyperplane: o.Hyperplane == HyperplaneAuto})
 }
 
 // Plan returns the lowered loop program — the flat, slot-resolved IR
@@ -282,11 +268,6 @@ func (m *Module) PlanCompact() string { return m.pl.Compact() }
 
 // PlanCompactWith returns the one-line form of a specific plan variant.
 func (m *Module) PlanCompactWith(o PlanOptions) string { return m.planFor(o).Compact() }
-
-// PlanFused returns the loop-fused plan variant's listing.
-func (m *Module) PlanFused() string {
-	return m.PlanWith(PlanOptions{Fused: true})
-}
 
 // GraphListing returns the dependency graph as text (Figure 3).
 func (m *Module) GraphListing() string { return m.graph.Listing() }

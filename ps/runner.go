@@ -98,14 +98,11 @@ func (r *Runner) Explain() string {
 	if r.opts.Hyperplane == HyperplaneOff {
 		mode += ", hyperplane off"
 	}
-	planOpts := plan.Options{Fuse: o.Fuse, Hyperplane: o.EffectiveHyperplane()}
+	planOpts := plan.Options{Hyperplane: o.EffectiveHyperplane()}
 	pl := r.prog.ip.Plan(r.mod.sem.Name, planOpts)
 	variant := "base plan"
-	if r.opts.Fuse {
-		variant = "fused plan"
-	}
 	if pl.HasWavefront() {
-		variant = "auto-hyperplane " + variant
+		variant = "auto-hyperplane base plan"
 	}
 	fmt.Fprintf(&sb, "runner %s: %s, %s\n", r.mod.Name(), mode, variant)
 	// The cascade report: per nest, which backend won and why the earlier

@@ -51,8 +51,7 @@ type RunStats struct {
 	SpecializedKernels int64
 	// ArenaReuses is the number of activation arrays whose backing
 	// store was recycled from the arena instead of freshly allocated.
-	// Zero on a first run (nothing pooled yet), under Strict, or with
-	// NoArena.
+	// Zero on a first run (nothing pooled yet) and under Strict.
 	ArenaReuses int64
 	// Workers is the worker count the run was configured with (1 for
 	// sequential runs).

@@ -1,14 +1,17 @@
 // Variant parity tests: every program in testdata/ and the psrc corpus
 // (the sources the examples run) must produce identical results under
 // every execution variant — sequential, parallel at several widths and
-// grains, loop-fused, strict, with virtual windows ablated, and with
-// the automatic §4 hyperplane (wavefront) scheduling both on and off.
+// grains, strict, with virtual windows ablated, and with the cascade
+// (§5 fusion and the automatic §4 hyperplane scheduling) both on and
+// off.
 // The sequential run is the reference; all others are compared element
 // for element through the JSON encoding. Run under -race (CI does) this
 // also shakes out data races in the DOALL and wavefront dispatch paths.
 package repro
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
@@ -135,6 +138,10 @@ func variantPrograms(t *testing.T) []variantProgram {
 			[]any{grid3D(6), int64(6)}},
 		{"testdata/edit_distance", mustRead(t, "testdata/edit_distance.ps"), "EditDistance",
 			[]any{intVector(1, 8), intVector(1, 11), int64(8), int64(11)}},
+		{"testdata/twin", mustRead(t, "testdata/twin.ps"), "Twin",
+			[]any{vector(0, 40), int64(40)}},
+		{"testdata/shift_pair", mustRead(t, "testdata/shift_pair.ps"), "ShiftPair",
+			[]any{vector(0, 4000), int64(4000)}},
 	}
 }
 
@@ -142,10 +149,11 @@ func variantPrograms(t *testing.T) []variantProgram {
 // program matches its sequential reference exactly.
 func TestVariantParity(t *testing.T) {
 	// The parallel variants run with the default HyperplaneAuto mode, so
-	// they execute the wavefront plan wherever a nest is eligible; the
-	// HyperOff rows pin the untransformed nests at the same widths, and
-	// the remaining rows cross auto-hyperplane with grain, fusion,
-	// strictness and window ablation.
+	// they execute the cascade plan: nests fused where the merge yields a
+	// parallel step, and wavefronts wherever a nest is eligible. The
+	// HyperOff rows pin the schedule as emitted at the same widths, and
+	// the remaining rows cross the cascade with grain, strictness and
+	// window ablation.
 	variants := []struct {
 		name string
 		opts []ps.RunOption
@@ -155,8 +163,6 @@ func TestVariantParity(t *testing.T) {
 		{"Par4", []ps.RunOption{ps.Workers(4)}},
 		{"Par3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8)}},
 		{"Par2Grain4", []ps.RunOption{ps.Workers(2), ps.Grain(4)}},
-		{"FusedSeq", []ps.RunOption{ps.Sequential(), ps.Fused()}},
-		{"FusedPar4", []ps.RunOption{ps.Workers(4), ps.Fused()}},
 		{"StrictSeq", []ps.RunOption{ps.Sequential(), ps.Strict()}},
 		{"StrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict()}},
 		{"NoVirtualSeq", []ps.RunOption{ps.Sequential(), ps.NoVirtual()}},
@@ -165,13 +171,12 @@ func TestVariantParity(t *testing.T) {
 		{"HyperOffPar2", []ps.RunOption{ps.Workers(2), ps.WithHyperplane(ps.HyperplaneOff)}},
 		{"HyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff)}},
 		{"HyperOffPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8), ps.WithHyperplane(ps.HyperplaneOff)}},
-		{"HyperOffFusedPar4", []ps.RunOption{ps.Workers(4), ps.Fused(), ps.WithHyperplane(ps.HyperplaneOff)}},
 		// Dispatch rows. A wavefront nest runs on the tile executor when
 		// its average plane holds grain × workers points and sweeps inline
 		// otherwise, so at these sizes the default rows above all sweep
 		// inline. The Doacross rows set Grain(1), which tiles every nest
 		// whose planes can occupy the workers, alone and crossed with
-		// fusion, strictness and hyperplane-off (no wavefront step: the
+		// strictness and hyperplane-off (no wavefront step: the
 		// grain only chunks DOALLs); the Barrier row sets a grain no plane
 		// fills, pinning the inline sweep on a four-worker pool. The row
 		// names predate the single executor and are kept as stable test
@@ -180,7 +185,6 @@ func TestVariantParity(t *testing.T) {
 		{"DoacrossPar2", []ps.RunOption{ps.Workers(2), ps.Grain(1)}},
 		{"DoacrossPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
 		{"DoacrossPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8)}},
-		{"DoacrossFusedPar4", []ps.RunOption{ps.Workers(4), ps.Fused(), ps.Grain(1)}},
 		{"DoacrossStrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict(), ps.Grain(1)}},
 		{"DoacrossHyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff), ps.Grain(1)}},
 		// The Pipeline rows once selected a pipeline-first cascade whose
@@ -189,9 +193,18 @@ func TestVariantParity(t *testing.T) {
 		{"PipelinePar1", []ps.RunOption{ps.Workers(1)}},
 		{"PipelinePar2", []ps.RunOption{ps.Workers(2)}},
 		{"PipelinePar4", []ps.RunOption{ps.Workers(4)}},
-		{"PipelineFusedPar4", []ps.RunOption{ps.Workers(4), ps.Fused()}},
+		{"PipelineFusedPar4", []ps.RunOption{ps.Workers(4)}},
 		{"PipelineStrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict()}},
 		{"PipelineHyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff)}},
+		// The Fused rows once selected a fusion knob that is now a cascade
+		// decision: every parallel run executes the fused cascade plan, and
+		// sequential and hyperplane-off runs the schedule as emitted. They
+		// are kept as stable test IDs and repeat the rows of the same
+		// options; FusedSeq runs the fused plan on one worker.
+		{"FusedSeq", []ps.RunOption{ps.Workers(1)}},
+		{"FusedPar4", []ps.RunOption{ps.Workers(4)}},
+		{"HyperOffFusedPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff)}},
+		{"DoacrossFusedPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
 	}
 	for _, tp := range variantPrograms(t) {
 		t.Run(tp.name, func(t *testing.T) {
@@ -230,7 +243,7 @@ func TestVariantParity(t *testing.T) {
 // TestAutoHyperplaneEligibility pins down which backend the lowering
 // cascade picks per corpus program. Recurrence nests with
 // constant-offset dependences and a valid time vector become wavefront
-// steps — since the sibling re-merge pre-pass, that includes components
+// steps — through the cascade's fusion step, that includes components
 // the scheduler split into adjacent inner nests whose unioned
 // dependences still admit a π (mutual). Nests the wavefront analysis
 // rejects (reflect's non-constant read, 1-D recurrences,
@@ -252,7 +265,7 @@ func TestAutoHyperplaneEligibility(t *testing.T) {
 		// group's dependence vectors.
 		{"testdata/coupled", mustRead(t, "testdata/coupled.ps"), "Coupled", "wavefront", "pi=(2,1)"},
 		{"psrc/CoupledGrid", psrc.CoupledGrid, "CoupledGrid", "wavefront", "pi=(1,1)"},
-		{"testdata/fuse_pair", mustRead(t, "testdata/fuse_pair.ps"), "FusePair", "wavefront", "pi=(1,1)"}, // two singleton wavefronts unfused
+		{"testdata/fuse_pair", mustRead(t, "testdata/fuse_pair.ps"), "FusePair", "wavefront", "pi=(1,1)"}, // one fused two-kernel wavefront
 		{"testdata/smith_waterman", mustRead(t, "testdata/smith_waterman.ps"), "SmithWaterman", "wavefront", "pi=(1,1)"},
 		// The 3-D positive: the time vector must span all three
 		// dimensions of the cube.
@@ -260,9 +273,9 @@ func TestAutoHyperplaneEligibility(t *testing.T) {
 		// Boundary equations as their own DOALLs ahead of the interior
 		// anti-diagonal wavefront.
 		{"testdata/edit_distance", mustRead(t, "testdata/edit_distance.ps"), "EditDistance", "wavefront", "pi=(1,1)"},
-		// Re-merge positive: the scheduler splits mutual's component into
-		// two adjacent inner nests; the pre-pass re-merges them and the
-		// union analysis wavefronts the base schedule.
+		// Fusion positive: the scheduler splits mutual's component into
+		// two adjacent inner nests; the cascade's fusion step merges them
+		// because the union analysis wavefronts the merged nest.
 		{"testdata/mutual", mustRead(t, "testdata/mutual.ps"), "Mutual", "wavefront", "pi=(1,1)"},
 		// Negative cases: the DO loops must survive untransformed. The
 		// reflected-column read X[I-1, N+1-J] is not a constant-offset
@@ -304,8 +317,9 @@ func TestAutoHyperplaneEligibility(t *testing.T) {
 				if strings.Contains(compact, "WAVEFRONT") {
 					t.Errorf("ineligible program was transformed: %q", compact)
 				}
-				if off != compact {
-					t.Errorf("auto and off plans differ for ineligible program:\n auto %q\n off  %q", compact, off)
+				// Fusion may merge the DOALLs; the sequential nests stay.
+				if strings.Count(off, "DO ") != strings.Count(compact, "DO ") {
+					t.Errorf("auto plan changed the sequential nests of an ineligible program:\n auto %q\n off  %q", compact, off)
 				}
 				run, err := prog.Prepare(tc.module, ps.Workers(2))
 				if err != nil {
@@ -324,10 +338,10 @@ func TestAutoHyperplaneEligibility(t *testing.T) {
 
 // TestMultiEquationWavefront pins the multi-equation tentpole shapes:
 // a coupled two-recurrence component lowers to a single wavefront step
-// carrying both kernels, the §5-fused variants of the splittable
-// corpus programs collapse their merged bodies into one multi-kernel
-// wavefront, and a prepared Runner's Explain lists the equations
-// sharing the group's π under the wavefront step.
+// carrying both kernels, the splittable corpus programs fuse into one
+// multi-kernel wavefront in the default plan, and a prepared Runner's
+// Explain lists the equations sharing the group's π under the wavefront
+// step.
 func TestMultiEquationWavefront(t *testing.T) {
 	countWavefronts := func(compact string) int { return strings.Count(compact, "WAVEFRONT") }
 
@@ -355,14 +369,13 @@ func TestMultiEquationWavefront(t *testing.T) {
 		}
 	}
 
-	// Fusion synergy: mutual's base variant wavefronts too since the
-	// re-merge pre-pass rejoins the two inner nests the scheduler split
-	// (so base and fused agree); fuse_pair's top-level siblings are NOT
-	// re-merged — it keeps two singleton wavefronts until §5 fusion
-	// merges them into one two-kernel wavefront.
+	// Fusion synergy: the cascade merges mutual's two inner nests (the
+	// component the scheduler split) and fuse_pair's two top-level
+	// recurrence nests, each into one two-kernel wavefront, because the
+	// merged nest admits a π. The schedule as emitted keeps them apart.
 	for _, tc := range []struct {
 		file, module string
-		baseWF       int
+		offNests     int
 		fusedCompact string
 	}{
 		{"testdata/mutual.ps", "Mutual", 1, "WAVEFRONT[pi=(1,1)] I×J (eq.2; eq.1)"},
@@ -373,17 +386,97 @@ func TestMultiEquationWavefront(t *testing.T) {
 			t.Fatal(err)
 		}
 		mod := prog.Module(tc.module)
-		if got := countWavefronts(mod.PlanCompact()); got != tc.baseWF {
-			t.Errorf("%s base plan has %d wavefront steps, want %d: %q", tc.module, got, tc.baseWF, mod.PlanCompact())
+		if fused := mod.PlanCompact(); countWavefronts(fused) != 1 || !strings.Contains(fused, tc.fusedCompact) {
+			t.Errorf("%s default plan is not a single multi-kernel wavefront: %q", tc.module, fused)
 		}
-		fused := mod.PlanCompactWith(ps.PlanOptions{Fused: true})
-		if countWavefronts(fused) != 1 || !strings.Contains(fused, tc.fusedCompact) {
-			t.Errorf("%s fused plan is not a single multi-kernel wavefront: %q", tc.module, fused)
+		off := mod.PlanCompactWith(ps.PlanOptions{Hyperplane: ps.HyperplaneOff})
+		if got := strings.Count(off, "DO I"); got != tc.offNests {
+			t.Errorf("%s hyperplane-off plan has %d DO I nests, want %d: %q", tc.module, got, tc.offNests, off)
 		}
 	}
 }
 
-// TestVariantParityConcurrent runs the parallel fused variant of every
+// TestParallelPlanFuses pins the cascade's §5 step on the default
+// parallel plan: sibling DOALLs reading each other only at distance 0
+// merge into one leaf DOALL (one fork/join instead of several), and
+// sibling recurrence nests merge when the merged nest is a wavefront.
+func TestParallelPlanFuses(t *testing.T) {
+	prog, err := ps.CompileProgram("json_types.ps", mustRead(t, "testdata/json_types.ps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := prog.Module("Types").PlanCompact(), "eq.3; eq.2; DOALL I (eq.6; eq.5; eq.4); eq.1"; got != want {
+		t.Errorf("json_types default plan %q, want one DOALL with 3 kernels, %q", got, want)
+	}
+	var inputs map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(mustRead(t, "testdata/json_types.inputs.json")), &inputs); err != nil {
+		t.Fatal(err)
+	}
+	args, err := ps.ArgsFromJSON(prog, "Types", inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := func(opts ...ps.RunOption) int64 {
+		run, err := prog.Prepare("Types", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := run.Run(context.Background(), args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.DOALLChunks
+	}
+	fused, apart := chunks(ps.Workers(2)), chunks(ps.Workers(2), ps.WithHyperplane(ps.HyperplaneOff))
+	if fused == 0 || 3*fused != apart {
+		t.Errorf("DOALLChunks: fused plan %d, three unfused DOALLs %d; want one DOALL's share", fused, apart)
+	}
+
+	for _, tc := range []struct{ file, module, want string }{
+		{"testdata/reflect.ps", "Reflect", "DOALL I×J (eq.3; eq.4)"},
+		{"testdata/mutual.ps", "Mutual", "DOALL I×J (eq.3; eq.4)"},
+		{"testdata/coupled.ps", "Coupled", "DOALL I×J (eq.3; eq.4)"},
+		{"testdata/fuse_pair.ps", "FusePair", "WAVEFRONT[pi=(1,1)] I×J (eq.1; eq.2); DOALL I×J (eq.3; eq.4)"},
+	} {
+		prog, err := ps.CompileProgram(tc.file, mustRead(t, tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prog.Module(tc.module).PlanCompact(); !strings.Contains(got, tc.want) {
+			t.Errorf("%s default plan %q, want %q", tc.module, got, tc.want)
+		}
+	}
+}
+
+// TestCascadeKeepsLeafSpans pins a merge the cascade refuses: twin's two
+// 1-D recurrences stay two leaf DOs, each one span, because merged they
+// would be a two-equation sequential body run point by point; so every
+// instance runs on a specialized kernel.
+func TestCascadeKeepsLeafSpans(t *testing.T) {
+	twin, err := ps.CompileProgram("twin.ps", mustRead(t, "testdata/twin.ps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl := twin.Module("Twin").Plan(); strings.Count(pl, "do I leaf\n") != 2 {
+		t.Errorf("twin default plan does not keep two leaf DOs:\n%s", pl)
+	}
+	run, err := twin.Prepare("Twin", ps.Workers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := run.Explain(); strings.Contains(ex, "point-wise") {
+		t.Errorf("twin Explain reports a point-wise kernel:\n%s", ex)
+	}
+	_, st, err := run.Run(context.Background(), []any{vector(0, 40), int64(40)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SpecializedKernels != st.EquationInstances {
+		t.Errorf("twin: %d of %d instances specialized", st.SpecializedKernels, st.EquationInstances)
+	}
+}
+
+// TestVariantParityConcurrent runs the default parallel plan of every
 // corpus program from several goroutines over one shared prepared
 // Runner, the service shape; under -race this guards the pooled
 // worker-state reuse introduced with the plan executor.
