@@ -25,14 +25,12 @@ import (
 	"testing"
 
 	"repro/internal/hyperplane"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/psrc"
+	"repro/internal/sched"
 	"repro/ps"
 )
-
-// parRunner returns the persistent-pool parallel runtime used by the
-// native wavefront kernel (hundreds of small DOALL planes).
-func parRunner(workers int) *par.Pool { return par.NewPool(workers) }
 
 // benchGrid builds the standard input grid.
 func benchGrid(m int64) *ps.Array {
@@ -228,8 +226,8 @@ func BenchmarkEngine_Activation(b *testing.B) {
 // testdata Jacobi module through the service path (Engine + prepared
 // Runner): the outer K loop is iterative and every plane is a collapsed
 // I×J DOALL, so the benchmark is dominated by how cheaply the executor
-// turns a schedule into loop iterations. Grain variants expose the
-// chunking overhead for small bodies.
+// turns a schedule into loop iterations. Grain variants move the
+// dispatch threshold.
 func BenchmarkDOALL_Relaxation(b *testing.B) {
 	benchDOALL(b, "testdata/relaxation.ps", "Relaxation")
 }
@@ -255,7 +253,7 @@ func benchDOALL(b *testing.B, file, module string) {
 	}
 	ctx := context.Background()
 	// Small keeps the grid tiny so fixed per-activation cost (bound
-	// evaluation, allocation, loop setup, chunk dispatch) dominates;
+	// evaluation, allocation, loop setup, dispatch) dominates;
 	// Large is kernel-work-dominated and bounds the end-to-end effect.
 	sizes := []struct {
 		name    string
@@ -276,9 +274,10 @@ func benchDOALL(b *testing.B, file, module string) {
 				}
 			}
 		}
-		// Par2 forces pool dispatch even on a single-CPU host, so the
-		// DOALL chunk path is always exercised; grain variants expose
-		// chunking overhead for small bodies.
+		// Par2 uses a two-worker pool even on a single-CPU host, so the
+		// DOALL tile path is exercised wherever a step reaches the dispatch
+		// threshold (Small only at the default grain, Large at every grain
+		// here).
 		b.Run(sz.name+"/Seq", func(b *testing.B) { run(b, ps.Sequential()) })
 		b.Run(sz.name+"/Par2", func(b *testing.B) { run(b, ps.Workers(2)) })
 		for _, g := range []int64{64, 1024} {
@@ -407,9 +406,10 @@ func nativeGSWavefront(in []float64, m, maxK int64, workers int) []float64 {
 	// Every cell (k,i,j) with 2k+i+j = t is independent of the others on
 	// the same hyperplane. Each k contributes one anti-diagonal segment
 	// i ∈ [max(0,t-2k-(m+1)), min(m+1,t-2k)]; segments are distributed
-	// over the workers, so exactly the valid cells are visited.
-	r := parRunner(workers)
-	defer r.Close()
+	// over the workers as one dependence-free tile nest per plane, so
+	// exactly the valid cells are visited.
+	pool := par.NewPool(workers)
+	defer pool.Close()
 	for t := int64(4); t <= 2*maxK+2*(m+1); t++ {
 		kLo := int64(2)
 		if lo := (t - 2*(m+1) + 1) / 2; lo > kLo {
@@ -422,26 +422,30 @@ func nativeGSWavefront(in []float64, m, maxK int64, workers int) []float64 {
 		if kLo > kHi {
 			continue
 		}
-		r.For(kLo, kHi, func(k int64) {
-			d := t - 2*k // i+j on this plane
-			iLo, iHi := int64(0), d
-			if d-(m+1) > iLo {
-				iLo = d - (m + 1)
-			}
-			if m+1 < iHi {
-				iHi = m + 1
-			}
-			cur, prev := planes[k], planes[k-1]
-			for i := iLo; i <= iHi; i++ {
-				j := d - i
-				if i == 0 || j == 0 || i == m+1 || j == m+1 {
-					cur[i*n+j] = prev[i*n+j]
-				} else {
-					cur[i*n+j] = (cur[i*n+j-1] + cur[(i-1)*n+j] +
-						prev[i*n+j+1] + prev[(i+1)*n+j]) / 4
+		plane := sched.Nest{CoordLo: kLo, CoordHi: kHi, Window: 1, Workers: workers}
+		sched.Run(plane, pool, nil, func(_ *obs.Ring, _ int64, _ int, lo, hi int64) bool {
+			for k := lo; k <= hi; k++ {
+				d := t - 2*k // i+j on this plane
+				iLo, iHi := int64(0), d
+				if d-(m+1) > iLo {
+					iLo = d - (m + 1)
+				}
+				if m+1 < iHi {
+					iHi = m + 1
+				}
+				cur, prev := planes[k], planes[k-1]
+				for i := iLo; i <= iHi; i++ {
+					j := d - i
+					if i == 0 || j == 0 || i == m+1 || j == m+1 {
+						cur[i*n+j] = prev[i*n+j]
+					} else {
+						cur[i*n+j] = (cur[i*n+j-1] + cur[(i-1)*n+j] +
+							prev[i*n+j+1] + prev[(i+1)*n+j]) / 4
+					}
 				}
 			}
-		})
+			return true
+		}, nil, nil)
 	}
 	return planes[maxK]
 }

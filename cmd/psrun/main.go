@@ -52,7 +52,7 @@ func main() {
 	workers := flag.Int("workers", 0, "DOALL workers (0 = all CPUs)")
 	seq := flag.Bool("seq", false, "force sequential execution")
 	strict := flag.Bool("strict", false, "enable single-assignment checking")
-	grain := flag.Int64("grain", 0, "minimum iterations per parallel chunk; wavefront nests tile when their average plane holds grain x workers points (default grain 32), at this tile width")
+	grain := flag.Int64("grain", 0, "g of the dispatch rule: a DOALL or wavefront step tiles when its average plane holds g x workers points (default 32; a DOALL is one plane); also the minimum tile width")
 	hyper := flag.String("hyperplane", "auto", "automatic §4 wavefront restructuring of eligible sequential nests: auto or off")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	stats := flag.Bool("stats", false, "print run statistics and a timing breakdown to stderr")

@@ -3,6 +3,9 @@ package interp
 import (
 	"context"
 	"fmt"
+
+	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // RunBatchCtx executes the named module once per argument set in batch,
@@ -10,8 +13,9 @@ import (
 // the batch index appears in no equation subscript, so every pair of
 // batch elements is trivially independent under the paper's dependence
 // test (the §5 fusion argument generalized to the batch axis), and the
-// whole batch dispatches to the worker pool as one parallel loop — the
-// same chunked claim machinery that serves collapsed DOALL steps.
+// whole batch dispatches to the worker pool as one parallel step — a
+// one-plane tile nest over b = 0..n−1 on the same executor
+// (internal/sched) that runs collapsed DOALL steps and wavefronts.
 // Plan lookup, bound-thunk tables and one pool dispatch are shared
 // across all elements, which is what makes batched serving cheaper than
 // len(batch) independent activations.
@@ -64,20 +68,23 @@ func (p *Program) RunBatchCtx(ctx context.Context, name string, batch [][]any, o
 		return results, errs, nil
 	}
 
-	// The fused batch DOALL: one parallel loop over the synthesized
-	// leading dimension b = 0..n-1. Grain 1 keeps elements individually
-	// stealable; the pool still coalesces claims into chunks when the
-	// batch is much wider than the worker count. Each element's
-	// activation runs with inParallel set, exactly as it would inside
-	// any other enclosing DOALL.
-	completed := rs.pool.ForRangesOpts(rs.cancelChan(), 0, int64(n)-1, 1, func(start, end int64) {
+	// The fused batch DOALL: one tile nest over the synthesized leading
+	// dimension. Every element is a whole activation, so the batch
+	// dispatches at any n ≥ 2 and Grain does not widen its tiles; the
+	// executor still blocks elements into about TilesPerWorker tiles per
+	// worker when the batch is much wider than the pool. Each tile counts
+	// as one chunk, and each element's activation runs with inParallel
+	// set, exactly as it would inside any other enclosing DOALL.
+	nest := sched.Nest{CoordHi: int64(n) - 1, Window: 1}
+	completed := sched.Run(nest, rs.pool, rs.cancelChan(), func(_ *obs.Ring, _ int64, _ int, lo, hi int64) bool {
 		if rs.stats != nil {
 			rs.stats.Chunks.Add(1)
 		}
-		for b := start; b <= end; b++ {
+		for b := lo; b <= hi; b++ {
 			results[b], errs[b] = p.runModule(rs, cm, batch[b], true, false)
 		}
-	})
+		return true
+	}, nil, nil)
 	if !completed {
 		cerr := rs.ctx.Err()
 		for b := 0; b < n; b++ {

@@ -1,11 +1,13 @@
 package interp_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/interp"
 	"repro/internal/psrc"
+	"repro/internal/types"
 	"repro/internal/value"
 )
 
@@ -124,5 +126,83 @@ func TestDoacrossAutoNarrowPlanes(t *testing.T) {
 		if stats.Planes.Load() == 0 {
 			t.Errorf("run %d: swept no hyperplanes", run)
 		}
+	}
+}
+
+// scale2D is one 2-D DOALL: B[I,J] = 2·A[I,J] over [1,N]².
+const scale2D = `
+Scale: module (A: array[I,J] of real; N: int): [B: array [I,J] of real];
+type
+    I,J = 1 .. N;
+define
+    B[I,J] = A[I,J] * 2.0;
+end Scale;
+`
+
+// TestDispatchRule pins the one size rule every parallel step obeys: a
+// DOALL is a one-plane nest, so at W = 2 it tiles from 64 points
+// (TilePlane's 32 × 2) and runs inline below; Grain(1) tiles any DOALL
+// of two points but still blocks a large one into at most 4W tiles; and
+// a batch of two whole activations always dispatches. Every run matches
+// the sequential reference.
+func TestDispatchRule(t *testing.T) {
+	smooth := compileSrc(t, psrc.Smooth)
+	xs := func(points int64) *value.Array {
+		a := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: points - 1}})
+		for i := int64(0); i < points; i++ {
+			a.SetF([]int64{i}, float64(i%7)/7)
+		}
+		return a
+	}
+	chunks := func(ip *interp.Program, module string, args []any, opts interp.Options) int64 {
+		t.Helper()
+		want, err := ip.Run(module, args, interp.Options{Sequential: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats interp.Stats
+		opts.Stats = &stats
+		got, err := ip.Run(module, args, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[0].(*value.Array).F, want[0].(*value.Array).F) {
+			t.Errorf("%s %+v diverges from the sequential reference", module, opts)
+		}
+		return stats.Chunks.Load()
+	}
+	for _, tc := range []struct {
+		points int64
+		grain  int64
+		tiles  bool
+	}{
+		{63, 0, false}, {64, 0, true}, {2, 1, true}, {1, 1, false},
+	} {
+		// Smooth's one DOALL covers 0..N+1.
+		args := []any{xs(tc.points), tc.points - 2}
+		got := chunks(smooth, "Smooth", args, interp.Options{Workers: 2, Grain: tc.grain})
+		if (got > 0) != tc.tiles {
+			t.Errorf("%d-point DOALL at grain %d: %d chunks, want tiled = %v", tc.points, tc.grain, got, tc.tiles)
+		}
+	}
+
+	scale := compileSrc(t, scale2D)
+	const n = 512
+	a := value.NewArray(types.RealKind, []value.Axis{{Lo: 1, Hi: n}, {Lo: 1, Hi: n}})
+	for i := range a.F {
+		a.F[i] = float64(i%13) / 13
+	}
+	if got := chunks(scale, "Scale", []any{a, int64(n)}, interp.Options{Workers: 2, Grain: 1}); got < 2 || got > 4*2 {
+		t.Errorf("512x512 DOALL at grain 1 made %d chunks, want 2..%d", got, 4*2)
+	}
+
+	var stats interp.Stats
+	batch := [][]any{{xs(4), int64(2)}, {xs(5), int64(3)}}
+	res, errs, err := smooth.RunBatchCtx(context.Background(), "Smooth", batch, interp.Options{Workers: 2, Stats: &stats})
+	if err != nil || errs[0] != nil || errs[1] != nil || res[1] == nil {
+		t.Fatalf("batch of two failed: %v %v", err, errs)
+	}
+	if stats.Chunks.Load() == 0 {
+		t.Error("a batch of two whole activations did not dispatch")
 	}
 }

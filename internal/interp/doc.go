@@ -52,14 +52,14 @@
 // A compiled Program is immutable and safe for concurrent Run/RunCtx
 // calls: every activation builds its own environment, and pooled
 // per-worker state (env copies and index frames) is reused across DOALL
-// chunks and wavefront tiles without sharing mutable state between
-// concurrent activations. An activation never runs on more goroutines
+// and wavefront tiles without sharing mutable state between concurrent
+// activations. An activation never runs on more goroutines
 // than its worker count — the pool's workers, the caller among them —
 // which is what makes a traced run's compute + stall + idle add up to
 // exactly workers × wall.
 // Cancellation aborts sequential loops within one iteration (a leaf DO
-// within one span) and in-flight parallel work within one chunk/tile,
-// and Stats counters are valid up to the abort.
+// within one span), DOALLs within one row and wavefronts within one
+// tile, and Stats counters are valid up to the abort.
 //
 // # One plan per execution mode
 //
@@ -70,7 +70,7 @@
 // HyperplaneOff runs execute and which is the parity reference. When the
 // cascade changes nothing the two share one compiled plan. Equation
 // kernels are compiled once and shared. No option selects an executor:
-// see Wavefront dispatch below.
+// see Parallel dispatch below.
 //
 // # Bitwise-identical results
 //
@@ -80,7 +80,7 @@
 //
 //   - DOALL steps permute independent points only; a fused DOALL's
 //     kernels read each other only at the point being executed, so each
-//     runs its own span per chunk;
+//     runs its own span per row;
 //   - wavefront steps execute hyperplanes t = π·x in ascending order
 //     with π·d ≥ 1 for every dependence d of the nest's equation group,
 //     and each in-box plane point runs the group's kernels in scheduled
@@ -92,21 +92,27 @@
 // The variants parity matrix (variants_test.go at the repo root)
 // enforces this across the corpus under -race.
 //
-// # Wavefront dispatch
+// # Parallel dispatch
 //
-// A wavefront step uses the pool in exactly one way: the doacross tile
-// executor (internal/sched, reached through execWavefrontTiles). Whether
-// an activation uses it is a pure function of what its bounds resolve to
-// (TilePlane): the nest is tiled iff the run has a pool of W > 1
-// workers, the step is not already inside a parallel chunk or batch
-// element, and
+// The run has one parallel executor, the tile executor of
+// internal/sched, and one size rule for every step that may use it. A
+// DOALL step is the degenerate wavefront: one plane, no carried
+// dependence, its collapsed linear index 0..total−1 as the blocked
+// coordinate. Whether an activation dispatches a step is a pure
+// function of what its bounds resolve to (TilePlane): the step runs as
+// tiles iff the run has a pool of W > 1 workers, the step is not
+// already inside a parallel tile or batch element, and
 //
 //	points / planes ≥ g × W
 //
 // where points and planes are the volume and time extent of the
-// iteration box and g is Options.Grain when the caller set one and 32
-// otherwise. Everything else sweeps the planes in order on the calling
-// goroutine. Nothing is measured and nothing is remembered between
-// activations, so the same bounds always take the same side and
-// Runner.Explain is a function of plan and options alone.
+// iteration box (planes = 1 for a DOALL) and g is Options.Grain when the
+// caller set one and 32 otherwise. Tiles are max(g, span/(4W)) wide on
+// the blocked coordinate. Everything else runs on the calling
+// goroutine: a DOALL walks its linear index with the walker its tiles
+// use, a wavefront sweeps its planes in order. A batch axis (RunBatchCtx)
+// is one more such nest over its elements, dispatched at any n ≥ 2.
+// Nothing is measured and nothing is remembered between activations, so
+// the same bounds always take the same side and Runner.Explain is a
+// function of plan and options alone.
 package interp

@@ -21,7 +21,8 @@ import (
 
 // Options control execution.
 type Options struct {
-	// Workers is the DOALL worker count; <= 0 uses all CPUs.
+	// Workers is the worker count of DOALL and wavefront steps; <= 0 uses
+	// all CPUs.
 	Workers int
 	// Sequential forces every loop — including DOALLs — to run serially
 	// (the baseline an iterative-only scheduler would produce).
@@ -31,9 +32,10 @@ type Options struct {
 	// NoVirtual disables window allocation, physically allocating every
 	// dimension (the ablation baseline for §3.4).
 	NoVirtual bool
-	// Grain is the minimum iterations per parallel chunk. For wavefront
-	// steps it is the g of the dispatch rule (tiled, below) and the tile
-	// width on the blocked plane coordinate.
+	// Grain is the g of the one dispatch rule (TilePlane): a DOALL or
+	// wavefront step tiles when its average plane holds g × workers
+	// points, a DOALL being one plane. It is also the minimum tile width
+	// on the blocked coordinate. <= 0 means 32.
 	Grain int64
 	// Hyperplane selects whether the run executes the cascade plan, in
 	// which §5 fusion merges nests where the merge yields a parallel step
@@ -46,10 +48,10 @@ type Options struct {
 	// variant a runner executes — and Explain reports — is deterministic
 	// across hosts.
 	Hyperplane HyperplaneMode
-	// Pool, when non-nil, is a shared worker pool used for every DOALL of
-	// the activation tree instead of spawning a pool per activation. The
-	// run does not close it, and its worker count takes precedence over
-	// Workers.
+	// Pool, when non-nil, is a shared worker pool whose loops run every
+	// tiled step of the activation tree (through internal/sched) instead
+	// of a pool spawned per activation. The run does not close it, and its
+	// worker count takes precedence over Workers.
 	Pool *par.Pool
 	// Stats, when non-nil, accumulates execution counters for the run.
 	Stats *Stats
@@ -97,8 +99,9 @@ type Stats struct {
 	// EqInstances counts equation instances executed (one per evaluation
 	// of one equation at one index point).
 	EqInstances atomic.Int64
-	// Chunks counts DOALL chunks dispatched to pool workers. Wavefront
-	// steps contribute none: their parallel unit is the tile (Doacross).
+	// Chunks counts the tiles of DOALL steps and batch axes run on the
+	// pool. Wavefront tiles count in Doacross instead; steps run inline
+	// contribute nothing.
 	Chunks atomic.Int64
 	// Planes counts hyperplane launches of wavefront steps — one per
 	// time step of every §4-restructured nest — so wavefront work stays
@@ -239,8 +242,8 @@ type runState struct {
 // cancelled reports whether the run's context has fired.
 func (rs *runState) cancelled() bool { return rs.canceled != nil && rs.canceled.Load() }
 
-// cancelChan returns the channel pool workers watch to stop claiming
-// chunks, or nil when the run is not cancellable.
+// cancelChan returns the channel executor workers watch to stop
+// claiming tiles, or nil when the run is not cancellable.
 func (rs *runState) cancelChan() <-chan struct{} {
 	if rs.canceled == nil {
 		return nil
@@ -320,9 +323,9 @@ func (en *env) endSpan(ring *obs.Ring, kind obs.Kind, t0, arg0, arg1 int64) {
 	}
 }
 
-// workerState is pooled per-chunk execution state: a private env copy
-// and index frame reused across DOALL dispatches instead of allocated
-// per chunk.
+// workerState is pooled per-tile execution state: a private env copy
+// and index frame reused across dispatches instead of allocated per
+// tile.
 type workerState struct {
 	en env
 	fr []int64
@@ -334,10 +337,10 @@ type workerState struct {
 type workerScope struct {
 	en *env
 	fr []int64
-	// chunk is set for DOALL chunks: each body then counts in
+	// chunk is set for DOALL tiles: each body then counts in
 	// Stats.Chunks and, when tracing, emits a KChunk span on a ring of
-	// its own. Wavefront tiles leave it unset: sched.Run records their
-	// spans on its own rings.
+	// its own (their sched.Run records nothing). Wavefront tiles leave it
+	// unset: sched.Run records their spans on its own rings.
 	chunk    bool
 	once     sync.Once
 	panicked any
@@ -424,8 +427,7 @@ func (p *Program) Run(name string, args []any, opts Options) ([]any, error) {
 
 // RunCtx is Run with a context: cancellation or deadline expiry aborts
 // sequential loops within one iteration (a leaf DO within one span) and
-// in-flight DOALLs within one chunk, returning a *RunError wrapping
-// ctx.Err().
+// DOALLs within one row, returning a *RunError wrapping ctx.Err().
 func (p *Program) RunCtx(ctx context.Context, name string, args []any, opts Options) ([]any, error) {
 	m := p.Prog.Module(name)
 	if m == nil {
@@ -782,11 +784,16 @@ var unitDir = []int64{1}
 
 // execDoAll runs one (pre-collapsed) DOALL step: the plan has already
 // flattened directly nested parallel loops into one linear iteration
-// space, so execution only resolves bounds and dispatches chunks.
+// space 0..total−1. A DOALL is a one-plane nest with no carried
+// dependence, so it dispatches by the wavefront's rule (TilePlane) with
+// planes = 1: a top-level step on a pool of W > 1 workers whose points
+// reach g × W runs as tiles of that linear index on the executor
+// (internal/sched); anything smaller, or inside a parallel chunk, tile
+// or batch element, runs on the calling goroutine as one KDoAll span.
+// Both sides walk the space with walkDoAll.
 func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 	rs := en.rs
 	var lob, hib [plan.MaxCollapse]int64
-	ndim := len(st.Dims)
 	total := int64(1)
 	for d, slot := range st.Dims {
 		b := en.bounds[slot]
@@ -796,121 +803,97 @@ func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 		lob[d], hib[d] = b[0], b[1]
 		total *= b[1] - b[0] + 1
 	}
-	bodyHi := st.End
-
-	if rs.pool == nil || en.inParallel || rs.pool.Workers() == 1 {
-		// Sequential execution of the collapsed nest: walk the linear
-		// space odometer-style, innermost dimension fastest. The step is
-		// recorded as one KDoAll span.
+	least := int64(0)
+	if rs.pool != nil && !en.inParallel {
+		least = TilePlane(rs.pool.Workers(), rs.opts.Grain)
+	}
+	if least == 0 || total < least {
 		ring, t0 := en.beginSpan()
-		for d := 0; d < ndim; d++ {
-			fr[st.Dims[d]] = lob[d]
-		}
-		canceled := rs.canceled
-		if st.Leaf {
-			// Leaf fast path: the body is equation steps only, so hand
-			// each kernel a full innermost row as one span (specialized
-			// kernels advance the flat offset incrementally; the generic
-			// wrapper walks point-by-point — behavior unchanged).
-			rowLen := hib[ndim-1] - lob[ndim-1] + 1
-			rowSlots := st.Dims[ndim-1:]
-			steps := en.cp.pl.Steps
-			spans := en.cp.spans
-			for c := int64(0); c < total; c += rowLen {
-				if canceled != nil && canceled.Load() {
-					panic(runtimeError{err: rs.ctx.Err()})
-				}
-				for k := bodyLo; k < bodyHi; k++ {
-					eqi := steps[k].Eq
-					en.curEq = int32(eqi)
-					spans[eqi].fn(en, fr, rowSlots, unitDir, rowLen)
-				}
-				// The span restored the innermost coordinate; jump it to
-				// the row end so advance carries into the outer dims.
-				fr[st.Dims[ndim-1]] = hib[ndim-1]
-				advance(fr, st.Dims, &lob, &hib)
-			}
-			en.endSpan(ring, obs.KDoAll, t0, total, 0)
-			return
-		}
-		for c := int64(0); c < total; c++ {
-			if canceled != nil && canceled.Load() {
-				panic(runtimeError{err: rs.ctx.Err()})
-			}
-			p.execSteps(en, fr, bodyLo, bodyHi)
-			advance(fr, st.Dims, &lob, &hib)
-		}
+		p.walkDoAll(en, fr, st, bodyLo, &lob, &hib, 0, total-1)
 		en.endSpan(ring, obs.KDoAll, t0, total, 0)
 		return
 	}
 
-	// Parallel dispatch. Each chunk runs on pooled worker state (env +
-	// frame), decomposes its start index once, and advances the frame
-	// odometer-style — no div/mod per iteration. Runtime failures in
-	// workers are captured once and re-raised on the caller; the pool
-	// stops claiming chunks when the run's context fires.
+	// Each tile runs on pooled worker state (env + frame) and counts as a
+	// chunk. Runtime failures in workers are captured once and re-raised
+	// on the caller; the executor stops claiming tiles when the run's
+	// context fires.
+	nest := sched.Nest{CoordHi: total - 1, Window: 1, TileWidth: rs.opts.Grain}
 	scope := workerScope{en: en, fr: fr, chunk: true}
-	leaf := st.Leaf
-	work := func(start, end int64) {
-		scope.run(end-start+1, nil, func(sub *env, wfr []int64) {
-			rem := start
-			for d := ndim - 1; d >= 0; d-- {
-				n := hib[d] - lob[d] + 1
-				wfr[st.Dims[d]] = lob[d] + rem%n
-				rem /= n
-			}
-			if leaf {
-				// Leaf fast path: the body is equation steps only, so hand
-				// the kernels row spans clipped to this chunk instead of
-				// re-entering the step dispatcher per point.
-				steps := sub.cp.pl.Steps
-				spans := sub.cp.spans
-				innerSlot := st.Dims[ndim-1]
-				rowSlots := st.Dims[ndim-1:]
-				for li := start; ; {
-					seg := hib[ndim-1] - wfr[innerSlot] + 1
-					if li+seg-1 > end {
-						seg = end - li + 1
-					}
-					for k := bodyLo; k < bodyHi; k++ {
-						eqi := steps[k].Eq
-						sub.curEq = int32(eqi)
-						spans[eqi].fn(sub, wfr, rowSlots, unitDir, seg)
-					}
-					li += seg
-					if li > end {
-						break
-					}
-					wfr[innerSlot] += seg - 1
-					advance(wfr, st.Dims, &lob, &hib)
-				}
-				return
-			}
-			for li := start; ; li++ {
-				p.execSteps(sub, wfr, bodyLo, bodyHi)
-				if li == end {
-					break
-				}
-				advance(wfr, st.Dims, &lob, &hib)
-			}
+	body := func(_ *obs.Ring, _ int64, _ int, lo, hi int64) bool {
+		return scope.run(hi-lo+1, nil, func(sub *env, wfr []int64) {
+			p.walkDoAll(sub, wfr, st, bodyLo, &lob, &hib, lo, hi)
 		})
 	}
 	if rs.labels {
-		work = labeled(rs, work, pprof.Labels(
-			"ps_module", en.cm.m.Name, "ps_step", "doall", "ps_eqs", stepEqs(en.cp, bodyLo, bodyHi)))
+		body = labeled(rs, body, pprof.Labels(
+			"ps_module", en.cm.m.Name, "ps_step", "doall", "ps_eqs", stepEqs(en.cp, bodyLo, st.End)))
 	}
-	completed := rs.pool.ForRangesOpts(rs.cancelChan(), 0, total-1, rs.opts.Grain, work)
+	completed := sched.Run(nest, rs.pool, rs.cancelChan(), body, nil, nil)
 	scope.rethrow()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})
 	}
 }
 
-// labeled wraps a chunk function in a pprof label set so CPU samples
-// taken while the chunk runs carry the executing module/step/equations.
-func labeled(rs *runState, work func(start, end int64), lbls pprof.LabelSet) func(start, end int64) {
-	return func(start, end int64) {
-		pprof.Do(rs.ctx, lbls, func(context.Context) { work(start, end) })
+// walkDoAll runs the linear indices [start, end] of a collapsed DOALL
+// step (box lob..hib over st.Dims, innermost dimension fastest) on en:
+// it decomposes start into the frame once, then advances it
+// odometer-style — no div/mod per point. A leaf body hands its kernels
+// row spans clipped to [start, end] instead of re-entering the step
+// dispatcher per point. Cancellation is polled per row (leaf) or point.
+func (p *Program) walkDoAll(en *env, fr []int64, st *plan.Step, bodyLo int, lob, hib *[plan.MaxCollapse]int64, start, end int64) {
+	dims := st.Dims
+	ndim := len(dims)
+	rem := start
+	for d := ndim - 1; d >= 0; d-- {
+		n := hib[d] - lob[d] + 1
+		fr[dims[d]] = lob[d] + rem%n
+		rem /= n
+	}
+	canceled := en.rs.canceled
+	if !st.Leaf {
+		for li := start; ; li++ {
+			if canceled != nil && canceled.Load() {
+				panic(runtimeError{err: en.rs.ctx.Err()})
+			}
+			p.execSteps(en, fr, bodyLo, st.End)
+			if li == end {
+				return
+			}
+			advance(fr, dims, lob, hib)
+		}
+	}
+	steps := en.cp.pl.Steps
+	spans := en.cp.spans
+	inner := dims[ndim-1]
+	rowSlots := dims[ndim-1:]
+	for li := start; ; {
+		if canceled != nil && canceled.Load() {
+			panic(runtimeError{err: en.rs.ctx.Err()})
+		}
+		seg := min(hib[ndim-1]-fr[inner]+1, end-li+1)
+		for k := bodyLo; k < st.End; k++ {
+			eqi := steps[k].Eq
+			en.curEq = int32(eqi)
+			spans[eqi].fn(en, fr, rowSlots, unitDir, seg)
+		}
+		if li += seg; li > end {
+			return
+		}
+		// The span restored the innermost coordinate; jump it to the row
+		// end so advance carries into the outer dims.
+		fr[inner] += seg - 1
+		advance(fr, dims, lob, hib)
+	}
+}
+
+// labeled wraps a tile body in a pprof label set so CPU samples taken
+// while it runs carry the executing module/step/equations.
+func labeled(rs *runState, body sched.Body, lbls pprof.LabelSet) sched.Body {
+	return func(ring *obs.Ring, t int64, k int, lo, hi int64) (ok bool) {
+		pprof.Do(rs.ctx, lbls, func(context.Context) { ok = body(ring, t, k, lo, hi) })
+		return ok
 	}
 }
 
@@ -1172,17 +1155,17 @@ func (p *Program) execPlaneBox(en *env, fr []int64, w *wfSpace, t int64, plo, ph
 }
 
 // minTilePlane is g of the dispatch rule when the caller set no grain:
-// below 32 points per plane and worker, claiming and waiting on tiles
-// costs more than the plane's kernel work.
+// below 32 points per plane and worker, starting workers and claiming
+// tiles costs more than the plane's kernel work.
 const minTilePlane = 32
 
-// TilePlane is the wavefront dispatch rule, a pure function of the
-// run's worker count and grain: it returns the smallest average plane
-// (points / planes of the activation's iteration box) that runs on the
-// tile executor, g × workers, where g is grain when the caller set one
-// and minTilePlane otherwise. 0 means the run never tiles — one worker
-// has nothing to overlap. Narrower nests sweep inline on the calling
-// goroutine.
+// TilePlane is the dispatch rule of every parallel step, a pure
+// function of the run's worker count and grain: it returns the smallest
+// average plane (points / planes of the activation's iteration box; a
+// DOALL is one plane) that runs on the tile executor, g × workers, where
+// g is grain when the caller set one and minTilePlane otherwise. 0 means
+// the run never tiles — one worker has nothing to overlap. Smaller steps
+// run inline on the calling goroutine.
 func TilePlane(workers int, grain int64) int64 {
 	if workers <= 1 {
 		return 0
@@ -1277,10 +1260,8 @@ func (p *Program) execWavefrontTiles(en *env, fr []int64, w *wfSpace) {
 		Window:  hy.Window,
 		Preds:   hy.Pred[blk-1],
 		Workers: rs.pool.Workers(),
-		// Options.Grain is the minimum iterations per parallel chunk; here
-		// the chunk is a tile, so the grain bounds the tile width on the
-		// blocked coordinate (0 keeps the default
-		// span/(workers×TilesPerWorker) blocking).
+		// Options.Grain is the minimum tile width on the blocked
+		// coordinate, as for a DOALL's linear index.
 		TileWidth: rs.opts.Grain,
 	}
 	var doStats *sched.Stats
@@ -1319,7 +1300,7 @@ func (p *Program) execWavefrontTiles(en *env, fr []int64, w *wfSpace) {
 			total *= phi[r] - plo[r] + 1
 		}
 		// The tile runs on pooled worker state, capturing failures the way
-		// DOALL chunks do: a recorded failure stops the scheduling here and
+		// DOALL tiles do: a recorded failure stops the scheduling here and
 		// re-raises after Run.
 		ok := scope.run(0, ring, func(sub *env, wfr []int64) {
 			p.execPlaneBox(sub, wfr, w, t, &plo, &phi, 0, total-1)
@@ -1327,13 +1308,8 @@ func (p *Program) execWavefrontTiles(en *env, fr []int64, w *wfSpace) {
 		return ok && !(canceled != nil && canceled.Load())
 	}
 	if rs.labels {
-		lbls := pprof.Labels("ps_module", en.cm.m.Name,
-			"ps_step", "doacross", "ps_eqs", eqsLabel(en.cp, w.eqis))
-		inner := body
-		body = func(ring *obs.Ring, t int64, k int, blo, bhi int64) (ok bool) {
-			pprof.Do(rs.ctx, lbls, func(context.Context) { ok = inner(ring, t, k, blo, bhi) })
-			return ok
-		}
+		body = labeled(rs, body, pprof.Labels("ps_module", en.cm.m.Name,
+			"ps_step", "doacross", "ps_eqs", eqsLabel(en.cp, w.eqis)))
 	}
 	completed := sched.Run(nest, rs.pool, rs.cancelChan(), body, doStats, rs.rec)
 	scope.rethrow()
@@ -1374,9 +1350,7 @@ func preimage(tinv [][]int64, xp, x []int64) {
 }
 
 // advance steps the frame one point through a collapsed iteration space,
-// innermost dimension fastest with carry into the outer ones. Every
-// collapsed path — sequential and both chunk walkers — must move the
-// frame identically, so they all share this helper.
+// innermost dimension fastest with carry into the outer ones.
 func advance(fr []int64, dims []int, lob, hib *[plan.MaxCollapse]int64) {
 	for d := len(dims) - 1; d >= 0; d-- {
 		slot := dims[d]

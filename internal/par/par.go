@@ -1,7 +1,8 @@
-// Package par is the parallel loop runtime executing the scheduler's
-// DOALL descriptors: a chunked parallel-for over a persistent pool of
-// goroutine workers. It plays the role the target MIMD machine's loop
-// scheduler played for the paper's generated C.
+// Package par keeps a persistent pool of parked goroutine workers and
+// starts worker loops on them (Pool.Start). It plays the role the target
+// MIMD machine's processors played for the paper's generated C; which
+// work a loop runs, and in what order, is internal/sched's business —
+// its Run is the only caller of Start.
 package par
 
 import "runtime"

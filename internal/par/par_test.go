@@ -1,54 +1,58 @@
 package par_test
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/par"
 )
 
 // TestPoolCoverage verifies the persistent pool across many reuses —
-// the wavefront dispatch pattern.
+// the wavefront dispatch pattern — from three callers sharing it, as the
+// serving layer's batchers do: every loop index runs exactly once, and
+// Start returns only after all of them.
 func TestPoolCoverage(t *testing.T) {
 	p := par.NewPool(4)
 	defer p.Close()
-	for round := 0; round < 200; round++ {
-		n := int64(round%17 + 1)
-		counts := make([]atomic.Int32, n)
-		p.For(0, n-1, func(i int64) { counts[i].Add(1) })
-		for i := int64(0); i < n; i++ {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("round %d: index %d visited %d times", round, i, c)
+	var callers sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			for round := 0; round < 200; round++ {
+				n := round%17 + 1
+				counts := make([]atomic.Int32, n)
+				p.Start(n, func(i int) { counts[i].Add(1) })
+				for i := 0; i < n; i++ {
+					if c := counts[i].Load(); c != 1 {
+						t.Errorf("round %d: loop %d ran %d times", round, i, c)
+						return
+					}
+				}
 			}
-		}
+		}()
 	}
+	callers.Wait()
 }
 
-// TestPoolSingleWorker verifies the degenerate pool runs inline.
+// TestPoolSingleWorker verifies the degenerate pool runs every loop
+// inline, in order, on the caller.
 func TestPoolSingleWorker(t *testing.T) {
 	p := par.NewPool(1)
 	defer p.Close()
-	sum := int64(0) // no atomics needed: single worker runs inline
-	p.For(1, 100, func(i int64) { sum += i })
-	if sum != 5050 {
-		t.Errorf("sum = %d, want 5050", sum)
+	sum := 0 // no atomics needed: single worker runs inline
+	p.Start(100, func(i int) { sum = sum*3 + i })
+	want := 0
+	for i := 0; i < 100; i++ {
+		want = want*3 + i
 	}
-}
-
-// TestPoolGrain verifies a per-loop grain does not lose iterations and
-// an empty range (lo > hi) is a no-op.
-func TestPoolGrain(t *testing.T) {
-	p := par.NewPool(3)
-	defer p.Close()
-	var count atomic.Int64
-	body := func(start, end int64) { count.Add(end - start + 1) }
-	if !p.ForRangesOpts(nil, 0, 999, 64, body) || count.Load() != 1000 {
-		t.Errorf("visited %d, want 1000", count.Load())
+	if sum != want {
+		t.Errorf("sum = %d, want %d", sum, want)
 	}
-	if !p.ForRangesOpts(nil, 5, 4, 64, body) || count.Load() != 1000 {
-		t.Error("body called on empty range")
-	}
+	p.Start(0, func(int) { t.Error("loop ran for n = 0") })
 }
 
 // TestPoolCloseIdempotent verifies Close can be called twice.
@@ -58,22 +62,57 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	p.Close()
 }
 
-// TestForProperty is a property test: arbitrary ranges sum correctly
-// under parallel execution.
+// TestForProperty is a property test: any loop count, on a pool of any
+// width, runs each index once and returns only after all of them.
 func TestForProperty(t *testing.T) {
 	p := par.NewPool(0)
 	defer p.Close()
-	f := func(loRaw int16, span uint16) bool {
-		lo := int64(loRaw)
-		hi := lo + int64(span%2000)
+	f := func(nRaw uint8) bool {
+		n := int(nRaw % 64)
 		var sum atomic.Int64
-		p.For(lo, hi, func(i int64) { sum.Add(i) })
-		n := hi - lo + 1
-		want := n * (lo + hi) / 2
-		return sum.Load() == want
+		p.Start(n, func(i int) { sum.Add(int64(i) + 1) })
+		return sum.Load() == int64(n*(n+1)/2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestJoinDoesNotWaitForBusyHelper holds both slots of a two-worker pool
+// in one caller's loops, then starts a second step from another
+// goroutine: its caller must run both loops itself and return, not wait
+// for the busy helper it queued the step for.
+func TestJoinDoesNotWaitForBusyHelper(t *testing.T) {
+	p := par.NewPool(2)
+	defer p.Close()
+	var running sync.WaitGroup
+	running.Add(2)
+	release := make(chan struct{})
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		p.Start(2, func(int) {
+			running.Done()
+			<-release
+		})
+	}()
+	running.Wait() // the caller and the helper are both inside a loop
+	done := make(chan struct{})
+	var ran atomic.Int32
+	go func() {
+		defer close(done)
+		p.Start(2, func(int) { ran.Add(1) })
+	}()
+	select {
+	case <-done:
+	case <-time.After(500 * time.Millisecond):
+		t.Error("a finished step is still waiting for a helper that never started its loops")
+	}
+	close(release)
+	<-held
+	<-done
+	if ran.Load() != 2 {
+		t.Errorf("second step ran %d loops, want 2", ran.Load())
 	}
 }
 

@@ -334,9 +334,16 @@ func Lower(m *sem.Module, sched *core.Schedule, opts Options) *Program {
 }
 
 // HasWavefront reports whether the plan contains a §4 wavefront step.
-func (p *Program) HasWavefront() bool {
+func (p *Program) HasWavefront() bool { return p.has(OpWavefront) }
+
+// HasParallel reports whether the plan contains a step the run may
+// dispatch to workers: a DOALL or a wavefront.
+func (p *Program) HasParallel() bool { return p.has(OpDoAll) || p.has(OpWavefront) }
+
+// has reports whether any step has opcode op.
+func (p *Program) has(op Op) bool {
 	for i := range p.Steps {
-		if p.Steps[i].Op == OpWavefront {
+		if p.Steps[i].Op == op {
 			return true
 		}
 	}

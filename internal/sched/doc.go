@@ -1,16 +1,18 @@
-// Package sched implements the doacross tile executor for §4 wavefront
-// nests — the only way a wavefront step uses the worker pool, and the
-// only parallel executor besides the DOALL chunk dispatch of
-// internal/par. Which plan a run executes is decided at lowering time
-// (the DOALL → wavefront → sequential cascade of internal/plan); this
-// package holds no schedule selection of its own.
+// Package sched implements the tile executor, the only parallel
+// executor of a run: §4 wavefront nests, §3 DOALL steps and the batch
+// axis of RunBatch all reach the worker pool through Run. A DOALL is
+// the degenerate nest — one plane, Window 1, no Preds — so its tiles are
+// claimed in any order, and the batch axis is the same nest over the
+// batch elements. internal/par only starts the worker loops. Which plan
+// a run executes is decided at lowering time (the DOALL → wavefront →
+// sequential cascade of internal/plan), and internal/interp decides per
+// activation, from its bounds alone, whether a step is wide enough to
+// dispatch here or runs inline on the calling goroutine; this package
+// holds no schedule selection of its own.
 // Sweeping hyperplanes t = π·x one at a time with a pool-wide fork/join
 // per plane would pay a barrier on every plane, and on the narrow
 // leading and trailing diagonals of every sweep that barrier dominates
-// (it won no workload of this repo's benchmark). internal/interp decides
-// per activation, from its bounds alone, between this executor and an
-// inline sweep on the calling goroutine for nests too narrow to occupy
-// the workers.
+// (it won no workload of this repo's benchmark).
 //
 // One plane coordinate is blocked
 // into tiles with a fixed global grid; each tile carries an atomic
@@ -26,7 +28,10 @@
 // Tiles are claimed with a CAS so any worker may run any ready tile
 // instance (work stealing); a worker that finds nothing ready spins
 // briefly, then parks on a generation channel that every completion
-// closes. Stalls, executed tiles and steals are counted for RunStats.
+// closes. A worker returns as soon as no instance is left unclaimed, so
+// a join waits only for the instances still running, never for a parked
+// loop's wake-up. Stalls, executed tiles and steals are counted for
+// RunStats.
 //
 // # Contract
 //

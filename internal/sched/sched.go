@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // PredRange bounds the blocked-coordinate shift of the dependences that
@@ -31,10 +32,10 @@ type Stats struct {
 	Steals atomic.Int64
 }
 
-// Nest describes one wavefront iteration space for the doacross
-// executor: the hyperplane (time) range, the global range of the
-// blocked plane coordinate, and the dependence structure in transformed
-// coordinates.
+// Nest describes one iteration space for the tile executor: the
+// hyperplane (time) range, the global range of the blocked plane
+// coordinate, and the dependence structure in transformed coordinates.
+// A DOALL is the degenerate nest: one plane, Window 1 and no Preds.
 type Nest struct {
 	// TLo, THi is the inclusive hyperplane range of the sweep.
 	TLo, THi int64
@@ -48,10 +49,12 @@ type Nest struct {
 	// Preds[dt-1] bounds the blocked-coordinate shifts of the
 	// dependences reaching dt planes back, dt = 1..Window-1.
 	Preds []PredRange
-	// Workers is the concurrency the run loop is dispatched at.
+	// Workers is the concurrency the run loop is dispatched at; <= 0
+	// uses the pool's worker count.
 	Workers int
-	// TileWidth is the blocked-coordinate width per tile; <= 0 derives
-	// it from the span and worker count (TilesPerWorker tiles each).
+	// TileWidth is the minimum blocked-coordinate width per tile (the
+	// caller's grain); the width is the larger of it and
+	// span/(Workers×TilesPerWorker).
 	TileWidth int64
 }
 
@@ -68,12 +71,6 @@ const TilesPerWorker = 4
 // stops scheduling and Run reports !completed.
 type Body func(ring *obs.Ring, t int64, k int, lo, hi int64) bool
 
-// Looper dispatches the executor's worker loops; *par.Pool satisfies it.
-type Looper interface {
-	ForRangesOpts(cancel <-chan struct{}, lo, hi, grain int64, body func(start, end int64)) bool
-	Workers() int
-}
-
 // padded keeps per-tile counters on distinct cache lines: done and
 // claimed are the contention points of the whole schedule.
 type padded struct {
@@ -81,19 +78,24 @@ type padded struct {
 	_ [56]byte
 }
 
-// run is the state of one doacross execution.
+// run is the state of one execution. It is recycled through runs, so a
+// dispatch allocates nothing here once the pool is warm.
 type run struct {
-	nest   Nest
-	body   Body
-	tileW  int64
-	ntiles int
+	nest    Nest
+	body    Body
+	tileW   int64
+	ntiles  int
+	workers int
+	// loop is r.worker bound once per run object, the loop Start runs.
+	loop func(w int)
 	// done[k] is the last hyperplane tile k completed; claimed[k] the
 	// last one claimed. claimed leads done by at most one plane, so a
 	// tile column executes its planes in order and done is monotone.
 	done    []padded
 	claimed []padded
-	// remaining counts unfinished tile instances; 0 terminates workers.
-	remaining atomic.Int64
+	// unclaimed counts tile instances no worker has claimed; at 0 workers
+	// return, leaving the instances in flight to the workers running them.
+	unclaimed atomic.Int64
 	aborted   atomic.Bool
 	stats     *Stats
 	cancel    <-chan struct{}
@@ -117,76 +119,65 @@ func (n *Nest) Tiles() (ntiles int, tileW int64) {
 	if span <= 0 {
 		return 0, 0
 	}
-	w := n.TileWidth
-	if w <= 0 {
-		workers := n.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		w = span / int64(workers*TilesPerWorker)
-		if w < 1 {
-			w = 1
-		}
-	}
-	if w > span {
-		w = span
-	}
+	workers := max(n.Workers, 1)
+	w := max(n.TileWidth, span/int64(workers*TilesPerWorker), 1)
+	w = min(w, span)
 	return int((span + w - 1) / w), w
 }
 
+// runs recycles run objects, with their per-tile counters and wake
+// channel.
+var runs = sync.Pool{New: func() any {
+	r := &run{wakeCh: make(chan struct{})}
+	r.loop = r.worker
+	return r
+}}
+
 // Run executes the nest's tile instances in dependence order on the
-// looper's workers, calling body once per (plane, tile). It reports
+// pool's workers, calling body once per (plane, tile). It reports
 // whether every instance completed: false means the run was cancelled
 // (via the cancel channel or a body returning false) with instances
 // unvisited. A nest with an empty time range or coordinate span
 // completes trivially. rec, when non-nil, records each worker's tile
 // spans (obs.KTile, with the steal flag) and parked waits
 // (obs.KTileWait) on a per-worker ring.
-func Run(nest Nest, lp Looper, cancel <-chan struct{}, body Body, stats *Stats, rec *obs.Recorder) bool {
+func Run(nest Nest, pool *par.Pool, cancel <-chan struct{}, body Body, stats *Stats, rec *obs.Recorder) bool {
 	nplanes := nest.THi - nest.TLo + 1
 	if nplanes <= 0 {
 		return true
+	}
+	if nest.Workers <= 0 {
+		nest.Workers = pool.Workers()
 	}
 	ntiles, tileW := nest.Tiles()
 	if ntiles == 0 {
 		return true
 	}
-	if nest.Workers <= 0 {
-		nest.Workers = lp.Workers()
+	r := runs.Get().(*run)
+	r.nest, r.body, r.tileW, r.ntiles = nest, body, tileW, ntiles
+	r.stats, r.cancel, r.rec = stats, cancel, rec
+	// More workers than tiles cannot all make progress at once, but extra
+	// loops still help when pipelined planes open up; cap at one loop per
+	// tile to bound spinning on tiny nests.
+	r.workers = min(nest.Workers, ntiles)
+	if cap(r.done) < ntiles {
+		r.done = make([]padded, ntiles)
+		r.claimed = make([]padded, ntiles)
 	}
-	r := &run{
-		nest:    nest,
-		body:    body,
-		tileW:   tileW,
-		ntiles:  ntiles,
-		done:    make([]padded, ntiles),
-		claimed: make([]padded, ntiles),
-		stats:   stats,
-		cancel:  cancel,
-		wakeCh:  make(chan struct{}),
-		rec:     rec,
-	}
+	r.done, r.claimed = r.done[:ntiles], r.claimed[:ntiles]
 	for k := 0; k < ntiles; k++ {
 		r.done[k].v.Store(nest.TLo - 1)
 		r.claimed[k].v.Store(nest.TLo - 1)
 	}
-	r.remaining.Store(nplanes * int64(ntiles))
-	workers := nest.Workers
-	if workers > ntiles {
-		// More workers than tiles cannot all make progress at once, but
-		// extra loops still help when pipelined planes open up; cap at
-		// one loop per tile to bound spinning on tiny nests.
-		workers = ntiles
-	}
-	// Each range chunk is one worker loop; grain 1 pins one loop per
-	// pool slot. Cancellation is handled inside the loops (parked
-	// workers select on the channel), so the pool-level cancel is nil.
-	lp.ForRangesOpts(nil, 0, int64(workers)-1, 1, func(start, end int64) {
-		for w := start; w <= end; w++ {
-			r.worker(int(w), workers)
-		}
-	})
-	return !r.aborted.Load() && r.remaining.Load() == 0
+	r.unclaimed.Store(nplanes * int64(ntiles))
+	r.aborted.Store(false)
+	// Cancellation is handled inside the loops (parked workers select on
+	// the channel), so the pool only starts them.
+	pool.Start(r.workers, r.loop)
+	completed := !r.aborted.Load() && r.unclaimed.Load() == 0
+	r.nest, r.body, r.stats, r.cancel, r.rec = Nest{}, nil, nil, nil, nil
+	runs.Put(r)
+	return completed
 }
 
 // tileSpan returns tile k's inclusive blocked-coordinate range.
@@ -261,11 +252,13 @@ func (r *run) ready(k int) (int64, bool) {
 	return t, true
 }
 
-// worker is one doacross loop: scan the tiles from the home offset for
+// worker is one executor loop: scan the tiles from the home offset for
 // a ready instance, claim it with a CAS, execute, publish completion,
 // and wake stalled peers. With nothing ready it spins briefly, then
-// parks on the generation channel.
-func (r *run) worker(w, workers int) {
+// parks on the generation channel. It returns once no instance is left
+// unclaimed — the instances still in flight belong to their workers.
+func (r *run) worker(w int) {
+	workers := r.workers
 	var ring *obs.Ring
 	if r.rec != nil {
 		ring = r.rec.Acquire()
@@ -274,7 +267,7 @@ func (r *run) worker(w, workers int) {
 	home := w * r.ntiles / workers
 	const spinLimit = 64
 	spins := 0
-	for r.remaining.Load() > 0 && !r.aborted.Load() {
+	for r.unclaimed.Load() > 0 && !r.aborted.Load() {
 		claimedOne := false
 		for s := 0; s < r.ntiles; s++ {
 			k := home + s
@@ -288,6 +281,7 @@ func (r *run) worker(w, workers int) {
 			if !r.claimed[k].v.CompareAndSwap(t-1, t) {
 				continue // another worker won the claim
 			}
+			r.unclaimed.Add(-1)
 			lo, hi := r.tileSpan(k)
 			var t0 int64
 			if ring != nil {
@@ -297,7 +291,6 @@ func (r *run) worker(w, workers int) {
 			// Publish after the body's writes so a predecessor check
 			// (atomic load of done) orders the data reads behind them.
 			r.done[k].v.Store(t)
-			r.remaining.Add(-1)
 			stolen := r.homeWorker(k, workers) != w
 			if r.stats != nil {
 				r.stats.Tiles.Add(1)
@@ -313,7 +306,7 @@ func (r *run) worker(w, workers int) {
 				ring.Emit(obs.KTile, t0, ring.Now()-t0, t, flags)
 			}
 			r.wake()
-			if !ok {
+			if !ok || r.cancelled() {
 				r.abort()
 				return
 			}
@@ -395,7 +388,7 @@ func (r *run) park(ring *obs.Ring) bool {
 	r.wakeMu.Unlock()
 	// Re-check after registering: progress published before the
 	// registration is visible here, progress after it closes ch.
-	if r.remaining.Load() == 0 || r.aborted.Load() {
+	if r.unclaimed.Load() == 0 || r.aborted.Load() {
 		return false
 	}
 	for k := 0; k < r.ntiles; k++ {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -128,6 +129,65 @@ func TestDoacrossMatchesSequential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentRuns shares one pool between callers running wavefront
+// and DOALL nests at once, as concurrent activations do: run state is
+// recycled between Runs, and every result must still match the
+// sequential reference.
+func TestConcurrentRuns(t *testing.T) {
+	pool := par.NewPool(3)
+	defer pool.Close()
+	deps := []dep{{1, 0}, {1, 1}, {2, 1}}
+	const tlo, thi, clo, chi = 0, 20, 0, 30
+	want := refGrid(tlo, thi, clo, chi, deps)
+	var callers sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		callers.Add(1)
+		go func() {
+			defer callers.Done()
+			for round := 0; round < 20; round++ {
+				cells := make([]int64, (thi-tlo+1)*(chi-clo+1))
+				get := func(tt, c int64) int64 {
+					if tt < tlo || c < clo || c > chi {
+						return 0
+					}
+					return cells[(tt-tlo)*(chi-clo+1)+c-clo]
+				}
+				nest := nestFor(tlo, thi, clo, chi, deps, 3, int64(round%4))
+				if !Run(nest, pool, nil, func(_ *obs.Ring, tt int64, _ int, lo, hi int64) bool {
+					for c := lo; c <= hi; c++ {
+						v := int64(1)
+						for _, d := range deps {
+							v += get(tt-int64(d.dt), c-d.shift)
+						}
+						cells[(tt-tlo)*(chi-clo+1)+c-clo] = v
+					}
+					return true
+				}, nil, nil) {
+					t.Error("run did not complete")
+					return
+				}
+				for k, w := range want {
+					if got := get(k[0], k[1]); got != w {
+						t.Errorf("cell(%d,%d) = %d, want %d", k[0], k[1], got, w)
+						return
+					}
+				}
+				var sum atomic.Int64
+				if !Run(doall(0, 99, 3, 0), pool, nil, func(_ *obs.Ring, _ int64, _ int, lo, hi int64) bool {
+					for c := lo; c <= hi; c++ {
+						sum.Add(c)
+					}
+					return true
+				}, nil, nil) || sum.Load() != 99*100/2 {
+					t.Errorf("DOALL sum = %d, want %d", sum.Load(), 99*100/2)
+					return
+				}
+			}
+		}()
+	}
+	callers.Wait()
 }
 
 // TestDoacrossStats pins the tile accounting: every (plane, tile)
@@ -373,6 +433,132 @@ func TestFloorDiv(t *testing.T) {
 	for _, c := range cases {
 		if got := floorDiv(c[0], c[1]); got != c[2] {
 			t.Errorf("floorDiv(%d, %d) = %d, want %d", c[0], c[1], got, c[2])
+		}
+	}
+}
+
+// doall is the degenerate nest a DOALL step dispatches: one plane, no
+// carried dependence, the linear index blocked into tiles.
+func doall(lo, hi int64, workers int, tileW int64) Nest {
+	return Nest{CoordLo: lo, CoordHi: hi, Window: 1, Workers: workers, TileWidth: tileW}
+}
+
+// TestDoAllCoverage runs dependence-free nests of many widths: every
+// coordinate executes exactly once, at every worker count and minimum
+// tile width, and no tile is narrower than that minimum unless it is the
+// last one.
+func TestDoAllCoverage(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		pool := par.NewPool(workers)
+		for span := int64(1); span <= 100; span += 11 {
+			for _, tileW := range []int64{0, 1, 7} {
+				counts := make([]atomic.Int32, span)
+				nest := doall(-3, span-4, workers, tileW)
+				_, w := nest.Tiles()
+				if !Run(nest, pool, nil, func(_ *obs.Ring, tt int64, _ int, lo, hi int64) bool {
+					if tt != 0 {
+						t.Errorf("DOALL instance on plane %d", tt)
+					}
+					if hi-lo+1 < min(w, tileW) && hi != nest.CoordHi {
+						t.Errorf("tile [%d,%d] narrower than the minimum %d", lo, hi, tileW)
+					}
+					for c := lo; c <= hi; c++ {
+						counts[c+3].Add(1)
+					}
+					return true
+				}, nil, nil) {
+					t.Fatalf("workers=%d span=%d: run did not complete", workers, span)
+				}
+				for c := range counts {
+					if n := counts[c].Load(); n != 1 {
+						t.Fatalf("workers=%d span=%d tileW=%d: coordinate %d ran %d times", workers, span, tileW, c-3, n)
+					}
+				}
+			}
+		}
+		pool.Close()
+	}
+}
+
+// TestDoAllEmpty checks an empty coordinate range (lo > hi) is a no-op
+// that completes.
+func TestDoAllEmpty(t *testing.T) {
+	pool := par.NewPool(3)
+	defer pool.Close()
+	if !Run(doall(5, 4, 3, 64), pool, nil, func(_ *obs.Ring, _ int64, _ int, _, _ int64) bool {
+		t.Error("body called on an empty range")
+		return true
+	}, nil, nil) {
+		t.Error("empty range did not complete")
+	}
+}
+
+// TestDoAllCancel closes the cancel channel while a DOALL's first tiles
+// run: the workers stop claiming, and Run reports !completed with tiles
+// unvisited.
+func TestDoAllCancel(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	cancel := make(chan struct{})
+	var once sync.Once
+	var ran atomic.Int64
+	nest := doall(0, 1<<20, 2, 0)
+	ntiles, _ := nest.Tiles()
+	completed := Run(nest, pool, cancel, func(_ *obs.Ring, _ int64, _ int, _, _ int64) bool {
+		ran.Add(1)
+		once.Do(func() { close(cancel) })
+		time.Sleep(time.Millisecond)
+		return true
+	}, nil, nil)
+	if completed {
+		t.Fatal("cancelled DOALL reported completion")
+	}
+	if n := ran.Load(); n >= int64(ntiles) {
+		t.Fatalf("cancellation did not stop the DOALL: %d of %d tiles ran", n, ntiles)
+	}
+}
+
+// TestDoAllBodyAbort checks a body returning false mid-DOALL (the
+// interpreter's captured-panic path) stops the run.
+func TestDoAllBodyAbort(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	var ran atomic.Int64
+	nest := doall(0, 1<<20, 2, 0)
+	ntiles, _ := nest.Tiles()
+	if Run(nest, pool, nil, func(_ *obs.Ring, _ int64, _ int, _, _ int64) bool {
+		return ran.Add(1) > 1
+	}, nil, nil) {
+		t.Fatal("aborted DOALL reported completion")
+	}
+	if n := ran.Load(); n >= int64(ntiles) {
+		t.Fatalf("abort did not stop the DOALL: %d of %d tiles ran", n, ntiles)
+	}
+}
+
+// TestWorkersReturnWhenNothingUnclaimed holds one tile of a two-tile
+// DOALL: the worker that finishes the other finds nothing left to claim
+// and returns at once — it never parks waiting for the held tile, so the
+// run records no stall.
+func TestWorkersReturnWhenNothingUnclaimed(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	for round := 0; round < 20; round++ {
+		var stats Stats
+		var held atomic.Bool
+		if !Run(doall(0, 1, 2, 1), pool, nil, func(_ *obs.Ring, _ int64, _ int, _, _ int64) bool {
+			if held.CompareAndSwap(false, true) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			return true
+		}, &stats, nil) {
+			t.Fatal("run did not complete")
+		}
+		if n := stats.Tiles.Load(); n != 2 {
+			t.Fatalf("ran %d tiles, want 2", n)
+		}
+		if n := stats.Stalls.Load(); n != 0 {
+			t.Fatalf("round %d: a worker parked %d times with nothing left to claim", round, n)
 		}
 	}
 }

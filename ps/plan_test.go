@@ -69,32 +69,32 @@ func TestRunnerExplain(t *testing.T) {
 		}
 	}
 
-	// A wavefront runner states the dispatch rule with its threshold for
-	// this worker count and grain; plans without a wavefront step and
-	// sequential runners say nothing about dispatch.
+	// A runner with a DOALL or wavefront step states the one dispatch rule
+	// with its threshold for this worker count and grain; sequential
+	// runners say nothing about dispatch.
 	gs, err := eng.Compile("gs.ps", psrc.RelaxationGS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
+		prog *ps.Program
 		opts []ps.RunOption
 		want string
 	}{
-		{nil, "wavefront dispatch: tiles when the average plane holds >= 96 points (32 x 3 workers), inline sweep otherwise\n"},
-		{[]ps.RunOption{ps.Grain(8)}, "wavefront dispatch: tiles when the average plane holds >= 24 points (8 x 3 workers), inline sweep otherwise\n"},
-		{[]ps.RunOption{ps.Workers(1)}, "wavefront dispatch: inline sweep (one worker)\n"},
+		{gs, nil, "parallel dispatch: tiles when a step's average plane holds >= 96 points (32 x 3 workers); a DOALL is one plane\n"},
+		{gs, []ps.RunOption{ps.Grain(8)}, "parallel dispatch: tiles when a step's average plane holds >= 24 points (8 x 3 workers); a DOALL is one plane\n"},
+		{gs, []ps.RunOption{ps.Workers(1)}, "parallel dispatch: inline (one worker)\n"},
+		{prog, []ps.RunOption{ps.Grain(64)}, "parallel dispatch: tiles when a step's average plane holds >= 192 points (64 x 3 workers); a DOALL is one plane\n"},
 	} {
-		r, err := gs.Prepare("Relaxation", tc.opts...)
+		r, err := tc.prog.Prepare("Relaxation", tc.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out := r.Explain(); !strings.Contains(out, tc.want) {
-			t.Errorf("Explain() missing %q:\n%s", tc.want, out)
+		if out := r.Explain(); strings.Count(out, "dispatch") != 1 || !strings.Contains(out, tc.want) {
+			t.Errorf("Explain() does not have exactly the dispatch line %q:\n%s", tc.want, out)
 		}
 	}
-	for _, r := range []*ps.Runner{run, seq} {
-		if out := r.Explain(); strings.Contains(out, "wavefront dispatch") {
-			t.Errorf("Explain() of a runner with no wavefront step to dispatch:\n%s", out)
-		}
+	if out := seq.Explain(); strings.Contains(out, "dispatch") {
+		t.Errorf("Explain() of a sequential runner:\n%s", out)
 	}
 }

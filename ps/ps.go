@@ -152,7 +152,8 @@ func (p *Program) Modules() []string {
 // RunOption configures execution.
 type RunOption func(*interp.Options)
 
-// Workers sets the DOALL worker count (default: all CPUs).
+// Workers sets the worker count of DOALL and wavefront steps (default:
+// all CPUs).
 func Workers(n int) RunOption { return func(o *interp.Options) { o.Workers = n } }
 
 // Sequential forces serial execution of every loop, DOALLs included.
@@ -169,12 +170,12 @@ func NoVirtual() RunOption { return func(o *interp.Options) { o.NoVirtual = true
 // and benchmarking control; results are identical either way.
 func NoSpecialize() RunOption { return func(o *interp.Options) { o.NoSpecialize = true } }
 
-// Grain sets the minimum iterations per parallel chunk. For wavefront
-// steps it is both the tile width on the blocked plane coordinate and
-// the g of the dispatch rule: a nest runs on the tile executor when its
-// average plane holds at least g × workers points (g defaults to 32)
-// and sweeps inline otherwise, so Grain(1) tiles any nest whose planes
-// can occupy every worker.
+// Grain sets g, the one size rule of every parallel step: a DOALL or
+// wavefront step runs as tiles on the worker pool when its average plane
+// holds at least g × workers points (g defaults to 32; a DOALL is one
+// plane) and inline on the calling goroutine otherwise. g is also the
+// minimum tile width, so Grain(1) tiles any step of two or more points
+// per worker, still blocked into about four tiles per worker.
 func Grain(n int64) RunOption { return func(o *interp.Options) { o.Grain = n } }
 
 // WithProfileLabels tags worker execution with runtime/pprof labels

@@ -23,7 +23,7 @@ type Runner struct {
 	prog *Program
 	mod  *Module
 	opts interp.Options
-	// pool is the persistent pool serving this runner's DOALLs: the
+	// pool is the persistent pool serving this runner's tiled steps: the
 	// engine's shared pool, or a dedicated engine-tracked pool when the
 	// runner was prepared with a different worker count. nil for
 	// engine-less programs (each Run then spawns a transient pool) and
@@ -110,16 +110,17 @@ func (r *Runner) Explain() string {
 	if planOpts.Hyperplane {
 		sb.WriteString(pl.CascadeReport())
 	}
-	if pl.HasWavefront() && !r.opts.Sequential {
-		// The dispatch rule, evaluated for this runner's worker count and
-		// grain; which side an activation lands on depends only on its
-		// bounds (RunStats.DoacrossTiles is > 0 exactly when it tiled).
+	if pl.HasParallel() && !r.opts.Sequential {
+		// The one dispatch rule of DOALL and wavefront steps, evaluated for
+		// this runner's worker count and grain; which side an activation
+		// lands on depends only on its bounds (RunStats.DOALLChunks and
+		// DoacrossTiles count the tiles it ran).
 		workers := effectiveWorkers(o)
 		if least := interp.TilePlane(workers, o.Grain); least > 0 {
-			fmt.Fprintf(&sb, "wavefront dispatch: tiles when the average plane holds >= %d points (%d x %d workers), inline sweep otherwise\n",
+			fmt.Fprintf(&sb, "parallel dispatch: tiles when a step's average plane holds >= %d points (%d x %d workers); a DOALL is one plane\n",
 				least, least/int64(workers), workers)
 		} else {
-			sb.WriteString("wavefront dispatch: inline sweep (one worker)\n")
+			sb.WriteString("parallel dispatch: inline (one worker)\n")
 		}
 	}
 	for _, ks := range r.prog.ip.Kernels(r.mod.sem.Name, planOpts) {
@@ -157,7 +158,7 @@ func (r *Runner) Explain() string {
 //
 // ctx cancellation or deadline expiry aborts sequential loops within
 // one iteration (an innermost single-equation DO within its one span)
-// and in-flight DOALLs within one chunk; the returned
+// and DOALLs within one row; the returned
 // error then satisfies errors.Is(err, ctx.Err()).
 func (r *Runner) Run(ctx context.Context, args []any) ([]any, *RunStats, error) {
 	o := r.opts

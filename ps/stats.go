@@ -17,9 +17,9 @@ type RunStats struct {
 	// one per evaluation of one equation at one index point, the
 	// paper's unit of schedulable work.
 	EquationInstances int64
-	// DOALLChunks is the number of parallel chunks dispatched to
-	// workers across all DOALL loops of the run. Wavefront steps add
-	// none: their parallel unit is the tile (DoacrossTiles).
+	// DOALLChunks is the number of tiles the run's DOALL steps and batch
+	// axis ran on the worker pool; steps below the dispatch rule run
+	// inline and add none. Wavefront tiles count in DoacrossTiles.
 	DOALLChunks int64
 	// WavefrontPlanes is the number of hyperplane launches performed by
 	// §4 auto-restructured (wavefront) steps — one per time step of each

@@ -136,9 +136,10 @@ func TestDoacrossStats(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("tiled run diverges from the inline sweep")
 	}
-	// Tile width 1 over the 42-wide blocked coordinate: every plane of
-	// the time range runs all 42 tile instances (most of them empty).
-	if want := int64((2*(n+1) + 1) * (n + 2)); stats.DoacrossTiles != want {
+	// Grain 1 is only the minimum width: the 42-wide blocked coordinate
+	// at two workers blocks into tiles of 42/(2×4) = 5, and every plane
+	// of the time range runs all 9 tile instances (most of them empty).
+	if want := int64((2*(n+1) + 1) * 9); stats.DoacrossTiles != want {
 		t.Errorf("DoacrossTiles = %d, want %d", stats.DoacrossTiles, want)
 	}
 	// The sweep still counts hyperplanes: pi=(1,1) over [0,N+1]² has

@@ -171,14 +171,15 @@ func TestVariantParity(t *testing.T) {
 		{"HyperOffPar2", []ps.RunOption{ps.Workers(2), ps.WithHyperplane(ps.HyperplaneOff)}},
 		{"HyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff)}},
 		{"HyperOffPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8), ps.WithHyperplane(ps.HyperplaneOff)}},
-		// Dispatch rows. A wavefront nest runs on the tile executor when
-		// its average plane holds grain × workers points and sweeps inline
-		// otherwise, so at these sizes the default rows above all sweep
-		// inline. The Doacross rows set Grain(1), which tiles every nest
-		// whose planes can occupy the workers, alone and crossed with
-		// strictness and hyperplane-off (no wavefront step: the
-		// grain only chunks DOALLs); the Barrier row sets a grain no plane
-		// fills, pinning the inline sweep on a four-worker pool. The row
+		// Dispatch rows. A DOALL or wavefront step runs on the tile
+		// executor when its average plane holds grain × workers points (a
+		// DOALL is one plane) and inline otherwise, so at these sizes the
+		// default rows above run most steps inline. The Doacross rows set
+		// Grain(1), which tiles every step whose planes can occupy the
+		// workers, alone and crossed with strictness and hyperplane-off
+		// (no wavefront step: the grain only tiles DOALLs); the Barrier row
+		// sets a grain no plane fills, pinning the inline path on a
+		// four-worker pool. The row
 		// names predate the single executor and are kept as stable test
 		// IDs; DoacrossPar3Grain8 has the options of Par3Grain8.
 		{"BarrierPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1 << 20)}},
@@ -427,7 +428,10 @@ func TestParallelPlanFuses(t *testing.T) {
 		}
 		return st.DOALLChunks
 	}
-	fused, apart := chunks(ps.Workers(2)), chunks(ps.Workers(2), ps.WithHyperplane(ps.HyperplaneOff))
+	// The inputs' DOALLs are below the default 64-point threshold at two
+	// workers; Grain(1) dispatches any DOALL of two or more points.
+	fused := chunks(ps.Workers(2), ps.Grain(1))
+	apart := chunks(ps.Workers(2), ps.Grain(1), ps.WithHyperplane(ps.HyperplaneOff))
 	if fused == 0 || 3*fused != apart {
 		t.Errorf("DOALLChunks: fused plan %d, three unfused DOALLs %d; want one DOALL's share", fused, apart)
 	}
