@@ -25,8 +25,8 @@ func runGS(t *testing.T, ip *interp.Program, m, maxK int64, opts interp.Options)
 // on both sides of the dispatch rule at several widths and grains; all
 // runs must be bitwise identical to the sequential reference, and the
 // nest must run on the tile executor (Tiles > 0) exactly when its
-// average plane — 1350 points over 39 planes, 34 — holds grain × workers
-// points. The Doacross*/Barrier* row names predate the single executor:
+// average plane — 1350 points over the 6 + 20 − 1 anti-diagonals of its
+// tiled coordinates K and I+K, 54 — holds grain × workers points. The Doacross*/Barrier* row names predate the single executor:
 // they now pin the tile side and the inline side of the rule.
 func TestDoacrossScheduleParity(t *testing.T) {
 	ip := compileSrc(t, psrc.RelaxationGS)
@@ -73,10 +73,14 @@ func TestTilePlane(t *testing.T) {
 	}
 }
 
-// TestDoacrossGrainControlsTiles checks Options.Grain reaches the tile
-// executor as the tile width — a coarser grain means fewer, wider tiles
-// — and that a grain no plane can fill keeps the sweep inline. Results
-// stay identical throughout.
+// TestDoacrossGrainControlsTiles checks Options.Grain decides only which
+// side of the dispatch rule a wavefront lands on: grains 1 and 8 both
+// tile the nest, and — tile widths being a function of the box and the
+// worker count alone — into the same grid; a grain no plane fills keeps
+// the sweep inline, counted as one plane. At m = 13 the skewed
+// coordinates K and I+K take 6 and 20 values, cut at four workers into
+// 6 × 10 tiles over 15 tile-grid planes. Results stay identical
+// throughout.
 func TestDoacrossGrainControlsTiles(t *testing.T) {
 	ip := compileSrc(t, psrc.RelaxationGS)
 	const m, maxK = 13, 7
@@ -90,19 +94,13 @@ func TestDoacrossGrainControlsTiles(t *testing.T) {
 			t.Error("grain variants diverge from sequential reference")
 		}
 	}
-	if fine.Doacross.Tiles.Load() <= coarse.Doacross.Tiles.Load() {
-		t.Errorf("coarse grain did not reduce tile instances: fine=%d coarse=%d",
-			fine.Doacross.Tiles.Load(), coarse.Doacross.Tiles.Load())
+	for name, st := range map[string]*interp.Stats{"grain 1": &fine, "grain 8": &coarse} {
+		if tiles, planes := st.Doacross.Tiles.Load(), st.Planes.Load(); tiles != 60 || planes != 15 {
+			t.Errorf("%s ran %d tiles over %d planes, want 60 over 15", name, tiles, planes)
+		}
 	}
-	// Every plane has at least one tile instance, whatever the width.
-	if got := coarse.Doacross.Tiles.Load(); got < coarse.Planes.Load() {
-		t.Errorf("coarse run has fewer tiles (%d) than non-empty planes (%d)", got, coarse.Planes.Load())
-	}
-	if got := inline.Doacross.Tiles.Load(); got != 0 {
-		t.Errorf("grain 1<<20 executed %d tiles, want the inline sweep", got)
-	}
-	if inline.Planes.Load() != fine.Planes.Load() {
-		t.Errorf("inline sweep counted %d planes, tiles %d", inline.Planes.Load(), fine.Planes.Load())
+	if tiles, planes := inline.Doacross.Tiles.Load(), inline.Planes.Load(); tiles != 0 || planes != 1 {
+		t.Errorf("grain 1<<20 ran %d tiles over %d planes, want the inline sweep (0 tiles, 1 plane)", tiles, planes)
 	}
 }
 
@@ -115,7 +113,7 @@ func TestDoacrossAutoNarrowPlanes(t *testing.T) {
 	want := runGS(t, ip, 4, 6, interp.Options{Sequential: true})
 	for run := 0; run < 3; run++ {
 		var stats interp.Stats
-		// m=4 gives 9-point average planes against a cutoff of 128.
+		// m=4 gives 12-point average planes against a cutoff of 128.
 		got := runGS(t, ip, 4, 6, interp.Options{Workers: 4, Stats: &stats})
 		if !reflect.DeepEqual(got.F, want.F) {
 			t.Error("default run diverges from sequential reference")

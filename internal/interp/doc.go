@@ -38,8 +38,8 @@
 // edit.
 //
 // Every loop that hands kernels contiguous runs of points reaches the
-// direct mode through one span executor: DOALL rows, wavefront plane
-// rows and tiles, and the leaf DO — the innermost sequential loop of a
+// direct mode through one span executor: DOALL rows, the rows of
+// wavefront tiles, and the leaf DO — the innermost sequential loop of a
 // recurrence nest whose body is one equation (the paper's §3 iterative
 // loop), which runs its whole range as one span. The span stores each
 // point before the next point reads, so a read carried along the loop
@@ -81,13 +81,13 @@
 //   - DOALL steps permute independent points only; a fused DOALL's
 //     kernels read each other only at the point being executed, so each
 //     runs its own span per row;
-//   - wavefront steps execute hyperplanes t = π·x in ascending order
-//     with π·d ≥ 1 for every dependence d of the nest's equation group,
-//     and each in-box plane point runs the group's kernels in scheduled
-//     order, preserving in-plane zero-distance dependences;
-//   - the tile executor and the inline sweep share one geometry
-//     (wfSpace): the same per-plane tightened bounds, the same T⁻¹
-//     preimages, the same guard against bounding-box slack.
+//   - wavefront steps run rectangular tiles of skewed space (S·d ≥ 0
+//     for every dependence d, plan.Hyper.Skew); tile (a, b) starts
+//     after (a−1, b) and (a, b−1), and inside it rows along the
+//     original innermost index run in skewed-lexicographic order, each
+//     equation's whole row in turn (Hyper.RowSplit) or jammed per point;
+//   - the inline sweep is the one tile covering the box, run by the same
+//     walker (sweepTile): the original loop order, Seq's spans.
 //
 // The variants parity matrix (variants_test.go at the repo root)
 // enforces this across the corpus under -race.
@@ -105,13 +105,18 @@
 //
 //	points / planes ≥ g × W
 //
-// where points and planes are the volume and time extent of the
-// iteration box (planes = 1 for a DOALL) and g is Options.Grain when the
-// caller set one and 32 otherwise. Tiles are max(g, span/(4W)) wide on
-// the blocked coordinate. Everything else runs on the calling
-// goroutine: a DOALL walks its linear index with the walker its tiles
-// use, a wavefront sweeps its planes in order. A batch axis (RunBatchCtx)
-// is one more such nest over its elements, dispatched at any n ≥ 2.
+// where points is the volume of the iteration box, planes is 1 for a
+// DOALL and e0 + e1 − 1 for a wavefront whose two tiled skewed
+// coordinates (the first two past any the box fixes to one value) take
+// e0 and e1 values — with e0 or e1 of 1 its grid would be one chain, and
+// it never tiles — and g is Options.Grain when the caller set one and
+// 32 otherwise. A DOALL's tiles are max(g, span/(4W)) wide on its
+// linear index; a wavefront cuts each tiled coordinate into 4W tiles,
+// or W for the row. Everything else runs on the calling goroutine: a
+// DOALL walks its linear index with the walker its tiles use, a
+// wavefront sweeps the one tile covering its box. A batch axis
+// (RunBatchCtx) is one more such nest over its elements, dispatched at
+// any n ≥ 2.
 // Nothing is measured and nothing is remembered between activations, so
 // the same bounds always take the same side and Runner.Explain is a
 // function of plan and options alone.

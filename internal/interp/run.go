@@ -35,7 +35,8 @@ type Options struct {
 	// Grain is the g of the one dispatch rule (TilePlane): a DOALL or
 	// wavefront step tiles when its average plane holds g × workers
 	// points, a DOALL being one plane. It is also the minimum tile width
-	// on the blocked coordinate. <= 0 means 32.
+	// of a DOALL's linear index; wavefront tiles are cut from the box
+	// alone. <= 0 means 32.
 	Grain int64
 	// Hyperplane selects whether the run executes the cascade plan, in
 	// which §5 fusion merges nests where the merge yields a parallel step
@@ -64,8 +65,9 @@ type Options struct {
 	// baseline).
 	NoArena bool
 	// Trace, when non-nil, records timestamped span events (activation,
-	// DO nests, chunks, planes, tiles, stalls, ...) on per-worker rings as
-	// the run executes. nil tracing costs one branch per emission site.
+	// DO nests, chunks, inline wavefront sweeps, tiles, stalls, ...) on
+	// per-worker rings as the run executes. nil tracing costs one branch
+	// per emission site.
 	Trace *obs.Recorder
 	// ProfileLabels wraps dispatched work in runtime/pprof label sets
 	// (ps_module, ps_step, ps_eqs) so CPU profiles attribute samples to
@@ -78,8 +80,8 @@ type Options struct {
 type HyperplaneMode uint8
 
 const (
-	// HyperplaneAuto (the default) runs eligible nests as wavefront
-	// sweeps whenever the run executes in parallel.
+	// HyperplaneAuto (the default) runs eligible nests as tiled
+	// wavefronts whenever the run executes in parallel.
 	HyperplaneAuto HyperplaneMode = iota
 	// HyperplaneOff always runs the untransformed sequential nests.
 	HyperplaneOff
@@ -103,13 +105,15 @@ type Stats struct {
 	// pool. Wavefront tiles count in Doacross instead; steps run inline
 	// contribute nothing.
 	Chunks atomic.Int64
-	// Planes counts hyperplane launches of wavefront steps — one per
-	// time step of every §4-restructured nest — so wavefront work stays
-	// distinguishable from plain DOALL chunking.
+	// Planes counts the planes wavefront steps launched — the
+	// anti-diagonals of a tiled nest's tile grid, or 1 for a nest swept
+	// inline — so wavefront work stays distinguishable from plain DOALL
+	// chunking.
 	Planes atomic.Int64
-	// Doacross accumulates the wavefront tile executor's counters: tile
-	// instances, stalls (parked waits on predecessor tiles) and steals.
-	// All zero when every wavefront swept inline.
+	// Doacross accumulates the wavefront tile executor's counters: the
+	// tiles run (grid instances that hold points), stalls (parked waits
+	// on predecessor tiles) and steals. All zero when every wavefront
+	// swept inline.
 	Doacross sched.Stats
 	// Specialized counts equation instances executed through the
 	// branch-free specialized kernel path (a subset of EqInstances);
@@ -765,7 +769,7 @@ func (p *Program) execDo(en *env, fr []int64, st *plan.Step, self int) {
 		eqi := en.cp.pl.Steps[self+1].Eq
 		en.curEq = int32(eqi)
 		fr[slot] = b[0]
-		en.cp.spans[eqi].fn(en, fr, st.Dims, unitDir, b[1]-b[0]+1)
+		en.cp.spans[eqi].fn(en, fr, slot, b[1]-b[0]+1)
 		fr[slot] = b[1]
 		return
 	}
@@ -777,10 +781,6 @@ func (p *Program) execDo(en *env, fr []int64, st *plan.Step, self int) {
 		p.execSteps(en, fr, self+1, st.End)
 	}
 }
-
-// unitDir is the span direction of a DOALL row or a leaf DO: the
-// innermost dimension advances by one per point. Read-only.
-var unitDir = []int64{1}
 
 // execDoAll runs one (pre-collapsed) DOALL step: the plan has already
 // flattened directly nested parallel loops into one linear iteration
@@ -867,7 +867,6 @@ func (p *Program) walkDoAll(en *env, fr []int64, st *plan.Step, bodyLo int, lob,
 	steps := en.cp.pl.Steps
 	spans := en.cp.spans
 	inner := dims[ndim-1]
-	rowSlots := dims[ndim-1:]
 	for li := start; ; {
 		if canceled != nil && canceled.Load() {
 			panic(runtimeError{err: en.rs.ctx.Err()})
@@ -876,7 +875,7 @@ func (p *Program) walkDoAll(en *env, fr []int64, st *plan.Step, bodyLo int, lob,
 		for k := bodyLo; k < st.End; k++ {
 			eqi := steps[k].Eq
 			en.curEq = int32(eqi)
-			spans[eqi].fn(en, fr, rowSlots, unitDir, seg)
+			spans[eqi].fn(en, fr, inner, seg)
 		}
 		if li += seg; li > end {
 			return
@@ -913,243 +912,126 @@ func stepEqs(cp *compiledPlan, lo, hi int) string {
 	return sb.String()
 }
 
-// eqsLabel joins the labels of the given kernel indices — the ps_eqs
-// value for wavefront bodies, which carry their equations as indices.
-func eqsLabel(cp *compiledPlan, eqis []int) string {
-	var sb strings.Builder
-	for _, eqi := range eqis {
-		if sb.Len() > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(cp.pl.Eqs[eqi].Label)
-	}
-	return sb.String()
-}
-
-// wfSpace is the resolved geometry of one wavefront activation: the
-// original iteration box, the interval bounds of every transformed
-// coordinate over it, and the π-term sums used for per-plane
-// tightening of basis coordinates. The inline sweep and the tile
-// executor work from the same space, which is why they are bitwise
-// identical.
-type wfSpace struct {
+// wfGrid is the resolved geometry of one wavefront activation: the
+// original iteration box and the range of the two skewed coordinates
+// s_r, s_r+1 the tiles cut. The inline sweep is one tile covering the
+// whole box, so it and the tile executor run the same walker (sweepTile).
+type wfGrid struct {
 	st *plan.Step
-	hy *plan.Hyper
-	n  int
-	// eqis are the kernel indices of the step's body equations in group
-	// order; every in-box plane point runs all of them, so in-plane
-	// zero-distance dependences between group equations are satisfied by
-	// execution order. Singleton nests have exactly one.
-	eqis []int
+	// sk is the step's skew S (Hyper.Skew).
+	sk [][]int64
+	// body is the step's equation steps in group order (the body holds
+	// nothing else, so rows call the kernels' spans directly); split
+	// mirrors Hyper.RowSplit.
+	body  []plan.Step
+	split bool
 	// lo, hi is the original iteration box.
 	lo, hi [plan.MaxCollapse]int64
-	// tlo, thi bounds each transformed coordinate row_r(T)·x over the
-	// box; row 0 is the time axis.
-	tlo, thi [plan.MaxCollapse]int64
-	// piLoSum, piHiSum bound Σ π_j·x_j over the box (π non-negative).
-	piLoSum, piHiSum int64
-	// row is the plane coordinate kernels sweep as spans: the basis
-	// coordinate of the innermost original dimension when one exists
-	// (unit array stride, so specialized kernels advance flat offsets
-	// by ±1), else the last plane coordinate.
-	row int
-	// ord lists the remaining plane coordinates in increasing order;
-	// the plane's linear index is decomposed ord-major, row fastest.
-	ord []int
-	// dcol is T⁻¹'s column for row: the per-point motion of every
-	// original coordinate along a row span.
-	dcol []int64
+	// r skips the leading coordinates the box fixes to one value; slo,
+	// shi bound s_r and s_r+1 over the box.
+	r        int
+	slo, shi [2]int64
 }
 
-// resolve fills the space from the activation's bounds; false means
-// some dimension is empty and the nest has no iterations.
-func (w *wfSpace) resolve(en *env, st *plan.Step, bodyLo int) bool {
-	w.st, w.hy = st, st.Hyper
-	w.n = len(st.Dims)
-	// The body is equation steps only (tryWavefront guarantees it), so
-	// points invoke the kernels directly instead of re-entering the step
-	// dispatcher — the wavefront analogue of the DOALL leaf fast path.
-	w.eqis = w.eqis[:0]
-	for b := bodyLo; b < st.End; b++ {
-		w.eqis = append(w.eqis, en.cp.pl.Steps[b].Eq)
-	}
+// resolve fills the grid from the activation's bounds; false means some
+// dimension is empty and the nest has no iterations.
+func (g *wfGrid) resolve(en *env, st *plan.Step, bodyLo int) bool {
+	g.st, g.sk, g.split = st, st.Hyper.Skew, st.Hyper.RowSplit
+	g.body = en.cp.pl.Steps[bodyLo:st.End]
 	for j, slot := range st.Dims {
 		b := en.bounds[slot]
 		if b[1] < b[0] {
 			return false
 		}
-		w.lo[j], w.hi[j] = b[0], b[1]
+		g.lo[j], g.hi[j] = b[0], b[1]
 	}
-	for r := 0; r < w.n; r++ {
-		for j, c := range w.hy.T[r] {
-			if c >= 0 {
-				w.tlo[r] += c * w.lo[j]
-				w.thi[r] += c * w.hi[j]
-			} else {
-				w.tlo[r] += c * w.hi[j]
-				w.thi[r] += c * w.lo[j]
-			}
+	for g.r < len(st.Dims)-2 && g.lo[g.r] == g.hi[g.r] {
+		g.r++
+	}
+	for k := range g.slo {
+		for j, c := range g.sk[g.r+k][:g.r+k+1] {
+			g.slo[k] += min(c*g.lo[j], c*g.hi[j])
+			g.shi[k] += max(c*g.lo[j], c*g.hi[j])
 		}
-	}
-	for j := 0; j < w.n; j++ {
-		w.piLoSum += w.hy.Pi[j] * w.lo[j]
-		w.piHiSum += w.hy.Pi[j] * w.hi[j]
-	}
-	w.row = w.n - 1
-	bestJ := -1
-	for r := 1; r < w.n; r++ {
-		if j := w.hy.Basis[r]; j > bestJ {
-			bestJ = j
-			w.row = r
-		}
-	}
-	w.ord = w.ord[:0]
-	for r := 1; r < w.n; r++ {
-		if r != w.row {
-			w.ord = append(w.ord, r)
-		}
-	}
-	w.dcol = w.dcol[:0]
-	for j := 0; j < w.n; j++ {
-		w.dcol = append(w.dcol, w.hy.TInv[j][w.row])
 	}
 	return true
 }
 
-// planeBounds computes plane t's coordinate ranges: start from the box
-// interval and, for plane coordinates that are original dimensions
-// (basis rows of T), solve π·x = t for that coordinate's feasible
-// range. This keeps the guarded slack per plane small even when the
-// time axis is much longer than the other dimensions. It returns the
-// plane's candidate-point count (0 for an empty plane).
-func (w *wfSpace) planeBounds(t int64, plo, phi *[plan.MaxCollapse]int64) int64 {
-	hy := w.hy
-	planeTotal := int64(1)
-	for r := 1; r < w.n; r++ {
-		l, h := w.tlo[r], w.thi[r]
-		if j := hy.Basis[r]; j >= 0 {
-			if c := hy.Pi[j]; c > 0 {
-				othersLo := w.piLoSum - c*w.lo[j]
-				othersHi := w.piHiSum - c*w.hi[j]
-				if q := ceilDiv(t-othersHi, c); q > l {
-					l = q
-				}
-				if q := floorDiv(t-othersLo, c); q < h {
-					h = q
-				}
-			}
-		}
-		if l > h {
-			return 0
-		}
-		plo[r], phi[r] = l, h
-		planeTotal *= h - l + 1
+// extent is the number of values s_r+k takes over the box.
+func (g *wfGrid) extent(k int) int64 { return g.shi[k] - g.slo[k] + 1 }
+
+// tiled applies TilePlane to this activation's bounds. The planes of a
+// wavefront are the anti-diagonals of its two tiled coordinates at unit
+// width, extent(0) + extent(1) − 1 of them; a grid of one chain runs
+// inline.
+func (g *wfGrid) tiled(workers int, grain int64) bool {
+	least := TilePlane(workers, grain)
+	if least == 0 || g.extent(0) < 2 || g.extent(1) < 2 {
+		return false
 	}
-	return planeTotal
+	points := int64(1)
+	for j := range g.st.Dims {
+		points *= g.hi[j] - g.lo[j] + 1
+	}
+	return points/(g.extent(0)+g.extent(1)-1) >= least
 }
 
-// execPlaneBox runs the candidate points [start, end] (linear indices
-// into the plane's bounding box, row coordinate fastest) of plane t on
-// the calling goroutine. Each row of the box is handled as one segment:
-// the sub-interval of points whose T⁻¹ preimage lies in the original
-// iteration box is solved in closed form (the preimage moves by dcol
-// per step, so each original dimension bounds a k-interval), and the
-// feasible run is handed to the kernels as a single span — in-box
-// filtering costs a few divisions per row instead of a branch per
-// point, and specialized kernels advance flat offsets incrementally
-// across the run. Exactly the original points execute, each once, in
-// group order per point sequence, so results are bitwise identical to
-// the per-point walk. Cancellation is polled per row.
-func (p *Program) execPlaneBox(en *env, fr []int64, w *wfSpace, t int64, plo, phi *[plan.MaxCollapse]int64, start, end int64) {
-	n, row := w.n, w.row
-	rowLen := phi[row] - plo[row] + 1
-	var xpBuf, xBuf [plan.MaxCollapse]int64
-	xp, x := xpBuf[:n], xBuf[:n]
-	xp[0] = t
-	// Decompose start: row-fastest, then w.ord outer coordinates with
-	// the last ord entry varying next-fastest.
-	rem := start / rowLen
-	xp[row] = plo[row] + start%rowLen
-	for oi := len(w.ord) - 1; oi >= 0; oi-- {
-		r := w.ord[oi]
-		span := phi[r] - plo[r] + 1
-		xp[r] = plo[r] + rem%span
-		rem /= span
+// tileWidths cuts the two tiled coordinates for a pool of workers, none
+// narrower than one coordinate value: each into TilesPerWorker tiles per
+// worker, except the innermost coordinate. There the tiled coordinate
+// is the row itself, and every cut adds a span (its certificate and
+// guard split) per row; it is cut once per worker, the fewest tiles that
+// still keep every worker in the pipeline. It is a pure function of the
+// box and the worker count.
+func (g *wfGrid) tileWidths(workers int) (w [2]int64) {
+	for k := range w {
+		per := int64(sched.TilesPerWorker * workers)
+		if g.r+k == len(g.st.Dims)-1 {
+			per = int64(workers)
+		}
+		w[k] = (g.extent(k) + per - 1) / per
 	}
-	preimage(w.hy.TInv, xp, x)
-	canceled := en.rs.canceled
-	dcol := w.dcol
-	spans := en.cp.spans
-	dims := w.st.Dims
-	for li := start; li <= end; {
-		if canceled != nil && canceled.Load() {
-			panic(runtimeError{err: en.rs.ctx.Err()})
+	return w
+}
+
+// sweepTile runs every box point whose s_r lies in [tlo[0], thi[0]] and
+// s_r+1 in [tlo[1], thi[1]], in skewed-lexicographic order. S is unit
+// lower-triangular, so with the outer indices fixed s_j = x_j + c: each
+// level is a range of x_j clipped to the box (and, for s_r and s_r+1,
+// to the tile), and a tile covering the box runs the original order.
+func (p *Program) sweepTile(en *env, fr []int64, g *wfGrid, j int, tlo, thi *[2]int64) {
+	lo, hi := g.lo[j], g.hi[j]
+	if k := j - g.r; k >= 0 && k < len(tlo) {
+		var off int64
+		for i := 0; i < j; i++ {
+			off += g.sk[j][i] * fr[g.st.Dims[i]]
 		}
-		seg := phi[row] - xp[row] + 1
-		if li+seg-1 > end {
-			seg = end - li + 1
+		lo, hi = max(lo, tlo[k]-off), min(hi, thi[k]-off)
+	}
+	if j < len(g.st.Dims)-1 {
+		slot := g.st.Dims[j]
+		for x := lo; x <= hi; x++ {
+			fr[slot] = x
+			p.sweepTile(en, fr, g, j+1, tlo, thi)
 		}
-		// Feasible sub-interval of this segment: lo ≤ x + k·dcol ≤ hi
-		// per original dimension, intersected over all of them.
-		kLo, kHi := int64(0), seg-1
-		for j := 0; j < n; j++ {
-			switch d := dcol[j]; {
-			case d == 0:
-				if x[j] < w.lo[j] || x[j] > w.hi[j] {
-					kLo, kHi = seg, seg-1
-				}
-			case d > 0:
-				if q := ceilDiv(w.lo[j]-x[j], d); q > kLo {
-					kLo = q
-				}
-				if q := floorDiv(w.hi[j]-x[j], d); q < kHi {
-					kHi = q
-				}
-			default:
-				if q := ceilDiv(x[j]-w.hi[j], -d); q > kLo {
-					kLo = q
-				}
-				if q := floorDiv(x[j]-w.lo[j], -d); q < kHi {
-					kHi = q
-				}
-			}
-		}
-		if kLo <= kHi {
-			for j := 0; j < n; j++ {
-				fr[dims[j]] = x[j] + kLo*dcol[j]
-			}
-			cnt := kHi - kLo + 1
-			for _, eqi := range w.eqis {
-				en.curEq = int32(eqi)
-				spans[eqi].fn(en, fr, dims, dcol, cnt)
-			}
-		}
-		li += seg
-		if li > end {
-			break
-		}
-		// Advance to the next row: rewind the row coordinate, then bump
-		// the ord odometer (last entry fastest), updating the preimage
-		// with T⁻¹ columns.
-		if back := xp[row] - plo[row]; back != 0 {
-			for j := 0; j < n; j++ {
-				x[j] -= back * dcol[j]
-			}
-			xp[row] = plo[row]
-		}
-		for oi := len(w.ord) - 1; oi >= 0; oi-- {
-			r := w.ord[oi]
-			if xp[r]++; xp[r] <= phi[r] {
-				for j := 0; j < n; j++ {
-					x[j] += w.hy.TInv[j][r]
-				}
-				break
-			}
-			span := phi[r] - plo[r]
-			xp[r] = plo[r]
-			for j := 0; j < n; j++ {
-				x[j] -= span * w.hy.TInv[j][r]
-			}
+		return
+	}
+	if canceled := en.rs.canceled; canceled != nil && canceled.Load() {
+		panic(runtimeError{err: en.rs.ctx.Err()})
+	}
+	// One row: the innermost index at unit stride, as one leaf-DO span of
+	// every equation in turn, or — when a dependence inside the row runs
+	// from a later equation to an earlier one — as one-point spans of the
+	// equations jammed point by point.
+	slot, spans, step := g.st.Dims[j], en.cp.spans, hi-lo+1
+	if !g.split {
+		step = 1
+	}
+	for x := lo; x <= hi; x += step {
+		fr[slot] = x
+		for i := range g.body {
+			en.curEq = int32(g.body[i].Eq)
+			spans[g.body[i].Eq].fn(en, fr, slot, step)
 		}
 	}
 }
@@ -1162,7 +1044,8 @@ const minTilePlane = 32
 // TilePlane is the dispatch rule of every parallel step, a pure
 // function of the run's worker count and grain: it returns the smallest
 // average plane (points / planes of the activation's iteration box; a
-// DOALL is one plane) that runs on the tile executor, g × workers, where
+// DOALL is one plane, a wavefront has one per anti-diagonal of its two
+// tiled coordinates) that runs on the tile executor, g × workers, where
 // g is grain when the caller set one and minTilePlane otherwise. 0 means
 // the run never tiles — one worker has nothing to overlap. Smaller steps
 // run inline on the calling goroutine.
@@ -1176,142 +1059,93 @@ func TilePlane(workers int, grain int64) int64 {
 	return grain * int64(workers)
 }
 
-// tiled applies TilePlane to this activation's bounds.
-func (w *wfSpace) tiled(workers int, grain int64) bool {
-	least := TilePlane(workers, grain)
-	if least == 0 {
-		return false
-	}
-	points := int64(1)
-	for j := 0; j < w.n; j++ {
-		points *= w.hi[j] - w.lo[j] + 1
-	}
-	return points/(w.thi[0]-w.tlo[0]+1) >= least
-}
-
-// execWavefront runs one §4-restructured nest: hyperplanes t = π·x
-// executed in dependence order, each plane a traversal of the bounding
-// box of the remaining transformed coordinates. Per point the step's
-// baked T⁻¹ recovers the original indices; points whose preimage falls
-// outside the original iteration box are skipped, so exactly the
-// original points execute, each once, with every dependence satisfied
-// (π·d ≥ 1 places a point's inputs on strictly earlier planes, and
-// in-plane points are independent by construction). A top-level
-// activation on a pool whose planes are wide enough (tiled) hands the
-// nest to the tile executor; everything else — one worker, a nest inside
-// a parallel chunk or batch element, narrow planes — sweeps the planes
-// in order on the calling goroutine.
+// execWavefront runs one §4-restructured nest as tiles of skewed
+// iteration space (plan.Hyper). A top-level activation on a pool whose
+// average plane is wide enough (tiled) hands the tile grid to the tile
+// executor; everything else — one worker, a nest inside a parallel chunk
+// or batch element, a small box — sweeps one tile covering the box on
+// the calling goroutine, which is the original loop order.
 func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) {
 	rs := en.rs
-	var w wfSpace
-	if !w.resolve(en, st, bodyLo) {
+	var g wfGrid
+	if !g.resolve(en, st, bodyLo) {
 		return // empty dimension: the nest has no iterations
 	}
-	if rs.pool != nil && !en.inParallel && w.tiled(rs.pool.Workers(), rs.opts.Grain) {
-		p.execWavefrontTiles(en, fr, &w)
+	if rs.pool != nil && !en.inParallel && g.tiled(rs.pool.Workers(), rs.opts.Grain) {
+		p.execWavefrontTiles(en, fr, &g)
 		return
 	}
-	canceled := rs.canceled
-	for t := w.tlo[0]; t <= w.thi[0]; t++ {
-		if canceled != nil && canceled.Load() {
-			panic(runtimeError{err: rs.ctx.Err()})
-		}
-		var plo, phi [plan.MaxCollapse]int64
-		planeTotal := w.planeBounds(t, &plo, &phi)
-		if planeTotal == 0 {
-			continue // no candidate points on this hyperplane
-		}
-		if rs.stats != nil {
-			rs.stats.Planes.Add(1)
-		}
-		// Plane spans land on the activation's ring; inside a parallel
-		// chunk (or an already-open sequential span) the enclosing span
-		// covers the work and nothing is emitted here.
-		ring, t0 := en.beginSpan()
-		p.execPlaneBox(en, fr, &w, t, &plo, &phi, 0, planeTotal-1)
-		en.endSpan(ring, obs.KPlane, t0, t, 0)
+	if rs.stats != nil {
+		rs.stats.Planes.Add(1)
 	}
+	// The sweep's span lands on the activation's ring; inside a parallel
+	// chunk (or an already-open sequential span) the enclosing span
+	// covers the work and nothing is emitted here.
+	ring, t0 := en.beginSpan()
+	p.sweepTile(en, fr, &g, 0, &g.slo, &g.shi)
+	en.endSpan(ring, obs.KPlane, t0, int64(bodyLo-1), 0)
 }
 
-// execWavefrontTiles runs a wavefront nest on the pool as a doacross
-// pipeline: the widest plane coordinate is blocked into tiles on a fixed
-// global grid, each tile carries an atomic completion counter, and a
-// tile entering plane t waits point-to-point only on the predecessor
-// tiles the plan's dependence window implies (internal/sched) — no
-// per-plane pool barrier, so successive hyperplanes overlap. Tile
-// instances compute the same tightened plane bounds as the inline sweep
-// and run the same kernels at the same points, so the two are bitwise
-// identical.
-func (p *Program) execWavefrontTiles(en *env, fr []int64, w *wfSpace) {
+// tilePreds makes tile b of plane t wait on tiles b−1, b of plane t−1.
+var tilePreds = []sched.PredRange{{Has: true, Lo: 0, Hi: 1}}
+
+// execWavefrontTiles runs a wavefront nest's tile grid on the pool. The
+// tiled coordinates s_r, s_r+1 are cut into A × B tiles (tileWidths);
+// tile (a, b) is the instance at plane a+b and coordinate b of a
+// sched.Nest of unit tiles (B ≤ 4W), so it starts once (a−1, b) and
+// (a, b−1) are done — every dependence of the skewed nest points to a
+// tile with no larger coordinate, reached through that chain. Instances
+// whose a falls off the grid are empty. Each tile runs sweepTile over
+// its rectangle, so the points, kernels and per-point order are those
+// of the inline sweep, and the two are bitwise identical.
+func (p *Program) execWavefrontTiles(en *env, fr []int64, g *wfGrid) {
 	rs := en.rs
-	hy := w.hy
-	// Block the plane coordinate with the widest transformed span: more
-	// tiles means a deeper pipeline, and every other coordinate stays
-	// whole within a tile so only one shift table is consulted.
-	blk := 1
-	for r := 2; r < w.n; r++ {
-		if w.thi[r]-w.tlo[r] > w.thi[blk]-w.tlo[blk] {
-			blk = r
-		}
-	}
+	workers := rs.pool.Workers()
+	w := g.tileWidths(workers)
+	na := (g.extent(0) + w[0] - 1) / w[0]
+	nb := (g.extent(1) + w[1] - 1) / w[1]
 	nest := sched.Nest{
-		TLo: w.tlo[0], THi: w.thi[0],
-		CoordLo: w.tlo[blk], CoordHi: w.thi[blk],
-		Window:  hy.Window,
-		Preds:   hy.Pred[blk-1],
-		Workers: rs.pool.Workers(),
-		// Options.Grain is the minimum tile width on the blocked
-		// coordinate, as for a DOALL's linear index.
-		TileWidth: rs.opts.Grain,
+		THi: na + nb - 2, CoordHi: nb - 1,
+		Window: 2, Preds: tilePreds,
+		Workers: workers, TileWidth: 1,
 	}
-	var doStats *sched.Stats
-	if rs.stats != nil {
-		doStats = &rs.stats.Doacross
-	}
+	// sched counts the empty off-grid instances too: RunStats takes its
+	// stalls and steals as they are and counts the tiles that hold points.
+	var doStats sched.Stats
 	scope := workerScope{en: en, fr: fr}
 	canceled := rs.canceled
-	body := func(ring *obs.Ring, t int64, k int, blo, bhi int64) bool {
-		// Most tile instances of a narrow plane are empty (the tile grid
-		// is global, the tightened plane is not), so the bounds check
-		// runs before any pooled-state setup.
-		var plo, phi [plan.MaxCollapse]int64
-		total := w.planeBounds(t, &plo, &phi)
-		if total == 0 {
-			return true // empty plane: the instance completes immediately
+	body := func(ring *obs.Ring, t int64, k int, _, _ int64) bool {
+		b := int64(k)
+		a := t - b
+		if a < 0 || a >= na {
+			return true // off the grid: the instance completes immediately
 		}
-		if k == 0 && rs.stats != nil {
-			// Tile 0 exists on every plane, so it counts each non-empty
-			// plane exactly once — keeping WavefrontPlanes equal to the
-			// inline sweep's.
-			rs.stats.Planes.Add(1)
+		if rs.stats != nil {
+			rs.stats.Doacross.Tiles.Add(1)
+			if b == max(0, t-(na-1)) {
+				// The plane's lowest tile counts the plane once.
+				rs.stats.Planes.Add(1)
+			}
 		}
-		// Clamp the blocked coordinate to this tile's slice.
-		if plo[blk] < blo {
-			plo[blk] = blo
-		}
-		if phi[blk] > bhi {
-			phi[blk] = bhi
-		}
-		if plo[blk] > phi[blk] {
-			return true // tightening left nothing in this tile
-		}
-		total = 1
-		for r := 1; r < w.n; r++ {
-			total *= phi[r] - plo[r] + 1
-		}
+		tlo := [2]int64{g.slo[0] + a*w[0], g.slo[1] + b*w[1]}
+		thi := [2]int64{min(tlo[0]+w[0]-1, g.shi[0]), min(tlo[1]+w[1]-1, g.shi[1])}
 		// The tile runs on pooled worker state, capturing failures the way
 		// DOALL tiles do: a recorded failure stops the scheduling here and
 		// re-raises after Run.
 		ok := scope.run(0, ring, func(sub *env, wfr []int64) {
-			p.execPlaneBox(sub, wfr, w, t, &plo, &phi, 0, total-1)
+			p.sweepTile(sub, wfr, g, 0, &tlo, &thi)
 		})
 		return ok && !(canceled != nil && canceled.Load())
 	}
 	if rs.labels {
 		body = labeled(rs, body, pprof.Labels("ps_module", en.cm.m.Name,
-			"ps_step", "doacross", "ps_eqs", eqsLabel(en.cp, w.eqis)))
+			"ps_step", "doacross", "ps_eqs", stepEqs(en.cp, g.st.End-len(g.body), g.st.End)))
 	}
-	completed := sched.Run(nest, rs.pool, rs.cancelChan(), body, doStats, rs.rec)
+	completed := sched.Run(nest, rs.pool, rs.cancelChan(), body, &doStats, rs.rec)
+	if rs.stats != nil {
+		rs.stats.Doacross.Stalls.Add(doStats.Stalls.Load())
+		rs.stats.Doacross.Steals.Add(doStats.Steals.Load())
+	}
 	scope.rethrow()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})
@@ -1319,9 +1153,8 @@ func (p *Program) execWavefrontTiles(en *env, fr []int64, w *wfSpace) {
 }
 
 // ceilDiv and floorDiv divide with rounding toward +∞/−∞; b must be
-// positive (π coefficients are non-negative by construction). Neither
-// overflows for any a: the span splitter divides differences that may
-// be near the int64 limits.
+// positive. Neither overflows for any a: the span splitter divides
+// differences that may be near the int64 limits.
 func ceilDiv(a, b int64) int64 {
 	q := a / b
 	if a%b > 0 {
@@ -1336,17 +1169,6 @@ func floorDiv(a, b int64) int64 {
 		q--
 	}
 	return q
-}
-
-// preimage computes x = T⁻¹·xp.
-func preimage(tinv [][]int64, xp, x []int64) {
-	for j, row := range tinv {
-		var v int64
-		for r, c := range row {
-			v += c * xp[r]
-		}
-		x[j] = v
-	}
 }
 
 // advance steps the frame one point through a collapsed iteration space,

@@ -48,13 +48,13 @@ import (
 )
 
 // spanFn executes n consecutive points of one equation. The span starts
-// at the frame's current coordinates and advances fr[slots[j]] += dir[j]
-// between points (a wavefront row moves every original coordinate by a
-// T⁻¹ column; a DOALL row or a leaf DO moves its innermost dimension by
-// one). The frame is restored to the span's first point before
-// returning, so multi-equation bodies replay the same run per kernel.
-// en.eqCount is incremented per executed point.
-type spanFn func(en *env, fr []int64, slots []int, dir []int64, n int64)
+// at the frame's current coordinates and advances fr[slot] by one
+// between points: every executor hands it a row along its innermost
+// dimension (a DOALL row, a leaf DO, a row of a wavefront tile). The
+// frame is restored to the span's first point before returning, so
+// multi-equation bodies replay the same run per kernel. en.eqCount is
+// incremented per executed point.
+type spanFn func(en *env, fr []int64, slot int, n int64)
 
 // eqSpan pairs one equation's span executor with its specialization
 // report (surfaced through Program.Kernels and Runner.Explain).
@@ -69,29 +69,25 @@ type eqSpan struct {
 
 // runSpanGeneric walks a span point-by-point through the checked kernel:
 // the path for strict mode and non-specializable equations.
-func runSpanGeneric(gen kernelFn, en *env, fr []int64, slots []int, dir []int64, n int64) {
-	stepGeneric(gen, en, fr, slots, dir, n)
-	for j, s := range slots {
-		fr[s] -= n * dir[j]
-	}
+func runSpanGeneric(gen kernelFn, en *env, fr []int64, slot int, n int64) {
+	stepGeneric(gen, en, fr, slot, n)
+	fr[slot] -= n
 }
 
 // stepGeneric runs n points through the checked kernel from the frame's
 // current point and leaves the frame just past the last one.
-func stepGeneric(gen kernelFn, en *env, fr []int64, slots []int, dir []int64, n int64) {
+func stepGeneric(gen kernelFn, en *env, fr []int64, slot int, n int64) {
 	for c := int64(0); c < n; c++ {
 		en.eqCount++
 		gen(en, fr)
-		for j, s := range slots {
-			fr[s] += dir[j]
-		}
+		fr[slot]++
 	}
 }
 
 // genericSpanFn wraps a checked kernel as a span executor.
 func genericSpanFn(gen kernelFn) spanFn {
-	return func(en *env, fr []int64, slots []int, dir []int64, n int64) {
-		runSpanGeneric(gen, en, fr, slots, dir, n)
+	return func(en *env, fr []int64, slot int, n int64) {
+		runSpanGeneric(gen, en, fr, slot, n)
 	}
 }
 
@@ -244,7 +240,7 @@ type slotCoef struct {
 
 // guardCmp is one comparison of a span-affine guard. Each side is its
 // index terms plus span-invariant ones, so along a span it moves by
-// Σ coef × dir[slot] per point.
+// the Σ coef of the span's slot per point.
 type guardCmp struct {
 	lhs, rhs evalI // checked mode, evaluated once per span
 	lt, rt   []slotCoef
@@ -401,8 +397,7 @@ type specKernel struct {
 // the cuts they make.
 type spanState struct {
 	kctx
-	slots               []int
-	dir                 []int64
+	slot                int
 	base, slope, lo, hi []int64
 	d0, ds, d           []int64
 	cuts                []int64
@@ -483,17 +478,17 @@ func (c *compiler) specializeEquation(eq *sem.Equation, gen kernelFn) (sp eqSpan
 // span is the specialized spanFn: certify every access once, cut the
 // span where a guard comparison can change truth, and run each piece
 // with the one arm its guard selects.
-func (sk *specKernel) span(en *env, fr []int64, slots []int, dir []int64, n int64) {
+func (sk *specKernel) span(en *env, fr []int64, slot int, n int64) {
 	if n <= 0 {
 		return
 	}
 	if en.strict || en.noSpec {
-		runSpanGeneric(sk.gen, en, fr, slots, dir, n)
+		runSpanGeneric(sk.gen, en, fr, slot, n)
 		return
 	}
 	st := sk.pool.Get().(*spanState)
 	k := &st.kctx
-	k.en, k.fr, st.slots, st.dir = en, fr, slots, dir
+	k.en, k.fr, st.slot = en, fr, slot
 	st.certify(sk.accs, n)
 	for i, si := range sk.sf {
 		k.sf[i] = en.scalars[si].(float64)
@@ -521,10 +516,8 @@ func (sk *specKernel) span(en *env, fr []int64, slots []int, dir []int64, n int6
 			}
 		}
 	}
-	for j, sv := range slots {
-		fr[sv] -= n * dir[j]
-	}
-	k.en, k.fr, st.slots, st.dir = nil, nil, nil, nil
+	fr[slot] -= n
+	k.en, k.fr = nil, nil
 	sk.pool.Put(st)
 }
 
@@ -548,16 +541,7 @@ func (st *spanState) certify(accs []*specAccess, n int64) {
 		for d, sb := range ac.subs {
 			x0 := sb.base(k)
 			ax := a.Axes[d]
-			var sl int64
-			if sb.dimVar >= 0 {
-				for j, sv := range st.slots {
-					if sv == sb.dimVar {
-						sl = st.dir[j]
-						break
-					}
-				}
-			}
-			if sl == 0 {
+			if sb.dimVar != st.slot {
 				// Stationary dimension: one range check covers the span;
 				// window wrap folds into the base offset.
 				if x0 < ax.Lo || x0 > ax.Hi {
@@ -575,15 +559,9 @@ func (st *spanState) certify(accs []*specAccess, n int64) {
 				lo, hi = n, n-1
 				break
 			}
-			if sl > 0 {
-				lo = max(lo, ceilDiv(ax.Lo-x0, sl))
-				hi = min(hi, floorDiv(ax.Hi-x0, sl))
-			} else {
-				lo = max(lo, ceilDiv(x0-ax.Hi, -sl))
-				hi = min(hi, floorDiv(x0-ax.Lo, -sl))
-			}
+			lo, hi = max(lo, ax.Lo-x0), min(hi, ax.Hi-x0)
 			off += (x0 - ax.Lo) * a.Strides[d]
-			slope += sl * a.Strides[d]
+			slope += a.Strides[d]
 		}
 		st.lo[ai], st.hi[ai], st.base[ai], st.slope[ai] = lo, hi, off, slope
 	}
@@ -634,10 +612,8 @@ func (st *spanState) split(cmps []guardCmp, n int64) ([]int64, bool) {
 // last, with its slope per point, recording any overflow in o.
 func (st *spanState) line(o *ovf, side evalI, terms []slotCoef, n int64) (v0, vEnd, slope int64) {
 	for _, t := range terms {
-		for j, sv := range st.slots {
-			if sv == t.slot {
-				slope = o.add(slope, o.mul(t.coef, st.dir[j]))
-			}
+		if t.slot == st.slot {
+			slope = o.add(slope, t.coef)
 		}
 	}
 	v0 = side(&st.kctx)
@@ -687,7 +663,7 @@ func (sk *specKernel) fallback(st *spanState, cnt int64) {
 	if en.ring != nil {
 		en.ring.Emit(obs.KSpecFallback, en.ring.Now(), 0, sk.eq, cnt)
 	}
-	stepGeneric(sk.gen, en, st.fr, st.slots, st.dir, cnt)
+	stepGeneric(sk.gen, en, st.fr, st.slot, cnt)
 }
 
 // run stores cnt certified points from span point x on the arm's
@@ -701,7 +677,7 @@ func (st *spanState) run(arm *specArm, x, cnt int64) {
 	}
 	k.en.eqCount += cnt
 	k.en.specCount += cnt
-	fr, slots, dir := k.fr, st.slots, st.dir
+	fr, slot := k.fr, st.slot
 	if !arm.readsIdx {
 		for p := int64(0); p < cnt; p++ {
 			store(k)
@@ -709,9 +685,7 @@ func (st *spanState) run(arm *specArm, x, cnt int64) {
 				offs[ai] += slope[ai]
 			}
 		}
-		for j, sv := range slots {
-			fr[sv] += cnt * dir[j]
-		}
+		fr[slot] += cnt
 		return
 	}
 	for p := int64(0); p < cnt; p++ {
@@ -719,9 +693,7 @@ func (st *spanState) run(arm *specArm, x, cnt int64) {
 		for _, ai := range accs {
 			offs[ai] += slope[ai]
 		}
-		for j, sv := range slots {
-			fr[sv] += dir[j]
-		}
+		fr[slot]++
 	}
 }
 

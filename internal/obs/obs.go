@@ -39,11 +39,13 @@ const (
 	// KChunk spans one parallel DOALL chunk on a pool worker. Arg0 is
 	// the chunk's point count.
 	KChunk
-	// KPlane spans one wavefront hyperplane swept inline on the
-	// activation goroutine. Arg0 is the plane time t.
+	// KPlane spans one wavefront nest swept inline on the activation
+	// goroutine, as the one tile covering its box. Arg0 is the plan step
+	// index.
 	KPlane
-	// KTile spans one doacross tile instance. Arg0 is the plane time t;
-	// Arg1 packs the tile index and the steal flag as k<<1 | stolen.
+	// KTile spans one tile instance of the tile executor. Arg0 is the
+	// tile-grid plane t; Arg1 packs the tile's coordinate on it and the
+	// steal flag as k<<1 | stolen.
 	KTile
 	// KTileWait spans one parked wait of a doacross worker: no tile was
 	// ready and the worker blocked until a completion woke it.

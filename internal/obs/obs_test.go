@@ -301,7 +301,7 @@ func TestWriteChrome(t *testing.T) {
 				t.Errorf("activation span = %+v (want X, ts 0, dur 2µs)", ev)
 			}
 		case "plane":
-			if ev.Args["t"] != 3.0 || len(ev.Args) != 1 {
+			if ev.Args["step"] != 3.0 || len(ev.Args) != 1 {
 				t.Errorf("plane args = %v", ev.Args)
 			}
 		case "tile":

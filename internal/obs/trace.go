@@ -17,7 +17,7 @@ var kindMeta = [numKinds]struct {
 	KDoAll:        {name: "doall", cat: "doall", arg0: "points"},
 	KDo:           {name: "do", cat: "do", arg0: "step"},
 	KChunk:        {name: "chunk", cat: "doall", arg0: "points"},
-	KPlane:        {name: "plane", cat: "wavefront", arg0: "t"},
+	KPlane:        {name: "plane", cat: "wavefront", arg0: "step"},
 	KTile:         {name: "tile", cat: "doacross", arg0: "t", arg1: "k"},
 	KTileWait:     {name: "tile-wait", cat: "doacross"},
 	KSpecFallback: {name: "spec-fallback", cat: "kernel", arg0: "eq", arg1: "points"},

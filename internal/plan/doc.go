@@ -20,7 +20,8 @@
 // group (a strongly connected component scheduled into one body, or
 // nests the fusion step merged): the step's body is one OpEq step per equation in
 // scheduled order, and its Hyper block carries one π/T/T⁻¹ solved for
-// the union of the group's dependence vectors.
+// the union of the group's dependence vectors, plus the tiling (skew,
+// row mode) that VerifyTiles re-checks against the depgraph.
 //
 // # One plan per execution mode
 //
@@ -44,13 +45,15 @@
 //     inverse.
 //   - Hyper.TDeps lists T·d for every union dependence (first component
 //     ≥ 1); Hyper.Window is 1 + the largest first component.
-//   - Hyper.Pred folds TDeps into per-coordinate predecessor-offset
-//     ranges: Pred[r-1][dt-1] bounds the coordinate-r shift of the
-//     dependences reaching dt hyperplanes back, the exact tile-wait
-//     metadata of the doacross executor (internal/sched) — a point with
-//     plane coordinate c on plane t reads [c-Hi, c-Lo] on plane t-dt.
+//   - Hyper.Skew is unit lower-triangular with S·d ≥ 0 componentwise
+//     for every union dependence d, so any rectangular tiling of the
+//     skewed nest is legal and the innermost skewed coordinate moves the
+//     original innermost index by one (gauss_seidel: (K, I+K, J+K)).
+//   - Hyper.RowSplit holds exactly when no dependence inside one skewed
+//     row, S·d = (0,…,0,c), runs from a later body equation to an
+//     earlier one: each equation may then run its whole row in turn.
 //   - Virtual windows keyed on transformed subranges are dropped from
-//     wavefront variants: the sweep interleaves original-coordinate
-//     planes, so a window sized for ascending order would be
-//     overwritten while still live.
+//     wavefront variants: tiles interleave the nest's outer iterations,
+//     so a window sized for ascending order would be overwritten while
+//     still live.
 package plan

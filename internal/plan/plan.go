@@ -7,7 +7,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/hyperplane"
-	"repro/internal/sched"
 	"repro/internal/sem"
 	"repro/internal/types"
 )
@@ -23,10 +22,8 @@ const (
 	// OpDoAll is a parallel loop: one or more collapsed DOALL dimensions
 	// forming a single linear iteration space.
 	OpDoAll
-	// OpWavefront is a §4 hyperplane-restructured loop nest: an outer
-	// sequential sweep over hyperplanes t = π·x wrapping a parallel
-	// (DOALL) traversal of each plane, with the T⁻¹ remap back to the
-	// original index frame baked into the step (see Hyper).
+	// OpWavefront is a §4 hyperplane-restructured loop nest, run as a
+	// wavefront of tiles of skewed iteration space (see Hyper).
 	OpWavefront
 )
 
@@ -80,13 +77,12 @@ type Step struct {
 }
 
 // Hyper is the hyperplane restructuring of one sequential loop nest
-// (paper §4), attached to an OpWavefront step. The step's Dims list the
-// original frame slots in equation-dimension order; executors sweep the
-// transformed coordinates x' = T·x plane by plane (x'₀ = π·x is the
-// time axis), recover x = T⁻¹·x' per point, skip points whose preimage
-// falls outside the original iteration box, and run the body at the
-// original frame — so equation kernels are shared untouched with the
-// untransformed plan variants.
+// (paper §4), attached to an OpWavefront step whose Dims list the
+// original frame slots in equation-dimension order. Executors run the
+// nest as a wavefront of rectangular tiles of skewed iteration space
+// (Skew), sharing the equation kernels of the untransformed variants;
+// π, T and T⁻¹ describe the same nest as hyperplanes for the C generator
+// and the listing.
 type Hyper struct {
 	// Pi is the least time vector with π·d ≥ 1 for every dependence d;
 	// it is row 0 of T.
@@ -96,55 +92,112 @@ type Hyper struct {
 	T, TInv [][]int64
 	// Basis[r] = j when row r of T is the standard basis vector e_j (so
 	// transformed coordinate r is exactly original dimension j), else
-	// -1. Executors use it to tighten each plane coordinate's range per
-	// time step — π·x = t bounds a basis coordinate to
-	// [⌈(t−maxOthers)/π_j⌉, ⌊(t−minOthers)/π_j⌋] — which keeps the
-	// bounding-box slack linear instead of quadratic in the time span.
-	// Basis[0] is always -1 (row 0 is π).
+	// -1. The C generator uses it to tighten each plane coordinate's
+	// range per time step. Basis[0] is always -1 (row 0 is π).
 	Basis []int
 	// Window is 1 + the largest transformed first dependence component —
 	// the number of consecutive hyperplanes a plane's inputs span.
 	Window int
 	// TDeps are the transformed dependence vectors T·d, one per
 	// constant-offset self-reference of the recurrence; every first
-	// component is ≥ 1 (π·d ≥ 1). They are the doacross schedule's raw
-	// material: the `depend(sink:)` vectors of the generated C and the
-	// source of the predecessor-tile offsets below.
+	// component is ≥ 1 (π·d ≥ 1). They are the `depend(sink:)` vectors
+	// of the generated C.
 	TDeps [][]int64
-	// Pred[r-1][dt-1] bounds the coordinate-r shift of the dependences
-	// reaching dt hyperplanes back (r = 1..n-1 plane coordinates,
-	// dt = 1..Window-1): a point with plane coordinate c on plane t
-	// reads coordinates [c-Hi, c-Lo] on plane t-dt. The doacross
-	// executor blocks one plane coordinate into tiles and waits only on
-	// the predecessor tiles this table implies.
-	Pred [][]sched.PredRange
+	// Skew is the tiling skew S, dense rows: unit lower-triangular with
+	// S·d ≥ 0 componentwise for every dependence d, so the skewed nest
+	// is fully permutable and any rectangular tiling of it is legal (a
+	// tile's inputs lie in tiles with no larger coordinate). Rows only
+	// add multiples of outer coordinates, so the innermost skewed
+	// coordinate advances the original innermost index by exactly one.
+	Skew [][]int64
+	// RowSplit reports that no dependence inside one row — S·d of the
+	// form (0,…,0,c) — runs from a later body equation to an earlier
+	// one, so each equation may run its whole row in turn. Otherwise the
+	// equations are jammed point by point along the row.
+	RowSplit bool
 }
 
-// predRanges folds the transformed dependence vectors into the
-// per-coordinate predecessor-offset table.
-func predRanges(tdeps [][]int64, n, window int) [][]sched.PredRange {
-	pred := make([][]sched.PredRange, n-1)
-	for r := 1; r < n; r++ {
-		pred[r-1] = make([]sched.PredRange, window-1)
-		for _, d := range tdeps {
-			dt := int(d[0])
-			if dt < 1 || dt > window-1 {
+// skewFor derives the tiling skew of a nest: row i starts as e_i, and
+// each dependence it maps below zero adds the least multiple of the
+// first skewed row that maps that dependence above zero (added rows are
+// non-negative on every dependence, so one pass fixes a row). nil means
+// a dependence has a negative first component: no unit lower-triangular
+// skew exists in this loop order.
+func skewFor(deps []hyperplane.Dependence, n int) [][]int64 {
+	s := make([][]int64, n)
+	for i := range s {
+		s[i] = make([]int64, n)
+		s[i][i] = 1
+		for _, d := range deps {
+			v := dot(s[i], d.Vec)
+			if v >= 0 {
 				continue
 			}
-			pr := &pred[r-1][dt-1]
-			if !pr.Has {
-				*pr = sched.PredRange{Has: true, Lo: d[r], Hi: d[r]}
-				continue
+			k := 0
+			for k < i && dot(s[k], d.Vec) <= 0 {
+				k++
 			}
-			if d[r] < pr.Lo {
-				pr.Lo = d[r]
+			if k == i {
+				return nil
 			}
-			if d[r] > pr.Hi {
-				pr.Hi = d[r]
+			c := (-v + dot(s[k], d.Vec) - 1) / dot(s[k], d.Vec)
+			for j := range s[i] {
+				s[i][j] += c * s[k][j]
 			}
 		}
 	}
-	return pred
+	return s
+}
+
+// rowSplit reports whether equations may run whole rows in turn: no
+// dependence lies inside a row of skew s (S·d = (0,…,0,c)) running from
+// a later body equation to an earlier one.
+func rowSplit(s [][]int64, deps []hyperplane.Dependence) bool {
+	for _, d := range deps {
+		if d.From > d.To && inRow(s, d.Vec) {
+			return false
+		}
+	}
+	return true
+}
+
+// inRow reports whether S·d is zero on every coordinate but the last.
+func inRow(s [][]int64, d []int64) bool {
+	for r := 0; r < len(s)-1; r++ {
+		if dot(s[r], d) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// dot is the integer inner product.
+func dot(a, b []int64) int64 {
+	var v int64
+	for i := range a {
+		v += a[i] * b[i]
+	}
+	return v
+}
+
+// skewCoords renders each skewed coordinate over the step's dimension
+// names, e.g. K, I+K, J+K.
+func skewCoords(s [][]int64, names []string) []string {
+	coords := make([]string, len(s))
+	for i, row := range s {
+		coords[i] = names[i]
+		for j, k := range row[:i] {
+			switch {
+			case k == 1:
+				coords[i] += "+" + names[j]
+			case k == -1:
+				coords[i] += "-" + names[j]
+			case k != 0:
+				coords[i] += fmt.Sprintf("%+d%s", k, names[j])
+			}
+		}
+	}
+	return coords
 }
 
 // piString renders the time function over the step's dimension names,
@@ -358,7 +411,7 @@ func (p *Program) Restructured() bool {
 
 // PointWise reports, per kernel, why the plan reaches it only one point
 // at a time, or "" when its enclosing loop hands it contiguous spans (a
-// leaf DOALL or DO, or a wavefront row).
+// leaf DOALL or DO, or a wavefront's split rows).
 func (p *Program) PointWise() []string {
 	why := make([]string, len(p.Eqs))
 	var walk func(parent, lo, hi int)
@@ -386,6 +439,9 @@ func (p *Program) reach(parent int) string {
 		return "no enclosing loop"
 	}
 	st := &p.Steps[parent]
+	if st.Op == OpWavefront && !st.Hyper.RowSplit {
+		return "jammed wavefront rows"
+	}
 	if st.Leaf || st.Op == OpWavefront {
 		return ""
 	}
@@ -633,6 +689,9 @@ func (lw *lowerer) wavefrontAnalysis(l *core.LoopDesc) (*hyperplane.Analysis, []
 		if err != nil {
 			return nil, nil, err
 		}
+		if skewFor(an.Deps, len(dims)) == nil {
+			return nil, nil, fmt.Errorf("no unit lower-triangular skew makes every dependence non-negative")
+		}
 		return an, eqs, nil
 	}
 }
@@ -654,23 +713,22 @@ func equationBody(fc core.Flowchart) []*sem.Equation {
 
 // emitWavefront lowers one analyzed recurrence group as a wavefront
 // step whose body is one OpEq step per equation, in group (scheduled)
-// order — executors run every kernel at each plane point, so in-plane
-// zero-distance dependences between group equations stay satisfied. The
-// step's Dims are the frame slots of the group's dimensions in analysis
-// order (the order π, T and T⁻¹ are expressed in). Virtual windows
-// keyed on the transformed subranges are dropped from the plan: the
-// wavefront sweep interleaves original-coordinate planes, so a window
-// sized for ascending-order execution would be overwritten while still
-// live.
+// order, so zero-distance dependences between group equations flow
+// forward within every row. The step's Dims are the frame slots of the
+// group's dimensions in analysis order (the order π, T, T⁻¹ and the
+// skew are expressed in). Virtual windows keyed on the transformed
+// subranges are dropped from the plan: tiles interleave the nest's
+// outer iterations, so a window sized for ascending-order execution
+// would be overwritten while still live.
 func (lw *lowerer) emitWavefront(an *hyperplane.Analysis, eqs []*sem.Equation) {
 	n := len(an.Dims)
-	hy := &Hyper{Pi: an.Pi, Window: an.Window}
+	hy := &Hyper{Pi: an.Pi, Window: an.Window, Skew: skewFor(an.Deps, n)}
+	hy.RowSplit = rowSplit(hy.Skew, an.Deps)
 	for _, d := range an.TransformedDeps {
 		td := make([]int64, len(d.Vec))
 		copy(td, d.Vec)
 		hy.TDeps = append(hy.TDeps, td)
 	}
-	hy.Pred = predRanges(hy.TDeps, n, an.Window)
 	for r := 0; r < n; r++ {
 		hy.T = append(hy.T, an.T.Row(r))
 		hy.TInv = append(hy.TInv, an.TInv.Row(r))
@@ -798,6 +856,19 @@ func (p *Program) String() string {
 			sb.WriteString(" [fused]")
 		}
 		sb.WriteByte('\n')
+		if st.Op == OpWavefront {
+			// The executor's view of the step: the skewed coordinates, the
+			// two it cuts into tiles, and how a row runs its equations.
+			names := strings.Split(p.dimNames(&st), ", ")
+			coords := skewCoords(st.Hyper.Skew, names)
+			rows := "jammed"
+			if st.Hyper.RowSplit {
+				rows = "split"
+			}
+			fmt.Fprintf(&sb, "      %stiles: skew (%s) on (%s), rows along %s, %s\n",
+				strings.Repeat("    ", len(depth)+1), strings.Join(coords, ", "),
+				strings.Join(coords[:2], ", "), names[len(names)-1], rows)
+		}
 		depth = append(depth, st.End)
 	}
 	return sb.String()

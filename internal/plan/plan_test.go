@@ -2,6 +2,8 @@ package plan_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,7 +12,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/plan"
 	"repro/internal/psrc"
-	"repro/internal/sched"
 	"repro/internal/sem"
 )
 
@@ -282,11 +283,10 @@ func TestLowerWavefront(t *testing.T) {
 	}
 }
 
-// TestWavefrontSchedMetadata checks the doacross schedule metadata baked
-// onto the wavefront step: the transformed dependence vectors T·d (the
-// paper's (1,0,0),(1,0,1),(1,1,0),(1,1,-1),(2,1,0) for Gauss–Seidel) and
-// the predecessor-offset table folded per plane coordinate and plane
-// distance.
+// TestWavefrontSchedMetadata checks the schedule metadata baked onto the
+// wavefront step: the transformed dependence vectors T·d (the paper's
+// (1,0,0),(1,0,1),(1,1,0),(1,1,-1),(2,1,0) for Gauss–Seidel), the
+// tiling skew and the row mode.
 func TestWavefrontSchedMetadata(t *testing.T) {
 	p := lower(t, psrc.RelaxationGS, "Relaxation", plan.Options{Hyperplane: true})
 	var hy *plan.Hyper
@@ -310,21 +310,17 @@ func TestWavefrontSchedMetadata(t *testing.T) {
 			t.Errorf("transformed dependence %v exceeds window %d", d, hy.Window)
 		}
 	}
-	// Plane coordinates are (K, I); window 3 gives offsets for dt 1 and 2.
-	if len(hy.Pred) != 2 || len(hy.Pred[0]) != 2 {
-		t.Fatalf("Pred shape = %dx%d, want 2x2", len(hy.Pred), len(hy.Pred[0]))
+	// The tiling skew: (1,0,−1) and (1,−1,0) both need +K, so the nest
+	// tiles as (K, I+K, J+K); its one equation runs whole rows.
+	if got := fmt.Sprint(hy.Skew); got != "[[1 0 0] [1 1 0] [1 0 1]]" {
+		t.Errorf("Skew = %s, want (K, I+K, J+K)", got)
 	}
-	// dt=1 deps are (1,0,0),(1,0,1),(1,1,0),(1,1,-1): K shifts in [0,1],
-	// I shifts in [-1,1]. dt=2 dep is (2,1,0): K shift 1, I shift 0.
-	check := func(pr sched.PredRange, lo, hi int64, what string) {
-		if !pr.Has || pr.Lo != lo || pr.Hi != hi {
-			t.Errorf("%s = %+v, want [%d,%d]", what, pr, lo, hi)
-		}
+	if !hy.RowSplit {
+		t.Error("a one-equation nest must run whole rows")
 	}
-	check(hy.Pred[0][0], 0, 1, "Pred[K][dt=1]")
-	check(hy.Pred[0][1], 1, 1, "Pred[K][dt=2]")
-	check(hy.Pred[1][0], -1, 1, "Pred[I][dt=1]")
-	check(hy.Pred[1][1], 0, 0, "Pred[I][dt=2]")
+	if !strings.Contains(p.String(), "tiles: skew (K, I+K, J+K) on (K, I+K), rows along J, split") {
+		t.Errorf("plan listing missing the tile line:\n%s", p.String())
+	}
 	// The listing surfaces the schedule metadata for the golden files.
 	if !strings.Contains(p.String(), "tdeps (2,1,0)(1,0,0)(1,0,1)(1,1,0)(1,1,-1)") {
 		t.Errorf("plan listing missing tdeps:\n%s", p.String())
@@ -431,13 +427,11 @@ func TestLowerMultiEquationWavefront(t *testing.T) {
 	if hy.Window != 2 {
 		t.Errorf("window = %d, want 2", hy.Window)
 	}
-	// The predecessor table must span the union: on the one plane
-	// coordinate, offsets from both (1,*) transformed vectors.
-	if len(hy.Pred) != 1 || len(hy.Pred[0]) != 1 || !hy.Pred[0][0].Has {
-		t.Fatalf("Pred = %v, want one coordinate with a window-1 range", hy.Pred)
-	}
-	if pr := hy.Pred[0][0]; pr.Lo != 0 || pr.Hi != 1 {
-		t.Errorf("Pred range = [%d,%d], want [0,1] (union of both equations' shifts)", pr.Lo, pr.Hi)
+	// Both (1,0) and (0,1) are already non-negative: no skew. U and V
+	// read each other at (0,1), so one of those in-row dependences runs
+	// from the later body equation back to the earlier: rows are jammed.
+	if got := fmt.Sprint(hy.Skew); got != "[[1 0] [0 1]]" || hy.RowSplit {
+		t.Errorf("Skew = %s, RowSplit = %v; want the identity and jammed rows", got, hy.RowSplit)
 	}
 	// The listing and the compact form surface the group.
 	if s := p.String(); !strings.Contains(s, "kernels 2") {
@@ -487,5 +481,96 @@ end Reflect;
 	if d.Choice != "sequential" || len(d.Rejections) != 2 ||
 		d.Rejections[0].Backend != "doall" || d.Rejections[1].Backend != "wavefront" {
 		t.Errorf("cascade decision = %+v, want sequential after doall and wavefront rejections", d)
+	}
+}
+
+// TestVerifyTiles runs the tile-legality check over the cascade plan of
+// every module of testdata/ and the psrc corpus, then hand-breaks
+// Gauss–Seidel's plan: with the identity skew its dependence (1,0,−1)
+// maps to a negative coordinate, and split rows are refused on coupled,
+// whose V reads U one column back inside a row.
+func TestVerifyTiles(t *testing.T) {
+	srcs := []string{psrc.Relaxation, psrc.RelaxationGS, psrc.Heat1D, psrc.Prefix, psrc.Smooth,
+		psrc.Pipeline, psrc.CoupledGrid, psrc.Wavefront2D, psrc.Reflect, psrc.Mutual, psrc.Heat3D, psrc.EditDistance}
+	files, err := filepath.Glob("../../testdata/*.ps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, string(b))
+	}
+	wavefronts := 0
+	for _, src := range srcs {
+		prog, err := parser.ParseProgram("t.ps", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := sem.Check(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cp.Modules {
+			g := depgraph.Build(m)
+			sc, err := core.Build(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := plan.Lower(m, sc, plan.Options{Hyperplane: true})
+			if p.HasWavefront() {
+				wavefronts++
+			}
+			if err := plan.VerifyTiles(p, g); err != nil {
+				t.Errorf("%s: %v", m.Name, err)
+			}
+		}
+	}
+	if wavefronts < 10 {
+		t.Errorf("only %d modules lowered a wavefront step", wavefronts)
+	}
+
+	broken := func(src, module string, edit func(*plan.Hyper)) error {
+		prog, err := parser.ParseProgram("t.ps", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := sem.Check(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := cp.Module(module)
+		g := depgraph.Build(m)
+		sc, err := core.Build(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := plan.Lower(m, sc, plan.Options{Hyperplane: true})
+		for i := range p.Steps {
+			if p.Steps[i].Op == plan.OpWavefront {
+				edit(p.Steps[i].Hyper)
+			}
+		}
+		return plan.VerifyTiles(p, g)
+	}
+	err = broken(psrc.RelaxationGS, "Relaxation", func(h *plan.Hyper) {
+		h.Skew = [][]int64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+	})
+	if err == nil || !strings.Contains(err.Error(), "(1,0,-1)") {
+		t.Errorf("identity skew on Gauss–Seidel: err = %v, want a rejection of (1,0,-1)", err)
+	}
+	err = broken(psrc.RelaxationGS, "Relaxation", func(h *plan.Hyper) { h.Skew[1][2] = 1 })
+	if err == nil || !strings.Contains(err.Error(), "lower-triangular") {
+		t.Errorf("upper entry in the skew: err = %v, want a triangularity rejection", err)
+	}
+	coupled, err := os.ReadFile("../../testdata/coupled.ps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = broken(string(coupled), "Coupled", func(h *plan.Hyper) { h.RowSplit = true })
+	if err == nil || !strings.Contains(err.Error(), "inside a row") {
+		t.Errorf("split rows on coupled: err = %v, want an in-row rejection", err)
 	}
 }

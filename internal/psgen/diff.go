@@ -71,7 +71,7 @@ type variant struct {
 	opts   []ps.RunOption
 	traced bool
 	strict bool // SpecializedKernels must be 0
-	planes bool // wavefront plane-count invariant applies
+	planes bool // wavefront tile-grid invariant applies
 	// tiles marks a Grain(1) row: the wavefront nest runs on the tile
 	// executor exactly when its average plane holds one point per worker
 	// (the dispatch rule at g = 1).
@@ -181,6 +181,9 @@ func Check(ctx context.Context, sp Spec, o Options) *Outcome {
 	}
 	pl := plan.Lower(fe.mod, fe.schd, plan.Options{Hyperplane: true})
 	classify(pl, out)
+	if err := plan.VerifyTiles(pl, fe.graph); err != nil {
+		out.addf("verify", "cascade", "%v", err)
+	}
 
 	args := sp.Inputs()
 	rows := matrix(o.Quick)
@@ -194,7 +197,7 @@ func Check(ctx context.Context, sp Spec, o Options) *Outcome {
 		return out
 	}
 
-	pi, planes := wavefrontGeometry(&sp, pl)
+	skew := wavefrontSkew(&sp, pl)
 	for _, v := range rows[1:] {
 		if ctx.Err() != nil {
 			return out
@@ -211,7 +214,7 @@ func Check(ctx context.Context, sp Spec, o Options) *Outcome {
 		if diff := compareResults(ref.out, r.out); diff != "" {
 			out.addf("compare", v.name, "diverges from sequential reference: %s", diff)
 		}
-		checkStats(out, &sp, v, ref.stats, r.stats, pl, pi, planes)
+		checkStats(out, &sp, v, ref.stats, r.stats, skew)
 		if r.stats.DoacrossTiles > 0 {
 			out.Backends["doacross"] = true
 		}
@@ -230,8 +233,9 @@ func Check(ctx context.Context, sp Spec, o Options) *Outcome {
 // harness can inspect the scheduler cascade's Decision records and
 // hand the same module to the C generator.
 type frontendResult struct {
-	mod  *sem.Module
-	schd *core.Schedule
+	mod   *sem.Module
+	graph *depgraph.Graph
+	schd  *core.Schedule
 }
 
 func frontend(src string) (*frontendResult, error) {
@@ -247,11 +251,12 @@ func frontend(src string) (*frontendResult, error) {
 	if m == nil {
 		return nil, fmt.Errorf("no module %s", ModuleName)
 	}
-	schd, err := core.Build(depgraph.Build(m))
+	g := depgraph.Build(m)
+	schd, err := core.Build(g)
 	if err != nil {
 		return nil, err
 	}
-	return &frontendResult{mod: m, schd: schd}, nil
+	return &frontendResult{mod: m, graph: g, schd: schd}, nil
 }
 
 // classify folds the cascade decisions into the outcome's backend set.
@@ -277,31 +282,58 @@ func classify(pl *plan.Program, out *Outcome) {
 	}
 }
 
-// wavefrontGeometry extracts the lowered plan's time vector and the
-// exact plane count the spec's box implies. It applies only to the
-// single-wavefront-nest shapes the generator emits (one wavefront
-// step, not enclosed by any loop); anything else disables the plane
-// invariant.
-func wavefrontGeometry(sp *Spec, pl *plan.Program) (pi []int64, planes int64) {
-	var steps []*plan.Step
+// wavefrontSkew returns the skew of the lowered plan's wavefront step.
+// It applies only to the single-wavefront-nest shapes the generator
+// emits (one wavefront step over the spec's dimensions, in order, not
+// enclosed by any loop); anything else disables the tile-grid invariant
+// and yields nil.
+func wavefrontSkew(sp *Spec, pl *plan.Program) [][]int64 {
+	var skew [][]int64
 	for i := range pl.Steps {
-		if pl.Steps[i].Op == plan.OpWavefront {
-			steps = append(steps, &pl.Steps[i])
+		if st := &pl.Steps[i]; st.Op == plan.OpWavefront {
+			if skew != nil || len(st.Dims) != len(sp.Dims) {
+				return nil
+			}
+			skew = st.Hyper.Skew
 		}
 	}
-	if len(steps) != 1 || steps[0].Hyper == nil {
-		return nil, 0
+	return skew
+}
+
+// tileGrid is the geometry the spec's box implies for a wavefront of
+// skew s run at the given workers and grain, re-derived from the
+// documented rule rather than taken from the executor: the skewed
+// coordinates s0 and s1 (no spec dimension is fixed to one value) take
+// e0 and e1 values over the box; the nest tiles when its points over
+// e0 + e1 − 1 anti-diagonals reach the dispatch threshold; each is then
+// cut into tiles of width ⌈e / (4 × workers)⌉, or ⌈e / workers⌉ when it
+// is a 2-D nest's row. It returns the grid's planes and tiles, or 0, 0
+// for an inline sweep.
+func (sp *Spec) tileGrid(s [][]int64, workers int, grain int64) (planes, tiles int64) {
+	var ext, n [2]int64
+	for r := range ext {
+		for j, c := range s[r] {
+			ext[r] += max(c, -c) * (sp.Dims[j].Hi - sp.Dims[j].Lo)
+		}
+		ext[r]++
 	}
-	pi = steps[0].Hyper.Pi
-	n, err := sp.PlanesFor(pi)
-	if err != nil {
-		return nil, 0
+	least := interp.TilePlane(workers, grain)
+	if least == 0 || sp.Box()/(ext[0]+ext[1]-1) < least {
+		return 0, 0
 	}
-	return pi, n
+	for r, e := range ext {
+		per := int64(4 * workers)
+		if r == len(s)-1 {
+			per = int64(workers)
+		}
+		w := (e + per - 1) / per
+		n[r] = (e + w - 1) / w
+	}
+	return n[0] + n[1] - 1, n[0] * n[1]
 }
 
 // checkStats enforces the cross-variant counter invariants.
-func checkStats(out *Outcome, sp *Spec, v variant, ref, st *ps.RunStats, pl *plan.Program, pi []int64, planes int64) {
+func checkStats(out *Outcome, sp *Spec, v variant, ref, st *ps.RunStats, skew [][]int64) {
 	if st.EquationInstances != ref.EquationInstances {
 		out.addf("stats", v.name, "EquationInstances = %d, sequential reference executed %d",
 			st.EquationInstances, ref.EquationInstances)
@@ -313,20 +345,18 @@ func checkStats(out *Outcome, sp *Spec, v variant, ref, st *ps.RunStats, pl *pla
 	if v.strict && st.SpecializedKernels != 0 {
 		out.addf("stats", v.name, "SpecializedKernels = %d under a no-specialize variant", st.SpecializedKernels)
 	}
-	if v.planes && pi != nil && pl.HasWavefront() {
-		if st.WavefrontPlanes != planes {
-			out.addf("stats", v.name, "WavefrontPlanes = %d, geometry pi=%v over the box implies %d",
-				st.WavefrontPlanes, pi, planes)
-		}
+	if v.planes && skew != nil {
+		var grain int64
 		if v.tiles {
-			switch tiled := sp.Box()/planes >= int64(st.Workers); {
-			case tiled && st.DoacrossTiles < st.WavefrontPlanes:
-				out.addf("stats", v.name, "DoacrossTiles = %d below WavefrontPlanes = %d",
-					st.DoacrossTiles, st.WavefrontPlanes)
-			case !tiled && st.DoacrossTiles != 0:
-				out.addf("stats", v.name, "DoacrossTiles = %d on a nest whose average plane (%d points over %d planes) is under %d",
-					st.DoacrossTiles, sp.Box(), planes, st.Workers)
-			}
+			grain = 1
+		}
+		planes, tiles := sp.tileGrid(skew, st.Workers, grain)
+		if tiles == 0 {
+			planes = 1 // an inline sweep counts one plane
+		}
+		if st.WavefrontPlanes != planes || st.DoacrossTiles != tiles {
+			out.addf("stats", v.name, "WavefrontPlanes = %d, DoacrossTiles = %d; skew %v over the box implies %d and %d",
+				st.WavefrontPlanes, st.DoacrossTiles, skew, planes, tiles)
 		}
 	}
 	if v.traced {

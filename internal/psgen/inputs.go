@@ -2,7 +2,6 @@ package psgen
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"repro/internal/types"
 	"repro/internal/value"
@@ -114,23 +113,4 @@ func (sp *Spec) Box() int64 {
 		n *= d.extent()
 	}
 	return n
-}
-
-// PlanesFor counts the distinct hyperplane values pi·x over the spec's
-// iteration box — the exact WavefrontPlanes a sweep of the nest must
-// report (every plane of a contiguous box with these pools
-// is non-empty).
-func (sp *Spec) PlanesFor(pi []int64) (int64, error) {
-	if len(pi) != len(sp.Dims) {
-		return 0, fmt.Errorf("pi has %d components, nest has %d dims", len(pi), len(sp.Dims))
-	}
-	seen := make(map[int64]struct{})
-	sp.eachPoint(func(idx []int64) {
-		var t int64
-		for i, x := range idx {
-			t += pi[i] * x
-		}
-		seen[t] = struct{}{}
-	})
-	return int64(len(seen)), nil
 }

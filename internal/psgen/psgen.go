@@ -219,6 +219,15 @@ var depPools3D = [][][]int64{
 	{{1, 0, 0}, {0, 1, -1}, {0, 0, 1}},
 }
 
+// skewPools, by nest depth, are dependence sets whose tiling skew adds
+// an outer coordinate with a factor other than 0 or 1 ({(1,−2),(0,1)}
+// needs J+2I), or skews several coordinates at once (Gauss–Seidel's
+// union needs (K, I+K, J+K)).
+var skewPools = map[int][][]int64{
+	2: {{1, -2}, {0, 1}},
+	3: {{1, 0, -1}, {1, -1, 0}, {0, 1, 0}, {0, 0, 1}},
+}
+
 // Generate builds the Spec for one (seed, class) pair. The same pair
 // always yields the same Spec.
 func Generate(seed uint64, class Class) Spec {
@@ -275,6 +284,10 @@ func Generate(seed uint64, class Class) Spec {
 	// loads with Guard 0 and SiblingRead 0 — renders as before.
 	sp.Guard = r.intn(4)
 	sp.SiblingRead = r.intn(3)
+	// Drawn after SiblingRead for the same reason.
+	if r.intn(4) == 0 && (class == ClassWavefront || class == ClassDoacross) {
+		sp.Deps = skewPools[len(sp.Dims)]
+	}
 	return sp
 }
 

@@ -2,6 +2,7 @@ package psgen
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -90,6 +91,44 @@ func TestDoacrossClassLowersToWavefront(t *testing.T) {
 		pl := plan.Lower(fe.mod, fe.schd, plan.Options{Hyperplane: true})
 		if !pl.HasWavefront() {
 			t.Errorf("seed %d: doacross-class program has no wavefront step:\n%s", seed, sp.Render())
+		}
+	}
+}
+
+// TestSkewPoolsReachTiling checks the skewed dependence pools are drawn
+// and lower as intended: over a seed sweep some 2-D nest tiles with the
+// factor-2 skew (I, J+2I) and some 3-D nest with Gauss–Seidel's
+// (I, J+I, K+I), every drawn program checks clean, and the plan's tiling
+// passes VerifyTiles.
+func TestSkewPoolsReachTiling(t *testing.T) {
+	want := map[string]bool{"[[1 0] [2 1]]": false, "[[1 0 0] [1 1 0] [1 0 1]]": false}
+	for _, c := range []Class{ClassWavefront, ClassDoacross} {
+		for seed := uint64(0); seed < 40; seed++ {
+			sp := Generate(seed, c)
+			if fmt.Sprint(sp.Deps) != fmt.Sprint(skewPools[len(sp.Dims)]) {
+				continue
+			}
+			fe, err := frontend(sp.Render())
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c, seed, err)
+			}
+			pl := plan.Lower(fe.mod, fe.schd, plan.Options{Hyperplane: true})
+			if err := plan.VerifyTiles(pl, fe.graph); err != nil {
+				t.Errorf("%s seed %d: %v", c, seed, err)
+			}
+			if sk := wavefrontSkew(&sp, pl); sk != nil {
+				want[fmt.Sprint(sk)] = true
+			}
+			if !testing.Short() {
+				for _, f := range Check(context.Background(), sp, Options{Quick: true}).Findings {
+					t.Errorf("%s seed %d: %s\n%s", c, seed, f, sp.Render())
+				}
+			}
+		}
+	}
+	for sk, seen := range want {
+		if !seen {
+			t.Errorf("no drawn program lowered with skew %s", sk)
 		}
 	}
 }

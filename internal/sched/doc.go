@@ -9,21 +9,23 @@
 // activation, from its bounds alone, whether a step is wide enough to
 // dispatch here or runs inline on the calling goroutine; this package
 // holds no schedule selection of its own.
-// Sweeping hyperplanes t = π·x one at a time with a pool-wide fork/join
-// per plane would pay a barrier on every plane, and on the narrow
-// leading and trailing diagonals of every sweep that barrier dominates
-// (it won no workload of this repo's benchmark).
+// Sweeping planes one at a time with a pool-wide fork/join per plane
+// would pay a barrier on every plane, and on the narrow leading and
+// trailing diagonals of every sweep that barrier dominates (it won no
+// workload of this repo's benchmark).
 //
-// One plane coordinate is blocked
-// into tiles with a fixed global grid; each tile carries an atomic
-// completion counter (the last hyperplane it finished), and a worker
-// entering tile k on plane t waits point-to-point only on the
-// predecessor tiles implied by the transformed dependence vectors —
-// bounded by the plan's dependence window — instead of on the whole
-// pool. Successive hyperplanes pipeline: while one tile is still on
-// plane t, its already-satisfied neighbours run planes t+1, t+2, …,
+// One coordinate is blocked into tiles with a fixed global grid; each
+// tile carries an atomic completion counter (the last plane it
+// finished), and a worker entering tile k on plane t waits
+// point-to-point only on the predecessor tiles implied by the nest's
+// PredRange table — bounded by its dependence window — instead of on
+// the whole pool. Successive planes pipeline: while one tile is still
+// on plane t, its already-satisfied neighbours run planes t+1, t+2, …,
 // the way nested-dataflow schedulers (Dinh & Simhadri) execute fine
-// dependence chains without global synchronization.
+// dependence chains without global synchronization. A wavefront's tile
+// (a, b) is the instance at plane a+b and coordinate b of a nest whose
+// tiles are one coordinate wide, with Preds {Lo: 0, Hi: 1}: it waits on
+// (a−1, b), (a, b−1).
 //
 // Tiles are claimed with a CAS so any worker may run any ready tile
 // instance (work stealing); a worker that finds nothing ready spins
@@ -58,8 +60,8 @@
 // Every (plane, tile) instance executes exactly once (CAS-claimed), and
 // no instance starts before all its predecessor instances completed —
 // so a wavefront nest executed through Run computes bitwise-identical
-// results to the plane-by-plane sweep: same points, same kernels, every
-// cross-plane dependence satisfied point-to-point rather than by a
+// results to the inline sweep: same points, same kernels, every
+// dependence between tiles satisfied point-to-point rather than by a
 // barrier. Cancellation (the caller's abort channel, or the callback
 // returning false) stops further claims and Run reports completion as
 // false.

@@ -21,8 +21,8 @@ type PredRange struct {
 // Stats accumulates doacross counters; fields are updated atomically so
 // one Stats value may observe concurrent runs.
 type Stats struct {
-	// Tiles counts executed tile instances (one per tile per hyperplane,
-	// including instances the per-plane tightening leaves empty).
+	// Tiles counts executed tile instances, one per tile per hyperplane,
+	// empty ones included (a wavefront grid's off-grid instances).
 	Tiles atomic.Int64
 	// Stalls counts the times a worker found no ready tile instance and
 	// parked until a completion woke it.

@@ -81,8 +81,8 @@ func TestRunnerExplain(t *testing.T) {
 		opts []ps.RunOption
 		want string
 	}{
-		{gs, nil, "parallel dispatch: tiles when a step's average plane holds >= 96 points (32 x 3 workers); a DOALL is one plane\n"},
-		{gs, []ps.RunOption{ps.Grain(8)}, "parallel dispatch: tiles when a step's average plane holds >= 24 points (8 x 3 workers); a DOALL is one plane\n"},
+		{gs, nil, "parallel dispatch: tiles when a step's average plane holds >= 96 points (32 x 3 workers); a DOALL is one plane, a wavefront one per anti-diagonal of its two tiled coordinates\n"},
+		{gs, []ps.RunOption{ps.Grain(8)}, "parallel dispatch: tiles when a step's average plane holds >= 24 points (8 x 3 workers); a DOALL is one plane, a wavefront one per anti-diagonal of its two tiled coordinates\n"},
 		{gs, []ps.RunOption{ps.Workers(1)}, "parallel dispatch: inline (one worker)\n"},
 		{prog, []ps.RunOption{ps.Grain(64)}, "parallel dispatch: tiles when a step's average plane holds >= 192 points (64 x 3 workers); a DOALL is one plane\n"},
 	} {

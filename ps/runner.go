@@ -117,8 +117,12 @@ func (r *Runner) Explain() string {
 		// DoacrossTiles count the tiles it ran).
 		workers := effectiveWorkers(o)
 		if least := interp.TilePlane(workers, o.Grain); least > 0 {
-			fmt.Fprintf(&sb, "parallel dispatch: tiles when a step's average plane holds >= %d points (%d x %d workers); a DOALL is one plane\n",
+			fmt.Fprintf(&sb, "parallel dispatch: tiles when a step's average plane holds >= %d points (%d x %d workers); a DOALL is one plane",
 				least, least/int64(workers), workers)
+			if pl.HasWavefront() {
+				sb.WriteString(", a wavefront one per anti-diagonal of its two tiled coordinates")
+			}
+			sb.WriteByte('\n')
 		} else {
 			sb.WriteString("parallel dispatch: inline (one worker)\n")
 		}

@@ -21,16 +21,15 @@ type RunStats struct {
 	// axis ran on the worker pool; steps below the dispatch rule run
 	// inline and add none. Wavefront tiles count in DoacrossTiles.
 	DOALLChunks int64
-	// WavefrontPlanes is the number of hyperplane launches performed by
-	// §4 auto-restructured (wavefront) steps — one per time step of each
-	// transformed nest, distinguishing wavefront sweeps from plain DOALL
-	// chunking. Zero when no wavefront step executed.
+	// WavefrontPlanes counts the planes §4 wavefront steps launched: the
+	// A + B − 1 anti-diagonals of a tiled nest's A × B grid, 1 per nest
+	// swept inline, zero when no wavefront step executed.
 	WavefrontPlanes int64
-	// DoacrossTiles is the number of tile instances executed by the
-	// wavefront tile executor — one per tile per hyperplane. It is > 0
-	// exactly when a wavefront nest of the run was tiled; zero when
-	// every nest swept inline (narrow planes, one worker, a nest inside
-	// a batch element or parallel chunk).
+	// DoacrossTiles is the number of wavefront tiles the tile executor
+	// ran — A × B per tiled nest. It is > 0 exactly when a wavefront
+	// nest of the run was tiled; zero when every nest swept inline
+	// (narrow planes, one worker, a nest inside a batch element or
+	// parallel chunk).
 	DoacrossTiles int64
 	// DoacrossStalls counts the times a tile worker found no ready
 	// tile instance and parked until a predecessor completed — the
@@ -38,7 +37,8 @@ type RunStats struct {
 	DoacrossStalls int64
 	// DoacrossSteals counts tile instances executed by a worker other
 	// than the tile's home worker: how often work stealing rebalanced
-	// the tiles.
+	// the tiles. It counts the empty instances off a wavefront's A × B
+	// grid too, B(B − 1) of them, so it can exceed DoacrossTiles.
 	DoacrossSteals int64
 	// PipelineStages and StageStalls are always 0: they counted a
 	// pipeline backend that no longer exists. They stay only because the

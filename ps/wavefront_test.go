@@ -24,15 +24,16 @@ func seedGrid(n int64) *ps.Array {
 }
 
 // TestWavefrontStats checks the RunStats attribution on a module whose
-// recurrence auto-lowers to a wavefront: WavefrontPlanes counts exactly
-// the hyperplanes of the sweep (for Wavefront2D with pi=(1,1) over
-// [0,N+1]² that is 2(N+1)+1 time steps), DOALLChunks counts only the
-// output DOALL's chunks (an inline sweep dispatches nothing), and the
-// plane counter stays zero when the transform is off or the run is
+// recurrence auto-lowers to a wavefront: an inline sweep counts one
+// WavefrontPlanes and no tiles, DOALLChunks counts only the output
+// DOALL's chunks (an inline sweep dispatches nothing), and the plane
+// counter stays zero when the transform is off or the run is
 // sequential — so the stats distinguish wavefront work from plain DOALL
 // chunking.
 func TestWavefrontStats(t *testing.T) {
-	const n = 40 // 21-point average planes: an inline sweep at two workers
+	// 1764 points over the 42 + 42 − 1 anti-diagonals of (I, J): 21-point
+	// average planes, an inline sweep at two workers.
+	const n = 40
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
 	prog, err := eng.Compile("wf2d.ps", psrc.Wavefront2D)
@@ -50,9 +51,8 @@ func TestWavefrontStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPlanes := int64(2*(n+1) + 1)
-	if stats.WavefrontPlanes != wantPlanes {
-		t.Errorf("WavefrontPlanes = %d, want %d", stats.WavefrontPlanes, wantPlanes)
+	if stats.WavefrontPlanes != 1 {
+		t.Errorf("WavefrontPlanes = %d, want 1 (one inline sweep)", stats.WavefrontPlanes)
 	}
 	if stats.DOALLChunks == 0 {
 		t.Error("the output DOALL dispatched no chunks")
@@ -60,8 +60,8 @@ func TestWavefrontStats(t *testing.T) {
 	if stats.DoacrossTiles != 0 {
 		t.Errorf("narrow planes ran %d tiles under default options", stats.DoacrossTiles)
 	}
-	// eq.1 runs once per in-box point (bounding-box slack is skipped
-	// before the kernel), eq.2 once per point of the output DOALL.
+	// eq.1 runs once per point of the nest, eq.2 once per point of the
+	// output DOALL.
 	if stats.EquationInstances != 2*points {
 		t.Errorf("EquationInstances = %d, want %d", stats.EquationInstances, 2*points)
 	}
@@ -136,16 +136,13 @@ func TestDoacrossStats(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("tiled run diverges from the inline sweep")
 	}
-	// Grain 1 is only the minimum width: the 42-wide blocked coordinate
-	// at two workers blocks into tiles of 42/(2×4) = 5, and every plane
-	// of the time range runs all 9 tile instances (most of them empty).
-	if want := int64((2*(n+1) + 1) * 9); stats.DoacrossTiles != want {
-		t.Errorf("DoacrossTiles = %d, want %d", stats.DoacrossTiles, want)
-	}
-	// The sweep still counts hyperplanes: pi=(1,1) over [0,N+1]² has
-	// 2(N+1)+1 non-empty planes on either side of the rule.
-	if want := int64(2*(n+1) + 1); stats.WavefrontPlanes != want {
-		t.Errorf("WavefrontPlanes = %d, want %d", stats.WavefrontPlanes, want)
+	// The grain only moves the nest across the dispatch rule; the grid is
+	// the box's: at two workers the 42-value coordinate I is cut 4 × 2
+	// ways into tiles 6 wide, and the row coordinate J once per worker
+	// into tiles 21 wide, a 7 × 2 grid of 14 tiles over 8 tile-grid
+	// planes.
+	if stats.DoacrossTiles != 14 || stats.WavefrontPlanes != 8 {
+		t.Errorf("DoacrossTiles = %d, WavefrontPlanes = %d; want 14 over 8", stats.DoacrossTiles, stats.WavefrontPlanes)
 	}
 	for _, probe := range []string{"doacross_tiles=", "doacross_stalls=", "doacross_steals="} {
 		if !strings.Contains(stats.String(), probe) {
@@ -264,11 +261,11 @@ func TestDoacrossStalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Grain 13 over the I span of 26 gives two fat tiles; window 3 makes
-	// tile 1 wait on tile 0's in-flight planes, the shape most likely to
-	// exhaust the spin window and park. The average plane (7436 points
-	// over 71 planes, 104) clears the rule at both grains: 13 × 4 and
-	// 1 × 4.
+	// At four workers the skewed coordinates K and I+K (11 and 36
+	// values) cut into an 11 × 12 grid, so most tiles wait on an
+	// in-flight neighbour. The average plane (7436 points over 46
+	// anti-diagonals, 161) clears the rule at both grains, 13 × 4 and
+	// 1 × 4, which run the same grid.
 	run, err := prog.Prepare("Relaxation", ps.Grain(13))
 	if err != nil {
 		t.Fatal(err)
@@ -313,8 +310,9 @@ func TestDoacrossCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Default options: 66² × 2047 points over 4223 planes is an average
-	// plane of 2111, far past 32 × 2.
+	// Default options: 66² × 2047 points over the 2047 + 2112 − 1
+	// anti-diagonals of (K, I+K) is an average plane of 2145, far past
+	// 32 × 2.
 	run, err := prog.Prepare("Relaxation")
 	if err != nil {
 		t.Fatal(err)
@@ -343,20 +341,20 @@ func TestDoacrossCancellation(t *testing.T) {
 	if stats != nil && stats.WavefrontPlanes > 0 && stats.DoacrossTiles == 0 {
 		t.Error("the cancelled sweep was not running on the tile executor")
 	}
-	// The sweep has ~2·maxK+m planes; a run that ignored the abort would
-	// execute them all, so finishing with under half proves the executor
-	// bailed mid-flight even if the wall clock is too noisy to.
+	// A run that ignored the abort would execute every point, so
+	// finishing with under half proves the executor bailed mid-flight
+	// even if the wall clock is too noisy to.
 	if stats == nil {
 		t.Fatal("cancelled run did not report stats")
 	}
-	if total := int64(2*maxK + m); stats.WavefrontPlanes >= total/2 {
-		t.Fatalf("cancelled run executed %d of ~%d planes: not aborted mid-flight",
-			stats.WavefrontPlanes, total)
+	if total := int64(maxK * (m + 2) * (m + 2)); stats.EquationInstances >= total/2 {
+		t.Fatalf("cancelled run executed %d of ~%d equation instances: not aborted mid-flight",
+			stats.EquationInstances, total)
 	}
 }
 
 // TestWavefrontCancellation aborts a long inline wavefront sweep
-// mid-flight: the plane loop must notice the context within a few planes
+// mid-flight: the row walk must notice the context within a few rows
 // and return a typed cancellation error.
 func TestWavefrontCancellation(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
@@ -394,8 +392,8 @@ func TestWavefrontCancellation(t *testing.T) {
 	if stats == nil {
 		t.Fatal("cancelled run did not report stats")
 	}
-	if total := int64(2*maxK + m); stats.WavefrontPlanes >= total/2 {
-		t.Fatalf("cancelled run executed %d of ~%d planes: not aborted mid-flight",
-			stats.WavefrontPlanes, total)
+	if total := int64(maxK * (m + 2) * (m + 2)); stats.EquationInstances >= total/2 {
+		t.Fatalf("cancelled run executed %d of ~%d equation instances: not aborted mid-flight",
+			stats.EquationInstances, total)
 	}
 }
