@@ -6,7 +6,7 @@
 // artifacts to -out.
 //
 // Exit status: 0 clean, 1 if any program diverged, 2 if -coverage was
-// requested and a backend counter stayed at zero.
+// requested and a backend or kernel-path counter stayed at zero.
 package main
 
 import (
@@ -30,7 +30,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-run watchdog")
 		out      = flag.String("out", "testdata/fuzz", "directory for minimized repro artifacts")
 		quick    = flag.Bool("quick", false, "use the reduced variant matrix")
-		coverage = flag.Bool("coverage", false, "fail if any cascade backend was never reached")
+		coverage = flag.Bool("coverage", false, "fail if any cascade backend or kernel path was never reached")
 		verbose  = flag.Bool("v", false, "print every generated program's class and backends")
 	)
 	flag.Parse()

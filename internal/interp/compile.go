@@ -99,9 +99,14 @@ func (cm *compiledModule) variant(cascade bool) *compiledPlan {
 type compiledPlan struct {
 	pl      *plan.Program
 	kernels []kernelFn
-	// spans holds each equation's span executor (specialized direct
-	// kernel or generic wrapper), aligned index-for-index with pl.Eqs.
-	spans []eqSpan
+	// specs holds each equation's specialization outcome, aligned
+	// index-for-index with pl.Eqs.
+	specs []eqSpec
+	// spans holds, per leaf loop step (a leaf DO or DOALL, a wavefront),
+	// the body spans one row of it runs, in order: one span of the whole
+	// body for a leaf DO or a jammed wavefront (plan.BodySpan), one per
+	// equation for a leaf DOALL or split wavefront rows. nil elsewhere.
+	spans [][]*bodySpan
 	// allocs describes the result and local arrays allocated per
 	// activation, with §3.4 windows resolved at compile time.
 	allocs []allocInfo
@@ -202,11 +207,11 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 	// specializer runs right after each checked kernel, falling back to
 	// it for shapes outside the recognized fragment.
 	kernels := make(map[*sem.Equation]kernelFn, len(m.Eqs))
-	specs := make(map[*sem.Equation]eqSpan, len(m.Eqs))
+	specs := make(map[*sem.Equation]eqSpec, len(m.Eqs))
 	for _, eq := range m.Eqs {
 		c.eq = eq
 		kernels[eq] = c.compileEquation(eq)
-		specs[eq] = c.specializeEquation(eq, kernels[eq])
+		specs[eq] = c.specializeEquation(eq)
 		c.eq = nil
 	}
 	// A cascade that neither fused nor wavefronted a nest lowered the
@@ -221,17 +226,37 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 }
 
 // bindPlan aligns the shared kernel table with one plan variant's
-// equation order and resolves the variant's allocation descriptors
-// (windows come from the variant's own virtual report).
-func (cm *compiledModule) bindPlan(pl *plan.Program, kernels map[*sem.Equation]kernelFn, specs map[*sem.Equation]eqSpan) *compiledPlan {
+// equation order, builds the body spans of its leaf loops, and resolves
+// the variant's allocation descriptors (windows come from the variant's
+// own virtual report).
+func (cm *compiledModule) bindPlan(pl *plan.Program, kernels map[*sem.Equation]kernelFn, specs map[*sem.Equation]eqSpec) *compiledPlan {
 	cp := &compiledPlan{
 		pl:      pl,
 		kernels: make([]kernelFn, len(pl.Eqs)),
-		spans:   make([]eqSpan, len(pl.Eqs)),
+		specs:   make([]eqSpec, len(pl.Eqs)),
+		spans:   make([][]*bodySpan, len(pl.Steps)),
 	}
 	for i, eq := range pl.Eqs {
 		cp.kernels[i] = kernels[eq]
-		cp.spans[i] = specs[eq]
+		cp.specs[i] = specs[eq]
+	}
+	for i := range pl.Steps {
+		st := &pl.Steps[i]
+		if !st.Leaf && st.Op != plan.OpWavefront {
+			continue
+		}
+		kern := make([]int32, 0, st.End-i-1)
+		for _, b := range pl.Steps[i+1 : st.End] {
+			kern = append(kern, int32(b.Eq))
+		}
+		slot := st.Dims[len(st.Dims)-1]
+		if pl.BodySpan(i) {
+			cp.spans[i] = []*bodySpan{cp.newBodySpan(kern, slot)}
+			continue
+		}
+		for e := range kern {
+			cp.spans[i] = append(cp.spans[i], cp.newBodySpan(kern[e:e+1], slot))
+		}
 	}
 	m := cm.m
 	win := pl.Windows()

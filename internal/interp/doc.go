@@ -19,11 +19,13 @@
 //     evaluated, range-checked (and under Strict, definedness-checked)
 //     subscripts. Every equation has a checked kernel.
 //   - direct: scalars are hoisted at span entry and array elements read
-//     through offsets certified once per span (specialize.go holds the
-//     access and hoist tables and the span loop). Shapes outside the
-//     fragment — module calls, record fields, strings, bool arrays,
-//     subscripts that are not unit-stride — bail with a reason
-//     (Program.Kernels), leaving the checked kernel.
+//     through offsets certified once per span, each advancing by its
+//     subscript's slope × stride per point — any constant integer slope,
+//     a reflected N + 1 − J included (specialize.go holds the access and
+//     hoist tables and the span loop). Shapes outside the fragment —
+//     module calls, record fields, strings, bool arrays, subscripts that
+//     are not affine in the loop indices (div, mod, products) — bail with
+//     a reason (Program.Kernels), leaving the checked kernel.
 //
 // A body `if g1 then a1 elsif … else aN` whose guards are span-affine —
 // true/false, not, and, or over comparisons of affine integer index
@@ -38,14 +40,19 @@
 // edit.
 //
 // Every loop that hands kernels contiguous runs of points reaches the
-// direct mode through one span executor: DOALL rows, the rows of
-// wavefront tiles, and the leaf DO — the innermost sequential loop of a
-// recurrence nest whose body is one equation (the paper's §3 iterative
-// loop), which runs its whole range as one span. The span stores each
-// point before the next point reads, so a read carried along the loop
-// at any distance sees program order. A DO around two or more
-// equations, or around a nested loop, runs its body point by point
-// (Program.Kernels reports why).
+// direct mode through one span executor, which runs a body of k ≥ 1
+// equations: DOALL rows and split wavefront rows one equation at a time
+// (k = 1); the leaf DO — the innermost sequential loop of a recurrence
+// nest, whose body is equations only (the paper's §3 iterative loop) —
+// and jammed wavefront rows their whole body, every equation in body
+// order at each point. A leaf DO runs its whole range as one span. The
+// span's certificate is the union of its equations' accesses and its
+// cuts the union of their guards' cuts, so each piece runs a tuple of
+// arms; a point outside the certificate runs all k checked kernels in
+// body order. The span stores each point before the next point reads,
+// so a read carried along the loop at any distance, from any equation
+// of the body, sees program order. Only a DO around a nested loop runs
+// its own equations point by point (Program.Kernels reports why).
 //
 // # Contract
 //
@@ -85,7 +92,8 @@
 //     for every dependence d, plan.Hyper.Skew); tile (a, b) starts
 //     after (a−1, b) and (a, b−1), and inside it rows along the
 //     original innermost index run in skewed-lexicographic order, each
-//     equation's whole row in turn (Hyper.RowSplit) or jammed per point;
+//     equation's whole row in turn (Hyper.RowSplit) or as one span of
+//     the body, its equations jammed per point;
 //   - the inline sweep is the one tile covering the box, run by the same
 //     walker (sweepTile): the original loop order, Seq's spans.
 //

@@ -44,7 +44,7 @@ type Options struct {
 	// value is HyperplaneAuto: parallel runs use the cascade plan,
 	// sequential runs keep the schedule as emitted (the sweep's bounding
 	// box and guards only pay off when planes run on workers, and a fused
-	// sequential body would run point by point).
+	// sequential nest gains no parallel step).
 	// Selection deliberately ignores the effective worker count so the
 	// variant a runner executes — and Explain reports — is deterministic
 	// across hosts.
@@ -742,10 +742,11 @@ func seqNest(steps []plan.Step, i int) bool {
 }
 
 // execDo runs one sequential DO step at the step index self. A leaf DO
-// is the paper's §3 iterative loop around a single equation: its whole
-// range is one span of that kernel, ascending by one, which the
-// specialized kernel certifies once and runs store-before-next-read, so
-// reads carried along the loop see exactly the point-wise program order.
+// is the paper's §3 iterative loop around its equations: its whole range
+// is one span of its body, ascending by one, each point running the
+// equations in body order, which the span executor certifies once and
+// runs store-before-next-read, so reads carried along the loop see
+// exactly the point-wise program order.
 // Cancellation is polled per span there and per iteration otherwise.
 // Either way the frame is left at the last iteration. A nest of DO and
 // equation steps runs whole on this goroutine, so its outermost DO
@@ -766,10 +767,8 @@ func (p *Program) execDo(en *env, fr []int64, st *plan.Step, self int) {
 		if canceled != nil && canceled.Load() {
 			panic(runtimeError{err: en.rs.ctx.Err()})
 		}
-		eqi := en.cp.pl.Steps[self+1].Eq
-		en.curEq = int32(eqi)
 		fr[slot] = b[0]
-		en.cp.spans[eqi].fn(en, fr, slot, b[1]-b[0]+1)
+		en.cp.spans[self][0].span(en, fr, b[1]-b[0]+1)
 		fr[slot] = b[1]
 		return
 	}
@@ -864,18 +863,15 @@ func (p *Program) walkDoAll(en *env, fr []int64, st *plan.Step, bodyLo int, lob,
 			advance(fr, dims, lob, hib)
 		}
 	}
-	steps := en.cp.pl.Steps
-	spans := en.cp.spans
+	spans := en.cp.spans[bodyLo-1]
 	inner := dims[ndim-1]
 	for li := start; ; {
 		if canceled != nil && canceled.Load() {
 			panic(runtimeError{err: en.rs.ctx.Err()})
 		}
 		seg := min(hib[ndim-1]-fr[inner]+1, end-li+1)
-		for k := bodyLo; k < st.End; k++ {
-			eqi := steps[k].Eq
-			en.curEq = int32(eqi)
-			spans[eqi].fn(en, fr, inner, seg)
+		for _, b := range spans {
+			b.span(en, fr, seg)
 		}
 		if li += seg; li > end {
 			return
@@ -920,11 +916,11 @@ type wfGrid struct {
 	st *plan.Step
 	// sk is the step's skew S (Hyper.Skew).
 	sk [][]int64
-	// body is the step's equation steps in group order (the body holds
-	// nothing else, so rows call the kernels' spans directly); split
-	// mirrors Hyper.RowSplit.
-	body  []plan.Step
-	split bool
+	// bodyLo is the step's first body step; spans are the body spans
+	// each row runs (one per equation for split rows, one of the whole
+	// body for jammed rows).
+	bodyLo int
+	spans  []*bodySpan
 	// lo, hi is the original iteration box.
 	lo, hi [plan.MaxCollapse]int64
 	// r skips the leading coordinates the box fixes to one value; slo,
@@ -936,8 +932,8 @@ type wfGrid struct {
 // resolve fills the grid from the activation's bounds; false means some
 // dimension is empty and the nest has no iterations.
 func (g *wfGrid) resolve(en *env, st *plan.Step, bodyLo int) bool {
-	g.st, g.sk, g.split = st, st.Hyper.Skew, st.Hyper.RowSplit
-	g.body = en.cp.pl.Steps[bodyLo:st.End]
+	g.st, g.sk = st, st.Hyper.Skew
+	g.bodyLo, g.spans = bodyLo, en.cp.spans[bodyLo-1]
 	for j, slot := range st.Dims {
 		b := en.bounds[slot]
 		if b[1] < b[0] {
@@ -1019,20 +1015,14 @@ func (p *Program) sweepTile(en *env, fr []int64, g *wfGrid, j int, tlo, thi *[2]
 	if canceled := en.rs.canceled; canceled != nil && canceled.Load() {
 		panic(runtimeError{err: en.rs.ctx.Err()})
 	}
-	// One row: the innermost index at unit stride, as one leaf-DO span of
-	// every equation in turn, or — when a dependence inside the row runs
-	// from a later equation to an earlier one — as one-point spans of the
+	// One row: the innermost index at unit stride, as one span of every
+	// equation in turn, or — when a dependence inside the row runs from a
+	// later equation to an earlier one — as one span of the body, its
 	// equations jammed point by point.
-	slot, spans, step := g.st.Dims[j], en.cp.spans, hi-lo+1
-	if !g.split {
-		step = 1
-	}
-	for x := lo; x <= hi; x += step {
-		fr[slot] = x
-		for i := range g.body {
-			en.curEq = int32(g.body[i].Eq)
-			spans[g.body[i].Eq].fn(en, fr, slot, step)
-		}
+	slot := g.st.Dims[j]
+	fr[slot] = lo
+	for _, b := range g.spans {
+		b.span(en, fr, hi-lo+1)
 	}
 }
 
@@ -1139,7 +1129,7 @@ func (p *Program) execWavefrontTiles(en *env, fr []int64, g *wfGrid) {
 	}
 	if rs.labels {
 		body = labeled(rs, body, pprof.Labels("ps_module", en.cm.m.Name,
-			"ps_step", "doacross", "ps_eqs", stepEqs(en.cp, g.st.End-len(g.body), g.st.End)))
+			"ps_step", "doacross", "ps_eqs", stepEqs(en.cp, g.bodyLo, g.st.End)))
 	}
 	completed := sched.Run(nest, rs.pool, rs.cancelChan(), body, &doStats, rs.rec)
 	if rs.stats != nil {

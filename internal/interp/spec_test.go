@@ -12,8 +12,8 @@ import (
 )
 
 // reflectedRead is a recurrence whose group reference reads a
-// reflected column: the subscript N + 1 - J has coefficient -1, so the
-// specializer must keep the generic checked kernel for it.
+// reflected column: the subscript N + 1 - J has slope −1 along a J span,
+// so its access walks the row backwards on the direct kernel.
 const reflectedRead = `
 Mirror: module (Seed: array[I,J] of real; N: int): [Out: array[I,J] of real];
 type
@@ -27,13 +27,24 @@ define
 end Mirror;
 `
 
+// wrappedRead reads the seed through a mod subscript kept in range: not
+// affine, so the specializer keeps the checked kernel for it.
+const wrappedRead = `
+Wrap: module (Seed: array[I,J] of real; N: int): [Out: array[I,J] of real];
+type
+    I, J = 1 .. N;
+define
+    (*eq.1*) Out[I,J] = Seed[I, J mod N + 1] * 0.5;
+end Wrap;
+`
+
 // TestKernelEligibility pins which corpus equations compile to a
 // specialized kernel, how many guard comparisons their spans split on,
 // and why the negatives stay generic. The positive set is deliberately
 // broad — every wavefront corpus equation must specialize, and so do
-// degenerate single-point spans like Prefix's P[1] — while the pinned
-// negatives cover the bail-outs: module calls and non-unit-stride
-// subscripts.
+// degenerate single-point spans like Prefix's P[1] and Mirror's
+// reflected N + 1 - J — while the pinned negatives cover the bail-outs:
+// module calls and non-affine subscripts.
 func TestKernelEligibility(t *testing.T) {
 	cases := []struct {
 		name, src, module string
@@ -55,8 +66,10 @@ func TestKernelEligibility(t *testing.T) {
 			map[string]bool{"eq.1": false, "eq.2": false}, nil,
 			map[string]string{"eq.1": "module call"}},
 		{"Mirror", reflectedRead, "Mirror",
-			map[string]bool{"eq.1": false, "eq.2": true}, nil,
-			map[string]string{"eq.1": "subscript N + 1 - J is not unit-stride"}},
+			map[string]bool{"eq.1": true, "eq.2": true}, map[string]int{"eq.1": 1}, nil},
+		{"Wrap", wrappedRead, "Wrap",
+			map[string]bool{"eq.1": false}, nil,
+			map[string]string{"eq.1": "non-affine subscript J mod N + 1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

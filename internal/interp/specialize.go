@@ -1,34 +1,40 @@
 package interp
 
 // Kernel specialization (the perf core of the §3–§4 reproduction): when
-// an equation body is a recognized shape — unit-stride affine reads of
-// flat float64/int64 arrays combined with +,−,×,÷, literals, loop
-// indices and builtins — the compiler runs a second time in its direct
-// addressing mode (compile.go: same expression lowering, different
-// leaves) and emits a *direct kernel* alongside the checked closure
-// tree: a closure over raw backing slices whose
-// operand offsets are maintained incrementally along a run of
-// consecutive points (strength reduction), with array bounds certified
-// once per run so the per-point path is branch-free. Executors hand
-// kernels contiguous spans instead of single points — DOALL rows,
-// wavefront rows, and the leaf DO of a sequential recurrence nest, whose
-// reads carried along the span see program order because each point's
-// store lands before the next point's reads. A windowed axis the span
-// does not move folds into the base offset.
+// an equation body is a recognized shape — affine reads of flat
+// float64/int64 arrays combined with +,−,×,÷, literals, loop indices and
+// builtins — the compiler runs a second time in its direct addressing
+// mode (compile.go: same expression lowering, different leaves) and
+// emits a *direct kernel* alongside the checked closure tree: a closure
+// over raw backing slices whose operand offsets are maintained
+// incrementally along a run of consecutive points (strength reduction:
+// a subscript of slope c along the run moves its access by c × stride
+// per point, for any constant integer c, reflected N + 1 − J included),
+// with array bounds certified once per run so the per-point path is
+// branch-free. A windowed axis the run does not move folds into the base
+// offset.
+//
+// Executors hand spans, not points, to a *body* of k ≥ 1 equations
+// (bodySpan, the one span executor): DOALL rows and split wavefront rows
+// one equation at a time (k = 1); the leaf DO of a sequential recurrence
+// nest and jammed wavefront rows their whole body, each point running
+// every equation in body order. Reads carried along the span see program
+// order because each point's stores land before the next point's reads.
 //
 // Index-set splitting: a body `if g1 then a1 elsif … else aN` whose
 // every guard is span-affine — true/false, not, and, or over
 // comparisons of two affine integer expressions in the loop indices and
 // span-invariant scalars — compiles one direct store per arm. Along a
 // span each comparison's difference is d0 + s·p, so its truth changes
-// at ≤ 2 points: the span is cut there, each piece runs the one arm its
-// guard selects, and each arm is certified against its own accesses
-// only (a stencil's boundary rows read the carried value, never the
-// out-of-range neighbours). Any other body is the one-arm, zero-cut
-// case of the same loop. Points an arm's certificate cannot cover
-// (windowed axes in motion, out-of-range reads, a guard whose sides
-// could leave int64) and strict mode run the checked kernel, so
-// specialized and generic execution are bitwise identical.
+// at ≤ 2 points: the span is cut at every equation's such points, each
+// piece runs the tuple of arms its guards select, and the piece is
+// certified against those arms' accesses only (a stencil's boundary rows
+// read the carried value, never the out-of-range neighbours). Any other
+// body is the one-arm, zero-cut case of the same loop. Points the
+// certificate cannot cover (windowed axes in motion, out-of-range reads,
+// a guard whose sides could leave int64) and strict mode run the checked
+// kernels — all k of them per point, in body order — so specialized and
+// generic execution are bitwise identical.
 
 import (
 	"cmp"
@@ -47,48 +53,13 @@ import (
 	"repro/internal/types"
 )
 
-// spanFn executes n consecutive points of one equation. The span starts
-// at the frame's current coordinates and advances fr[slot] by one
-// between points: every executor hands it a row along its innermost
-// dimension (a DOALL row, a leaf DO, a row of a wavefront tile). The
-// frame is restored to the span's first point before returning, so
-// multi-equation bodies replay the same run per kernel. en.eqCount is
-// incremented per executed point.
-type spanFn func(en *env, fr []int64, slot int, n int64)
-
-// eqSpan pairs one equation's span executor with its specialization
-// report (surfaced through Program.Kernels and Runner.Explain).
-type eqSpan struct {
-	fn          spanFn
-	specialized bool
-	// guards is the number of guard comparisons a span splits on.
-	guards int
+// eqSpec is one equation's specialization outcome: its direct form, or
+// nil and the reason it stayed generic (surfaced through
+// Program.Kernels and Runner.Explain).
+type eqSpec struct {
+	spec *specKernel
 	// why is the reason the equation stayed generic ("" when specialized).
 	why string
-}
-
-// runSpanGeneric walks a span point-by-point through the checked kernel:
-// the path for strict mode and non-specializable equations.
-func runSpanGeneric(gen kernelFn, en *env, fr []int64, slot int, n int64) {
-	stepGeneric(gen, en, fr, slot, n)
-	fr[slot] -= n
-}
-
-// stepGeneric runs n points through the checked kernel from the frame's
-// current point and leaves the frame just past the last one.
-func stepGeneric(gen kernelFn, en *env, fr []int64, slot int, n int64) {
-	for c := int64(0); c < n; c++ {
-		en.eqCount++
-		gen(en, fr)
-		fr[slot]++
-	}
-}
-
-// genericSpanFn wraps a checked kernel as a span executor.
-func genericSpanFn(gen kernelFn) spanFn {
-	return func(en *env, fr []int64, slot int, n int64) {
-		runSpanGeneric(gen, en, fr, slot, n)
-	}
 }
 
 // specAbort is the bail panic of the compiler's direct mode: the
@@ -96,23 +67,32 @@ func genericSpanFn(gen kernelFn) spanFn {
 // closure tree remains the only kernel.
 type specAbort struct{ reason string }
 
-// specSub is one dimension of a specialized array access.
-type specSub struct {
-	// base evaluates the subscript at the span's first point (compiled in
-	// checked mode, run once per span).
-	base evalI
-	// dimVar is the frame slot of the subscript's unit-coefficient
-	// index variable, or -1 for a constant subscript. Eligibility
-	// guarantees the subscript is dimVar + c, so its per-point motion
-	// along a span is exactly the slot's direction.
-	dimVar int
+// affineForm is an integer expression affine in the loop indices — a
+// subscript or a guard side: its value, compiled in checked mode and
+// evaluated once per span, and its index terms. Along a span only the
+// span's slot moves, so the form advances by that slot's coefficient
+// per point.
+type affineForm struct {
+	eval  evalI
+	terms []slotCoef
+}
+
+// coef is the form's slope along a span of slot: 0 when it does not
+// move.
+func (f *affineForm) coef(slot int) int64 {
+	for _, t := range f.terms {
+		if t.slot == slot {
+			return t.coef
+		}
+	}
+	return 0
 }
 
 // specAccess is one distinct array reference of a specialized equation.
 type specAccess struct {
 	si   int // symbol slot
 	isF  bool
-	subs []specSub
+	subs []affineForm
 }
 
 // hoistTab lists the symbol slots of the scalars of one type that a
@@ -179,7 +159,7 @@ func (s *speccer) access(sym *sem.Symbol, explicit []ast.Expr, implicit []int) i
 			ac.subs = append(ac.subs, s.subscript(e))
 		}
 		for _, slot := range implicit {
-			ac.subs = append(ac.subs, specSub{base: frameSlot(slot), dimVar: slot})
+			ac.subs = append(ac.subs, affineForm{eval: frameSlot(slot), terms: []slotCoef{{slot, 1}}})
 		}
 		ai = len(s.accs)
 		s.accs = append(s.accs, ac)
@@ -191,39 +171,22 @@ func (s *speccer) access(sym *sem.Symbol, explicit []ast.Expr, implicit []int) i
 	return ai
 }
 
-// subscript classifies one explicit subscript: constant (possibly
-// symbolic in module scalars) or index variable + literal constant with
-// coefficient exactly 1. Anything else — negated or scaled variables
-// (reflect's N+1-J), multi-variable sums — bails, keeping the checked
-// kernel.
-func (s *speccer) subscript(e ast.Expr) specSub {
-	af := s.c.m.AnalyzeAffine(e)
-	if af == nil {
-		s.bail("non-affine subscript %s", ast.ExprString(e))
-	}
-	nz := 0
-	var v *types.Subrange
-	var coef int64
-	for vv, cc := range af.Coeffs {
-		if cc != 0 {
-			nz++
-			v, coef = vv, cc
-		}
-	}
-	sub := specSub{base: s.c.compileI(e), dimVar: -1}
+// subscript classifies one explicit subscript: affine in loop indices
+// that have frame slots, with any integer coefficients (reflect's
+// N + 1 - J has slope −1 along J) and span-invariant scalar terms.
+// Anything else — div, mod, products of indices, array reads — bails,
+// keeping the checked kernel.
+func (s *speccer) subscript(e ast.Expr) affineForm {
+	f, ok := s.affine(e)
 	switch {
-	case nz == 0:
-		// constant subscript; base evaluates it (symbolic terms included).
-	case nz == 1 && coef == 1:
-		slot, ok := s.c.cm.slotOf[v]
-		if !ok {
-			s.bail("no frame slot for subscript variable in %s", ast.ExprString(e))
-		}
-		sub.dimVar = slot
+	case ok:
+		return f
+	case s.c.m.AnalyzeAffine(e) == nil:
+		s.bail("non-affine subscript %s", ast.ExprString(e))
 	default:
-		s.bail("subscript %s is not unit-stride", ast.ExprString(e))
+		s.bail("no frame slot for subscript variable in %s", ast.ExprString(e))
 	}
-	return sub
+	return f
 }
 
 // --- span-affine guards --------------------------------------------------------
@@ -232,18 +195,16 @@ func (s *speccer) subscript(e ast.Expr) specSub {
 // comparison i at the point being classified.
 type guardFn func(d []int64) bool
 
-// slotCoef is one index term coef × fr[slot] of an affine guard side.
+// slotCoef is one index term coef × fr[slot] of an affine form.
 type slotCoef struct {
 	slot int
 	coef int64
 }
 
-// guardCmp is one comparison of a span-affine guard. Each side is its
-// index terms plus span-invariant ones, so along a span it moves by
-// the Σ coef of the span's slot per point.
+// guardCmp is one comparison of a span-affine guard, lhs op rhs; both
+// sides are evaluated once per span.
 type guardCmp struct {
-	lhs, rhs evalI // checked mode, evaluated once per span
-	lt, rt   []slotCoef
+	lhs, rhs affineForm
 }
 
 // signTruth maps a comparison operator to the truth of d op 0, indexed
@@ -306,38 +267,36 @@ func (s *speccer) guard(e ast.Expr) (guardFn, bool) {
 			return func(d []int64) bool { return l(d) || r(d) }, lok && rok
 		}
 		truth, isRel := signTruth[x.Op]
-		lt, lok := s.affineSide(x.X)
-		rt, rok := s.affineSide(x.Y)
+		lhs, lok := s.affine(x.X)
+		rhs, rok := s.affine(x.Y)
 		if !isRel || !lok || !rok {
 			return nil, false
 		}
 		i := len(s.cmps)
-		s.cmps = append(s.cmps, guardCmp{lhs: s.c.compileI(x.X), rhs: s.c.compileI(x.Y), lt: lt, rt: rt})
+		s.cmps = append(s.cmps, guardCmp{lhs: lhs, rhs: rhs})
 		return func(d []int64) bool { return truth[cmp.Compare(d[i], 0)+1] }, true
 	}
 	return nil, false
 }
 
-// affineSide decomposes one comparison operand into its index terms, or
+// affine decomposes an integer expression into its affine form, or
 // reports false when it is not affine in indices that have frame slots.
-func (s *speccer) affineSide(e ast.Expr) ([]slotCoef, bool) {
+func (s *speccer) affine(e ast.Expr) (affineForm, bool) {
 	af := s.c.m.AnalyzeAffine(e)
 	if af == nil {
-		return nil, false
+		return affineForm{}, false
 	}
-	var terms []slotCoef
+	f := affineForm{eval: s.c.compileI(e)}
 	for v, coef := range af.Coeffs {
 		slot, ok := s.c.cm.slotOf[v]
 		if !ok {
-			return nil, false
+			return affineForm{}, false
 		}
 		if coef != 0 {
-			terms = append(terms, slotCoef{slot, coef})
+			f.terms = append(f.terms, slotCoef{slot, coef})
 		}
 	}
-	// A fixed order makes the per-span overflow checks deterministic.
-	slices.SortFunc(terms, func(a, b slotCoef) int { return a.slot - b.slot })
-	return terms, true
+	return f, true
 }
 
 // ovf is int64 arithmetic that remembers whether any step overflowed.
@@ -376,10 +335,10 @@ type specArm struct {
 	readsIdx bool
 }
 
-// specKernel is one equation's specialized span executor.
+// specKernel is one equation's direct form, compiled once and shared by
+// every body span the equation runs in.
 type specKernel struct {
-	gen kernelFn
-	eq  int64 // equation index, for KSpecFallback
+	eq int64 // equation index, for KSpecFallback
 	// arms[i] runs where guards[i] is the first guard to hold; the last
 	// arm is the else (the whole body when nothing splits).
 	arms       []specArm
@@ -387,47 +346,60 @@ type specKernel struct {
 	cmps       []guardCmp
 	accs       []*specAccess
 	sf, sn, sb hoistTab
-	pool       sync.Pool
 }
 
-// spanState is the pooled working set of one specialized span: the
-// context its direct closures evaluate on, the span's motion, each
-// access's entry offset, per-point slope and certified interval [lo, hi]
-// of span points, and each guard comparison's difference d0 + ds·p with
-// the cuts they make.
+// spanState is one equation's share of a span's working set: the
+// context its direct closures evaluate on, each access's entry offset,
+// per-point slope and certified interval [lo, hi] of span points, its
+// guard comparisons' differences, and its kernel index.
 type spanState struct {
 	kctx
-	slot                int
 	base, slope, lo, hi []int64
-	d0, ds, d           []int64
-	cuts                []int64
+	d                   []int64
+	eq                  int32
 }
 
-// specializeEquation compiles eq's span executor: the specialized
-// direct kernel when the body fits the recognized fragment, the checked
-// kernel gen otherwise. The caller must have c.eq set.
-func (c *compiler) specializeEquation(eq *sem.Equation, gen kernelFn) (sp eqSpan) {
-	sp = eqSpan{fn: genericSpanFn(gen)}
+// newState allocates the working set of one of sk's spans.
+func (sk *specKernel) newState() spanState {
+	nacc := len(sk.accs)
+	return spanState{
+		kctx: kctx{
+			offs: make([]int64, nacc),
+			fs:   make([][]float64, nacc),
+			is:   make([][]int64, nacc),
+			sf:   make([]float64, len(sk.sf)),
+			sn:   make([]int64, len(sk.sn)),
+			sb:   make([]bool, len(sk.sb)),
+		},
+		base:  make([]int64, nacc),
+		slope: make([]int64, nacc),
+		lo:    make([]int64, nacc),
+		hi:    make([]int64, nacc),
+	}
+}
+
+// specializeEquation compiles eq's direct form when the body fits the
+// recognized fragment; otherwise the outcome names why the checked
+// kernel stays its only kernel. The caller must have c.eq set.
+func (c *compiler) specializeEquation(eq *sem.Equation) (sp eqSpec) {
 	defer func() {
 		if r := recover(); r != nil {
 			switch e := r.(type) {
 			case specAbort:
-				sp = eqSpan{fn: genericSpanFn(gen), why: e.reason}
+				sp = eqSpec{why: e.reason}
 			case compileError:
-				sp = eqSpan{fn: genericSpanFn(gen), why: e.err.Error()}
+				sp = eqSpec{why: e.err.Error()}
 			default:
 				panic(r)
 			}
 		}
 	}()
 	if eq.MultiCall != nil || eq.WholeCall != nil {
-		sp.why = "module call"
-		return sp
+		return eqSpec{why: "module call"}
 	}
 	target := eq.Targets[0]
 	if target.Rank() == 0 {
-		sp.why = "scalar target"
-		return sp
+		return eqSpec{why: "scalar target"}
 	}
 	// Lower each arm of the right-hand side once more with the same
 	// compiler in direct mode. The write target is access 0 unless a read
@@ -437,7 +409,7 @@ func (c *compiler) specializeEquation(eq *sem.Equation, gen kernelFn) (sp eqSpan
 	dc.direct = s
 	ti := s.access(target.Sym, target.Subs, c.targetSlots(target))
 	exprs, guards := s.bodyArms(eq.RHS)
-	sk := &specKernel{gen: gen, eq: int64(eq.Index), guards: guards, arms: make([]specArm, len(exprs))}
+	sk := &specKernel{eq: int64(eq.Index), guards: guards, arms: make([]specArm, len(exprs))}
 	for i, e := range exprs {
 		s.arm, s.readsIdx = []int{ti}, false
 		if s.accs[ti].isF {
@@ -451,85 +423,175 @@ func (c *compiler) specializeEquation(eq *sem.Equation, gen kernelFn) (sp eqSpan
 	}
 	sk.cmps, sk.accs = s.cmps, s.accs
 	sk.sf, sk.sn, sk.sb = s.sf, s.sn, s.sb
-	nacc, ncmp := len(sk.accs), len(sk.cmps)
-	sk.pool.New = func() any {
-		return &spanState{
-			kctx: kctx{
-				offs: make([]int64, nacc),
-				fs:   make([][]float64, nacc),
-				is:   make([][]int64, nacc),
-				sf:   make([]float64, len(sk.sf)),
-				sn:   make([]int64, len(sk.sn)),
-				sb:   make([]bool, len(sk.sb)),
-			},
-			base:  make([]int64, nacc),
-			slope: make([]int64, nacc),
-			lo:    make([]int64, nacc),
-			hi:    make([]int64, nacc),
-			d0:    make([]int64, ncmp),
-			ds:    make([]int64, ncmp),
-			d:     make([]int64, ncmp),
-			cuts:  make([]int64, 0, 2*ncmp+2),
-		}
-	}
-	return eqSpan{fn: sk.span, specialized: true, guards: ncmp}
+	return eqSpec{spec: sk}
 }
 
-// span is the specialized spanFn: certify every access once, cut the
-// span where a guard comparison can change truth, and run each piece
-// with the one arm its guard selects.
-func (sk *specKernel) span(en *env, fr []int64, slot int, n int64) {
+// spanAccess is one access of a specialized equation resolved for the
+// slot a body span advances: each subscript's checked-mode value and its
+// slope along the slot.
+type spanAccess struct {
+	si   int
+	isF  bool
+	subs []spanSub
+}
+
+// spanSub is one subscript of a spanAccess.
+type spanSub struct {
+	eval  evalI
+	slope int64
+}
+
+// bodySpan is the one span executor: it runs consecutive points of a
+// body of k ≥ 1 equations along one loop index, each point running
+// every equation in body order — a single equation's row is the k = 1
+// case.
+type bodySpan struct {
+	// kern lists the body's kernel indices (into pl.Eqs) in body order,
+	// gens their checked kernels.
+	kern []int32
+	gens []kernelFn
+	// slot is the frame slot of the loop index the spans advance: the
+	// innermost index of the loop that runs the body.
+	slot int
+	// sks holds the equations' direct forms; nil when one of them stayed
+	// generic, and the body then runs on the checked kernels throughout.
+	sks []*specKernel
+	// accs[e] is equation e's access table resolved along slot.
+	accs [][]spanAccess
+	// cmps concatenates the equations' guard comparisons, equation e's
+	// being cmps[cmpLo[e]:cmpLo[e+1]]; cmpSlopes holds each one's side
+	// slopes along slot.
+	cmps      []guardCmp
+	cmpLo     []int
+	cmpSlopes [][2]int64
+	pool      sync.Pool
+}
+
+// bodyState is the pooled working set of one body span: each
+// equation's spanState, each guard comparison's difference d0 + ds·p,
+// the sorted cuts they make, and the arm tuple of the piece being cut
+// and of its successor.
+type bodyState struct {
+	eqs        []spanState
+	d0, ds, d  []int64
+	cuts       []int64
+	arms, next []*specArm
+}
+
+// newBodySpan builds the span executor of the body whose kernels, in
+// body order, are kern, run along the loop index in frame slot slot.
+func (cp *compiledPlan) newBodySpan(kern []int32, slot int) *bodySpan {
+	b := &bodySpan{kern: kern, gens: make([]kernelFn, len(kern)), slot: slot}
+	sks := make([]*specKernel, len(kern))
+	for e, ki := range kern {
+		b.gens[e], sks[e] = cp.kernels[ki], cp.specs[ki].spec
+	}
+	if slices.Contains(sks, nil) {
+		return b
+	}
+	b.sks, b.cmpLo = sks, []int{0}
+	for _, sk := range sks {
+		accs := make([]spanAccess, len(sk.accs))
+		for ai, ac := range sk.accs {
+			accs[ai] = spanAccess{si: ac.si, isF: ac.isF, subs: make([]spanSub, len(ac.subs))}
+			for d := range ac.subs {
+				accs[ai].subs[d] = spanSub{ac.subs[d].eval, ac.subs[d].coef(slot)}
+			}
+		}
+		b.accs = append(b.accs, accs)
+		for _, gc := range sk.cmps {
+			b.cmpSlopes = append(b.cmpSlopes, [2]int64{gc.lhs.coef(slot), gc.rhs.coef(slot)})
+		}
+		b.cmps = append(b.cmps, sk.cmps...)
+		b.cmpLo = append(b.cmpLo, len(b.cmps))
+	}
+	b.pool.New = func() any {
+		k, ncmp := len(sks), len(b.cmps)
+		bs := &bodyState{
+			eqs:  make([]spanState, k),
+			d0:   make([]int64, ncmp),
+			ds:   make([]int64, ncmp),
+			d:    make([]int64, ncmp),
+			cuts: make([]int64, 0, 2*ncmp+2),
+			arms: make([]*specArm, k), next: make([]*specArm, k),
+		}
+		for e, sk := range sks {
+			bs.eqs[e] = sk.newState()
+			bs.eqs[e].d, bs.eqs[e].eq = bs.d[b.cmpLo[e]:b.cmpLo[e+1]], kern[e]
+		}
+		return bs
+	}
+	return b
+}
+
+// span runs the body over n consecutive points: it starts at the
+// frame's current coordinates and advances fr[b.slot] by one between
+// points (a DOALL row, a leaf DO, a row of a wavefront tile), and
+// restores the frame to the first point before returning. It certifies
+// every access of every equation once, cuts the span wherever one of
+// their guard comparisons can change truth, and runs each piece with the
+// tuple of arms the guards select. en.eqCount grows by one per equation
+// instance, and en.curEq names the equation executing.
+func (b *bodySpan) span(en *env, fr []int64, n int64) {
 	if n <= 0 {
 		return
 	}
-	if en.strict || en.noSpec {
-		runSpanGeneric(sk.gen, en, fr, slot, n)
+	en.curEq = b.kern[0]
+	if b.sks == nil || en.strict || en.noSpec {
+		b.checked(en, fr, n)
+		fr[b.slot] -= n
 		return
 	}
-	st := sk.pool.Get().(*spanState)
-	k := &st.kctx
-	k.en, k.fr, st.slot = en, fr, slot
-	st.certify(sk.accs, n)
-	for i, si := range sk.sf {
-		k.sf[i] = en.scalars[si].(float64)
-	}
-	for i, si := range sk.sn {
-		k.sn[i] = en.scalars[si].(int64)
-	}
-	for i, si := range sk.sb {
-		k.sb[i] = en.scalars[si].(bool)
-	}
-	if cuts, ok := st.split(sk.cmps, n); !ok {
-		sk.fallback(st, n)
-	} else {
-		// The frame sits at start; consecutive pieces the guards send to
-		// the same arm run as one.
-		start, arm := int64(0), st.pick(sk.guards, 0)
-		for _, c := range cuts[1:] {
-			next := -1
-			if c < n {
-				next = st.pick(sk.guards, c)
-			}
-			if next != arm {
-				sk.piece(st, &sk.arms[arm], start, c)
-				start, arm = c, next
-			}
+	bs := b.pool.Get().(*bodyState)
+	for e, sk := range b.sks {
+		st := &bs.eqs[e]
+		st.en, st.fr = en, fr
+		st.certify(b.accs[e], n)
+		for i, si := range sk.sf {
+			st.sf[i] = en.scalars[si].(float64)
+		}
+		for i, si := range sk.sn {
+			st.sn[i] = en.scalars[si].(int64)
+		}
+		for i, si := range sk.sb {
+			st.sb[i] = en.scalars[si].(bool)
 		}
 	}
-	fr[slot] -= n
-	k.en, k.fr = nil, nil
-	sk.pool.Put(st)
+	if !b.split(bs, n) {
+		b.fallback(bs, n)
+	} else {
+		// The frame sits at start; consecutive pieces the guards send to
+		// the same arms run as one.
+		start, arms, next := int64(0), bs.arms, bs.next
+		b.pick(bs, 0, arms, arms)
+		for _, c := range bs.cuts[1:] {
+			if c < n && !b.pick(bs, c, next, arms) {
+				continue
+			}
+			b.piece(bs, arms, start, c)
+			start, arms, next = c, next, arms
+		}
+	}
+	fr[b.slot] -= n
+	for e := range bs.eqs {
+		bs.eqs[e].en, bs.eqs[e].fr = nil, nil
+	}
+	b.pool.Put(bs)
 }
 
 // certify resolves each access's backing, its flat offset at the span's
 // first point, its per-point slope, and the interval [lo, hi] of span
 // points where it is provably in bounds — empty when a stationary
-// subscript is out of range or a windowed axis moves (mod wrap mid-span
-// makes offsets non-affine). Offsets are meaningful inside the interval
-// only.
-func (st *spanState) certify(accs []*specAccess, n int64) {
+// subscript is out of range, a windowed axis moves (mod wrap mid-span
+// makes offsets non-affine) or a bound leaves int64. A subscript of
+// slope c along the span is x0 + c·p at point p, so each moving
+// dimension clips the interval to the p that keep it on its axis.
+// Offsets are meaningful inside the interval only, where wrapping int64
+// arithmetic computes them exactly.
+func (st *spanState) certify(accs []spanAccess, n int64) {
 	k := &st.kctx
-	for ai, ac := range accs {
+	for ai := range accs {
+		ac := &accs[ai]
 		a := k.en.arrays[ac.si]
 		if ac.isF {
 			k.fs[ai] = a.F
@@ -538,10 +600,10 @@ func (st *spanState) certify(accs []*specAccess, n int64) {
 		}
 		lo, hi := int64(0), n-1
 		var off, slope int64
-		for d, sb := range ac.subs {
-			x0 := sb.base(k)
+		for d, sub := range ac.subs {
+			x0, c := sub.eval(k), sub.slope
 			ax := a.Axes[d]
-			if sb.dimVar != st.slot {
+			if c == 0 {
 				// Stationary dimension: one range check covers the span;
 				// window wrap folds into the base offset.
 				if x0 < ax.Lo || x0 > ax.Hi {
@@ -559,30 +621,65 @@ func (st *spanState) certify(accs []*specAccess, n int64) {
 				lo, hi = n, n-1
 				break
 			}
-			lo, hi = max(lo, ax.Lo-x0), min(hi, ax.Hi-x0)
+			var pLo, pHi int64
+			if c == 1 {
+				// The common unit slope inline: onAxis's call costs 3 % of
+				// the 8 × 8 relaxation's run time.
+				var o ovf
+				if pLo, pHi = o.sub(ax.Lo, x0), o.sub(ax.Hi, x0); o.bad {
+					pLo, pHi = 1, 0
+				}
+			} else {
+				pLo, pHi = onAxis(x0, c, ax.Lo, ax.Hi)
+			}
+			lo, hi = max(lo, pLo), min(hi, pHi)
 			off += (x0 - ax.Lo) * a.Strides[d]
-			slope += a.Strides[d]
+			slope += c * a.Strides[d]
 		}
 		st.lo[ai], st.hi[ai], st.base[ai], st.slope[ai] = lo, hi, off, slope
 	}
 }
 
-// split evaluates every guard comparison at the span's first point and
-// returns the sorted cuts: 0, n, and each point of (0, n) where a
-// comparison's difference d(p) = d0 + s·p can change sign — ⌈−d0/s⌉
-// and ⌊−d0/s⌋+1. It reports false when a side could leave int64 along
-// the span: the checked kernel's wrapping arithmetic is linear in p only
-// while both sides stay in range at both ends.
-func (st *spanState) split(cmps []guardCmp, n int64) ([]int64, bool) {
-	cuts := append(st.cuts[:0], 0, n)
+// onAxis returns the span points p with lo ≤ x0 + c·p ≤ hi for a slope
+// c ≠ 0 — mirrored to −x0 + |c|·p ∈ [−hi, −lo] when c < 0, so unit
+// slopes need no division — and an empty range when a bound leaves
+// int64.
+func onAxis(x0, c, lo, hi int64) (pLo, pHi int64) {
 	var o ovf
-	for i := range cmps {
-		gc := &cmps[i]
-		l0, lEnd, ls := st.line(&o, gc.lhs, gc.lt, n)
-		r0, rEnd, rs := st.line(&o, gc.rhs, gc.rt, n)
+	if c < 0 {
+		c, x0, lo, hi = o.sub(0, c), o.sub(0, x0), o.sub(0, hi), o.sub(0, lo)
+	}
+	pLo, pHi = o.sub(lo, x0), o.sub(hi, x0)
+	if c != 1 {
+		pLo, pHi = ceilDiv(pLo, c), floorDiv(pHi, c)
+	}
+	if o.bad {
+		return 1, 0
+	}
+	return pLo, pHi
+}
+
+// split evaluates every guard comparison of the body at the span's
+// first point and leaves the sorted cuts in bs.cuts: 0, n, and each
+// point of (0, n) where a comparison's difference d(p) = d0 + s·p can
+// change sign — ⌈−d0/s⌉ and ⌊−d0/s⌋+1. It reports false when a side
+// could leave int64 along the span: the checked kernel's wrapping
+// arithmetic is linear in p only while both sides stay in range at both
+// ends.
+func (b *bodySpan) split(bs *bodyState, n int64) bool {
+	cuts := append(bs.cuts[:0], 0, n)
+	// Guard sides read only the frame and module scalars: any
+	// equation's context evaluates them.
+	k := &bs.eqs[0].kctx
+	var o ovf
+	for i := range b.cmps {
+		gc := &b.cmps[i]
+		ls, rs := b.cmpSlopes[i][0], b.cmpSlopes[i][1]
+		l0, lEnd := line(&o, k, gc.lhs.eval, ls, n)
+		r0, rEnd := line(&o, k, gc.rhs.eval, rs, n)
 		d0, s := o.sub(l0, r0), o.sub(ls, rs)
 		o.sub(lEnd, rEnd)
-		st.d0[i], st.ds[i] = d0, s
+		bs.d0[i], bs.ds[i] = d0, s
 		if s == 0 {
 			continue
 		}
@@ -601,99 +698,148 @@ func (st *spanState) split(cmps []guardCmp, n int64) ([]int64, bool) {
 		}
 	}
 	if o.bad {
-		return nil, false
+		bs.cuts = cuts[:0]
+		return false
 	}
-	slices.Sort(cuts)
-	st.cuts = slices.Compact(cuts)
-	return st.cuts, true
+	if bs.cuts = cuts; len(cuts) > 2 {
+		slices.Sort(cuts)
+		bs.cuts = slices.Compact(cuts)
+	}
+	return true
 }
 
-// line evaluates one guard side at the span's first point and at its
-// last, with its slope per point, recording any overflow in o.
-func (st *spanState) line(o *ovf, side evalI, terms []slotCoef, n int64) (v0, vEnd, slope int64) {
-	for _, t := range terms {
-		if t.slot == st.slot {
-			slope = o.add(slope, t.coef)
-		}
-	}
-	v0 = side(&st.kctx)
-	return v0, o.add(v0, o.mul(slope, n-1)), slope
+// line evaluates one guard side of the given slope at the span's first
+// point and at its last, recording any overflow in o.
+func line(o *ovf, k *kctx, side evalI, slope, n int64) (v0, vEnd int64) {
+	v0 = side(k)
+	return v0, o.add(v0, o.mul(slope, n-1))
 }
 
-// pick returns the arm the guards select at span point p. split checked
+// pick fills arms with the arm each equation's guards select at span
+// point p and reports whether that tuple differs from cur. split checked
 // both ends of every difference, so d0 + ds·p is exact in wrapping
 // arithmetic.
-func (st *spanState) pick(guards []guardFn, p int64) int {
-	for i := range st.d {
-		st.d[i] = st.d0[i] + st.ds[i]*p
+func (b *bodySpan) pick(bs *bodyState, p int64, arms, cur []*specArm) (changed bool) {
+	for i := range bs.d {
+		bs.d[i] = bs.d0[i] + bs.ds[i]*p
 	}
-	for i, g := range guards {
-		if g(st.d) {
-			return i
+	for e, sk := range b.sks {
+		arm, d := &sk.arms[len(sk.guards)], bs.eqs[e].d
+		for i, g := range sk.guards {
+			if g(d) {
+				arm = &sk.arms[i]
+				break
+			}
+		}
+		arms[e] = arm
+		changed = changed || arm != cur[e]
+	}
+	return changed
+}
+
+// piece runs span points [a, z) — the frame at a — with the arm tuple
+// arms: the points inside every selected arm's certificate on the
+// direct stores, the rest through the checked kernels. It leaves the
+// frame at z.
+func (b *bodySpan) piece(bs *bodyState, arms []*specArm, a, z int64) {
+	lo, hi := a, z-1
+	for e, arm := range arms {
+		st := &bs.eqs[e]
+		for _, ai := range arm.accs {
+			lo, hi = max(lo, st.lo[ai]), min(hi, st.hi[ai])
 		}
 	}
-	return len(guards)
-}
-
-// piece runs span points [a, b) — the frame at a — with one arm: the
-// points inside the arm's certificate on its direct store, the rest
-// through the checked kernel. It leaves the frame at b.
-func (sk *specKernel) piece(st *spanState, arm *specArm, a, b int64) {
-	lo, hi := a, b-1
-	for _, ai := range arm.accs {
-		lo, hi = max(lo, st.lo[ai]), min(hi, st.hi[ai])
-	}
 	if lo > hi {
-		lo, hi = b, b-1
+		lo, hi = z, z-1
 	}
-	sk.fallback(st, lo-a)
+	if lo > a {
+		b.fallback(bs, lo-a)
+	}
 	if cnt := hi - lo + 1; cnt > 0 {
-		st.run(arm, lo, cnt)
+		en, k := bs.eqs[0].en, int64(len(b.sks))
+		en.eqCount += cnt * k
+		en.specCount += cnt * k
+		b.jam(bs, arms, lo, cnt)
 	}
-	sk.fallback(st, b-1-hi)
+	if hi < z-1 {
+		b.fallback(bs, z-1-hi)
+	}
 }
 
-// fallback runs cnt points through the checked kernel, recorded as one
-// KSpecFallback instant per segment rather than per point.
-func (sk *specKernel) fallback(st *spanState, cnt int64) {
-	if cnt <= 0 {
-		return
-	}
-	en := st.en
+// fallback runs cnt points through the checked kernels, recorded as one
+// KSpecFallback instant per equation and segment rather than per point.
+func (b *bodySpan) fallback(bs *bodyState, cnt int64) {
+	en := bs.eqs[0].en
 	if en.ring != nil {
-		en.ring.Emit(obs.KSpecFallback, en.ring.Now(), 0, sk.eq, cnt)
+		now := en.ring.Now()
+		for _, sk := range b.sks {
+			en.ring.Emit(obs.KSpecFallback, now, 0, sk.eq, cnt)
+		}
 	}
-	stepGeneric(sk.gen, en, st.fr, st.slot, cnt)
+	b.checked(en, bs.eqs[0].fr, cnt)
 }
 
-// run stores cnt certified points from span point x on the arm's
-// direct store — branch-free, advancing only the arm's offsets — and
-// leaves the frame just past them.
-func (st *spanState) run(arm *specArm, x, cnt int64) {
-	k := &st.kctx
-	offs, slope, accs, store := k.offs, st.slope, arm.accs, arm.store
-	for _, ai := range accs {
-		offs[ai] = st.base[ai] + slope[ai]*x
+// checked runs cnt points through the checked kernels from the frame's
+// current point, every equation in body order at each point, and leaves
+// the frame just past the last one.
+func (b *bodySpan) checked(en *env, fr []int64, cnt int64) {
+	for c := int64(0); c < cnt; c++ {
+		for e, gen := range b.gens {
+			en.curEq = b.kern[e]
+			en.eqCount++
+			gen(en, fr)
+		}
+		fr[b.slot]++
 	}
-	k.en.eqCount += cnt
-	k.en.specCount += cnt
-	fr, slot := k.fr, st.slot
-	if !arm.readsIdx {
+}
+
+// jam stores cnt certified points of the body from span point x on the
+// direct stores of the arm tuple arms — branch-free, every equation in
+// body order at each point, each advancing only its arm's offsets — and
+// leaves the frame just past them.
+func (b *bodySpan) jam(bs *bodyState, arms []*specArm, x, cnt int64) {
+	eqs, readsIdx := bs.eqs, false
+	for e, arm := range arms {
+		st := &eqs[e]
+		for _, ai := range arm.accs {
+			st.offs[ai] = st.base[ai] + st.slope[ai]*x
+		}
+		readsIdx = readsIdx || arm.readsIdx
+	}
+	en, fr, slot := eqs[0].en, eqs[0].fr, b.slot
+	if len(eqs) == 1 {
+		// One equation, which en.curEq already names, keeps its store and
+		// offsets in locals: activations of short rows run about 3 %
+		// faster than through the loop over equations below.
+		k, arm := &eqs[0].kctx, arms[0]
+		store, accs, offs, slope := arm.store, arm.accs, k.offs, eqs[0].slope
 		for p := int64(0); p < cnt; p++ {
 			store(k)
 			for _, ai := range accs {
 				offs[ai] += slope[ai]
 			}
+			if readsIdx {
+				fr[slot]++
+			}
 		}
-		fr[slot] += cnt
-		return
+	} else {
+		for p := int64(0); p < cnt; p++ {
+			for i, arm := range arms {
+				st := &eqs[i]
+				en.curEq = st.eq
+				arm.store(&st.kctx)
+				offs, slope := st.offs, st.slope
+				for _, ai := range arm.accs {
+					offs[ai] += slope[ai]
+				}
+			}
+			if readsIdx {
+				fr[slot]++
+			}
+		}
 	}
-	for p := int64(0); p < cnt; p++ {
-		store(k)
-		for _, ai := range accs {
-			offs[ai] += slope[ai]
-		}
-		fr[slot]++
+	if !readsIdx {
+		fr[slot] += cnt
 	}
 }
 
@@ -734,13 +880,16 @@ func (p *Program) Kernels(name string, opts plan.Options) []KernelSpec {
 		for j, t := range eq.Targets {
 			names[j] = t.Sym.Name
 		}
+		sp := cp.specs[i]
 		specs[i] = KernelSpec{
 			Eq:          eq.Label,
 			Target:      strings.Join(names, ", "),
-			Specialized: cp.spans[i].specialized,
-			Reason:      cp.spans[i].why,
-			Guards:      cp.spans[i].guards,
+			Specialized: sp.spec != nil,
+			Reason:      sp.why,
 			PointWise:   pointWise[i],
+		}
+		if sp.spec != nil {
+			specs[i].Guards = len(sp.spec.cmps)
 		}
 	}
 	return specs

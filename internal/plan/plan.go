@@ -65,11 +65,12 @@ type Step struct {
 	// Steps[i+1:End]); meaningless for OpEq.
 	End int
 	// Leaf marks a loop executors hand to the kernels as contiguous
-	// spans instead of re-entering the step dispatcher per point: a
-	// DOALL whose body is equation steps only, or a DO whose body is
-	// exactly one equation step (the §3 iterative loop — one kernel runs
-	// its points in ascending order, so carried reads along the loop see
-	// program order).
+	// spans instead of re-entering the step dispatcher per point: a loop
+	// whose body is one or more equation steps only. A leaf DOALL runs
+	// each equation's row in turn; a leaf DO is the §3 iterative loop and
+	// runs its whole range as one span of its body, the equations jammed
+	// point by point in body order, so carried reads along the loop see
+	// program order.
 	Leaf bool
 	// Hyper carries the §4 restructuring data for OpWavefront steps; nil
 	// for every other op.
@@ -113,7 +114,7 @@ type Hyper struct {
 	// RowSplit reports that no dependence inside one row — S·d of the
 	// form (0,…,0,c) — runs from a later body equation to an earlier
 	// one, so each equation may run its whole row in turn. Otherwise the
-	// equations are jammed point by point along the row.
+	// row is one span of the body, the equations jammed point by point.
 	RowSplit bool
 }
 
@@ -411,7 +412,7 @@ func (p *Program) Restructured() bool {
 
 // PointWise reports, per kernel, why the plan reaches it only one point
 // at a time, or "" when its enclosing loop hands it contiguous spans (a
-// leaf DOALL or DO, or a wavefront's split rows).
+// leaf DOALL or DO, or a wavefront's rows).
 func (p *Program) PointWise() []string {
 	why := make([]string, len(p.Eqs))
 	var walk func(parent, lo, hi int)
@@ -438,19 +439,19 @@ func (p *Program) reach(parent int) string {
 	if parent < 0 {
 		return "no enclosing loop"
 	}
-	st := &p.Steps[parent]
-	if st.Op == OpWavefront && !st.Hyper.RowSplit {
-		return "jammed wavefront rows"
+	if st := &p.Steps[parent]; !st.Leaf && st.Op != OpWavefront {
+		return fmt.Sprintf("%s body holds a nested loop", st.Op)
 	}
-	if st.Leaf || st.Op == OpWavefront {
-		return ""
-	}
-	for i := parent + 1; i < st.End; i++ {
-		if p.Steps[i].Op != OpEq {
-			return fmt.Sprintf("%s body holds a nested loop", st.Op)
-		}
-	}
-	return fmt.Sprintf("%d-equation sequential body", st.End-parent-1)
+	return ""
+}
+
+// BodySpan reports whether executors run the equation body of the loop
+// step at i as one span per row, its equations jammed point by point in
+// body order: a leaf DO (one equation being the plain case), or a
+// wavefront whose rows do not split.
+func (p *Program) BodySpan(i int) bool {
+	st := &p.Steps[i]
+	return (st.Op == OpDo && st.Leaf) || (st.Op == OpWavefront && !st.Hyper.RowSplit)
 }
 
 // lowerer carries lowering state for one Lower call.
@@ -490,8 +491,9 @@ func (lw *lowerer) lower(fc core.Flowchart) {
 // same iteration's writes, so each kernel still runs its own row span
 // per chunk, and one fork/join is saved); sibling DO nests, or the nests
 // the scheduler split inside one DO, merge when the merged nest is a
-// wavefront. A merged sequential body of several equations would run
-// point by point where the unmerged nests ran spans, so it is refused.
+// wavefront. A merged sequential nest gains no parallel step — its body
+// would run as one jammed span where the unmerged nests ran one span
+// each — so it is refused.
 func (lw *lowerer) fuse(fc core.Flowchart) core.Flowchart {
 	return core.FuseIf(fc, func(l *core.LoopDesc) bool {
 		ok := leafDoAll(l)
@@ -610,13 +612,11 @@ func (lw *lowerer) lowerLoop(l *core.LoopDesc) {
 	lw.markLeaf(self)
 }
 
-// markLeaf sets Leaf on the loop step at self once its body is lowered:
-// a DOALL whose body is equation steps only, or a DO whose body is
-// exactly one equation step.
+// markLeaf sets Leaf on the loop step at self once its body is lowered
+// and holds one or more equation steps only.
 func (lw *lowerer) markLeaf(self int) {
 	st := &lw.p.Steps[self]
-	n := st.End - self - 1
-	if n == 0 || (st.Op == OpDo && n != 1) {
+	if st.End == self+1 {
 		return
 	}
 	for i := self + 1; i < st.End; i++ {

@@ -88,10 +88,27 @@ func TestLowerGaussSeidel(t *testing.T) {
 	}
 }
 
-// TestLeafDo pins which sequential DOs executors may hand to a kernel as
-// one span: exactly those whose body is a single equation step. A DO
-// around a nested loop (DO, DOALL) or around two equations stays
-// point-wise, and PointWise says why for every kernel it reaches.
+// mixedBody carries S and A along K together, so the scheduled nest is
+// DO K (S[K]; DOALL I (A[K,I])): a DO whose body mixes an equation and
+// a loop.
+const mixedBody = `
+Mixed: module (X: array[I] of real; N: int; T: int): [A: array[K,I] of real];
+type
+    I = 1 .. N;  K = 1 .. T;
+var
+    S: array[K] of real;
+define
+    (*eq.1*) S[K] = if K = 1 then 0.0 else S[K-1] + A[K-1,1];
+    (*eq.2*) A[K,I] = if K = 1 then X[I] else A[K-1,I] + S[K];
+end Mixed;
+`
+
+// TestLeafDo pins which sequential DOs executors hand to the kernels as
+// one span of their body: exactly those whose body is equation steps
+// only, one (Gauss–Seidel's J) or several (CoupledGrid's J, its two
+// equations jammed point by point). A DO around a nested loop (DO,
+// DOALL) is not a leaf, and PointWise says why for every kernel it
+// reaches directly.
 func TestLeafDo(t *testing.T) {
 	for _, tc := range []struct {
 		name, src, module string
@@ -105,11 +122,14 @@ func TestLeafDo(t *testing.T) {
 			map[string]bool{"K": false},
 			map[string]string{"eq.1": "", "eq.2": "", "eq.3": ""}},
 		{"CoupledGrid", psrc.CoupledGrid, "CoupledGrid",
-			map[string]bool{"I": false, "J": false},
-			map[string]string{"eq.1": "2-equation sequential body", "eq.2": "2-equation sequential body", "eq.3": ""}},
+			map[string]bool{"I": false, "J": true},
+			map[string]string{"eq.1": "", "eq.2": "", "eq.3": ""}},
 		{"Prefix", psrc.Prefix, "Prefix",
 			map[string]bool{"I2": true},
 			map[string]string{"eq.1": "no enclosing loop", "eq.2": "", "eq.3": ""}},
+		{"Mixed", mixedBody, "Mixed",
+			map[string]bool{"K": false},
+			map[string]string{"eq.1": "do body holds a nested loop", "eq.2": ""}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := lower(t, tc.src, tc.module, plan.Options{})
@@ -124,8 +144,13 @@ func TestLeafDo(t *testing.T) {
 				if want, ok := tc.leaf[dim]; !ok || st.Leaf != want {
 					t.Errorf("do %s: Leaf = %v, want %v (listed: %v)", dim, st.Leaf, want, ok)
 				}
-				if st.Leaf && (st.End != i+2 || p.Steps[i+1].Op != plan.OpEq) {
-					t.Errorf("do %s is leaf but its body is not one equation step", dim)
+				for _, b := range p.Steps[i+1 : st.End] {
+					if st.Leaf && b.Op != plan.OpEq {
+						t.Errorf("do %s is leaf but its body holds a %s step", dim, b.Op)
+					}
+				}
+				if p.BodySpan(i) != st.Leaf {
+					t.Errorf("do %s: BodySpan = %v, want Leaf = %v", dim, p.BodySpan(i), st.Leaf)
 				}
 			}
 			for dim := range tc.leaf {
@@ -184,7 +209,7 @@ end Chain;
 // TestCascadeFusionRule pins the sibling merges the cascade weighs
 // beyond TestLowerFused's DOALL pair: a DO pair merges when its merged
 // nest is a wavefront; a DOALL pair across an "I - c" read, and a DO pair
-// whose merged body would run point by point, stay apart.
+// whose merged nest would stay sequential, stay apart.
 func TestCascadeFusionRule(t *testing.T) {
 	for _, tc := range []struct{ name, src, want string }{
 		{"DoAllBackwardRead", `

@@ -44,8 +44,8 @@ func (f Finding) String() string {
 }
 
 // Outcome is the result of checking one generated program: which
-// cascade backends its lowering reached, whether any kernel fell back
-// to the generic evaluator, and every divergence found.
+// cascade backends its lowering reached, which kernel paths its runs
+// took, and every divergence found.
 type Outcome struct {
 	Spec Spec
 	// Backends marks cascade backends this program's lowering reached:
@@ -55,7 +55,14 @@ type Outcome struct {
 	// SpecFallback reports that a non-strict parallel run executed at
 	// least one equation instance on the generic checked kernel.
 	SpecFallback bool
-	Findings     []Finding
+	// Specialized reports that a non-strict run executed at least one
+	// equation instance on the direct kernels.
+	Specialized bool
+	// Jammed reports that a lowered plan runs a body of two or more
+	// equations as one span (a leaf DO or jammed wavefront rows), which
+	// the sequential reference or the cascade rows then executed.
+	Jammed   bool
+	Findings []Finding
 }
 
 // Failed reports whether any finding was recorded.
@@ -181,6 +188,7 @@ func Check(ctx context.Context, sp Spec, o Options) *Outcome {
 	}
 	pl := plan.Lower(fe.mod, fe.schd, plan.Options{Hyperplane: true})
 	classify(pl, out)
+	out.Jammed = jammed(pl) || jammed(plan.Lower(fe.mod, fe.schd, plan.Options{}))
 	if err := plan.VerifyTiles(pl, fe.graph); err != nil {
 		out.addf("verify", "cascade", "%v", err)
 	}
@@ -220,6 +228,9 @@ func Check(ctx context.Context, sp Spec, o Options) *Outcome {
 		}
 		if !v.strict && r.stats.SpecializedKernels < r.stats.EquationInstances {
 			out.SpecFallback = true
+		}
+		if !v.strict && r.stats.SpecializedKernels > 0 {
+			out.Specialized = true
 		}
 	}
 
@@ -280,6 +291,17 @@ func classify(pl *plan.Program, out *Outcome) {
 			}
 		}
 	}
+}
+
+// jammed reports whether pl runs some body of two or more equations as
+// one span.
+func jammed(pl *plan.Program) bool {
+	for i := range pl.Steps {
+		if pl.BodySpan(i) && len(pl.BodyEqs(i)) > 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // wavefrontSkew returns the skew of the lowered plan's wavefront step.

@@ -11,7 +11,7 @@
 // favoured wavefront geometry, or rejected/sequential — so a bounded
 // campaign provably reaches every executor path. Orthogonal knobs add §5-fusable sibling pairs, integer inputs,
 // and deliberate escapes from the specializer's recognized body grammar
-// (reflected subscripts, non-finite arithmetic) so the generic checked
+// (non-affine subscripts, non-finite arithmetic) so the generic checked
 // kernels and the non-finite JSON/C conventions are exercised too.
 //
 // Everything is a pure function of (Seed, Class): Generate is
@@ -93,8 +93,8 @@ const (
 	// EscapeNone leaves every body inside the specializable grammar.
 	EscapeNone Escape = iota
 	// EscapeReflect reads the seed through a reflected subscript
-	// (lo+hi-J): affine but not unit-stride, so the specializer bails
-	// and the equation runs on the generic checked kernel.
+	// (lo+hi-J): slope −1 along the row, the negative-slope case of the
+	// direct kernels, whose accesses walk the row backwards.
 	EscapeReflect
 	// EscapeNaN adds a (s-s)/(s-s) term: NaN at every point,
 	// exercising the non-finite JSON spellings and C printf parity.
@@ -103,6 +103,10 @@ const (
 	// witness for Go math.Min (NaN-propagating) vs C fmin
 	// (NaN-ignoring) semantics in generated code.
 	EscapeMinMaxNaN
+	// EscapeWrap reads the seed through a mod subscript kept in range
+	// ((J+1-lo) mod ext + lo): not affine, so the specializer bails and
+	// the equation runs on the generic checked kernel.
+	EscapeWrap
 	// NumEscapes is the number of escape kinds.
 	NumEscapes
 )
@@ -118,6 +122,8 @@ func (e Escape) String() string {
 		return "nan"
 	case EscapeMinMaxNaN:
 		return "minmax-nan"
+	case EscapeWrap:
+		return "wrap"
 	}
 	return fmt.Sprintf("escape(%d)", int(e))
 }
@@ -433,13 +439,17 @@ func (sp *Spec) boundary(deps [][]int64, then, sep string) string {
 // full nest).
 func (sp *Spec) escapeTerm(base string) string {
 	switch sp.Escape {
-	case EscapeReflect:
+	case EscapeReflect, EscapeWrap:
 		last := sp.Dims[len(sp.Dims)-1]
 		terms := make([]string, len(sp.Dims))
 		for i, d := range sp.Dims {
 			terms[i] = d.Name
 		}
-		terms[len(terms)-1] = fmt.Sprintf("%d-%s", last.Lo+last.Hi, last.Name)
+		if sp.Escape == EscapeReflect {
+			terms[len(terms)-1] = fmt.Sprintf("%d-%s", last.Lo+last.Hi, last.Name)
+		} else {
+			terms[len(terms)-1] = fmt.Sprintf("(%s) mod %d + %d", sub(last.Name, last.Lo-1), last.Hi-last.Lo+1, last.Lo)
+		}
 		return fmt.Sprintf("%s + %s * Seed[%s]", base, lit(sp.Coefs[3]), strings.Join(terms, ","))
 	case EscapeNaN:
 		nan := fmt.Sprintf("(%s - %s) / (%s - %s)", base, base, base, base)

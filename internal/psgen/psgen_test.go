@@ -136,13 +136,14 @@ func TestSkewPoolsReachTiling(t *testing.T) {
 // TestCheckCleanAcrossClasses runs the quick differential matrix on a
 // seed sweep of every class and expects zero findings — the harness's
 // own no-false-positive bar. It also requires the sweep to observe
-// runtime doacross tiles and at least one specializer fallback.
+// runtime doacross tiles, at least one specializer fallback and one
+// multi-equation span.
 func TestCheckCleanAcrossClasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is not short")
 	}
 	ctx := context.Background()
-	sawDoacross, sawFallback := false, false
+	sawDoacross, sawFallback, sawJammed := false, false, false
 	for c := Class(0); c < NumClasses; c++ {
 		for seed := uint64(0); seed < 6; seed++ {
 			sp := Generate(seed, c)
@@ -156,6 +157,9 @@ func TestCheckCleanAcrossClasses(t *testing.T) {
 			if out.SpecFallback {
 				sawFallback = true
 			}
+			if out.Jammed {
+				sawJammed = true
+			}
 		}
 	}
 	if !sawDoacross {
@@ -163,6 +167,38 @@ func TestCheckCleanAcrossClasses(t *testing.T) {
 	}
 	if !sawFallback {
 		t.Error("no program in the sweep fell back to the generic kernel")
+	}
+	if !sawJammed {
+		t.Error("no program in the sweep ran a multi-equation span")
+	}
+}
+
+// TestEscapesSteerKernels pins which kernel path each subscript escape
+// reaches on one DOALL program: the reflected read runs on the direct
+// kernels (slope −1), the mod-wrapped read keeps its equation on the
+// checked kernel, and neither diverges. The report's coverage gaps name
+// every kernel path a campaign never ran.
+func TestEscapesSteerKernels(t *testing.T) {
+	for _, tc := range []struct {
+		escape   Escape
+		fallback bool
+	}{{EscapeNone, false}, {EscapeReflect, false}, {EscapeWrap, true}} {
+		sp := Generate(2, ClassDOALL)
+		sp.Escape = tc.escape
+		out := Check(context.Background(), sp, Options{Quick: true})
+		for _, f := range out.Findings {
+			t.Errorf("%s: %s\n%s", tc.escape, f, sp.Render())
+		}
+		if !out.Specialized || out.SpecFallback != tc.fallback {
+			t.Errorf("%s: Specialized = %v, SpecFallback = %v; want true, %v\n%s",
+				tc.escape, out.Specialized, out.SpecFallback, tc.fallback, sp.Render())
+		}
+	}
+	gaps := strings.Join(NewReport().CoverageGaps(), "; ")
+	for _, want := range []string{"specialized kernel", "specializer fallback", "multi-equation span"} {
+		if !strings.Contains(gaps, want) {
+			t.Errorf("an empty report's gaps %q miss %q", gaps, want)
+		}
 	}
 }
 

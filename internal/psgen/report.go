@@ -14,13 +14,16 @@ var AllBackends = []string{
 }
 
 // Report aggregates the outcomes of a campaign: how many programs
-// were generated, which backends their lowerings reached, how many
-// fell back to generic kernels, and every failure.
+// were generated, which backends their lowerings reached, how many ran
+// direct kernels, fell back to generic kernels or ran a multi-equation
+// span, and every failure.
 type Report struct {
 	Programs      int
 	Backends      map[string]int
 	Escapes       map[string]int
+	Specialized   int
 	SpecFallbacks int
+	Jammed        int
 	Failed        []*Outcome
 }
 
@@ -36,8 +39,14 @@ func (r *Report) Add(out *Outcome) {
 		r.Backends[b]++
 	}
 	r.Escapes[out.Spec.Escape.String()]++
+	if out.Specialized {
+		r.Specialized++
+	}
 	if out.SpecFallback {
 		r.SpecFallbacks++
+	}
+	if out.Jammed {
+		r.Jammed++
 	}
 	if out.Failed() {
 		r.Failed = append(r.Failed, out)
@@ -45,8 +54,8 @@ func (r *Report) Add(out *Outcome) {
 }
 
 // CoverageGaps names the acceptance counters still at zero: cascade
-// backends no program lowered to, and the specializer fallback if no
-// program exercised a generic kernel.
+// backends no program lowered to, and the kernel paths no program ran —
+// the direct kernels, the generic checked kernel, a multi-equation span.
 func (r *Report) CoverageGaps() []string {
 	var gaps []string
 	for _, b := range AllBackends {
@@ -54,8 +63,14 @@ func (r *Report) CoverageGaps() []string {
 			gaps = append(gaps, "backend "+b)
 		}
 	}
+	if r.Specialized == 0 {
+		gaps = append(gaps, "specialized kernel")
+	}
 	if r.SpecFallbacks == 0 {
 		gaps = append(gaps, "specializer fallback")
+	}
+	if r.Jammed == 0 {
+		gaps = append(gaps, "multi-equation span")
 	}
 	return gaps
 }
@@ -68,7 +83,9 @@ func (r *Report) String() string {
 	for _, name := range AllBackends {
 		fmt.Fprintf(&b, "  %-17s %d\n", name, r.Backends[name])
 	}
+	fmt.Fprintf(&b, "specialized kernels: %d\n", r.Specialized)
 	fmt.Fprintf(&b, "specializer fallbacks: %d\n", r.SpecFallbacks)
+	fmt.Fprintf(&b, "multi-equation spans: %d\n", r.Jammed)
 	keys := make([]string, 0, len(r.Escapes))
 	for k := range r.Escapes {
 		keys = append(keys, k)

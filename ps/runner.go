@@ -161,7 +161,7 @@ func (r *Runner) Explain() string {
 // accumulated up to the abort).
 //
 // ctx cancellation or deadline expiry aborts sequential loops within
-// one iteration (an innermost single-equation DO within its one span)
+// one iteration (an innermost DO around equations within its one span)
 // and DOALLs within one row; the returned
 // error then satisfies errors.Is(err, ctx.Err()).
 func (r *Runner) Run(ctx context.Context, args []any) ([]any, *RunStats, error) {

@@ -454,8 +454,8 @@ func TestParallelPlanFuses(t *testing.T) {
 
 // TestCascadeKeepsLeafSpans pins a merge the cascade refuses: twin's two
 // 1-D recurrences stay two leaf DOs, each one span, because merged they
-// would be a two-equation sequential body run point by point; so every
-// instance runs on a specialized kernel.
+// would gain no parallel step; every instance runs on a specialized
+// kernel.
 func TestCascadeKeepsLeafSpans(t *testing.T) {
 	twin, err := ps.CompileProgram("twin.ps", mustRead(t, "testdata/twin.ps"))
 	if err != nil {
