@@ -156,8 +156,8 @@ func TestGoldenExplain(t *testing.T) {
 	}
 	checkGolden(t, "coupled_explain_par2.txt", run.Explain())
 
-	// A two-equation sequential body: its specialized kernels are reached
-	// one point at a time, and Explain must say so.
+	// A two-equation sequential body run as one jammed span, then two
+	// copy-outs Explain must mark as copy spans.
 	reflectProg, err := ps.CompileProgram("reflect.ps", mustRead(t, "testdata/reflect.ps"))
 	if err != nil {
 		t.Fatal(err)

@@ -547,15 +547,7 @@ func (c *compiler) compileF(e ast.Expr) evalF {
 	case *ast.Unary:
 		return negate(x.Op.String(), c.compileF(x.X))
 	case *ast.Binary:
-		l, r := c.compileF(x.X), c.compileF(x.Y)
-		op := x.Op.String()
-		if f := arith(op, l, r); f != nil {
-			return f
-		}
-		if op == "/" {
-			return func(k *kctx) float64 { return l(k) / r(k) }
-		}
-		c.failf("invalid real operator %s", op)
+		return c.binaryF(x, c.operandF(x.X), c.operandF(x.Y))
 	case *ast.IfExpr:
 		return compileIf(c, x, c.compileF)
 	case *ast.Index:
@@ -570,6 +562,25 @@ func (c *compiler) compileF(e ast.Expr) evalF {
 	}
 	c.unsupported("real expression", e)
 	return nil
+}
+
+// binaryF compiles the real binary node x over its classified operands:
+// one fused closure when an operand is a leaf, else the operator over
+// both subtrees.
+func (c *compiler) binaryF(x *ast.Binary, lo, ro operand[float64]) evalF {
+	op := x.Op.String()
+	if f := fuseArith(op, lo, ro); f != nil {
+		c.direct.fused++
+		return f
+	}
+	l, r := lo.f, ro.f
+	if f := arith(op, l, r); f != nil {
+		return f
+	}
+	if op != "/" {
+		c.failf("invalid real operator %s", op)
+	}
+	return func(k *kctx) float64 { return l(k) / r(k) }
 }
 
 // compileI compiles an integer-backed expression (int, subrange, char,
@@ -704,9 +715,19 @@ func (c *compiler) compileBinaryB(x *ast.Binary) evalB {
 	var rel evalB
 	switch lt, rt := c.typeOf(x.X), c.typeOf(x.Y); {
 	case lt.Kind() == types.RealKind || rt.Kind() == types.RealKind:
-		rel = compare(op, c.compileF(x.X), c.compileF(x.Y))
+		l, r := c.operandF(x.X), c.operandF(x.Y)
+		if rel = fuseCmpF(op, l, r); rel != nil {
+			c.direct.fused++
+		} else {
+			rel = compare(op, l.f, r.f)
+		}
 	case intBacked(lt):
-		rel = compare(op, c.compileI(x.X), c.compileI(x.Y))
+		l, r := c.operandI(x.X), c.operandI(x.Y)
+		if rel = fuseCmpI(op, l, r); rel != nil {
+			c.direct.fused++
+		} else {
+			rel = compare(op, l.f, r.f)
+		}
 	case lt.Kind() == types.BoolKind:
 		l, r := c.compileB(x.X), c.compileB(x.Y)
 		switch op {
@@ -973,12 +994,17 @@ func (c *compiler) compileCallF(x *ast.Call) evalF {
 	case "abs":
 		f := c.compileF(x.Args[0])
 		return func(k *kctx) float64 { return math.Abs(f(k)) }
-	case "min":
-		l, r := c.compileF(x.Args[0]), c.compileF(x.Args[1])
+	case "min", "max":
+		lo, ro := c.operandF(x.Args[0]), c.operandF(x.Args[1])
+		if f := fuseMinMax(name == "max", lo, ro); f != nil {
+			c.direct.fused++
+			return f
+		}
+		l, r := lo.f, ro.f
+		if name == "max" {
+			return func(k *kctx) float64 { return math.Max(l(k), r(k)) }
+		}
 		return func(k *kctx) float64 { return math.Min(l(k), r(k)) }
-	case "max":
-		l, r := c.compileF(x.Args[0]), c.compileF(x.Args[1])
-		return func(k *kctx) float64 { return math.Max(l(k), r(k)) }
 	case "float":
 		f := c.compileI(x.Args[0])
 		return func(k *kctx) float64 { return float64(f(k)) }

@@ -37,7 +37,17 @@
 // one-arm, zero-cut case of the same span loop. Points a piece's
 // certificate cannot cover run the checked kernel, so the two modes are
 // bitwise identical by construction: a new operator or builtin is one
-// edit.
+// edit (plus its fused shapes, operand.go, when it is a binary
+// arithmetic or comparison operator).
+//
+// The direct mode also folds leaves into their parents. A binary node
+// with a leaf operand — a direct read, a literal, a hoisted scalar — is
+// one closure over the checked operator in its operand order (a fused
+// node: R + R, T / 4), and a store inlines a leaf value or the root of
+// `subtree op literal`. An arm whose value is a bare read of another
+// array (Out[I,J] = X[I,J], newA = A[maxK]) is a copy arm: on a
+// single-equation span whose target and source accesses both advance by
+// one element per point, each certified piece stores with one copy.
 //
 // Every loop that hands kernels contiguous runs of points reaches the
 // direct mode through one span executor, which runs a body of k ≥ 1

@@ -35,6 +35,16 @@ package interp
 // a guard whose sides could leave int64) and strict mode run the checked
 // kernels — all k of them per point, in body order — so specialized and
 // generic execution are bitwise identical.
+//
+// Per point, a direct kernel is as few closures as its tree allows: a
+// binary node over a leaf operand — a direct read, a literal, a hoisted
+// scalar — is one fused closure (operand.go), an arm's store inlines a
+// leaf value or the root of `subtree op literal`, and an arm whose value
+// is a bare read of another array is a *copy arm*: a certified piece of
+// a single-equation span whose target and source both move one element
+// per point stores with one copy, which any order of the point loop
+// equals because the two backings are distinct. A read of the target's
+// own array, any other slope and a jammed body run the point loop.
 
 import (
 	"cmp"
@@ -128,6 +138,9 @@ type speccer struct {
 	// registered; readsIdx records whether it read a loop index.
 	arm      []int
 	readsIdx bool
+	// fused counts the closures that inline a leaf operand (operand.go),
+	// stores included.
+	fused int
 }
 
 func (s *speccer) bail(format string, args ...any) {
@@ -328,11 +341,74 @@ func (o *ovf) mul(a, b int64) int64 {
 // specArm is one arm of a specialized body: the direct store of its
 // value, the access-table entries it registered (the target always
 // among them), and whether its closures read a loop index, which is
-// the only reason to keep the frame current point by point.
+// the only reason to keep the frame current point by point. A copy arm
+// — its value a bare read of an array other than the target — also
+// names its source access src (−1 for any other arm) and its target
+// access dst.
 type specArm struct {
 	store    func(k *kctx)
 	accs     []int
 	readsIdx bool
+	dst, src int
+}
+
+// storeF compiles the direct store of real expression e into access
+// ti. A leaf value folds into the store, and so does the root of
+// `subtree op literal` (a stencil's final / 4). src is the access of a
+// value that is a bare read, −1 otherwise.
+func (c *compiler) storeF(ti int, e ast.Expr) (store func(k *kctx), src int) {
+	var o operand[float64]
+	if x, ok := ast.Unparen(e).(*ast.Binary); ok && c.typeOf(x).Kind() == types.RealKind {
+		l, r := c.operandF(x.X), c.operandF(x.Y)
+		if f, v := l.f, r.v; l.kind == subtree && r.kind == litLeaf {
+			c.direct.fused++
+			switch x.Op.String() {
+			case "+":
+				return func(k *kctx) { k.fs[ti][k.offs[ti]] = f(k) + v }, -1
+			case "-":
+				return func(k *kctx) { k.fs[ti][k.offs[ti]] = f(k) - v }, -1
+			case "*":
+				return func(k *kctx) { k.fs[ti][k.offs[ti]] = f(k) * v }, -1
+			case "/":
+				return func(k *kctx) { k.fs[ti][k.offs[ti]] = f(k) / v }, -1
+			}
+		}
+		o.f = c.binaryF(x, l, r)
+	} else {
+		o = c.operandF(e)
+	}
+	if o.kind != subtree {
+		c.direct.fused++
+	}
+	a, v, f := o.i, o.v, o.f
+	switch o.kind {
+	case readLeaf:
+		return func(k *kctx) { k.fs[ti][k.offs[ti]] = k.fs[a][k.offs[a]] }, a
+	case litLeaf:
+		return func(k *kctx) { k.fs[ti][k.offs[ti]] = v }, -1
+	case hoistLeaf:
+		return func(k *kctx) { k.fs[ti][k.offs[ti]] = k.sf[a] }, -1
+	}
+	return func(k *kctx) { k.fs[ti][k.offs[ti]] = f(k) }, -1
+}
+
+// storeI compiles the direct store of integer-backed expression e into
+// access ti, folding a leaf value into the store; src is as for storeF.
+func (c *compiler) storeI(ti int, e ast.Expr) (store func(k *kctx), src int) {
+	o := c.operandI(e)
+	if o.kind != subtree {
+		c.direct.fused++
+	}
+	a, v, f := o.i, o.v, o.f
+	switch o.kind {
+	case readLeaf:
+		return func(k *kctx) { k.is[ti][k.offs[ti]] = k.is[a][k.offs[a]] }, a
+	case litLeaf:
+		return func(k *kctx) { k.is[ti][k.offs[ti]] = v }, -1
+	case hoistLeaf:
+		return func(k *kctx) { k.is[ti][k.offs[ti]] = k.sn[a] }, -1
+	}
+	return func(k *kctx) { k.is[ti][k.offs[ti]] = f(k) }, -1
 }
 
 // specKernel is one equation's direct form, compiled once and shared by
@@ -346,6 +422,7 @@ type specKernel struct {
 	cmps       []guardCmp
 	accs       []*specAccess
 	sf, sn, sb hoistTab
+	fused      int
 }
 
 // spanState is one equation's share of a span's working set: the
@@ -412,17 +489,21 @@ func (c *compiler) specializeEquation(eq *sem.Equation) (sp eqSpec) {
 	sk := &specKernel{eq: int64(eq.Index), guards: guards, arms: make([]specArm, len(exprs))}
 	for i, e := range exprs {
 		s.arm, s.readsIdx = []int{ti}, false
+		arm := &sk.arms[i]
 		if s.accs[ti].isF {
-			rhs := dc.compileF(e)
-			sk.arms[i].store = func(k *kctx) { k.fs[ti][k.offs[ti]] = rhs(k) }
+			arm.store, arm.src = dc.storeF(ti, e)
 		} else {
-			rhs := dc.compileI(e)
-			sk.arms[i].store = func(k *kctx) { k.is[ti][k.offs[ti]] = rhs(k) }
+			arm.store, arm.src = dc.storeI(ti, e)
 		}
-		sk.arms[i].accs, sk.arms[i].readsIdx = s.arm, s.readsIdx
+		// A bare read of another array is a copy: the arm's span copies
+		// the source run wherever both advance one element per point.
+		if arm.src >= 0 && s.accs[arm.src].si == s.accs[ti].si {
+			arm.src = -1
+		}
+		arm.dst, arm.accs, arm.readsIdx = ti, s.arm, s.readsIdx
 	}
 	sk.cmps, sk.accs = s.cmps, s.accs
-	sk.sf, sk.sn, sk.sb = s.sf, s.sn, s.sb
+	sk.sf, sk.sn, sk.sb, sk.fused = s.sf, s.sn, s.sb, s.fused
 	return eqSpec{spec: sk}
 }
 
@@ -813,6 +894,17 @@ func (b *bodySpan) jam(bs *bodyState, arms []*specArm, x, cnt int64) {
 		// faster than through the loop over equations below.
 		k, arm := &eqs[0].kctx, arms[0]
 		store, accs, offs, slope := arm.store, arm.accs, k.offs, eqs[0].slope
+		if d, s := arm.dst, arm.src; s >= 0 && slope[d] == 1 && slope[s] == 1 {
+			// A copy arm over unit-stride runs of two distinct arrays: one
+			// memmove stores what the point loop would, in any order.
+			if b.accs[0][d].isF {
+				copy(k.fs[d][offs[d]:offs[d]+cnt], k.fs[s][offs[s]:])
+			} else {
+				copy(k.is[d][offs[d]:offs[d]+cnt], k.is[s][offs[s]:])
+			}
+			fr[slot] += cnt
+			return
+		}
 		for p := int64(0); p < cnt; p++ {
 			store(k)
 			for _, ai := range accs {
@@ -859,6 +951,14 @@ type KernelSpec struct {
 	// a time, so its specialized form never runs ("" when a loop hands
 	// it spans).
 	PointWise string
+	// CopyArms numbers (from 1, in guard order, the else last) the arms
+	// that run as one copy per certified piece: a bare read of another
+	// array, both moving one element per point along the single-equation
+	// spans of the selected plan.
+	CopyArms []int
+	// Fused is the number of the kernel's direct closures that inline a
+	// leaf operand — an array read, a literal or a hoisted scalar.
+	Fused int
 }
 
 // Kernels reports the specialization outcome per equation of the named
@@ -889,10 +989,34 @@ func (p *Program) Kernels(name string, opts plan.Options) []KernelSpec {
 			PointWise:   pointWise[i],
 		}
 		if sp.spec != nil {
-			specs[i].Guards = len(sp.spec.cmps)
+			specs[i].Guards, specs[i].Fused = len(sp.spec.cmps), sp.spec.fused
+		}
+	}
+	for _, spans := range cp.spans {
+		for _, b := range spans {
+			if b.sks == nil || len(b.kern) != 1 {
+				continue
+			}
+			for a, arm := range b.sks[0].arms {
+				if arm.src >= 0 && unitStride(b.accs[0][arm.dst]) && unitStride(b.accs[0][arm.src]) {
+					specs[b.kern[0]].CopyArms = append(specs[b.kern[0]].CopyArms, a+1)
+				}
+			}
 		}
 	}
 	return specs
+}
+
+// unitStride reports whether a span moves the access one element per
+// point: along its last dimension only, with slope 1.
+func unitStride(ac spanAccess) bool {
+	last := len(ac.subs) - 1
+	for _, sub := range ac.subs[:last] {
+		if sub.slope != 0 {
+			return false
+		}
+	}
+	return ac.subs[last].slope == 1
 }
 
 // --- write-coverage analysis -------------------------------------------------

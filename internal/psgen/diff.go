@@ -61,8 +61,13 @@ type Outcome struct {
 	// Jammed reports that a lowered plan runs a body of two or more
 	// equations as one span (a leaf DO or jammed wavefront rows), which
 	// the sequential reference or the cascade rows then executed.
-	Jammed   bool
-	Findings []Finding
+	Jammed bool
+	// Copied and Fused report that a run executed direct kernels of a
+	// program whose spans hold a copy arm (Program.Kernels' CopyArms) or
+	// whose direct kernels hold a fused node (a closure inlining a read,
+	// literal or scalar operand).
+	Copied, Fused bool
+	Findings      []Finding
 }
 
 // Failed reports whether any finding was recorded.
@@ -188,6 +193,10 @@ func Check(ctx context.Context, sp Spec, o Options) *Outcome {
 	}
 	pl := plan.Lower(fe.mod, fe.schd, plan.Options{Hyperplane: true})
 	classify(pl, out)
+	copies, fused, err := kernelPaths(fe)
+	if err != nil {
+		out.addf("compile", "kernels", "%v", err)
+	}
 	out.Jammed = jammed(pl) || jammed(plan.Lower(fe.mod, fe.schd, plan.Options{}))
 	if err := plan.VerifyTiles(pl, fe.graph); err != nil {
 		out.addf("verify", "cascade", "%v", err)
@@ -234,16 +243,34 @@ func Check(ctx context.Context, sp Spec, o Options) *Outcome {
 		}
 	}
 
+	out.Copied, out.Fused = out.Specialized && copies, out.Specialized && fused
 	if o.CC != "" {
 		ccCheck(ctx, out, &sp, fe, pl, ref.out, o)
 	}
 	return out
 }
 
+// kernelPaths reports whether either plan of the program runs a copy arm
+// on its spans, and whether any direct kernel holds a fused node.
+func kernelPaths(fe *frontendResult) (copies, fused bool, err error) {
+	ip, err := interp.Compile(fe.prog)
+	if err != nil {
+		return false, false, err
+	}
+	for _, opts := range []plan.Options{{}, {Hyperplane: true}} {
+		for _, ks := range ip.Kernels(ModuleName, opts) {
+			copies = copies || len(ks.CopyArms) > 0 && ks.PointWise == ""
+			fused = fused || ks.Fused > 0
+		}
+	}
+	return copies, fused, nil
+}
+
 // frontendResult is the front half of the pipeline, kept so the
 // harness can inspect the scheduler cascade's Decision records and
 // hand the same module to the C generator.
 type frontendResult struct {
+	prog  *sem.Program
 	mod   *sem.Module
 	graph *depgraph.Graph
 	schd  *core.Schedule
@@ -267,7 +294,7 @@ func frontend(src string) (*frontendResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &frontendResult{mod: m, graph: g, schd: schd}, nil
+	return &frontendResult{prog: cp, mod: m, graph: g, schd: schd}, nil
 }
 
 // classify folds the cascade decisions into the outcome's backend set.

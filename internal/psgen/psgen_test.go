@@ -136,14 +136,14 @@ func TestSkewPoolsReachTiling(t *testing.T) {
 // TestCheckCleanAcrossClasses runs the quick differential matrix on a
 // seed sweep of every class and expects zero findings — the harness's
 // own no-false-positive bar. It also requires the sweep to observe
-// runtime doacross tiles, at least one specializer fallback and one
-// multi-equation span.
+// runtime doacross tiles, at least one specializer fallback, one
+// multi-equation span, one copy arm and one fused node.
 func TestCheckCleanAcrossClasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is not short")
 	}
 	ctx := context.Background()
-	sawDoacross, sawFallback, sawJammed := false, false, false
+	sawDoacross, sawFallback, sawJammed, sawCopied, sawFused := false, false, false, false, false
 	for c := Class(0); c < NumClasses; c++ {
 		for seed := uint64(0); seed < 6; seed++ {
 			sp := Generate(seed, c)
@@ -160,6 +160,8 @@ func TestCheckCleanAcrossClasses(t *testing.T) {
 			if out.Jammed {
 				sawJammed = true
 			}
+			sawCopied = sawCopied || out.Copied
+			sawFused = sawFused || out.Fused
 		}
 	}
 	if !sawDoacross {
@@ -170,6 +172,12 @@ func TestCheckCleanAcrossClasses(t *testing.T) {
 	}
 	if !sawJammed {
 		t.Error("no program in the sweep ran a multi-equation span")
+	}
+	if !sawCopied {
+		t.Error("no program in the sweep ran a copy arm")
+	}
+	if !sawFused {
+		t.Error("no program in the sweep ran a fused node")
 	}
 }
 
@@ -195,7 +203,7 @@ func TestEscapesSteerKernels(t *testing.T) {
 		}
 	}
 	gaps := strings.Join(NewReport().CoverageGaps(), "; ")
-	for _, want := range []string{"specialized kernel", "specializer fallback", "multi-equation span"} {
+	for _, want := range []string{"specialized kernel", "specializer fallback", "multi-equation span", "copy arm", "fused node"} {
 		if !strings.Contains(gaps, want) {
 			t.Errorf("an empty report's gaps %q miss %q", gaps, want)
 		}

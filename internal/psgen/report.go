@@ -15,8 +15,8 @@ var AllBackends = []string{
 
 // Report aggregates the outcomes of a campaign: how many programs
 // were generated, which backends their lowerings reached, how many ran
-// direct kernels, fell back to generic kernels or ran a multi-equation
-// span, and every failure.
+// direct kernels, fell back to generic kernels, ran a multi-equation
+// span, a copy arm or a fused node, and every failure.
 type Report struct {
 	Programs      int
 	Backends      map[string]int
@@ -24,6 +24,8 @@ type Report struct {
 	Specialized   int
 	SpecFallbacks int
 	Jammed        int
+	Copied        int
+	Fused         int
 	Failed        []*Outcome
 }
 
@@ -48,6 +50,12 @@ func (r *Report) Add(out *Outcome) {
 	if out.Jammed {
 		r.Jammed++
 	}
+	if out.Copied {
+		r.Copied++
+	}
+	if out.Fused {
+		r.Fused++
+	}
 	if out.Failed() {
 		r.Failed = append(r.Failed, out)
 	}
@@ -55,7 +63,8 @@ func (r *Report) Add(out *Outcome) {
 
 // CoverageGaps names the acceptance counters still at zero: cascade
 // backends no program lowered to, and the kernel paths no program ran —
-// the direct kernels, the generic checked kernel, a multi-equation span.
+// the direct kernels, the generic checked kernel, a multi-equation span,
+// a copy arm, a fused node.
 func (r *Report) CoverageGaps() []string {
 	var gaps []string
 	for _, b := range AllBackends {
@@ -72,6 +81,12 @@ func (r *Report) CoverageGaps() []string {
 	if r.Jammed == 0 {
 		gaps = append(gaps, "multi-equation span")
 	}
+	if r.Copied == 0 {
+		gaps = append(gaps, "copy arm")
+	}
+	if r.Fused == 0 {
+		gaps = append(gaps, "fused node")
+	}
 	return gaps
 }
 
@@ -86,6 +101,8 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "specialized kernels: %d\n", r.Specialized)
 	fmt.Fprintf(&b, "specializer fallbacks: %d\n", r.SpecFallbacks)
 	fmt.Fprintf(&b, "multi-equation spans: %d\n", r.Jammed)
+	fmt.Fprintf(&b, "copy arms: %d\n", r.Copied)
+	fmt.Fprintf(&b, "fused nodes: %d\n", r.Fused)
 	keys := make([]string, 0, len(r.Escapes))
 	for k := range r.Escapes {
 		keys = append(keys, k)

@@ -98,3 +98,45 @@ func TestRunnerExplain(t *testing.T) {
 		t.Errorf("Explain() of a sequential runner:\n%s", out)
 	}
 }
+
+// copyArms copies X whole (eq.1), in two arms of three (eq.2), in one
+// arm beside a carried one (eq.3), and reflected (eq.4, no copy: its
+// read walks the row backwards).
+const copyArms = `
+Copies: module (X: array[I,J] of real; N: int):
+    [A: array[I,J] of real; B: array[I,J] of real; C: array[I,J] of real; D: array[I,J] of real];
+type
+    I, J = 1 .. N;
+define
+    (*eq.1*) A[I,J] = X[I,J];
+    (*eq.2*) B[I,J] = if J = 1 then X[I,J] elsif J = 2 then 0.0 else X[I,J];
+    (*eq.3*) C[I,J] = if J = 1 then X[I,J] else C[I,J-1] + 1.0;
+    (*eq.4*) D[I,J] = X[I, N+1-J];
+end Copies;
+`
+
+// TestExplainCopySpan pins how Explain marks the arms that run as copy
+// spans, with and without guards, sequentially and on workers.
+func TestExplainCopySpan(t *testing.T) {
+	prog, err := ps.CompileProgram("copies.ps", copyArms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]ps.RunOption{{ps.Sequential()}, {ps.Workers(2)}} {
+		run, err := prog.Prepare("Copies", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := run.Explain()
+		for _, want := range []string{
+			"kernel eq.1 (A): specialized, copy span\n",
+			"kernel eq.2 (B): specialized, split on 2 guards, copy span on arm 1, 3\n",
+			"kernel eq.3 (C): specialized, split on 1 guard, copy span on arm 1\n",
+			"kernel eq.4 (D): specialized\n",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("Explain() missing %q:\n%s", want, out)
+			}
+		}
+	}
+}

@@ -140,6 +140,17 @@ func (r *Runner) Explain() string {
 		default:
 			fmt.Fprintf(&sb, ", split on %d guards", ks.Guards)
 		}
+		switch {
+		case len(ks.CopyArms) == 0:
+		case ks.Guards == 0:
+			sb.WriteString(", copy span")
+		default:
+			arms := make([]string, len(ks.CopyArms))
+			for i, a := range ks.CopyArms {
+				arms[i] = fmt.Sprint(a)
+			}
+			fmt.Fprintf(&sb, ", copy span on arm %s", strings.Join(arms, ", "))
+		}
 		if ks.PointWise != "" {
 			fmt.Fprintf(&sb, " (point-wise: %s)", ks.PointWise)
 		}
