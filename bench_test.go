@@ -13,8 +13,8 @@
 //   - BenchmarkNative_*: the same algorithms hand-written in Go, isolating
 //     the algorithmic shape from interpreter overhead.
 //   - BenchmarkEngine_Activation: the service path — a prepared Runner on
-//     an Engine's shared pool vs the one-shot Program.Run that builds and
-//     tears down a pool per activation.
+//     an Engine's shared pool vs a Runner prepared and run on a fresh
+//     Engine per activation.
 package repro
 
 import (
@@ -45,19 +45,44 @@ func benchGrid(m int64) *ps.Array {
 
 func mustCompile(b *testing.B, src string) *ps.Program {
 	b.Helper()
-	prog, err := ps.CompileProgram("bench.ps", src)
+	prog, err := newEngine(b).Compile("bench.ps", src)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return prog
 }
 
+// benchRun prepares module with opts once and times b.N runs of it.
+func benchRun(b *testing.B, prog *ps.Program, module string, args []any, opts ...ps.RunOption) {
+	b.Helper()
+	r, err := prog.Prepare(module, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := r.Run(ctx, args); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// uncachedEngine returns an engine on which every Compile of a fresh
+// name misses: its cache keeps only the most recent program.
+func uncachedEngine(b *testing.B) *ps.Engine {
+	eng := ps.NewEngine(ps.EngineWorkers(1), ps.WithCacheLimit(1))
+	b.Cleanup(eng.Close)
+	return eng
+}
+
 // BenchmarkFig5_Scheduling measures the full front half of the compiler
 // on the Figure 1 module: parse, check, dependency graph, MSCC
 // decomposition and flowchart construction.
 func BenchmarkFig5_Scheduling(b *testing.B) {
+	eng := uncachedEngine(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := ps.CompileProgram("relaxation.ps", psrc.Relaxation); err != nil {
+		if _, err := eng.Compile(fmt.Sprintf("relaxation%d.ps", i), psrc.Relaxation); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,11 +98,7 @@ func BenchmarkFig6_Jacobi(b *testing.B) {
 	in := benchGrid(m)
 	run := func(b *testing.B, opts ...ps.RunOption) {
 		b.Helper()
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Run("Relaxation", []any{in, int64(m), int64(maxK)}, opts...); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchRun(b, prog, "Relaxation", []any{in, int64(m), int64(maxK)}, opts...)
 	}
 	b.Run("Seq", func(b *testing.B) { run(b, ps.Sequential()) })
 	for w := 1; w <= runtime.NumCPU(); w *= 2 {
@@ -95,11 +116,7 @@ func BenchmarkFig7_GaussSeidel(b *testing.B) {
 	in := benchGrid(m)
 	run := func(b *testing.B, opts ...ps.RunOption) {
 		b.Helper()
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Run("Relaxation", []any{in, int64(m), int64(maxK)}, opts...); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchRun(b, prog, "Relaxation", []any{in, int64(m), int64(maxK)}, opts...)
 	}
 	b.Run("Seq", func(b *testing.B) { run(b, ps.Sequential()) })
 	b.Run("ParNoEffect", func(b *testing.B) { run(b, ps.Workers(runtime.NumCPU())) })
@@ -121,12 +138,13 @@ func BenchmarkSec4_Solve(b *testing.B) {
 func BenchmarkSec4_Transform(b *testing.B) {
 	prog := mustCompile(b, psrc.RelaxationGS)
 	mod := prog.Module("Relaxation")
+	eng := uncachedEngine(b)
 	for i := 0; i < b.N; i++ {
 		hp, err := mod.Hyperplane("eq.3")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ps.CompileProgram("gsh.ps", hp.TransformedSource); err != nil {
+		if _, err := eng.Compile(fmt.Sprintf("gsh%d.ps", i), hp.TransformedSource); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,11 +166,7 @@ func BenchmarkSec4_Wavefront(b *testing.B) {
 	in := benchGrid(m)
 	for w := 1; w <= runtime.NumCPU(); w *= 2 {
 		b.Run(fmt.Sprintf("Par%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := prog.Run(hp.TransformedModule, []any{in, int64(m), int64(maxK)}, ps.Workers(w)); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchRun(b, prog, hp.TransformedModule, []any{in, int64(m), int64(maxK)}, ps.Workers(w))
 		})
 	}
 }
@@ -165,29 +179,23 @@ func BenchmarkWindow(b *testing.B) {
 	const m, maxK = 48, 64
 	prog := mustCompile(b, psrc.Relaxation)
 	in := benchGrid(m)
+	args := []any{in, int64(m), int64(maxK)}
 	b.Run("Virtual2Planes", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Run("Relaxation", []any{in, int64(m), int64(maxK)}, ps.Workers(1)); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchRun(b, prog, "Relaxation", args, ps.Workers(1))
 	})
 	b.Run("PhysicalMaxKPlanes", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Run("Relaxation", []any{in, int64(m), int64(maxK)}, ps.Workers(1), ps.NoVirtual()); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchRun(b, prog, "Relaxation", args, ps.Workers(1), noVirtual)
 	})
 }
 
-// BenchmarkEngine_Activation compares the redesigned service path — one
-// Engine whose pool is shared by every activation of a prepared Runner —
-// against the legacy one-shot path that spawns and closes a worker pool
-// per Run. The gap is pure activation overhead, the cost that dominates
-// when many small requests hit the runtime.
+// BenchmarkEngine_Activation compares the service path — one Engine
+// whose pool is shared by every activation of a prepared Runner —
+// against a fresh Engine per activation, which starts and closes a
+// worker pool and prepares a Runner for every Run. The gap is pure
+// activation overhead, the cost that dominates when many small requests
+// hit the runtime.
 func BenchmarkEngine_Activation(b *testing.B) {
 	const m, maxK = 48, 4
 	workers := runtime.NumCPU()
@@ -213,11 +221,20 @@ func BenchmarkEngine_Activation(b *testing.B) {
 		}
 	})
 	b.Run("OneShotPoolPerRun", func(b *testing.B) {
-		legacy := mustCompile(b, psrc.Relaxation)
 		for i := 0; i < b.N; i++ {
-			if _, err := legacy.Run("Relaxation", args, ps.Workers(workers)); err != nil {
+			eng := ps.NewEngine(ps.EngineWorkers(workers))
+			prog, err := eng.Compile("bench.ps", psrc.Relaxation)
+			if err != nil {
 				b.Fatal(err)
 			}
+			run, err := prog.Prepare("Relaxation")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := run.Run(ctx, args); err != nil {
+				b.Fatal(err)
+			}
+			eng.Close()
 		}
 	})
 }
@@ -288,9 +305,8 @@ func benchDOALL(b *testing.B, file, module string) {
 
 // BenchmarkWavefront_GaussSeidel measures the automatic §4 pass on the
 // testdata Gauss–Seidel module: Seq is the all-iterative baseline the
-// Figure 7 schedule admits, HyperOffParN shows that workers cannot help
-// the untransformed nest, and AutoParN runs the compiler-generated
-// wavefront plan at increasing widths — the speedup the tentpole claims.
+// Figure 7 schedule admits, and AutoParN runs the compiler-generated
+// wavefront plan at increasing widths.
 func BenchmarkWavefront_GaussSeidel(b *testing.B) {
 	sizes := []struct {
 		name    string
@@ -315,7 +331,7 @@ func BenchmarkWavefront_SkewStencil(b *testing.B) {
 }
 
 // benchWavefront runs one dependence-carrying module through an Engine
-// at Small/Large sizes under Seq, HyperOff×workers and Auto×workers.
+// at Small/Large sizes under Seq and Auto×workers.
 func benchWavefront(b *testing.B, file, module string, argsFor func(m, maxK int64) []any,
 	sizes []struct {
 		name    string
@@ -355,9 +371,6 @@ func benchWavefront(b *testing.B, file, module string, argsFor func(m, maxK int6
 		}
 		for _, w := range workers {
 			w := w
-			b.Run(fmt.Sprintf("%s/HyperOffPar%d", sz.name, w), func(b *testing.B) {
-				run(b, ps.Workers(w), ps.WithHyperplane(ps.HyperplaneOff))
-			})
 			b.Run(fmt.Sprintf("%s/AutoPar%d", sz.name, w), func(b *testing.B) {
 				run(b, ps.Workers(w))
 			})
@@ -519,18 +532,7 @@ end Chain;
 	for i := int64(0); i <= n; i++ {
 		xs.SetF([]int64{i}, float64(i%97))
 	}
-	b.Run("Unfused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Run("Chain", []any{xs, int64(n)}, ps.Sequential()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Cascade", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := prog.Run("Chain", []any{xs, int64(n)}, ps.Workers(1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	args := []any{xs, int64(n)}
+	b.Run("Unfused", func(b *testing.B) { benchRun(b, prog, "Chain", args, ps.Sequential()) })
+	b.Run("Cascade", func(b *testing.B) { benchRun(b, prog, "Chain", args, ps.Workers(1)) })
 }

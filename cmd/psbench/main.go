@@ -245,7 +245,6 @@ func main() {
 		traced bool
 	}{
 		{"Seq", []ps.RunOption{ps.Sequential()}, false},
-		{fmt.Sprintf("HyperOffPar%d", w), []ps.RunOption{ps.Workers(w), ps.WithHyperplane(ps.HyperplaneOff)}, false},
 		{fmt.Sprintf("AutoPar%d", w), []ps.RunOption{ps.Workers(w)}, false},
 		// TracedAutoPar measures the recording-on cost of the execution
 		// recorder (TraceRun vs the AutoPar baseline). It is recorded

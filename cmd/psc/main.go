@@ -5,17 +5,15 @@
 // Usage:
 //
 //	psc [-module name] [-dump c|flowchart|plan|components|graph|dot|virtual|source]
-//	    [-openmp] [-no-virtual] [-hyperplane auto|off]
-//	    [-schedule auto|doacross] [-transform eq.N] file.ps
+//	    [-openmp] [-no-virtual] [-seq] [-transform eq.N] file.ps
 //
 // Examples:
 //
 //	psc -dump flowchart relaxation.ps      # Figure 6
 //	psc -dump plan relaxation.ps           # lowered loop plan (shared IR)
 //	psc -dump plan gs.ps                   # §4 auto-hyperplane wavefront step (π, window)
-//	psc -dump plan -hyperplane off gs.ps   # the untransformed DO nest
+//	psc -dump plan -seq gs.ps              # the untransformed DO nest
 //	psc -dump c -openmp relaxation.ps      # annotated C with OpenMP pragmas
-//	psc -dump c -openmp -schedule doacross gs.ps  # omp ordered/depend doacross nest
 //	psc -transform eq.3 gs.ps              # §4 hyperplane-transformed source
 package main
 
@@ -32,32 +30,11 @@ func main() {
 	dump := flag.String("dump", "c", "what to emit: c, flowchart, plan, components, graph, dot, virtual, source")
 	openmp := flag.Bool("openmp", false, "emit #pragma omp parallel for above DOALL loops")
 	noVirtual := flag.Bool("no-virtual", false, "allocate every dimension physically")
-	hyper := flag.String("hyperplane", "auto", "automatic §4 wavefront restructuring of eligible sequential nests: auto or off")
-	schedule := flag.String("schedule", "auto", "C form of wavefront nests: auto (a per-plane parallel sweep) or doacross (one omp ordered/depend nest)")
+	seq := flag.Bool("seq", false, "emit the plan sequential runs execute (the schedule as emitted) instead of the parallel cascade plan")
 	transform := flag.String("transform", "", "apply the §4 hyperplane transformation to the named equation and emit the rewritten PS source")
 	flag.Parse()
 
-	var planOpts ps.PlanOptions
-	switch *hyper {
-	case "auto":
-		planOpts.Hyperplane = ps.HyperplaneAuto
-	case "off":
-		planOpts.Hyperplane = ps.HyperplaneOff
-	default:
-		fmt.Fprintf(os.Stderr, "psc: invalid -hyperplane %q (want auto or off)\n", *hyper)
-		os.Exit(2)
-	}
-	// -schedule names a C form of the plan's wavefront nests, not a
-	// plan: the runtime has one tile executor and nothing to select.
-	var cDoacross bool
-	switch *schedule {
-	case "auto":
-	case "doacross":
-		cDoacross = true
-	default:
-		fmt.Fprintf(os.Stderr, "psc: invalid -schedule %q (want auto or doacross)\n", *schedule)
-		os.Exit(2)
-	}
+	planOpts := ps.PlanOptions{Sequential: *seq}
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: psc [flags] file.ps")
@@ -98,7 +75,7 @@ func main() {
 
 	switch *dump {
 	case "c":
-		c, err := m.GenerateCWith(planOpts, ps.CGenOptions{OpenMP: *openmp, NoVirtual: *noVirtual, Doacross: cDoacross})
+		c, err := m.GenerateCWith(planOpts, ps.CGenOptions{OpenMP: *openmp, NoVirtual: *noVirtual})
 		if err != nil {
 			fatal(err)
 		}

@@ -4,7 +4,6 @@
 // Usage:
 //
 //	psrun [-module name] [-workers N] [-seq] [-strict] [-grain N]
-//	      [-hyperplane auto|off]
 //	      [-timeout d] [-stats] [-trace out.json] [-explain]
 //	      [-in inputs.json] [-cpuprofile f] [-memprofile f] file.ps
 //
@@ -53,7 +52,6 @@ func main() {
 	seq := flag.Bool("seq", false, "force sequential execution")
 	strict := flag.Bool("strict", false, "enable single-assignment checking")
 	grain := flag.Int64("grain", 0, "g of the dispatch rule: a DOALL or wavefront step tiles when its average plane holds g x workers points (default 32; a DOALL is one plane); also the minimum tile width")
-	hyper := flag.String("hyperplane", "auto", "automatic §4 wavefront restructuring of eligible sequential nests: auto or off")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	stats := flag.Bool("stats", false, "print run statistics and a timing breakdown to stderr")
 	trace := flag.String("trace", "", "record the run and write Chrome trace-event JSON to this file")
@@ -121,13 +119,6 @@ func main() {
 	}
 	if *grain > 0 {
 		opts = append(opts, ps.Grain(*grain))
-	}
-	switch *hyper {
-	case "auto":
-	case "off":
-		opts = append(opts, ps.WithHyperplane(ps.HyperplaneOff))
-	default:
-		fatalUsage(fmt.Errorf("invalid -hyperplane %q (want auto or off)", *hyper))
 	}
 	run, err := prog.Prepare(name, opts...)
 	if err != nil {

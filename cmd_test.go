@@ -50,13 +50,19 @@ func TestPscC(t *testing.T) {
 			t.Errorf("C output missing %q", want)
 		}
 	}
-	// -schedule doacross is psc's alone: the C form of a wavefront nest.
-	out, errOut, err = runGo(t, "", "./cmd/psc", "-dump", "c", "-openmp", "-schedule", "doacross", "testdata/gauss_seidel.ps")
+	// A wavefront nest has one C form: a sequential sweep of planes, each
+	// plane a parallel loop.
+	out, errOut, err = runGo(t, "", "./cmd/psc", "-dump", "c", "-openmp", "testdata/gauss_seidel.ps")
 	if err != nil {
-		t.Fatalf("psc -schedule doacross: %v\n%s", err, errOut)
+		t.Fatalf("psc: %v\n%s", err, errOut)
 	}
-	if !strings.Contains(out, "#pragma omp for ordered(3) schedule(static, 1)") {
-		t.Errorf("doacross C output has no ordered(3) nest:\n%s", out)
+	for _, want := range []string{"/* WAVEFRONT K, I, J", "/* DOALL plane */", "#pragma omp parallel for collapse(2)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("wavefront C output missing %q:\n%s", want, out)
+		}
+	}
+	if _, errOut, err = runGo(t, "", "./cmd/psc", "-dump", "c", "-schedule", "doacross", "testdata/gauss_seidel.ps"); err == nil || !strings.Contains(errOut, "flag provided but not defined: -schedule") {
+		t.Errorf("psc -schedule: err %v, want an undefined-flag error:\n%s", err, errOut)
 	}
 }
 
@@ -174,9 +180,12 @@ func TestPsrunExitCodes(t *testing.T) {
 			t.Errorf("-schedule %s: exit %d, want 2 and an undefined-flag message:\n%s", v, code, stderr)
 		}
 	}
-	// Usage: fusion is a cascade decision, not a flag → 2.
-	if code, stderr := exitCode("-fused", "testdata/relaxation.ps"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -fused") {
-		t.Errorf("-fused: exit %d, want 2 and an undefined-flag message:\n%s", code, stderr)
+	// Usage: fusion and the §4 restructuring are cascade decisions, not
+	// flags → 2.
+	for _, args := range [][]string{{"-fused"}, {"-hyperplane", "off"}} {
+		if code, stderr := exitCode(append(args, "testdata/relaxation.ps")...); code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s: exit %d, want 2 and an undefined-flag message:\n%s", args[0], code, stderr)
+		}
 	}
 	// Program diagnostic: missing inputs → 1, with typed fields.
 	code, stderr := exitCode("testdata/relaxation.ps")

@@ -44,7 +44,7 @@ func checkGolden(t *testing.T, name, got string) {
 // goldenModule loads one corpus module for rendering.
 func goldenModule(t *testing.T, src, module string) *ps.Module {
 	t.Helper()
-	prog, err := ps.CompileProgram(module+".ps", src)
+	prog, err := newEngine(t).Compile(module+".ps", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,9 @@ func goldenModule(t *testing.T, src, module string) *ps.Module {
 
 // TestGoldenPlanListings pins the indented plan listings of the
 // representative modules: the Jacobi relaxation (DOALL planes inside DO
-// K), the Gauss–Seidel revision in both hyperplane modes (wavefront step
-// vs the untransformed DO nest), and the new dependence-carrying corpus
+// K), the Gauss–Seidel revision in both plans (the parallel wavefront
+// step vs the untransformed DO nest Sequential runs), and the new
+// dependence-carrying corpus
 // programs.
 func TestGoldenPlanListings(t *testing.T) {
 	relax := goldenModule(t, psrc.Relaxation, "Relaxation")
@@ -68,7 +69,7 @@ func TestGoldenPlanListings(t *testing.T) {
 	gs := goldenModule(t, gsSrc, "Relaxation")
 	checkGolden(t, "gauss_seidel_plan.txt", gs.Plan())
 	checkGolden(t, "gauss_seidel_plan_hyperoff.txt",
-		gs.PlanWith(ps.PlanOptions{Hyperplane: ps.HyperplaneOff}))
+		gs.PlanWith(ps.PlanOptions{Sequential: true}))
 
 	skew := goldenModule(t, mustRead(t, "testdata/skew_stencil.ps"), "SkewStencil")
 	checkGolden(t, "skew_stencil_plan.txt", skew.Plan())
@@ -102,18 +103,20 @@ func TestGoldenPlanListings(t *testing.T) {
 }
 
 // TestGoldenPlanCompact pins the one-line Figure 6-style plan of every
-// corpus program in one file, auto and hyperplane-off variants side by
-// side — the quickest visual index of what the compiler decided.
+// corpus program in one file, the parallel ("auto") and sequential
+// ("off") plans side by side — the quickest visual index of what the
+// compiler decided.
 func TestGoldenPlanCompact(t *testing.T) {
 	var sb strings.Builder
+	eng := newEngine(t)
 	for _, tp := range variantPrograms(t) {
-		prog, err := ps.CompileProgram(tp.name+".ps", tp.src)
+		prog, err := eng.Compile(tp.name+".ps", tp.src)
 		if err != nil {
 			t.Fatalf("%s: %v", tp.name, err)
 		}
 		m := prog.Module(tp.module)
 		fmt.Fprintf(&sb, "%s auto: %s\n", tp.name, m.PlanCompact())
-		if off := m.PlanCompactWith(ps.PlanOptions{Hyperplane: ps.HyperplaneOff}); off != m.PlanCompact() {
+		if off := m.PlanCompactWith(ps.PlanOptions{Sequential: true}); off != m.PlanCompact() {
 			fmt.Fprintf(&sb, "%s off:  %s\n", tp.name, off)
 		}
 	}
@@ -121,11 +124,12 @@ func TestGoldenPlanCompact(t *testing.T) {
 }
 
 // TestGoldenExplain pins Runner.Explain — the execution-mode header plus
-// the exact plan a prepared runner executes — for a wavefront module in
-// both modes and for a sequential runner (where auto-hyperplane is
-// intentionally inert).
+// the exact plan a prepared runner executes — for a wavefront module on
+// two workers and on a sequential runner (which executes the schedule
+// as emitted).
 func TestGoldenExplain(t *testing.T) {
-	prog, err := ps.CompileProgram("gauss_seidel.ps", mustRead(t, "testdata/gauss_seidel.ps"))
+	eng := newEngine(t)
+	prog, err := eng.Compile("gauss_seidel.ps", mustRead(t, "testdata/gauss_seidel.ps"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +138,6 @@ func TestGoldenExplain(t *testing.T) {
 		opts []ps.RunOption
 	}{
 		{"gauss_seidel_explain_par2.txt", []ps.RunOption{ps.Workers(2)}},
-		{"gauss_seidel_explain_par2_hyperoff.txt", []ps.RunOption{ps.Workers(2), ps.WithHyperplane(ps.HyperplaneOff)}},
 		{"gauss_seidel_explain_seq.txt", []ps.RunOption{ps.Sequential()}},
 	} {
 		run, err := prog.Prepare("Relaxation", tc.opts...)
@@ -146,7 +149,7 @@ func TestGoldenExplain(t *testing.T) {
 
 	// The multi-equation wavefront surface: Explain must show the
 	// kernels sharing one π, indented under the wavefront step.
-	coupled, err := ps.CompileProgram("coupled.ps", mustRead(t, "testdata/coupled.ps"))
+	coupled, err := eng.Compile("coupled.ps", mustRead(t, "testdata/coupled.ps"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +161,7 @@ func TestGoldenExplain(t *testing.T) {
 
 	// A two-equation sequential body run as one jammed span, then two
 	// copy-outs Explain must mark as copy spans.
-	reflectProg, err := ps.CompileProgram("reflect.ps", mustRead(t, "testdata/reflect.ps"))
+	reflectProg, err := eng.Compile("reflect.ps", mustRead(t, "testdata/reflect.ps"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,16 +174,16 @@ func TestGoldenExplain(t *testing.T) {
 
 // TestGoldenPscPlan drives `psc -dump plan` the way a user would and
 // checks the CLI emits exactly the golden plan listing (the same
-// artifact Module.Plan renders), in both hyperplane modes.
+// artifact Module.Plan renders), for the parallel plan and under -seq.
 func TestGoldenPscPlan(t *testing.T) {
 	out, errOut, err := runGo(t, "", "./cmd/psc", "-dump", "plan", "testdata/gauss_seidel.ps")
 	if err != nil {
 		t.Fatalf("psc: %v\n%s", err, errOut)
 	}
 	checkGolden(t, "gauss_seidel_plan.txt", out)
-	out, errOut, err = runGo(t, "", "./cmd/psc", "-dump", "plan", "-hyperplane", "off", "testdata/gauss_seidel.ps")
+	out, errOut, err = runGo(t, "", "./cmd/psc", "-dump", "plan", "-seq", "testdata/gauss_seidel.ps")
 	if err != nil {
-		t.Fatalf("psc -hyperplane off: %v\n%s", err, errOut)
+		t.Fatalf("psc -seq: %v\n%s", err, errOut)
 	}
 	checkGolden(t, "gauss_seidel_plan_hyperoff.txt", out)
 }

@@ -21,20 +21,11 @@ import (
 
 // Options configure generation.
 type Options struct {
-	// OpenMP adds "#pragma omp parallel for" above DOALL loops and, for
-	// doacross wavefronts, the "ordered(n)"/"depend(sink:)" directives.
+	// OpenMP adds "#pragma omp parallel for" above DOALL loops and above
+	// each plane of a wavefront nest.
 	OpenMP bool
 	// NoVirtual allocates every dimension physically.
 	NoVirtual bool
-	// Doacross selects the wavefront nest form. Unset emits the per-plane
-	// parallel sweep (tightened plane bounds under one parallel-for per
-	// plane); set emits the pipelined form — the whole transformed
-	// bounding box as one perfectly nested loop nest under "#pragma omp
-	// for ordered(n)", with one "depend(sink:)" vector per transformed
-	// dependence so iterations wait point-to-point instead of at a plane
-	// barrier. Both forms compute identical results (and compile to a
-	// valid sequential nest without OpenMP).
-	Doacross bool
 }
 
 // Generate emits a C translation unit for one lowered module plan.
@@ -312,10 +303,6 @@ func (g *generator) emitWavefront(st *plan.Step, bodyLo int) {
 	for j, slot := range st.Dims {
 		names[j] = g.pl.Bounds[slot].Subrange.Name
 	}
-	if g.opts.Doacross && len(hy.TDeps) > 0 {
-		g.emitWavefrontDoacross(st, bodyLo, names)
-		return
-	}
 	g.line("/* WAVEFRONT %s: t = %s (pi = %s, window %d) */",
 		strings.Join(names, ", "), lincomb(hy.Pi, names), vecC(hy.Pi), hy.Window)
 	g.line("{")
@@ -444,88 +431,6 @@ func (g *generator) emitWavefrontBox(hy *plan.Hyper, names []string, n int) {
 		g.line("const long wf_box_lo_%d = %s, wf_box_hi_%d = %s;",
 			r, lincomb(hy.T[r], loTerms), r, lincomb(hy.T[r], hiTerms))
 	}
-}
-
-// emitWavefrontDoacross renders a §4-restructured nest in the doacross
-// (pipelined) form: the whole transformed bounding box as one perfectly
-// nested rectangular loop nest — OpenMP's doacross construct requires
-// rectangular bounds, so the per-plane tightening of the barrier form
-// moves into the preimage guard — with one "depend(sink:)" vector per
-// transformed dependence. Iterations then wait point-to-point on the
-// exact iterations they read instead of joining a barrier between
-// planes; schedule(static, 1) hands consecutive hyperplanes to distinct
-// threads so successive planes pipeline. Without -fopenmp the pragmas
-// are inert and the nest executes the sweep sequentially in wavefront
-// order, so the output is valid (and bit-identical) either way.
-func (g *generator) emitWavefrontDoacross(st *plan.Step, bodyLo int, names []string) {
-	hy := st.Hyper
-	n := len(st.Dims)
-	g.line("/* WAVEFRONT %s: t = %s (pi = %s, window %d, doacross) */",
-		strings.Join(names, ", "), lincomb(hy.Pi, names), vecC(hy.Pi), hy.Window)
-	g.line("{")
-	g.ind++
-	g.emitWavefrontBox(hy, names, n)
-	wfNames := make([]string, n)
-	for r := 0; r < n; r++ {
-		wfNames[r] = fmt.Sprintf("wf_%d", r)
-	}
-	if g.opts.OpenMP {
-		g.line("#pragma omp parallel")
-		g.line("#pragma omp for ordered(%d) schedule(static, 1)", n)
-	}
-	for r := 0; r < n; r++ {
-		g.line("for (long wf_%d = wf_box_lo_%d; wf_%d <= wf_box_hi_%d; wf_%d++) {", r, r, r, r, r)
-		g.ind++
-	}
-	if g.opts.OpenMP {
-		// One sink per distinct transformed dependence: the source
-		// iteration of the value wf − d' reads.
-		seen := make(map[string]bool)
-		var sinks []string
-		for _, d := range hy.TDeps {
-			terms := make([]string, n)
-			for r := 0; r < n; r++ {
-				switch {
-				case d[r] == 0:
-					terms[r] = wfNames[r]
-				case d[r] > 0:
-					terms[r] = fmt.Sprintf("%s-%d", wfNames[r], d[r])
-				default:
-					terms[r] = fmt.Sprintf("%s+%d", wfNames[r], -d[r])
-				}
-			}
-			s := strings.Join(terms, ",")
-			if !seen[s] {
-				seen[s] = true
-				sinks = append(sinks, fmt.Sprintf("depend(sink: %s)", s))
-			}
-		}
-		g.line("#pragma omp ordered %s", strings.Join(sinks, " "))
-	}
-	g.line("{")
-	g.ind++
-	var guard []string
-	for j := 0; j < n; j++ {
-		g.line("const long %s = %s;", names[j], lincomb(hy.TInv[j], wfNames))
-		guard = append(guard,
-			fmt.Sprintf("%s >= %s_lo && %s <= %s_hi", names[j], names[j], names[j], names[j]))
-	}
-	g.line("if (%s) {", strings.Join(guard, " && "))
-	g.ind++
-	g.emitSteps(bodyLo, g.pl.Steps[bodyLo-1].End)
-	g.ind--
-	g.line("}")
-	g.ind--
-	g.line("}")
-	if g.opts.OpenMP {
-		g.line("#pragma omp ordered depend(source)")
-	}
-	for r := 0; r < n; r++ {
-		g.ind--
-		g.line("}")
-	}
-	g.ind--
-	g.line("}")
 }
 
 // vecC renders an integer vector like "(2,1,1)".

@@ -252,76 +252,11 @@ func TestGeneratedCWavefrontShape(t *testing.T) {
 // TestCompiledCWavefrontMatchesInterpreter compiles the auto-hyperplane
 // C for the Gauss-Seidel module with the system C compiler, runs it,
 // and compares every element against the interpreter's sequential run -
-// the barrier wavefront nest validated end to end through the C
+// the per-plane wavefront nest validated end to end through the C
 // backend.
 func TestCompiledCWavefrontMatchesInterpreter(t *testing.T) {
 	ccValidate(t, psrc.RelaxationGS, "Relaxation", plan.Options{Hyperplane: true},
 		cgen.Options{}, [][]string{{"-O2"}}, 9, 6, true)
-}
-
-// TestGeneratedCDoacrossShape checks the doacross wavefront form: the
-// whole transformed box as one perfectly nested rectangular nest under
-// "#pragma omp for ordered(n)", one depend(sink:) vector per distinct
-// transformed dependence, and the depend(source) completion mark.
-func TestGeneratedCDoacrossShape(t *testing.T) {
-	prog, err := parser.ParseProgram("t.ps", psrc.RelaxationGS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := sem.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := cp.Module("Relaxation")
-	schd, err := core.Build(depgraph.Build(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := plan.Lower(m, schd, plan.Options{Hyperplane: true})
-	c, err := cgen.Generate(m, pl, cgen.Options{OpenMP: true, Doacross: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"/* WAVEFRONT K, I, J: t = 2*K + I + J (pi = (2,1,1), window 3, doacross) */",
-		"#pragma omp for ordered(3) schedule(static, 1)",
-		// GS transformed deps: (2,1,0),(1,0,0),(1,0,1),(1,1,0),(1,1,-1).
-		"depend(sink: wf_0-2,wf_1-1,wf_2)",
-		"depend(sink: wf_0-1,wf_1,wf_2)",
-		"depend(sink: wf_0-1,wf_1,wf_2-1)",
-		"depend(sink: wf_0-1,wf_1-1,wf_2)",
-		"depend(sink: wf_0-1,wf_1-1,wf_2+1)",
-		"#pragma omp ordered depend(source)",
-		"const long J = wf_0 - 2*wf_1 - wf_2;",
-		"if (K >= K_lo && K <= K_hi && I >= I_lo && I <= I_hi && J >= J_lo && J <= J_hi)",
-	} {
-		if !strings.Contains(c, want) {
-			t.Errorf("doacross C missing %q\n%s", want, c)
-		}
-	}
-	// The doacross nest is rectangular: no per-plane tightening locals.
-	if strings.Contains(c, "wf_lo_") {
-		t.Errorf("doacross C still tightens plane bounds (non-rectangular ordered nest):\n%s", c)
-	}
-	// Without the doacross schedule the barrier form is unchanged.
-	barrier, err := cgen.Generate(m, pl, cgen.Options{OpenMP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(barrier, "ordered(") {
-		t.Errorf("barrier C contains doacross pragmas:\n%s", barrier)
-	}
-}
-
-// TestCompiledCDoacrossMatchesInterpreter compiles the doacross form
-// (omp ordered/depend) and compares every element against the
-// interpreter. Without -fopenmp the pragmas are inert and the nest runs
-// the sweep sequentially in wavefront order; the -fopenmp variant
-// validates the parallel doacross binary when the compiler supports it.
-func TestCompiledCDoacrossMatchesInterpreter(t *testing.T) {
-	ccValidate(t, psrc.RelaxationGS, "Relaxation", plan.Options{Hyperplane: true},
-		cgen.Options{OpenMP: true, Doacross: true},
-		[][]string{{"-O2"}, {"-fopenmp", "-O2"}}, 9, 6, true)
 }
 
 // TestGeneratedCPipeline checks module-call code generation.
@@ -354,10 +289,8 @@ func TestGeneratedCPipeline(t *testing.T) {
 }
 
 // TestGeneratedCMultiKernelWavefrontShape checks the multi-equation
-// wavefront C: both group assignments appear inside one skewed nest —
-// under the same preimage guard, in group order — for the barrier form,
-// and under the same ordered(n)/depend(sink:) pragmas for the doacross
-// form.
+// wavefront C: both group assignments appear inside one skewed nest,
+// under the same preimage guard, in group order.
 func TestGeneratedCMultiKernelWavefrontShape(t *testing.T) {
 	prog, err := parser.ParseProgram("t.ps", psrc.CoupledGrid)
 	if err != nil {
@@ -377,51 +310,36 @@ func TestGeneratedCMultiKernelWavefrontShape(t *testing.T) {
 		t.Fatal("auto-hyperplane lowering produced no wavefront step")
 	}
 
-	barrier, err := cgen.Generate(m, pl, cgen.Options{OpenMP: true})
+	c, err := cgen.Generate(m, pl, cgen.Options{OpenMP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	doacross, err := cgen.Generate(m, pl, cgen.Options{OpenMP: true, Doacross: true})
-	if err != nil {
-		t.Fatal(err)
+	// One wavefront comment, two assignments inside it, exactly one
+	// preimage guard: the group shares the nest.
+	if n := strings.Count(c, "/* WAVEFRONT"); n != 1 {
+		t.Errorf("C has %d wavefront nests, want 1:\n%s", n, c)
 	}
-	for name, c := range map[string]string{"barrier": barrier, "doacross": doacross} {
-		// One wavefront comment, two assignments inside it, exactly one
-		// preimage guard: the group shares the nest.
-		if n := strings.Count(c, "/* WAVEFRONT"); n != 1 {
-			t.Errorf("%s C has %d wavefront nests, want 1:\n%s", name, n, c)
-		}
-		guardAt := strings.Index(c, "if (I >= I_lo && I <= I_hi && J >= J_lo && J <= J_hi)")
-		if guardAt < 0 {
-			t.Fatalf("%s C missing the preimage guard:\n%s", name, c)
-		}
-		inGuard := c[guardAt:]
-		va := strings.Index(inGuard, "/* eq.2 */") // V's assignment (group order first)
-		ua := strings.Index(inGuard, "/* eq.1 */")
-		if va < 0 || ua < 0 || va > ua {
-			t.Errorf("%s C does not run both kernels in group order inside the guard (eq.2 at %d, eq.1 at %d)", name, va, ua)
-		}
+	guardAt := strings.Index(c, "if (I >= I_lo && I <= I_hi && J >= J_lo && J <= J_hi)")
+	if guardAt < 0 {
+		t.Fatalf("C missing the preimage guard:\n%s", c)
 	}
-	if !strings.Contains(doacross, "#pragma omp for ordered(2) schedule(static, 1)") {
-		t.Errorf("doacross C missing the ordered pragma:\n%s", doacross)
-	}
-	// The union's two distinct transformed dependences, deduplicated.
-	for _, want := range []string{"depend(sink: wf_0-1,wf_1)", "depend(sink: wf_0-1,wf_1-1)"} {
-		if !strings.Contains(doacross, want) {
-			t.Errorf("doacross C missing %q", want)
-		}
+	inGuard := c[guardAt:]
+	va := strings.Index(inGuard, "/* eq.2 */") // V's assignment (group order first)
+	ua := strings.Index(inGuard, "/* eq.1 */")
+	if va < 0 || ua < 0 || va > ua {
+		t.Errorf("C does not run both kernels in group order inside the guard (eq.2 at %d, eq.1 at %d)", va, ua)
 	}
 }
 
 // TestCompiledCMultiKernelWavefrontMatchesInterpreter compiles the
-// multi-equation wavefront C — barrier form plain, doacross form with
+// multi-equation wavefront C — plain, and with its OpenMP pragmas with
 // and without -fopenmp — and compares every element against the
-// interpreter's sequential run (the ISSUE 5 acceptance artifact).
+// interpreter's sequential run.
 func TestCompiledCMultiKernelWavefrontMatchesInterpreter(t *testing.T) {
 	ccValidate(t, psrc.CoupledGrid, "CoupledGrid", plan.Options{Hyperplane: true},
 		cgen.Options{}, [][]string{{"-O2"}}, 9, 3, true)
 	ccValidate(t, psrc.CoupledGrid, "CoupledGrid", plan.Options{Hyperplane: true},
-		cgen.Options{OpenMP: true, Doacross: true},
+		cgen.Options{OpenMP: true},
 		[][]string{{"-O2"}, {"-fopenmp", "-O2"}}, 9, 3, true)
 }
 

@@ -66,7 +66,6 @@ func TestPipelineParity(t *testing.T) {
 		{"Par4", interp.Options{Workers: 4}, true},
 		{"Par8", interp.Options{Workers: 8}, true},
 		{"StrictPar2", interp.Options{Workers: 2, Strict: true}, true},
-		{"PipelineFirstPar4", interp.Options{Workers: 4}, true},
 		{"Par1", interp.Options{Workers: 1}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -64,9 +64,9 @@ type compiledModule struct {
 	m     *sem.Module
 	sched *core.Schedule
 	// plans holds the plans lowered once here, indexed by cascade: 0 =
-	// the schedule as emitted (sequential runs, hyperplane off), 1 = the
-	// cascade every default parallel run executes. They share one
-	// compiledPlan when the cascade neither fuses nor wavefronts a nest.
+	// the schedule as emitted (sequential runs), 1 = the cascade every
+	// parallel run executes. They share one compiledPlan when the cascade
+	// neither fuses nor wavefronts a nest.
 	plans [2]*compiledPlan
 	// slotOf assigns every subrange type a frame slot for its index
 	// value — the plan's Bounds order, shared by every variant. It is

@@ -80,14 +80,17 @@
 //
 // # One plan per execution mode
 //
-// Options select one of two compiled plans at activation time: the
-// cascade plan every default parallel run executes (W = 1 included) —
-// §5 fusion where a merge yields a parallel step, then DOALL → wavefront
-// → sequential — or the schedule as emitted, which Sequential and
-// HyperplaneOff runs execute and which is the parity reference. When the
+// Options.Sequential alone selects one of two compiled plans at
+// activation time: the cascade plan every parallel run executes (W = 1
+// included) — §5 fusion where a merge yields a parallel step, then
+// DOALL → wavefront → sequential — or the schedule as emitted, which
+// sequential runs execute and which is the parity reference. When the
 // cascade changes nothing the two share one compiled plan. Equation
 // kernels are compiled once and shared. No option selects an executor:
-// see Parallel dispatch below.
+// see Parallel dispatch below. NoSpecialize and NoVirtual do not change
+// the plan either; they select the reference implementations the
+// parity tests diff against — the checked kernels for every span, and
+// physical storage for every §3.4 window.
 //
 // # Bitwise-identical results
 //

@@ -25,7 +25,16 @@ type Options struct {
 	// all CPUs.
 	Workers int
 	// Sequential forces every loop — including DOALLs — to run serially
-	// (the baseline an iterative-only scheduler would produce).
+	// (the baseline an iterative-only scheduler would produce), and
+	// selects the plan the run executes. Parallel runs execute the
+	// cascade plan, in which §5 fusion merges nests where the merge
+	// yields a parallel step and eligible sequential loop nests become §4
+	// wavefronts; sequential runs keep the schedule as emitted (the
+	// sweep's bounding box and guards only pay off when planes run on
+	// workers, and a fused sequential nest gains no parallel step), which
+	// doubles as the parity reference. Selection deliberately ignores the
+	// effective worker count so the variant a runner executes — and
+	// Explain reports — is deterministic across hosts.
 	Sequential bool
 	// Strict enables single-assignment and undefined-read checking.
 	Strict bool
@@ -38,17 +47,6 @@ type Options struct {
 	// of a DOALL's linear index; wavefront tiles are cut from the box
 	// alone. <= 0 means 32.
 	Grain int64
-	// Hyperplane selects whether the run executes the cascade plan, in
-	// which §5 fusion merges nests where the merge yields a parallel step
-	// and eligible sequential loop nests become §4 wavefronts. The zero
-	// value is HyperplaneAuto: parallel runs use the cascade plan,
-	// sequential runs keep the schedule as emitted (the sweep's bounding
-	// box and guards only pay off when planes run on workers, and a fused
-	// sequential nest gains no parallel step).
-	// Selection deliberately ignores the effective worker count so the
-	// variant a runner executes — and Explain reports — is deterministic
-	// across hosts.
-	Hyperplane HyperplaneMode
 	// Pool, when non-nil, is a shared worker pool whose loops run every
 	// tiled step of the activation tree (through internal/sched) instead
 	// of a pool spawned per activation. The run does not close it, and its
@@ -73,25 +71,6 @@ type Options struct {
 	// (ps_module, ps_step, ps_eqs) so CPU profiles attribute samples to
 	// the source equations each worker was executing.
 	ProfileLabels bool
-}
-
-// HyperplaneMode controls the automatic §4 restructuring of sequential
-// loop nests.
-type HyperplaneMode uint8
-
-const (
-	// HyperplaneAuto (the default) runs eligible nests as tiled
-	// wavefronts whenever the run executes in parallel.
-	HyperplaneAuto HyperplaneMode = iota
-	// HyperplaneOff always runs the untransformed sequential nests.
-	HyperplaneOff
-)
-
-// EffectiveHyperplane reports whether a run with these options executes
-// the cascade plan. Sequential runs never do — the schedule as emitted
-// doubles as the parity reference.
-func (o *Options) EffectiveHyperplane() bool {
-	return o.Hyperplane == HyperplaneAuto && !o.Sequential
 }
 
 // Stats accumulates per-run execution counters. The counters are updated
@@ -540,7 +519,7 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 	opts := rs.opts
 	en = &env{
 		cm:         cm,
-		cp:         cm.variant(opts.EffectiveHyperplane()),
+		cp:         cm.variant(!opts.Sequential),
 		scalars:    make([]any, len(cm.syms)),
 		arrays:     make([]*value.Array, len(cm.syms)),
 		rs:         rs,

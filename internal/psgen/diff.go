@@ -90,9 +90,16 @@ type variant struct {
 	tiles bool
 }
 
-// noArena allocates fresh zeroed storage for every activation array
-// instead of recycling arena backings.
-var noArena = ps.RunOption(func(o *interp.Options) { o.NoArena = true })
+// The reference implementations the ablation rows diff against are
+// interp.Options fields, not exported run options: noSpec runs every span
+// on the checked kernels, noVirtual allocates every §3.4 window
+// physically, and noArena allocates fresh zeroed storage for every
+// activation array instead of recycling arena backings.
+var (
+	noSpec    = ps.RunOption(func(o *interp.Options) { o.NoSpecialize = true })
+	noVirtual = ps.RunOption(func(o *interp.Options) { o.NoVirtual = true })
+	noArena   = ps.RunOption(func(o *interp.Options) { o.NoArena = true })
+)
 
 // matrix builds the variant rows. The first row is always the
 // sequential reference; the second, seq-nospec, runs the same plan on
@@ -102,7 +109,7 @@ func matrix(quick bool) []variant {
 	if quick {
 		return []variant{
 			{name: "seq", opts: []ps.RunOption{ps.Sequential()}},
-			{name: "seq-nospec", opts: []ps.RunOption{ps.Sequential(), ps.NoSpecialize()}, strict: true},
+			{name: "seq-nospec", opts: []ps.RunOption{ps.Sequential(), noSpec}, strict: true},
 			{name: "w2", opts: []ps.RunOption{ps.Workers(2)}, planes: true},
 			{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, tiles: true},
 			{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
@@ -111,17 +118,16 @@ func matrix(quick bool) []variant {
 	}
 	return []variant{
 		{name: "seq", opts: []ps.RunOption{ps.Sequential()}},
-		{name: "seq-nospec", opts: []ps.RunOption{ps.Sequential(), ps.NoSpecialize()}, strict: true},
+		{name: "seq-nospec", opts: []ps.RunOption{ps.Sequential(), noSpec}, strict: true},
 		{name: "w1", opts: []ps.RunOption{ps.Workers(1)}},
 		{name: "w2", opts: []ps.RunOption{ps.Workers(2)}, planes: true},
 		{name: "w4", opts: []ps.RunOption{ps.Workers(4)}, planes: true},
-		{name: "w2-hpoff", opts: []ps.RunOption{ps.Workers(2), ps.WithHyperplane(ps.HyperplaneOff)}},
 		{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, planes: true, tiles: true},
 		{name: "w4-doacross", opts: []ps.RunOption{ps.Workers(4), ps.Grain(1)}, planes: true, tiles: true},
 		{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
-		{name: "w2-nospec", opts: []ps.RunOption{ps.Workers(2), ps.NoSpecialize()}, strict: true},
+		{name: "w2-nospec", opts: []ps.RunOption{ps.Workers(2), noSpec}, strict: true},
 		{name: "w2-noarena", opts: []ps.RunOption{ps.Workers(2), noArena}},
-		{name: "w2-novirtual", opts: []ps.RunOption{ps.Workers(2), ps.NoVirtual()}},
+		{name: "w2-novirtual", opts: []ps.RunOption{ps.Workers(2), noVirtual}},
 		{name: "seq-traced", opts: []ps.RunOption{ps.Sequential()}, traced: true},
 		{name: "w2-traced", opts: []ps.RunOption{ps.Workers(2)}, traced: true},
 		{name: "w2-doacross-traced", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, traced: true, tiles: true},
@@ -180,7 +186,17 @@ func Check(ctx context.Context, sp Spec, o Options) *Outcome {
 	}
 	src := sp.Render()
 
-	prog, err := ps.CompileProgram("psgen.ps", src)
+	// One engine serves every row; it is closed once every row has
+	// returned. A row reported as a hang leaks it, as it leaks the
+	// row's goroutine.
+	eng := ps.NewEngine(ps.EngineWorkers(2))
+	hung := false
+	defer func() {
+		if !hung {
+			eng.Close()
+		}
+	}()
+	prog, err := eng.Compile("psgen.ps", src)
 	if err != nil {
 		out.addf("compile", "-", "%v", err)
 		return out
@@ -207,6 +223,7 @@ func Check(ctx context.Context, sp Spec, o Options) *Outcome {
 	ref := watchedRun(ctx, prog, rows[0], args, o.Timeout)
 	switch {
 	case ref.hang:
+		hung = true
 		out.addf("hang", rows[0].name, "sequential reference did not finish in %s", 2*o.Timeout)
 		return out
 	case ref.err != nil:
@@ -222,6 +239,7 @@ func Check(ctx context.Context, sp Spec, o Options) *Outcome {
 		r := watchedRun(ctx, prog, v, args, o.Timeout)
 		switch {
 		case r.hang:
+			hung = true
 			out.addf("hang", v.name, "run did not finish in %s", 2*o.Timeout)
 			continue
 		case r.err != nil:

@@ -41,11 +41,13 @@ func TestGenerateDeterministic(t *testing.T) {
 // sweep to pass the full front end — the generator's "well-typed by
 // construction" contract.
 func TestEveryClassCompiles(t *testing.T) {
+	eng := ps.NewEngine()
+	defer eng.Close()
 	for c := Class(0); c < NumClasses; c++ {
 		for seed := uint64(0); seed < 25; seed++ {
 			sp := Generate(seed, c)
 			src := sp.Render()
-			if _, err := ps.CompileProgram("gen.ps", src); err != nil {
+			if _, err := eng.Compile("gen.ps", src); err != nil {
 				t.Fatalf("%s seed %d does not compile: %v\n%s", c, seed, err, src)
 			}
 		}

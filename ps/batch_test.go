@@ -106,7 +106,7 @@ func TestRunBatchParity(t *testing.T) {
 		{"sequential", []ps.RunOption{ps.Sequential()}},
 	}
 	for _, wl := range batchWorkloads() {
-		prog, err := ps.CompileProgram(wl.name+".ps", wl.src)
+		prog, err := newEngine(t).Compile(wl.name+".ps", wl.src)
 		if err != nil {
 			t.Fatalf("%s: %v", wl.name, err)
 		}
@@ -160,7 +160,7 @@ func TestRunBatchParity(t *testing.T) {
 // TestRunBatchEdgeCases pins the degenerate shapes: empty batch,
 // singleton batch, per-element error isolation, and cancellation.
 func TestRunBatchEdgeCases(t *testing.T) {
-	prog, err := ps.CompileProgram("smooth.ps", psrc.Smooth)
+	prog, err := newEngine(t).Compile("smooth.ps", psrc.Smooth)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,8 @@ import (
 // activation, compiled programs are cached by source hash with LRU
 // eviction under a configurable compiled-size budget, and engine-level
 // default options apply to every Runner prepared from its programs. An
-// Engine is the substrate for serving many concurrent requests; the
-// package-level CompileProgram/Run entry points remain as one-shot
-// conveniences on top of the same pipeline.
+// Engine is the one way to compile a program, whether it serves many
+// concurrent requests or one run.
 //
 //	eng := ps.NewEngine(ps.EngineWorkers(8), ps.WithCacheLimit(64<<20))
 //	defer eng.Close()

@@ -3,6 +3,8 @@ package ps_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -435,31 +437,70 @@ func TestRunnerDedicatedPool(t *testing.T) {
 	}
 }
 
-// TestProgramRunWrapper keeps the legacy one-shot entry point honest:
-// it must produce the same results as the Runner path.
-func TestProgramRunWrapper(t *testing.T) {
-	prog, err := ps.CompileProgram("smooth.ps", psrc.Smooth)
+// TestRunStatsWorkers pins RunStats.Workers to the width Prepare
+// resolved, whatever the call path: Run, RunBatch, TraceRun and
+// RunNamed (its argument-error path included) report it, and so do
+// their failures on a closed engine. The engine's pool is one wider
+// than GOMAXPROCS, so a width derived from the CPU count instead of
+// the runner's pool shows up as a mismatch.
+func TestRunStatsWorkers(t *testing.T) {
+	w := runtime.GOMAXPROCS(0) + 1
+	eng := ps.NewEngine(ps.EngineWorkers(w))
+	defer eng.Close()
+	prog, err := eng.Compile("smooth.ps", psrc.Smooth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 10
+	const n = 8
 	xs := ps.NewRealArray(ps.Axis{Lo: 0, Hi: n + 1})
-	for i := int64(0); i <= n+1; i++ {
-		xs.SetF([]int64{i}, float64(i))
+	args := []any{xs, int64(n)}
+	named := map[string]any{"Xs": xs, "N": int64(n)}
+	ctx := context.Background()
+	type runner struct {
+		name string
+		opts []ps.RunOption
+		want int
+		run  *ps.Runner
 	}
-	legacy, err := prog.Run("Smooth", []any{xs, int64(n)}, ps.Workers(2))
-	if err != nil {
-		t.Fatal(err)
+	runners := []runner{
+		{"EnginePool", nil, w, nil},
+		{"DedicatedPool", []ps.RunOption{ps.Workers(w + 1)}, w + 1, nil},
+		{"Sequential", []ps.RunOption{ps.Sequential()}, 1, nil},
 	}
-	run, err := prog.Prepare("Smooth", ps.Workers(2))
-	if err != nil {
-		t.Fatal(err)
+	for i := range runners {
+		if runners[i].run, err = prog.Prepare("Smooth", runners[i].opts...); err != nil {
+			t.Fatal(err)
+		}
 	}
-	modern, _, err := run.Run(context.Background(), []any{xs, int64(n)})
-	if err != nil {
-		t.Fatal(err)
+	check := func(phase string, r runner, st *ps.RunStats, err error, wantErr bool) {
+		t.Helper()
+		if (err != nil) != wantErr {
+			t.Errorf("%s %s: err = %v, want error %v", phase, r.name, err, wantErr)
+		}
+		if st == nil || st.Workers != r.want {
+			t.Errorf("%s %s: RunStats = %+v, want Workers %d", phase, r.name, st, r.want)
+		}
 	}
-	if !legacy[0].(*ps.Array).Equal(modern[0].(*ps.Array)) {
-		t.Error("legacy Run and Runner.Run differ")
+	for _, open := range []bool{true, false} {
+		phase := "open"
+		if !open {
+			eng.Close()
+			phase = "closed"
+		}
+		for _, r := range runners {
+			_, st, err := r.run.Run(ctx, args)
+			check(phase+" Run", r, st, err, !open)
+			_, st, err = r.run.RunBatch(ctx, []ps.Args{args, args})
+			check(phase+" RunBatch", r, st, err, !open)
+			_, st, _, err = r.run.TraceRun(ctx, args)
+			check(phase+" TraceRun", r, st, err, !open)
+			_, st, err = r.run.RunNamed(ctx, named)
+			check(phase+" RunNamed", r, st, err, !open)
+			_, st, err = r.run.RunNamed(ctx, map[string]any{"Bogus": 1})
+			check(phase+" RunNamed bad args", r, st, err, true)
+			if r.want > 1 && !strings.Contains(r.run.Explain(), fmt.Sprintf(": %d workers", r.want)) {
+				t.Errorf("%s Explain %s: header does not report %d workers:\n%s", phase, r.name, r.want, r.run.Explain())
+			}
+		}
 	}
 }

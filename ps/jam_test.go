@@ -8,8 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/interp"
 	"repro/ps"
 )
+
+// noSpec runs every span on the checked kernels, the reference the
+// Checked rows diff the span kernels' error attribution against.
+var noSpec = ps.RunOption(func(o *interp.Options) { o.NoSpecialize = true })
 
 // divDo is a 1-D recurrence whose two equations carry into each other,
 // so its DO I runs one span of the body with X and Y jammed point by
@@ -87,13 +92,13 @@ func TestJamErrorAttribution(t *testing.T) {
 	}{
 		{"LeafDo", divDo, "DivDo", "do I leaf", line, n / 2, -1, []ps.RunOption{ps.Sequential()}},
 		{"LeafDoFirstPoint", divDo, "DivDo", "do I leaf", line, 0, -1, []ps.RunOption{ps.Sequential()}},
-		{"LeafDoChecked", divDo, "DivDo", "do I leaf", line, n / 2, -1, []ps.RunOption{ps.Sequential(), ps.NoSpecialize()}},
+		{"LeafDoChecked", divDo, "DivDo", "do I leaf", line, n / 2, -1, []ps.RunOption{ps.Sequential(), noSpec}},
 		{"TileRow", divTile, "DivTile", "rows along J, jammed", square, n, 4 * n, []ps.RunOption{ps.Workers(2), ps.Grain(1)}},
 		{"TileRowW4", divTile, "DivTile", "rows along J, jammed", square, n, 4 * n, []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
-		{"TileRowChecked", divTile, "DivTile", "rows along J, jammed", square, n, 4 * n, []ps.RunOption{ps.Workers(2), ps.Grain(1), ps.NoSpecialize()}},
+		{"TileRowChecked", divTile, "DivTile", "rows along J, jammed", square, n, 4 * n, []ps.RunOption{ps.Workers(2), ps.Grain(1), noSpec}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prog, err := ps.CompileProgram(tc.module+".ps", tc.src)
+			prog, err := newEngine(t).Compile(tc.module+".ps", tc.src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +110,7 @@ func TestJamErrorAttribution(t *testing.T) {
 				t.Fatalf("plan does not run a jammed body (%q):\n%s", tc.explain, ex)
 			}
 			ok := []any{tc.arg, int64(n), tc.pass}
-			want, err := prog.Run(tc.module, ok, ps.Sequential())
+			want, err := runOnce(prog, tc.module, ok, ps.Sequential())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,7 +40,7 @@ end Types;
 // strings "NaN"/"Infinity"/"-Infinity" in both directions (this was a
 // real gap — json.Marshal fails outright on non-finite float64s).
 func TestJSONAllTypesRoundTrip(t *testing.T) {
-	prog, err := ps.CompileProgram("types.ps", jsonTypes)
+	prog, err := newEngine(t).Compile("types.ps", jsonTypes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestJSONAllTypesRoundTrip(t *testing.T) {
 		t.Fatalf("Xs[4] = %v, want -Inf", v)
 	}
 
-	results, err := prog.Run("Types", args, ps.Workers(2))
+	results, err := runOnce(prog, "Types", args, ps.Workers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestJSONAllTypesRoundTrip(t *testing.T) {
 // mismatches, and non-numeric garbage (a string that is not one of the
 // non-finite spellings must still be rejected).
 func TestJSONAllTypesErrors(t *testing.T) {
-	prog, err := ps.CompileProgram("types.ps", jsonTypes)
+	prog, err := newEngine(t).Compile("types.ps", jsonTypes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestJSONAllTypesErrors(t *testing.T) {
 	}
 
 	// String and record elements have no JSON form.
-	strs, err := ps.CompileProgram("strs.ps", `
+	strs, err := newEngine(t).Compile("strs.ps", `
 Strs: module (N: int; Ws: array[I] of string): [Vs: array[I] of string];
 type I = 1 .. N;
 define
@@ -268,7 +268,7 @@ func compileCopy(tb testing.TB, elem types.Type, rank int) *ps.Program {
 	arr := fmt.Sprintf("array[%s] of %s", strings.Join(subs, ", "), elem)
 	src := fmt.Sprintf("M: module (%s; A: %s): [B: %s];\ntype %s\ndefine\n    B[%[5]s] = A[%[5]s];\nend M;\n",
 		strings.Join(params, "; "), arr, arr, strings.Join(decls, " "), strings.Join(subs, ", "))
-	prog, err := ps.CompileProgram("copy.ps", src)
+	prog, err := newEngine(tb).Compile("copy.ps", src)
 	if err != nil {
 		tb.Fatalf("%v\n%s", err, src)
 	}

@@ -11,7 +11,7 @@ import (
 // TestModulePlan checks the public plan surface: the listing exposes the
 // collapsed DOALL structure, slots and kernel indices of the lowered IR.
 func TestModulePlan(t *testing.T) {
-	prog, err := ps.CompileProgram("relax.ps", psrc.Relaxation)
+	prog, err := newEngine(t).Compile("relax.ps", psrc.Relaxation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestModulePlan(t *testing.T) {
 	}
 	// Nothing in relaxation fuses or wavefronts: the sequential plan is
 	// the same listing.
-	if off := m.PlanWith(ps.PlanOptions{Hyperplane: ps.HyperplaneOff}); off != listing {
+	if off := m.PlanWith(ps.PlanOptions{Sequential: true}); off != listing {
 		t.Errorf("hyperplane-off plan differs from the default:\n%s", off)
 	}
 }
@@ -118,7 +118,7 @@ end Copies;
 // TestExplainCopySpan pins how Explain marks the arms that run as copy
 // spans, with and without guards, sequentially and on workers.
 func TestExplainCopySpan(t *testing.T) {
-	prog, err := ps.CompileProgram("copies.ps", copyArms)
+	prog, err := newEngine(t).Compile("copies.ps", copyArms)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 //	nests into wavefront steps) → {execute in parallel | generate C |
 //	hyperplane-transform}
 //
-// The service entry point is the Engine: a long-lived, concurrency-safe
+// Every program compiles through an Engine: a long-lived, concurrency-safe
 // runtime with one shared worker pool, a compiled-program cache keyed by
 // source hash, and engine-level default options. Programs prepare
 // modules into Runners, whose Run accepts a context for cancellation
@@ -28,23 +28,20 @@
 // (parse, check, schedule, run), the module, the equation label, and —
 // for front-end diagnostics — the source position.
 //
-// The one-shot CompileProgram/Program.Run entry points remain as thin
-// wrappers over the same pipeline for scripts and tests that do not
-// need a shared runtime.
-//
-// The hyperplane restructuring of §4 is applied automatically during
-// lowering (HyperplaneAuto, the default for parallel runs): sequential
-// recurrence nests with constant dependence vectors and a valid time
-// vector execute as wavefront sweeps, inspectable through Runner.Explain
-// and Module.Plan and controllable per Runner with WithHyperplane. It
+// The compiler picks each nest's loop form itself, as the paper's does:
+// parallel runs execute the cascade plan, where §5 fusion merges nests
+// whose merge yields a parallel step and the §4 hyperplane restructuring
+// turns every sequential recurrence nest with constant dependence
+// vectors and a valid time vector into a wavefront sweep; Sequential
+// runs execute the schedule as emitted, the parity reference. Both are
+// inspectable through Runner.Explain and Module.Plan. The §4 rewrite
 // also remains available as an explicit source-to-source transformation:
 //
 //	hp, err := m.Hyperplane("eq.3")      // analysis: π, T, T⁻¹, window
-//	prog2, err := ps.CompileProgram("t.ps", hp.TransformedSource)
+//	prog2, err := eng.Compile("t.ps", hp.TransformedSource)
 package ps
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/ast"
@@ -74,9 +71,8 @@ type Program struct {
 	checked *sem.Program
 	ip      *interp.Program
 	mods    map[string]*Module
-	// eng is the engine this program was compiled through, or nil for
-	// the one-shot CompileProgram path; it supplies the shared pool and
-	// default options to prepared Runners.
+	// eng is the engine this program was compiled through; it supplies
+	// the shared pool and default options to prepared Runners.
 	eng *Engine
 }
 
@@ -89,14 +85,6 @@ type Module struct {
 	// pl is the base lowered loop plan — the artifact both the
 	// interpreter and the C generator execute.
 	pl *plan.Program
-}
-
-// CompileProgram parses, checks and schedules every module of a PS source
-// text. The name is used in diagnostics only. Programs compiled this way
-// have no shared engine pool: each Run spawns (and closes) its own
-// worker pool. Services should compile through an Engine instead.
-func CompileProgram(name, source string) (*Program, error) {
-	return compileProgram(nil, name, source)
 }
 
 // compileProgram runs the front half of the pipeline, attributing
@@ -162,14 +150,6 @@ func Sequential() RunOption { return func(o *interp.Options) { o.Sequential = tr
 // Strict enables single-assignment and undefined-read checking.
 func Strict() RunOption { return func(o *interp.Options) { o.Strict = true } }
 
-// NoVirtual disables §3.4 window allocation (every dimension physical).
-func NoVirtual() RunOption { return func(o *interp.Options) { o.NoVirtual = true } }
-
-// NoSpecialize disables the specialized recurrence kernels and runs
-// every equation through the generic checked evaluator — a debugging
-// and benchmarking control; results are identical either way.
-func NoSpecialize() RunOption { return func(o *interp.Options) { o.NoSpecialize = true } }
-
 // Grain sets g, the one size rule of every parallel step: a DOALL or
 // wavefront step runs as tiles on the worker pool when its average plane
 // holds at least g × workers points (g defaults to 32; a DOALL is one
@@ -184,44 +164,6 @@ func Grain(n int64) RunOption { return func(o *interp.Options) { o.Grain = n } }
 // executing when each sample hit. Costs one label-set install per
 // parallel dispatch — negligible next to any profiled workload.
 func WithProfileLabels() RunOption { return func(o *interp.Options) { o.ProfileLabels = true } }
-
-// HyperplaneMode controls the automatic §4 restructuring of sequential
-// loop nests (see WithHyperplane).
-type HyperplaneMode = interp.HyperplaneMode
-
-const (
-	// HyperplaneAuto (the default) analyzes every fully sequential
-	// recurrence nest at compile time and, when a valid time vector
-	// exists, executes it as a wavefront: hyperplanes in dependence
-	// order, as pipelined tiles on the pool when the planes are wide
-	// enough (see Grain) and swept inline otherwise. Sequential runs
-	// keep the untransformed nest.
-	HyperplaneAuto = interp.HyperplaneAuto
-	// HyperplaneOff always executes the untransformed sequential nests.
-	HyperplaneOff = interp.HyperplaneOff
-)
-
-// WithHyperplane selects the automatic §4 wavefront scheduling mode for
-// a Runner (or, via EngineDefaults, for every Runner of an engine).
-func WithHyperplane(mode HyperplaneMode) RunOption {
-	return func(o *interp.Options) { o.Hyperplane = mode }
-}
-
-// Run executes the named module. Scalar arguments are Go ints, float64s,
-// bools or strings; array arguments are *ps.Array. One value is returned
-// per declared module result.
-//
-// Run is the one-shot convenience over Prepare/Runner.Run: it uses a
-// background context and discards the run statistics. Services holding
-// a module hot should Prepare once and reuse the Runner.
-func (p *Program) Run(module string, args []any, opts ...RunOption) ([]any, error) {
-	r, err := p.Prepare(module, opts...)
-	if err != nil {
-		return nil, err
-	}
-	results, _, err := r.Run(context.Background(), args)
-	return results, err
-}
 
 // Name returns the module's declared name.
 func (m *Module) Name() string { return m.sem.Name }
@@ -238,16 +180,16 @@ func (m *Module) FlowchartCompact() string { return m.sched.Flowchart.Compact() 
 
 // PlanOptions select a lowered plan for inspection and C generation.
 type PlanOptions struct {
-	// Hyperplane selects whether the cascade — §5 fusion where it yields
-	// a parallel step, then DOALL → wavefront → sequential — is applied;
-	// the zero value (HyperplaneAuto) matches the plan parallel runs
-	// execute by default, HyperplaneOff the one sequential runs execute.
-	Hyperplane HyperplaneMode
+	// Sequential selects the plan Sequential() runs: the schedule as
+	// emitted. The zero value selects the cascade plan every parallel run
+	// executes — §5 fusion where it yields a parallel step, then DOALL →
+	// wavefront → sequential per nest.
+	Sequential bool
 }
 
 // planFor resolves a plan variant.
 func (m *Module) planFor(o PlanOptions) *plan.Program {
-	return m.prog.ip.Plan(m.sem.Name, plan.Options{Hyperplane: o.Hyperplane == HyperplaneAuto})
+	return m.prog.ip.Plan(m.sem.Name, plan.Options{Hyperplane: !o.Sequential})
 }
 
 // Plan returns the lowered loop program — the flat, slot-resolved IR
@@ -350,7 +292,7 @@ type Hyperplane struct {
 	// dimension (3 for the paper's example).
 	Window int
 	// TransformedSource is the rewritten module as PS source; compile it
-	// with CompileProgram to schedule and run the wavefront version. Its
+	// with Engine.Compile to schedule and run the wavefront version. Its
 	// module name is the original name with an "H" suffix.
 	TransformedSource string
 	// TransformedModule is the rewritten module's name.

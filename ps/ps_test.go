@@ -1,6 +1,7 @@
 package ps_test
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -9,10 +10,27 @@ import (
 	"repro/ps"
 )
 
+// newEngine returns an engine closed when the test ends.
+func newEngine(tb testing.TB) *ps.Engine {
+	eng := ps.NewEngine()
+	tb.Cleanup(eng.Close)
+	return eng
+}
+
+// runOnce prepares module with opts and runs it once.
+func runOnce(prog *ps.Program, module string, args []any, opts ...ps.RunOption) ([]any, error) {
+	r, err := prog.Prepare(module, opts...)
+	if err != nil {
+		return nil, err
+	}
+	out, _, err := r.Run(context.Background(), args)
+	return out, err
+}
+
 // TestPipelineEndToEnd exercises the public API: compile, inspect,
 // execute, transform.
 func TestPipelineEndToEnd(t *testing.T) {
-	prog, err := ps.CompileProgram("relax.ps", psrc.Relaxation)
+	prog, err := newEngine(t).Compile("relax.ps", psrc.Relaxation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +73,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 			in.SetF([]int64{i, j}, 1.0)
 		}
 	}
-	out, err := prog.Run("Relaxation", []any{in, mm, 5}, ps.Workers(2), ps.Strict())
+	out, err := runOnce(prog, "Relaxation", []any{in, mm, 5}, ps.Workers(2), ps.Strict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +85,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 // TestHyperplaneAPI exercises the §4 entry point.
 func TestHyperplaneAPI(t *testing.T) {
-	prog, err := ps.CompileProgram("gs.ps", psrc.RelaxationGS)
+	eng := newEngine(t)
+	prog, err := eng.Compile("gs.ps", psrc.RelaxationGS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +103,7 @@ func TestHyperplaneAPI(t *testing.T) {
 	if hp.TransformedModule != "RelaxationH" {
 		t.Errorf("transformed module %s", hp.TransformedModule)
 	}
-	if _, err := ps.CompileProgram("gsh.ps", hp.TransformedSource); err != nil {
+	if _, err := eng.Compile("gsh.ps", hp.TransformedSource); err != nil {
 		t.Errorf("transformed source does not compile: %v", err)
 	}
 	if _, err := prog.Module("Relaxation").Hyperplane("eq.9"); err == nil {
@@ -94,7 +113,7 @@ func TestHyperplaneAPI(t *testing.T) {
 
 // TestJSONRoundTrip exercises the psrun conversion layer.
 func TestJSONRoundTrip(t *testing.T) {
-	prog, err := ps.CompileProgram("smooth.ps", psrc.Smooth)
+	prog, err := newEngine(t).Compile("smooth.ps", psrc.Smooth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +125,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := prog.Run("Smooth", args, ps.Workers(1))
+	results, err := runOnce(prog, "Smooth", args, ps.Workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +163,7 @@ func TestJSONRoundTrip(t *testing.T) {
 
 // TestModulesListing covers multi-module programs.
 func TestModulesListing(t *testing.T) {
-	prog, err := ps.CompileProgram("pipe.ps", psrc.Pipeline)
+	prog, err := newEngine(t).Compile("pipe.ps", psrc.Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +181,11 @@ func TestModulesListing(t *testing.T) {
 
 // TestCompileErrors surfaces front-end diagnostics through the API.
 func TestCompileErrors(t *testing.T) {
-	if _, err := ps.CompileProgram("bad.ps", "Bad: module"); err == nil {
+	eng := newEngine(t)
+	if _, err := eng.Compile("bad.ps", "Bad: module"); err == nil {
 		t.Error("parse error not surfaced")
 	}
-	if _, err := ps.CompileProgram("bad.ps",
+	if _, err := eng.Compile("bad.ps",
 		"Bad: module (x: int): [y: int]; define y = nosuch; end Bad;"); err == nil {
 		t.Error("check error not surfaced")
 	}
@@ -178,7 +198,7 @@ define
     B[I] = if (I = 0) or (I = N) then 1.0 else (B[I-1] + B[I+1]) / 2.0;
     R[I] = B[I];
 end Bad;`
-	if _, err := ps.CompileProgram("bad.ps", src); err == nil {
+	if _, err := eng.Compile("bad.ps", src); err == nil {
 		t.Error("unschedulable program accepted")
 	} else if !strings.Contains(err.Error(), "cannot schedule") {
 		t.Errorf("unexpected error %v", err)

@@ -22,52 +22,55 @@ import (
 type Runner struct {
 	prog *Program
 	mod  *Module
-	opts interp.Options
-	// pool is the persistent pool serving this runner's tiled steps: the
+	// opts are the merged options every run starts from; opts.Pool is
+	// the persistent pool serving this runner's tiled steps: the
 	// engine's shared pool, or a dedicated engine-tracked pool when the
 	// runner was prepared with a different worker count. nil for
-	// engine-less programs (each Run then spawns a transient pool) and
-	// for sequential runners.
-	pool *par.Pool
+	// sequential runners.
+	opts interp.Options
+	// workers is the width every run reports in RunStats.Workers and
+	// Explain prints: the pool's worker count, or 1 for a sequential
+	// runner. Prepare resolves it once.
+	workers int
 	// lastTiming holds the breakdown of the most recent TraceRun, for
 	// the timing line of Explain; nil until a traced run completes.
 	lastTiming atomic.Pointer[TimingBreakdown]
 }
 
 // Prepare resolves the named module and fixes its execution options,
-// returning a reusable Runner. Engine default options (for programs
-// compiled through an Engine) are applied before opts.
+// returning a reusable Runner. The engine's default options are applied
+// before opts.
 //
-// For engine programs the runner is bound to a persistent pool at
-// Prepare time: the engine's shared pool, or — when a Workers option
-// asks for a different width — a dedicated pool created once here and
-// closed with the engine, so the per-Run path never pays pool setup.
+// A parallel runner is bound to a persistent pool at Prepare time: the
+// engine's shared pool, or — when a Workers option asks for a different
+// width — a dedicated pool created once here and closed with the
+// engine, so the per-Run path never pays pool setup.
 func (p *Program) Prepare(module string, opts ...RunOption) (*Runner, error) {
 	m := p.Module(module)
 	if m == nil {
 		return nil, &Error{Phase: PhaseRun, Module: module, Err: fmt.Errorf("no module %q", module)}
 	}
+	eng := p.eng
 	var o interp.Options
-	if p.eng != nil {
-		for _, f := range p.eng.defaults {
-			f(&o)
-		}
+	for _, f := range eng.defaults {
+		f(&o)
 	}
 	for _, f := range opts {
 		f(&o)
 	}
-	r := &Runner{prog: p, mod: m, opts: o}
-	if eng := p.eng; eng != nil && !o.Sequential {
+	r := &Runner{prog: p, mod: m, opts: o, workers: 1}
+	if !o.Sequential {
 		if o.Workers <= 0 || o.Workers == eng.pool.Workers() {
-			r.pool = eng.pool
+			r.opts.Pool = eng.pool
 		} else {
 			pool := par.NewPool(o.Workers)
 			if !eng.trackPool(pool) {
 				pool.Close()
 				return nil, &Error{Phase: PhaseRun, Module: module, Err: errors.New("engine is closed")}
 			}
-			r.pool = pool
+			r.opts.Pool = pool
 		}
+		r.workers = r.opts.Pool.Workers()
 	}
 	return r, nil
 }
@@ -81,24 +84,20 @@ func (r *Runner) Module() *Module { return r.mod }
 func (r *Runner) Explain() string {
 	var sb strings.Builder
 	o := r.opts
-	o.Pool = r.pool // mirror Run's pool binding for the worker count
-	mode := fmt.Sprintf("%d workers", effectiveWorkers(o))
-	if r.opts.Sequential {
+	mode := fmt.Sprintf("%d workers", r.workers)
+	if o.Sequential {
 		mode = "sequential"
 	}
-	if r.opts.Grain > 0 {
-		mode += fmt.Sprintf(", grain %d", r.opts.Grain)
+	if o.Grain > 0 {
+		mode += fmt.Sprintf(", grain %d", o.Grain)
 	}
-	if r.opts.Strict {
+	if o.Strict {
 		mode += ", strict"
 	}
-	if r.opts.NoVirtual {
+	if o.NoVirtual {
 		mode += ", no-virtual"
 	}
-	if r.opts.Hyperplane == HyperplaneOff {
-		mode += ", hyperplane off"
-	}
-	planOpts := plan.Options{Hyperplane: o.EffectiveHyperplane()}
+	planOpts := plan.Options{Hyperplane: !o.Sequential}
 	pl := r.prog.ip.Plan(r.mod.sem.Name, planOpts)
 	variant := "base plan"
 	if pl.HasWavefront() {
@@ -110,15 +109,14 @@ func (r *Runner) Explain() string {
 	if planOpts.Hyperplane {
 		sb.WriteString(pl.CascadeReport())
 	}
-	if pl.HasParallel() && !r.opts.Sequential {
+	if pl.HasParallel() && !o.Sequential {
 		// The one dispatch rule of DOALL and wavefront steps, evaluated for
 		// this runner's worker count and grain; which side an activation
 		// lands on depends only on its bounds (RunStats.DOALLChunks and
 		// DoacrossTiles count the tiles it ran).
-		workers := effectiveWorkers(o)
-		if least := interp.TilePlane(workers, o.Grain); least > 0 {
+		if least := interp.TilePlane(r.workers, o.Grain); least > 0 {
 			fmt.Fprintf(&sb, "parallel dispatch: tiles when a step's average plane holds >= %d points (%d x %d workers); a DOALL is one plane",
-				least, least/int64(workers), workers)
+				least, least/int64(r.workers), r.workers)
 			if pl.HasWavefront() {
 				sb.WriteString(", a wavefront one per anti-diagonal of its two tiled coordinates")
 			}
@@ -176,18 +174,15 @@ func (r *Runner) Explain() string {
 // and DOALLs within one row; the returned
 // error then satisfies errors.Is(err, ctx.Err()).
 func (r *Runner) Run(ctx context.Context, args []any) ([]any, *RunStats, error) {
+	if err := r.engineClosed(); err != nil {
+		return nil, &RunStats{Workers: r.workers}, err
+	}
 	o := r.opts
 	var st interp.Stats
 	o.Stats = &st
-	if eng := r.prog.eng; eng != nil {
-		if eng.closed.Load() {
-			return nil, &RunStats{Workers: 1}, &Error{Phase: PhaseRun, Module: r.mod.Name(), Err: errors.New("engine is closed")}
-		}
-		o.Pool = r.pool
-	}
 	start := time.Now()
 	results, err := r.prog.ip.RunCtx(ctx, r.mod.Name(), args, o)
-	stats := newRunStats(&st, effectiveWorkers(o), time.Since(start))
+	stats := newRunStats(&st, r.workers, time.Since(start))
 	if err != nil {
 		return nil, stats, runError(r.mod.Name(), err)
 	}
@@ -224,18 +219,15 @@ type BatchResult struct {
 // that was already done; per-element failures land in their
 // BatchResult. An empty batch returns (nil, stats, nil).
 func (r *Runner) RunBatch(ctx context.Context, batch []Args) ([]BatchResult, *RunStats, error) {
+	if err := r.engineClosed(); err != nil {
+		return nil, &RunStats{Workers: r.workers}, err
+	}
 	o := r.opts
 	var st interp.Stats
 	o.Stats = &st
-	if eng := r.prog.eng; eng != nil {
-		if eng.closed.Load() {
-			return nil, &RunStats{Workers: 1}, &Error{Phase: PhaseRun, Module: r.mod.Name(), Err: errors.New("engine is closed")}
-		}
-		o.Pool = r.pool
-	}
 	start := time.Now()
 	results, errs, err := r.prog.ip.RunBatchCtx(ctx, r.mod.Name(), batch, o)
-	stats := newRunStats(&st, effectiveWorkers(o), time.Since(start))
+	stats := newRunStats(&st, r.workers, time.Since(start))
 	if err != nil {
 		return nil, stats, runError(r.mod.Name(), err)
 	}
@@ -256,7 +248,7 @@ func (r *Runner) RunBatch(ctx context.Context, batch []Args) ([]BatchResult, *Ru
 func (r *Runner) RunNamed(ctx context.Context, args map[string]any) ([]any, *RunStats, error) {
 	argv, err := r.positional(args)
 	if err != nil {
-		return nil, &RunStats{Workers: effectiveWorkers(r.opts)}, err
+		return nil, &RunStats{Workers: r.workers}, err
 	}
 	return r.Run(ctx, argv)
 }
@@ -287,19 +279,13 @@ func (r *Runner) positional(args map[string]any) ([]any, error) {
 	return argv, nil
 }
 
-// effectiveWorkers reports the worker count a run with these options
-// uses.
-func effectiveWorkers(o interp.Options) int {
-	switch {
-	case o.Sequential:
-		return 1
-	case o.Pool != nil:
-		return o.Pool.Workers()
-	case o.Workers > 0:
-		return o.Workers
-	default:
-		return par.DefaultWorkers()
+// engineClosed returns the typed error of a run on a closed engine, or
+// nil while the engine is open.
+func (r *Runner) engineClosed() error {
+	if r.prog.eng.closed.Load() {
+		return &Error{Phase: PhaseRun, Module: r.mod.Name(), Err: errors.New("engine is closed")}
 	}
+	return nil
 }
 
 // Params describes the module's declared parameters as (name, type)

@@ -34,8 +34,8 @@ type Config struct {
 	// CacheLimit bounds the owned engine's compiled-program cache in
 	// compiled-size bytes (0 = unbounded). Ignored when Engine is set.
 	CacheLimit int64
-	// RunOptions apply to every prepared Runner (hyperplane mode,
-	// grain, ...).
+	// RunOptions apply to every prepared Runner (grain, strictness,
+	// ...).
 	RunOptions []ps.RunOption
 
 	// MaxBatch bounds how many queued activations one fused batch

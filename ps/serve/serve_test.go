@@ -63,7 +63,9 @@ func testInputs(prog string, i int) map[string]any {
 func referenceJSON(t *testing.T, progName string, i int) string {
 	t.Helper()
 	tp := testPrograms[progName]
-	prog, err := ps.CompileProgram(progName+".ps", tp.src)
+	eng := ps.NewEngine()
+	defer eng.Close()
+	prog, err := eng.Compile(progName+".ps", tp.src)
 	if err != nil {
 		t.Fatal(err)
 	}

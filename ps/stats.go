@@ -47,7 +47,7 @@ type RunStats struct {
 	// SpecializedKernels is the number of equation instances executed
 	// by a specialized (strength-reduced, bounds-certified) kernel
 	// rather than the generic checked evaluator. At most
-	// EquationInstances; zero under Strict or NoSpecialize.
+	// EquationInstances; zero under Strict.
 	SpecializedKernels int64
 	// ArenaReuses is the number of activation arrays whose backing
 	// store was recycled from the arena instead of freshly allocated.

@@ -2,7 +2,6 @@ package ps
 
 import (
 	"context"
-	"errors"
 	"io"
 	"time"
 
@@ -59,23 +58,19 @@ func (t *Trace) Dropped() int64 { return t.rec.Dropped() }
 // recorded span — typically a few percent on span-dense runs and
 // unmeasurable on kernel-bound ones; the untraced path is unaffected.
 func (r *Runner) TraceRun(ctx context.Context, args []any) ([]any, *RunStats, *Trace, error) {
+	if err := r.engineClosed(); err != nil {
+		return nil, &RunStats{Workers: r.workers}, nil, err
+	}
 	o := r.opts
 	var st interp.Stats
 	o.Stats = &st
 	rec := obs.NewRecorder(0)
 	o.Trace = rec
-	if eng := r.prog.eng; eng != nil {
-		if eng.closed.Load() {
-			return nil, &RunStats{Workers: 1}, nil, &Error{Phase: PhaseRun, Module: r.mod.Name(), Err: errors.New("engine is closed")}
-		}
-		o.Pool = r.pool
-	}
 	start := time.Now()
 	results, err := r.prog.ip.RunCtx(ctx, r.mod.Name(), args, o)
 	wall := time.Since(start)
-	workers := effectiveWorkers(o)
-	stats := newRunStats(&st, workers, wall)
-	tr := &Trace{rec: rec, process: "ps/" + r.mod.Name(), workers: workers, wall: wall}
+	stats := newRunStats(&st, r.workers, wall)
+	tr := &Trace{rec: rec, process: "ps/" + r.mod.Name(), workers: r.workers, wall: wall}
 	stats.Timing = tr.Breakdown()
 	r.lastTiming.Store(stats.Timing)
 	if err != nil {

@@ -27,9 +27,8 @@ func seedGrid(n int64) *ps.Array {
 // recurrence auto-lowers to a wavefront: an inline sweep counts one
 // WavefrontPlanes and no tiles, DOALLChunks counts only the output
 // DOALL's chunks (an inline sweep dispatches nothing), and the plane
-// counter stays zero when the transform is off or the run is
-// sequential — so the stats distinguish wavefront work from plain DOALL
-// chunking.
+// counter stays zero when the run is sequential — so the stats
+// distinguish wavefront work from plain DOALL chunking.
 func TestWavefrontStats(t *testing.T) {
 	// 1764 points over the 42 + 42 − 1 anti-diagonals of (I, J): 21-point
 	// average planes, an inline sweep at two workers.
@@ -69,24 +68,16 @@ func TestWavefrontStats(t *testing.T) {
 		t.Errorf("stats string missing wavefront counter: %s", stats)
 	}
 
-	for _, tc := range []struct {
-		name string
-		opts []ps.RunOption
-	}{
-		{"HyperOff", []ps.RunOption{ps.WithHyperplane(ps.HyperplaneOff)}},
-		{"Sequential", []ps.RunOption{ps.Sequential()}},
-	} {
-		r, err := prog.Prepare("Wavefront2D", tc.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, st, err := r.Run(context.Background(), args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.WavefrontPlanes != 0 {
-			t.Errorf("%s: WavefrontPlanes = %d, want 0", tc.name, st.WavefrontPlanes)
-		}
+	r, err := prog.Prepare("Wavefront2D", ps.Sequential())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := r.Run(context.Background(), args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.WavefrontPlanes != 0 {
+		t.Errorf("Sequential: WavefrontPlanes = %d, want 0", st.WavefrontPlanes)
 	}
 }
 

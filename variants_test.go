@@ -1,9 +1,9 @@
 // Variant parity tests: every program in testdata/ and the psrc corpus
 // (the sources the examples run) must produce identical results under
 // every execution variant — sequential, parallel at several widths and
-// grains, strict, with virtual windows ablated, and with the cascade
-// (§5 fusion and the automatic §4 hyperplane scheduling) both on and
-// off.
+// grains, strict, and with virtual windows ablated. Parallel runs execute
+// the cascade plan (§5 fusion and the automatic §4 hyperplane
+// scheduling), sequential runs the schedule as emitted.
 // The sequential run is the reference; all others are compared element
 // for element through the JSON encoding. Run under -race (CI does) this
 // also shakes out data races in the DOALL and wavefront dispatch paths.
@@ -18,9 +18,22 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/interp"
 	"repro/internal/psrc"
 	"repro/ps"
 )
+
+// newEngine returns an engine closed when the test ends.
+func newEngine(tb testing.TB) *ps.Engine {
+	eng := ps.NewEngine()
+	tb.Cleanup(eng.Close)
+	return eng
+}
+
+// noVirtual allocates every §3.4 window physically: the storage
+// reference the NoVirtual rows diff against. It is an interp.Options
+// field, not an exported run option.
+var noVirtual = ps.RunOption(func(o *interp.Options) { o.NoVirtual = true })
 
 // variantProgram is one source + module + concrete arguments.
 type variantProgram struct {
@@ -148,12 +161,10 @@ func variantPrograms(t *testing.T) []variantProgram {
 // TestVariantParity asserts that every execution variant of every corpus
 // program matches its sequential reference exactly.
 func TestVariantParity(t *testing.T) {
-	// The parallel variants run with the default HyperplaneAuto mode, so
-	// they execute the cascade plan: nests fused where the merge yields a
-	// parallel step, and wavefronts wherever a nest is eligible. The
-	// HyperOff rows pin the schedule as emitted at the same widths, and
-	// the remaining rows cross the cascade with grain, strictness and
-	// window ablation.
+	// The parallel variants execute the cascade plan: nests fused where
+	// the merge yields a parallel step, and wavefronts wherever a nest is
+	// eligible. The rows cross it with width, grain, strictness and window
+	// ablation.
 	variants := []struct {
 		name string
 		opts []ps.RunOption
@@ -165,55 +176,57 @@ func TestVariantParity(t *testing.T) {
 		{"Par2Grain4", []ps.RunOption{ps.Workers(2), ps.Grain(4)}},
 		{"StrictSeq", []ps.RunOption{ps.Sequential(), ps.Strict()}},
 		{"StrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict()}},
-		{"NoVirtualSeq", []ps.RunOption{ps.Sequential(), ps.NoVirtual()}},
-		{"NoVirtualPar4", []ps.RunOption{ps.Workers(4), ps.NoVirtual()}},
-		{"HyperOffSeq", []ps.RunOption{ps.Sequential(), ps.WithHyperplane(ps.HyperplaneOff)}},
-		{"HyperOffPar2", []ps.RunOption{ps.Workers(2), ps.WithHyperplane(ps.HyperplaneOff)}},
-		{"HyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff)}},
-		{"HyperOffPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8), ps.WithHyperplane(ps.HyperplaneOff)}},
+		{"NoVirtualSeq", []ps.RunOption{ps.Sequential(), noVirtual}},
+		{"NoVirtualPar4", []ps.RunOption{ps.Workers(4), noVirtual}},
 		// Dispatch rows. A DOALL or wavefront step runs on the tile
 		// executor when its average plane holds grain × workers points (a
 		// DOALL is one plane) and inline otherwise, so at these sizes the
 		// default rows above run most steps inline. The Doacross rows set
 		// Grain(1), which tiles every step whose planes can occupy the
-		// workers, alone and crossed with strictness and hyperplane-off
-		// (no wavefront step: the grain only tiles DOALLs); the Barrier row
-		// sets a grain no plane fills, pinning the inline path on a
-		// four-worker pool. The row
-		// names predate the single executor and are kept as stable test
-		// IDs; DoacrossPar3Grain8 has the options of Par3Grain8.
+		// workers, alone and crossed with strictness; the Barrier row sets
+		// a grain no plane fills, pinning the inline path on a four-worker
+		// pool.
 		{"BarrierPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1 << 20)}},
 		{"DoacrossPar2", []ps.RunOption{ps.Workers(2), ps.Grain(1)}},
 		{"DoacrossPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
-		{"DoacrossPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8)}},
 		{"DoacrossStrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict(), ps.Grain(1)}},
-		{"DoacrossHyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff), ps.Grain(1)}},
-		// The Pipeline rows once selected a pipeline-first cascade whose
-		// backend no longer exists; they are kept as stable test IDs and
-		// now repeat the default-cascade rows of the same options.
+		// Test IDs of deleted executors and options — the doacross and
+		// pipeline backends, the fusion knob and the hyperplane-off mode.
+		// Each repeats the options of a row above (the Hyper* rows those
+		// of their row without the deleted mode; HyperOffSeq reruns the
+		// sequential reference) and stays only as a stable test ID.
+		{"HyperOffSeq", []ps.RunOption{ps.Sequential()}},
+		{"HyperOffPar2", []ps.RunOption{ps.Workers(2)}},
+		{"HyperOffPar4", []ps.RunOption{ps.Workers(4)}},
+		{"HyperOffPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8)}},
+		{"DoacrossPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8)}},
+		{"DoacrossHyperOffPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
 		{"PipelinePar1", []ps.RunOption{ps.Workers(1)}},
 		{"PipelinePar2", []ps.RunOption{ps.Workers(2)}},
 		{"PipelinePar4", []ps.RunOption{ps.Workers(4)}},
 		{"PipelineFusedPar4", []ps.RunOption{ps.Workers(4)}},
 		{"PipelineStrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict()}},
-		{"PipelineHyperOffPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff)}},
-		// The Fused rows once selected a fusion knob that is now a cascade
-		// decision: every parallel run executes the fused cascade plan, and
-		// sequential and hyperplane-off runs the schedule as emitted. They
-		// are kept as stable test IDs and repeat the rows of the same
-		// options; FusedSeq runs the fused plan on one worker.
+		{"PipelineHyperOffPar4", []ps.RunOption{ps.Workers(4)}},
 		{"FusedSeq", []ps.RunOption{ps.Workers(1)}},
 		{"FusedPar4", []ps.RunOption{ps.Workers(4)}},
-		{"HyperOffFusedPar4", []ps.RunOption{ps.Workers(4), ps.WithHyperplane(ps.HyperplaneOff)}},
+		{"HyperOffFusedPar4", []ps.RunOption{ps.Workers(4)}},
 		{"DoacrossFusedPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
+	}
+	runOnce := func(prog *ps.Program, module string, args []any, opts ...ps.RunOption) ([]any, error) {
+		r, err := prog.Prepare(module, opts...)
+		if err != nil {
+			return nil, err
+		}
+		res, _, err := r.Run(context.Background(), args)
+		return res, err
 	}
 	for _, tp := range variantPrograms(t) {
 		t.Run(tp.name, func(t *testing.T) {
-			prog, err := ps.CompileProgram(tp.name+".ps", tp.src)
+			prog, err := newEngine(t).Compile(tp.name+".ps", tp.src)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			ref, err := prog.Run(tp.module, tp.args, ps.Sequential())
+			ref, err := runOnce(prog, tp.module, tp.args, ps.Sequential())
 			if err != nil {
 				t.Fatalf("sequential reference: %v", err)
 			}
@@ -224,7 +237,7 @@ func TestVariantParity(t *testing.T) {
 			for _, v := range variants {
 				v := v
 				t.Run(v.name, func(t *testing.T) {
-					res, err := prog.Run(tp.module, tp.args, v.opts...)
+					res, err := runOnce(prog, tp.module, tp.args, v.opts...)
 					if err != nil {
 						t.Fatalf("%s: %v", v.name, err)
 					}
@@ -288,15 +301,15 @@ func TestAutoHyperplaneEligibility(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			prog, err := ps.CompileProgram(tc.name+".ps", tc.src)
+			prog, err := newEngine(t).Compile(tc.name+".ps", tc.src)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
 			m := prog.Module(tc.module)
 			compact := m.PlanCompact()
-			off := m.PlanCompactWith(ps.PlanOptions{Hyperplane: ps.HyperplaneOff})
+			off := m.PlanCompactWith(ps.PlanOptions{Sequential: true})
 			if strings.Contains(off, "WAVEFRONT") {
-				t.Errorf("hyperplane-off plan still restructured: %q", off)
+				t.Errorf("sequential plan restructured: %q", off)
 			}
 			switch tc.backend {
 			case "wavefront":
@@ -320,7 +333,7 @@ func TestAutoHyperplaneEligibility(t *testing.T) {
 				}
 				// Fusion may merge the DOALLs; the sequential nests stay.
 				if strings.Count(off, "DO ") != strings.Count(compact, "DO ") {
-					t.Errorf("auto plan changed the sequential nests of an ineligible program:\n auto %q\n off  %q", compact, off)
+					t.Errorf("auto plan changed the sequential nests of an ineligible program:\n auto %q\n seq  %q", compact, off)
 				}
 				run, err := prog.Prepare(tc.module, ps.Workers(2))
 				if err != nil {
@@ -346,7 +359,8 @@ func TestAutoHyperplaneEligibility(t *testing.T) {
 func TestMultiEquationWavefront(t *testing.T) {
 	countWavefronts := func(compact string) int { return strings.Count(compact, "WAVEFRONT") }
 
-	coupled, err := ps.CompileProgram("coupled.ps", mustRead(t, "testdata/coupled.ps"))
+	eng := newEngine(t)
+	coupled, err := eng.Compile("coupled.ps", mustRead(t, "testdata/coupled.ps"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +396,7 @@ func TestMultiEquationWavefront(t *testing.T) {
 		{"testdata/mutual.ps", "Mutual", 1, "WAVEFRONT[pi=(1,1)] I×J (eq.2; eq.1)"},
 		{"testdata/fuse_pair.ps", "FusePair", 2, "WAVEFRONT[pi=(1,1)] I×J (eq.1; eq.2)"},
 	} {
-		prog, err := ps.CompileProgram(tc.file, mustRead(t, tc.file))
+		prog, err := eng.Compile(tc.file, mustRead(t, tc.file))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,9 +404,9 @@ func TestMultiEquationWavefront(t *testing.T) {
 		if fused := mod.PlanCompact(); countWavefronts(fused) != 1 || !strings.Contains(fused, tc.fusedCompact) {
 			t.Errorf("%s default plan is not a single multi-kernel wavefront: %q", tc.module, fused)
 		}
-		off := mod.PlanCompactWith(ps.PlanOptions{Hyperplane: ps.HyperplaneOff})
+		off := mod.PlanCompactWith(ps.PlanOptions{Sequential: true})
 		if got := strings.Count(off, "DO I"); got != tc.offNests {
-			t.Errorf("%s hyperplane-off plan has %d DO I nests, want %d: %q", tc.module, got, tc.offNests, off)
+			t.Errorf("%s sequential plan has %d DO I nests, want %d: %q", tc.module, got, tc.offNests, off)
 		}
 	}
 }
@@ -402,12 +416,16 @@ func TestMultiEquationWavefront(t *testing.T) {
 // merge into one leaf DOALL (one fork/join instead of several), and
 // sibling recurrence nests merge when the merged nest is a wavefront.
 func TestParallelPlanFuses(t *testing.T) {
-	prog, err := ps.CompileProgram("json_types.ps", mustRead(t, "testdata/json_types.ps"))
+	eng := newEngine(t)
+	prog, err := eng.Compile("json_types.ps", mustRead(t, "testdata/json_types.ps"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := prog.Module("Types").PlanCompact(), "eq.3; eq.2; DOALL I (eq.6; eq.5; eq.4); eq.1"; got != want {
 		t.Errorf("json_types default plan %q, want one DOALL with 3 kernels, %q", got, want)
+	}
+	if got := strings.Count(prog.Module("Types").PlanCompactWith(ps.PlanOptions{Sequential: true}), "DOALL I ("); got != 3 {
+		t.Errorf("json_types sequential plan has %d DOALLs, want the 3 the schedule emits", got)
 	}
 	var inputs map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(mustRead(t, "testdata/json_types.inputs.json")), &inputs); err != nil {
@@ -417,23 +435,19 @@ func TestParallelPlanFuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := func(opts ...ps.RunOption) int64 {
-		run, err := prog.Prepare("Types", opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, st, err := run.Run(context.Background(), args)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.DOALLChunks
-	}
 	// The inputs' DOALLs are below the default 64-point threshold at two
-	// workers; Grain(1) dispatches any DOALL of two or more points.
-	fused := chunks(ps.Workers(2), ps.Grain(1))
-	apart := chunks(ps.Workers(2), ps.Grain(1), ps.WithHyperplane(ps.HyperplaneOff))
-	if fused == 0 || 3*fused != apart {
-		t.Errorf("DOALLChunks: fused plan %d, three unfused DOALLs %d; want one DOALL's share", fused, apart)
+	// workers; Grain(1) dispatches any DOALL of two or more points, and
+	// the fused DOALL dispatches once where the schedule emits three.
+	run, err := prog.Prepare("Types", ps.Workers(2), ps.Grain(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := run.Run(context.Background(), args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DOALLChunks == 0 {
+		t.Error("DOALLChunks = 0: the fused DOALL did not run on the pool")
 	}
 
 	for _, tc := range []struct{ file, module, want string }{
@@ -442,7 +456,7 @@ func TestParallelPlanFuses(t *testing.T) {
 		{"testdata/coupled.ps", "Coupled", "DOALL I×J (eq.3; eq.4)"},
 		{"testdata/fuse_pair.ps", "FusePair", "WAVEFRONT[pi=(1,1)] I×J (eq.1; eq.2); DOALL I×J (eq.3; eq.4)"},
 	} {
-		prog, err := ps.CompileProgram(tc.file, mustRead(t, tc.file))
+		prog, err := eng.Compile(tc.file, mustRead(t, tc.file))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +471,7 @@ func TestParallelPlanFuses(t *testing.T) {
 // would gain no parallel step; every instance runs on a specialized
 // kernel.
 func TestCascadeKeepsLeafSpans(t *testing.T) {
-	twin, err := ps.CompileProgram("twin.ps", mustRead(t, "testdata/twin.ps"))
+	twin, err := newEngine(t).Compile("twin.ps", mustRead(t, "testdata/twin.ps"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +508,11 @@ func TestVariantParityConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqRef, err := prog.Run(tp.module, tp.args, ps.Sequential())
+			seqRun, err := prog.Prepare(tp.module, ps.Sequential())
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqRef, _, err := seqRun.Run(context.Background(), tp.args)
 			if err != nil {
 				t.Fatal(err)
 			}
