@@ -419,7 +419,7 @@ func nativeGSWavefront(in []float64, m, maxK int64, workers int) []float64 {
 	// Every cell (k,i,j) with 2k+i+j = t is independent of the others on
 	// the same hyperplane. Each k contributes one anti-diagonal segment
 	// i ∈ [max(0,t-2k-(m+1)), min(m+1,t-2k)]; segments are distributed
-	// over the workers as one dependence-free tile nest per plane, so
+	// over the workers as one row of independent tiles per plane, so
 	// exactly the valid cells are visited.
 	pool := par.NewPool(workers)
 	defer pool.Close()
@@ -435,8 +435,10 @@ func nativeGSWavefront(in []float64, m, maxK int64, workers int) []float64 {
 		if kLo > kHi {
 			continue
 		}
-		plane := sched.Nest{CoordLo: kLo, CoordHi: kHi, Window: 1, Workers: workers}
-		sched.Run(plane, pool, nil, func(_ *obs.Ring, _ int64, _ int, lo, hi int64) bool {
+		cols, w := sched.Cut(kHi-kLo+1, sched.TilesPerWorker*int64(workers), 0)
+		sched.Run(sched.Grid{Rows: 1, Cols: cols}, pool, nil, func(_ *obs.Ring, _, b int) bool {
+			lo := kLo + int64(b)*w
+			hi := min(lo+w-1, kHi)
 			for k := lo; k <= hi; k++ {
 				d := t - 2*k // i+j on this plane
 				iLo, iHi := int64(0), d

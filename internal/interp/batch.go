@@ -13,8 +13,8 @@ import (
 // the batch index appears in no equation subscript, so every pair of
 // batch elements is trivially independent under the paper's dependence
 // test (the §5 fusion argument generalized to the batch axis), and the
-// whole batch dispatches to the worker pool as one parallel step — a
-// one-plane tile nest over b = 0..n−1 on the same executor
+// whole batch dispatches to the worker pool as one parallel step — one
+// row of tiles over b = 0..n−1 on the same executor
 // (internal/sched) that runs collapsed DOALL steps and wavefronts.
 // Plan lookup, bound-thunk tables and one pool dispatch are shared
 // across all elements, which is what makes batched serving cheaper than
@@ -68,20 +68,21 @@ func (p *Program) RunBatchCtx(ctx context.Context, name string, batch [][]any, o
 		return results, errs, nil
 	}
 
-	// The fused batch DOALL: one tile nest over the synthesized leading
-	// dimension. Every element is a whole activation, so the batch
-	// dispatches at any n ≥ 2 and Grain does not widen its tiles; the
-	// executor still blocks elements into about TilesPerWorker tiles per
+	// The fused batch DOALL: one row of tiles over the synthesized
+	// leading dimension. Every element is a whole activation, so the
+	// batch dispatches at any n ≥ 2 and Grain does not widen its tiles;
+	// Cut still blocks elements into about TilesPerWorker tiles per
 	// worker when the batch is much wider than the pool. Each tile counts
 	// as one chunk, and each element's activation runs with inParallel
 	// set, exactly as it would inside any other enclosing DOALL.
-	nest := sched.Nest{CoordHi: int64(n) - 1, Window: 1}
-	completed := sched.Run(nest, rs.pool, rs.cancelChan(), func(_ *obs.Ring, _ int64, _ int, lo, hi int64) bool {
+	cols, w := sched.Cut(int64(n), sched.TilesPerWorker*int64(rs.pool.Workers()), 0)
+	completed := sched.Run(sched.Grid{Rows: 1, Cols: cols}, rs.pool, rs.cancelChan(), func(_ *obs.Ring, _, b int) bool {
 		if rs.stats != nil {
 			rs.stats.Chunks.Add(1)
 		}
-		for b := lo; b <= hi; b++ {
-			results[b], errs[b] = p.runModule(rs, cm, batch[b], true, false)
+		lo := b * int(w)
+		for e := lo; e < min(lo+int(w), n); e++ {
+			results[e], errs[e] = p.runModule(rs, cm, batch[e], true, false)
 		}
 		return true
 	}, nil, nil)

@@ -140,3 +140,29 @@ func TestCopySpan(t *testing.T) {
 		})
 	}
 }
+
+// TestDoAllEarliestFailure runs a DOALL whose every point from I = 57 on
+// reads past S, on tiles at W ∈ {2, 4}: the tiles fail in whatever order
+// they are claimed, and each run must still report the earliest failing
+// point's subscript (257), the error of the inline walk.
+func TestDoAllEarliestFailure(t *testing.T) {
+	const n, d = 256, 200
+	ip := compileSrc(t, overrun)
+	args := []any{realBox(value.Axis{Lo: 1, Hi: n}), int64(n), int64(d)}
+	_, refErr := ip.Run("Overrun", args, interp.Options{Sequential: true})
+	if refErr == nil || !strings.Contains(refErr.Error(), "subscript 257 ") {
+		t.Fatalf("reference error %v, want subscript 257", refErr)
+	}
+	for _, w := range []int{2, 4} {
+		for rep := 0; rep < 10; rep++ {
+			var st interp.Stats
+			_, err := ip.Run("Overrun", args, interp.Options{Workers: w, Grain: 1, Stats: &st})
+			if st.Chunks.Load() == 0 {
+				t.Fatalf("W=%d: the DOALL ran inline", w)
+			}
+			if err == nil || err.Error() != refErr.Error() {
+				t.Fatalf("W=%d run %d: error %v, want %v", w, rep, err, refErr)
+			}
+		}
+	}
+}

@@ -117,12 +117,16 @@
 //
 // The run has one parallel executor, the tile executor of
 // internal/sched, and one size rule for every step that may use it. A
-// DOALL step is the degenerate wavefront: one plane, no carried
-// dependence, its collapsed linear index 0..total−1 as the blocked
-// coordinate. Whether an activation dispatches a step is a pure
-// function of what its bounds resolve to (TilePlane): the step runs as
-// tiles iff the run has a pool of W > 1 workers, the step is not
-// already inside a parallel tile or batch element, and
+// wavefront is a chained grid of skewed tiles, tile (a, b) waiting on
+// (a−1, b) and (a, b−1); a DOALL step is one row of independent tiles
+// over its collapsed linear index 0..total−1. A DOALL tile that fails
+// leaves the other tiles running, so the run reports the failure of the
+// earliest failing point in the linear index, as the inline walk would;
+// a wavefront stops at its first failure. Whether an activation
+// dispatches a step is a pure function of what its bounds resolve to
+// (TilePlane): the step runs as tiles iff the run has a pool of W > 1
+// workers, the step is not already inside a parallel tile or batch
+// element, and
 //
 //	points / planes ≥ g × W
 //
@@ -136,8 +140,8 @@
 // or W for the row. Everything else runs on the calling goroutine: a
 // DOALL walks its linear index with the walker its tiles use, a
 // wavefront sweeps the one tile covering its box. A batch axis
-// (RunBatchCtx) is one more such nest over its elements, dispatched at
-// any n ≥ 2.
+// (RunBatchCtx) is one more row of tiles over its elements, dispatched
+// at any n ≥ 2.
 // Nothing is measured and nothing is remembered between activations, so
 // the same bounds always take the same side and Runner.Explain is a
 // function of plan and options alone.

@@ -89,10 +89,10 @@ type Stats struct {
 	// inline — so wavefront work stays distinguishable from plain DOALL
 	// chunking.
 	Planes atomic.Int64
-	// Doacross accumulates the wavefront tile executor's counters: the
-	// tiles run (grid instances that hold points), stalls (parked waits
-	// on predecessor tiles) and steals. All zero when every wavefront
-	// swept inline.
+	// Doacross accumulates the tile executor's counters over wavefront
+	// grids: the tiles run, stalls (parked waits on a tile's
+	// predecessors) and steals. All zero when every wavefront swept
+	// inline.
 	Doacross sched.Stats
 	// Specialized counts equation instances executed through the
 	// branch-free specialized kernel path (a subset of EqInstances);
@@ -316,7 +316,7 @@ type workerState struct {
 
 // workerScope is what the bodies of one parallel dispatch share: the
 // dispatching activation's env and frame, whether a body is a pool
-// chunk, and the first failure any body raised.
+// chunk, and the failure of the lowest-indexed tile that raised one.
 type workerScope struct {
 	en *env
 	fr []int64
@@ -324,8 +324,10 @@ type workerScope struct {
 	// Stats.Chunks and, when tracing, emits a KChunk span on a ring of
 	// its own (their sched.Run records nothing). Wavefront tiles leave it
 	// unset: sched.Run records their spans on its own rings.
-	chunk    bool
-	once     sync.Once
+	chunk bool
+	// mu guards panicked, the failure kept, and failAt, its tile.
+	mu       sync.Mutex
+	failAt   int
 	panicked any
 }
 
@@ -334,11 +336,12 @@ type workerScope struct {
 // the frame starting at the dispatcher's coordinates. The copy's
 // instance counters start at zero and are flushed into the run's Stats
 // when body returns or fails. A failure (runtimeError, value.Error or a
-// foreign panic) is captured once, for rethrow on the dispatching
-// goroutine after every body has stopped, and reported as false. ring is
+// foreign panic) is reported as false and kept, for rethrow on the
+// dispatching goroutine after every body has stopped, unless a tile
+// with a lower index than tile already failed. ring is
 // the event ring the body's executor already owns on this goroutine (a
 // sched worker's, for tiles), or nil; the body emits its instants there.
-func (w *workerScope) run(points int64, ring *obs.Ring, body func(sub *env, wfr []int64)) (ok bool) {
+func (w *workerScope) run(tile int, points int64, ring *obs.Ring, body func(sub *env, wfr []int64)) (ok bool) {
 	rs, cm := w.en.rs, w.en.cm
 	ws, _ := cm.ws.Get().(*workerState)
 	if ws == nil {
@@ -385,7 +388,11 @@ func (w *workerScope) run(points int64, ring *obs.Ring, body func(sub *env, wfr 
 			case value.Error:
 				r = runtimeError{err: e, eq: sub.eqLabel()}
 			}
-			w.once.Do(func() { w.panicked = r })
+			w.mu.Lock()
+			if w.panicked == nil || tile < w.failAt {
+				w.panicked, w.failAt = r, tile
+			}
+			w.mu.Unlock()
 			ok = false
 		}
 		cm.ws.Put(ws)
@@ -762,10 +769,10 @@ func (p *Program) execDo(en *env, fr []int64, st *plan.Step, self int) {
 
 // execDoAll runs one (pre-collapsed) DOALL step: the plan has already
 // flattened directly nested parallel loops into one linear iteration
-// space 0..total−1. A DOALL is a one-plane nest with no carried
-// dependence, so it dispatches by the wavefront's rule (TilePlane) with
-// planes = 1: a top-level step on a pool of W > 1 workers whose points
-// reach g × W runs as tiles of that linear index on the executor
+// space 0..total−1. A DOALL is one plane with no carried dependence, so
+// it dispatches by the wavefront's rule (TilePlane) with planes = 1: a
+// top-level step on a pool of W > 1 workers whose points reach g × W
+// runs as one row of tiles of that linear index on the executor
 // (internal/sched); anything smaller, or inside a parallel chunk, tile
 // or batch element, runs on the calling goroutine as one KDoAll span.
 // Both sides walk the space with walkDoAll.
@@ -792,22 +799,27 @@ func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 		return
 	}
 
-	// Each tile runs on pooled worker state (env + frame) and counts as a
-	// chunk. Runtime failures in workers are captured once and re-raised
-	// on the caller; the executor stops claiming tiles when the run's
-	// context fires.
-	nest := sched.Nest{CoordHi: total - 1, Window: 1, TileWidth: rs.opts.Grain}
+	// The linear index is one row of independent tiles, each on pooled
+	// worker state (env + frame) and counted as a chunk. A tile that
+	// fails leaves the others running, so the failure re-raised on the
+	// caller is the lowest tile's, at the earliest failing point of the
+	// linear index — the one the inline walk meets. The executor stops
+	// claiming tiles when the run's context fires.
+	cols, w := sched.Cut(total, sched.TilesPerWorker*int64(rs.pool.Workers()), rs.opts.Grain)
 	scope := workerScope{en: en, fr: fr, chunk: true}
-	body := func(_ *obs.Ring, _ int64, _ int, lo, hi int64) bool {
-		return scope.run(hi-lo+1, nil, func(sub *env, wfr []int64) {
+	body := func(_ *obs.Ring, _, b int) bool {
+		lo := int64(b) * w
+		hi := min(lo+w, total) - 1
+		scope.run(b, hi-lo+1, nil, func(sub *env, wfr []int64) {
 			p.walkDoAll(sub, wfr, st, bodyLo, &lob, &hib, lo, hi)
 		})
+		return true
 	}
 	if rs.labels {
 		body = labeled(rs, body, pprof.Labels(
 			"ps_module", en.cm.m.Name, "ps_step", "doall", "ps_eqs", stepEqs(en.cp, bodyLo, st.End)))
 	}
-	completed := sched.Run(nest, rs.pool, rs.cancelChan(), body, nil, nil)
+	completed := sched.Run(sched.Grid{Rows: 1, Cols: cols}, rs.pool, rs.cancelChan(), body, nil, nil)
 	scope.rethrow()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})
@@ -865,8 +877,8 @@ func (p *Program) walkDoAll(en *env, fr []int64, st *plan.Step, bodyLo int, lob,
 // labeled wraps a tile body in a pprof label set so CPU samples taken
 // while it runs carry the executing module/step/equations.
 func labeled(rs *runState, body sched.Body, lbls pprof.LabelSet) sched.Body {
-	return func(ring *obs.Ring, t int64, k int, lo, hi int64) (ok bool) {
-		pprof.Do(rs.ctx, lbls, func(context.Context) { ok = body(ring, t, k, lo, hi) })
+	return func(ring *obs.Ring, a, b int) (ok bool) {
+		pprof.Do(rs.ctx, lbls, func(context.Context) { ok = body(ring, a, b) })
 		return ok
 	}
 }
@@ -1055,66 +1067,45 @@ func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) 
 	en.endSpan(ring, obs.KPlane, t0, int64(bodyLo-1), 0)
 }
 
-// tilePreds makes tile b of plane t wait on tiles b−1, b of plane t−1.
-var tilePreds = []sched.PredRange{{Has: true, Lo: 0, Hi: 1}}
-
 // execWavefrontTiles runs a wavefront nest's tile grid on the pool. The
-// tiled coordinates s_r, s_r+1 are cut into A × B tiles (tileWidths);
-// tile (a, b) is the instance at plane a+b and coordinate b of a
-// sched.Nest of unit tiles (B ≤ 4W), so it starts once (a−1, b) and
-// (a, b−1) are done — every dependence of the skewed nest points to a
-// tile with no larger coordinate, reached through that chain. Instances
-// whose a falls off the grid are empty. Each tile runs sweepTile over
-// its rectangle, so the points, kernels and per-point order are those
-// of the inline sweep, and the two are bitwise identical.
+// tiled coordinates s_r, s_r+1 are cut into A × B tiles (tileWidths),
+// run as a chained sched.Grid: tile (a, b) starts once (a−1, b) and
+// (a, b−1) are done, and every dependence of the skewed nest points to
+// a tile with no larger coordinate, reached through that chain. Each
+// tile runs sweepTile over its rectangle, so the points, kernels and
+// per-point order are those of the inline sweep, and the two are
+// bitwise identical.
 func (p *Program) execWavefrontTiles(en *env, fr []int64, g *wfGrid) {
 	rs := en.rs
-	workers := rs.pool.Workers()
-	w := g.tileWidths(workers)
-	na := (g.extent(0) + w[0] - 1) / w[0]
-	nb := (g.extent(1) + w[1] - 1) / w[1]
-	nest := sched.Nest{
-		THi: na + nb - 2, CoordHi: nb - 1,
-		Window: 2, Preds: tilePreds,
-		Workers: workers, TileWidth: 1,
+	w := g.tileWidths(rs.pool.Workers())
+	na := int((g.extent(0) + w[0] - 1) / w[0])
+	nb := int((g.extent(1) + w[1] - 1) / w[1])
+	var stats *sched.Stats
+	if rs.stats != nil {
+		stats = &rs.stats.Doacross
 	}
-	// sched counts the empty off-grid instances too: RunStats takes its
-	// stalls and steals as they are and counts the tiles that hold points.
-	var doStats sched.Stats
 	scope := workerScope{en: en, fr: fr}
 	canceled := rs.canceled
-	body := func(ring *obs.Ring, t int64, k int, _, _ int64) bool {
-		b := int64(k)
-		a := t - b
-		if a < 0 || a >= na {
-			return true // off the grid: the instance completes immediately
+	body := func(ring *obs.Ring, a, b int) bool {
+		if rs.stats != nil && (b == 0 || a == na-1) {
+			// The first tile of each anti-diagonal counts it once.
+			rs.stats.Planes.Add(1)
 		}
-		if rs.stats != nil {
-			rs.stats.Doacross.Tiles.Add(1)
-			if b == max(0, t-(na-1)) {
-				// The plane's lowest tile counts the plane once.
-				rs.stats.Planes.Add(1)
-			}
-		}
-		tlo := [2]int64{g.slo[0] + a*w[0], g.slo[1] + b*w[1]}
+		tlo := [2]int64{g.slo[0] + int64(a)*w[0], g.slo[1] + int64(b)*w[1]}
 		thi := [2]int64{min(tlo[0]+w[0]-1, g.shi[0]), min(tlo[1]+w[1]-1, g.shi[1])}
 		// The tile runs on pooled worker state, capturing failures the way
-		// DOALL tiles do: a recorded failure stops the scheduling here and
+		// DOALL tiles do; a recorded failure stops the whole grid here and
 		// re-raises after Run.
-		ok := scope.run(0, ring, func(sub *env, wfr []int64) {
+		ok := scope.run(a*nb+b, 0, ring, func(sub *env, wfr []int64) {
 			p.sweepTile(sub, wfr, g, 0, &tlo, &thi)
 		})
 		return ok && !(canceled != nil && canceled.Load())
 	}
 	if rs.labels {
 		body = labeled(rs, body, pprof.Labels("ps_module", en.cm.m.Name,
-			"ps_step", "doacross", "ps_eqs", stepEqs(en.cp, g.bodyLo, g.st.End)))
+			"ps_step", "wavefront", "ps_eqs", stepEqs(en.cp, g.bodyLo, g.st.End)))
 	}
-	completed := sched.Run(nest, rs.pool, rs.cancelChan(), body, &doStats, rs.rec)
-	if rs.stats != nil {
-		rs.stats.Doacross.Stalls.Add(doStats.Stalls.Load())
-		rs.stats.Doacross.Steals.Add(doStats.Steals.Load())
-	}
+	completed := sched.Run(sched.Grid{Rows: na, Cols: nb, Chain: true}, rs.pool, rs.cancelChan(), body, stats, rs.rec)
 	scope.rethrow()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})

@@ -43,12 +43,12 @@ const (
 	// goroutine, as the one tile covering its box. Arg0 is the plan step
 	// index.
 	KPlane
-	// KTile spans one tile instance of the tile executor. Arg0 is the
-	// tile-grid plane t; Arg1 packs the tile's coordinate on it and the
-	// steal flag as k<<1 | stolen.
+	// KTile spans one tile of the tile executor. Arg0 is tile (a, b)'s
+	// anti-diagonal a + b; Arg1 packs its column and the steal flag as
+	// b<<1 | stolen.
 	KTile
-	// KTileWait spans one parked wait of a doacross worker: no tile was
-	// ready and the worker blocked until a completion woke it.
+	// KTileWait spans one parked wait of a tile-executor worker: no tile
+	// was ready and the worker blocked until a completion woke it.
 	KTileWait
 	// KSpecFallback is an instant event: a specialized span kernel fell
 	// back to the generic evaluator for its un-certified prefix/suffix

@@ -50,7 +50,7 @@ func (r *Recorder) WriteChrome(w io.Writer, process string) error {
 			case meta.arg0 != "" && meta.arg1 != "":
 				a1 := ev.Arg1
 				if ev.Kind == KTile {
-					// Arg1 packs k<<1 | stolen; unpack for the viewer.
+					// Arg1 packs b<<1 | stolen; unpack for the viewer.
 					fmt.Fprintf(bw, ",\"args\":{%q:%d,%q:%d,\"stolen\":%d}}", meta.arg0, ev.Arg0, meta.arg1, a1>>1, a1&1)
 					continue
 				}

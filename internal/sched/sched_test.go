@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,172 +12,115 @@ import (
 	"repro/internal/par"
 )
 
-// refGrid fills a (planes × span) grid sequentially with the recurrence
-// cell(t,c) = 1 + Σ_d cell(t-d.dt, c-d.shift) (0 outside the grid) — the
-// reference every doacross execution must reproduce exactly.
-type dep struct {
-	dt    int
-	shift int64
-}
+// dep is one dependence of a tile on an earlier one: tile (a, b) reads
+// tile (a−da, b−db).
+type dep struct{ da, db int }
 
-func refGrid(tlo, thi, clo, chi int64, deps []dep) map[[2]int64]int64 {
-	g := make(map[[2]int64]int64)
-	for t := tlo; t <= thi; t++ {
-		for c := clo; c <= chi; c++ {
-			v := int64(1)
-			for _, d := range deps {
-				v += g[[2]int64{t - int64(d.dt), c - d.shift}]
-			}
-			g[[2]int64{t, c}] = v
+// refGrid fills a rows × cols grid sequentially with the recurrence
+// cell(a,b) = 1 + Σ_d cell(a-d.da, b-d.db) (0 outside the grid) — the
+// reference every tile execution must reproduce exactly.
+func refGrid(rows, cols int, deps []dep) []int64 {
+	g := make([]int64, rows*cols)
+	for a := range rows {
+		for b := range cols {
+			g[a*cols+b] = cell(g, rows, cols, a, b, deps)
 		}
 	}
 	return g
 }
 
-// nestFor derives the Nest dependence metadata from explicit deps.
-func nestFor(tlo, thi, clo, chi int64, deps []dep, workers int, tileW int64) Nest {
-	window := 1
+// cell evaluates the recurrence at (a, b) from the cells of g.
+func cell(g []int64, rows, cols, a, b int, deps []dep) int64 {
+	v := int64(1)
 	for _, d := range deps {
-		if d.dt+1 > window {
-			window = d.dt + 1
+		if pa, pb := a-d.da, b-d.db; pa >= 0 && pa < rows && pb >= 0 && pb < cols {
+			v += g[pa*cols+pb]
 		}
 	}
-	preds := make([]PredRange, window-1)
-	for _, d := range deps {
-		pr := &preds[d.dt-1]
-		if !pr.Has {
-			*pr = PredRange{Has: true, Lo: d.shift, Hi: d.shift}
-			continue
-		}
-		if d.shift < pr.Lo {
-			pr.Lo = d.shift
-		}
-		if d.shift > pr.Hi {
-			pr.Hi = d.shift
-		}
-	}
-	return Nest{TLo: tlo, THi: thi, CoordLo: clo, CoordHi: chi,
-		Window: window, Preds: preds, Workers: workers, TileWidth: tileW}
+	return v
 }
 
-// runGrid executes the recurrence through the doacross executor into a
-// flat array (no locks: correctness of the schedule IS the test, and
-// -race verifies the happens-before edges of the completion counters).
-func runGrid(t *testing.T, tlo, thi, clo, chi int64, deps []dep, workers int, tileW int64, stats *Stats) map[[2]int64]int64 {
+// runGrid executes the recurrence through the tile executor, one cell
+// per tile, into a flat array (no locks: correctness of the schedule IS
+// the test, and -race verifies the happens-before edges of the
+// completion counters).
+func runGrid(t *testing.T, pool *par.Pool, grid Grid, deps []dep, stats *Stats) []int64 {
 	t.Helper()
-	span := chi - clo + 1
-	cells := make([]int64, (thi-tlo+1)*span)
-	at := func(tt, c int64) *int64 { return &cells[(tt-tlo)*span+(c-clo)] }
-	get := func(tt, c int64) int64 {
-		if tt < tlo || tt > thi || c < clo || c > chi {
-			return 0
-		}
-		return *at(tt, c)
-	}
-	pool := par.NewPool(workers)
-	defer pool.Close()
-	nest := nestFor(tlo, thi, clo, chi, deps, workers, tileW)
-	completed := Run(nest, pool, nil, func(_ *obs.Ring, tt int64, _ int, lo, hi int64) bool {
-		for c := lo; c <= hi; c++ {
-			v := int64(1)
-			for _, d := range deps {
-				v += get(tt-int64(d.dt), c-d.shift)
-			}
-			*at(tt, c) = v
-		}
+	g := make([]int64, grid.Rows*grid.Cols)
+	if !Run(grid, pool, nil, func(_ *obs.Ring, a, b int) bool {
+		g[a*grid.Cols+b] = cell(g, grid.Rows, grid.Cols, a, b, deps)
 		return true
-	}, stats, nil)
-	if !completed {
-		t.Fatal("doacross run did not complete")
+	}, stats, nil) {
+		t.Fatal("tile run did not complete")
 	}
-	out := make(map[[2]int64]int64)
-	for tt := tlo; tt <= thi; tt++ {
-		for c := clo; c <= chi; c++ {
-			out[[2]int64{tt, c}] = get(tt, c)
-		}
-	}
-	return out
+	return g
 }
 
-// TestDoacrossMatchesSequential sweeps dependence shapes, worker counts
-// and tile widths; every execution must be bitwise identical to the
-// sequential reference. Run under -race this also checks that the
-// completion counters publish every cross-tile read.
+// TestDoacrossMatchesSequential runs the dependence shapes a chained
+// grid covers — the grid rule itself, and Gauss–Seidel's, whose
+// (a−1, b−1) the chain implies — over single-row, single-column, tall,
+// wide and square grids at several worker counts; every execution must
+// be bitwise identical to the sequential reference. Run under -race this
+// also checks that the completion counters publish every cross-tile
+// read.
 func TestDoacrossMatchesSequential(t *testing.T) {
 	shapes := []struct {
 		name string
 		deps []dep
 	}{
-		{"window2_right", []dep{{1, 0}, {1, 1}}},
-		{"window2_both", []dep{{1, -1}, {1, 1}}},
-		{"window3_gs", []dep{{1, 0}, {1, 1}, {2, 1}}}, // Gauss–Seidel shape
-		{"window4_far", []dep{{1, -2}, {3, 5}}},
-		{"window2_wide", []dep{{1, -7}, {1, 7}}},
+		{"window2_right", []dep{{1, 0}, {0, 1}}},
+		{"window3_gs", []dep{{1, 0}, {0, 1}, {1, 1}}}, // Gauss–Seidel shape
 	}
+	grids := [][2]int{{1, 37}, {37, 1}, {40, 3}, {3, 40}, {12, 12}}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			const tlo, thi, clo, chi = 2, 33, -5, 40
-			want := refGrid(tlo, thi, clo, chi, sh.deps)
 			for _, workers := range []int{1, 2, 3, 8} {
-				for _, tileW := range []int64{0, 1, 5, 46} {
-					got := runGrid(t, tlo, thi, clo, chi, sh.deps, workers, tileW, nil)
-					for k, w := range want {
-						if got[k] != w {
-							t.Fatalf("workers=%d tileW=%d: cell(%d,%d) = %d, want %d",
-								workers, tileW, k[0], k[1], got[k], w)
-						}
+				pool := par.NewPool(workers)
+				for _, rc := range grids {
+					want := refGrid(rc[0], rc[1], sh.deps)
+					got := runGrid(t, pool, Grid{Rows: rc[0], Cols: rc[1], Chain: true}, sh.deps, nil)
+					if !slices.Equal(got, want) {
+						t.Fatalf("workers=%d grid %d×%d diverges from the sequential reference", workers, rc[0], rc[1])
 					}
 				}
+				pool.Close()
 			}
 		})
 	}
 }
 
-// TestConcurrentRuns shares one pool between callers running wavefront
-// and DOALL nests at once, as concurrent activations do: run state is
-// recycled between Runs, and every result must still match the
+// TestConcurrentRuns shares one pool between callers running chained
+// grids and DOALL rows at once, as concurrent activations do: run state
+// is recycled between Runs, and every result must still match the
 // sequential reference.
 func TestConcurrentRuns(t *testing.T) {
 	pool := par.NewPool(3)
 	defer pool.Close()
-	deps := []dep{{1, 0}, {1, 1}, {2, 1}}
-	const tlo, thi, clo, chi = 0, 20, 0, 30
-	want := refGrid(tlo, thi, clo, chi, deps)
+	deps := []dep{{1, 0}, {0, 1}, {1, 1}}
 	var callers sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		callers.Add(1)
 		go func() {
 			defer callers.Done()
 			for round := 0; round < 20; round++ {
-				cells := make([]int64, (thi-tlo+1)*(chi-clo+1))
-				get := func(tt, c int64) int64 {
-					if tt < tlo || c < clo || c > chi {
-						return 0
-					}
-					return cells[(tt-tlo)*(chi-clo+1)+c-clo]
-				}
-				nest := nestFor(tlo, thi, clo, chi, deps, 3, int64(round%4))
-				if !Run(nest, pool, nil, func(_ *obs.Ring, tt int64, _ int, lo, hi int64) bool {
-					for c := lo; c <= hi; c++ {
-						v := int64(1)
-						for _, d := range deps {
-							v += get(tt-int64(d.dt), c-d.shift)
-						}
-						cells[(tt-tlo)*(chi-clo+1)+c-clo] = v
-					}
+				grid := Grid{Rows: 21, Cols: 1 + round%8, Chain: true}
+				want := refGrid(grid.Rows, grid.Cols, deps)
+				g := make([]int64, grid.Rows*grid.Cols)
+				if !Run(grid, pool, nil, func(_ *obs.Ring, a, b int) bool {
+					g[a*grid.Cols+b] = cell(g, grid.Rows, grid.Cols, a, b, deps)
 					return true
 				}, nil, nil) {
 					t.Error("run did not complete")
 					return
 				}
-				for k, w := range want {
-					if got := get(k[0], k[1]); got != w {
-						t.Errorf("cell(%d,%d) = %d, want %d", k[0], k[1], got, w)
-						return
-					}
+				if !slices.Equal(g, want) {
+					t.Errorf("round %d: %d×%d grid diverges from the sequential reference", round, grid.Rows, grid.Cols)
+					return
 				}
 				var sum atomic.Int64
-				if !Run(doall(0, 99, 3, 0), pool, nil, func(_ *obs.Ring, _ int64, _ int, lo, hi int64) bool {
+				row, w := doall(100, 3, 0)
+				if !Run(row, pool, nil, func(_ *obs.Ring, _, b int) bool {
+					lo, hi := span(b, w, 100)
 					for c := lo; c <= hi; c++ {
 						sum.Add(c)
 					}
@@ -190,30 +135,31 @@ func TestConcurrentRuns(t *testing.T) {
 	callers.Wait()
 }
 
-// TestDoacrossStats pins the tile accounting: every (plane, tile)
-// instance is counted once, and a pipeline whose tiles serialize behind
-// one slow tile must record stalls.
+// TestDoacrossStats pins the tile accounting: every tile of a grid is
+// counted once, and a pipeline whose tiles serialize behind one slow
+// column must record stalls.
 func TestDoacrossStats(t *testing.T) {
-	var stats Stats
-	const tlo, thi, clo, chi = 0, 9, 0, 19
-	deps := []dep{{1, 1}}
-	runGrid(t, tlo, thi, clo, chi, deps, 4, 5, &stats)
-	ntiles, tileW := int64(4), int64(5)
-	_ = tileW
-	if got, want := stats.Tiles.Load(), (thi-tlo+1)*ntiles; got != want {
-		t.Errorf("Tiles = %d, want %d", got, want)
+	pool := par.NewPool(4)
+	defer pool.Close()
+	for _, grid := range []Grid{{Rows: 10, Cols: 4, Chain: true}, {Rows: 1, Cols: 9}, {Rows: 7, Cols: 1, Chain: true}} {
+		var stats Stats
+		var deps []dep // an unchained grid's tiles read nothing of each other
+		if grid.Chain {
+			deps = []dep{{1, 0}, {0, 1}}
+		}
+		runGrid(t, pool, grid, deps, &stats)
+		if got, want := stats.Tiles.Load(), int64(grid.Rows*grid.Cols); got != want {
+			t.Errorf("%d×%d grid: Tiles = %d, want %d", grid.Rows, grid.Cols, got, want)
+		}
 	}
 
-	// A full-span predecessor range makes every tile wait on the whole
-	// previous plane; with tile 0 artificially slow, the other worker
-	// runs out of ready instances and must park.
+	// With column 0 artificially slow, the worker homed on column 1
+	// waits on it every row, runs out of ready tiles and must park.
 	var slow Stats
-	pool := par.NewPool(2)
-	defer pool.Close()
-	nest := Nest{TLo: 0, THi: 5, CoordLo: 0, CoordHi: 19, Window: 2,
-		Preds: []PredRange{{Has: true, Lo: -20, Hi: 20}}, Workers: 2, TileWidth: 10}
-	completed := Run(nest, pool, nil, func(_ *obs.Ring, tt int64, k int, _, _ int64) bool {
-		if k == 0 {
+	pair := par.NewPool(2)
+	defer pair.Close()
+	completed := Run(Grid{Rows: 6, Cols: 2, Chain: true}, pair, nil, func(_ *obs.Ring, _, b int) bool {
+		if b == 0 {
 			time.Sleep(2 * time.Millisecond)
 		}
 		return true
@@ -227,17 +173,15 @@ func TestDoacrossStats(t *testing.T) {
 }
 
 // TestDoacrossSteals forces imbalance: one home set finishes early and
-// its worker must steal the remaining tiles' instances.
+// its worker must steal the remaining columns' tiles.
 func TestDoacrossSteals(t *testing.T) {
 	var stats Stats
 	pool := par.NewPool(4)
 	defer pool.Close()
-	nest := Nest{TLo: 0, THi: 40, CoordLo: 0, CoordHi: 39, Window: 2,
-		Preds: []PredRange{{Has: true, Lo: 0, Hi: 0}}, Workers: 4, TileWidth: 5}
-	var slowTile atomic.Int64
-	slowTile.Store(7)
-	completed := Run(nest, pool, nil, func(_ *obs.Ring, tt int64, k int, _, _ int64) bool {
-		if int64(k) == slowTile.Load() {
+	var slowCol atomic.Int64
+	slowCol.Store(7)
+	completed := Run(Grid{Rows: 41, Cols: 8}, pool, nil, func(_ *obs.Ring, _, b int) bool {
+		if int64(b) == slowCol.Load() {
 			time.Sleep(50 * time.Microsecond)
 		}
 		return true
@@ -252,39 +196,45 @@ func TestDoacrossSteals(t *testing.T) {
 
 // TestDoacrossBodyRing checks a recorded run hands each body the ring of
 // the worker executing it: what a body emits there lands in the trace
-// next to the worker's own tile spans, one of each per tile instance,
-// and an unrecorded run hands out nil.
+// next to the worker's own tile spans, one of each per tile, and an
+// unrecorded run hands out nil. A tile span carries its anti-diagonal
+// and column.
 func TestDoacrossBodyRing(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
-	nest := Nest{TLo: 0, THi: 9, CoordLo: 0, CoordHi: 19, Window: 2,
-		Preds: []PredRange{{Has: true, Lo: -1, Hi: 1}}, Workers: 2, TileWidth: 5}
+	grid := Grid{Rows: 10, Cols: 4, Chain: true}
 	rec := obs.NewRecorder(0)
-	if !Run(nest, pool, nil, func(ring *obs.Ring, tt int64, k int, _, _ int64) bool {
+	if !Run(grid, pool, nil, func(ring *obs.Ring, a, b int) bool {
 		if ring == nil {
 			t.Error("recorded run passed a nil ring")
 			return false
 		}
-		ring.Emit(obs.KSpecFallback, ring.Now(), 0, int64(k), 1)
+		ring.Emit(obs.KSpecFallback, ring.Now(), 0, int64(a), int64(b))
 		return true
 	}, nil, rec) {
 		t.Fatal("run did not complete")
 	}
+	// Both sets hold (anti-diagonal, column): a tile span's Arg1 packs
+	// the column with the steal flag, a body event carries (a, b).
 	var tiles, marks int
+	spans, bodies := map[[2]int64]bool{}, map[[2]int64]bool{}
 	for _, evs := range rec.Snapshot() {
 		for _, ev := range evs {
 			switch ev.Kind {
 			case obs.KTile:
 				tiles++
+				spans[[2]int64{ev.Arg0, ev.Arg1 >> 1}] = true
 			case obs.KSpecFallback:
 				marks++
+				bodies[[2]int64{ev.Arg0 + ev.Arg1, ev.Arg1}] = true
 			}
 		}
 	}
-	if want := 10 * 4; tiles != want || marks != want {
-		t.Errorf("trace has %d tile spans and %d body events, want %d of each", tiles, marks, want)
+	if want := grid.Rows * grid.Cols; tiles != want || marks != want || len(spans) != want || !maps.Equal(spans, bodies) {
+		t.Errorf("trace has %d tile spans (%d distinct) and %d body events, want %d of each on the same tiles",
+			tiles, len(spans), marks, want)
 	}
-	if !Run(nest, pool, nil, func(ring *obs.Ring, _ int64, _ int, _, _ int64) bool {
+	if !Run(grid, pool, nil, func(ring *obs.Ring, _, _ int) bool {
 		if ring != nil {
 			t.Error("unrecorded run passed a ring")
 		}
@@ -295,7 +245,7 @@ func TestDoacrossBodyRing(t *testing.T) {
 }
 
 // TestDoacrossCancel closes the cancel channel mid-run: Run must stop
-// claiming instances promptly — including parked workers — and report
+// claiming tiles promptly — including parked workers — and report
 // !completed.
 func TestDoacrossCancel(t *testing.T) {
 	pool := par.NewPool(2)
@@ -303,14 +253,12 @@ func TestDoacrossCancel(t *testing.T) {
 	cancel := make(chan struct{})
 	started := make(chan struct{})
 	var once atomic.Bool
-	nest := Nest{TLo: 0, THi: 1 << 20, CoordLo: 0, CoordHi: 63, Window: 2,
-		Preds: []PredRange{{Has: true, Lo: -64, Hi: 64}}, Workers: 2, TileWidth: 32}
 	go func() {
 		<-started
 		close(cancel)
 	}()
 	start := time.Now()
-	completed := Run(nest, pool, cancel, func(_ *obs.Ring, tt int64, _ int, _, _ int64) bool {
+	completed := Run(Grid{Rows: 1 << 20, Cols: 2, Chain: true}, pool, cancel, func(_ *obs.Ring, _, _ int) bool {
 		if once.CompareAndSwap(false, true) {
 			close(started)
 		}
@@ -331,147 +279,121 @@ func TestDoacrossBodyAbort(t *testing.T) {
 	pool := par.NewPool(3)
 	defer pool.Close()
 	var ran atomic.Int64
-	nest := Nest{TLo: 0, THi: 999, CoordLo: 0, CoordHi: 29, Window: 2,
-		Preds: []PredRange{{Has: true, Lo: 0, Hi: 0}}, Workers: 3, TileWidth: 10}
-	completed := Run(nest, pool, nil, func(_ *obs.Ring, tt int64, _ int, _, _ int64) bool {
+	completed := Run(Grid{Rows: 1000, Cols: 3, Chain: true}, pool, nil, func(_ *obs.Ring, _, _ int) bool {
 		return ran.Add(1) < 10
 	}, nil, nil)
 	if completed {
 		t.Fatal("aborted run reported completion")
 	}
 	if n := ran.Load(); n >= 3000 {
-		t.Fatalf("abort did not stop the run: %d instances executed", n)
+		t.Fatalf("abort did not stop the run: %d tiles executed", n)
 	}
 }
 
-// TestDoacrossEmpty covers degenerate nests: empty time range and empty
-// coordinate span complete trivially.
+// TestDoacrossEmpty covers degenerate grids: no rows or no columns
+// complete trivially.
 func TestDoacrossEmpty(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
-	body := func(_ *obs.Ring, _ int64, _ int, _, _ int64) bool { t.Error("body called"); return true }
-	if !Run(Nest{TLo: 5, THi: 4, CoordLo: 0, CoordHi: 9, Window: 2, Workers: 2}, pool, nil, body, nil, nil) {
-		t.Error("empty time range did not complete")
+	body := func(_ *obs.Ring, _, _ int) bool { t.Error("body called"); return true }
+	if !Run(Grid{Rows: 0, Cols: 10, Chain: true}, pool, nil, body, nil, nil) {
+		t.Error("grid without rows did not complete")
 	}
-	if !Run(Nest{TLo: 0, THi: 4, CoordLo: 9, CoordHi: 0, Window: 2, Workers: 2}, pool, nil, body, nil, nil) {
-		t.Error("empty span did not complete")
+	if !Run(Grid{Rows: 5, Cols: 0, Chain: true}, pool, nil, body, nil, nil) {
+		t.Error("grid without columns did not complete")
 	}
 }
 
-// TestTiles pins the blocking arithmetic Explain reports.
+// TestTiles pins Cut, the blocking arithmetic of DOALL and batch tiles
+// that Explain reports.
 func TestTiles(t *testing.T) {
 	cases := []struct {
-		nest   Nest
-		ntiles int
-		tileW  int64
+		n, per, minW int64
+		ntiles       int
+		tileW        int64
 	}{
-		{Nest{CoordLo: 0, CoordHi: 99, Workers: 2}, 9, 12},        // width span/(w*4) = 12
-		{Nest{CoordLo: 0, CoordHi: 9, Workers: 4}, 10, 1},         // narrow span: unit tiles
-		{Nest{CoordLo: 0, CoordHi: 99, TileWidth: 40}, 3, 40},     // explicit width
-		{Nest{CoordLo: 0, CoordHi: 9, TileWidth: 1 << 20}, 1, 10}, // clamped to span
-		{Nest{CoordLo: 3, CoordHi: 2}, 0, 0},                      // empty
-		{Nest{CoordLo: -10, CoordHi: 10, Workers: 1}, 5, 5},       // 21/(1*4)=5
+		{100, 2 * TilesPerWorker, 0, 9, 12},  // width n/per = 12
+		{10, 4 * TilesPerWorker, 0, 10, 1},   // narrow span: unit tiles
+		{100, TilesPerWorker, 40, 3, 40},     // minimum width
+		{10, TilesPerWorker, 1 << 20, 1, 10}, // clamped to the span
+		{0, TilesPerWorker, 0, 0, 0},         // empty
+		{-3, TilesPerWorker, 0, 0, 0},        // empty
+		{21, 1 * TilesPerWorker, 0, 5, 5},    // 21/4 = 5
+		{1 << 20, 2 * TilesPerWorker, 0, 8, 1 << 17},
 	}
 	for i, tc := range cases {
-		n, w := tc.nest.Tiles()
+		n, w := Cut(tc.n, tc.per, tc.minW)
 		if n != tc.ntiles || w != tc.tileW {
-			t.Errorf("case %d: Tiles() = (%d, %d), want (%d, %d)", i, n, w, tc.ntiles, tc.tileW)
+			t.Errorf("case %d: Cut(%d, %d, %d) = (%d, %d), want (%d, %d)", i, tc.n, tc.per, tc.minW, n, w, tc.ntiles, tc.tileW)
 		}
 	}
 }
 
 // TestHomeWorker checks the steal-attribution mapping is the inverse of
-// the worker scan assignment: every worker's scan-start tile — and every
-// tile in its contiguous home span — must map back to that worker, so a
-// worker executing its own tiles is never counted as stealing.
+// the worker scan assignment: every worker's scan-start column — and
+// every column in its contiguous home span — must map back to that
+// worker, so a worker executing its own tiles is never counted as
+// stealing.
 func TestHomeWorker(t *testing.T) {
-	for _, tc := range []struct{ ntiles, workers int }{
+	for _, tc := range []struct{ cols, workers int }{
 		{8, 3}, {5, 4}, {4, 2}, {7, 7}, {12, 5}, {3, 2}, {16, 4},
 	} {
-		r := &run{ntiles: tc.ntiles}
+		r := &run{grid: Grid{Rows: 1, Cols: tc.cols}}
 		for w := 0; w < tc.workers; w++ {
-			lo := w * tc.ntiles / tc.workers
-			hi := (w + 1) * tc.ntiles / tc.workers
-			for k := lo; k < hi; k++ {
-				if got := r.homeWorker(k, tc.workers); got != w {
-					t.Errorf("ntiles=%d workers=%d: homeWorker(%d) = %d, want %d (home span [%d,%d))",
-						tc.ntiles, tc.workers, k, got, w, lo, hi)
+			lo := w * tc.cols / tc.workers
+			hi := (w + 1) * tc.cols / tc.workers
+			for b := lo; b < hi; b++ {
+				if got := r.homeWorker(b, tc.workers); got != w {
+					t.Errorf("cols=%d workers=%d: homeWorker(%d) = %d, want %d (home span [%d,%d))",
+						tc.cols, tc.workers, b, got, w, lo, hi)
 				}
 			}
 		}
 	}
 }
 
-// TestPredTiles pins the predecessor-tile arithmetic, including negative
-// shifts and grid clamping.
-func TestPredTiles(t *testing.T) {
-	r := &run{nest: Nest{CoordLo: 0, CoordHi: 39}, tileW: 10, ntiles: 4}
-	cases := []struct {
-		k      int
-		pr     PredRange
-		lo, hi int
-	}{
-		{1, PredRange{Has: true, Lo: 0, Hi: 0}, 1, 1},    // aligned
-		{1, PredRange{Has: true, Lo: 1, Hi: 1}, 0, 1},    // reads one left
-		{1, PredRange{Has: true, Lo: -1, Hi: -1}, 1, 2},  // reads one right
-		{0, PredRange{Has: true, Lo: -25, Hi: 25}, 0, 3}, // wide, clamped low
-		{3, PredRange{Has: true, Lo: -25, Hi: 25}, 0, 3}, // wide, clamped high
-		{2, PredRange{Has: true, Lo: -10, Hi: 10}, 1, 3}, // exactly one tile each way
-	}
-	for i, tc := range cases {
-		lo, hi := r.predTiles(tc.k, tc.pr)
-		if lo != tc.lo || hi != tc.hi {
-			t.Errorf("case %d: predTiles(%d, %+v) = (%d, %d), want (%d, %d)",
-				i, tc.k, tc.pr, lo, hi, tc.lo, tc.hi)
-		}
-	}
+// doall is the grid a DOALL of n points dispatches on a pool of workers
+// with minimum tile width minW — one row of independent tiles — and the
+// tiles' width.
+func doall(n int64, workers int, minW int64) (Grid, int64) {
+	cols, w := Cut(n, TilesPerWorker*int64(workers), minW)
+	return Grid{Rows: 1, Cols: cols}, w
 }
 
-// TestFloorDiv pins the rounding helper.
-func TestFloorDiv(t *testing.T) {
-	cases := [][3]int64{{7, 2, 3}, {-7, 2, -4}, {6, 3, 2}, {-6, 3, -2}, {0, 5, 0}, {-1, 10, -1}}
-	for _, c := range cases {
-		if got := floorDiv(c[0], c[1]); got != c[2] {
-			t.Errorf("floorDiv(%d, %d) = %d, want %d", c[0], c[1], got, c[2])
-		}
-	}
+// span is the inclusive range of points DOALL tile b of width w covers.
+func span(b int, w, n int64) (lo, hi int64) {
+	lo = int64(b) * w
+	return lo, min(lo+w, n) - 1
 }
 
-// doall is the degenerate nest a DOALL step dispatches: one plane, no
-// carried dependence, the linear index blocked into tiles.
-func doall(lo, hi int64, workers int, tileW int64) Nest {
-	return Nest{CoordLo: lo, CoordHi: hi, Window: 1, Workers: workers, TileWidth: tileW}
-}
-
-// TestDoAllCoverage runs dependence-free nests of many widths: every
-// coordinate executes exactly once, at every worker count and minimum
-// tile width, and no tile is narrower than that minimum unless it is the
-// last one.
+// TestDoAllCoverage runs DOALL rows of many widths: every point executes
+// exactly once, at every worker count and minimum tile width, and no
+// tile is narrower than that minimum unless it is the last one.
 func TestDoAllCoverage(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		pool := par.NewPool(workers)
-		for span := int64(1); span <= 100; span += 11 {
+		for n := int64(1); n <= 100; n += 11 {
 			for _, tileW := range []int64{0, 1, 7} {
-				counts := make([]atomic.Int32, span)
-				nest := doall(-3, span-4, workers, tileW)
-				_, w := nest.Tiles()
-				if !Run(nest, pool, nil, func(_ *obs.Ring, tt int64, _ int, lo, hi int64) bool {
-					if tt != 0 {
-						t.Errorf("DOALL instance on plane %d", tt)
+				counts := make([]atomic.Int32, n)
+				row, w := doall(n, workers, tileW)
+				if !Run(row, pool, nil, func(_ *obs.Ring, a, b int) bool {
+					if a != 0 {
+						t.Errorf("DOALL tile on row %d", a)
 					}
-					if hi-lo+1 < min(w, tileW) && hi != nest.CoordHi {
+					lo, hi := span(b, w, n)
+					if hi-lo+1 < min(w, tileW) && hi != n-1 {
 						t.Errorf("tile [%d,%d] narrower than the minimum %d", lo, hi, tileW)
 					}
 					for c := lo; c <= hi; c++ {
-						counts[c+3].Add(1)
+						counts[c].Add(1)
 					}
 					return true
 				}, nil, nil) {
-					t.Fatalf("workers=%d span=%d: run did not complete", workers, span)
+					t.Fatalf("workers=%d n=%d: run did not complete", workers, n)
 				}
 				for c := range counts {
-					if n := counts[c].Load(); n != 1 {
-						t.Fatalf("workers=%d span=%d tileW=%d: coordinate %d ran %d times", workers, span, tileW, c-3, n)
+					if k := counts[c].Load(); k != 1 {
+						t.Fatalf("workers=%d n=%d tileW=%d: point %d ran %d times", workers, n, tileW, c, k)
 					}
 				}
 			}
@@ -480,12 +402,13 @@ func TestDoAllCoverage(t *testing.T) {
 	}
 }
 
-// TestDoAllEmpty checks an empty coordinate range (lo > hi) is a no-op
-// that completes.
+// TestDoAllEmpty checks an empty DOALL (no points, so no tiles) is a
+// no-op that completes.
 func TestDoAllEmpty(t *testing.T) {
 	pool := par.NewPool(3)
 	defer pool.Close()
-	if !Run(doall(5, 4, 3, 64), pool, nil, func(_ *obs.Ring, _ int64, _ int, _, _ int64) bool {
+	row, _ := doall(0, 3, 64)
+	if !Run(row, pool, nil, func(_ *obs.Ring, _, _ int) bool {
 		t.Error("body called on an empty range")
 		return true
 	}, nil, nil) {
@@ -502,9 +425,8 @@ func TestDoAllCancel(t *testing.T) {
 	cancel := make(chan struct{})
 	var once sync.Once
 	var ran atomic.Int64
-	nest := doall(0, 1<<20, 2, 0)
-	ntiles, _ := nest.Tiles()
-	completed := Run(nest, pool, cancel, func(_ *obs.Ring, _ int64, _ int, _, _ int64) bool {
+	row, _ := doall(1<<20+1, 2, 0)
+	completed := Run(row, pool, cancel, func(_ *obs.Ring, _, _ int) bool {
 		ran.Add(1)
 		once.Do(func() { close(cancel) })
 		time.Sleep(time.Millisecond)
@@ -513,8 +435,8 @@ func TestDoAllCancel(t *testing.T) {
 	if completed {
 		t.Fatal("cancelled DOALL reported completion")
 	}
-	if n := ran.Load(); n >= int64(ntiles) {
-		t.Fatalf("cancellation did not stop the DOALL: %d of %d tiles ran", n, ntiles)
+	if n := ran.Load(); n >= int64(row.Cols) {
+		t.Fatalf("cancellation did not stop the DOALL: %d of %d tiles ran", n, row.Cols)
 	}
 }
 
@@ -524,15 +446,14 @@ func TestDoAllBodyAbort(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
 	var ran atomic.Int64
-	nest := doall(0, 1<<20, 2, 0)
-	ntiles, _ := nest.Tiles()
-	if Run(nest, pool, nil, func(_ *obs.Ring, _ int64, _ int, _, _ int64) bool {
+	row, _ := doall(1<<20+1, 2, 0)
+	if Run(row, pool, nil, func(_ *obs.Ring, _, _ int) bool {
 		return ran.Add(1) > 1
 	}, nil, nil) {
 		t.Fatal("aborted DOALL reported completion")
 	}
-	if n := ran.Load(); n >= int64(ntiles) {
-		t.Fatalf("abort did not stop the DOALL: %d of %d tiles ran", n, ntiles)
+	if n := ran.Load(); n >= int64(row.Cols) {
+		t.Fatalf("abort did not stop the DOALL: %d of %d tiles ran", n, row.Cols)
 	}
 }
 
@@ -546,7 +467,7 @@ func TestWorkersReturnWhenNothingUnclaimed(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		var stats Stats
 		var held atomic.Bool
-		if !Run(doall(0, 1, 2, 1), pool, nil, func(_ *obs.Ring, _ int64, _ int, _, _ int64) bool {
+		if !Run(Grid{Rows: 1, Cols: 2}, pool, nil, func(_ *obs.Ring, _, _ int) bool {
 			if held.CompareAndSwap(false, true) {
 				time.Sleep(5 * time.Millisecond)
 			}

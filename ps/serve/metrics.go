@@ -223,8 +223,8 @@ func (m *metrics) render(sb *strings.Builder, queueDepths []labeledValue, es ps.
 	counter("ps_run_doall_chunks_total", "DOALL chunks dispatched to workers.", m.doallChunks.Load())
 	counter("ps_run_wavefront_planes_total", "Wavefront planes launched: tile-grid anti-diagonals of tiled nests, 1 per inline sweep.", m.wavefrontPlanes.Load())
 	counter("ps_run_doacross_tiles_total", "Wavefront tiles executed.", m.doacrossTiles.Load())
-	counter("ps_run_doacross_stalls_total", "Doacross workers parked on predecessor tiles.", m.doacrossStalls.Load())
-	counter("ps_run_doacross_steals_total", "Doacross tile instances run by non-home workers, empty off-grid instances included.", m.doacrossSteals.Load())
+	counter("ps_run_doacross_stalls_total", "Tile executor workers parked on predecessor tiles.", m.doacrossStalls.Load())
+	counter("ps_run_doacross_steals_total", "Wavefront tiles run by non-home workers.", m.doacrossSteals.Load())
 	counter("ps_run_specialized_total", "Equation instances executed by specialized kernels.", m.specialized.Load())
 	counter("ps_run_arena_reuses_total", "Activation arrays recycled from the arena.", m.arenaReuses.Load())
 

@@ -32,13 +32,12 @@ type RunStats struct {
 	// parallel chunk).
 	DoacrossTiles int64
 	// DoacrossStalls counts the times a tile worker found no ready
-	// tile instance and parked until a predecessor completed — the
-	// executor's residual synchronization cost.
+	// tile and parked until a predecessor completed — the executor's
+	// residual synchronization cost.
 	DoacrossStalls int64
-	// DoacrossSteals counts tile instances executed by a worker other
+	// DoacrossSteals counts wavefront tiles executed by a worker other
 	// than the tile's home worker: how often work stealing rebalanced
-	// the tiles. It counts the empty instances off a wavefront's A × B
-	// grid too, B(B − 1) of them, so it can exceed DoacrossTiles.
+	// the tiles. It never exceeds DoacrossTiles.
 	DoacrossSteals int64
 	// PipelineStages and StageStalls are always 0: they counted a
 	// pipeline backend that no longer exists. They stay only because the
