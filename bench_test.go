@@ -436,7 +436,7 @@ func nativeGSWavefront(in []float64, m, maxK int64, workers int) []float64 {
 			continue
 		}
 		cols, w := sched.Cut(kHi-kLo+1, sched.TilesPerWorker*int64(workers), 0)
-		sched.Run(sched.Grid{Rows: 1, Cols: cols}, pool, nil, func(_ *obs.Ring, _, b int) bool {
+		sched.Run(sched.Grid{Rows: 1, Cols: cols}, pool, func(_ *obs.Ring, _, b int) bool {
 			lo := kLo + int64(b)*w
 			hi := min(lo+w-1, kHi)
 			for k := lo; k <= hi; k++ {

@@ -136,13 +136,6 @@ func writeOperand(sb *strings.Builder, e Expr, parent token.Kind, right bool) {
 	}
 }
 
-// TypeString renders a type expression as PS source text.
-func TypeString(t TypeExpr) string {
-	var sb strings.Builder
-	writeType(&sb, t)
-	return sb.String()
-}
-
 func writeType(sb *strings.Builder, t TypeExpr) {
 	switch x := t.(type) {
 	case nil:

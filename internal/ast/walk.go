@@ -46,29 +46,3 @@ func Unparen(e Expr) Expr {
 		e = p.X
 	}
 }
-
-// FreeIdents returns the distinct identifier names referenced by e, in
-// first-use order. Subscript expressions and call arguments are included;
-// record field selector names are not (only the base expression is data).
-func FreeIdents(e Expr) []string {
-	var names []string
-	seen := make(map[string]bool)
-	Inspect(e, func(x Expr) bool {
-		if id, ok := x.(*Ident); ok && !seen[id.Name] {
-			seen[id.Name] = true
-			names = append(names, id.Name)
-		}
-		if f, ok := x.(*Field); ok {
-			Inspect(f.Base, func(y Expr) bool {
-				if id, ok := y.(*Ident); ok && !seen[id.Name] {
-					seen[id.Name] = true
-					names = append(names, id.Name)
-				}
-				return true
-			})
-			return false
-		}
-		return true
-	})
-	return names
-}

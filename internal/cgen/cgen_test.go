@@ -207,8 +207,8 @@ func TestCompiledCMatchesInterpreter(t *testing.T) {
 }
 
 // TestGeneratedCWavefrontShape checks the auto-hyperplane C output: the
-// skewed nest with the plane loops under the OpenMP pragma, per-plane
-// bound tightening, the T⁻¹ remap and the preimage guard.
+// sequential wf_0 = π·x plane loop with one OpenMP loop per plane,
+// per-plane bound tightening, the T⁻¹ remap and the preimage guard.
 func TestGeneratedCWavefrontShape(t *testing.T) {
 	prog, err := parser.ParseProgram("t.ps", psrc.RelaxationGS)
 	if err != nil {

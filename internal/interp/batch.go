@@ -76,7 +76,7 @@ func (p *Program) RunBatchCtx(ctx context.Context, name string, batch [][]any, o
 	// as one chunk, and each element's activation runs with inParallel
 	// set, exactly as it would inside any other enclosing DOALL.
 	cols, w := sched.Cut(int64(n), sched.TilesPerWorker*int64(rs.pool.Workers()), 0)
-	completed := sched.Run(sched.Grid{Rows: 1, Cols: cols}, rs.pool, rs.cancelChan(), func(_ *obs.Ring, _, b int) bool {
+	completed := sched.Run(sched.Grid{Rows: 1, Cols: cols}, rs.pool, func(_ *obs.Ring, _, b int) bool {
 		if rs.stats != nil {
 			rs.stats.Chunks.Add(1)
 		}
@@ -84,7 +84,7 @@ func (p *Program) RunBatchCtx(ctx context.Context, name string, batch [][]any, o
 		for e := lo; e < min(lo+int(w), n); e++ {
 			results[e], errs[e] = p.runModule(rs, cm, batch[e], true, false)
 		}
-		return true
+		return !rs.cancelled()
 	}, nil, nil)
 	if !completed {
 		cerr := rs.ctx.Err()

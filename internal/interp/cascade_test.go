@@ -142,7 +142,7 @@ func TestPipelineFirstCascade(t *testing.T) {
 
 // TestPipelineCancellation checks cancellation of Reflect: a context
 // already done is refused before the run starts, and one that fires
-// mid-run lands inside the producer's sequential DO nest — the error
+// inside the producer's sequential DO nest stops it there — the error
 // names one of its two equations — well before the nest would finish.
 func TestPipelineCancellation(t *testing.T) {
 	ip := compileSrc(t, psrc.Reflect)
@@ -153,18 +153,45 @@ func TestPipelineCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
-	// At N = 1024 the producer nest is a million two-equation points, far
-	// longer than the timeout on any host.
+	// At N = 1024 the producer nest is a million two-equation points. A
+	// deadline can expire before the nest starts (while the activation
+	// allocates its arrays), and a cancellation seen at the nest's first
+	// loop head names no equation; on a fast host it can expire after the
+	// nest, in the output copies. Stats.EqInstances tells where an attempt
+	// landed — 0 is before the nest, 2N² or more after it — and the
+	// deadline is bisected until one lands inside.
 	const n = 1024
 	args := []any{seed(n), int64(n)}
-	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, err = ip.RunCtx(ctx, "Reflect", args, interp.Options{Workers: 2})
-	var re *interp.RunError
-	if !errors.As(err, &re) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want a RunError wrapping context.DeadlineExceeded", err)
+	var lo, hi time.Duration // deadlines known to land before / after the nest; 0 is unknown
+	deadline := 20 * time.Millisecond
+	for attempt := 0; attempt < 8; attempt++ {
+		var stats interp.Stats
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		_, err := ip.RunCtx(ctx, "Reflect", args, interp.Options{Workers: 2, Stats: &stats})
+		cancel()
+		eqs := stats.EqInstances.Load()
+		var re *interp.RunError
+		if eqs < 2*n*n && (!errors.As(err, &re) || !errors.Is(err, context.DeadlineExceeded)) {
+			t.Fatalf("err = %v after %d instances, want a RunError wrapping context.DeadlineExceeded", err, eqs)
+		}
+		switch {
+		case eqs == 0:
+			lo = deadline
+		case eqs >= 2*n*n:
+			hi = deadline
+		default:
+			if re.Equation != "eq.1" && re.Equation != "eq.2" {
+				t.Errorf("cancelled in %q after %d of %d instances, want inside the producer nest (eq.1 or eq.2)", re.Equation, eqs, 2*n*n)
+			}
+			return
+		}
+		missed := deadline
+		if hi == 0 {
+			deadline = 2 * lo
+		} else {
+			deadline = (lo + hi) / 2
+		}
+		t.Logf("deadline %v missed the producer nest (%d instances); retrying at %v", missed, eqs, deadline)
 	}
-	if re.Equation != "eq.1" && re.Equation != "eq.2" {
-		t.Errorf("cancelled in %q, want inside the producer nest (eq.1 or eq.2)", re.Equation)
-	}
+	t.Fatal("no deadline landed inside the producer nest")
 }

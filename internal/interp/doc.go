@@ -74,9 +74,12 @@
 // than its worker count — the pool's workers, the caller among them —
 // which is what makes a traced run's compute + stall + idle add up to
 // exactly workers × wall.
-// Cancellation aborts sequential loops within one iteration (a leaf DO
-// within one span), DOALLs within one row and wavefronts within one
-// tile, and Stats counters are valid up to the abort.
+// Cancellation stops a leaf DO before its one span, any other DO within
+// one iteration, a DOALL within one row, a wavefront tile within one row
+// and a batch within one element, and Stats counters are valid up to the
+// abort. The context reaches the loops as one flag, set by
+// context.AfterFunc and polled per iteration, row or span; the tile
+// executor (internal/sched) sees it only as a tile body returning false.
 //
 // # One plan per execution mode
 //

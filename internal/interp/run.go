@@ -210,10 +210,11 @@ func (p *Program) Plan(name string, opts plan.Options) *plan.Program {
 type runState struct {
 	opts Options
 	ctx  context.Context
-	// canceled is set once ctx is done; nil when the context cannot be
-	// cancelled. Loops poll this flag (a plain atomic load) instead of
-	// calling ctx.Err() on hot paths.
-	canceled *atomic.Bool
+	// canceled is set once ctx is done (by context.AfterFunc). Loops
+	// poll this flag (a plain atomic load) instead of calling ctx.Err()
+	// on hot paths, and tile bodies return false on it: it is how a
+	// cancellation reaches the tile executor.
+	canceled atomic.Bool
 	stats    *Stats
 	pool     *par.Pool
 	// rec is the run's event recorder (Options.Trace); nil disables
@@ -223,15 +224,15 @@ type runState struct {
 }
 
 // cancelled reports whether the run's context has fired.
-func (rs *runState) cancelled() bool { return rs.canceled != nil && rs.canceled.Load() }
+func (rs *runState) cancelled() bool { return rs.canceled.Load() }
 
-// cancelChan returns the channel executor workers watch to stop
-// claiming tiles, or nil when the run is not cancellable.
-func (rs *runState) cancelChan() <-chan struct{} {
-	if rs.canceled == nil {
-		return nil
+// pollCancel raises the run's cancellation as a runtimeError once its
+// context has fired: the check every loop makes per iteration, row or
+// span.
+func (rs *runState) pollCancel() {
+	if rs.canceled.Load() {
+		panic(runtimeError{err: rs.ctx.Err()})
 	}
-	return rs.ctx.Done()
 }
 
 // env is the runtime state of one module activation.
@@ -415,9 +416,10 @@ func (p *Program) Run(name string, args []any, opts Options) ([]any, error) {
 	return p.RunCtx(context.Background(), name, args, opts)
 }
 
-// RunCtx is Run with a context: cancellation or deadline expiry aborts
-// sequential loops within one iteration (a leaf DO within one span) and
-// DOALLs within one row, returning a *RunError wrapping ctx.Err().
+// RunCtx is Run with a context: cancellation or deadline expiry stops a
+// leaf DO before its one span, any other DO within one iteration, and a
+// DOALL or wavefront tile within one row, returning a *RunError wrapping
+// ctx.Err().
 func (p *Program) RunCtx(ctx context.Context, name string, args []any, opts Options) ([]any, error) {
 	m := p.Prog.Module(name)
 	if m == nil {
@@ -433,8 +435,9 @@ func (p *Program) RunCtx(ctx context.Context, name string, args []any, opts Opti
 
 // newRunState builds the shared execution context of one activation (or
 // one batch of activations): the resolved context, the cancellation
-// flag watcher, and the worker pool. The returned cleanup stops the
-// watcher and closes a run-owned pool; call it when the run completes.
+// flag, and the worker pool. The returned cleanup unregisters the flag's
+// context.AfterFunc and closes a run-owned pool; call it when the run
+// completes.
 // A context that is already done is reported as an error before any
 // state is created.
 func (p *Program) newRunState(ctx context.Context, opts Options) (*runState, func(), error) {
@@ -445,20 +448,9 @@ func (p *Program) newRunState(ctx context.Context, opts Options) (*runState, fun
 		return nil, nil, err
 	}
 	cleanups := make([]func(), 0, 2)
-	if done := rs.ctx.Done(); done != nil {
-		// One watcher goroutine flips the flag the loops poll, keeping
-		// ctx.Err() calls off the per-iteration path.
-		var flag atomic.Bool
-		rs.canceled = &flag
-		stop := make(chan struct{})
-		cleanups = append(cleanups, func() { close(stop) })
-		go func() {
-			select {
-			case <-done:
-				flag.Store(true)
-			case <-stop:
-			}
-		}()
+	if rs.ctx.Done() != nil {
+		stop := context.AfterFunc(rs.ctx, func() { rs.canceled.Store(true) })
+		cleanups = append(cleanups, func() { stop() })
 	}
 	if !opts.Sequential {
 		if opts.Pool != nil {
@@ -745,23 +737,18 @@ func (p *Program) execDo(en *env, fr []int64, st *plan.Step, self int) {
 	}
 	slot := st.Dims[0]
 	b := en.bounds[slot]
-	canceled := en.rs.canceled
 	if st.Leaf {
 		if b[1] < b[0] {
 			return
 		}
-		if canceled != nil && canceled.Load() {
-			panic(runtimeError{err: en.rs.ctx.Err()})
-		}
+		en.rs.pollCancel()
 		fr[slot] = b[0]
 		en.cp.spans[self][0].span(en, fr, b[1]-b[0]+1)
 		fr[slot] = b[1]
 		return
 	}
 	for v := b[0]; v <= b[1]; v++ {
-		if canceled != nil && canceled.Load() {
-			panic(runtimeError{err: en.rs.ctx.Err()})
-		}
+		en.rs.pollCancel()
 		fr[slot] = v
 		p.execSteps(en, fr, self+1, st.End)
 	}
@@ -803,8 +790,9 @@ func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 	// worker state (env + frame) and counted as a chunk. A tile that
 	// fails leaves the others running, so the failure re-raised on the
 	// caller is the lowest tile's, at the earliest failing point of the
-	// linear index — the one the inline walk meets. The executor stops
-	// claiming tiles when the run's context fires.
+	// linear index — the one the inline walk meets. A tile that ends
+	// with the run's context fired returns false, which stops the
+	// executor claiming tiles.
 	cols, w := sched.Cut(total, sched.TilesPerWorker*int64(rs.pool.Workers()), rs.opts.Grain)
 	scope := workerScope{en: en, fr: fr, chunk: true}
 	body := func(_ *obs.Ring, _, b int) bool {
@@ -813,13 +801,13 @@ func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 		scope.run(b, hi-lo+1, nil, func(sub *env, wfr []int64) {
 			p.walkDoAll(sub, wfr, st, bodyLo, &lob, &hib, lo, hi)
 		})
-		return true
+		return !rs.cancelled()
 	}
 	if rs.labels {
 		body = labeled(rs, body, pprof.Labels(
 			"ps_module", en.cm.m.Name, "ps_step", "doall", "ps_eqs", stepEqs(en.cp, bodyLo, st.End)))
 	}
-	completed := sched.Run(sched.Grid{Rows: 1, Cols: cols}, rs.pool, rs.cancelChan(), body, nil, nil)
+	completed := sched.Run(sched.Grid{Rows: 1, Cols: cols}, rs.pool, body, nil, nil)
 	scope.rethrow()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})
@@ -841,12 +829,9 @@ func (p *Program) walkDoAll(en *env, fr []int64, st *plan.Step, bodyLo int, lob,
 		fr[dims[d]] = lob[d] + rem%n
 		rem /= n
 	}
-	canceled := en.rs.canceled
 	if !st.Leaf {
 		for li := start; ; li++ {
-			if canceled != nil && canceled.Load() {
-				panic(runtimeError{err: en.rs.ctx.Err()})
-			}
+			en.rs.pollCancel()
 			p.execSteps(en, fr, bodyLo, st.End)
 			if li == end {
 				return
@@ -857,9 +842,7 @@ func (p *Program) walkDoAll(en *env, fr []int64, st *plan.Step, bodyLo int, lob,
 	spans := en.cp.spans[bodyLo-1]
 	inner := dims[ndim-1]
 	for li := start; ; {
-		if canceled != nil && canceled.Load() {
-			panic(runtimeError{err: en.rs.ctx.Err()})
-		}
+		en.rs.pollCancel()
 		seg := min(hib[ndim-1]-fr[inner]+1, end-li+1)
 		for _, b := range spans {
 			b.span(en, fr, seg)
@@ -1003,9 +986,7 @@ func (p *Program) sweepTile(en *env, fr []int64, g *wfGrid, j int, tlo, thi *[2]
 		}
 		return
 	}
-	if canceled := en.rs.canceled; canceled != nil && canceled.Load() {
-		panic(runtimeError{err: en.rs.ctx.Err()})
-	}
+	en.rs.pollCancel()
 	// One row: the innermost index at unit stride, as one span of every
 	// equation in turn, or — when a dependence inside the row runs from a
 	// later equation to an earlier one — as one span of the body, its
@@ -1085,7 +1066,6 @@ func (p *Program) execWavefrontTiles(en *env, fr []int64, g *wfGrid) {
 		stats = &rs.stats.Doacross
 	}
 	scope := workerScope{en: en, fr: fr}
-	canceled := rs.canceled
 	body := func(ring *obs.Ring, a, b int) bool {
 		if rs.stats != nil && (b == 0 || a == na-1) {
 			// The first tile of each anti-diagonal counts it once.
@@ -1099,13 +1079,13 @@ func (p *Program) execWavefrontTiles(en *env, fr []int64, g *wfGrid) {
 		ok := scope.run(a*nb+b, 0, ring, func(sub *env, wfr []int64) {
 			p.sweepTile(sub, wfr, g, 0, &tlo, &thi)
 		})
-		return ok && !(canceled != nil && canceled.Load())
+		return ok && !rs.cancelled()
 	}
 	if rs.labels {
 		body = labeled(rs, body, pprof.Labels("ps_module", en.cm.m.Name,
 			"ps_step", "wavefront", "ps_eqs", stepEqs(en.cp, g.bodyLo, g.st.End)))
 	}
-	completed := sched.Run(sched.Grid{Rows: na, Cols: nb, Chain: true}, rs.pool, rs.cancelChan(), body, stats, rs.rec)
+	completed := sched.Run(sched.Grid{Rows: na, Cols: nb, Chain: true}, rs.pool, body, stats, rs.rec)
 	scope.rethrow()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})

@@ -43,8 +43,8 @@
 //   - Hyper.Pi is the least time vector for the dependence union;
 //     Hyper.T is unimodular with Pi as row 0 and TInv its exact integer
 //     inverse.
-//   - Hyper.TDeps lists T·d for every union dependence (first component
-//     ≥ 1); Hyper.Window is 1 + the largest first component.
+//   - Hyper.Window is 1 + the largest first component of T·d over the
+//     union dependences (every first component is ≥ 1).
 //   - Hyper.Skew is unit lower-triangular with S·d ≥ 0 componentwise
 //     for every union dependence d, so any rectangular tiling of the
 //     skewed nest is legal and the innermost skewed coordinate moves the

@@ -99,11 +99,6 @@ type Hyper struct {
 	// Window is 1 + the largest transformed first dependence component —
 	// the number of consecutive hyperplanes a plane's inputs span.
 	Window int
-	// TDeps are the transformed dependence vectors T·d, one per
-	// constant-offset self-reference of the recurrence; every first
-	// component is ≥ 1 (π·d ≥ 1). They are the `depend(sink:)` vectors
-	// of the generated C.
-	TDeps [][]int64
 	// Skew is the tiling skew S, dense rows: unit lower-triangular with
 	// S·d ≥ 0 componentwise for every dependence d, so the skewed nest
 	// is fully permutable and any rectangular tiling of it is legal (a
@@ -724,17 +719,12 @@ func (lw *lowerer) emitWavefront(an *hyperplane.Analysis, eqs []*sem.Equation) {
 	n := len(an.Dims)
 	hy := &Hyper{Pi: an.Pi, Window: an.Window, Skew: skewFor(an.Deps, n)}
 	hy.RowSplit = rowSplit(hy.Skew, an.Deps)
-	for _, d := range an.TransformedDeps {
-		td := make([]int64, len(d.Vec))
-		copy(td, d.Vec)
-		hy.TDeps = append(hy.TDeps, td)
-	}
 	for r := 0; r < n; r++ {
 		hy.T = append(hy.T, an.T.Row(r))
 		hy.TInv = append(hy.TInv, an.TInv.Row(r))
 		b := -1
 		if r > 0 {
-			b = basisIndex(hy.T[r])
+			b = hyperplane.BasisIndex(hy.T[r])
 		}
 		hy.Basis = append(hy.Basis, b)
 	}
@@ -758,24 +748,6 @@ func (lw *lowerer) emitWavefront(an *hyperplane.Analysis, eqs []*sem.Equation) {
 		}
 	}
 	lw.p.Virtual = kept
-}
-
-// basisIndex returns j when row is the standard basis vector e_j, else -1.
-func basisIndex(row []int64) int {
-	j := -1
-	for i, c := range row {
-		switch c {
-		case 0:
-		case 1:
-			if j >= 0 {
-				return -1
-			}
-			j = i
-		default:
-			return -1
-		}
-	}
-	return j
 }
 
 // dimNames joins the subrange names of a loop step's dimensions.
@@ -839,13 +811,8 @@ func (p *Program) String() string {
 			for j, s := range st.Dims {
 				names[j] = p.Bounds[s].Subrange.Name
 			}
-			tdeps := make([]string, len(st.Hyper.TDeps))
-			for j, d := range st.Hyper.TDeps {
-				tdeps[j] = vecString(d)
-			}
-			fmt.Fprintf(&sb, "wavefront %s  t = %s, pi = %s, window %d, tdeps %s",
-				strings.Join(names, ", "), st.Hyper.piString(names), vecString(st.Hyper.Pi), st.Hyper.Window,
-				strings.Join(tdeps, ""))
+			fmt.Fprintf(&sb, "wavefront %s  t = %s, pi = %s, window %d",
+				strings.Join(names, ", "), st.Hyper.piString(names), vecString(st.Hyper.Pi), st.Hyper.Window)
 			if nk := st.End - i - 1; nk > 1 {
 				// A multi-equation group: the indented body lists the
 				// kernels sharing this π, executed in order per point.

@@ -45,7 +45,9 @@
 // before the tiles the grid rule names completed — so a wavefront nest
 // executed through Run computes bitwise-identical results to the inline
 // sweep: same points, same kernels, every dependence between tiles
-// satisfied point-to-point rather than by a barrier. Cancellation (the
-// caller's abort channel, or the callback returning false) stops
-// further claims and Run reports completion as false.
+// satisfied point-to-point rather than by a barrier. The callback
+// returning false is the only stop: it stops further claims, releases
+// parked workers, and Run reports completion as false once the tiles in
+// flight finish. Run takes no context or channel; a caller that cancels
+// (internal/interp) sets a flag its bodies read and return false on.
 package sched

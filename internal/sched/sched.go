@@ -41,7 +41,8 @@ const TilesPerWorker = 4
 // emit on it, so events raised inside a tile land beside its KTile span
 // without a second ring acquisition. It returns false to abort the whole
 // run (the caller observed cancellation or captured a panic); sched then
-// stops scheduling and Run reports !completed.
+// stops scheduling and Run reports !completed. A body's false is the only
+// way a run stops early.
 type Body func(ring *obs.Ring, a, b int) bool
 
 // padded keeps per-tile counters on distinct cache lines: done and
@@ -69,7 +70,6 @@ type run struct {
 	unclaimed atomic.Int64
 	aborted   atomic.Bool
 	stats     *Stats
-	cancel    <-chan struct{}
 	// waiters counts parked (or about-to-park) workers; completions skip
 	// the wake machinery entirely while it is zero — the common case,
 	// since workers spin briefly before parking.
@@ -105,18 +105,17 @@ var runs = sync.Pool{New: func() any {
 
 // Run executes the grid's tiles on the pool's workers in dependence
 // order, calling body once per tile. It reports whether every tile
-// completed: false means the run was cancelled (via the cancel channel
-// or a body returning false) with tiles unvisited. An empty grid
-// completes trivially. rec, when non-nil, records each worker's tile
-// spans (obs.KTile, with the steal flag) and parked waits
-// (obs.KTileWait) on a per-worker ring.
-func Run(grid Grid, pool *par.Pool, cancel <-chan struct{}, body Body, stats *Stats, rec *obs.Recorder) bool {
+// completed: false means a body returned false, aborting the run with
+// tiles unvisited. An empty grid completes trivially. rec, when non-nil,
+// records each worker's tile spans (obs.KTile, with the steal flag) and
+// parked waits (obs.KTileWait) on a per-worker ring.
+func Run(grid Grid, pool *par.Pool, body Body, stats *Stats, rec *obs.Recorder) bool {
 	if grid.Rows <= 0 || grid.Cols <= 0 {
 		return true
 	}
 	r := runs.Get().(*run)
 	r.grid, r.body = grid, body
-	r.stats, r.cancel, r.rec = stats, cancel, rec
+	r.stats, r.rec = stats, rec
 	// More workers than columns cannot all make progress at once; cap at
 	// one loop per column to bound spinning on narrow grids.
 	cols := grid.Cols
@@ -132,11 +131,9 @@ func Run(grid Grid, pool *par.Pool, cancel <-chan struct{}, body Body, stats *St
 	}
 	r.unclaimed.Store(int64(grid.Rows) * int64(cols))
 	r.aborted.Store(false)
-	// Cancellation is handled inside the loops (parked workers select on
-	// the channel), so the pool only starts them.
 	pool.Start(r.workers, r.loop)
 	completed := !r.aborted.Load() && r.unclaimed.Load() == 0
-	r.grid, r.body, r.stats, r.cancel, r.rec = Grid{}, nil, nil, nil, nil
+	r.grid, r.body, r.stats, r.rec = Grid{}, nil, nil, nil
 	runs.Put(r)
 	return completed
 }
@@ -217,7 +214,7 @@ func (r *run) worker(w int) {
 				ring.Emit(obs.KTile, t0, ring.Now()-t0, int64(a+b), flags)
 			}
 			r.wake()
-			if !ok || r.cancelled() {
+			if !ok {
 				r.abort()
 				return
 			}
@@ -228,10 +225,6 @@ func (r *run) worker(w int) {
 			spins = 0
 			continue
 		}
-		if r.cancelled() {
-			r.abort()
-			return
-		}
 		if spins++; spins < spinLimit {
 			runtime.Gosched()
 			continue
@@ -240,19 +233,6 @@ func (r *run) worker(w int) {
 		if !r.park(ring) {
 			return
 		}
-	}
-}
-
-// cancelled polls the external cancel channel.
-func (r *run) cancelled() bool {
-	if r.cancel == nil {
-		return false
-	}
-	select {
-	case <-r.cancel:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -283,14 +263,16 @@ func (r *run) wakeAll() {
 	r.wakeMu.Unlock()
 }
 
-// park blocks until any tile completes (or the run aborts or
-// is cancelled), counting one stall. The worker registers as a waiter
-// and samples the generation channel before the final readiness
-// re-check, so a completion between the sample and the select either
-// shows up in the re-check or observes the registration and closes the
-// sampled channel — no lost wakeups. It returns false when the worker
-// should exit. The blocked interval is recorded on ring as a
-// KTileWait span.
+// park blocks until any tile completes or the run aborts, counting one
+// stall. A parked worker always has a tile in flight to wait on: the
+// leftmost column with rows left is ready unless its tile is running,
+// and that tile's completion wakes it, as does the abort that follows
+// when its body returned false. The worker registers as a waiter and
+// samples the generation channel before the final readiness re-check,
+// so a completion between the sample and the receive either shows up in
+// the re-check or observes the registration and closes the sampled
+// channel — no lost wakeups. It returns false when the worker should
+// exit. The blocked interval is recorded on ring as a KTileWait span.
 func (r *run) park(ring *obs.Ring) bool {
 	r.waiters.Add(1)
 	defer r.waiters.Add(-1)
@@ -315,15 +297,6 @@ func (r *run) park(ring *obs.Ring) bool {
 		t0 = ring.Now()
 		defer func() { ring.Emit(obs.KTileWait, t0, ring.Now()-t0, 0, 0) }()
 	}
-	if r.cancel == nil {
-		<-ch
-		return true
-	}
-	select {
-	case <-ch:
-		return true
-	case <-r.cancel:
-		r.abort()
-		return false
-	}
+	<-ch
+	return true
 }

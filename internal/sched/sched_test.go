@@ -47,7 +47,7 @@ func cell(g []int64, rows, cols, a, b int, deps []dep) int64 {
 func runGrid(t *testing.T, pool *par.Pool, grid Grid, deps []dep, stats *Stats) []int64 {
 	t.Helper()
 	g := make([]int64, grid.Rows*grid.Cols)
-	if !Run(grid, pool, nil, func(_ *obs.Ring, a, b int) bool {
+	if !Run(grid, pool, func(_ *obs.Ring, a, b int) bool {
 		g[a*grid.Cols+b] = cell(g, grid.Rows, grid.Cols, a, b, deps)
 		return true
 	}, stats, nil) {
@@ -106,7 +106,7 @@ func TestConcurrentRuns(t *testing.T) {
 				grid := Grid{Rows: 21, Cols: 1 + round%8, Chain: true}
 				want := refGrid(grid.Rows, grid.Cols, deps)
 				g := make([]int64, grid.Rows*grid.Cols)
-				if !Run(grid, pool, nil, func(_ *obs.Ring, a, b int) bool {
+				if !Run(grid, pool, func(_ *obs.Ring, a, b int) bool {
 					g[a*grid.Cols+b] = cell(g, grid.Rows, grid.Cols, a, b, deps)
 					return true
 				}, nil, nil) {
@@ -119,7 +119,7 @@ func TestConcurrentRuns(t *testing.T) {
 				}
 				var sum atomic.Int64
 				row, w := doall(100, 3, 0)
-				if !Run(row, pool, nil, func(_ *obs.Ring, _, b int) bool {
+				if !Run(row, pool, func(_ *obs.Ring, _, b int) bool {
 					lo, hi := span(b, w, 100)
 					for c := lo; c <= hi; c++ {
 						sum.Add(c)
@@ -158,7 +158,7 @@ func TestDoacrossStats(t *testing.T) {
 	var slow Stats
 	pair := par.NewPool(2)
 	defer pair.Close()
-	completed := Run(Grid{Rows: 6, Cols: 2, Chain: true}, pair, nil, func(_ *obs.Ring, _, b int) bool {
+	completed := Run(Grid{Rows: 6, Cols: 2, Chain: true}, pair, func(_ *obs.Ring, _, b int) bool {
 		if b == 0 {
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -180,7 +180,7 @@ func TestDoacrossSteals(t *testing.T) {
 	defer pool.Close()
 	var slowCol atomic.Int64
 	slowCol.Store(7)
-	completed := Run(Grid{Rows: 41, Cols: 8}, pool, nil, func(_ *obs.Ring, _, b int) bool {
+	completed := Run(Grid{Rows: 41, Cols: 8}, pool, func(_ *obs.Ring, _, b int) bool {
 		if int64(b) == slowCol.Load() {
 			time.Sleep(50 * time.Microsecond)
 		}
@@ -204,7 +204,7 @@ func TestDoacrossBodyRing(t *testing.T) {
 	defer pool.Close()
 	grid := Grid{Rows: 10, Cols: 4, Chain: true}
 	rec := obs.NewRecorder(0)
-	if !Run(grid, pool, nil, func(ring *obs.Ring, a, b int) bool {
+	if !Run(grid, pool, func(ring *obs.Ring, a, b int) bool {
 		if ring == nil {
 			t.Error("recorded run passed a nil ring")
 			return false
@@ -234,7 +234,7 @@ func TestDoacrossBodyRing(t *testing.T) {
 		t.Errorf("trace has %d tile spans (%d distinct) and %d body events, want %d of each on the same tiles",
 			tiles, len(spans), marks, want)
 	}
-	if !Run(grid, pool, nil, func(ring *obs.Ring, _, _ int) bool {
+	if !Run(grid, pool, func(ring *obs.Ring, _, _ int) bool {
 		if ring != nil {
 			t.Error("unrecorded run passed a ring")
 		}
@@ -244,33 +244,46 @@ func TestDoacrossBodyRing(t *testing.T) {
 	}
 }
 
-// TestDoacrossCancel closes the cancel channel mid-run: Run must stop
-// claiming tiles promptly — including parked workers — and report
-// !completed.
+// TestDoacrossCancel cancels a chained grid while a worker is parked
+// on the tile in flight. Cancellation reaches Run only through its
+// bodies: a flag set from outside, the way interp's context.AfterFunc
+// sets its own, which every body reads and returns false on. The held
+// tile (0, 0) gates column 1, so the other worker parks on it; once it
+// has, the flag is set, the held tile returns false, and its abort must
+// release the parked worker so Run returns !completed at once. The pool
+// may not hand a run to its helper (then one loop runs alone and nothing
+// parks), so the run is retried until an attempt parks a worker.
 func TestDoacrossCancel(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
-	cancel := make(chan struct{})
-	started := make(chan struct{})
-	var once atomic.Bool
-	go func() {
-		<-started
-		close(cancel)
-	}()
-	start := time.Now()
-	completed := Run(Grid{Rows: 1 << 20, Cols: 2, Chain: true}, pool, cancel, func(_ *obs.Ring, _, _ int) bool {
-		if once.CompareAndSwap(false, true) {
-			close(started)
+	for attempt := 0; attempt < 5; attempt++ {
+		var stats Stats
+		var cancelled, held atomic.Bool
+		done := make(chan bool, 1)
+		go func() {
+			done <- Run(Grid{Rows: 1 << 20, Cols: 2, Chain: true}, pool, func(_ *obs.Ring, _, _ int) bool {
+				if held.CompareAndSwap(false, true) {
+					for end := time.Now().Add(time.Second); stats.Stalls.Load() == 0 && time.Now().Before(end); {
+						time.Sleep(50 * time.Microsecond)
+					}
+					cancelled.Store(true)
+				}
+				return !cancelled.Load()
+			}, &stats, nil)
+		}()
+		select {
+		case completed := <-done:
+			if completed {
+				t.Fatal("cancelled run reported completion")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("cancelled run did not return: a parked worker was not released")
 		}
-		time.Sleep(20 * time.Microsecond)
-		return true
-	}, nil, nil)
-	if completed {
-		t.Fatal("cancelled run reported completion")
+		if stats.Stalls.Load() > 0 {
+			return
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v", elapsed)
-	}
+	t.Fatal("no attempt parked a worker on the held tile")
 }
 
 // TestDoacrossBodyAbort checks that a body returning false (the
@@ -279,7 +292,7 @@ func TestDoacrossBodyAbort(t *testing.T) {
 	pool := par.NewPool(3)
 	defer pool.Close()
 	var ran atomic.Int64
-	completed := Run(Grid{Rows: 1000, Cols: 3, Chain: true}, pool, nil, func(_ *obs.Ring, _, _ int) bool {
+	completed := Run(Grid{Rows: 1000, Cols: 3, Chain: true}, pool, func(_ *obs.Ring, _, _ int) bool {
 		return ran.Add(1) < 10
 	}, nil, nil)
 	if completed {
@@ -296,10 +309,10 @@ func TestDoacrossEmpty(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
 	body := func(_ *obs.Ring, _, _ int) bool { t.Error("body called"); return true }
-	if !Run(Grid{Rows: 0, Cols: 10, Chain: true}, pool, nil, body, nil, nil) {
+	if !Run(Grid{Rows: 0, Cols: 10, Chain: true}, pool, body, nil, nil) {
 		t.Error("grid without rows did not complete")
 	}
-	if !Run(Grid{Rows: 5, Cols: 0, Chain: true}, pool, nil, body, nil, nil) {
+	if !Run(Grid{Rows: 5, Cols: 0, Chain: true}, pool, body, nil, nil) {
 		t.Error("grid without columns did not complete")
 	}
 }
@@ -376,7 +389,7 @@ func TestDoAllCoverage(t *testing.T) {
 			for _, tileW := range []int64{0, 1, 7} {
 				counts := make([]atomic.Int32, n)
 				row, w := doall(n, workers, tileW)
-				if !Run(row, pool, nil, func(_ *obs.Ring, a, b int) bool {
+				if !Run(row, pool, func(_ *obs.Ring, a, b int) bool {
 					if a != 0 {
 						t.Errorf("DOALL tile on row %d", a)
 					}
@@ -408,7 +421,7 @@ func TestDoAllEmpty(t *testing.T) {
 	pool := par.NewPool(3)
 	defer pool.Close()
 	row, _ := doall(0, 3, 64)
-	if !Run(row, pool, nil, func(_ *obs.Ring, _, _ int) bool {
+	if !Run(row, pool, func(_ *obs.Ring, _, _ int) bool {
 		t.Error("body called on an empty range")
 		return true
 	}, nil, nil) {
@@ -416,21 +429,29 @@ func TestDoAllEmpty(t *testing.T) {
 	}
 }
 
-// TestDoAllCancel closes the cancel channel while a DOALL's first tiles
-// run: the workers stop claiming, and Run reports !completed with tiles
-// unvisited.
+// TestDoAllCancel sets a cancellation flag from outside the run while a
+// DOALL's first tiles run, as interp's context.AfterFunc does: the
+// bodies read it and return false, the workers stop claiming, and Run
+// reports !completed with tiles unvisited. The row is wide and each
+// tile slow, so draining it takes far longer than any preemption of a
+// worker between its body's false and the abort.
 func TestDoAllCancel(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
-	cancel := make(chan struct{})
+	var cancelled atomic.Bool
+	started := make(chan struct{})
+	go func() {
+		<-started
+		cancelled.Store(true)
+	}()
 	var once sync.Once
 	var ran atomic.Int64
-	row, _ := doall(1<<20+1, 2, 0)
-	completed := Run(row, pool, cancel, func(_ *obs.Ring, _, _ int) bool {
+	row := Grid{Rows: 1, Cols: 1024}
+	completed := Run(row, pool, func(_ *obs.Ring, _, _ int) bool {
 		ran.Add(1)
-		once.Do(func() { close(cancel) })
-		time.Sleep(time.Millisecond)
-		return true
+		once.Do(func() { close(started) })
+		time.Sleep(100 * time.Microsecond)
+		return !cancelled.Load()
 	}, nil, nil)
 	if completed {
 		t.Fatal("cancelled DOALL reported completion")
@@ -441,14 +462,20 @@ func TestDoAllCancel(t *testing.T) {
 }
 
 // TestDoAllBodyAbort checks a body returning false mid-DOALL (the
-// interpreter's captured-panic path) stops the run.
+// interpreter's captured-panic path) stops the run. The first tile
+// aborts; the others are slow enough that the other worker cannot drain
+// the row while the aborting one is preempted before its abort.
 func TestDoAllBodyAbort(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
 	var ran atomic.Int64
-	row, _ := doall(1<<20+1, 2, 0)
-	if Run(row, pool, nil, func(_ *obs.Ring, _, _ int) bool {
-		return ran.Add(1) > 1
+	row := Grid{Rows: 1, Cols: 1024}
+	if Run(row, pool, func(_ *obs.Ring, _, _ int) bool {
+		if ran.Add(1) == 1 {
+			return false
+		}
+		time.Sleep(100 * time.Microsecond)
+		return true
 	}, nil, nil) {
 		t.Fatal("aborted DOALL reported completion")
 	}
@@ -467,7 +494,7 @@ func TestWorkersReturnWhenNothingUnclaimed(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		var stats Stats
 		var held atomic.Bool
-		if !Run(Grid{Rows: 1, Cols: 2}, pool, nil, func(_ *obs.Ring, _, _ int) bool {
+		if !Run(Grid{Rows: 1, Cols: 2}, pool, func(_ *obs.Ring, _, _ int) bool {
 			if held.CompareAndSwap(false, true) {
 				time.Sleep(5 * time.Millisecond)
 			}

@@ -247,15 +247,6 @@ func (a *Array) Fill(v float64) {
 	}
 }
 
-// FillNaN marks every real element as not-a-number, for debugging reads
-// of undefined elements without strict mode.
-func (a *Array) FillNaN() {
-	nan := math.NaN()
-	for i := range a.F {
-		a.F[i] = nan
-	}
-}
-
 // Equal reports element-wise equality of two arrays of identical shape.
 func (a *Array) Equal(b *Array) bool {
 	if a.Kind != b.Kind || len(a.Axes) != len(b.Axes) {

@@ -2,10 +2,13 @@ package ps_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/psrc"
 	"repro/ps"
@@ -222,5 +225,69 @@ func TestRunBatchEdgeCases(t *testing.T) {
 		if !strings.Contains(err.Error(), "cancel") {
 			t.Errorf("unexpected cancellation error: %v", err)
 		}
+	})
+
+	t.Run("mid-run cancel", func(t *testing.T) {
+		// Every element smooths one shared long line, so the batch's
+		// tiles run for milliseconds. The cancel is timed, so an attempt
+		// can miss the tiles: it fires before the first element finished
+		// (or before the batch started, a whole-batch error) or after the
+		// last one did. The delay is bisected until a cancel leaves some
+		// elements finished and some stopped.
+		const n, elems = 1 << 15, 32
+		xs := ps.NewRealArray(ps.Axis{Lo: 0, Hi: n + 1})
+		for k := int64(0); k <= n+1; k++ {
+			xs.SetF([]int64{k}, float64(k%13)/13.0)
+		}
+		batch := make([]ps.Args, elems)
+		for i := range batch {
+			batch[i] = ps.Args{xs, int64(n)}
+		}
+		base := runtime.NumGoroutine()
+		var early, late time.Duration // delays known to land too early / too late; 0 is unknown
+		delay := time.Millisecond
+		for attempt := 0; attempt < 10; attempt++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			timer := time.AfterFunc(delay, cancel)
+			out, _, err := run.RunBatch(ctx, batch)
+			timer.Stop()
+			cancel()
+			stopped := elems
+			if err != nil {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("whole-batch error %v, want context.Canceled", err)
+				}
+			} else {
+				stopped = 0
+				for i, r := range out {
+					if r.Values != nil {
+						continue
+					}
+					stopped++
+					if !errors.Is(r.Err, context.Canceled) {
+						t.Errorf("element %d has no result and error %v, want context.Canceled", i, r.Err)
+					}
+				}
+			}
+			if got := settleGoroutines(base); got > base {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after the cancelled batch, %d before:\n%s", got, base, buf[:runtime.Stack(buf, true)])
+			}
+			switch stopped {
+			case elems:
+				early = delay
+			case 0:
+				late = delay
+			default:
+				t.Logf("a cancel after %v stopped %d of %d elements", delay, stopped, elems)
+				return
+			}
+			if late == 0 {
+				delay = 2 * early
+			} else {
+				delay = (early + late) / 2
+			}
+		}
+		t.Fatal("no cancel landed while the batch ran")
 	})
 }

@@ -17,8 +17,8 @@ import (
 // JSON has no encoding for non-finite floats — encoding/json fails on
 // them — so the wire format spells them as the strings below, in both
 // directions. This is the same convention most scientific JSON APIs
-// settle on, and it keeps NaN results (e.g. reads of FillNaN-seeded
-// debug arrays) servable instead of a 500.
+// settle on, and it keeps NaN results (e.g. a 0.0/0.0 in an equation)
+// servable instead of a 500.
 const (
 	jsonNaN    = "NaN"
 	jsonInf    = "Infinity"

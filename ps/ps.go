@@ -259,9 +259,13 @@ type CGenOptions = cgen.Options
 
 // GenerateC emits the module as a C translation unit with annotated
 // DO/DOALL loops, the paper's output artifact. The generator consumes
-// the same lowered plan parallel interpretation executes by default —
-// §4-eligible nests emit the skewed wavefront nest with the plane loop
-// under the OpenMP pragma. Use GenerateCWith to emit another variant.
+// the same lowered plan parallel interpretation executes by default.
+// A §4 wavefront nest is emitted per plane: a sequential loop over the
+// plane coordinate wf_0 = π·x, and inside it one OpenMP parallel loop
+// over the plane's other transformed coordinates (bounds tightened per
+// plane), each point remapped to the original indices by T⁻¹ and run
+// only when that preimage lies in the box. The interpreter's tiles do
+// not appear in the C. Use GenerateCWith to emit another variant.
 func (m *Module) GenerateC(opts CGenOptions) (string, error) {
 	return cgen.Generate(m.sem, m.pl, opts)
 }

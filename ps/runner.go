@@ -169,10 +169,11 @@ func (r *Runner) Explain() string {
 // with populated RunStats (also on failure, with the counters
 // accumulated up to the abort).
 //
-// ctx cancellation or deadline expiry aborts sequential loops within
-// one iteration (an innermost DO around equations within its one span)
-// and DOALLs within one row; the returned
-// error then satisfies errors.Is(err, ctx.Err()).
+// ctx cancellation or deadline expiry stops a leaf DO (a DO around
+// equations only) before its one span, any other DO within one
+// iteration, a DOALL within one row, a wavefront tile within one row and
+// a batch within one element; the returned error then satisfies
+// errors.Is(err, ctx.Err()).
 func (r *Runner) Run(ctx context.Context, args []any) ([]any, *RunStats, error) {
 	if err := r.engineClosed(); err != nil {
 		return nil, &RunStats{Workers: r.workers}, err
