@@ -41,16 +41,16 @@ type serveResponse struct {
 }
 
 // runServeBench measures end-to-end requests/s through the HTTP
-// serving layer at client concurrencies 1, 8 and 64 — requests that
-// queue while a batch runs form the next batch, so concurrency turns
-// into fused batch size and the levels trace the batch-DOALL throughput
-// curve of the serving path.
+// serving layer at client concurrencies 1, 8 and 64. Each request is
+// one activation; at most the pool width of them run at once, so the
+// levels trace how the serving path holds up from one client to many
+// more clients than run slots. mean_batch reads the responses'
+// batch_size, which is always 1.
 func runServeBench(out string, workers int, per time.Duration) error {
 	const n = 2048
 	srv, err := serve.New(serve.Config{
 		Workers:    workers,
 		CacheLimit: 64 << 20,
-		MaxBatch:   64,
 		QueueDepth: 4096,
 	})
 	if err != nil {

@@ -1,18 +1,18 @@
-// Command psserve runs the batched multi-tenant HTTP serving layer
-// (package ps/serve) over a directory of PS programs.
+// Command psserve runs the multi-tenant HTTP serving layer (package
+// ps/serve) over a directory of PS programs.
 //
 // Usage:
 //
 //	psserve -programs ./testdata -addr :8080
 //
 // Every *.ps file in the program directory is compiled and served
-// under its base name. POST /v1/run executes a module activation: an
-// idle server runs it at once, and activations that arrive while a
-// batch runs are coalesced into the next fused batch DOALL,
-// GET /metrics exposes Prometheus counters, GET /explain?program=&module=
-// prints a lowered plan, GET /healthz reports liveness, and POST
-// /reload re-reads the program directory. SIGINT/SIGTERM drain
-// gracefully: new requests get 503, queued activations finish.
+// under its base name. POST /v1/run executes one module activation on
+// the engine's shared pool; at most -workers activations run at once
+// and the rest wait for a run slot in arrival order. GET /metrics
+// exposes Prometheus counters, GET /explain?program=&module= prints a
+// lowered plan, GET /healthz reports liveness, and POST /reload
+// re-reads the program directory. SIGINT/SIGTERM drain gracefully: new
+// requests get 503, admitted activations finish.
 //
 // Every request carries an X-PS-Request-ID (propagated from the client
 // or generated) echoed on the response; -access-log writes one JSON
@@ -42,11 +42,10 @@ func main() {
 		programs    = flag.String("programs", "", "directory of *.ps programs to serve (required)")
 		workers     = flag.Int("workers", 0, "worker pool width (0 = all CPUs)")
 		cacheLimit  = flag.Int64("cache-limit", 64<<20, "compiled-program cache budget in bytes (0 = unbounded)")
-		maxBatch    = flag.Int("max-batch", 64, "most queued activations one fused batch takes")
-		queueDepth  = flag.Int("queue-depth", 256, "per-tenant bound on queued activations")
+		queueDepth  = flag.Int("queue-depth", 256, "per-tenant bound on requests admitted but not yet answered")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant token-bucket rate in requests/s (0 = unlimited)")
 		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant token-bucket burst (default: ceil(rate))")
-		runTimeout  = flag.Duration("run-timeout", 0, "bound on one fused batch execution (0 = unbounded)")
+		runTimeout  = flag.Duration("run-timeout", 0, "bound on one activation's run (0 = unbounded)")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 		trace       = flag.Bool("trace", false, "allow ?trace=1 traced runs and GET /v1/trace export")
 		accessLog   = flag.String("access-log", "", "write JSON access-log lines to this file (- for stderr)")
@@ -74,7 +73,6 @@ func main() {
 	srv, err := serve.New(serve.Config{
 		Workers:     *workers,
 		CacheLimit:  *cacheLimit,
-		MaxBatch:    *maxBatch,
 		QueueDepth:  *queueDepth,
 		TenantRate:  *tenantRate,
 		TenantBurst: *tenantBurst,

@@ -17,8 +17,7 @@ import (
 // row of tiles over b = 0..n−1 on the same executor
 // (internal/sched) that runs collapsed DOALL steps and wavefronts.
 // Plan lookup, bound-thunk tables and one pool dispatch are shared
-// across all elements, which is what makes batched serving cheaper than
-// len(batch) independent activations.
+// across all elements instead of paid per activation.
 //
 // Each element runs with the semantics of an independent RunCtx call:
 // results[i] and errs[i] mirror exactly what Run would return for

@@ -12,7 +12,8 @@ import (
 
 // TestPoolCoverage verifies the persistent pool across many reuses —
 // the wavefront dispatch pattern — from three callers sharing it, as the
-// serving layer's batchers do: every loop index runs exactly once, and
+// serving layer's concurrent activations do: every loop index runs
+// exactly once, and
 // Start returns only after all of them.
 func TestPoolCoverage(t *testing.T) {
 	p := par.NewPool(4)

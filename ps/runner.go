@@ -210,9 +210,8 @@ type BatchResult struct {
 // parallel loop. Results are bitwise identical to len(batch)
 // sequential Run calls — per element, out[i] mirrors Run(ctx,
 // batch[i]) including its typed error — while plan lookup and pool
-// dispatch are paid once for the batch.
-// This is the serving layer's execution primitive: N pending requests
-// for one prepared Runner become one activation batch.
+// dispatch are paid once for the batch. The serving layer does not use
+// it: a served request is one Run.
 //
 // The returned RunStats aggregates the whole batch (counters summed
 // over all elements, wall time for the fused dispatch). The error is

@@ -1,17 +1,14 @@
-// Package serve is a batched multi-tenant HTTP/JSON serving layer
-// over ps.Engine.
+// Package serve is a multi-tenant HTTP/JSON serving layer over
+// ps.Engine.
 //
-// The core idea is the paper's §5 fusion argument turned sideways:
-// when N independent activations of the same module are pending, the
-// batch index appears in no subscript expression, so the dependence
-// test trivially admits a fused batch DOALL over the batch axis. The
-// server's batcher per (program, module) pair is work-conserving: an
-// idle batcher runs a request at once, and the activations that queue
-// while a batch runs are dispatched together as the next
-// Runner.RunBatch call, so batches grow with load and no request waits
-// on a timer. Results are bitwise identical to N sequential Runner.Run
-// calls, because every plan variant in this repository computes
-// identical values by construction.
+// One request is one activation. The paper's parallelism lives in the
+// loops of that activation — its DOALL steps and §4 wavefronts — which
+// the engine's shared pool already runs in parallel, so the server
+// adds no second level: an admitted request waits, in arrival order,
+// for one of the engine's Workers() run slots and then runs alone on
+// the pool with Runner.Run (Runner.TraceRun for ?trace=1). At most
+// pool-width activations run at once, and a request whose client
+// leaves while it waits for a slot releases its place without running.
 //
 // A /v1/run body is read into a pooled buffer and its envelope split in
 // one validating pass, each input handed to ps.ArgsFromJSON as a
@@ -22,20 +19,21 @@
 // Around that core the package provides the operational surface a
 // shared engine needs:
 //
-//   - Admission control: per-tenant token-bucket rate quotas and
-//     bounded queues, answered with 429 + Retry-After; fair
-//     round-robin draining across tenants into each batch.
-//   - Graceful drain: Drain stops admission (503), flushes every
-//     queued activation, and waits for in-flight responses.
+//   - Admission control: per-tenant token-bucket rate quotas and a
+//     per-tenant bound on requests admitted but not yet answered, both
+//     answered with 429 + Retry-After. The bound is the whole of
+//     per-tenant isolation: run slots are taken in arrival order.
+//   - Graceful drain: Drain stops admission (503), lets every admitted
+//     activation run, and waits for in-flight responses.
 //   - Plan-cache management: the engine's compiled-program cache is
 //     LRU-bounded (ps.WithCacheLimit) with compiled-size accounting;
 //     /reload re-reads the program directory, and the content-hash
 //     cache key makes unchanged programs free.
 //   - Observability: /metrics exposes Prometheus text-format counters
-//     (requests, rejections, batch-size and queue-wait histograms,
-//     queue depths, the run counters from RunStats, and engine cache
-//     stats), /explain
-//     prints a module's lowered plan, /healthz reports liveness.
+//     (requests, rejections, the run-slot wait histogram, in-flight
+//     requests per tenant, the run counters from RunStats, and engine
+//     cache stats), /explain prints a module's lowered plan, /healthz
+//     reports liveness.
 //
 // See cmd/psserve for the standalone binary.
 package serve

@@ -12,22 +12,21 @@ import (
 
 // metrics is the server's counter set, rendered in Prometheus text
 // exposition format (version 0.0.4) by render. Everything is stdlib:
-// counters are atomics, labeled counters a mutex-guarded map, and the
-// batch-size histogram a fixed bucket ladder. Gauges that mirror live
+// counters are atomics, labeled counters a mutex-guarded map, and
+// histograms a fixed bucket ladder. Gauges that mirror live
 // state (queue depths, cache occupancy) are sampled at scrape time
 // from the server rather than double-booked here.
 type metrics struct {
 	requests *labeledCounter // by HTTP status code
 	rejected *labeledCounter // by admission reason
 
-	activations atomic.Int64 // batch elements completed successfully
-	runErrors   atomic.Int64 // batch elements that failed at run time
-	batches     atomic.Int64 // fused batch dispatches
-	batchSize   *histogram   // elements per dispatched batch
+	activations atomic.Int64 // activations completed successfully
+	runErrors   atomic.Int64 // activations that failed at run time
+	batches     atomic.Int64 // runs dispatched, one activation each
+	batchSize   *histogram   // activations per run: always 1
 	reloads     atomic.Int64 // successful /reload sweeps
 
-	// Run counters aggregated from every batch's RunStats — the same
-	// counters Runner.Run reports per activation.
+	// Run counters aggregated from every run's RunStats.
 	eqInstances     atomic.Int64
 	doallChunks     atomic.Int64
 	wavefrontPlanes atomic.Int64
@@ -37,11 +36,11 @@ type metrics struct {
 	specialized     atomic.Int64
 	arenaReuses     atomic.Int64
 
-	// runWall is the fused-dispatch wall time in microseconds — the
+	// runWall is each run's wall time in microseconds — the
 	// run-timing histogram scrapes see without tracing.
 	runWall *histogram
-	// queueWait is each batched request's wait in microseconds, from
-	// enqueue to the start of its batch.
+	// queueWait is each admitted request's wait for a run slot in
+	// microseconds.
 	queueWait *histogram
 	// httpLatency is per-endpoint request latency in microseconds.
 	httpLatency *labeledHistogram
@@ -61,7 +60,7 @@ func newMetrics() *metrics {
 	}
 }
 
-// noteRunStats folds one batch's RunStats into the aggregate run
+// noteRunStats folds one run's RunStats into the aggregate run
 // counters.
 func (m *metrics) noteRunStats(st *ps.RunStats) {
 	if st == nil {
@@ -197,17 +196,17 @@ func (m *metrics) render(sb *strings.Builder, queueDepths []labeledValue, es ps.
 		fmt.Fprintf(sb, "ps_serve_rejected_total{reason=%q} %d\n", lv.label, lv.value)
 	}
 
-	counter("ps_serve_activations_total", "Batch elements executed successfully.", m.activations.Load())
-	counter("ps_serve_run_errors_total", "Batch elements that failed at run time.", m.runErrors.Load())
-	counter("ps_serve_batches_total", "Fused batch dispatches.", m.batches.Load())
+	counter("ps_serve_activations_total", "Activations executed successfully.", m.activations.Load())
+	counter("ps_serve_run_errors_total", "Activations that failed at run time.", m.runErrors.Load())
+	counter("ps_serve_batches_total", "Runs dispatched, one activation each.", m.batches.Load())
 	counter("ps_serve_reloads_total", "Successful program reload sweeps.", m.reloads.Load())
 
-	fmt.Fprintf(sb, "# HELP ps_serve_batch_size Elements per dispatched batch.\n# TYPE ps_serve_batch_size histogram\n")
+	fmt.Fprintf(sb, "# HELP ps_serve_batch_size Activations per run, always 1.\n# TYPE ps_serve_batch_size histogram\n")
 	writeHistogram(sb, "ps_serve_batch_size", "", m.batchSize)
-	fmt.Fprintf(sb, "# HELP ps_serve_queue_wait_us Wait of each batched request in microseconds, from enqueue to the start of its batch.\n# TYPE ps_serve_queue_wait_us histogram\n")
+	fmt.Fprintf(sb, "# HELP ps_serve_queue_wait_us Wait of each admitted request for a run slot in microseconds.\n# TYPE ps_serve_queue_wait_us histogram\n")
 	writeHistogram(sb, "ps_serve_queue_wait_us", "", m.queueWait)
 
-	fmt.Fprintf(sb, "# HELP ps_serve_queue_depth Requests queued per tenant, awaiting a batch.\n# TYPE ps_serve_queue_depth gauge\n")
+	fmt.Fprintf(sb, "# HELP ps_serve_queue_depth Requests admitted per tenant and not yet answered.\n# TYPE ps_serve_queue_depth gauge\n")
 	for _, lv := range queueDepths {
 		fmt.Fprintf(sb, "ps_serve_queue_depth{tenant=%q} %d\n", lv.label, lv.value)
 	}
@@ -228,7 +227,7 @@ func (m *metrics) render(sb *strings.Builder, queueDepths []labeledValue, es ps.
 	counter("ps_run_specialized_total", "Equation instances executed by specialized kernels.", m.specialized.Load())
 	counter("ps_run_arena_reuses_total", "Activation arrays recycled from the arena.", m.arenaReuses.Load())
 
-	fmt.Fprintf(sb, "# HELP ps_run_wall_us Fused-dispatch wall time in microseconds.\n# TYPE ps_run_wall_us histogram\n")
+	fmt.Fprintf(sb, "# HELP ps_run_wall_us Run wall time in microseconds.\n# TYPE ps_run_wall_us histogram\n")
 	writeHistogram(sb, "ps_run_wall_us", "", m.runWall)
 
 	counter("ps_engine_cache_hits_total", "Compile calls served from the program cache.", es.CacheHits)

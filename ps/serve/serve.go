@@ -19,10 +19,9 @@ import (
 )
 
 // Config parameterizes a Server. The zero value is usable: an owned
-// engine with all CPUs, batches of up to 64, a 256-deep per-tenant
-// queue and no rate quota. There is no batching delay to set: a batcher
-// dispatches as soon as it is idle, and a batch is whatever queued while
-// the previous one ran.
+// engine with all CPUs, a per-tenant bound of 256 requests and no rate
+// quota. How many activations run at once is not a setting: it is the
+// engine's pool width.
 type Config struct {
 	// Engine, when non-nil, is the execution engine to serve from; the
 	// server does not close it. When nil the server creates (and owns)
@@ -38,18 +37,16 @@ type Config struct {
 	// ...).
 	RunOptions []ps.RunOption
 
-	// MaxBatch bounds how many queued activations one fused batch
-	// takes (default 64).
-	MaxBatch int
-	// QueueDepth bounds each tenant's queued-but-unbatched requests
-	// (default 256; negative disables the bound).
+	// QueueDepth bounds each tenant's requests admitted but not yet
+	// answered, running or waiting for a run slot (default 256;
+	// negative disables the bound).
 	QueueDepth int
 	// TenantRate is each tenant's token-bucket refill rate in requests
 	// per second (0 = no quota); TenantBurst is the bucket capacity
 	// (default: ceil(TenantRate), at least 1).
 	TenantRate  float64
 	TenantBurst int
-	// RunTimeout bounds one fused batch execution (0 = unbounded).
+	// RunTimeout bounds one activation's run (0 = unbounded).
 	RunTimeout time.Duration
 
 	// Dir is the program directory served by LoadDir/-based reload:
@@ -57,8 +54,8 @@ type Config struct {
 	Dir string
 
 	// EnableTrace allows ?trace=1 on /v1/run: the activation runs
-	// un-batched under a recording Runner.TraceRun, the response carries
-	// the timing breakdown, and GET /v1/trace?id= exports the retained
+	// under a recording Runner.TraceRun, the response carries the
+	// timing breakdown, and GET /v1/trace?id= exports the retained
 	// Chrome trace JSON. Off by default — tracing is opt-in per server.
 	EnableTrace bool
 	// AccessLog, when non-nil, receives one JSON line per request:
@@ -68,9 +65,6 @@ type Config struct {
 
 // withDefaults resolves the zero values.
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
 	}
@@ -83,15 +77,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the batched multi-tenant HTTP front end over a ps.Engine.
+// Server is the multi-tenant HTTP front end over a ps.Engine.
 // Activations POSTed to /v1/run are admitted per tenant (token-bucket
-// quota, bounded queue), coalesced per (program, module) into fused
-// batch DOALLs, and executed on the engine's shared pool; /metrics
-// exposes the Prometheus counters, /explain the lowered plan,
-// /healthz liveness, and /reload re-reads the program directory.
+// quota, bounded in-flight requests), wait in arrival order for one of
+// the engine's Workers() run slots, and run one activation each on the
+// engine's shared pool, whose DOALL and wavefront steps carry the
+// parallelism; /metrics exposes the Prometheus counters, /explain the
+// lowered plan, /healthz liveness, and /reload re-reads the program
+// directory.
 //
 // Construct with New, serve s.Handler(), and stop with Drain (finish
-// queued and in-flight work, reject new) followed by Close.
+// admitted work, reject new) followed by Close.
 type Server struct {
 	cfg     Config
 	eng     *ps.Engine
@@ -108,16 +104,19 @@ type Server struct {
 	// WaitGroup: requests keep arriving during drain — each gets a
 	// quick 503 — and WaitGroup forbids Add racing Wait across zero.
 	inflight atomic.Int64
+	// slots holds one token per running activation; its capacity is
+	// the engine's pool width, so at most Workers() activations run at
+	// once and the rest wait for a slot in arrival order.
+	slots chan struct{}
 
 	mu       sync.Mutex
 	programs map[string]*servedProgram
 	tenants  map[string]*tenant
-	batchers map[string]*batcher
 
-	// execHook, when set (by tests only), is called at the top of every
-	// batch execution with the batch size, so a test can hold a batch
-	// while it queues requests behind it.
-	execHook func(batch int)
+	// execHook, when set (by tests only), is called once a request
+	// holds a run slot, just before its activation runs, so a test can
+	// hold runs while it queues requests behind them.
+	execHook func()
 }
 
 // servedProgram is one compiled source with its prepared runners.
@@ -158,12 +157,12 @@ func New(cfg Config) (*Server, error) {
 		traces:   newTraceStore(),
 		programs: make(map[string]*servedProgram),
 		tenants:  make(map[string]*tenant),
-		batchers: make(map[string]*batcher),
 	}
 	if s.eng == nil {
 		s.eng = ps.NewEngine(ps.EngineWorkers(cfg.Workers), ps.WithCacheLimit(cfg.CacheLimit))
 		s.ownEng = true
 	}
+	s.slots = make(chan struct{}, s.eng.Workers())
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
 	mux.HandleFunc("GET /v1/trace", s.handleTrace)
@@ -192,11 +191,10 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // Engine returns the engine the server executes on.
 func (s *Server) Engine() *ps.Engine { return s.eng }
 
-// AddProgram compiles and registers (or replaces) one program. A
-// changed source closes the program's batchers — queued requests still
-// run against the old compilation — and later requests batch against
-// the new one; an unchanged source is a no-op thanks to the engine's
-// content-hash cache.
+// AddProgram compiles and registers (or replaces) one program.
+// Requests already admitted finish against the compilation they
+// resolved; later requests run the new one. An unchanged source is a
+// no-op thanks to the engine's content-hash cache.
 func (s *Server) AddProgram(name, source string) error {
 	prog, err := s.eng.Compile(name+".ps", source)
 	if err != nil {
@@ -204,41 +202,18 @@ func (s *Server) AddProgram(name, source string) error {
 	}
 	sp := &servedProgram{name: name, source: source, prog: prog, runners: make(map[string]*ps.Runner)}
 	s.mu.Lock()
-	old, existed := s.programs[name]
-	if existed && old.source == source {
-		s.mu.Unlock()
-		return nil
-	}
-	s.programs[name] = sp
-	var stale []*batcher
-	for key, b := range s.batchers {
-		if progName, _, _ := strings.Cut(key, "\x00"); progName == name {
-			stale = append(stale, b)
-			delete(s.batchers, key)
-		}
-	}
-	s.mu.Unlock()
-	for _, b := range stale {
-		b.close()
+	defer s.mu.Unlock()
+	if old, ok := s.programs[name]; !ok || old.source != source {
+		s.programs[name] = sp
 	}
 	return nil
 }
 
-// RemoveProgram unregisters a program and closes its batchers.
+// RemoveProgram unregisters a program.
 func (s *Server) RemoveProgram(name string) {
 	s.mu.Lock()
 	delete(s.programs, name)
-	var stale []*batcher
-	for key, b := range s.batchers {
-		if progName, _, _ := strings.Cut(key, "\x00"); progName == name {
-			stale = append(stale, b)
-			delete(s.batchers, key)
-		}
-	}
 	s.mu.Unlock()
-	for _, b := range stale {
-		b.close()
-	}
 }
 
 // LoadDir compiles every *.ps file in dir, registering each under its
@@ -310,43 +285,12 @@ func (s *Server) tenantFor(name string) *tenant {
 	return t
 }
 
-// batcherFor returns (creating on first use) the batcher of one
-// (program, module) pair.
-func (s *Server) batcherFor(progName, module string, runner *ps.Runner) *batcher {
-	key := progName + "\x00" + module
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.batchers[key]
-	if !ok {
-		b = newBatcher(s, runner)
-		s.batchers[key] = b
-	}
-	return b
-}
-
 // Drain gracefully stops the server: new requests are rejected with
-// 503, every queued activation is batched and executed, and Drain
-// returns when all in-flight requests have their responses (or ctx
-// expires; the error is then ctx.Err()). The engine stays usable —
-// call Close afterwards.
+// 503, every admitted activation runs, and Drain returns when all
+// in-flight requests have their responses (or ctx expires; the error is
+// then ctx.Err()). The engine stays usable — call Close afterwards.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	s.mu.Lock()
-	bs := make([]*batcher, 0, len(s.batchers))
-	for _, b := range s.batchers {
-		bs = append(bs, b)
-	}
-	s.mu.Unlock()
-	for _, b := range bs {
-		b.close()
-	}
-	for _, b := range bs {
-		select {
-		case <-b.stopped:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
 	for s.inflight.Load() > 0 {
 		select {
 		case <-ctx.Done():
@@ -357,31 +301,19 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Close releases the server's resources: batchers stop (without
-// waiting for queued work — call Drain first for graceful shutdown)
-// and an owned engine is closed.
+// Close releases the server's resources: admission stops and an owned
+// engine is closed, which fails the activations still running (call
+// Drain first for graceful shutdown).
 func (s *Server) Close() {
 	s.draining.Store(true)
-	s.mu.Lock()
-	bs := make([]*batcher, 0, len(s.batchers))
-	for _, b := range s.batchers {
-		bs = append(bs, b)
-	}
-	s.batchers = make(map[string]*batcher)
-	s.mu.Unlock()
-	for _, b := range bs {
-		b.close()
-	}
-	for _, b := range bs {
-		<-b.stopped
-	}
 	if s.ownEng {
 		s.eng.Close()
 	}
 }
 
-// runResponse is the /v1/run success payload. TraceID and Timing are
-// present only on ?trace=1 runs: the ID retrieves the Chrome trace via
+// runResponse is the /v1/run success payload. BatchSize is always 1
+// (one request, one activation). TraceID and Timing are present only
+// on ?trace=1 runs: the ID retrieves the Chrome trace via
 // GET /v1/trace, the breakdown summarizes where worker time went.
 type runResponse struct {
 	Program   string              `json:"program"`
@@ -402,16 +334,16 @@ type errorResponse struct {
 // maxBody bounds request payloads (arrays travel as JSON).
 const maxBody = 64 << 20
 
-// queueFullRetrySeconds is the Retry-After of a full tenant queue. The
-// queue empties as fast as batches execute, well under a second, so the
-// smallest whole-second hint is the honest one.
+// queueFullRetrySeconds is the Retry-After of a full tenant queue. A
+// tenant's slots free as fast as its activations run, well under a
+// second, so the smallest whole-second hint is the honest one.
 const queueFullRetrySeconds = 1
 
 // handleRun serves POST /v1/run: it reads the body into a pooled buffer
 // and splits the envelope in one pass (readRunRequest), converts the
-// inputs while they still alias that buffer, admits the request, and
-// queues it on its (program, module) batcher, which runs it in the next
-// fused batch; traced runs execute alone instead.
+// inputs while they still alias that buffer, admits the request, waits
+// for a run slot, runs the activation (traced under ?trace=1 when the
+// server allows it) and encodes the results.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -464,17 +396,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	buf, req.Inputs = nil, nil
 
 	// Admission: quota first (cheap, no state to roll back), then the
-	// queue-depth reservation the batcher releases on drain.
+	// tenant's in-flight bound, held until the response is written.
 	t := s.tenantFor(tenantName)
 	if ok, retry := t.takeToken(s.cfg.TenantRate, s.cfg.TenantBurst, time.Now()); !ok {
 		s.metrics.rejected.add("quota", 1)
 		s.reject(w, http.StatusTooManyRequests, retrySeconds(retry), fmt.Sprintf("tenant %q over rate quota", tenantName))
-		return
-	}
-	if s.cfg.EnableTrace && r.URL.Query().Get("trace") == "1" {
-		// Traced runs bypass the batcher (a trace wants its own
-		// timeline, not a fused batch's) but paid the quota above.
-		s.runTraced(w, r, sp, req, runner, args, start)
 		return
 	}
 	if !t.tryEnqueue(s.cfg.QueueDepth) {
@@ -482,48 +408,80 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusTooManyRequests, queueFullRetrySeconds, fmt.Sprintf("tenant %q queue is full", tenantName))
 		return
 	}
+	defer t.release()
 
-	p := &pending{tenant: t, args: args, outcome: make(chan outcome, 1)}
-	// The batcher can close underfoot (drain or reload); re-resolve
-	// once before giving up.
-	enqueued := false
-	for attempt := 0; attempt < 2 && !enqueued; attempt++ {
-		enqueued = s.batcherFor(req.Program, req.Module, runner).enqueue(p)
-		if !enqueued && s.draining.Load() {
-			break
-		}
-	}
-	if !enqueued {
-		t.release()
-		s.metrics.rejected.add("draining", 1)
-		s.reject(w, http.StatusServiceUnavailable, 1, "server is draining")
+	// A client that leaves while waiting for a run slot costs no pool
+	// time.
+	m := s.metrics
+	waitStart := time.Now()
+	select {
+	case s.slots <- struct{}{}:
+	case <-r.Context().Done():
+		m.requests.add("499", 1)
 		return
 	}
-
-	select {
-	case out := <-p.outcome:
-		if out.err != nil {
-			s.fail(w, http.StatusInternalServerError, out.err.Error())
-			return
-		}
-		results, err := ps.ResultsToJSON(sp.prog, req.Module, out.values)
-		if err != nil {
-			s.fail(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		s.metrics.requests.add("200", 1)
-		writeJSON(w, http.StatusOK, runResponse{
-			Program:   req.Program,
-			Module:    req.Module,
-			Results:   results,
-			BatchSize: out.batchSize,
-			WallMs:    float64(time.Since(start).Microseconds()) / 1000,
-		})
-	case <-r.Context().Done():
-		// Client gone: the batch still runs (results are discarded via
-		// the buffered outcome channel); account the abandonment.
-		s.metrics.requests.add("499", 1)
+	m.queueWait.observe(time.Since(waitStart).Microseconds())
+	traced := s.cfg.EnableTrace && r.URL.Query().Get("trace") == "1"
+	values, stats, tr, err := s.run(r.Context(), runner, args, traced)
+	m.batches.Add(1)
+	m.batchSize.observe(1)
+	m.noteRunStats(stats)
+	if traced {
+		m.tracedRuns.Add(1)
 	}
+	if err != nil {
+		if r.Context().Err() != nil {
+			// The client left mid-run and the executor stopped on its
+			// context; nobody reads an answer.
+			m.requests.add("499", 1)
+			return
+		}
+		m.runErrors.Add(1)
+		s.fail(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	m.activations.Add(1)
+	results, err := ps.ResultsToJSON(sp.prog, req.Module, values)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	resp := runResponse{
+		Program:   req.Program,
+		Module:    req.Module,
+		Results:   results,
+		BatchSize: 1,
+		WallMs:    float64(time.Since(start).Microseconds()) / 1000,
+	}
+	if traced {
+		// The handle is retained under the request ID for GET
+		// /v1/trace export.
+		resp.TraceID = r.Header.Get(requestIDHeader)
+		resp.Timing = stats.Timing
+		s.traces.put(resp.TraceID, tr)
+	}
+	m.requests.add("200", 1)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// run executes one activation in the run slot its caller took, under
+// the request's context and RunTimeout, and frees the slot. A traced
+// run records its timeline with Runner.TraceRun.
+func (s *Server) run(ctx context.Context, runner *ps.Runner, args ps.Args, traced bool) ([]any, *ps.RunStats, *ps.Trace, error) {
+	defer func() { <-s.slots }()
+	if hook := s.execHook; hook != nil {
+		hook()
+	}
+	if t := s.cfg.RunTimeout; t > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, t)
+		defer cancel()
+	}
+	if traced {
+		return runner.TraceRun(ctx, args)
+	}
+	values, stats, err := runner.Run(ctx, args)
+	return values, stats, nil, err
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -170,50 +171,80 @@ func goRun(ts *httptest.Server, tenant, prog, module string, i int) <-chan runRe
 	return c
 }
 
-// batchHold holds every batch of a server at the top of its execution
-// until release, recording each batch's size as it arrives.
-type batchHold struct {
-	gate  chan struct{}
-	once  sync.Once
-	mu    sync.Mutex
-	sizes []int
+// runHold holds runs of a server at its hook, just after each took its
+// run slot, until release; it counts the runs that reached the hook and
+// the most that were in it at once.
+type runHold struct {
+	gate chan struct{}
+	once sync.Once
+
+	mu                sync.Mutex
+	entered, in, most int
 }
 
-// holdBatches installs a batchHold on srv; it must run before the
-// server's first request. The hold is released at cleanup at the
-// latest, so the server can close.
-func holdBatches(t *testing.T, srv *Server) *batchHold {
-	h := &batchHold{gate: make(chan struct{})}
-	srv.execHook = func(n int) {
+// holdRuns installs a runHold on srv that holds the first limit runs,
+// or every run when limit is 0; later runs pass through, so a request
+// that should have been refused answers instead of hanging. It must run
+// before the server's first request. The hold is released at cleanup
+// at the latest, so the server can close.
+func holdRuns(t *testing.T, srv *Server, limit int) *runHold {
+	h := &runHold{gate: make(chan struct{})}
+	srv.execHook = func() {
 		h.mu.Lock()
-		h.sizes = append(h.sizes, n)
+		h.entered++
+		held := limit == 0 || h.entered <= limit
+		h.in++
+		h.most = max(h.most, h.in)
 		h.mu.Unlock()
-		<-h.gate
+		if held {
+			<-h.gate
+		}
+		h.mu.Lock()
+		h.in--
+		h.mu.Unlock()
 	}
 	t.Cleanup(h.release)
 	return h
 }
 
-func (h *batchHold) release() { h.once.Do(func() { close(h.gate) }) }
+func (h *runHold) release() { h.once.Do(func() { close(h.gate) }) }
 
-// batches returns the sizes of the batches that reached the hold so far.
-func (h *batchHold) batches() []int {
+// counts returns how many runs reached the hold so far and the most
+// that were in it at once.
+func (h *runHold) counts() (entered, most int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]int(nil), h.sizes...)
+	return h.entered, h.most
 }
 
-// queuedTotal counts the requests waiting in the server's batchers.
+// started reports whether n runs have reached the hold.
+func (h *runHold) started(n int) func() bool {
+	return func() bool {
+		entered, _ := h.counts()
+		return entered == n
+	}
+}
+
+// queuedTotal counts the requests admitted and not yet answered, over
+// every tenant.
 func queuedTotal(srv *Server) int {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	n := 0
-	for _, b := range srv.batchers {
-		b.mu.Lock()
-		n += b.total
-		b.mu.Unlock()
+	for _, tn := range srv.tenants {
+		n += int(tn.queued.Load())
 	}
 	return n
+}
+
+// counted returns one series of a labeled counter, 0 when absent.
+func counted(c *labeledCounter, label string) int64 {
+	for _, lv := range c.snapshot() {
+		if lv.label == label {
+			return lv.value
+		}
+	}
+	return 0
 }
 
 // waitFor polls cond until it holds, failing the test after 10s.
@@ -253,19 +284,19 @@ type rawResponse struct {
 }
 
 // TestServeBatchParityStress is the acceptance stress: several tenants
-// hammer two programs concurrently, responses are coalesced into fused
-// batches, and every response must equal — bitwise, via the canonical
-// JSON encoding — a direct sequential Runner.Run of the same
-// activation. The first batch of each program is held until every
-// goroutine's first request has queued, so fused batches of several
-// requests are certain. Run with -race.
+// hammer two programs concurrently and every response must equal —
+// bitwise, via the canonical JSON encoding — a direct sequential
+// Runner.Run of the same activation. The first runs are held until
+// every goroutine's first request is admitted, so all run slots are
+// busy with requests waiting behind them, and no more than the pool
+// width of runs may ever be in the hook at once. Run with -race.
 func TestServeBatchParityStress(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		Workers:    4,
-		MaxBatch:   16,
 		QueueDepth: 1024,
 	})
-	hold := holdBatches(t, srv)
+	hold := holdRuns(t, srv, 0)
+	workers := srv.Engine().Workers()
 
 	const inputsPerProgram = 3
 	refs := make(map[string]string)
@@ -304,20 +335,16 @@ func TestServeBatchParityStress(t *testing.T) {
 				if got, want := string(rr.Results), refs[fmt.Sprintf("%s/%d", prog, i)]; got != want {
 					errc <- fmt.Errorf("%s/%d: served results differ from direct run:\n got %s\nwant %s", prog, i, got, want)
 				}
-				if rr.BatchSize < 1 {
-					errc <- fmt.Errorf("%s/%d: batch_size %d", prog, i, rr.BatchSize)
+				if rr.BatchSize != 1 {
+					errc <- fmt.Errorf("%s/%d: batch_size %d, want 1", prog, i, rr.BatchSize)
 				}
 			}
 		}(g)
 	}
-	// Both programs have one batch held; the other first requests wait
-	// behind them.
+	// Every run slot holds a first request; the other first requests
+	// wait for a slot.
 	waitFor(t, "the first requests to queue", func() bool {
-		held := 0
-		for _, n := range hold.batches() {
-			held += n
-		}
-		return len(hold.batches()) == len(progNames) && held+queuedTotal(srv) == goroutines
+		return hold.started(workers)() && queuedTotal(srv) == goroutines
 	})
 	hold.release()
 	wg.Wait()
@@ -325,18 +352,17 @@ func TestServeBatchParityStress(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	// Four first requests per program ran in at most two batches.
-	if sizes := hold.batches(); slices.Max(sizes) < 2 {
-		t.Errorf("no fused batch: batch sizes %v", sizes)
+	if entered, most := hold.counts(); entered != goroutines*runsEach || most > workers {
+		t.Errorf("%d runs reached the hook, at most %d at once; want %d, at most %d (the pool width)",
+			entered, most, goroutines*runsEach, workers)
 	}
 
-	// The stress must have produced real batching state: every request
-	// accounted, queue drained back to zero.
+	// Every request accounted, in-flight counts back to zero.
 	if got := srv.metrics.activations.Load(); got != goroutines*runsEach {
 		t.Errorf("activations counter = %d, want %d", got, goroutines*runsEach)
 	}
-	if srv.metrics.batches.Load() < 1 {
-		t.Error("no batches dispatched")
+	if got := srv.metrics.batches.Load(); got != goroutines*runsEach {
+		t.Errorf("runs counter = %d, want %d", got, goroutines*runsEach)
 	}
 	srv.mu.Lock()
 	for name, tn := range srv.tenants {
@@ -414,16 +440,14 @@ func TestServeQuotaRetryAfterGrows(t *testing.T) {
 }
 
 // TestServeQueueFull pins backpressure: with a queue depth of 1, request
-// A executes (held), B takes the one queue slot, and C is rejected with
-// 429 and the queue-full Retry-After; both admitted requests then
-// complete.
+// A runs (held) and holds its tenant's one slot until it is answered, so
+// C is rejected with 429 and the queue-full Retry-After; once A has
+// answered, B is admitted and completes.
 func TestServeQueueFull(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 1})
-	hold := holdBatches(t, srv)
+	hold := holdRuns(t, srv, 1)
 	a := goRun(ts, "", "smooth", "Smooth", 0)
-	waitFor(t, "A's batch to start", func() bool { return len(hold.batches()) == 1 })
-	b := goRun(ts, "", "smooth", "Smooth", 1)
-	waitFor(t, "B to queue", func() bool { return queuedTotal(srv) == 1 })
+	waitFor(t, "A's run to start", hold.started(1))
 
 	code, hdr, body := postRun(t, ts, "", "smooth", "Smooth", 2)
 	if code != http.StatusTooManyRequests {
@@ -437,20 +461,21 @@ func TestServeQueueFull(t *testing.T) {
 	}
 	hold.release()
 	checkRun(t, "A", <-a, referenceJSON(t, "smooth", 0))
-	checkRun(t, "B", <-b, referenceJSON(t, "smooth", 1))
+	checkRun(t, "B", <-goRun(ts, "", "smooth", "Smooth", 1), referenceJSON(t, "smooth", 1))
 }
 
-// TestServeDrain pins graceful shutdown: with A's batch held and B
-// queued behind it, Drain returns only after both have answered 200
-// with results equal to direct runs, and the drained server answers 503
-// (run) / 503 (healthz) afterwards.
+// TestServeDrain pins graceful shutdown: with A and B holding both run
+// slots and C waiting for one, Drain returns only after all three have
+// answered 200 with results equal to direct runs, and the drained
+// server answers 503 (run) / 503 (healthz) afterwards.
 func TestServeDrain(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
-	hold := holdBatches(t, srv)
+	hold := holdRuns(t, srv, 0)
 	a := goRun(ts, "", "smooth", "Smooth", 0)
-	waitFor(t, "A's batch to start", func() bool { return len(hold.batches()) == 1 })
 	b := goRun(ts, "", "smooth", "Smooth", 1)
-	waitFor(t, "B to queue", func() bool { return queuedTotal(srv) == 1 })
+	waitFor(t, "A's and B's runs to start", hold.started(2))
+	c := goRun(ts, "", "smooth", "Smooth", 2)
+	waitFor(t, "C to queue", func() bool { return queuedTotal(srv) == 3 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -461,18 +486,13 @@ func TestServeDrain(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	// Drain returned after both handlers had answered.
-	var answered int64
-	for _, lv := range srv.metrics.requests.snapshot() {
-		if lv.label == "200" {
-			answered = lv.value
-		}
-	}
-	if answered != 2 {
-		t.Errorf("200 responses when Drain returned = %d, want 2", answered)
+	// Drain returned after every handler had answered.
+	if answered := counted(srv.metrics.requests, "200"); answered != 3 {
+		t.Errorf("200 responses when Drain returned = %d, want 3", answered)
 	}
 	checkRun(t, "A", <-a, referenceJSON(t, "smooth", 0))
 	checkRun(t, "B", <-b, referenceJSON(t, "smooth", 1))
+	checkRun(t, "C", <-c, referenceJSON(t, "smooth", 2))
 
 	if code, hdr, _ := postRun(t, ts, "", "smooth", "Smooth", 0); code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Errorf("post-drain run: %d, Retry-After %q", code, hdr.Get("Retry-After"))
@@ -487,33 +507,100 @@ func TestServeDrain(t *testing.T) {
 	}
 }
 
-// TestServeCoalescesWhileBusy pins work-conserving batching: the
-// requests that queue while a batch runs — five, from two tenants —
-// become exactly one next batch, and each of their responses reports
-// batch_size 5.
+// TestServeCoalescesWhileBusy pins the run bound: of six requests from
+// two tenants, exactly as many as the pool is wide (two) run at once
+// while the others wait for a slot, each wait is observed in
+// ps_serve_queue_wait_us, and every response reports batch_size 1 with
+// results equal to a direct run.
 func TestServeCoalescesWhileBusy(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
-	hold := holdBatches(t, srv)
-	first := goRun(ts, "t0", "smooth", "Smooth", 0)
-	waitFor(t, "the first batch to start", func() bool { return len(hold.batches()) == 1 })
-	var rest []<-chan runResult
-	for k := 0; k < 5; k++ {
-		rest = append(rest, goRun(ts, "t"+strconv.Itoa(k%2), "smooth", "Smooth", k))
+	hold := holdRuns(t, srv, 0)
+	const n = 6
+	var replies []<-chan runResult
+	for k := 0; k < n; k++ {
+		replies = append(replies, goRun(ts, "t"+strconv.Itoa(k%2), "smooth", "Smooth", k))
 	}
-	waitFor(t, "five requests to queue", func() bool { return queuedTotal(srv) == 5 })
+	waitFor(t, "two runs held and four waiting", func() bool {
+		return hold.started(2)() && queuedTotal(srv) == n
+	})
+	waited := srv.metrics.queueWait.count.Load()
 	hold.release()
 
-	if n := checkRun(t, "first", <-first, referenceJSON(t, "smooth", 0)); n != 1 {
-		t.Errorf("first: batch_size %d, want 1", n)
-	}
-	for k, c := range rest {
-		if n := checkRun(t, fmt.Sprintf("queued %d", k), <-c, referenceJSON(t, "smooth", k)); n != 5 {
-			t.Errorf("queued %d: batch_size %d, want 5", k, n)
+	for k, c := range replies {
+		if bs := checkRun(t, fmt.Sprintf("request %d", k), <-c, referenceJSON(t, "smooth", k)); bs != 1 {
+			t.Errorf("request %d: batch_size %d, want 1", k, bs)
 		}
 	}
-	if got := hold.batches(); !slices.Equal(got, []int{1, 5}) {
-		t.Errorf("batch sizes %v, want [1 5]", got)
+	if entered, most := hold.counts(); entered != n || most != 2 {
+		t.Errorf("%d runs reached the hook, at most %d at once; want %d, at most 2", entered, most, n)
 	}
+	if got := srv.metrics.queueWait.count.Load(); got != n || got <= waited {
+		t.Errorf("ps_serve_queue_wait_us_count = %d (%d while held), want %d", got, waited, n)
+	}
+}
+
+// TestServeClientGone pins that a client which leaves while its request
+// waits for a run slot costs no pool time: the request is counted as
+// 499, never runs, and returns its tenant slot, and no goroutine is
+// left once the held runs finish.
+func TestServeClientGone(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	hold := holdRuns(t, srv, 0)
+	base := runtime.NumGoroutine()
+	a := goRun(ts, "", "smooth", "Smooth", 0)
+	b := goRun(ts, "", "smooth", "Smooth", 1)
+	waitFor(t, "both run slots to be held", hold.started(2))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gone := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run",
+			bytes.NewReader(runBody("", "smooth", "Smooth", 2)))
+		if err == nil {
+			var resp *http.Response
+			if resp, err = ts.Client().Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}
+		gone <- err
+	}()
+	waitFor(t, "the third request to wait for a run slot", func() bool { return queuedTotal(srv) == 3 })
+	cancel()
+	if err := <-gone; err == nil {
+		t.Fatal("the abandoned request was answered")
+	}
+	waitFor(t, "the abandoned request to return its tenant slot", func() bool { return queuedTotal(srv) == 2 })
+	hold.release()
+	checkRun(t, "A", <-a, referenceJSON(t, "smooth", 0))
+	checkRun(t, "B", <-b, referenceJSON(t, "smooth", 1))
+
+	if gave := counted(srv.metrics.requests, "499"); gave != 1 {
+		t.Errorf(`ps_serve_requests_total{code="499"} = %d, want 1`, gave)
+	}
+	if got := srv.metrics.activations.Load(); got != 2 {
+		t.Errorf("ps_serve_activations_total = %d, want 2 (the abandoned request must not run)", got)
+	}
+	if entered, _ := hold.counts(); entered != 2 {
+		t.Errorf("%d runs reached the hook, want 2", entered)
+	}
+	if q := queuedTotal(srv); q != 0 {
+		t.Errorf("tenant in-flight count %d after every request ended", q)
+	}
+	ts.Client().CloseIdleConnections()
+	if n := settle(base); n > base {
+		t.Errorf("%d goroutines after the requests ended, %d before", n, base)
+	}
+}
+
+// settle waits up to two seconds for the goroutine count to fall back
+// to base and returns the last count seen.
+func settle(base int) int {
+	n := runtime.NumGoroutine()
+	for end := time.Now().Add(2 * time.Second); n > base && time.Now().Before(end); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return n
 }
 
 // TestServeIdleDispatch pins that an idle server runs a request at once:
@@ -748,49 +835,27 @@ end Flags;
 	}
 }
 
-// TestBatcherRoundRobin pins drain fairness at the unit level: one
-// request per tenant per ring pass, so a deep backlog from one tenant
-// cannot fill the whole batch.
+// TestBatcherRoundRobin pins per-tenant isolation. Run slots are taken
+// in arrival order, so the QueueDepth bound is what keeps one tenant
+// from holding the server: a tenant at its bound is refused with 429
+// while another tenant is admitted and answered.
 func TestBatcherRoundRobin(t *testing.T) {
-	b := &batcher{
-		queues:  make(map[string][]*pending),
-		wake:    make(chan struct{}, 1),
-		stopped: make(chan struct{}),
+	srv, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 1})
+	hold := holdRuns(t, srv, 1)
+	a := goRun(ts, "a", "smooth", "Smooth", 0)
+	waitFor(t, "a's run to start", hold.started(1))
+
+	code, _, body := postRun(t, ts, "a", "smooth", "Smooth", 1)
+	if code != http.StatusTooManyRequests || !strings.Contains(string(body), "queue is full") {
+		t.Errorf("tenant a over its bound: %d: %s", code, body)
 	}
-	tn := func(name string) *tenant { return &tenant{name: name} }
-	a, c, d := tn("a"), tn("c"), tn("d")
-	for _, p := range []*pending{
-		{tenant: a}, {tenant: a}, {tenant: a}, {tenant: a},
-		{tenant: c}, {tenant: c},
-		{tenant: d},
-	} {
-		p.tenant.queued.Add(1)
-		if !b.enqueue(p) {
-			t.Fatal("enqueue failed")
-		}
-	}
-	b.mu.Lock()
-	got := b.takeLocked(5)
-	b.mu.Unlock()
-	var order []string
-	for _, p := range got {
-		order = append(order, p.tenant.name)
-	}
-	// Pass 1 takes one from each of a, c, d; pass 2 wraps back to a, c.
-	want := []string{"a", "c", "d", "a", "c"}
-	if strings.Join(order, ",") != strings.Join(want, ",") {
-		t.Errorf("drain order %v, want %v", order, want)
-	}
-	b.mu.Lock()
-	rest := b.takeLocked(0) // 0 = take everything
-	b.mu.Unlock()
-	if len(rest) != 2 || b.total != 0 {
-		t.Errorf("second drain took %d, total %d", len(rest), b.total)
-	}
-	for _, x := range []*tenant{a, c, d} {
-		if q := x.queued.Load(); q != 0 {
-			t.Errorf("tenant %s queued %d after full drain", x.name, q)
-		}
+	code, _, body = postRun(t, ts, "b", "smooth", "Smooth", 2)
+	checkRun(t, "tenant b", runResult{code: code, body: body}, referenceJSON(t, "smooth", 2))
+
+	hold.release()
+	checkRun(t, "tenant a", <-a, referenceJSON(t, "smooth", 0))
+	if got := counted(srv.metrics.rejected, "queue_full"); got != 1 {
+		t.Errorf("queue_full rejections = %d, want 1", got)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // tenant is one traffic source's admission state: a token bucket for
-// rate quota and a queued-request count for the backpressure bound.
+// rate quota and an in-flight count for the backpressure bound.
 // Tenants are identified by the request's tenant field (or the
 // X-PS-Tenant header); unidentified traffic shares the "default"
 // tenant.
@@ -25,8 +25,8 @@ type tenant struct {
 	// always quoting the sub-second single-token refill.
 	rejected int
 
-	// queued counts requests admitted but not yet taken into a batch,
-	// across every batcher. It is the /metrics queue-depth gauge and
+	// queued counts requests admitted but not yet answered, running or
+	// waiting for a run slot. It is the /metrics queue-depth gauge and
 	// the value bounded by Config.QueueDepth.
 	queued atomic.Int64
 }
@@ -65,9 +65,9 @@ func (t *tenant) takeToken(rate float64, burst int, now time.Time) (ok bool, ret
 	return false, time.Duration(math.Ceil(deficit/rate*1000)) * time.Millisecond
 }
 
-// tryEnqueue reserves one queue slot under the per-tenant bound; the
-// batcher releases it when the request is taken into a batch. depth
-// <= 0 disables the bound.
+// tryEnqueue reserves one slot under the per-tenant bound; the handler
+// releases it once the request is answered. depth <= 0 disables the
+// bound.
 func (t *tenant) tryEnqueue(depth int) bool {
 	if depth <= 0 {
 		t.queued.Add(1)
@@ -84,6 +84,5 @@ func (t *tenant) tryEnqueue(depth int) bool {
 	}
 }
 
-// release returns a queue slot (request taken into a batch, or
-// admission rolled back).
+// release returns a slot taken by tryEnqueue.
 func (t *tenant) release() { t.queued.Add(-1) }

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/ps"
 )
@@ -44,47 +42,6 @@ func (ts *traceStore) get(id string) (*ps.Trace, bool) {
 	defer ts.mu.Unlock()
 	tr, ok := ts.byID[id]
 	return tr, ok
-}
-
-// runTraced executes one ?trace=1 activation: a direct TraceRun on the
-// runner, bypassing the batcher — a traced request wants its own
-// timeline, not a fused batch's — with the trace handle retained under
-// the request ID for GET /v1/trace export. The response carries the
-// handle ID and the aggregated timing breakdown inline.
-func (s *Server) runTraced(w http.ResponseWriter, r *http.Request, sp *servedProgram, req runRequest, runner *ps.Runner, args ps.Args, start time.Time) {
-	ctx := r.Context()
-	if t := s.cfg.RunTimeout; t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
-	values, stats, tr, err := runner.TraceRun(ctx, args)
-	m := s.metrics
-	m.tracedRuns.Add(1)
-	m.noteRunStats(stats)
-	if err != nil {
-		m.runErrors.Add(1)
-		s.fail(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	m.activations.Add(1)
-	results, err := ps.ResultsToJSON(sp.prog, req.Module, values)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	id := r.Header.Get(requestIDHeader)
-	s.traces.put(id, tr)
-	m.requests.add("200", 1)
-	writeJSON(w, http.StatusOK, runResponse{
-		Program:   req.Program,
-		Module:    req.Module,
-		Results:   results,
-		BatchSize: 1,
-		WallMs:    float64(time.Since(start).Microseconds()) / 1000,
-		TraceID:   id,
-		Timing:    stats.Timing,
-	})
 }
 
 // handleTrace exports a retained trace as Chrome trace-event JSON,

@@ -101,8 +101,8 @@ type tracedResponse struct {
 }
 
 // TestServeTraceRun exercises the full traced-request flow: ?trace=1
-// bypasses the batcher, the response carries the trace handle and the
-// timing breakdown, results stay bitwise-identical to a direct run,
+// runs under the execution recorder, the response carries the trace
+// handle and the timing breakdown, results stay bitwise-identical to a direct run,
 // and GET /v1/trace exports a valid Chrome timeline under the same ID.
 func TestServeTraceRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, EnableTrace: true})
@@ -123,7 +123,7 @@ func TestServeTraceRun(t *testing.T) {
 		t.Errorf("trace_id = %q, want %q", tr.TraceID, reqID)
 	}
 	if tr.BatchSize != 1 {
-		t.Errorf("batch_size = %d, want 1 (traced runs are never batched)", tr.BatchSize)
+		t.Errorf("batch_size = %d, want 1", tr.BatchSize)
 	}
 	if tr.Timing == nil {
 		t.Fatal("traced response has no timing breakdown")
@@ -188,7 +188,7 @@ func TestServeTraceRun(t *testing.T) {
 }
 
 // TestServeTraceDisabled: without EnableTrace, ?trace=1 is ignored and
-// the request takes the normal batched path with no trace handle.
+// the request runs untraced, with no trace handle.
 func TestServeTraceDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	code, _, body := postTraced(t, ts, "untraced-1", "smooth", "Smooth", 0)
@@ -212,6 +212,29 @@ func TestServeTraceDisabled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("trace export without tracing: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServeTraceRunQueueFull pins that a traced request is admitted like
+// any other: with its tenant's one slot held by an untraced run, a
+// ?trace=1 request from the same tenant is refused with 429.
+func TestServeTraceRunQueueFull(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 1, EnableTrace: true})
+	hold := holdRuns(t, srv, 1)
+	a := goRun(ts, "", "smooth", "Smooth", 0)
+	waitFor(t, "the untraced run to start", hold.started(1))
+
+	code, hdr, body := postTraced(t, ts, "over-depth", "smooth", "Smooth", 1)
+	if code != http.StatusTooManyRequests || !strings.Contains(string(body), "queue is full") {
+		t.Errorf("traced request over its tenant's bound: %d: %s", code, body)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Error("traced queue-full rejection has no Retry-After")
+	}
+	hold.release()
+	checkRun(t, "untraced", <-a, referenceJSON(t, "smooth", 0))
+	if got := srv.metrics.tracedRuns.Load(); got != 0 {
+		t.Errorf("ps_serve_traced_runs_total = %d after a refused traced request, want 0", got)
 	}
 }
 
