@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	psrun [-module name] [-workers N] [-seq] [-strict] [-grain N]
+//	psrun [-module name] [-workers N] [-seq] [-strict]
 //	      [-timeout d] [-stats] [-trace out.json] [-explain]
 //	      [-in inputs.json] [-cpuprofile f] [-memprofile f] file.ps
 //
@@ -51,7 +51,6 @@ func main() {
 	workers := flag.Int("workers", 0, "DOALL workers (0 = all CPUs)")
 	seq := flag.Bool("seq", false, "force sequential execution")
 	strict := flag.Bool("strict", false, "enable single-assignment checking")
-	grain := flag.Int64("grain", 0, "g of the dispatch rule: a DOALL or wavefront step tiles when its average plane holds g x workers points (default 32; a DOALL is one plane); also the minimum tile width")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	stats := flag.Bool("stats", false, "print run statistics and a timing breakdown to stderr")
 	trace := flag.String("trace", "", "record the run and write Chrome trace-event JSON to this file")
@@ -116,9 +115,6 @@ func main() {
 	}
 	if *strict {
 		opts = append(opts, ps.Strict())
-	}
-	if *grain > 0 {
-		opts = append(opts, ps.Grain(*grain))
 	}
 	run, err := prog.Prepare(name, opts...)
 	if err != nil {

@@ -132,11 +132,11 @@ func TestPscPlan(t *testing.T) {
 // TestPsrunExplain drives psrun -explain: prints the plan the selected
 // options would execute without running the module.
 func TestPsrunExplain(t *testing.T) {
-	out, errOut, err := runGo(t, "", "./cmd/psrun", "-explain", "-grain", "32", "testdata/relaxation.ps")
+	out, errOut, err := runGo(t, "", "./cmd/psrun", "-explain", "testdata/relaxation.ps")
 	if err != nil {
 		t.Fatalf("psrun -explain: %v\n%s", err, errOut)
 	}
-	for _, want := range []string{"grain 32, base plan", "plan Relaxation", "do K"} {
+	for _, want := range []string{"base plan", "plan Relaxation", "do K"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-explain output missing %q:\n%s", want, out)
 		}
@@ -180,9 +180,9 @@ func TestPsrunExitCodes(t *testing.T) {
 			t.Errorf("-schedule %s: exit %d, want 2 and an undefined-flag message:\n%s", v, code, stderr)
 		}
 	}
-	// Usage: fusion and the §4 restructuring are cascade decisions, not
-	// flags → 2.
-	for _, args := range [][]string{{"-fused"}, {"-hyperplane", "off"}} {
+	// Usage: fusion and the §4 restructuring are cascade decisions, and
+	// the dispatch grain a fixed rule, not flags → 2.
+	for _, args := range [][]string{{"-fused"}, {"-hyperplane", "off"}, {"-grain", "32"}} {
 		if code, stderr := exitCode(append(args, "testdata/relaxation.ps")...); code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[0]) {
 			t.Errorf("%s: exit %d, want 2 and an undefined-flag message:\n%s", args[0], code, stderr)
 		}

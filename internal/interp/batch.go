@@ -62,7 +62,7 @@ func (p *Program) RunBatchCtx(ctx context.Context, name string, batch [][]any, o
 				errs[b] = &RunError{Module: m.Name, Err: rs.ctx.Err()}
 				continue
 			}
-			results[b], errs[b] = p.runModule(rs, cm, batch[b], false, false)
+			results[b], errs[b] = p.keep(p.runModule(rs, cm, batch[b], false, false))
 		}
 		return results, errs, nil
 	}
@@ -81,7 +81,7 @@ func (p *Program) RunBatchCtx(ctx context.Context, name string, batch [][]any, o
 		}
 		lo := b * int(w)
 		for e := lo; e < min(lo+int(w), n); e++ {
-			results[e], errs[e] = p.runModule(rs, cm, batch[e], true, false)
+			results[e], errs[e] = p.keep(p.runModule(rs, cm, batch[e], true, false))
 		}
 		return !rs.cancelled()
 	}, nil, nil)

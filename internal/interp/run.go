@@ -430,7 +430,18 @@ func (p *Program) RunCtx(ctx context.Context, name string, args []any, opts Opti
 		return nil, &RunError{Module: m.Name, Err: err}
 	}
 	defer cleanup()
-	return p.runModule(rs, p.mods[m], args, false, false)
+	return p.keep(p.runModule(rs, p.mods[m], args, false, false))
+}
+
+// keep hands a top-level activation's result arrays to the caller for
+// good, taking them off the arena's books.
+func (p *Program) keep(results []any, err error) ([]any, error) {
+	for _, r := range results {
+		if a, ok := r.(*value.Array); ok {
+			p.arena.Keep(a)
+		}
+	}
+	return results, err
 }
 
 // newRunState builds the shared execution context of one activation (or
@@ -505,6 +516,20 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 				err = &RunError{Module: cm.m.Name, Equation: curEq, Err: e}
 			default:
 				panic(r)
+			}
+		}
+		// Local arrays die with the activation, and a failed one's results
+		// with it: recycle their backings. (A local slot holding a callee's
+		// result array is still the only live reference — callee results
+		// transfer ownership.) A completed activation's results are never
+		// released here; their owner is the caller. Every parallel body
+		// has stopped by now, aborted or not. Arrays the arena did not hand
+		// out (strict or NoArena runs) are left alone by Release.
+		if en != nil {
+			for _, al := range en.cp.allocs {
+				if al.local || err != nil {
+					p.arena.Release(en.arrays[al.si])
+				}
 			}
 		}
 	}()
@@ -622,17 +647,6 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 			results[i] = en.arrays[si]
 		} else {
 			results[i] = en.scalars[si]
-		}
-	}
-	// Local arrays die with the activation: recycle their backings.
-	// (A local slot holding a callee's result array is still the only
-	// live reference — callee results transfer ownership.) Results are
-	// never released here; their owner is the caller.
-	if arena != nil {
-		for _, al := range en.cp.allocs {
-			if al.local {
-				arena.Release(en.arrays[al.si])
-			}
 		}
 	}
 	return results, nil

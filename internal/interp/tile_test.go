@@ -281,9 +281,10 @@ func settle(base int) int {
 // TestTileAbortLeavesNoLeak stops tile grids midway — a kernel that
 // divides by zero inside one tile, and a context cancelled while tiles
 // run — and requires a typed error, no goroutine left behind once the
-// run returns, and an arena that still serves the next activations:
-// repeated runs of the same program reuse recycled backings and stay
-// bitwise equal to Sequential().
+// run returns, no arena array still lent out after the aborts (a failed
+// activation returns its results and locals), and an arena that still
+// serves the next activations: repeated runs stay bitwise equal to
+// Sequential() and leave nothing lent out either.
 func TestTileAbortLeavesNoLeak(t *testing.T) {
 	ip := compileSrc(t, boom)
 	const n = 96
@@ -319,11 +320,13 @@ func TestTileAbortLeavesNoLeak(t *testing.T) {
 		buf := make([]byte, 1<<16)
 		t.Errorf("%d goroutines after the aborted runs, %d before:\n%s", got, base, buf[:runtime.Stack(buf, true)])
 	}
-	// sync.Pool drops some Puts under -race, so reuse is required over
-	// several runs, not of each.
-	var stats interp.Stats
+	for _, p := range []*interp.Program{ip, gs} {
+		if lent := p.ArenaLent(); lent != 0 {
+			t.Errorf("%d arena arrays still lent out after the aborted runs", lent)
+		}
+	}
 	for rep := 0; rep < 6; rep++ {
-		got, err := ip.Run("Boom", ok, interp.Options{Workers: 2, Grain: 1, Stats: &stats})
+		got, err := ip.Run("Boom", ok, interp.Options{Workers: 2, Grain: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +334,7 @@ func TestTileAbortLeavesNoLeak(t *testing.T) {
 			t.Errorf("run %d after the aborts diverges from Sequential()", rep)
 		}
 	}
-	if stats.ArenaReuses.Load() == 0 {
-		t.Error("six runs after the aborts recycled no arena backing")
+	if lent := ip.ArenaLent(); lent != 0 {
+		t.Errorf("%d arena arrays still lent out after six runs", lent)
 	}
 }

@@ -84,7 +84,7 @@ type variant struct {
 	traced bool
 	strict bool // SpecializedKernels must be 0
 	planes bool // wavefront tile-grid invariant applies
-	// tiles marks a Grain(1) row: the wavefront nest runs on the tile
+	// tiles marks a grain1 row: the wavefront nest runs on the tile
 	// executor exactly when its average plane holds one point per worker
 	// (the dispatch rule at g = 1).
 	tiles bool
@@ -94,8 +94,11 @@ type variant struct {
 // interp.Options fields, not exported run options: noSpec runs every span
 // on the checked kernels, noVirtual allocates every §3.4 window
 // physically, and noArena allocates fresh zeroed storage for every
-// activation array instead of recycling arena backings.
+// activation array instead of recycling arena backings. grain1 sets g = 1
+// in the dispatch rule, so any step of one point per worker per plane
+// runs as tiles.
 var (
+	grain1    = ps.RunOption(func(o *interp.Options) { o.Grain = 1 })
 	noSpec    = ps.RunOption(func(o *interp.Options) { o.NoSpecialize = true })
 	noVirtual = ps.RunOption(func(o *interp.Options) { o.NoVirtual = true })
 	noArena   = ps.RunOption(func(o *interp.Options) { o.NoArena = true })
@@ -111,7 +114,7 @@ func matrix(quick bool) []variant {
 			{name: "seq", opts: []ps.RunOption{ps.Sequential()}},
 			{name: "seq-nospec", opts: []ps.RunOption{ps.Sequential(), noSpec}, strict: true},
 			{name: "w2", opts: []ps.RunOption{ps.Workers(2)}, planes: true},
-			{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, tiles: true},
+			{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), grain1}, tiles: true},
 			{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
 			{name: "w2-traced", opts: []ps.RunOption{ps.Workers(2)}, traced: true},
 		}
@@ -122,15 +125,15 @@ func matrix(quick bool) []variant {
 		{name: "w1", opts: []ps.RunOption{ps.Workers(1)}},
 		{name: "w2", opts: []ps.RunOption{ps.Workers(2)}, planes: true},
 		{name: "w4", opts: []ps.RunOption{ps.Workers(4)}, planes: true},
-		{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, planes: true, tiles: true},
-		{name: "w4-doacross", opts: []ps.RunOption{ps.Workers(4), ps.Grain(1)}, planes: true, tiles: true},
+		{name: "w2-doacross", opts: []ps.RunOption{ps.Workers(2), grain1}, planes: true, tiles: true},
+		{name: "w4-doacross", opts: []ps.RunOption{ps.Workers(4), grain1}, planes: true, tiles: true},
 		{name: "w2-strict", opts: []ps.RunOption{ps.Workers(2), ps.Strict()}, strict: true},
 		{name: "w2-nospec", opts: []ps.RunOption{ps.Workers(2), noSpec}, strict: true},
 		{name: "w2-noarena", opts: []ps.RunOption{ps.Workers(2), noArena}},
 		{name: "w2-novirtual", opts: []ps.RunOption{ps.Workers(2), noVirtual}},
 		{name: "seq-traced", opts: []ps.RunOption{ps.Sequential()}, traced: true},
 		{name: "w2-traced", opts: []ps.RunOption{ps.Workers(2)}, traced: true},
-		{name: "w2-doacross-traced", opts: []ps.RunOption{ps.Workers(2), ps.Grain(1)}, traced: true, tiles: true},
+		{name: "w2-doacross-traced", opts: []ps.RunOption{ps.Workers(2), grain1}, traced: true, tiles: true},
 	}
 }
 

@@ -44,7 +44,7 @@ const (
 	// cascade's fusion step).
 	ClassMultiWavefront
 	// ClassDoacross is wavefront-eligible geometry with wider planes,
-	// so that the Grain(1) rows put the nest on the doacross (tile)
+	// so that the grain1 rows put the nest on the doacross (tile)
 	// schedule.
 	ClassDoacross
 	// ClassPipeline generates a recurrence with a reflected-column read

@@ -81,7 +81,7 @@ func TestClassesLandInTargetBackend(t *testing.T) {
 }
 
 // TestDoacrossClassLowersToWavefront pins the doacross class's
-// geometry: wavefront-eligible, so the Grain(1) rows have planes to
+// geometry: wavefront-eligible, so the grain1 rows have planes to
 // tile.
 func TestDoacrossClassLowersToWavefront(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {

@@ -3,6 +3,7 @@ package value
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/types"
 )
@@ -44,7 +45,15 @@ type Arena struct {
 	f [arenaClasses]sync.Pool // real arrays, backing capacity 1<<c
 	i [arenaClasses]sync.Pool // int-backed arrays (int, subrange, char, enum)
 	b [arenaClasses]sync.Pool // bool arrays
+	// lent counts the pooled arrays handed out and neither released nor
+	// kept; unlike the pools it is exact, whatever sync.Pool drops.
+	lent atomic.Int64
 }
+
+// Lent returns the number of arrays NewArrayIn handed out that have been
+// neither released nor kept. Once every activation has ended and its
+// caller has kept the results, it is zero.
+func (ar *Arena) Lent() int64 { return ar.lent.Load() }
 
 // sizeClass returns the smallest class whose capacity 1<<c holds n
 // elements.
@@ -131,6 +140,7 @@ func (ar *Arena) NewArrayIn(kind types.Kind, axes []Axis, zero bool) (a *Array, 
 			}
 		}
 		a.pooled = true
+		ar.lent.Add(1)
 		return a, true
 	}
 	// Fresh array, allocated at the full class capacity so it can serve
@@ -147,6 +157,7 @@ func (ar *Arena) NewArrayIn(kind types.Kind, axes []Axis, zero bool) (a *Array, 
 		a.I = make([]int64, size, capacity)
 	}
 	a.pooled = true
+	ar.lent.Add(1)
 	return a, false
 }
 
@@ -161,6 +172,7 @@ func (ar *Arena) Release(a *Array) {
 		return
 	}
 	a.pooled = false
+	ar.lent.Add(-1)
 	a.defined = nil
 	a.Axes = nil
 	var capacity int64
@@ -178,4 +190,15 @@ func (ar *Arena) Release(a *Array) {
 	if c := sizeClass(capacity); capacity == 1<<c && c < arenaMaxClass {
 		pool[c].Put(a)
 	}
+}
+
+// Keep takes a off the arena's books without recycling it: its caller
+// owns it for good. Like Release it is a no-op for arrays the arena did
+// not hand out.
+func (ar *Arena) Keep(a *Array) {
+	if ar == nil || a == nil || !a.pooled {
+		return
+	}
+	a.pooled = false
+	ar.lent.Add(-1)
 }

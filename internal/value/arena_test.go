@@ -1,6 +1,7 @@
 package value_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/types"
@@ -142,6 +143,48 @@ func TestArenaRelease(t *testing.T) {
 		}
 	}()
 	d.GetF([]int64{1, 1})
+}
+
+// TestArenaLent pins the exact count of lent arrays: each hand-out adds
+// one, fresh or recycled, and a release or a keep takes it back once,
+// whatever sync.Pool drops. Boxed arrays are never counted.
+func TestArenaLent(t *testing.T) {
+	var ar value.Arena
+	a, _ := ar.NewArrayIn(types.RealKind, axes2(4), false)
+	b, _ := ar.NewArrayIn(types.BoolKind, axes2(4), false)
+	s, _ := ar.NewArrayIn(types.StringKind, axes2(4), false)
+	if got := ar.Lent(); got != 2 {
+		t.Fatalf("Lent() = %d after two pooled hand-outs, want 2", got)
+	}
+	ar.Release(a)
+	ar.Release(a)
+	ar.Release(s)
+	ar.Keep(b)
+	ar.Keep(b)
+	if got := ar.Lent(); got != 0 {
+		t.Errorf("Lent() = %d after a release and a keep, want 0", got)
+	}
+	c := reuseIn(t, &ar, types.RealKind, axes2(4), false, nil)
+	if got := ar.Lent(); got != 1 {
+		t.Errorf("Lent() = %d with one recycled array out, want 1", got)
+	}
+	ar.Release(c)
+	// Concurrent activations share one arena.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				a, _ := ar.NewArrayIn(types.IntKind, axes2(4), false)
+				ar.Release(a)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := ar.Lent(); got != 0 {
+		t.Errorf("Lent() = %d after every array came back, want 0", got)
+	}
 }
 
 // TestArenaNil pins the nil-arena fallback used by strict and NoArena

@@ -91,7 +91,7 @@ func valuesEqualBitwise(t *testing.T, label string, got, want []any) {
 // distinct activations returns, per element, exactly what N sequential
 // Runner.Run calls return — bitwise, whatever the grain. Batch elements
 // run inside the batch DOALL, so their wavefront nests sweep inline even
-// at Grain(1), which would tile the same nests in a plain Run (the
+// at grain(1), which would tile the same nests in a plain Run (the
 // "doacross" row; "barrier" is a grain no plane fills — both names
 // predate the single executor). The batch axis appears in no subscript,
 // so the §5 fusion test admits it trivially; this test is the empirical
@@ -103,8 +103,8 @@ func TestRunBatchParity(t *testing.T) {
 		name string
 		opts []ps.RunOption
 	}{
-		{"barrier", []ps.RunOption{ps.Workers(4), ps.Grain(1 << 20)}},
-		{"doacross", []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
+		{"barrier", []ps.RunOption{ps.Workers(4), grain(1 << 20)}},
+		{"doacross", []ps.RunOption{ps.Workers(4), grain(1)}},
 		{"auto", []ps.RunOption{ps.Workers(4)}},
 		{"sequential", []ps.RunOption{ps.Sequential()}},
 	}

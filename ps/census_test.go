@@ -45,7 +45,7 @@ func TestRunOptionCensus(t *testing.T) {
 		}
 	}
 	slices.Sort(got)
-	want := []string{"Grain", "Sequential", "Strict", "WithProfileLabels", "Workers"}
+	want := []string{"Sequential", "Strict", "WithProfileLabels", "Workers"}
 	if !slices.Equal(got, want) {
 		t.Errorf("exported RunOption constructors = %v, want %v", got, want)
 	}

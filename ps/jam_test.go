@@ -16,6 +16,11 @@ import (
 // Checked rows diff the span kernels' error attribution against.
 var noSpec = ps.RunOption(func(o *interp.Options) { o.NoSpecialize = true })
 
+// grain sets g of the dispatch rule (interp.Options.Grain): a step tiles
+// when its average plane holds g × workers points, so grain(1) tiles
+// nearly every step and grain(1 << 20) keeps every step inline.
+func grain(n int64) ps.RunOption { return func(o *interp.Options) { o.Grain = n } }
+
 // divDo is a 1-D recurrence whose two equations carry into each other,
 // so its DO I runs one span of the body with X and Y jammed point by
 // point. Y, the second equation, divides by zero at I = P.
@@ -93,9 +98,9 @@ func TestJamErrorAttribution(t *testing.T) {
 		{"LeafDo", divDo, "DivDo", "do I leaf", line, n / 2, -1, []ps.RunOption{ps.Sequential()}},
 		{"LeafDoFirstPoint", divDo, "DivDo", "do I leaf", line, 0, -1, []ps.RunOption{ps.Sequential()}},
 		{"LeafDoChecked", divDo, "DivDo", "do I leaf", line, n / 2, -1, []ps.RunOption{ps.Sequential(), noSpec}},
-		{"TileRow", divTile, "DivTile", "rows along J, jammed", square, n, 4 * n, []ps.RunOption{ps.Workers(2), ps.Grain(1)}},
-		{"TileRowW4", divTile, "DivTile", "rows along J, jammed", square, n, 4 * n, []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
-		{"TileRowChecked", divTile, "DivTile", "rows along J, jammed", square, n, 4 * n, []ps.RunOption{ps.Workers(2), ps.Grain(1), noSpec}},
+		{"TileRow", divTile, "DivTile", "rows along J, jammed", square, n, 4 * n, []ps.RunOption{ps.Workers(2), grain(1)}},
+		{"TileRowW4", divTile, "DivTile", "rows along J, jammed", square, n, 4 * n, []ps.RunOption{ps.Workers(4), grain(1)}},
+		{"TileRowChecked", divTile, "DivTile", "rows along J, jammed", square, n, 4 * n, []ps.RunOption{ps.Workers(2), grain(1), noSpec}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, err := newEngine(t).Compile(tc.module+".ps", tc.src)

@@ -48,7 +48,7 @@ func TestRunnerExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := prog.Prepare("Relaxation", ps.Grain(64))
+	run, err := prog.Prepare("Relaxation", grain(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,9 @@ func TestRunnerExplain(t *testing.T) {
 		want string
 	}{
 		{gs, nil, "parallel dispatch: tiles when a step's average plane holds >= 96 points (32 x 3 workers); a DOALL is one plane, a wavefront one per anti-diagonal of its two tiled coordinates\n"},
-		{gs, []ps.RunOption{ps.Grain(8)}, "parallel dispatch: tiles when a step's average plane holds >= 24 points (8 x 3 workers); a DOALL is one plane, a wavefront one per anti-diagonal of its two tiled coordinates\n"},
+		{gs, []ps.RunOption{grain(8)}, "parallel dispatch: tiles when a step's average plane holds >= 24 points (8 x 3 workers); a DOALL is one plane, a wavefront one per anti-diagonal of its two tiled coordinates\n"},
 		{gs, []ps.RunOption{ps.Workers(1)}, "parallel dispatch: inline (one worker)\n"},
-		{prog, []ps.RunOption{ps.Grain(64)}, "parallel dispatch: tiles when a step's average plane holds >= 192 points (64 x 3 workers); a DOALL is one plane\n"},
+		{prog, []ps.RunOption{grain(64)}, "parallel dispatch: tiles when a step's average plane holds >= 192 points (64 x 3 workers); a DOALL is one plane\n"},
 	} {
 		r, err := tc.prog.Prepare("Relaxation", tc.opts...)
 		if err != nil {

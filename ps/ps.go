@@ -150,14 +150,6 @@ func Sequential() RunOption { return func(o *interp.Options) { o.Sequential = tr
 // Strict enables single-assignment and undefined-read checking.
 func Strict() RunOption { return func(o *interp.Options) { o.Strict = true } }
 
-// Grain sets g, the one size rule of every parallel step: a DOALL or
-// wavefront step runs as tiles on the worker pool when its average plane
-// holds at least g × workers points (g defaults to 32; a DOALL is one
-// plane) and inline on the calling goroutine otherwise. g is also the
-// minimum tile width, so Grain(1) tiles any step of two or more points
-// per worker, still blocked into about four tiles per worker.
-func Grain(n int64) RunOption { return func(o *interp.Options) { o.Grain = n } }
-
 // WithProfileLabels tags worker execution with runtime/pprof labels
 // (ps_module, ps_step, ps_eqs), so CPU profiles taken during runs
 // attribute samples to the module, schedule step and equations

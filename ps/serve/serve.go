@@ -33,7 +33,7 @@ type Config struct {
 	// CacheLimit bounds the owned engine's compiled-program cache in
 	// compiled-size bytes (0 = unbounded). Ignored when Engine is set.
 	CacheLimit int64
-	// RunOptions apply to every prepared Runner (grain, strictness,
+	// RunOptions apply to every prepared Runner (workers, strictness,
 	// ...).
 	RunOptions []ps.RunOption
 

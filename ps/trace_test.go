@@ -48,8 +48,9 @@ func checkBreakdown(t *testing.T, b *ps.TimingBreakdown) {
 	}
 }
 
-// chromeOf renders and re-parses the trace, returning the span names.
-func chromeOf(t *testing.T, tr *ps.Trace) map[string]int {
+// chromeOf renders and re-parses the trace, returning the count of
+// each span name and its summed duration in nanoseconds.
+func chromeOf(t *testing.T, tr *ps.Trace) (names map[string]int, durNs map[string]float64) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -57,17 +58,19 @@ func chromeOf(t *testing.T, tr *ps.Trace) map[string]int {
 	}
 	var parsed struct {
 		TraceEvents []struct {
-			Name string `json:"name"`
+			Name string  `json:"name"`
+			Dur  float64 `json:"dur"` // µs
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	names := map[string]int{}
+	names, durNs = map[string]int{}, map[string]float64{}
 	for _, ev := range parsed.TraceEvents {
 		names[ev.Name]++
+		durNs[ev.Name] += 1e3 * ev.Dur
 	}
-	return names
+	return names, durNs
 }
 
 // realGuardGS is the Gauss-Seidel module with its boundary guard over
@@ -108,7 +111,7 @@ func TestTraceRunWavefront(t *testing.T) {
 		// 4356 points over 59 planes: an average plane of 73 against the
 		// default 32 × 2.
 		{"tiles", nil, true},
-		{"inline", []ps.RunOption{ps.Grain(1 << 20)}, false},
+		{"inline", []ps.RunOption{grain(1 << 20)}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run, err := prog.Prepare("Relaxation", tc.opts...)
@@ -136,7 +139,7 @@ func TestTraceRunWavefront(t *testing.T) {
 			if tr.Events() == 0 {
 				t.Error("trace recorded no events")
 			}
-			names := chromeOf(t, tr)
+			names, _ := chromeOf(t, tr)
 			if names["activation"] == 0 {
 				t.Error("trace has no activation span")
 			}
@@ -224,7 +227,7 @@ func TestTraceRunPipeline(t *testing.T) {
 	if stats.Timing.DoNs <= 0 || stats.Timing.DOALLNs <= 0 {
 		t.Errorf("DoNs = %d, DOALLNs = %d; want both > 0", stats.Timing.DoNs, stats.Timing.DOALLNs)
 	}
-	names := chromeOf(t, tr)
+	names, _ := chromeOf(t, tr)
 	if names["do"] != 1 || names["stage"] != 0 || names["stage-stall"] != 0 {
 		t.Errorf("trace spans %v: want one do span and no stage spans", names)
 	}
@@ -246,9 +249,10 @@ func TestTraceRunPipeline(t *testing.T) {
 
 // TestTraceRunSequential traces a sequential activation: the whole
 // nest runs on the activation goroutine, so compute lands in the
-// sequential span kinds — the K×I×J recurrence nest as one "do" span —
-// and the trace still reconciles. Every kernel is reached by a span, so
-// each generic instance is a recorded specialization fallback.
+// sequential span kinds — the K×I×J recurrence nest as one "do" span,
+// at least 90% of the activation span — and the trace still reconciles.
+// Every kernel is reached by a span, so each generic instance is a
+// recorded specialization fallback.
 func TestTraceRunSequential(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
@@ -264,6 +268,16 @@ func TestTraceRunSequential(t *testing.T) {
 	// prologue.
 	const m, maxK = 198, 10
 	args := []any{seedGrid(m), int64(m), int64(maxK)}
+	// The share is taken against the activation span, not the run's
+	// wall: on a loaded host the goroutine can lose milliseconds between
+	// the run's start and the activation's. Inside the activation, the
+	// arrays are allocated before the nest's span opens; on a cold arena
+	// that is a fresh 3 MB for A, and under load it took up to 18 ms of
+	// a 55 ms activation. One untraced run leaves the backings in the
+	// arena for the traced ones.
+	if _, _, err := run.Run(context.Background(), args); err != nil {
+		t.Fatal(err)
+	}
 	// The compute share is a timing: a GC pause or a preemption outside
 	// the spans can sink one run, so the best of three must clear it.
 	best := 0.0
@@ -287,19 +301,19 @@ func TestTraceRunSequential(t *testing.T) {
 			t.Errorf("SpecFallbacks = %d, want EquationInstances − SpecializedKernels = %d − %d",
 				b.SpecFallbacks, stats.EquationInstances, stats.SpecializedKernels)
 		}
-		names := chromeOf(t, tr)
-		if names["activation"] == 0 {
-			t.Error("sequential trace has no activation span")
+		names, durNs := chromeOf(t, tr)
+		if names["activation"] != 1 {
+			t.Fatalf("sequential trace has %d activation spans, want 1", names["activation"])
 		}
 		if names["do"] != 1 || b.DoNs <= 0 {
 			t.Errorf("trace has %d do spans (DoNs = %d), want 1 for the one recurrence nest: %v", names["do"], b.DoNs, names)
 		}
-		if r := float64(b.ComputeNs) / float64(b.WallNs); r > best {
+		if r := float64(b.ComputeNs) / durNs["activation"]; r > best {
 			best = r
 		}
 	}
 	if best < 0.9 {
-		t.Errorf("ComputeNs / wall = %.3f at best, want ≥ 0.9: the recurrence nest is untraced", best)
+		t.Errorf("ComputeNs / activation span = %.3f at best, want ≥ 0.9: the recurrence nest is untraced", best)
 	}
 }
 

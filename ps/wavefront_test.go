@@ -112,7 +112,7 @@ func TestDoacrossStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run, err := prog.Prepare("Wavefront2D", ps.Grain(1))
+	run, err := prog.Prepare("Wavefront2D", grain(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDoacrossStats(t *testing.T) {
 	}
 
 	// pprof labels wrap every tile body; they must not change what runs.
-	labeled, err := prog.Prepare("Wavefront2D", ps.Grain(1), ps.WithProfileLabels())
+	labeled, err := prog.Prepare("Wavefront2D", grain(1), ps.WithProfileLabels())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestDoacrossStats(t *testing.T) {
 		t.Errorf("labeled run executed %d tiles, unlabeled %d", lStats.DoacrossTiles, stats.DoacrossTiles)
 	}
 
-	seq, err := prog.Prepare("Wavefront2D", ps.Sequential(), ps.Grain(1))
+	seq, err := prog.Prepare("Wavefront2D", ps.Sequential(), grain(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func TestDoacrossStalls(t *testing.T) {
 	// in-flight neighbour. The average plane (7436 points over 46
 	// anti-diagonals, 161) clears the rule at both grains, 13 × 4 and
 	// 1 × 4, which run the same grid.
-	run, err := prog.Prepare("Relaxation", ps.Grain(13))
+	run, err := prog.Prepare("Relaxation", grain(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := prog.Prepare("Relaxation", ps.Grain(1))
+	wide, err := prog.Prepare("Relaxation", grain(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestWavefrontCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A grain no plane fills keeps the sweep on the calling goroutine.
-	run, err := prog.Prepare("Relaxation", ps.Grain(1<<20))
+	run, err := prog.Prepare("Relaxation", grain(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,10 @@ func newEngine(tb testing.TB) *ps.Engine {
 // field, not an exported run option.
 var noVirtual = ps.RunOption(func(o *interp.Options) { o.NoVirtual = true })
 
+// grain sets g of the dispatch rule, also an interp.Options field: a step
+// tiles when its average plane holds g × workers points.
+func grain(n int64) ps.RunOption { return func(o *interp.Options) { o.Grain = n } }
+
 // variantProgram is one source + module + concrete arguments.
 type variantProgram struct {
 	name   string
@@ -172,8 +176,8 @@ func TestVariantParity(t *testing.T) {
 		{"Par1", []ps.RunOption{ps.Workers(1)}},
 		{"Par2", []ps.RunOption{ps.Workers(2)}},
 		{"Par4", []ps.RunOption{ps.Workers(4)}},
-		{"Par3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8)}},
-		{"Par2Grain4", []ps.RunOption{ps.Workers(2), ps.Grain(4)}},
+		{"Par3Grain8", []ps.RunOption{ps.Workers(3), grain(8)}},
+		{"Par2Grain4", []ps.RunOption{ps.Workers(2), grain(4)}},
 		{"StrictSeq", []ps.RunOption{ps.Sequential(), ps.Strict()}},
 		{"StrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict()}},
 		{"NoVirtualSeq", []ps.RunOption{ps.Sequential(), noVirtual}},
@@ -182,14 +186,14 @@ func TestVariantParity(t *testing.T) {
 		// executor when its average plane holds grain × workers points (a
 		// DOALL is one plane) and inline otherwise, so at these sizes the
 		// default rows above run most steps inline. The Doacross rows set
-		// Grain(1), which tiles every step whose planes can occupy the
+		// grain(1), which tiles every step whose planes can occupy the
 		// workers, alone and crossed with strictness; the Barrier row sets
 		// a grain no plane fills, pinning the inline path on a four-worker
 		// pool.
-		{"BarrierPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1 << 20)}},
-		{"DoacrossPar2", []ps.RunOption{ps.Workers(2), ps.Grain(1)}},
-		{"DoacrossPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
-		{"DoacrossStrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict(), ps.Grain(1)}},
+		{"BarrierPar4", []ps.RunOption{ps.Workers(4), grain(1 << 20)}},
+		{"DoacrossPar2", []ps.RunOption{ps.Workers(2), grain(1)}},
+		{"DoacrossPar4", []ps.RunOption{ps.Workers(4), grain(1)}},
+		{"DoacrossStrictPar2", []ps.RunOption{ps.Workers(2), ps.Strict(), grain(1)}},
 		// Test IDs of deleted executors and options — the doacross and
 		// pipeline backends, the fusion knob and the hyperplane-off mode.
 		// Each repeats the options of a row above (the Hyper* rows those
@@ -198,9 +202,9 @@ func TestVariantParity(t *testing.T) {
 		{"HyperOffSeq", []ps.RunOption{ps.Sequential()}},
 		{"HyperOffPar2", []ps.RunOption{ps.Workers(2)}},
 		{"HyperOffPar4", []ps.RunOption{ps.Workers(4)}},
-		{"HyperOffPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8)}},
-		{"DoacrossPar3Grain8", []ps.RunOption{ps.Workers(3), ps.Grain(8)}},
-		{"DoacrossHyperOffPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
+		{"HyperOffPar3Grain8", []ps.RunOption{ps.Workers(3), grain(8)}},
+		{"DoacrossPar3Grain8", []ps.RunOption{ps.Workers(3), grain(8)}},
+		{"DoacrossHyperOffPar4", []ps.RunOption{ps.Workers(4), grain(1)}},
 		{"PipelinePar1", []ps.RunOption{ps.Workers(1)}},
 		{"PipelinePar2", []ps.RunOption{ps.Workers(2)}},
 		{"PipelinePar4", []ps.RunOption{ps.Workers(4)}},
@@ -210,7 +214,7 @@ func TestVariantParity(t *testing.T) {
 		{"FusedSeq", []ps.RunOption{ps.Workers(1)}},
 		{"FusedPar4", []ps.RunOption{ps.Workers(4)}},
 		{"HyperOffFusedPar4", []ps.RunOption{ps.Workers(4)}},
-		{"DoacrossFusedPar4", []ps.RunOption{ps.Workers(4), ps.Grain(1)}},
+		{"DoacrossFusedPar4", []ps.RunOption{ps.Workers(4), grain(1)}},
 	}
 	runOnce := func(prog *ps.Program, module string, args []any, opts ...ps.RunOption) ([]any, error) {
 		r, err := prog.Prepare(module, opts...)
@@ -436,9 +440,9 @@ func TestParallelPlanFuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The inputs' DOALLs are below the default 64-point threshold at two
-	// workers; Grain(1) dispatches any DOALL of two or more points, and
+	// workers; grain(1) dispatches any DOALL of two or more points, and
 	// the fused DOALL dispatches once where the schedule emits three.
-	run, err := prog.Prepare("Types", ps.Workers(2), ps.Grain(1))
+	run, err := prog.Prepare("Types", ps.Workers(2), grain(1))
 	if err != nil {
 		t.Fatal(err)
 	}
