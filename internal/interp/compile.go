@@ -108,7 +108,8 @@ type compiledPlan struct {
 	// equation for a leaf DOALL or split wavefront rows. nil elsewhere.
 	spans [][]*bodySpan
 	// allocs describes the result and local arrays allocated per
-	// activation, with §3.4 windows resolved at compile time.
+	// activation, with §3.4 windows resolved at compile time. Targets of
+	// module calls are absent: the callee's result fills their slot.
 	allocs []allocInfo
 }
 
@@ -121,8 +122,9 @@ type allocInfo struct {
 	// coverage analysis could not prove every element is defined before
 	// being read. Fresh allocations are zero either way.
 	zero bool
-	// local marks module locals, whose backing returns to the arena when
-	// the activation completes (results outlive it).
+	// local marks module locals, which the arena lends and takes back
+	// when the activation ends. Results are allocated at exact size and
+	// belong to the caller.
 	local bool
 }
 
@@ -260,9 +262,17 @@ func (cm *compiledModule) bindPlan(pl *plan.Program, kernels map[*sem.Equation]k
 	}
 	m := cm.m
 	win := pl.Windows()
+	called := make(map[*sem.Symbol]bool)
+	for _, eq := range m.Eqs {
+		if eq.WholeCall != nil || eq.MultiCall != nil {
+			for _, t := range eq.Targets {
+				called[t.Sym] = true
+			}
+		}
+	}
 	for _, sym := range append(append([]*sem.Symbol{}, m.Results...), m.Locals...) {
 		arr, isArr := sym.Type.(*types.Array)
-		if !isArr {
+		if !isArr || called[sym] {
 			continue
 		}
 		al := allocInfo{
@@ -277,6 +287,38 @@ func (cm *compiledModule) bindPlan(pl *plan.Program, kernels map[*sem.Equation]k
 		cp.allocs = append(cp.allocs, al)
 	}
 	return cp
+}
+
+// CompiledSize estimates the resident size in bytes of the compiled
+// program: plan steps, kernel closures, bound thunks and symbol tables
+// across both distinct plans of every module, plus a fixed
+// per-module overhead. It is a stable, platform-independent accounting
+// basis for cache eviction — not an exact heap measurement — so
+// eviction order is deterministic across hosts.
+func (p *Program) CompiledSize() int64 {
+	const (
+		moduleOverhead = 4096
+		perStep        = 192
+		perKernel      = 512
+		perEq          = 256
+		perBound       = 96
+		perSym         = 128
+	)
+	var total int64
+	for _, cm := range p.mods {
+		total += moduleOverhead
+		total += int64(len(cm.bounds)) * perBound
+		total += int64(len(cm.syms)) * perSym
+		for i, cp := range cm.plans {
+			if cp == nil || (i > 0 && cp == cm.plans[0]) {
+				continue
+			}
+			total += int64(len(cp.pl.Steps))*perStep +
+				int64(len(cp.kernels))*perKernel +
+				int64(len(cp.pl.Eqs))*perEq
+		}
+	}
+	return total
 }
 
 // --- equation compilation ---------------------------------------------------

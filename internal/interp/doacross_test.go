@@ -141,8 +141,9 @@ end Scale;
 // DOALL is a one-plane nest, so at W = 2 it tiles from 64 points
 // (TilePlane's 32 × 2) and runs inline below; Grain(1) tiles any DOALL
 // of two points but still blocks a large one into at most 4W tiles; and
-// a batch of two whole activations always dispatches. Every run matches
-// the sequential reference.
+// small activations run one after another stay inline however many
+// there are, since the rule is per step. Every run matches the
+// sequential reference.
 func TestDispatchRule(t *testing.T) {
 	smooth := compileSrc(t, psrc.Smooth)
 	xs := func(points int64) *value.Array {
@@ -195,12 +196,12 @@ func TestDispatchRule(t *testing.T) {
 	}
 
 	var stats interp.Stats
-	batch := [][]any{{xs(4), int64(2)}, {xs(5), int64(3)}}
-	res, errs, err := smooth.RunBatchCtx(context.Background(), "Smooth", batch, interp.Options{Workers: 2, Stats: &stats})
-	if err != nil || errs[0] != nil || errs[1] != nil || res[1] == nil {
-		t.Fatalf("batch of two failed: %v %v", err, errs)
+	for _, args := range [][]any{{xs(4), int64(2)}, {xs(5), int64(3)}} {
+		if _, err := smooth.RunCtx(context.Background(), "Smooth", args, interp.Options{Workers: 2, Stats: &stats}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if stats.Chunks.Load() == 0 {
-		t.Error("a batch of two whole activations did not dispatch")
+	if got := stats.Chunks.Load(); got != 0 {
+		t.Errorf("two small activations run one after another made %d chunks, want 0", got)
 	}
 }

@@ -75,11 +75,11 @@
 // which is what makes a traced run's compute + stall + idle add up to
 // exactly workers × wall.
 // Cancellation stops a leaf DO before its one span, any other DO within
-// one iteration, a DOALL within one row, a wavefront tile within one row
-// and a batch within one element, and Stats counters are valid up to the
-// abort. The context reaches the loops as one flag, set by
-// context.AfterFunc and polled per iteration, row or span; the tile
-// executor (internal/sched) sees it only as a tile body returning false.
+// one iteration, a DOALL within one row and a wavefront tile within one
+// row, and Stats counters are valid up to the abort. The context reaches
+// the loops as one flag, set by context.AfterFunc and polled per
+// iteration, row or span; the tile executor (internal/sched) sees it
+// only as a tile body returning false.
 //
 // # One plan per execution mode
 //
@@ -128,8 +128,7 @@
 // a wavefront stops at its first failure. Whether an activation
 // dispatches a step is a pure function of what its bounds resolve to
 // (TilePlane): the step runs as tiles iff the run has a pool of W > 1
-// workers, the step is not already inside a parallel tile or batch
-// element, and
+// workers, the step is not already inside a parallel tile, and
 //
 //	points / planes ≥ g × W
 //
@@ -142,9 +141,7 @@
 // linear index; a wavefront cuts each tiled coordinate into 4W tiles,
 // or W for the row. Everything else runs on the calling goroutine: a
 // DOALL walks its linear index with the walker its tiles use, a
-// wavefront sweeps the one tile covering its box. A batch axis
-// (RunBatchCtx) is one more row of tiles over its elements, dispatched
-// at any n ≥ 2.
+// wavefront sweeps the one tile covering its box.
 // Nothing is measured and nothing is remembered between activations, so
 // the same bounds always take the same side and Runner.Explain is a
 // function of plan and options alone.

@@ -1,5 +1,5 @@
 package interp
 
-// ArenaLent is the program arena's count of arrays handed out and
-// neither released nor kept (value.Arena.Lent).
+// ArenaLent is the program arena's count of arrays handed out and not
+// yet released (value.Arena.Lent).
 func (p *Program) ArenaLent() int64 { return p.arena.Lent() }

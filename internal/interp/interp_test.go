@@ -342,3 +342,50 @@ func TestHeat1DConservation(t *testing.T) {
 		}
 	}
 }
+
+// pipelineSkew adds to psrc.Pipeline a driver whose second call hands
+// Smooth a bound one past the array it passes, so that callee fails.
+const pipelineSkew = psrc.Pipeline + `
+Skew: module (Xs: array[I] of real; N: int): [Zs: array [I] of real];
+type
+    I = 0 .. N+1;
+var
+    Mid: array [0 .. N+1] of real;
+define
+    Mid = Smooth(Xs, N);
+    Zs = Smooth(Mid, N + 1);
+end Skew;
+`
+
+// TestModuleCallsLeaveNoLeak runs whole-call targets — Pipeline's Mid
+// and Zs — four times under Sequential and four times on default
+// options, then a driver whose second callee fails, and requires the
+// arena to have nothing lent out after each run and every returned Zs
+// to be exact-size (len == cap). The arena lends an activation's locals
+// only, and a call's target is filled by the callee's result, with no
+// array of its own.
+func TestModuleCallsLeaveNoLeak(t *testing.T) {
+	ip := compileSrc(t, pipelineSkew)
+	const n = 40
+	xs := realBox(value.Axis{Hi: n + 1})
+	for _, opts := range []interp.Options{{Sequential: true}, {}} {
+		for run := 1; run <= 4; run++ {
+			res, err := ip.Run("Pipeline", []any{xs, int64(n)}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if zs := res[0].(*value.Array); len(zs.F) != cap(zs.F) {
+				t.Errorf("sequential=%v run %d: Zs has len %d, cap %d", opts.Sequential, run, len(zs.F), cap(zs.F))
+			}
+			if lent := ip.ArenaLent(); lent != 0 {
+				t.Errorf("sequential=%v run %d: %d arena arrays still lent out", opts.Sequential, run, lent)
+			}
+		}
+	}
+	if _, err := ip.Run("Skew", []any{xs, int64(n)}, interp.Options{}); err == nil {
+		t.Fatal("a call with mismatched bounds succeeded")
+	}
+	if lent := ip.ArenaLent(); lent != 0 {
+		t.Errorf("%d arena arrays still lent out after the failed call", lent)
+	}
+}

@@ -80,9 +80,9 @@ type Stats struct {
 	// EqInstances counts equation instances executed (one per evaluation
 	// of one equation at one index point).
 	EqInstances atomic.Int64
-	// Chunks counts the tiles of DOALL steps and batch axes run on the
-	// pool. Wavefront tiles count in Doacross instead; steps run inline
-	// contribute nothing.
+	// Chunks counts the tiles of DOALL steps run on the pool. Wavefront
+	// tiles count in Doacross instead; steps run inline contribute
+	// nothing.
 	Chunks atomic.Int64
 	// Planes counts the planes wavefront steps launched — the
 	// anti-diagonals of a tiled nest's tile grid, or 1 for a nest swept
@@ -98,8 +98,9 @@ type Stats struct {
 	// branch-free specialized kernel path (a subset of EqInstances);
 	// the remainder ran the checked closure tree.
 	Specialized atomic.Int64
-	// ArenaReuses counts activation arrays whose backing was recycled
-	// from the arena instead of freshly allocated.
+	// ArenaReuses counts local arrays whose backing was recycled from
+	// the arena instead of freshly allocated. Results are never drawn
+	// from the arena.
 	ArenaReuses atomic.Int64
 }
 
@@ -430,25 +431,14 @@ func (p *Program) RunCtx(ctx context.Context, name string, args []any, opts Opti
 		return nil, &RunError{Module: m.Name, Err: err}
 	}
 	defer cleanup()
-	return p.keep(p.runModule(rs, p.mods[m], args, false, false))
+	return p.runModule(rs, p.mods[m], args, false, false)
 }
 
-// keep hands a top-level activation's result arrays to the caller for
-// good, taking them off the arena's books.
-func (p *Program) keep(results []any, err error) ([]any, error) {
-	for _, r := range results {
-		if a, ok := r.(*value.Array); ok {
-			p.arena.Keep(a)
-		}
-	}
-	return results, err
-}
-
-// newRunState builds the shared execution context of one activation (or
-// one batch of activations): the resolved context, the cancellation
-// flag, and the worker pool. The returned cleanup unregisters the flag's
-// context.AfterFunc and closes a run-owned pool; call it when the run
-// completes.
+// newRunState builds the shared execution context of one top-level
+// activation and the calls it makes: the resolved context, the
+// cancellation flag, and the worker pool. The returned cleanup
+// unregisters the flag's context.AfterFunc and closes a run-owned pool;
+// call it when the run completes.
 // A context that is already done is reported as an error before any
 // state is created.
 func (p *Program) newRunState(ctx context.Context, opts Options) (*runState, func(), error) {
@@ -518,16 +508,13 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 				panic(r)
 			}
 		}
-		// Local arrays die with the activation, and a failed one's results
-		// with it: recycle their backings. (A local slot holding a callee's
-		// result array is still the only live reference — callee results
-		// transfer ownership.) A completed activation's results are never
-		// released here; their owner is the caller. Every parallel body
-		// has stopped by now, aborted or not. Arrays the arena did not hand
-		// out (strict or NoArena runs) are left alone by Release.
+		// Local arrays die with the activation: recycle their backings.
+		// Every parallel body has stopped by now, aborted or not. Arrays
+		// the arena did not hand out (strict or NoArena runs) are left
+		// alone by Release.
 		if en != nil {
 			for _, al := range en.cp.allocs {
-				if al.local || err != nil {
+				if al.local {
 					p.arena.Release(en.arrays[al.si])
 				}
 			}
@@ -587,7 +574,8 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 
 	// Allocate result and local arrays from the plan variant's
 	// precomputed descriptors, honoring virtual dimensions unless
-	// ablated. Non-strict runs draw backings from the program arena,
+	// ablated. Results are allocated at exact size and handed to the
+	// caller. Non-strict runs draw locals from the program arena,
 	// zeroing recycled storage only when the write-coverage analysis
 	// could not prove every element is defined before being read.
 	arena := p.arena
@@ -612,7 +600,11 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 				axes[d].Window = ad.window
 			}
 		}
-		a, reused := arena.NewArrayIn(al.elem, axes, al.zero)
+		ar := arena
+		if !al.local {
+			ar = nil // a nil arena allocates at exact size
+		}
+		a, reused := ar.NewArrayIn(al.elem, axes, al.zero)
 		if reused {
 			if rs.stats != nil {
 				rs.stats.ArenaReuses.Add(1)
@@ -774,8 +766,8 @@ func (p *Program) execDo(en *env, fr []int64, st *plan.Step, self int) {
 // it dispatches by the wavefront's rule (TilePlane) with planes = 1: a
 // top-level step on a pool of W > 1 workers whose points reach g × W
 // runs as one row of tiles of that linear index on the executor
-// (internal/sched); anything smaller, or inside a parallel chunk, tile
-// or batch element, runs on the calling goroutine as one KDoAll span.
+// (internal/sched); anything smaller, or inside a parallel chunk or
+// tile, runs on the calling goroutine as one KDoAll span.
 // Both sides walk the space with walkDoAll.
 func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
 	rs := en.rs
@@ -1039,8 +1031,8 @@ func TilePlane(workers int, grain int64) int64 {
 // iteration space (plan.Hyper). A top-level activation on a pool whose
 // average plane is wide enough (tiled) hands the tile grid to the tile
 // executor; everything else — one worker, a nest inside a parallel chunk
-// or batch element, a small box — sweeps one tile covering the box on
-// the calling goroutine, which is the original loop order.
+// or tile, a small box — sweeps one tile covering the box on the calling
+// goroutine, which is the original loop order.
 func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) {
 	rs := en.rs
 	var g wfGrid

@@ -1,9 +1,9 @@
 // Package sched implements the tile executor, the only parallel
-// executor of a run: §4 wavefront nests, §3 DOALL steps and the batch
-// axis of RunBatch all reach the worker pool through Run. internal/par
-// only starts the worker loops. Which plan a run executes is decided at
-// lowering time (the DOALL → wavefront → sequential cascade of
-// internal/plan), and internal/interp decides per activation, from its
+// executor of a run: §4 wavefront nests and §3 DOALL steps both reach
+// the worker pool through Run. internal/par only starts the worker
+// loops. Which plan a run executes is decided at lowering time (the
+// DOALL → wavefront → sequential cascade of internal/plan), and
+// internal/interp decides per activation, from its
 // bounds alone, whether a step is wide enough to dispatch here or runs
 // inline on the calling goroutine; this package holds no schedule
 // selection of its own. Sweeping planes one at a time with a pool-wide
@@ -23,8 +23,8 @@
 // Simhadri) run dependence chains without global synchronization. A
 // wavefront is a chained grid of skewed tiles: every dependence of the
 // skewed nest points to a tile with no larger coordinate, which that
-// chain reaches. A DOALL and a batch are one unchained row: their tiles
-// are independent, claimed in any order, and Cut gives their widths.
+// chain reaches. A DOALL is one unchained row: its tiles are
+// independent, claimed in any order, and Cut gives their widths.
 //
 // Tiles are claimed with a CAS so any worker may run any ready tile
 // (work stealing); a worker that finds nothing ready spins briefly, then

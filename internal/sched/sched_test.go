@@ -317,8 +317,8 @@ func TestDoacrossEmpty(t *testing.T) {
 	}
 }
 
-// TestTiles pins Cut, the blocking arithmetic of DOALL and batch tiles
-// that Explain reports.
+// TestTiles pins Cut, the blocking arithmetic of DOALL tiles that
+// Explain reports.
 func TestTiles(t *testing.T) {
 	cases := []struct {
 		n, per, minW int64

@@ -21,10 +21,13 @@ const arenaClasses = 40
 // per-activation allocation savings pooling exists to avoid.
 const arenaMaxClass = 24
 
-// Arena recycles activation arrays across runs. Repeated runs of the
-// same module allocate identically-shaped recurrence arrays every time;
-// without pooling each activation pays five allocations per array
-// (descriptor, layout slices, backing) plus zeroing. The arena keeps
+// Arena recycles an activation's local arrays across runs. Repeated runs
+// of the same module allocate identically-shaped recurrence arrays every
+// time; without pooling each activation pays five allocations per array
+// (descriptor, layout slices, backing) plus zeroing. It lends locals
+// only: an array lent out comes back when its activation ends, so a
+// result, which outlives the activation, is allocated with NewArray at
+// exact size and belongs to the caller. The arena keeps
 // per-kind, size-classed free lists of whole *Array objects (sync.Pool,
 // so idle memory is still reclaimable by the GC) and hands back a
 // previous activation's array — descriptor, layout slices and backing
@@ -45,14 +48,13 @@ type Arena struct {
 	f [arenaClasses]sync.Pool // real arrays, backing capacity 1<<c
 	i [arenaClasses]sync.Pool // int-backed arrays (int, subrange, char, enum)
 	b [arenaClasses]sync.Pool // bool arrays
-	// lent counts the pooled arrays handed out and neither released nor
-	// kept; unlike the pools it is exact, whatever sync.Pool drops.
+	// lent counts the pooled arrays handed out and not yet released;
+	// unlike the pools it is exact, whatever sync.Pool drops.
 	lent atomic.Int64
 }
 
-// Lent returns the number of arrays NewArrayIn handed out that have been
-// neither released nor kept. Once every activation has ended and its
-// caller has kept the results, it is zero.
+// Lent returns the number of arrays NewArrayIn handed out that have not
+// been released. Once every activation has ended, it is zero.
 func (ar *Arena) Lent() int64 { return ar.lent.Load() }
 
 // sizeClass returns the smallest class whose capacity 1<<c holds n
@@ -190,15 +192,4 @@ func (ar *Arena) Release(a *Array) {
 	if c := sizeClass(capacity); capacity == 1<<c && c < arenaMaxClass {
 		pool[c].Put(a)
 	}
-}
-
-// Keep takes a off the arena's books without recycling it: its caller
-// owns it for good. Like Release it is a no-op for arrays the arena did
-// not hand out.
-func (ar *Arena) Keep(a *Array) {
-	if ar == nil || a == nil || !a.pooled {
-		return
-	}
-	a.pooled = false
-	ar.lent.Add(-1)
 }

@@ -87,16 +87,13 @@ func valuesEqualBitwise(t *testing.T, label string, got, want []any) {
 	}
 }
 
-// TestRunBatchParity pins the batch-DOALL contract: RunBatch over N
-// distinct activations returns, per element, exactly what N sequential
-// Runner.Run calls return — bitwise, whatever the grain. Batch elements
-// run inside the batch DOALL, so their wavefront nests sweep inline even
-// at grain(1), which would tile the same nests in a plain Run (the
-// "doacross" row; "barrier" is a grain no plane fills — both names
-// predate the single executor). The batch axis appears in no subscript,
-// so the §5 fusion test admits it trivially; this test is the empirical
-// half of that argument. Run with -race: batch elements execute
-// concurrently on the pool.
+// TestRunBatchParity pins the batch contract: RunBatch over N distinct
+// activations returns, per element, exactly what N sequential
+// Runner.Run calls return — bitwise, whatever the grain — and its
+// counters are the sums of those runs' counters, since every element
+// runs through Run's path with full inner parallelism (at grain(1), the
+// "doacross" row, its wavefront nests tile; "barrier" is a grain no
+// plane fills — both names predate the single executor).
 func TestRunBatchParity(t *testing.T) {
 	const batchN = 7
 	schedules := []struct {
@@ -144,16 +141,26 @@ func TestRunBatchParity(t *testing.T) {
 					t.Fatalf("%d batch results, want %d", len(out), batchN)
 				}
 				if stats == nil || stats.EquationInstances == 0 {
-					t.Error("batch run reported no equation instances")
+					t.Fatal("batch run reported no equation instances")
 				}
-				if stats != nil && stats.DoacrossTiles != 0 {
-					t.Errorf("a batch element ran %d tiles: nests inside the batch DOALL must sweep inline", stats.DoacrossTiles)
-				}
+				var sum ps.RunStats
 				for i, br := range out {
 					if br.Err != nil {
 						t.Fatalf("element %d: %v", i, br.Err)
 					}
 					valuesEqualBitwise(t, fmt.Sprintf("element %d", i), br.Values, refs[i])
+					_, st, err := run.Run(context.Background(), batch[i])
+					if err != nil {
+						t.Fatalf("element %d run: %v", i, err)
+					}
+					sum.EquationInstances += st.EquationInstances
+					sum.WavefrontPlanes += st.WavefrontPlanes
+					sum.DoacrossTiles += st.DoacrossTiles
+				}
+				if stats.EquationInstances != sum.EquationInstances || stats.WavefrontPlanes != sum.WavefrontPlanes || stats.DoacrossTiles != sum.DoacrossTiles {
+					t.Errorf("batch counters (instances %d, planes %d, tiles %d) differ from its elements' runs summed (%d, %d, %d)",
+						stats.EquationInstances, stats.WavefrontPlanes, stats.DoacrossTiles,
+						sum.EquationInstances, sum.WavefrontPlanes, sum.DoacrossTiles)
 				}
 			})
 		}
@@ -228,12 +235,12 @@ func TestRunBatchEdgeCases(t *testing.T) {
 	})
 
 	t.Run("mid-run cancel", func(t *testing.T) {
-		// Every element smooths one shared long line, so the batch's
-		// tiles run for milliseconds. The cancel is timed, so an attempt
-		// can miss the tiles: it fires before the first element finished
-		// (or before the batch started, a whole-batch error) or after the
-		// last one did. The delay is bisected until a cancel leaves some
-		// elements finished and some stopped.
+		// Every element smooths one shared long line, so the batch runs
+		// for milliseconds. The cancel is timed, so an attempt can miss
+		// it: it fires before the first element finished (or before the
+		// batch started, a whole-batch error) or after the last one did.
+		// The delay is bisected until a cancel leaves some elements
+		// finished and some stopped.
 		const n, elems = 1 << 15, 32
 		xs := ps.NewRealArray(ps.Axis{Lo: 0, Hi: n + 1})
 		for k := int64(0); k <= n+1; k++ {

@@ -156,7 +156,7 @@ func scalarFromJSON(raw json.RawMessage, t types.Type) (any, error) {
 			return nil, err
 		}
 		return v, nil
-	case types.IntKind, types.SubrangeKind:
+	case types.IntKind, types.SubrangeKind, types.CharKind, types.EnumKind:
 		var v int64
 		if err := json.Unmarshal(raw, &v); err != nil {
 			return nil, err

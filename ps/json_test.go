@@ -242,6 +242,59 @@ end Strs;
 	}
 }
 
+// TestJSONCharEnumScalars pins char and enum scalar parameters over
+// JSON: like their array elements, they travel as exact int64
+// ordinals, decoded the way int scalars are, and come back out as
+// numbers.
+func TestJSONCharEnumScalars(t *testing.T) {
+	prog, err := newEngine(t).Compile("tags.ps", `
+Tags: module (C: char; L: Light): [D: char; O: int; R: bool];
+type
+    Light = (green, yellow, red);
+define
+    D = C;
+    O = ord(C);
+    R = L = red;
+end Tags;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args, err := ps.ArgsFromJSON(prog, "Tags", map[string]json.RawMessage{
+		"C": json.RawMessage(`113`), "L": json.RawMessage(`2`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if args[0] != int64('q') || args[1] != int64(2) {
+		t.Fatalf("decoded C = %v, L = %v; want %d, 2", args[0], args[1], 'q')
+	}
+	results, err := runOnce(prog, "Tags", args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ps.ResultsToJSON(prog, "Tags", results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(data), `{"D":113,"O":113,"R":true}`; got != want {
+		t.Errorf("results encoded as %s, want %s", got, want)
+	}
+	for _, in := range []map[string]json.RawMessage{
+		{"C": json.RawMessage(`113.5`), "L": json.RawMessage(`2`)},
+		{"C": json.RawMessage(`"q"`), "L": json.RawMessage(`2`)},
+		{"C": json.RawMessage(`113`), "L": json.RawMessage(`true`)},
+	} {
+		if _, err := ps.ArgsFromJSON(prog, "Tags", in); err == nil {
+			t.Errorf("inputs C = %s, L = %s accepted", in["C"], in["L"])
+		}
+	}
+}
+
 func mustRaw(t *testing.T, v any) json.RawMessage {
 	t.Helper()
 	data, err := json.Marshal(v)

@@ -171,8 +171,8 @@ func (r *Runner) Explain() string {
 //
 // ctx cancellation or deadline expiry stops a leaf DO (a DO around
 // equations only) before its one span, any other DO within one
-// iteration, a DOALL within one row, a wavefront tile within one row and
-// a batch within one element; the returned error then satisfies
+// iteration, a DOALL within one row and a wavefront tile within one
+// row; the returned error then satisfies
 // errors.Is(err, ctx.Err()).
 func (r *Runner) Run(ctx context.Context, args []any) ([]any, *RunStats, error) {
 	if err := r.engineClosed(); err != nil {
@@ -202,44 +202,41 @@ type BatchResult struct {
 	Err    error
 }
 
-// RunBatch executes the module once per argument set, fused into a
-// single batch DOALL: the batch index becomes a synthesized outermost
-// parallel dimension (it appears in no equation subscript, so batch
-// elements are trivially independent under the paper's dependence
-// test), and the whole batch dispatches to the worker pool as one
-// parallel loop. Results are bitwise identical to len(batch)
-// sequential Run calls — per element, out[i] mirrors Run(ctx,
-// batch[i]) including its typed error — while plan lookup and pool
-// dispatch are paid once for the batch. The serving layer does not use
-// it: a served request is one Run.
+// RunBatch executes the module once per argument set, one activation
+// after another, each on the same path as Run with the runner's full
+// inner parallelism. Per element, out[i] mirrors Run(ctx, batch[i]) —
+// bitwise identical values, the same typed error — and one failing
+// element never disturbs the others. The serving layer does not use it:
+// a served request is one Run.
 //
 // The returned RunStats aggregates the whole batch (counters summed
-// over all elements, wall time for the fused dispatch). The error is
+// over all elements, wall time for the whole batch). The error is
 // non-nil only for whole-batch failures — a closed engine or a context
 // that was already done; per-element failures land in their
-// BatchResult. An empty batch returns (nil, stats, nil).
+// BatchResult, and a cancellation mid-batch fails the element in flight
+// and every later one with ctx.Err(). An empty batch returns an empty
+// result list.
 func (r *Runner) RunBatch(ctx context.Context, batch []Args) ([]BatchResult, *RunStats, error) {
 	if err := r.engineClosed(); err != nil {
 		return nil, &RunStats{Workers: r.workers}, err
+	}
+	if ctx != nil && ctx.Err() != nil {
+		return nil, &RunStats{Workers: r.workers}, runError(r.mod.Name(), &interp.RunError{Module: r.mod.Name(), Err: ctx.Err()})
 	}
 	o := r.opts
 	var st interp.Stats
 	o.Stats = &st
 	start := time.Now()
-	results, errs, err := r.prog.ip.RunBatchCtx(ctx, r.mod.Name(), batch, o)
-	stats := newRunStats(&st, r.workers, time.Since(start))
-	if err != nil {
-		return nil, stats, runError(r.mod.Name(), err)
-	}
 	out := make([]BatchResult, len(batch))
-	for i := range out {
-		if errs[i] != nil {
-			out[i].Err = runError(r.mod.Name(), errs[i])
+	for i, args := range batch {
+		values, err := r.prog.ip.RunCtx(ctx, r.mod.Name(), args, o)
+		if err != nil {
+			out[i].Err = runError(r.mod.Name(), err)
 		} else {
-			out[i].Values = results[i]
+			out[i].Values = values
 		}
 	}
-	return out, stats, nil
+	return out, newRunStats(&st, r.workers, time.Since(start)), nil
 }
 
 // RunNamed executes the module with arguments keyed by parameter name,

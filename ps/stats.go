@@ -17,9 +17,9 @@ type RunStats struct {
 	// one per evaluation of one equation at one index point, the
 	// paper's unit of schedulable work.
 	EquationInstances int64
-	// DOALLChunks is the number of tiles the run's DOALL steps and batch
-	// axis ran on the worker pool; steps below the dispatch rule run
-	// inline and add none. Wavefront tiles count in DoacrossTiles.
+	// DOALLChunks is the number of tiles the run's DOALL steps ran on
+	// the worker pool; steps below the dispatch rule run inline and add
+	// none. Wavefront tiles count in DoacrossTiles.
 	DOALLChunks int64
 	// WavefrontPlanes counts the planes §4 wavefront steps launched: the
 	// A + B − 1 anti-diagonals of a tiled nest's A × B grid, 1 per nest
@@ -28,8 +28,7 @@ type RunStats struct {
 	// DoacrossTiles is the number of wavefront tiles the tile executor
 	// ran — A × B per tiled nest. It is > 0 exactly when a wavefront
 	// nest of the run was tiled; zero when every nest swept inline
-	// (narrow planes, one worker, a nest inside a batch element or
-	// parallel chunk).
+	// (narrow planes, one worker, a nest inside a parallel chunk).
 	DoacrossTiles int64
 	// DoacrossStalls counts the times a tile worker found no ready
 	// tile and parked until a predecessor completed — the executor's
@@ -48,9 +47,11 @@ type RunStats struct {
 	// rather than the generic checked evaluator. At most
 	// EquationInstances; zero under Strict.
 	SpecializedKernels int64
-	// ArenaReuses is the number of activation arrays whose backing
-	// store was recycled from the arena instead of freshly allocated.
-	// Zero on a first run (nothing pooled yet) and under Strict.
+	// ArenaReuses is the number of local arrays whose backing store was
+	// recycled from the arena instead of freshly allocated. Results are
+	// always fresh, exact-size and the caller's. Zero on a first run
+	// (nothing pooled yet), for a module without array locals, and
+	// under Strict.
 	ArenaReuses int64
 	// Workers is the worker count the run was configured with (1 for
 	// sequential runs).
