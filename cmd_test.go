@@ -50,13 +50,13 @@ func TestPscC(t *testing.T) {
 			t.Errorf("C output missing %q", want)
 		}
 	}
-	// A wavefront nest has one C form: a sequential sweep of planes, each
-	// plane a parallel loop.
+	// A wavefront nest has one C form: a sequential loop over the
+	// anti-diagonals of a tile grid, each diagonal's tiles a parallel loop.
 	out, errOut, err = runGo(t, "", "./cmd/psc", "-dump", "c", "-openmp", "testdata/gauss_seidel.ps")
 	if err != nil {
 		t.Fatalf("psc: %v\n%s", err, errOut)
 	}
-	for _, want := range []string{"/* WAVEFRONT K, I, J", "/* DOALL plane */", "#pragma omp parallel for collapse(2)"} {
+	for _, want := range []string{"/* WAVEFRONT K, I, J", "for (long wf_d = 0;", "#pragma omp parallel for\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("wavefront C output missing %q:\n%s", want, out)
 		}

@@ -3,9 +3,10 @@
 // IR the interpreter executes (internal/plan): each module becomes a C
 // function; sequential plan steps become for loops annotated /* DO */,
 // collapsed DOALL steps become perfectly nested loops annotated
-// /* DOALL */ (optionally with OpenMP collapse pragmas), and virtual
-// dimensions are allocated as windows with modular plane indexing
-// (paper §3.4).
+// /* DOALL */ (optionally with OpenMP collapse pragmas), wavefront steps
+// become the interpreter's tiles of skewed iteration space run one
+// anti-diagonal of tiles at a time, and virtual dimensions are allocated
+// as windows with modular plane indexing (paper §3.4).
 package cgen
 
 import (
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/plan"
+	"repro/internal/sched"
 	"repro/internal/sem"
 	"repro/internal/token"
 	"repro/internal/types"
@@ -22,7 +24,7 @@ import (
 // Options configure generation.
 type Options struct {
 	// OpenMP adds "#pragma omp parallel for" above DOALL loops and above
-	// each plane of a wavefront nest.
+	// the tile loop of each anti-diagonal of a wavefront nest.
 	OpenMP bool
 	// NoVirtual allocates every dimension physically.
 	NoVirtual bool
@@ -78,6 +80,12 @@ func (g *generator) run() (string, error) {
 	g.line(" */")
 	g.line("#include <stdlib.h>")
 	g.line("#include <math.h>")
+	wavefront := g.pl.HasWavefront()
+	if wavefront {
+		g.line("#ifdef _OPENMP")
+		g.line("#include <omp.h>")
+		g.line("#endif")
+	}
 	g.line("")
 	// C's fmin/fmax return the non-NaN operand when the other is NaN;
 	// the interpreter's min/max (Go math.Min/math.Max) propagate NaN
@@ -93,6 +101,10 @@ func (g *generator) run() (string, error) {
 	g.line("    if (a == b) return signbit(a) ? b : a; /* max(-0,+0) = +0 */")
 	g.line("    return a > b ? a : b;")
 	g.line("}")
+	if wavefront {
+		g.line("static inline long ps_lmin(long a, long b) { return a < b ? a : b; }")
+		g.line("static inline long ps_lmax(long a, long b) { return a > b ? a : b; }")
+	}
 	g.line("")
 
 	// Enum typedefs.
@@ -136,9 +148,13 @@ func (g *generator) run() (string, error) {
 	g.line("")
 
 	// Array geometry and allocation.
+	alloc := make(map[*sem.Symbol]bool)
+	for _, sym := range g.pl.Allocated(m) {
+		alloc[sym] = true
+	}
 	for _, sym := range m.DataSymbols() {
 		if types.Rank(sym.Type) > 0 {
-			g.emitArrayGeometry(sym)
+			g.emitArrayGeometry(sym, alloc[sym])
 		}
 	}
 	// Scalar locals and results.
@@ -211,8 +227,8 @@ func (g *generator) cType(t types.Type) string {
 }
 
 // emitArrayGeometry declares per-dimension bounds, plane counts, strides,
-// and (for non-parameters) the allocation.
-func (g *generator) emitArrayGeometry(sym *sem.Symbol) {
+// and, when the activation allocates the array, the allocation.
+func (g *generator) emitArrayGeometry(sym *sem.Symbol, alloc bool) {
 	arr := sym.Type.(*types.Array)
 	n := len(arr.Dims)
 	win := g.windows[sym]
@@ -237,10 +253,14 @@ func (g *generator) emitArrayGeometry(sym *sem.Symbol) {
 				sym.Name, d, sym.Name, d+1, sym.Name, d+1)
 		}
 	}
-	if sym.Kind != sem.ParamSym {
+	switch {
+	case alloc:
 		g.line("%s *%s = (%s *)malloc(sizeof(%s) * %s_s0 * %s_d0_n);",
 			g.cType(arr.Elem), sym.Name, g.cType(arr.Elem), g.cType(arr.Elem),
 			sym.Name, sym.Name)
+	case sym.Kind != sem.ParamSym:
+		// A module call's target: it takes the callee's result array.
+		g.line("%s;", g.cDecl(sym.Name, arr, false))
 	}
 	g.line("")
 }
@@ -291,95 +311,100 @@ func (g *generator) emitSteps(lo, hi int) {
 	}
 }
 
-// emitWavefront renders a §4-restructured nest: a sequential sweep over
-// hyperplanes wf_0 = π·x, a parallel traversal of each plane's bounding
-// box in the remaining transformed coordinates, the baked T⁻¹ remap
-// back to the original index names, and a preimage guard so exactly the
-// original iteration box executes.
+// emitWavefront renders a §4-restructured nest as the interpreter runs
+// it (internal/interp's wfGrid and sweepTile): tiles of skewed iteration
+// space s = S·x (Hyper.Skew). The ranges of s₀ and s₁ over the box are
+// cut into an A × B grid by wfGrid.tileWidths' rule for W threads, W =
+// omp_get_max_threads() under OpenMP and 1 otherwise (one tile covering
+// the box), and the grid runs one anti-diagonal a + b = d at a time, its
+// tiles in parallel, so tile (a, b) runs after (a−1, b) and (a, b−1). A
+// tile clips each xⱼ to the box and x₀, x₁ also to its range of s₀, s₁;
+// the innermost index is the row, run per equation or with the body
+// jammed, as Hyper.RowSplit says. The interpreter tiles the pair past
+// leading coordinates the box fixes to one value; the C always tiles s₀
+// and s₁, which is as legal (S·d ≥ 0 makes every rectangular tiling of
+// the skewed nest legal) and only narrows the grid there.
 func (g *generator) emitWavefront(st *plan.Step, bodyLo int) {
 	hy := st.Hyper
 	n := len(st.Dims)
 	names := make([]string, n)
+	nonEmpty := make([]string, n)
 	for j, slot := range st.Dims {
 		names[j] = g.pl.Bounds[slot].Subrange.Name
+		nonEmpty[j] = fmt.Sprintf("%s_lo <= %s_hi", names[j], names[j])
 	}
-	g.line("/* WAVEFRONT %s: t = %s (pi = %s, window %d) */",
-		strings.Join(names, ", "), lincomb(hy.Pi, names), vecC(hy.Pi), hy.Window)
-	g.line("{")
+	g.line("/* WAVEFRONT %s: t = %s, window %d */", strings.Join(names, ", "), lincomb(hy.Pi, names), hy.Window)
+	g.line("if (%s) {", strings.Join(nonEmpty, " && "))
 	g.ind++
-	g.emitWavefrontBox(hy, names, n)
-	g.line("for (long wf_0 = wf_box_lo_0; wf_0 <= wf_box_hi_0; wf_0++) {")
+	g.line("#ifdef _OPENMP")
+	g.line("const long wf_p = omp_get_max_threads();")
+	g.line("#else")
+	g.line("const long wf_p = 1;")
+	g.line("#endif")
+	for k := 0; k < 2; k++ {
+		// s_k's range takes each xⱼ's lo or hi bound by the sign of its
+		// coefficient; s_k is cut TilesPerWorker ways per thread, or once
+		// per thread when it is the row.
+		lo, hi := make([]string, n), make([]string, n)
+		for j, c := range hy.Skew[k] {
+			lo[j], hi[j] = names[j]+"_lo", names[j]+"_hi"
+			if c < 0 {
+				lo[j], hi[j] = hi[j], lo[j]
+			}
+		}
+		per := fmt.Sprintf("wf_p > 1 ? %d*wf_p : 1", sched.TilesPerWorker)
+		if k == n-1 {
+			per = "wf_p"
+		}
+		g.line("const long wf_lo_%[1]d = %[2]s, wf_hi_%[1]d = %[3]s, wf_per_%[1]d = %[4]s;",
+			k, lincomb(hy.Skew[k], lo), lincomb(hy.Skew[k], hi), per)
+		g.line("const long wf_w_%[1]d = (wf_hi_%[1]d - wf_lo_%[1]d + wf_per_%[1]d) / wf_per_%[1]d, "+
+			"wf_n_%[1]d = (wf_hi_%[1]d - wf_lo_%[1]d + wf_w_%[1]d) / wf_w_%[1]d;", k)
+	}
+	g.line("for (long wf_d = 0; wf_d < wf_n_0 + wf_n_1 - 1; wf_d++) {")
 	g.ind++
-	// Per-plane tightening: a plane coordinate that is an original
-	// dimension (basis row of T) is pinned by pi·x = wf_0 to the range
-	// [ceil((wf_0 - maxOthers)/pi_j), floor((wf_0 - minOthers)/pi_j)].
-	for r := 1; r < n; r++ {
-		g.line("long wf_lo_%d = wf_box_lo_%d, wf_hi_%d = wf_box_hi_%d;", r, r, r, r)
-		j := hy.Basis[r]
-		if j < 0 || hy.Pi[j] <= 0 {
-			continue
+	g.line("const long wf_a_lo = ps_lmax(0, wf_d - wf_n_1 + 1), wf_a_hi = ps_lmin(wf_d, wf_n_0 - 1);")
+	if g.opts.OpenMP {
+		g.line("#pragma omp parallel for")
+	}
+	g.line("for (long wf_a = wf_a_lo; wf_a <= wf_a_hi; wf_a++) {")
+	g.ind++
+	g.line("const long wf_tlo_0 = wf_lo_0 + wf_a*wf_w_0, wf_thi_0 = wf_tlo_0 + wf_w_0 - 1;")
+	g.line("const long wf_tlo_1 = wf_lo_1 + (wf_d - wf_a)*wf_w_1, wf_thi_1 = wf_tlo_1 + wf_w_1 - 1;")
+	// loop opens xⱼ's loop over the box, and for j < 2 over the tile's
+	// range of sⱼ less the outer indices' part of it (S is unit
+	// lower-triangular: sⱼ = xⱼ + Σ S[j][i]·xᵢ over i < j).
+	loop := func(j int) {
+		x := names[j]
+		lo, hi := x+"_lo", x+"_hi"
+		if j < 2 {
+			off := ""
+			if o := lincomb(hy.Skew[j][:j], names[:j]); o != "0" {
+				off = " - (" + o + ")"
+			}
+			lo, hi = fmt.Sprintf("ps_lmax(%s, wf_tlo_%d%s)", lo, j, off), fmt.Sprintf("ps_lmin(%s, wf_thi_%d%s)", hi, j, off)
 		}
-		c := hy.Pi[j]
-		others := make([]int64, n)
-		copy(others, hy.Pi)
-		others[j] = 0
-		oHi := make([]string, n)
-		oLo := make([]string, n)
-		for k := range names {
-			oHi[k] = names[k] + "_hi"
-			oLo[k] = names[k] + "_lo"
-		}
-		g.line("{")
+		g.line("for (long %s = %s; %s <= %s; %s++) {", x, lo, x, hi, x)
 		g.ind++
-		g.line("const long num_lo = wf_0 - (%s);", lincomb(others, oHi))
-		g.line("const long num_hi = wf_0 - (%s);", lincomb(others, oLo))
-		if c == 1 {
-			g.line("if (num_lo > wf_lo_%d) wf_lo_%d = num_lo;", r, r)
-			g.line("if (num_hi < wf_hi_%d) wf_hi_%d = num_hi;", r, r)
-		} else {
-			g.line("const long t_lo = num_lo >= 0 ? (num_lo + %d) / %d : -((-num_lo) / %d);", c-1, c, c)
-			g.line("const long t_hi = num_hi >= 0 ? num_hi / %d : -((-num_hi + %d) / %d);", c, c-1, c)
-			g.line("if (t_lo > wf_lo_%d) wf_lo_%d = t_lo;", r, r)
-			g.line("if (t_hi < wf_hi_%d) wf_hi_%d = t_hi;", r, r)
+	}
+	for j := 0; j < n-1; j++ {
+		loop(j)
+	}
+	for i := bodyLo; i < st.End; {
+		end := st.End
+		if hy.RowSplit {
+			end = i + 1
 		}
+		loop(n - 1)
+		g.emitSteps(i, end)
+		g.ind--
+		g.line("}")
+		i = end
+	}
+	for range n + 2 {
 		g.ind--
 		g.line("}")
 	}
-	g.line("/* DOALL plane */")
-	if g.opts.OpenMP && n > 1 {
-		if n > 2 {
-			g.line("#pragma omp parallel for collapse(%d)", n-1)
-		} else {
-			g.line("#pragma omp parallel for")
-		}
-	}
-	for r := 1; r < n; r++ {
-		g.line("for (long wf_%d = wf_lo_%d; wf_%d <= wf_hi_%d; wf_%d++) {", r, r, r, r, r)
-		g.ind++
-	}
-	wfNames := make([]string, n)
-	for r := 0; r < n; r++ {
-		wfNames[r] = fmt.Sprintf("wf_%d", r)
-	}
-	var guard []string
-	for j := 0; j < n; j++ {
-		g.line("const long %s = %s;", names[j], lincomb(hy.TInv[j], wfNames))
-		guard = append(guard,
-			fmt.Sprintf("%s >= %s_lo && %s <= %s_hi", names[j], names[j], names[j], names[j]))
-	}
-	g.line("if (%s) {", strings.Join(guard, " && "))
-	g.ind++
-	g.emitSteps(bodyLo, g.pl.Steps[bodyLo-1].End)
-	g.ind--
-	g.line("}")
-	for r := 1; r < n; r++ {
-		g.ind--
-		g.line("}")
-	}
-	g.ind--
-	g.line("}")
-	g.ind--
-	g.line("}")
 }
 
 // lincomb renders Σ coeffs[j]·terms[j] as a C expression.
@@ -409,37 +434,6 @@ func lincomb(coeffs []int64, terms []string) string {
 		return "0"
 	}
 	return sb.String()
-}
-
-// emitWavefrontBox declares the transformed bounding-box constants
-// wf_box_lo_r/wf_box_hi_r: the interval of row_r(T)·x over the original
-// box, picking the lo or hi bound per coefficient sign at generation
-// time.
-func (g *generator) emitWavefrontBox(hy *plan.Hyper, names []string, n int) {
-	loTerms := make([]string, n)
-	hiTerms := make([]string, n)
-	for r := 0; r < n; r++ {
-		for j, c := range hy.T[r] {
-			if c >= 0 {
-				loTerms[j] = names[j] + "_lo"
-				hiTerms[j] = names[j] + "_hi"
-			} else {
-				loTerms[j] = names[j] + "_hi"
-				hiTerms[j] = names[j] + "_lo"
-			}
-		}
-		g.line("const long wf_box_lo_%d = %s, wf_box_hi_%d = %s;",
-			r, lincomb(hy.T[r], loTerms), r, lincomb(hy.T[r], hiTerms))
-	}
-}
-
-// vecC renders an integer vector like "(2,1,1)".
-func vecC(v []int64) string {
-	parts := make([]string, len(v))
-	for i, x := range v {
-		parts[i] = fmt.Sprintf("%d", x)
-	}
-	return "(" + strings.Join(parts, ",") + ")"
 }
 
 // emitEquation renders one assignment.

@@ -83,16 +83,24 @@ func TestGeneratedCNoVirtual(t *testing.T) {
 	}
 }
 
+// ccBuild is one way ccValidate builds the generated C: the generator
+// options and the cc flags.
+type ccBuild struct {
+	gen   cgen.Options
+	flags []string
+}
+
 // ccValidate is the shared compile-run-compare harness for the cc
 // validation tests: it generates C for the (M, maxK)-shaped module
-// modName of src under planOpts and genOpts, appends a main that seeds
-// the standard (M+2)² grid, builds it with every cc flag set, runs the
-// binaries, and requires every printed element to be bitwise equal to
-// the interpreter's sequential result. A flag set containing -fopenmp
-// that fails to compile is logged and skipped (old compilers); every
-// other build failure is fatal. Skipped entirely when no C compiler is
+// modName of src under planOpts and each build's generator options,
+// appends a main that seeds the standard (M+2)² grid, builds it with
+// the build's cc flags, runs the binary with OMP_NUM_THREADS 1, 2 and 3,
+// and requires every printed element of every run to be bitwise equal
+// to the interpreter's sequential result. A build with -fopenmp that
+// fails to compile is logged and skipped (old compilers); every other
+// build failure is fatal. Skipped entirely when no C compiler is
 // installed.
-func ccValidate(t *testing.T, src, modName string, planOpts plan.Options, genOpts cgen.Options, flagSets [][]string, m, maxK int64, requireWavefront bool) {
+func ccValidate(t *testing.T, src, modName string, planOpts plan.Options, builds []ccBuild, m, maxK int64, requireWavefront bool) {
 	t.Helper()
 	ccPath, err := exec.LookPath("cc")
 	if err != nil {
@@ -114,10 +122,6 @@ func ccValidate(t *testing.T, src, modName string, planOpts plan.Options, genOpt
 	pl := plan.Lower(mod, schd, planOpts)
 	if requireWavefront && !pl.HasWavefront() {
 		t.Fatal("auto-hyperplane lowering produced no wavefront step")
-	}
-	cSrc, err := cgen.Generate(mod, pl, genOpts)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	main := fmt.Sprintf(`
@@ -159,42 +163,59 @@ int main(void) {
 	want := res[0].(*value.Array)
 
 	dir := t.TempDir()
-	cFile := filepath.Join(dir, "mod.c")
-	if err := os.WriteFile(cFile, []byte(cSrc+main), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for vi, flags := range flagSets {
+	for vi, b := range builds {
+		cSrc, err := cgen.Generate(mod, pl, b.gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cFile := filepath.Join(dir, fmt.Sprintf("mod_%d.c", vi))
+		if err := os.WriteFile(cFile, []byte(cSrc+main), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		bin := filepath.Join(dir, fmt.Sprintf("mod_%d", vi))
-		args := append(append([]string{}, flags...), "-o", bin, cFile, "-lm")
+		args := append(append([]string{}, b.flags...), "-o", bin, cFile, "-lm")
 		if out, err := exec.Command(ccPath, args...).CombinedOutput(); err != nil {
-			if slices.Contains(flags, "-fopenmp") {
+			if slices.Contains(b.flags, "-fopenmp") {
 				t.Logf("cc has no -fopenmp (%v); skipping that variant\n%s", err, out)
 				continue
 			}
-			t.Fatalf("cc %v failed: %v\n%s\n--- generated C ---\n%s", flags, err, out, cSrc)
+			t.Fatalf("cc %v failed: %v\n%s\n--- generated C ---\n%s", b.flags, err, out, cSrc)
 		}
-		got, err := exec.Command(bin).Output()
-		if err != nil {
-			t.Fatalf("run (%v): %v", flags, err)
-		}
-		lines := strings.Fields(strings.TrimSpace(string(got)))
-		if len(lines) != int((m+2)*(m+2)) {
-			t.Fatalf("C binary printed %d values, want %d", len(lines), (m+2)*(m+2))
-		}
-		k := 0
-		for i := int64(0); i <= m+1; i++ {
-			for j := int64(0); j <= m+1; j++ {
-				cv, err := strconv.ParseFloat(lines[k], 64)
-				if err != nil {
-					t.Fatalf("parse %q: %v", lines[k], err)
+		for _, threads := range []string{"1", "2", "3"} {
+			run := exec.Command(bin)
+			run.Env = append(os.Environ(), "OMP_NUM_THREADS="+threads)
+			got, err := run.Output()
+			if err != nil {
+				t.Fatalf("run (%v, %s threads): %v", b.flags, threads, err)
+			}
+			lines := strings.Fields(strings.TrimSpace(string(got)))
+			if len(lines) != int((m+2)*(m+2)) {
+				t.Fatalf("C binary printed %d values, want %d", len(lines), (m+2)*(m+2))
+			}
+			k := 0
+			for i := int64(0); i <= m+1; i++ {
+				for j := int64(0); j <= m+1; j++ {
+					cv, err := strconv.ParseFloat(lines[k], 64)
+					if err != nil {
+						t.Fatalf("parse %q: %v", lines[k], err)
+					}
+					if iv := want.GetF([]int64{i, j}); math.Float64bits(cv) != math.Float64bits(iv) {
+						t.Fatalf("cc %v, %s threads, element [%d,%d]: C %g, interpreter %g", b.flags, threads, i, j, cv, iv)
+					}
+					k++
 				}
-				if iv := want.GetF([]int64{i, j}); cv != iv {
-					t.Fatalf("cc %v element [%d,%d]: C %g, interpreter %g", flags, i, j, cv, iv)
-				}
-				k++
 			}
 		}
 	}
+}
+
+// wavefrontBuilds are the builds of a wavefront module's C: plain, its
+// OpenMP pragmas without -fopenmp (one tile), and with -fopenmp (the
+// tile grid run by real threads).
+var wavefrontBuilds = []ccBuild{
+	{cgen.Options{}, []string{"-O2"}},
+	{cgen.Options{OpenMP: true}, []string{"-O2"}},
+	{cgen.Options{OpenMP: true}, []string{"-O2", "-fopenmp"}},
 }
 
 // TestCompiledCMatchesInterpreter generates C for the relaxation module,
@@ -202,15 +223,15 @@ int main(void) {
 // element against the interpreter — validating the paper's actual
 // artifact end to end.
 func TestCompiledCMatchesInterpreter(t *testing.T) {
-	ccValidate(t, psrc.Relaxation, "Relaxation", plan.Options{}, cgen.Options{},
-		[][]string{{"-O2"}}, 8, 5, false)
+	ccValidate(t, psrc.Relaxation, "Relaxation", plan.Options{},
+		[]ccBuild{{cgen.Options{}, []string{"-O2"}}}, 8, 5, false)
 }
 
-// TestGeneratedCWavefrontShape checks the auto-hyperplane C output: the
-// sequential wf_0 = π·x plane loop with one OpenMP loop per plane,
-// per-plane bound tightening, the T⁻¹ remap and the preimage guard.
-func TestGeneratedCWavefrontShape(t *testing.T) {
-	prog, err := parser.ParseProgram("t.ps", psrc.RelaxationGS)
+// wavefrontC lowers modName of src with the cascade and generates its C
+// with OpenMP pragmas.
+func wavefrontC(t *testing.T, src, modName string) string {
+	t.Helper()
+	prog, err := parser.ParseProgram("t.ps", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +239,12 @@ func TestGeneratedCWavefrontShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cp.Module("Relaxation")
-	sched, err := core.Build(depgraph.Build(m))
+	m := cp.Module(modName)
+	schd, err := core.Build(depgraph.Build(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := plan.Lower(m, sched, plan.Options{Hyperplane: true})
+	pl := plan.Lower(m, schd, plan.Options{Hyperplane: true})
 	if !pl.HasWavefront() {
 		t.Fatal("auto-hyperplane lowering produced no wavefront step")
 	}
@@ -231,35 +252,99 @@ func TestGeneratedCWavefrontShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// checkTileForm checks the wavefront C of a module with one wavefront
+// nest: one diagonal loop with one parallel loop over its tiles, and
+// none of the hyperplane sweep's plane loop, T⁻¹ remap or preimage
+// guard. It returns the nest's text from its tile loop on.
+func checkTileForm(t *testing.T, c string) string {
+	t.Helper()
 	for _, want := range []string{
-		"/* WAVEFRONT K, I, J: t = 2*K + I + J (pi = (2,1,1), window 3) */",
-		"for (long wf_0 = wf_box_lo_0; wf_0 <= wf_box_hi_0; wf_0++)",
-		"#pragma omp parallel for collapse(2)",
-		"const long J = wf_0 - 2*wf_1 - wf_2;",
-		"if (K >= K_lo && K <= K_hi && I >= I_lo && I <= I_hi && J >= J_lo && J <= J_hi)",
+		"const long wf_p = omp_get_max_threads();",
+		"for (long wf_d = 0; wf_d < wf_n_0 + wf_n_1 - 1; wf_d++) {",
+	} {
+		if n := strings.Count(c, want); n != 1 {
+			t.Errorf("wavefront C has %d of %q, want 1:\n%s", n, want, c)
+		}
+	}
+	diag := c[strings.Index(c, "for (long wf_d"):]
+	at := strings.Index(diag, "#pragma")
+	pragma, tiles, _ := strings.Cut(diag[at:], "\n")
+	tiles, _, _ = strings.Cut(tiles, "\n")
+	if pragma != "#pragma omp parallel for" || strings.TrimSpace(tiles) != "for (long wf_a = wf_a_lo; wf_a <= wf_a_hi; wf_a++) {" {
+		t.Fatalf("the diagonal loop's first pragma is not one parallel for over its tiles:\n%s", diag)
+	}
+	for _, banned := range []string{"wf_0", "wf_box", "collapse", "_lo && "} {
+		if strings.Contains(diag[:strings.Index(diag, "/* DOALL")], banned) {
+			t.Errorf("wavefront C still holds %q of the hyperplane sweep:\n%s", banned, c)
+		}
+	}
+	return diag[at:]
+}
+
+// TestGeneratedCWavefrontShape checks the auto-hyperplane C output for
+// Gauss–Seidel: the interpreter's tile form — tiles of the skewed
+// coordinates (K, K + I), one diagonal at a time with one OpenMP loop
+// over the diagonal's tiles, each tile clipped to the box — with rows
+// along J. Gauss–Seidel's rows split; with one equation that is one row
+// loop, so Mutual's two split equations pin one row loop each, in body
+// order.
+func TestGeneratedCWavefrontShape(t *testing.T) {
+	c := wavefrontC(t, psrc.RelaxationGS, "Relaxation")
+	for _, want := range []string{
+		"/* WAVEFRONT K, I, J: t = 2*K + I + J, window 3 */",
+		"const long wf_lo_1 = K_lo + I_lo, wf_hi_1 = K_hi + I_hi, wf_per_1 = wf_p > 1 ? 4*wf_p : 1;",
 	} {
 		if !strings.Contains(c, want) {
 			t.Errorf("wavefront C missing %q\n%s", want, c)
 		}
+	}
+	tile := checkTileForm(t, c)
+	at := 0
+	for _, want := range []string{
+		"for (long K = ps_lmax(K_lo, wf_tlo_0); K <= ps_lmin(K_hi, wf_thi_0); K++) {",
+		"for (long I = ps_lmax(I_lo, wf_tlo_1 - (K)); I <= ps_lmin(I_hi, wf_thi_1 - (K)); I++) {",
+		"for (long J = J_lo; J <= J_hi; J++) {",
+		"/* eq.3 */",
+	} {
+		i := strings.Index(tile[at:], want)
+		if i < 0 {
+			t.Fatalf("tile nest missing %q after offset %d:\n%s", want, at, tile)
+		}
+		at += i
 	}
 	// The transformed subrange's window must be dropped: the wavefront
 	// interleaves K planes, so A is allocated physically.
 	if strings.Contains(c, "virtual: window") {
 		t.Errorf("wavefront C still window-allocates the transformed array:\n%s", c)
 	}
+
+	src, err := os.ReadFile("../../testdata/mutual.ps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tile = checkTileForm(t, wavefrontC(t, string(src), "Mutual"))
+	rows := strings.Split(tile, "for (long J = ps_lmax(J_lo, wf_tlo_1); J <= ps_lmin(J_hi, wf_thi_1); J++) {")
+	if len(rows) != 3 || !strings.Contains(rows[1], "/* eq.2 */") || strings.Contains(rows[1], "/* eq.1 */") ||
+		!strings.Contains(rows[2], "/* eq.1 */") {
+		t.Errorf("Mutual's split rows are not one row loop per equation, eq.2 first:\n%s", tile)
+	}
 }
 
 // TestCompiledCWavefrontMatchesInterpreter compiles the auto-hyperplane
-// C for the Gauss-Seidel module with the system C compiler, runs it,
-// and compares every element against the interpreter's sequential run -
-// the per-plane wavefront nest validated end to end through the C
-// backend.
+// C for the Gauss-Seidel module with the system C compiler — plain, and
+// with OpenMP at 1, 2 and 3 threads — runs it, and compares every
+// element against the interpreter's sequential run: the tile grid
+// validated end to end through the C backend.
 func TestCompiledCWavefrontMatchesInterpreter(t *testing.T) {
 	ccValidate(t, psrc.RelaxationGS, "Relaxation", plan.Options{Hyperplane: true},
-		cgen.Options{}, [][]string{{"-O2"}}, 9, 6, true)
+		wavefrontBuilds, 9, 6, true)
 }
 
-// TestGeneratedCPipeline checks module-call code generation.
+// TestGeneratedCPipeline checks module-call code generation, single- and
+// multi-target.
 func TestGeneratedCPipeline(t *testing.T) {
 	prog, err := parser.ParseProgram("t.ps", psrc.Pipeline)
 	if err != nil {
@@ -286,48 +371,52 @@ func TestGeneratedCPipeline(t *testing.T) {
 	if !strings.Contains(out, "Smooth_result") || !strings.Contains(out, "= Smooth(") {
 		t.Errorf("pipeline C missing module call:\n%s", out)
 	}
+	// Call targets take the callee's result arrays: allocating them too
+	// would leak one array per call.
+	for _, target := range []string{"Mid", "Zs"} {
+		if strings.Contains(out, "double *"+target+" = (double *)malloc(") {
+			t.Errorf("pipeline C allocates call target %s:\n%s", target, out)
+		}
+	}
+	if !strings.Contains(out, "double *Ys = (double *)malloc(") {
+		t.Errorf("pipeline C does not allocate Smooth's result Ys:\n%s", out)
+	}
+
+	// Ls, Hs = Halves(Xs, N): both array targets take Halves' results.
+	c, _, _ := generate(t, psrc.Halves, "Main", cgen.Options{})
+	for _, want := range []string{
+		"Halves_result call_eq_1_ = Halves(Xs, N); /* eq.1 */",
+		"Ls = call_eq_1_.Ls;",
+		"Hs = call_eq_1_.Hs;",
+	} {
+		if !strings.Contains(c, want) {
+			t.Errorf("C missing %q:\n%s", want, c)
+		}
+	}
+	if strings.Contains(c, "malloc(") {
+		t.Errorf("C allocates a call target:\n%s", c)
+	}
 }
 
 // TestGeneratedCMultiKernelWavefrontShape checks the multi-equation
-// wavefront C: both group assignments appear inside one skewed nest,
-// under the same preimage guard, in group order.
+// wavefront C: both group assignments share one tile nest, jammed in one
+// row loop in group order (eq.2 before eq.1), since CoupledGrid's rows
+// do not split.
 func TestGeneratedCMultiKernelWavefrontShape(t *testing.T) {
-	prog, err := parser.ParseProgram("t.ps", psrc.CoupledGrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := sem.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := cp.Module("CoupledGrid")
-	schd, err := core.Build(depgraph.Build(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := plan.Lower(m, schd, plan.Options{Hyperplane: true})
-	if !pl.HasWavefront() {
-		t.Fatal("auto-hyperplane lowering produced no wavefront step")
-	}
-
-	c, err := cgen.Generate(m, pl, cgen.Options{OpenMP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One wavefront comment, two assignments inside it, exactly one
-	// preimage guard: the group shares the nest.
+	c := wavefrontC(t, psrc.CoupledGrid, "CoupledGrid")
 	if n := strings.Count(c, "/* WAVEFRONT"); n != 1 {
 		t.Errorf("C has %d wavefront nests, want 1:\n%s", n, c)
 	}
-	guardAt := strings.Index(c, "if (I >= I_lo && I <= I_hi && J >= J_lo && J <= J_hi)")
-	if guardAt < 0 {
-		t.Fatalf("C missing the preimage guard:\n%s", c)
+	tile := checkTileForm(t, c)
+	row := "for (long J = ps_lmax(J_lo, wf_tlo_1); J <= ps_lmin(J_hi, wf_thi_1); J++) {"
+	if n := strings.Count(tile, row); n != 1 {
+		t.Fatalf("tile nest has %d row loops, want 1 jammed row:\n%s", n, tile)
 	}
-	inGuard := c[guardAt:]
-	va := strings.Index(inGuard, "/* eq.2 */") // V's assignment (group order first)
-	ua := strings.Index(inGuard, "/* eq.1 */")
-	if va < 0 || ua < 0 || va > ua {
-		t.Errorf("C does not run both kernels in group order inside the guard (eq.2 at %d, eq.1 at %d)", va, ua)
+	inRow := tile[strings.Index(tile, row):]
+	va := strings.Index(inRow, "/* eq.2 */") // V's assignment (group order first)
+	ua := strings.Index(inRow, "/* eq.1 */")
+	if va < 0 || ua < 0 || va > ua || strings.Contains(inRow[:ua], "}") {
+		t.Errorf("C does not run both kernels in group order inside one row loop (eq.2 at %d, eq.1 at %d)", va, ua)
 	}
 }
 
@@ -337,10 +426,7 @@ func TestGeneratedCMultiKernelWavefrontShape(t *testing.T) {
 // interpreter's sequential run.
 func TestCompiledCMultiKernelWavefrontMatchesInterpreter(t *testing.T) {
 	ccValidate(t, psrc.CoupledGrid, "CoupledGrid", plan.Options{Hyperplane: true},
-		cgen.Options{}, [][]string{{"-O2"}}, 9, 3, true)
-	ccValidate(t, psrc.CoupledGrid, "CoupledGrid", plan.Options{Hyperplane: true},
-		cgen.Options{OpenMP: true},
-		[][]string{{"-O2"}, {"-fopenmp", "-O2"}}, 9, 3, true)
+		wavefrontBuilds, 9, 3, true)
 }
 
 // TestGeneratedCMinMaxNaN pins the NaN and signed-zero semantics of

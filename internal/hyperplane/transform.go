@@ -140,7 +140,7 @@ func (tr *transformer) prepare() error {
 	tr.eqVarNames[0] = tr.timeVar
 	tr.basis[0] = -1
 	for r := 1; r < n; r++ {
-		tr.basis[r] = BasisIndex(an.T.Row(r))
+		tr.basis[r] = basisIndex(an.T.Row(r))
 		if j := tr.basis[r]; j >= 0 {
 			tr.eqVarNames[r] = an.Dims[j].Name
 		} else {
@@ -172,7 +172,7 @@ func (tr *transformer) prepare() error {
 			}
 		}
 		tr.preimages[i] = lincomb(terms, 0)
-		if r := BasisIndex(row); r >= 0 && tr.basis[r] == i {
+		if r := basisIndex(row); r >= 0 && tr.basis[r] == i {
 			tr.identity[i] = true
 		}
 	}
@@ -445,8 +445,8 @@ func freshName(m *sem.Module, want string) string {
 	return name
 }
 
-// BasisIndex returns j when row is the standard basis vector e_j, else -1.
-func BasisIndex(row []int64) int {
+// basisIndex returns j when row is the standard basis vector e_j, else -1.
+func basisIndex(row []int64) int {
 	j := -1
 	for i, c := range row {
 		switch c {

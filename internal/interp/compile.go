@@ -262,19 +262,8 @@ func (cm *compiledModule) bindPlan(pl *plan.Program, kernels map[*sem.Equation]k
 	}
 	m := cm.m
 	win := pl.Windows()
-	called := make(map[*sem.Symbol]bool)
-	for _, eq := range m.Eqs {
-		if eq.WholeCall != nil || eq.MultiCall != nil {
-			for _, t := range eq.Targets {
-				called[t.Sym] = true
-			}
-		}
-	}
-	for _, sym := range append(append([]*sem.Symbol{}, m.Results...), m.Locals...) {
-		arr, isArr := sym.Type.(*types.Array)
-		if !isArr || called[sym] {
-			continue
-		}
+	for _, sym := range pl.Allocated(m) {
+		arr := sym.Type.(*types.Array)
 		al := allocInfo{
 			si:    cm.symIdx[sym],
 			elem:  arr.Elem.Kind(),

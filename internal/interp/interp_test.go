@@ -343,6 +343,33 @@ func TestHeat1DConservation(t *testing.T) {
 	}
 }
 
+// TestMultiTargetCallArrays runs Ls, Hs = Halves(Xs, N) under
+// Sequential and on default options and requires both targets to equal
+// a direct run of Halves, with nothing left lent from the arena.
+func TestMultiTargetCallArrays(t *testing.T) {
+	ip := compileSrc(t, psrc.Halves)
+	const n = 6
+	xs := realBox(value.Axis{Hi: n + 1})
+	want, err := ip.Run("Halves", []any{xs, int64(n)}, interp.Options{Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []interp.Options{{Sequential: true}, {}} {
+		got, err := ip.Run("Main", []any{xs, int64(n)}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range []string{"Ls", "Hs"} {
+			if !got[i].(*value.Array).Equal(want[i].(*value.Array)) {
+				t.Errorf("sequential=%v: %s = %v, want %v", opts.Sequential, name, got[i], want[i])
+			}
+		}
+		if lent := ip.ArenaLent(); lent != 0 {
+			t.Errorf("sequential=%v: %d arena arrays still lent out", opts.Sequential, lent)
+		}
+	}
+}
+
 // pipelineSkew adds to psrc.Pipeline a driver whose second call hands
 // Smooth a bound one past the array it passes, so that callee fails.
 const pipelineSkew = psrc.Pipeline + `

@@ -19,9 +19,10 @@
 // A wavefront step covers a singleton recurrence or a multi-equation
 // group (a strongly connected component scheduled into one body, or
 // nests the fusion step merged): the step's body is one OpEq step per equation in
-// scheduled order, and its Hyper block carries one π/T/T⁻¹ solved for
-// the union of the group's dependence vectors, plus the tiling (skew,
-// row mode) that VerifyTiles re-checks against the depgraph.
+// scheduled order, and its Hyper block carries the tiling (skew, row
+// mode) both backends run and VerifyTiles re-checks against the
+// depgraph, plus the π and window solved for the union of the group's
+// dependence vectors that the listing prints.
 //
 // # One plan per execution mode
 //
@@ -40,11 +41,9 @@
 //     pointer chasing.
 //   - An OpWavefront body consists of OpEq steps only, in group order;
 //     executors may dispatch the kernels directly (the leaf fast path).
-//   - Hyper.Pi is the least time vector for the dependence union;
-//     Hyper.T is unimodular with Pi as row 0 and TInv its exact integer
-//     inverse.
-//   - Hyper.Window is 1 + the largest first component of T·d over the
-//     union dependences (every first component is ≥ 1).
+//   - Hyper.Pi is the least time vector for the dependence union.
+//   - Hyper.Window is 1 + the largest π·d over the union dependences
+//     (every π·d is ≥ 1).
 //   - Hyper.Skew is unit lower-triangular with S·d ≥ 0 componentwise
 //     for every union dependence d, so any rectangular tiling of the
 //     skewed nest is legal and the innermost skewed coordinate moves the

@@ -79,25 +79,15 @@ type Step struct {
 
 // Hyper is the hyperplane restructuring of one sequential loop nest
 // (paper §4), attached to an OpWavefront step whose Dims list the
-// original frame slots in equation-dimension order. Executors run the
-// nest as a wavefront of rectangular tiles of skewed iteration space
-// (Skew), sharing the equation kernels of the untransformed variants;
-// π, T and T⁻¹ describe the same nest as hyperplanes for the C generator
-// and the listing.
+// original frame slots in equation-dimension order. Both backends run
+// the nest as a wavefront of rectangular tiles of skewed iteration space
+// (Skew), sharing the equation kernels of the untransformed variants; π
+// and the window describe the same nest as hyperplanes for the listing.
 type Hyper struct {
-	// Pi is the least time vector with π·d ≥ 1 for every dependence d;
-	// it is row 0 of T.
+	// Pi is the least time vector with π·d ≥ 1 for every dependence d.
 	Pi []int64
-	// T is the unimodular coordinate change, TInv its exact inverse,
-	// stored as dense rows.
-	T, TInv [][]int64
-	// Basis[r] = j when row r of T is the standard basis vector e_j (so
-	// transformed coordinate r is exactly original dimension j), else
-	// -1. The C generator uses it to tighten each plane coordinate's
-	// range per time step. Basis[0] is always -1 (row 0 is π).
-	Basis []int
-	// Window is 1 + the largest transformed first dependence component —
-	// the number of consecutive hyperplanes a plane's inputs span.
+	// Window is 1 + the largest π·d over the dependences — the number of
+	// consecutive hyperplanes a plane's inputs span.
 	Window int
 	// Skew is the tiling skew S, dense rows: unit lower-triangular with
 	// S·d ≥ 0 componentwise for every dependence d, so the skewed nest
@@ -344,6 +334,27 @@ func (p *Program) Windows() map[*sem.Symbol]map[int]int {
 		win[v.Sym][v.Dim] = v.Window
 	}
 	return win
+}
+
+// Allocated lists the arrays an activation of module m allocates, results
+// before locals: every array result and local except the targets of
+// module calls, which take the callee's result arrays.
+func (p *Program) Allocated(m *sem.Module) []*sem.Symbol {
+	called := make(map[*sem.Symbol]bool)
+	for _, eq := range p.Eqs {
+		if eq.WholeCall != nil || eq.MultiCall != nil {
+			for _, t := range eq.Targets {
+				called[t.Sym] = true
+			}
+		}
+	}
+	var out []*sem.Symbol
+	for _, sym := range append(append([]*sem.Symbol{}, m.Results...), m.Locals...) {
+		if types.Rank(sym.Type) > 0 && !called[sym] {
+			out = append(out, sym)
+		}
+	}
+	return out
 }
 
 // MaxCollapse bounds the number of dimensions folded into one DOALL
@@ -710,24 +721,15 @@ func equationBody(fc core.Flowchart) []*sem.Equation {
 // step whose body is one OpEq step per equation, in group (scheduled)
 // order, so zero-distance dependences between group equations flow
 // forward within every row. The step's Dims are the frame slots of the
-// group's dimensions in analysis order (the order π, T, T⁻¹ and the
-// skew are expressed in). Virtual windows keyed on the transformed
-// subranges are dropped from the plan: tiles interleave the nest's
-// outer iterations, so a window sized for ascending-order execution
-// would be overwritten while still live.
+// group's dimensions in analysis order (the order π and the skew are
+// expressed in). Virtual windows keyed on the transformed subranges are
+// dropped from the plan: tiles interleave the nest's outer iterations,
+// so a window sized for ascending-order execution would be overwritten
+// while still live.
 func (lw *lowerer) emitWavefront(an *hyperplane.Analysis, eqs []*sem.Equation) {
 	n := len(an.Dims)
 	hy := &Hyper{Pi: an.Pi, Window: an.Window, Skew: skewFor(an.Deps, n)}
 	hy.RowSplit = rowSplit(hy.Skew, an.Deps)
-	for r := 0; r < n; r++ {
-		hy.T = append(hy.T, an.T.Row(r))
-		hy.TInv = append(hy.TInv, an.TInv.Row(r))
-		b := -1
-		if r > 0 {
-			b = hyperplane.BasisIndex(hy.T[r])
-		}
-		hy.Basis = append(hy.Basis, b)
-	}
 	slots := make([]int, n)
 	transformed := make(map[*types.Subrange]bool, n)
 	for i, d := range an.Dims {

@@ -121,6 +121,26 @@ define
 end Pipeline;
 `
 
+// Halves is a multi-target module call with array targets: Main takes
+// both of Halves' result arrays in one equation, Ls, Hs = Halves(Xs, N).
+const Halves = `
+Halves: module (Xs: array[I] of real; N: int):
+    [Ls: array [I] of real; Hs: array [I] of real];
+type
+    I = 0 .. N+1;
+define
+    Ls[I] = Xs[I] / 2.0;
+    Hs[I] = Xs[I] * 2.0;
+end Halves;
+Main: module (Xs: array[I] of real; N: int):
+    [Ls: array [0 .. N+1] of real; Hs: array [0 .. N+1] of real];
+type
+    I = 0 .. N+1;
+define
+    Ls, Hs = Halves(Xs, N);
+end Main;
+`
+
 // CoupledGrid is a two-equation strongly connected component scheduled
 // into one DO I (DO J (...)) nest: U and V read each other at [I-1,J]
 // and [I,J-1], so the cross dependences keep the component connected at

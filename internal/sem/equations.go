@@ -57,8 +57,12 @@ func (c *checker) checkEquation(index int, aeq *ast.Equation) *Equation {
 			eq.Dims = append(eq.Dims, d)
 		}
 	}
-	// Remaining targets must cover the same implicit dimensions.
+	// Remaining targets must cover the same implicit dimensions; a call
+	// derives none for any target.
 	for _, t := range eq.Targets[1:] {
+		if eq.WholeCall != nil {
+			break
+		}
 		if arr, isArr := t.Sym.Type.(*types.Array); isArr && len(t.Subs) < len(arr.Dims) {
 			rem := arr.Dims[len(t.Subs):]
 			if len(rem) != len(first.Implicit) {

@@ -239,6 +239,18 @@ define p = x + 1.0; q = x - 1.0; end Split;`)
 	wantError(t, `
 Main: module (x: real): [a: real; b: real];
 define a, b = x; end Main;`, "requires a module call")
+
+	// Array targets of a call take whole result arrays: no target gets
+	// implicit dimensions.
+	eq := mustCheck(t, psrc.Halves).Module("Main").Eqs[0]
+	if eq.MultiCall == nil || len(eq.Dims) != 0 || len(eq.Targets) != 2 {
+		t.Fatalf("Ls, Hs = Halves(Xs, N): MultiCall %v, dims %v, %d targets", eq.MultiCall != nil, eq.Dims, len(eq.Targets))
+	}
+	for _, tg := range eq.Targets {
+		if len(tg.Implicit) != 0 {
+			t.Errorf("target %s has implicit dims %v, want none", tg.Sym.Name, tg.Implicit)
+		}
+	}
 }
 
 // TestEnumsAndRecords covers the remaining declared type surface.

@@ -252,12 +252,13 @@ type CGenOptions = cgen.Options
 // GenerateC emits the module as a C translation unit with annotated
 // DO/DOALL loops, the paper's output artifact. The generator consumes
 // the same lowered plan parallel interpretation executes by default.
-// A §4 wavefront nest is emitted per plane: a sequential loop over the
-// plane coordinate wf_0 = π·x, and inside it one OpenMP parallel loop
-// over the plane's other transformed coordinates (bounds tightened per
-// plane), each point remapped to the original indices by T⁻¹ and run
-// only when that preimage lies in the box. The interpreter's tiles do
-// not appear in the C. Use GenerateCWith to emit another variant.
+// A §4 wavefront nest is emitted as the interpreter runs it: its two
+// outer skewed coordinates are cut into a grid of tiles for
+// omp_get_max_threads() threads (one tile without OpenMP), the grid
+// runs one anti-diagonal at a time with one OpenMP parallel loop over
+// the diagonal's tiles, and each tile walks its box points in the
+// original loop order, rows split or jammed as the interpreter's are.
+// Use GenerateCWith to emit another variant.
 func (m *Module) GenerateC(opts CGenOptions) (string, error) {
 	return cgen.Generate(m.sem, m.pl, opts)
 }

@@ -18,24 +18,16 @@ import (
 	"repro/ps"
 )
 
-// Config parameterizes a Server. The zero value is usable: an owned
-// engine with all CPUs, a per-tenant bound of 256 requests and no rate
-// quota. How many activations run at once is not a setting: it is the
-// engine's pool width.
+// Config parameterizes a Server. The zero value is usable: an engine
+// with all CPUs, a per-tenant bound of 256 requests and no rate quota.
+// How many activations run at once is not a setting: it is the engine's
+// pool width.
 type Config struct {
-	// Engine, when non-nil, is the execution engine to serve from; the
-	// server does not close it. When nil the server creates (and owns)
-	// one with Workers and CacheLimit.
-	Engine *ps.Engine
-	// Workers is the owned engine's pool width (<= 0 = all CPUs).
-	// Ignored when Engine is set.
+	// Workers is the server's engine's pool width (<= 0 = all CPUs).
 	Workers int
-	// CacheLimit bounds the owned engine's compiled-program cache in
-	// compiled-size bytes (0 = unbounded). Ignored when Engine is set.
+	// CacheLimit bounds the engine's compiled-program cache in
+	// compiled-size bytes (0 = unbounded).
 	CacheLimit int64
-	// RunOptions apply to every prepared Runner (workers, strictness,
-	// ...).
-	RunOptions []ps.RunOption
 
 	// QueueDepth bounds each tenant's requests admitted but not yet
 	// answered, running or waiting for a run slot (default 256;
@@ -91,7 +83,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	eng     *ps.Engine
-	ownEng  bool
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the access/request-ID envelope
 
@@ -130,13 +121,13 @@ type servedProgram struct {
 }
 
 // runner prepares (once) and returns the module's Runner.
-func (sp *servedProgram) runner(module string, opts []ps.RunOption) (*ps.Runner, error) {
+func (sp *servedProgram) runner(module string) (*ps.Runner, error) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if r, ok := sp.runners[module]; ok {
 		return r, nil
 	}
-	r, err := sp.prog.Prepare(module, opts...)
+	r, err := sp.prog.Prepare(module)
 	if err != nil {
 		return nil, err
 	}
@@ -151,16 +142,12 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		eng:      cfg.Engine,
+		eng:      ps.NewEngine(ps.EngineWorkers(cfg.Workers), ps.WithCacheLimit(cfg.CacheLimit)),
 		metrics:  newMetrics(),
 		access:   &accessLogger{w: cfg.AccessLog},
 		traces:   newTraceStore(),
 		programs: make(map[string]*servedProgram),
 		tenants:  make(map[string]*tenant),
-	}
-	if s.eng == nil {
-		s.eng = ps.NewEngine(ps.EngineWorkers(cfg.Workers), ps.WithCacheLimit(cfg.CacheLimit))
-		s.ownEng = true
 	}
 	s.slots = make(chan struct{}, s.eng.Workers())
 	mux := http.NewServeMux()
@@ -174,9 +161,7 @@ func New(cfg Config) (*Server, error) {
 	s.handler = s.withAccess(mux)
 	if cfg.Dir != "" {
 		if _, _, err := s.LoadDir(cfg.Dir); err != nil {
-			if s.ownEng {
-				s.eng.Close()
-			}
+			s.eng.Close()
 			return nil, err
 		}
 	}
@@ -301,14 +286,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Close releases the server's resources: admission stops and an owned
-// engine is closed, which fails the activations still running (call
+// Close releases the server's resources: admission stops and the
+// server's engine is closed, which fails the activations still running (call
 // Drain first for graceful shutdown).
 func (s *Server) Close() {
 	s.draining.Store(true)
-	if s.ownEng {
-		s.eng.Close()
-	}
+	s.eng.Close()
 }
 
 // runResponse is the /v1/run success payload. BatchSize is always 1
@@ -380,7 +363,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, fmt.Sprintf("no program %q", req.Program))
 		return
 	}
-	runner, err := sp.runner(req.Module, s.cfg.RunOptions)
+	runner, err := sp.runner(req.Module)
 	if err != nil {
 		s.fail(w, http.StatusNotFound, err.Error())
 		return
@@ -523,7 +506,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, fmt.Sprintf("no program %q", progName))
 		return
 	}
-	runner, err := sp.runner(module, s.cfg.RunOptions)
+	runner, err := sp.runner(module)
 	if err != nil {
 		s.fail(w, http.StatusNotFound, err.Error())
 		return
