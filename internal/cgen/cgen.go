@@ -1,12 +1,14 @@
 // Package cgen generates C code from a lowered PS module — the output
 // artifact of the paper's compiler. It consumes the same flat loop-plan
 // IR the interpreter executes (internal/plan): each module becomes a C
-// function; sequential plan steps become for loops annotated /* DO */,
-// collapsed DOALL steps become perfectly nested loops annotated
-// /* DOALL */ (optionally with OpenMP collapse pragmas), wavefront steps
-// become the interpreter's tiles of skewed iteration space run one
-// anti-diagonal of tiles at a time, and virtual dimensions are allocated
-// as windows with modular plane indexing (paper §3.4).
+// function, and the modules it calls join its translation unit as
+// static functions ahead of it; sequential plan steps become for loops
+// annotated /* DO */, collapsed DOALL steps become perfectly nested
+// loops annotated /* DOALL */ (optionally with OpenMP collapse
+// pragmas), wavefront steps become the interpreter's tiles of skewed
+// iteration space run one anti-diagonal of tiles at a time, and virtual
+// dimensions are allocated as windows with modular plane indexing
+// (paper §3.4).
 package cgen
 
 import (
@@ -30,19 +32,67 @@ type Options struct {
 	NoVirtual bool
 }
 
-// Generate emits a C translation unit for one lowered module plan.
-func Generate(m *sem.Module, pl *plan.Program, opts Options) (string, error) {
-	g := &generator{m: m, pl: pl, opts: opts}
-	return g.run()
+// Generate emits the C translation unit of module m: one prelude, then
+// every module m calls, directly or through another callee, as a static
+// function ahead of its callers, and m last. planOf returns the lowered
+// plan of each of those modules and of m.
+func Generate(m *sem.Module, planOf func(*sem.Module) *plan.Program, opts Options) (string, error) {
+	var mods []*sem.Module
+	seen := make(map[*sem.Module]bool)
+	var visit func(*sem.Module)
+	visit = func(mod *sem.Module) {
+		seen[mod] = true
+		for _, eq := range mod.Eqs {
+			call := eq.WholeCall
+			if call == nil {
+				call = eq.MultiCall
+			}
+			if call == nil {
+				continue
+			}
+			if callee := mod.Prog.Module(call.Fun.Name); callee != nil && !seen[callee] {
+				visit(callee)
+			}
+		}
+		mods = append(mods, mod)
+	}
+	visit(m)
+	plans := make([]*plan.Program, len(mods))
+	wavefront := false
+	for i, mod := range mods {
+		if plans[i] = planOf(mod); plans[i] == nil {
+			return "", fmt.Errorf("cgen: no plan for module %s", mod.Name)
+		}
+		wavefront = wavefront || plans[i].HasWavefront()
+	}
+	last := len(mods) - 1 // m: visit appends a module after its callees
+	g := &generator{opts: opts, enums: make(map[string]bool)}
+	g.prelude(m, plans[last], wavefront)
+	for i, callee := range mods[:last] {
+		g.line("/* PS module %s, called from %s.", callee.Name, m.Name)
+		g.planComment(plans[i])
+		g.line(" */")
+		g.module(callee, plans[i], true)
+		g.line("")
+	}
+	g.module(m, plans[last], false)
+	if g.err != nil {
+		return "", g.err
+	}
+	return g.sb.String(), nil
 }
 
 type generator struct {
-	m    *sem.Module
-	pl   *plan.Program
 	opts Options
 	sb   strings.Builder
 	ind  int
 	err  error
+	// enums holds the enum typedefs emitted so far; a module repeating
+	// one its callee declared reuses it.
+	enums map[string]bool
+	// m and pl are the module being emitted and its plan.
+	m  *sem.Module
+	pl *plan.Program
 	// windows maps symbol/dim to the window size in effect.
 	windows map[*sem.Symbol]map[int]int
 	// curEq is the equation being emitted (for implicit alignment).
@@ -63,24 +113,26 @@ func (g *generator) line(format string, args ...any) {
 	g.sb.WriteByte('\n')
 }
 
-func (g *generator) run() (string, error) {
-	m := g.m
-	g.windows = make(map[*sem.Symbol]map[int]int)
-	if !g.opts.NoVirtual {
-		g.windows = g.pl.Windows()
-	}
-
-	g.line("/* Code generated by psc from PS module %s; DO NOT EDIT.", m.Name)
+// planComment emits a plan's loop plan and virtual dimensions as lines
+// of a block comment.
+func (g *generator) planComment(pl *plan.Program) {
 	g.line(" *")
-	g.line(" * Loop plan: %s", g.pl.Compact())
-	for _, v := range g.pl.Virtual {
+	g.line(" * Loop plan: %s", pl.Compact())
+	for _, v := range pl.Virtual {
 		g.line(" * Virtual dimension: %s dim %d window %d (subrange %s)",
 			v.Sym.Name, v.Dim+1, v.Window, v.Subrange.Name)
 	}
+}
+
+// prelude emits the unit's header comment, for the entry module m and
+// its plan, its includes and the helpers every module shares; wavefront
+// says some module of the unit has a wavefront nest.
+func (g *generator) prelude(m *sem.Module, pl *plan.Program, wavefront bool) {
+	g.line("/* Code generated by psc from PS module %s; DO NOT EDIT.", m.Name)
+	g.planComment(pl)
 	g.line(" */")
 	g.line("#include <stdlib.h>")
 	g.line("#include <math.h>")
-	wavefront := g.pl.HasWavefront()
 	if wavefront {
 		g.line("#ifdef _OPENMP")
 		g.line("#include <omp.h>")
@@ -106,6 +158,16 @@ func (g *generator) run() (string, error) {
 		g.line("static inline long ps_lmax(long a, long b) { return a > b ? a : b; }")
 	}
 	g.line("")
+}
+
+// module emits one module's enum typedefs, result struct and function,
+// static when the module is a callee of the unit's entry.
+func (g *generator) module(m *sem.Module, pl *plan.Program, static bool) {
+	g.m, g.pl = m, pl
+	g.windows = make(map[*sem.Symbol]map[int]int)
+	if !g.opts.NoVirtual {
+		g.windows = pl.Windows()
+	}
 
 	// Enum typedefs.
 	for _, d := range m.AST.Types {
@@ -113,7 +175,8 @@ func (g *generator) run() (string, error) {
 		if sym == nil || sym.Kind != sem.TypeSym {
 			continue
 		}
-		if e, isEnum := sym.Type.(*types.Enum); isEnum {
+		if e, isEnum := sym.Type.(*types.Enum); isEnum && !g.enums[d.Names[0].Name] {
+			g.enums[d.Names[0].Name] = true
 			g.line("typedef enum { %s } %s;", strings.Join(e.Consts, ", "), d.Names[0].Name)
 			g.line("")
 		}
@@ -134,7 +197,11 @@ func (g *generator) run() (string, error) {
 	for _, p := range m.Params {
 		params = append(params, g.cDecl(p.Name, p.Type, true))
 	}
-	g.line("%s_result %s(%s)", m.Name, m.Name, strings.Join(params, ", "))
+	storage := ""
+	if static {
+		storage = "static "
+	}
+	g.line("%s%s_result %s(%s)", storage, m.Name, m.Name, strings.Join(params, ", "))
 	g.line("{")
 	g.ind++
 
@@ -186,10 +253,6 @@ func (g *generator) run() (string, error) {
 	g.line("}")
 	g.ind--
 	g.line("}")
-	if g.err != nil {
-		return "", g.err
-	}
-	return g.sb.String(), nil
 }
 
 // cDecl renders a C declaration for a PS symbol.
@@ -312,9 +375,9 @@ func (g *generator) emitSteps(lo, hi int) {
 }
 
 // emitWavefront renders a §4-restructured nest as the interpreter runs
-// it (internal/interp's wfGrid and sweepTile): tiles of skewed iteration
+// it (internal/interp's tileGrid and sweepTile): tiles of skewed iteration
 // space s = S·x (Hyper.Skew). The ranges of s₀ and s₁ over the box are
-// cut into an A × B grid by wfGrid.tileWidths' rule for W threads, W =
+// cut into an A × B grid by tileGrid.tileWidths' rule for W threads, W =
 // omp_get_max_threads() under OpenMP and 1 otherwise (one tile covering
 // the box), and the grid runs one anti-diagonal a + b = d at a time, its
 // tiles in parallel, so tile (a, b) runs after (a−1, b) and (a, b−1). A

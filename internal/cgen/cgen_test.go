@@ -38,11 +38,23 @@ func generate(t *testing.T, src, modName string, opts cgen.Options) (string, *se
 	if err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
-	c, err := cgen.Generate(m, plan.Lower(m, sched, plan.Options{}), opts)
+	c, err := cgen.Generate(m, lowerer(t, plan.Options{}), opts)
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 	return c, m, sched
+}
+
+// lowerer returns the planOf of cgen.Generate: each module scheduled
+// and lowered under opts.
+func lowerer(t *testing.T, opts plan.Options) func(*sem.Module) *plan.Program {
+	return func(m *sem.Module) *plan.Program {
+		sched, err := core.Build(depgraph.Build(m))
+		if err != nil {
+			t.Fatalf("schedule %s: %v", m.Name, err)
+		}
+		return plan.Lower(m, sched, opts)
+	}
 }
 
 // TestGeneratedCShape checks the structural properties the paper
@@ -90,41 +102,31 @@ type ccBuild struct {
 	flags []string
 }
 
-// ccValidate is the shared compile-run-compare harness for the cc
-// validation tests: it generates C for the (M, maxK)-shaped module
-// modName of src under planOpts and each build's generator options,
-// appends a main that seeds the standard (M+2)² grid, builds it with
-// the build's cc flags, runs the binary with OMP_NUM_THREADS 1, 2 and 3,
-// and requires every printed element of every run to be bitwise equal
-// to the interpreter's sequential result. A build with -fopenmp that
-// fails to compile is logged and skipped (old compilers); every other
-// build failure is fatal. Skipped entirely when no C compiler is
-// installed.
-func ccValidate(t *testing.T, src, modName string, planOpts plan.Options, builds []ccBuild, m, maxK int64, requireWavefront bool) {
-	t.Helper()
-	ccPath, err := exec.LookPath("cc")
-	if err != nil {
-		t.Skip("no C compiler in PATH")
-	}
-	prog, err := parser.ParseProgram("t.ps", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := sem.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := cp.Module(modName)
-	schd, err := core.Build(depgraph.Build(mod))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := plan.Lower(mod, schd, planOpts)
-	if requireWavefront && !pl.HasWavefront() {
-		t.Fatal("auto-hyperplane lowering produced no wavefront step")
-	}
+// ccCase is one module ccValidate builds: its source and name, the
+// arguments the interpreter runs it on, and a C main that calls it on
+// the same inputs and prints every element of its array results, one
+// per line, result after result, each in row-major order.
+type ccCase struct {
+	src, module string
+	args        []any
+	main        string
+}
 
-	main := fmt.Sprintf(`
+// gridCase is the (M, maxK)-shaped case of the module modName of src: a
+// main that seeds the standard (M+2)² grid, passes it with M and maxK,
+// and prints the result newA.
+func gridCase(src, modName string, m, maxK int64) ccCase {
+	in := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: m + 1}, {Lo: 0, Hi: m + 1}})
+	for i := int64(0); i <= m+1; i++ {
+		for j := int64(0); j <= m+1; j++ {
+			var v float64
+			if i > 0 && i <= m && j > 0 && j <= m {
+				v = float64((i*31+j*17)%19) / 19.0
+			}
+			in.SetF([]int64{i, j}, v)
+		}
+	}
+	return ccCase{src, modName, []any{in, m, maxK}, fmt.Sprintf(`
 #include <stdio.h>
 int main(void) {
     long M = %d, maxK = %d;
@@ -140,36 +142,103 @@ int main(void) {
     for (long i = 0; i < n; i++) printf("%%.17g\n", r.newA[i]);
     return 0;
 }
-`, m, maxK, modName, modName)
+`, m, maxK, modName, modName)}
+}
+
+// rowCase is the case of a module taking Xs over [0, N+1] and N: a main
+// that seeds Xs[i] = ((31i + 7) mod 19)/19 − 1/4 and prints the named
+// array results, each over [0, N+1].
+func rowCase(src, modName string, n int64, results ...string) ccCase {
+	xs := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: n + 1}})
+	for i := int64(0); i <= n+1; i++ {
+		xs.SetF([]int64{i}, float64((i*31+7)%19)/19.0-0.25)
+	}
+	var prints strings.Builder
+	for _, r := range results {
+		fmt.Fprintf(&prints, "    for (long i = 0; i <= N+1; i++) printf(\"%%.17g\\n\", r.%s[i]);\n", r)
+	}
+	return ccCase{src, modName, []any{xs, n}, fmt.Sprintf(`
+#include <stdio.h>
+int main(void) {
+    long N = %d;
+    double *Xs = malloc(sizeof(double)*(N+2));
+    for (long i = 0; i <= N+1; i++) Xs[i] = (double)((i*31+7)%%19)/19.0 - 0.25;
+    %s_result r = %s(Xs, N);
+%s    return 0;
+}
+`, n, modName, modName, prints.String())}
+}
+
+// elements lists every element of a real array in row-major order.
+func elements(a *value.Array) []float64 {
+	var out []float64
+	idx := make([]int64, a.Rank())
+	var walk func(d int)
+	walk = func(d int) {
+		if d == len(idx) {
+			out = append(out, a.GetF(idx))
+			return
+		}
+		for idx[d] = a.Axes[d].Lo; idx[d] <= a.Axes[d].Hi; idx[d]++ {
+			walk(d + 1)
+		}
+	}
+	walk(0)
+	return out
+}
+
+// ccValidate is the shared compile-run-compare harness for the cc
+// validation tests: it generates C for the case's module under planOpts
+// and each build's generator options, appends the case's main, builds
+// it with the build's cc flags, runs the binary with OMP_NUM_THREADS 1,
+// 2 and 3, and requires every printed element of every run to be
+// bitwise equal to the interpreter's sequential result. A build with
+// -fopenmp that fails to compile is logged and skipped (old compilers);
+// every other build failure is fatal. Skipped entirely when no C
+// compiler is installed.
+func ccValidate(t *testing.T, c ccCase, planOpts plan.Options, builds []ccBuild, requireWavefront bool) {
+	t.Helper()
+	ccPath, err := exec.LookPath("cc")
+	if err != nil {
+		t.Skip("no C compiler in PATH")
+	}
+	prog, err := parser.ParseProgram("t.ps", c.src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := sem.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := cp.Module(c.module)
+	planOf := lowerer(t, planOpts)
+	if requireWavefront && !planOf(mod).HasWavefront() {
+		t.Fatal("auto-hyperplane lowering produced no wavefront step")
+	}
 
 	ip, err := interp.Compile(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: m + 1}, {Lo: 0, Hi: m + 1}})
-	for i := int64(0); i <= m+1; i++ {
-		for j := int64(0); j <= m+1; j++ {
-			var v float64
-			if i > 0 && i <= m && j > 0 && j <= m {
-				v = float64((i*31+j*17)%19) / 19.0
-			}
-			in.SetF([]int64{i, j}, v)
-		}
-	}
-	res, err := ip.Run(modName, []any{in, m, maxK}, interp.Options{Sequential: true})
+	res, err := ip.Run(c.module, c.args, interp.Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := res[0].(*value.Array)
+	var want []float64
+	for _, r := range res {
+		if a, ok := r.(*value.Array); ok {
+			want = append(want, elements(a)...)
+		}
+	}
 
 	dir := t.TempDir()
 	for vi, b := range builds {
-		cSrc, err := cgen.Generate(mod, pl, b.gen)
+		cSrc, err := cgen.Generate(mod, planOf, b.gen)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cFile := filepath.Join(dir, fmt.Sprintf("mod_%d.c", vi))
-		if err := os.WriteFile(cFile, []byte(cSrc+main), 0o644); err != nil {
+		if err := os.WriteFile(cFile, []byte(cSrc+c.main), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		bin := filepath.Join(dir, fmt.Sprintf("mod_%d", vi))
@@ -189,30 +258,26 @@ int main(void) {
 				t.Fatalf("run (%v, %s threads): %v", b.flags, threads, err)
 			}
 			lines := strings.Fields(strings.TrimSpace(string(got)))
-			if len(lines) != int((m+2)*(m+2)) {
-				t.Fatalf("C binary printed %d values, want %d", len(lines), (m+2)*(m+2))
+			if len(lines) != len(want) {
+				t.Fatalf("C binary printed %d values, want %d", len(lines), len(want))
 			}
-			k := 0
-			for i := int64(0); i <= m+1; i++ {
-				for j := int64(0); j <= m+1; j++ {
-					cv, err := strconv.ParseFloat(lines[k], 64)
-					if err != nil {
-						t.Fatalf("parse %q: %v", lines[k], err)
-					}
-					if iv := want.GetF([]int64{i, j}); math.Float64bits(cv) != math.Float64bits(iv) {
-						t.Fatalf("cc %v, %s threads, element [%d,%d]: C %g, interpreter %g", b.flags, threads, i, j, cv, iv)
-					}
-					k++
+			for k, line := range lines {
+				cv, err := strconv.ParseFloat(line, 64)
+				if err != nil {
+					t.Fatalf("parse %q: %v", line, err)
+				}
+				if math.Float64bits(cv) != math.Float64bits(want[k]) {
+					t.Fatalf("cc %v, %s threads, element %d: C %g, interpreter %g", b.flags, threads, k, cv, want[k])
 				}
 			}
 		}
 	}
 }
 
-// wavefrontBuilds are the builds of a wavefront module's C: plain, its
-// OpenMP pragmas without -fopenmp (one tile), and with -fopenmp (the
-// tile grid run by real threads).
-var wavefrontBuilds = []ccBuild{
+// ompBuilds are the builds of a module's C: plain, its OpenMP pragmas
+// without -fopenmp (a wavefront runs one tile), and with -fopenmp (its
+// parallel loops and tile grid run by real threads).
+var ompBuilds = []ccBuild{
 	{cgen.Options{}, []string{"-O2"}},
 	{cgen.Options{OpenMP: true}, []string{"-O2"}},
 	{cgen.Options{OpenMP: true}, []string{"-O2", "-fopenmp"}},
@@ -223,8 +288,8 @@ var wavefrontBuilds = []ccBuild{
 // element against the interpreter — validating the paper's actual
 // artifact end to end.
 func TestCompiledCMatchesInterpreter(t *testing.T) {
-	ccValidate(t, psrc.Relaxation, "Relaxation", plan.Options{},
-		[]ccBuild{{cgen.Options{}, []string{"-O2"}}}, 8, 5, false)
+	ccValidate(t, gridCase(psrc.Relaxation, "Relaxation", 8, 5), plan.Options{},
+		[]ccBuild{{cgen.Options{}, []string{"-O2"}}}, false)
 }
 
 // wavefrontC lowers modName of src with the cascade and generates its C
@@ -240,15 +305,11 @@ func wavefrontC(t *testing.T, src, modName string) string {
 		t.Fatal(err)
 	}
 	m := cp.Module(modName)
-	schd, err := core.Build(depgraph.Build(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := plan.Lower(m, schd, plan.Options{Hyperplane: true})
-	if !pl.HasWavefront() {
+	planOf := lowerer(t, plan.Options{Hyperplane: true})
+	if !planOf(m).HasWavefront() {
 		t.Fatal("auto-hyperplane lowering produced no wavefront step")
 	}
-	c, err := cgen.Generate(m, pl, cgen.Options{OpenMP: true})
+	c, err := cgen.Generate(m, planOf, cgen.Options{OpenMP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,37 +400,44 @@ func TestGeneratedCWavefrontShape(t *testing.T) {
 // element against the interpreter's sequential run: the tile grid
 // validated end to end through the C backend.
 func TestCompiledCWavefrontMatchesInterpreter(t *testing.T) {
-	ccValidate(t, psrc.RelaxationGS, "Relaxation", plan.Options{Hyperplane: true},
-		wavefrontBuilds, 9, 6, true)
+	ccValidate(t, gridCase(psrc.RelaxationGS, "Relaxation", 9, 6), plan.Options{Hyperplane: true},
+		ompBuilds, true)
 }
 
+// sharedEnum declares one enum in a callee and in its caller.
+const sharedEnum = `
+Pick: module (K: int; N: int): [Y: array [I] of real];
+type
+    Light = (Red, Green, Blue);
+    I = 0 .. N;
+define
+    Y[I] = if ord(Red) = K then 1.0 else 2.0;
+end Pick;
+Main: module (K: int; N: int): [Z: array [I] of real];
+type
+    Light = (Red, Green, Blue);
+    I = 0 .. N;
+define
+    Z = Pick(K + ord(Green), N);
+end Main;
+`
+
 // TestGeneratedCPipeline checks module-call code generation, single- and
-// multi-target.
+// multi-target: one translation unit holds the callee as a static
+// function ahead of its caller, under one prelude, and it compiles and
+// runs bitwise equal to the interpreter.
 func TestGeneratedCPipeline(t *testing.T) {
-	prog, err := parser.ParseProgram("t.ps", psrc.Pipeline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := sem.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var full strings.Builder
-	for _, name := range []string{"Smooth", "Pipeline"} {
-		m := cp.Module(name)
-		sched, err := core.Build(depgraph.Build(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := cgen.Generate(m, plan.Lower(m, sched, plan.Options{}), cgen.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full.WriteString(c)
-	}
-	out := full.String()
+	out, _, _ := generate(t, psrc.Pipeline, "Pipeline", cgen.Options{})
 	if !strings.Contains(out, "Smooth_result") || !strings.Contains(out, "= Smooth(") {
 		t.Errorf("pipeline C missing module call:\n%s", out)
+	}
+	callee := strings.Index(out, "static Smooth_result Smooth(const double *Xs, long N)")
+	caller := strings.Index(out, "\nPipeline_result Pipeline(const double *Xs, long N)")
+	if callee < 0 || caller < callee {
+		t.Errorf("pipeline C does not define static Smooth ahead of Pipeline:\n%s", out)
+	}
+	if n := strings.Count(out, "static inline double ps_fmin("); n != 1 {
+		t.Errorf("pipeline C has %d preludes, want 1:\n%s", n, out)
 	}
 	// Call targets take the callee's result arrays: allocating them too
 	// would leak one array per call.
@@ -393,9 +461,24 @@ func TestGeneratedCPipeline(t *testing.T) {
 			t.Errorf("C missing %q:\n%s", want, c)
 		}
 	}
-	if strings.Contains(c, "malloc(") {
-		t.Errorf("C allocates a call target:\n%s", c)
+	main := c[strings.Index(c, "\nMain_result Main("):]
+	if strings.Contains(main, "malloc(") {
+		t.Errorf("C allocates a call target:\n%s", main)
 	}
+
+	// A caller and its callee that declare the same enum share its one
+	// typedef: a second would redeclare the enumerators.
+	c, _, _ = generate(t, sharedEnum, "Main", cgen.Options{})
+	if n := strings.Count(c, "typedef enum { Red, Green, Blue } Light;"); n != 1 {
+		t.Errorf("C declares Light %d times, want 1:\n%s", n, c)
+	}
+
+	t.Run("Pipeline", func(t *testing.T) {
+		ccValidate(t, rowCase(psrc.Pipeline, "Pipeline", 9, "Zs"), plan.Options{Hyperplane: true}, ompBuilds, false)
+	})
+	t.Run("Halves", func(t *testing.T) {
+		ccValidate(t, rowCase(psrc.Halves, "Main", 9, "Ls", "Hs"), plan.Options{Hyperplane: true}, ompBuilds, false)
+	})
 }
 
 // TestGeneratedCMultiKernelWavefrontShape checks the multi-equation
@@ -425,8 +508,8 @@ func TestGeneratedCMultiKernelWavefrontShape(t *testing.T) {
 // and without -fopenmp — and compares every element against the
 // interpreter's sequential run.
 func TestCompiledCMultiKernelWavefrontMatchesInterpreter(t *testing.T) {
-	ccValidate(t, psrc.CoupledGrid, "CoupledGrid", plan.Options{Hyperplane: true},
-		wavefrontBuilds, 9, 3, true)
+	ccValidate(t, gridCase(psrc.CoupledGrid, "CoupledGrid", 9, 3), plan.Options{Hyperplane: true},
+		ompBuilds, true)
 }
 
 // TestGeneratedCMinMaxNaN pins the NaN and signed-zero semantics of

@@ -141,27 +141,54 @@ func TestCopySpan(t *testing.T) {
 	}
 }
 
-// TestDoAllEarliestFailure runs a DOALL whose every point from I = 57 on
-// reads past S, on tiles at W ∈ {2, 4}: the tiles fail in whatever order
-// they are claimed, and each run must still report the earliest failing
-// point's subscript (257), the error of the inline walk.
+// rowScan carries a recurrence along each row of a grid: the rows are
+// independent, so A lowers to doall I around do J leaf, a DOALL whose
+// body holds a loop, and P's copy to a collapsed leaf DOALL.
+const rowScan = `
+Scan: module (Xs: array[I,J] of real; N: int): [P: array[I,J] of real];
+type
+    I, J = 0 .. N;
+var
+    A: array [0 .. N, 0 .. N] of real;
+define
+    (*eq.1*) A[I,J] = if J = 0 then Xs[I,J] else 0.5 * A[I,J-1] + Xs[I,J];
+    (*eq.2*) P[I,J] = A[I,J];
+end Scan;
+`
+
+// TestDoAllEarliestFailure runs DOALLs that fail at many points on
+// tiles at W ∈ {2, 4}: the tiles fail in whatever order they are
+// claimed, and each run must still report the earliest failing point's
+// error, the one the inline sweep meets. Overrun's leaf DOALL reads past
+// S from I = 57 on (subscript 257); rowScan's DOALL I, whose body is a
+// loop, reads past Xs on every row from I = 28 on, inside a tile that no
+// worker claims first.
 func TestDoAllEarliestFailure(t *testing.T) {
 	const n, d = 256, 200
-	ip := compileSrc(t, overrun)
-	args := []any{realBox(value.Axis{Lo: 1, Hi: n}), int64(n), int64(d)}
-	_, refErr := ip.Run("Overrun", args, interp.Options{Sequential: true})
-	if refErr == nil || !strings.Contains(refErr.Error(), "subscript 257 ") {
-		t.Fatalf("reference error %v, want subscript 257", refErr)
-	}
-	for _, w := range []int{2, 4} {
-		for rep := 0; rep < 10; rep++ {
-			var st interp.Stats
-			_, err := ip.Run("Overrun", args, interp.Options{Workers: w, Grain: 1, Stats: &st})
-			if st.Chunks.Load() == 0 {
-				t.Fatalf("W=%d: the DOALL ran inline", w)
-			}
-			if err == nil || err.Error() != refErr.Error() {
-				t.Fatalf("W=%d run %d: error %v, want %v", w, rep, err, refErr)
+	for _, tc := range []struct {
+		src, module, want string
+		args              []any
+	}{
+		{overrun, "Overrun", "subscript 257 ",
+			[]any{realBox(value.Axis{Lo: 1, Hi: n}), int64(n), int64(d)}},
+		{rowScan, "Scan", "subscript 28 ",
+			[]any{realBox(value.Axis{Lo: 0, Hi: 27}, value.Axis{Lo: 0, Hi: 63}), int64(63)}},
+	} {
+		ip := compileSrc(t, tc.src)
+		_, refErr := ip.Run(tc.module, tc.args, interp.Options{Sequential: true})
+		if refErr == nil || !strings.Contains(refErr.Error(), tc.want) {
+			t.Fatalf("%s: reference error %v, want %q", tc.module, refErr, tc.want)
+		}
+		for _, w := range []int{2, 4} {
+			for rep := 0; rep < 10; rep++ {
+				var st interp.Stats
+				_, err := ip.Run(tc.module, tc.args, interp.Options{Workers: w, Grain: 1, Stats: &st})
+				if st.Chunks.Load() == 0 {
+					t.Fatalf("%s W=%d: the DOALL ran inline", tc.module, w)
+				}
+				if err == nil || err.Error() != refErr.Error() {
+					t.Fatalf("%s W=%d run %d: error %v, want %v", tc.module, w, rep, err, refErr)
+				}
 			}
 		}
 	}

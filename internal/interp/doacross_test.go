@@ -140,10 +140,11 @@ end Scale;
 // TestDispatchRule pins the one size rule every parallel step obeys: a
 // DOALL is a one-plane nest, so at W = 2 it tiles from 64 points
 // (TilePlane's 32 × 2) and runs inline below; Grain(1) tiles any DOALL
-// of two points but still blocks a large one into at most 4W tiles; and
-// small activations run one after another stay inline however many
-// there are, since the rule is per step. Every run matches the
-// sequential reference.
+// of two points but still blocks a large one into at most 4W tiles, a
+// DOALL whose body is a loop included; and small activations run one
+// after another stay inline however many there are, since the rule is
+// per step. Every run matches the sequential reference on fresh storage
+// bitwise.
 func TestDispatchRule(t *testing.T) {
 	smooth := compileSrc(t, psrc.Smooth)
 	xs := func(points int64) *value.Array {
@@ -155,7 +156,9 @@ func TestDispatchRule(t *testing.T) {
 	}
 	chunks := func(ip *interp.Program, module string, args []any, opts interp.Options) int64 {
 		t.Helper()
-		want, err := ip.Run(module, args, interp.Options{Sequential: true})
+		// The reference leaves the arena empty, so a point the run under
+		// test skips cannot read a backing the reference filled.
+		want, err := ip.Run(module, args, interp.Options{Sequential: true, NoArena: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,8 +168,8 @@ func TestDispatchRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[0].(*value.Array).F, want[0].(*value.Array).F) {
-			t.Errorf("%s %+v diverges from the sequential reference", module, opts)
+		if !sameBits(got, want) {
+			t.Errorf("%s %+v diverges bitwise from the sequential reference", module, opts)
 		}
 		return stats.Chunks.Load()
 	}
@@ -193,6 +196,14 @@ func TestDispatchRule(t *testing.T) {
 	}
 	if got := chunks(scale, "Scale", []any{a, int64(n)}, interp.Options{Workers: 2, Grain: 1}); got < 2 || got > 4*2 {
 		t.Errorf("512x512 DOALL at grain 1 made %d chunks, want 2..%d", got, 4*2)
+	}
+
+	// Both of rowScan's DOALLs tile on I, 16 values cut 4W ways: the
+	// DOALL I around do J leaf runs its loop body per point on tiles.
+	scan := compileSrc(t, rowScan)
+	xsGrid := realBox(value.Axis{Lo: 0, Hi: 15}, value.Axis{Lo: 0, Hi: 15})
+	if got := chunks(scan, "Scan", []any{xsGrid, int64(15)}, interp.Options{Workers: 2, Grain: 1}); got != 2*4*2 {
+		t.Errorf("row scan at grain 1 made %d chunks, want %d", got, 2*4*2)
 	}
 
 	var stats interp.Stats

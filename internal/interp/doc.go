@@ -119,16 +119,17 @@
 // # Parallel dispatch
 //
 // The run has one parallel executor, the tile executor of
-// internal/sched, and one size rule for every step that may use it. A
-// wavefront is a chained grid of skewed tiles, tile (a, b) waiting on
-// (a−1, b) and (a, b−1); a DOALL step is one row of independent tiles
-// over its collapsed linear index 0..total−1. A DOALL tile that fails
-// leaves the other tiles running, so the run reports the failure of the
-// earliest failing point in the linear index, as the inline walk would;
-// a wavefront stops at its first failure. Whether an activation
-// dispatches a step is a pure function of what its bounds resolve to
-// (TilePlane): the step runs as tiles iff the run has a pool of W > 1
-// workers, the step is not already inside a parallel tile, and
+// internal/sched, one walker (sweepTile) and one size rule. A wavefront
+// is a chained grid of skewed tiles, tile (a, b) waiting on (a−1, b) and
+// (a, b−1); a DOALL is the unchained, unskewed case, one row of
+// independent tiles on its first coordinate not fixed to one value. Its
+// tiles are contiguous in the original order, and a failing one leaves
+// the others running, so the run reports the earliest failing point, as
+// the inline sweep would; a wavefront stops at its first failure.
+// Whether an activation dispatches a step is a pure function of what its
+// bounds resolve to (TilePlane): the step runs as tiles iff the run has
+// a pool of W > 1 workers, the step is not already inside a parallel
+// tile, and
 //
 //	points / planes ≥ g × W
 //
@@ -137,11 +138,10 @@
 // coordinates (the first two past any the box fixes to one value) take
 // e0 and e1 values — with e0 or e1 of 1 its grid would be one chain, and
 // it never tiles — and g is Options.Grain when the caller set one and
-// 32 otherwise. A DOALL's tiles are max(g, span/(4W)) wide on its
-// linear index; a wavefront cuts each tiled coordinate into 4W tiles,
-// or W for the row. Everything else runs on the calling goroutine: a
-// DOALL walks its linear index with the walker its tiles use, a
-// wavefront sweeps the one tile covering its box.
+// 32 otherwise. Every tiled coordinate is cut into 4W tiles (W for a
+// wavefront's row), none narrower than one value; a DOALL's other
+// coordinates stay whole. Everything else sweeps the one tile covering
+// the box on the calling goroutine.
 // Nothing is measured and nothing is remembered between activations, so
 // the same bounds always take the same side and Runner.Explain is a
 // function of plan and options alone.

@@ -43,9 +43,8 @@ type Options struct {
 	NoVirtual bool
 	// Grain is the g of the one dispatch rule (TilePlane): a DOALL or
 	// wavefront step tiles when its average plane holds g × workers
-	// points, a DOALL being one plane. It is also the minimum tile width
-	// of a DOALL's linear index; wavefront tiles are cut from the box
-	// alone. <= 0 means 32.
+	// points, a DOALL being one plane. It sets no tile width: tiles are
+	// cut from the box and the worker count alone. <= 0 means 32.
 	Grain int64
 	// Pool, when non-nil, is a shared worker pool whose loops run every
 	// tiled step of the activation tree (through internal/sched) instead
@@ -80,9 +79,10 @@ type Stats struct {
 	// EqInstances counts equation instances executed (one per evaluation
 	// of one equation at one index point).
 	EqInstances atomic.Int64
-	// Chunks counts the tiles of DOALL steps run on the pool. Wavefront
-	// tiles count in Doacross instead; steps run inline contribute
-	// nothing.
+	// Chunks counts the tiles of DOALL steps run on the pool, each a
+	// range of the DOALL's first coordinate that takes more than one
+	// value. Wavefront tiles count in Doacross instead; steps run inline
+	// contribute nothing.
 	Chunks atomic.Int64
 	// Planes counts the planes wavefront steps launched — the
 	// anti-diagonals of a tiled nest's tile grid, or 1 for a nest swept
@@ -704,11 +704,8 @@ func (p *Program) execSteps(en *env, fr []int64, lo, hi int) {
 		case plan.OpDo:
 			p.execDo(en, fr, st, i)
 			i = st.End
-		case plan.OpWavefront:
-			p.execWavefront(en, fr, st, i+1)
-			i = st.End
-		default: // plan.OpDoAll
-			p.execDoAll(en, fr, st, i+1)
+		default: // plan.OpDoAll, plan.OpWavefront
+			p.execGrid(en, fr, st, i+1)
 			i = st.End
 		}
 	}
@@ -760,118 +757,6 @@ func (p *Program) execDo(en *env, fr []int64, st *plan.Step, self int) {
 	}
 }
 
-// execDoAll runs one (pre-collapsed) DOALL step: the plan has already
-// flattened directly nested parallel loops into one linear iteration
-// space 0..total−1. A DOALL is one plane with no carried dependence, so
-// it dispatches by the wavefront's rule (TilePlane) with planes = 1: a
-// top-level step on a pool of W > 1 workers whose points reach g × W
-// runs as one row of tiles of that linear index on the executor
-// (internal/sched); anything smaller, or inside a parallel chunk or
-// tile, runs on the calling goroutine as one KDoAll span.
-// Both sides walk the space with walkDoAll.
-func (p *Program) execDoAll(en *env, fr []int64, st *plan.Step, bodyLo int) {
-	rs := en.rs
-	var lob, hib [plan.MaxCollapse]int64
-	total := int64(1)
-	for d, slot := range st.Dims {
-		b := en.bounds[slot]
-		if b[1] < b[0] {
-			return // empty dimension: no equation instances at all
-		}
-		lob[d], hib[d] = b[0], b[1]
-		total *= b[1] - b[0] + 1
-	}
-	least := int64(0)
-	if rs.pool != nil && !en.inParallel {
-		least = TilePlane(rs.pool.Workers(), rs.opts.Grain)
-	}
-	if least == 0 || total < least {
-		ring, t0 := en.beginSpan()
-		p.walkDoAll(en, fr, st, bodyLo, &lob, &hib, 0, total-1)
-		en.endSpan(ring, obs.KDoAll, t0, total, 0)
-		return
-	}
-
-	// The linear index is one row of independent tiles, each on pooled
-	// worker state (env + frame) and counted as a chunk. A tile that
-	// fails leaves the others running, so the failure re-raised on the
-	// caller is the lowest tile's, at the earliest failing point of the
-	// linear index — the one the inline walk meets. A tile that ends
-	// with the run's context fired returns false, which stops the
-	// executor claiming tiles.
-	cols, w := sched.Cut(total, sched.TilesPerWorker*int64(rs.pool.Workers()), rs.opts.Grain)
-	scope := workerScope{en: en, fr: fr, chunk: true}
-	body := func(_ *obs.Ring, _, b int) bool {
-		lo := int64(b) * w
-		hi := min(lo+w, total) - 1
-		scope.run(b, hi-lo+1, nil, func(sub *env, wfr []int64) {
-			p.walkDoAll(sub, wfr, st, bodyLo, &lob, &hib, lo, hi)
-		})
-		return !rs.cancelled()
-	}
-	if rs.labels {
-		body = labeled(rs, body, pprof.Labels(
-			"ps_module", en.cm.m.Name, "ps_step", "doall", "ps_eqs", stepEqs(en.cp, bodyLo, st.End)))
-	}
-	completed := sched.Run(sched.Grid{Rows: 1, Cols: cols}, rs.pool, body, nil, nil)
-	scope.rethrow()
-	if !completed {
-		panic(runtimeError{err: rs.ctx.Err()})
-	}
-}
-
-// walkDoAll runs the linear indices [start, end] of a collapsed DOALL
-// step (box lob..hib over st.Dims, innermost dimension fastest) on en:
-// it decomposes start into the frame once, then advances it
-// odometer-style — no div/mod per point. A leaf body hands its kernels
-// row spans clipped to [start, end] instead of re-entering the step
-// dispatcher per point. Cancellation is polled per row (leaf) or point.
-func (p *Program) walkDoAll(en *env, fr []int64, st *plan.Step, bodyLo int, lob, hib *[plan.MaxCollapse]int64, start, end int64) {
-	dims := st.Dims
-	ndim := len(dims)
-	rem := start
-	for d := ndim - 1; d >= 0; d-- {
-		n := hib[d] - lob[d] + 1
-		fr[dims[d]] = lob[d] + rem%n
-		rem /= n
-	}
-	if !st.Leaf {
-		for li := start; ; li++ {
-			en.rs.pollCancel()
-			p.execSteps(en, fr, bodyLo, st.End)
-			if li == end {
-				return
-			}
-			advance(fr, dims, lob, hib)
-		}
-	}
-	spans := en.cp.spans[bodyLo-1]
-	inner := dims[ndim-1]
-	for li := start; ; {
-		en.rs.pollCancel()
-		seg := min(hib[ndim-1]-fr[inner]+1, end-li+1)
-		for _, b := range spans {
-			b.span(en, fr, seg)
-		}
-		if li += seg; li > end {
-			return
-		}
-		// The span restored the innermost coordinate; jump it to the row
-		// end so advance carries into the outer dims.
-		fr[inner] += seg - 1
-		advance(fr, dims, lob, hib)
-	}
-}
-
-// labeled wraps a tile body in a pprof label set so CPU samples taken
-// while it runs carry the executing module/step/equations.
-func labeled(rs *runState, body sched.Body, lbls pprof.LabelSet) sched.Body {
-	return func(ring *obs.Ring, a, b int) (ok bool) {
-		pprof.Do(rs.ctx, lbls, func(context.Context) { ok = body(ring, a, b) })
-		return ok
-	}
-}
-
 // stepEqs joins the labels of the equation steps in [lo, hi) — the
 // ps_eqs pprof label value.
 func stepEqs(cp *compiledPlan, lo, hi int) string {
@@ -888,81 +773,105 @@ func stepEqs(cp *compiledPlan, lo, hi int) string {
 	return sb.String()
 }
 
-// wfGrid is the resolved geometry of one wavefront activation: the
-// original iteration box and the range of the two skewed coordinates
-// s_r, s_r+1 the tiles cut. The inline sweep is one tile covering the
-// whole box, so it and the tile executor run the same walker (sweepTile).
-type wfGrid struct {
+// tileGrid is the resolved geometry of one parallel step's activation:
+// the volume of its iteration box and the range of the coordinates s_r,
+// s_r+1 the tiles cut. A wavefront's s is its skewed space, cut on both
+// coordinates into a chained grid. A DOALL is the same nest with the
+// identity skew and no carried dependence: s is the box itself, cut on
+// s_r alone into independent tiles. The inline run is one tile covering
+// the whole box, so it and the tile executor run the same walker
+// (sweepTile).
+type tileGrid struct {
 	st *plan.Step
-	// sk is the step's skew S (Hyper.Skew).
+	// sk is the wavefront's skew S (Hyper.Skew); nil for a DOALL.
 	sk [][]int64
 	// bodyLo is the step's first body step; spans are the body spans
 	// each row runs (one per equation for split rows, one of the whole
-	// body for jammed rows).
+	// body for jammed rows), nil for a DOALL whose body holds loops.
 	bodyLo int
 	spans  []*bodySpan
-	// lo, hi is the original iteration box.
-	lo, hi [plan.MaxCollapse]int64
+	// points is the volume of the box, the activation's bounds of
+	// st.Dims (env.bounds, which every tile's env shares).
+	points int64
 	// r skips the leading coordinates the box fixes to one value; slo,
-	// shi bound s_r and s_r+1 over the box.
+	// shi bound s_r and s_r+1 over the box (0, 0 when a DOALL's s_r is
+	// its last coordinate).
 	r        int
 	slo, shi [2]int64
 }
 
 // resolve fills the grid from the activation's bounds; false means some
 // dimension is empty and the nest has no iterations.
-func (g *wfGrid) resolve(en *env, st *plan.Step, bodyLo int) bool {
-	g.st, g.sk = st, st.Hyper.Skew
-	g.bodyLo, g.spans = bodyLo, en.cp.spans[bodyLo-1]
-	for j, slot := range st.Dims {
+func (g *tileGrid) resolve(en *env, st *plan.Step, bodyLo int) bool {
+	g.st, g.bodyLo, g.spans = st, bodyLo, en.cp.spans[bodyLo-1]
+	if st.Hyper != nil {
+		g.sk = st.Hyper.Skew
+	}
+	g.points = 1
+	for _, slot := range st.Dims {
 		b := en.bounds[slot]
 		if b[1] < b[0] {
 			return false
 		}
-		g.lo[j], g.hi[j] = b[0], b[1]
+		g.points *= b[1] - b[0] + 1
 	}
-	for g.r < len(st.Dims)-2 && g.lo[g.r] == g.hi[g.r] {
+	last := len(st.Dims) - 1
+	if g.chained() {
+		last-- // a wavefront tiles two coordinates
+	}
+	for g.r < last && en.bounds[st.Dims[g.r]][0] == en.bounds[st.Dims[g.r]][1] {
 		g.r++
 	}
-	for k := range g.slo {
-		for j, c := range g.sk[g.r+k][:g.r+k+1] {
-			g.slo[k] += min(c*g.lo[j], c*g.hi[j])
-			g.shi[k] += max(c*g.lo[j], c*g.hi[j])
+	for k := range min(len(g.slo), len(st.Dims)-g.r) {
+		j := g.r + k
+		if !g.chained() {
+			b := en.bounds[st.Dims[j]]
+			g.slo[k], g.shi[k] = b[0], b[1]
+			continue
+		}
+		for i, c := range g.sk[j][:j+1] {
+			b := en.bounds[st.Dims[i]]
+			g.slo[k] += min(c*b[0], c*b[1])
+			g.shi[k] += max(c*b[0], c*b[1])
 		}
 	}
 	return true
 }
 
-// extent is the number of values s_r+k takes over the box.
-func (g *wfGrid) extent(k int) int64 { return g.shi[k] - g.slo[k] + 1 }
+// chained reports whether the grid is a wavefront's: its tiles wait on
+// their neighbours in s_r and s_r+1.
+func (g *tileGrid) chained() bool { return g.sk != nil }
 
-// tiled applies TilePlane to this activation's bounds. The planes of a
-// wavefront are the anti-diagonals of its two tiled coordinates at unit
-// width, extent(0) + extent(1) − 1 of them; a grid of one chain runs
-// inline.
-func (g *wfGrid) tiled(workers int, grain int64) bool {
-	least := TilePlane(workers, grain)
-	if least == 0 || g.extent(0) < 2 || g.extent(1) < 2 {
-		return false
+// extent is the number of values s_r+k takes over the box.
+func (g *tileGrid) extent(k int) int64 { return g.shi[k] - g.slo[k] + 1 }
+
+// tiled applies TilePlane to this activation's bounds. A DOALL is one
+// plane; the planes of a wavefront are the anti-diagonals of its two
+// tiled coordinates at unit width, extent(0) + extent(1) − 1 of them. A
+// grid of one tile, or of one chain, runs inline.
+func (g *tileGrid) tiled(workers int, grain int64) bool {
+	least, planes := TilePlane(workers, grain), int64(1)
+	if g.chained() {
+		planes = g.extent(0) + g.extent(1) - 1
 	}
-	points := int64(1)
-	for j := range g.st.Dims {
-		points *= g.hi[j] - g.lo[j] + 1
-	}
-	return points/(g.extent(0)+g.extent(1)-1) >= least
+	return least > 0 && g.extent(0) >= 2 && (!g.chained() || g.extent(1) >= 2) &&
+		g.points/planes >= least
 }
 
-// tileWidths cuts the two tiled coordinates for a pool of workers, none
-// narrower than one coordinate value: each into TilesPerWorker tiles per
-// worker, except the innermost coordinate. There the tiled coordinate
-// is the row itself, and every cut adds a span (its certificate and
-// guard split) per row; it is cut once per worker, the fewest tiles that
-// still keep every worker in the pipeline. It is a pure function of the
-// box and the worker count.
-func (g *wfGrid) tileWidths(workers int) (w [2]int64) {
+// tileWidths cuts the tiled coordinates for a pool of workers, none
+// narrower than one value: each into TilesPerWorker tiles per worker,
+// except that a DOALL leaves s_r+1 whole and a wavefront cuts the
+// innermost coordinate once per worker. There the tiled coordinate is
+// the row, every cut adds a span (its certificate and guard split) per
+// row, and once per worker still keeps every worker in the pipeline. It
+// is a pure function of the box and the worker count.
+func (g *tileGrid) tileWidths(workers int) (w [2]int64) {
 	for k := range w {
 		per := int64(sched.TilesPerWorker * workers)
-		if g.r+k == len(g.st.Dims)-1 {
+		switch {
+		case !g.chained() && k == 1:
+			per = 1
+		case g.chained() && g.r+k == len(g.st.Dims)-1:
 			per = int64(workers)
 		}
 		w[k] = (g.extent(k) + per - 1) / per
@@ -974,21 +883,33 @@ func (g *wfGrid) tileWidths(workers int) (w [2]int64) {
 // s_r+1 in [tlo[1], thi[1]], in skewed-lexicographic order. S is unit
 // lower-triangular, so with the outer indices fixed s_j = x_j + c: each
 // level is a range of x_j clipped to the box (and, for s_r and s_r+1,
-// to the tile), and a tile covering the box runs the original order.
-func (p *Program) sweepTile(en *env, fr []int64, g *wfGrid, j int, tlo, thi *[2]int64) {
-	lo, hi := g.lo[j], g.hi[j]
+// to the tile), and a tile covering the box runs the original order. A
+// DOALL's c is 0.
+func (p *Program) sweepTile(en *env, fr []int64, g *tileGrid, j int, tlo, thi *[2]int64) {
+	slot := g.st.Dims[j]
+	lo, hi := en.bounds[slot][0], en.bounds[slot][1]
 	if k := j - g.r; k >= 0 && k < len(tlo) {
 		var off int64
-		for i := 0; i < j; i++ {
-			off += g.sk[j][i] * fr[g.st.Dims[i]]
+		if g.chained() {
+			for i := 0; i < j; i++ {
+				off += g.sk[j][i] * fr[g.st.Dims[i]]
+			}
 		}
 		lo, hi = max(lo, tlo[k]-off), min(hi, thi[k]-off)
 	}
 	if j < len(g.st.Dims)-1 {
-		slot := g.st.Dims[j]
 		for x := lo; x <= hi; x++ {
 			fr[slot] = x
 			p.sweepTile(en, fr, g, j+1, tlo, thi)
+		}
+		return
+	}
+	if g.spans == nil {
+		// A DOALL whose body holds loops runs it at each point.
+		for x := lo; x <= hi; x++ {
+			en.rs.pollCancel()
+			fr[slot] = x
+			p.execSteps(en, fr, g.bodyLo, g.st.End)
 		}
 		return
 	}
@@ -997,7 +918,6 @@ func (p *Program) sweepTile(en *env, fr []int64, g *wfGrid, j int, tlo, thi *[2]
 	// equation in turn, or — when a dependence inside the row runs from a
 	// later equation to an earlier one — as one span of the body, its
 	// equations jammed point by point.
-	slot := g.st.Dims[j]
 	fr[slot] = lo
 	for _, b := range g.spans {
 		b.span(en, fr, hi-lo+1)
@@ -1027,23 +947,24 @@ func TilePlane(workers int, grain int64) int64 {
 	return grain * int64(workers)
 }
 
-// execWavefront runs one §4-restructured nest as tiles of skewed
-// iteration space (plan.Hyper). A top-level activation on a pool whose
-// average plane is wide enough (tiled) hands the tile grid to the tile
-// executor; everything else — one worker, a nest inside a parallel chunk
-// or tile, a small box — sweeps one tile covering the box on the calling
-// goroutine, which is the original loop order.
-func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) {
+// execGrid runs one parallel step: a DOALL (§3) or a §4-restructured
+// nest, as tiles of its iteration space (tileGrid). A top-level
+// activation on a pool whose average plane is wide enough (tiled) hands
+// the tile grid to the tile executor; everything else — one worker, a
+// step inside a parallel chunk or tile, a small box — sweeps one tile
+// covering the box on the calling goroutine, which is the original loop
+// order.
+func (p *Program) execGrid(en *env, fr []int64, st *plan.Step, bodyLo int) {
 	rs := en.rs
-	var g wfGrid
+	var g tileGrid
 	if !g.resolve(en, st, bodyLo) {
 		return // empty dimension: the nest has no iterations
 	}
 	if rs.pool != nil && !en.inParallel && g.tiled(rs.pool.Workers(), rs.opts.Grain) {
-		p.execWavefrontTiles(en, fr, &g)
+		p.execTiles(en, fr, g)
 		return
 	}
-	if rs.stats != nil {
+	if g.chained() && rs.stats != nil {
 		rs.stats.Planes.Add(1)
 	}
 	// The sweep's span lands on the activation's ring; inside a parallel
@@ -1051,47 +972,70 @@ func (p *Program) execWavefront(en *env, fr []int64, st *plan.Step, bodyLo int) 
 	// covers the work and nothing is emitted here.
 	ring, t0 := en.beginSpan()
 	p.sweepTile(en, fr, &g, 0, &g.slo, &g.shi)
-	en.endSpan(ring, obs.KPlane, t0, int64(bodyLo-1), 0)
+	if g.chained() {
+		en.endSpan(ring, obs.KPlane, t0, int64(bodyLo-1), 0)
+	} else {
+		en.endSpan(ring, obs.KDoAll, t0, g.points, 0)
+	}
 }
 
-// execWavefrontTiles runs a wavefront nest's tile grid on the pool. The
-// tiled coordinates s_r, s_r+1 are cut into A × B tiles (tileWidths),
-// run as a chained sched.Grid: tile (a, b) starts once (a−1, b) and
-// (a, b−1) are done, and every dependence of the skewed nest points to
-// a tile with no larger coordinate, reached through that chain. Each
-// tile runs sweepTile over its rectangle, so the points, kernels and
-// per-point order are those of the inline sweep, and the two are
-// bitwise identical.
-func (p *Program) execWavefrontTiles(en *env, fr []int64, g *wfGrid) {
+// execTiles runs a step's tile grid on the pool. The tiled coordinates
+// are cut by tileWidths. A wavefront's A × B tiles run as a chained
+// sched.Grid: tile (a, b) starts once (a−1, b) and (a, b−1) are done,
+// and every dependence of the skewed nest points to a tile with no
+// larger coordinate, reached through that chain. A DOALL's tiles on s_r
+// are the columns of one unchained row. Each tile runs sweepTile over
+// its rectangle, so the points, kernels and per-point order are those of
+// the inline sweep, and the two are bitwise identical.
+func (p *Program) execTiles(en *env, fr []int64, g tileGrid) {
 	rs := en.rs
+	chain := g.chained()
 	w := g.tileWidths(rs.pool.Workers())
 	na := int((g.extent(0) + w[0] - 1) / w[0])
 	nb := int((g.extent(1) + w[1] - 1) / w[1])
+	grid, step := sched.Grid{Rows: na, Cols: nb, Chain: true}, "wavefront"
 	var stats *sched.Stats
-	if rs.stats != nil {
+	rec := rs.rec
+	if !chain {
+		// DOALL tiles count as chunks and record their own spans (the
+		// scope's chunk); sched.Run records nothing for them.
+		grid, step, rec = sched.Grid{Rows: 1, Cols: na}, "doall", nil
+	} else if rs.stats != nil {
 		stats = &rs.stats.Doacross
 	}
-	scope := workerScope{en: en, fr: fr}
+	rowPoints := g.points / g.extent(0)
+	scope := workerScope{en: en, fr: fr, chunk: !chain}
 	body := func(ring *obs.Ring, a, b int) bool {
-		if rs.stats != nil && (b == 0 || a == na-1) {
+		if !chain {
+			a, b = b, 0 // column b of a DOALL's row is its tile b on s_r
+		} else if rs.stats != nil && (b == 0 || a == na-1) {
 			// The first tile of each anti-diagonal counts it once.
 			rs.stats.Planes.Add(1)
 		}
 		tlo := [2]int64{g.slo[0] + int64(a)*w[0], g.slo[1] + int64(b)*w[1]}
 		thi := [2]int64{min(tlo[0]+w[0]-1, g.shi[0]), min(tlo[1]+w[1]-1, g.shi[1])}
-		// The tile runs on pooled worker state, capturing failures the way
-		// DOALL tiles do; a recorded failure stops the whole grid here and
-		// re-raises after Run.
-		ok := scope.run(a*nb+b, 0, ring, func(sub *env, wfr []int64) {
-			p.sweepTile(sub, wfr, g, 0, &tlo, &thi)
+		// The tile runs on pooled worker state, which captures a failure.
+		// A failed wavefront tile stops the whole grid here; DOALL tiles
+		// keep running, so the failure re-raised after Run is the lowest
+		// tile's, at its earliest point — the one the inline sweep meets.
+		// A tile that ends with the run's context fired returns false,
+		// which stops the executor claiming tiles.
+		ok := scope.run(a*nb+b, rowPoints*(thi[0]-tlo[0]+1), ring, func(sub *env, wfr []int64) {
+			p.sweepTile(sub, wfr, &g, 0, &tlo, &thi)
 		})
-		return ok && !rs.cancelled()
+		return (ok || !chain) && !rs.cancelled()
 	}
 	if rs.labels {
-		body = labeled(rs, body, pprof.Labels("ps_module", en.cm.m.Name,
-			"ps_step", "wavefront", "ps_eqs", stepEqs(en.cp, g.bodyLo, g.st.End)))
+		// CPU samples taken while a tile runs carry its module, step and
+		// equations.
+		lbls, unlabeled := pprof.Labels("ps_module", en.cm.m.Name,
+			"ps_step", step, "ps_eqs", stepEqs(en.cp, g.bodyLo, g.st.End)), body
+		body = func(ring *obs.Ring, a, b int) (ok bool) {
+			pprof.Do(rs.ctx, lbls, func(context.Context) { ok = unlabeled(ring, a, b) })
+			return ok
+		}
 	}
-	completed := sched.Run(sched.Grid{Rows: na, Cols: nb, Chain: true}, rs.pool, body, stats, rs.rec)
+	completed := sched.Run(grid, rs.pool, body, stats, rec)
 	scope.rethrow()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})
@@ -1115,16 +1059,4 @@ func floorDiv(a, b int64) int64 {
 		q--
 	}
 	return q
-}
-
-// advance steps the frame one point through a collapsed iteration space,
-// innermost dimension fastest with carry into the outer ones.
-func advance(fr []int64, dims []int, lob, hib *[plan.MaxCollapse]int64) {
-	for d := len(dims) - 1; d >= 0; d-- {
-		slot := dims[d]
-		if fr[slot]++; fr[slot] <= hib[d] {
-			return
-		}
-		fr[slot] = lob[d]
-	}
 }

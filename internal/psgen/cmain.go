@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cgen"
 	"repro/internal/plan"
+	"repro/internal/sem"
 	"repro/internal/value"
 )
 
@@ -21,7 +22,13 @@ import (
 // runs it on the same inputs, and compares every printed element
 // bitwise against the interpreter's sequential reference.
 func ccCheck(ctx context.Context, out *Outcome, sp *Spec, fe *frontendResult, pl *plan.Program, ref []any, o Options) {
-	cSrc, err := cgen.Generate(fe.mod, pl, cgen.Options{OpenMP: o.OpenMP})
+	// A generated program is one module: it has no callee to plan.
+	cSrc, err := cgen.Generate(fe.mod, func(m *sem.Module) *plan.Program {
+		if m != fe.mod {
+			return nil
+		}
+		return pl
+	}, cgen.Options{OpenMP: o.OpenMP})
 	if err != nil {
 		out.addf("cc", "cgen", "%v", err)
 		return

@@ -24,7 +24,8 @@
 // wavefront is a chained grid of skewed tiles: every dependence of the
 // skewed nest points to a tile with no larger coordinate, which that
 // chain reaches. A DOALL is one unchained row: its tiles are
-// independent, claimed in any order, and Cut gives their widths.
+// independent and claimed in any order; what each covers is the
+// caller's.
 //
 // Tiles are claimed with a CAS so any worker may run any ready tile
 // (work stealing); a worker that finds nothing ready spins briefly, then

@@ -83,18 +83,6 @@ type run struct {
 	rec *obs.Recorder
 }
 
-// Cut blocks n points into tiles of one width: n/per points, but no
-// fewer than minW nor than one, and no more than n. It returns the tile
-// count and width; tile b covers [b·w, min((b+1)·w, n) − 1]. per is the
-// number of tiles wanted, TilesPerWorker per worker for a DOALL.
-func Cut(n, per, minW int64) (tiles int, w int64) {
-	if n <= 0 {
-		return 0, 0
-	}
-	w = min(max(minW, n/per, 1), n)
-	return int((n + w - 1) / w), w
-}
-
 // runs recycles run objects, with their per-column counters and wake
 // channel.
 var runs = sync.Pool{New: func() any {

@@ -317,31 +317,6 @@ func TestDoacrossEmpty(t *testing.T) {
 	}
 }
 
-// TestTiles pins Cut, the blocking arithmetic of DOALL tiles that
-// Explain reports.
-func TestTiles(t *testing.T) {
-	cases := []struct {
-		n, per, minW int64
-		ntiles       int
-		tileW        int64
-	}{
-		{100, 2 * TilesPerWorker, 0, 9, 12},  // width n/per = 12
-		{10, 4 * TilesPerWorker, 0, 10, 1},   // narrow span: unit tiles
-		{100, TilesPerWorker, 40, 3, 40},     // minimum width
-		{10, TilesPerWorker, 1 << 20, 1, 10}, // clamped to the span
-		{0, TilesPerWorker, 0, 0, 0},         // empty
-		{-3, TilesPerWorker, 0, 0, 0},        // empty
-		{21, 1 * TilesPerWorker, 0, 5, 5},    // 21/4 = 5
-		{1 << 20, 2 * TilesPerWorker, 0, 8, 1 << 17},
-	}
-	for i, tc := range cases {
-		n, w := Cut(tc.n, tc.per, tc.minW)
-		if n != tc.ntiles || w != tc.tileW {
-			t.Errorf("case %d: Cut(%d, %d, %d) = (%d, %d), want (%d, %d)", i, tc.n, tc.per, tc.minW, n, w, tc.ntiles, tc.tileW)
-		}
-	}
-}
-
 // TestHomeWorker checks the steal-attribution mapping is the inverse of
 // the worker scan assignment: every worker's scan-start column — and
 // every column in its contiguous home span — must map back to that
@@ -365,12 +340,15 @@ func TestHomeWorker(t *testing.T) {
 	}
 }
 
-// doall is the grid a DOALL of n points dispatches on a pool of workers
-// with minimum tile width minW — one row of independent tiles — and the
-// tiles' width.
+// doall is a row of independent tiles over n points for a pool of
+// workers, and the tiles' width: n / (TilesPerWorker × workers) points,
+// but no fewer than minW nor than one, and no more than n.
 func doall(n int64, workers int, minW int64) (Grid, int64) {
-	cols, w := Cut(n, TilesPerWorker*int64(workers), minW)
-	return Grid{Rows: 1, Cols: cols}, w
+	if n <= 0 {
+		return Grid{Rows: 1}, 0
+	}
+	w := min(max(minW, n/(TilesPerWorker*int64(workers)), 1), n)
+	return Grid{Rows: 1, Cols: int((n + w - 1) / w)}, w
 }
 
 // span is the inclusive range of points DOALL tile b of width w covers.

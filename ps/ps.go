@@ -258,14 +258,19 @@ type CGenOptions = cgen.Options
 // runs one anti-diagonal at a time with one OpenMP parallel loop over
 // the diagonal's tiles, and each tile walks its box points in the
 // original loop order, rows split or jammed as the interpreter's are.
-// Use GenerateCWith to emit another variant.
+// The modules it calls are in the same translation unit, ahead of it, as
+// static functions. Use GenerateCWith to emit another variant.
 func (m *Module) GenerateC(opts CGenOptions) (string, error) {
-	return cgen.Generate(m.sem, m.pl, opts)
+	return m.GenerateCWith(PlanOptions{}, opts)
 }
 
-// GenerateCWith emits C for a specific plan variant.
+// GenerateCWith emits C for a specific plan variant. The modules this
+// one calls are emitted in the same translation unit, ahead of it, each
+// from the same variant of its plan.
 func (m *Module) GenerateCWith(o PlanOptions, opts CGenOptions) (string, error) {
-	return cgen.Generate(m.sem, m.planFor(o), opts)
+	return cgen.Generate(m.sem, func(c *sem.Module) *plan.Program {
+		return m.prog.ip.Plan(c.Name, plan.Options{Hyperplane: !o.Sequential})
+	}, opts)
 }
 
 // Hyperplane is the result of the §4 analysis and transformation of one
