@@ -13,6 +13,7 @@ package cgen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ast"
@@ -66,7 +67,7 @@ func Generate(m *sem.Module, planOf func(*sem.Module) *plan.Program, opts Option
 		wavefront = wavefront || plans[i].HasWavefront()
 	}
 	last := len(mods) - 1 // m: visit appends a module after its callees
-	g := &generator{opts: opts, enums: make(map[string]bool)}
+	g := &generator{opts: opts, enums: make(map[string]bool), enumPrefix: enumPrefixes(mods)}
 	g.prelude(m, plans[last], wavefront)
 	for i, callee := range mods[:last] {
 		g.line("/* PS module %s, called from %s.", callee.Name, m.Name)
@@ -87,9 +88,11 @@ type generator struct {
 	sb   strings.Builder
 	ind  int
 	err  error
-	// enums holds the enum typedefs emitted so far; a module repeating
-	// one its callee declared reuses it.
-	enums map[string]bool
+	// enums holds the C names of the enum typedefs emitted so far; a
+	// module repeating one its callee declared reuses it. enumPrefix
+	// renames the enums that would clash (enumPrefixes).
+	enums      map[string]bool
+	enumPrefix map[*types.Enum]string
 	// m and pl are the module being emitted and its plan.
 	m  *sem.Module
 	pl *plan.Program
@@ -111,6 +114,45 @@ func (g *generator) line(format string, args ...any) {
 	}
 	fmt.Fprintf(&g.sb, format, args...)
 	g.sb.WriteByte('\n')
+}
+
+// enumPrefixes names the enums of a unit's modules, entry last, in C,
+// where their typedefs and constants share one file scope. Enums of one
+// name and one constant list share a typedef. A callee's enum that
+// differs from another module's, yet shares its name or a constant, has
+// its type and constants prefixed with its module's name and "__", so
+// each keeps its own ordinals. The entry's enums keep their names: a
+// unit without calls is unchanged.
+func enumPrefixes(mods []*sem.Module) map[*types.Enum]string {
+	type decl struct {
+		mod int
+		e   *types.Enum
+	}
+	var decls []decl
+	for i, m := range mods {
+		for _, d := range m.AST.Types {
+			if sym := m.Lookup(d.Names[0].Name); sym != nil && sym.Kind == sem.TypeSym {
+				if e, isEnum := sym.Type.(*types.Enum); isEnum {
+					decls = append(decls, decl{i, e})
+				}
+			}
+		}
+	}
+	clash := func(a, b *types.Enum) bool {
+		if a.Name == b.Name {
+			return !slices.Equal(a.Consts, b.Consts)
+		}
+		return slices.ContainsFunc(a.Consts, func(c string) bool { return slices.Contains(b.Consts, c) })
+	}
+	prefix := make(map[*types.Enum]string)
+	for _, a := range decls {
+		for _, b := range decls {
+			if a.mod != len(mods)-1 && a.mod != b.mod && clash(a.e, b.e) {
+				prefix[a.e] = mods[a.mod].Name + "__"
+			}
+		}
+	}
+	return prefix
 }
 
 // planComment emits a plan's loop plan and virtual dimensions as lines
@@ -175,9 +217,13 @@ func (g *generator) module(m *sem.Module, pl *plan.Program, static bool) {
 		if sym == nil || sym.Kind != sem.TypeSym {
 			continue
 		}
-		if e, isEnum := sym.Type.(*types.Enum); isEnum && !g.enums[d.Names[0].Name] {
-			g.enums[d.Names[0].Name] = true
-			g.line("typedef enum { %s } %s;", strings.Join(e.Consts, ", "), d.Names[0].Name)
+		if e, isEnum := sym.Type.(*types.Enum); isEnum && !g.enums[g.enumPrefix[e]+e.Name] {
+			g.enums[g.enumPrefix[e]+e.Name] = true
+			consts := make([]string, len(e.Consts))
+			for i, c := range e.Consts {
+				consts[i] = g.enumPrefix[e] + c
+			}
+			g.line("typedef enum { %s } %s;", strings.Join(consts, ", "), g.enumPrefix[e]+e.Name)
 			g.line("")
 		}
 	}
@@ -281,7 +327,7 @@ func (g *generator) cType(t types.Type) string {
 		return "const char *"
 	case types.EnumKind:
 		if e, ok := t.(*types.Enum); ok && e.Name != "" {
-			return e.Name
+			return g.enumPrefix[e] + e.Name
 		}
 		return "int"
 	}
@@ -377,7 +423,7 @@ func (g *generator) emitSteps(lo, hi int) {
 // emitWavefront renders a §4-restructured nest as the interpreter runs
 // it (internal/interp's tileGrid and sweepTile): tiles of skewed iteration
 // space s = S·x (Hyper.Skew). The ranges of s₀ and s₁ over the box are
-// cut into an A × B grid by tileGrid.tileWidths' rule for W threads, W =
+// cut into an A × B grid by tileGrid.cuts' rule for W threads, W =
 // omp_get_max_threads() under OpenMP and 1 otherwise (one tile covering
 // the box), and the grid runs one anti-diagonal a + b = d at a time, its
 // tiles in parallel, so tile (a, b) runs after (a−1, b) and (a, b−1). A
@@ -654,7 +700,7 @@ func (g *generator) identRef(x *ast.Ident) string {
 		return x.Name
 	}
 	if sym.Kind == sem.EnumConstSym {
-		return x.Name
+		return g.enumPrefix[sym.Type.(*types.Enum)] + x.Name
 	}
 	if types.Rank(sym.Type) > 0 {
 		// Element-wise whole-array read via the implicit variables.

@@ -422,6 +422,31 @@ define
 end Main;
 `
 
+// clashingEnums declares in a callee an enum its caller declares in
+// another order, and one that shares a constant with another of the
+// caller's: C must give each its own ordinals.
+const clashingEnums = `
+Pick: module (Xs: array [I] of real; N: int): [Y: array [I] of real];
+type
+    Light = (Red, Green, Blue);
+    Tone = (Amber, Dark);
+    I = 0 .. N + 1;
+define
+    Y[I] = Xs[I] + ord(Green) + 10 * ord(Dark);
+end Pick;
+Main: module (Xs: array [I] of real; N: int): [Z: array [I] of real];
+type
+    Light = (Green, Red, Blue);
+    Shade = (Dark, Pale);
+    I = 0 .. N + 1;
+var
+    Y: array [I] of real;
+define
+    Y = Pick(Xs, N);
+    Z[I] = Y[I] + 100 * ord(Green) + 1000 * ord(Blue) + 10000 * ord(Pale);
+end Main;
+`
+
 // TestGeneratedCPipeline checks module-call code generation, single- and
 // multi-target: one translation unit holds the callee as a static
 // function ahead of its caller, under one prelude, and it compiles and
@@ -473,11 +498,27 @@ func TestGeneratedCPipeline(t *testing.T) {
 		t.Errorf("C declares Light %d times, want 1:\n%s", n, c)
 	}
 
+	// Enums that differ yet share a name or a constant cannot share C's
+	// file scope: the callee's take its module's prefix.
+	c, _, _ = generate(t, clashingEnums, "Main", cgen.Options{})
+	for _, want := range []string{
+		"typedef enum { Pick__Red, Pick__Green, Pick__Blue } Pick__Light;",
+		"typedef enum { Pick__Amber, Pick__Dark } Pick__Tone;",
+		"typedef enum { Green, Red, Blue } Light;",
+	} {
+		if !strings.Contains(c, want) {
+			t.Errorf("C missing %q:\n%s", want, c)
+		}
+	}
+
 	t.Run("Pipeline", func(t *testing.T) {
 		ccValidate(t, rowCase(psrc.Pipeline, "Pipeline", 9, "Zs"), plan.Options{Hyperplane: true}, ompBuilds, false)
 	})
 	t.Run("Halves", func(t *testing.T) {
 		ccValidate(t, rowCase(psrc.Halves, "Main", 9, "Ls", "Hs"), plan.Options{Hyperplane: true}, ompBuilds, false)
+	})
+	t.Run("ClashingEnums", func(t *testing.T) {
+		ccValidate(t, rowCase(clashingEnums, "Main", 9, "Z"), plan.Options{Hyperplane: true}, ompBuilds, false)
 	})
 }
 

@@ -156,13 +156,27 @@ define
 end Scan;
 `
 
+// wide reads row I of B from A at I·N + J: an A short of (M + 1)·N
+// points fails on every row, at a subscript that grows with the row.
+const wide = `
+Wide: module (A: array [1 .. (M + 1) * N] of real; M: int; N: int): [B: array [I,J] of real];
+type
+    I = 1 .. M;
+    J = 1 .. N;
+define
+    B[I,J] = A[I * N + J] * 2.0;
+end Wide;
+`
+
 // TestDoAllEarliestFailure runs DOALLs that fail at many points on
 // tiles at W ∈ {2, 4}: the tiles fail in whatever order they are
 // claimed, and each run must still report the earliest failing point's
 // error, the one the inline sweep meets. Overrun's leaf DOALL reads past
 // S from I = 57 on (subscript 257); rowScan's DOALL I, whose body is a
 // loop, reads past Xs on every row from I = 28 on, inside a tile that no
-// worker claims first.
+// worker claims first. wide's 2 × 400 DOALL, too short in I for 4W
+// tiles, is also cut in J; A ends at 500, so row 1 fails from J = 101
+// on (subscript 501) and row 2 at every point (subscript 801 first).
 func TestDoAllEarliestFailure(t *testing.T) {
 	const n, d = 256, 200
 	for _, tc := range []struct {
@@ -173,6 +187,8 @@ func TestDoAllEarliestFailure(t *testing.T) {
 			[]any{realBox(value.Axis{Lo: 1, Hi: n}), int64(n), int64(d)}},
 		{rowScan, "Scan", "subscript 28 ",
 			[]any{realBox(value.Axis{Lo: 0, Hi: 27}, value.Axis{Lo: 0, Hi: 63}), int64(63)}},
+		{wide, "Wide", "subscript 501 ",
+			[]any{realBox(value.Axis{Lo: 1, Hi: 500}), int64(2), int64(400)}},
 	} {
 		ip := compileSrc(t, tc.src)
 		_, refErr := ip.Run(tc.module, tc.args, interp.Options{Sequential: true})

@@ -140,8 +140,9 @@ end Scale;
 // TestDispatchRule pins the one size rule every parallel step obeys: a
 // DOALL is a one-plane nest, so at W = 2 it tiles from 64 points
 // (TilePlane's 32 × 2) and runs inline below; Grain(1) tiles any DOALL
-// of two points but still blocks a large one into at most 4W tiles, a
-// DOALL whose body is a loop included; and small activations run one
+// of two points but still blocks a large one into 4W tiles, a DOALL
+// whose body is a loop included, and one too short in its first
+// coordinate for 4W tiles into 4W all the same; and small activations run one
 // after another stay inline however many there are, since the rule is
 // per step. Every run matches the sequential reference on fresh storage
 // bitwise.
@@ -188,14 +189,16 @@ func TestDispatchRule(t *testing.T) {
 		}
 	}
 
+	// Rows cut 4W ways make 4W tiles whether or not 4W divides them.
 	scale := compileSrc(t, scale2D)
-	const n = 512
-	a := value.NewArray(types.RealKind, []value.Axis{{Lo: 1, Hi: n}, {Lo: 1, Hi: n}})
-	for i := range a.F {
-		a.F[i] = float64(i%13) / 13
-	}
-	if got := chunks(scale, "Scale", []any{a, int64(n)}, interp.Options{Workers: 2, Grain: 1}); got < 2 || got > 4*2 {
-		t.Errorf("512x512 DOALL at grain 1 made %d chunks, want 2..%d", got, 4*2)
+	for _, n := range []int64{18, 512} {
+		a := value.NewArray(types.RealKind, []value.Axis{{Lo: 1, Hi: n}, {Lo: 1, Hi: n}})
+		for i := range a.F {
+			a.F[i] = float64(i%13) / 13
+		}
+		if got := chunks(scale, "Scale", []any{a, n}, interp.Options{Workers: 2, Grain: 1}); got != 4*2 {
+			t.Errorf("%dx%d DOALL at grain 1 made %d chunks, want %d", n, n, got, 4*2)
+		}
 	}
 
 	// Both of rowScan's DOALLs tile on I, 16 values cut 4W ways: the
@@ -204,6 +207,14 @@ func TestDispatchRule(t *testing.T) {
 	xsGrid := realBox(value.Axis{Lo: 0, Hi: 15}, value.Axis{Lo: 0, Hi: 15})
 	if got := chunks(scan, "Scan", []any{xsGrid, int64(15)}, interp.Options{Workers: 2, Grain: 1}); got != 2*4*2 {
 		t.Errorf("row scan at grain 1 made %d chunks, want %d", got, 2*4*2)
+	}
+
+	// A 2 × 400 DOALL has too few rows for 4W tiles: at W = 4 each row
+	// is cut into 8, so every worker still gets tiles.
+	wideIP := compileSrc(t, wide)
+	wideArgs := []any{realBox(value.Axis{Lo: 1, Hi: 1200}), int64(2), int64(400)}
+	if got := chunks(wideIP, "Wide", wideArgs, interp.Options{Workers: 4, Grain: 1}); got != 4*4 {
+		t.Errorf("2x400 DOALL at W = 4 made %d chunks, want %d", got, 4*4)
 	}
 
 	var stats interp.Stats

@@ -122,14 +122,12 @@
 // internal/sched, one walker (sweepTile) and one size rule. A wavefront
 // is a chained grid of skewed tiles, tile (a, b) waiting on (a−1, b) and
 // (a, b−1); a DOALL is the unchained, unskewed case, one row of
-// independent tiles on its first coordinate not fixed to one value. Its
-// tiles are contiguous in the original order, and a failing one leaves
-// the others running, so the run reports the earliest failing point, as
-// the inline sweep would; a wavefront stops at its first failure.
-// Whether an activation dispatches a step is a pure function of what its
-// bounds resolve to (TilePlane): the step runs as tiles iff the run has
-// a pool of W > 1 workers, the step is not already inside a parallel
-// tile, and
+// independent tiles in the original order, and a failing one leaves the
+// others running, so the run reports the earliest failing point, as the
+// inline sweep would; a wavefront stops at its first failure. Whether an
+// activation dispatches a step is a pure function of what its bounds
+// resolve to (TilePlane): the step runs as tiles iff the run has a pool
+// of W > 1 workers, the step is not already inside a parallel tile, and
 //
 //	points / planes ≥ g × W
 //
@@ -139,9 +137,11 @@
 // e0 and e1 values — with e0 or e1 of 1 its grid would be one chain, and
 // it never tiles — and g is Options.Grain when the caller set one and
 // 32 otherwise. Every tiled coordinate is cut into 4W tiles (W for a
-// wavefront's row), none narrower than one value; a DOALL's other
-// coordinates stay whole. Everything else sweeps the one tile covering
-// the box on the calling goroutine.
+// wavefront's row), none narrower than one value. A DOALL tiles its
+// first coordinate not fixed to one value, or, when that has fewer than
+// 4W values, cuts it one value wide and the next into the rest.
+// Everything else sweeps the one tile covering the box on the calling
+// goroutine.
 // Nothing is measured and nothing is remembered between activations, so
 // the same bounds always take the same side and Runner.Explain is a
 // function of plan and options alone.

@@ -79,10 +79,9 @@ type Stats struct {
 	// EqInstances counts equation instances executed (one per evaluation
 	// of one equation at one index point).
 	EqInstances atomic.Int64
-	// Chunks counts the tiles of DOALL steps run on the pool, each a
-	// range of the DOALL's first coordinate that takes more than one
-	// value. Wavefront tiles count in Doacross instead; steps run inline
-	// contribute nothing.
+	// Chunks counts the tiles of DOALL steps run on the pool, cut as
+	// tileGrid.cuts says. Wavefront tiles count in Doacross
+	// instead; steps run inline contribute nothing.
 	Chunks atomic.Int64
 	// Planes counts the planes wavefront steps launched — the
 	// anti-diagonals of a tiled nest's tile grid, or 1 for a nest swept
@@ -777,10 +776,10 @@ func stepEqs(cp *compiledPlan, lo, hi int) string {
 // the volume of its iteration box and the range of the coordinates s_r,
 // s_r+1 the tiles cut. A wavefront's s is its skewed space, cut on both
 // coordinates into a chained grid. A DOALL is the same nest with the
-// identity skew and no carried dependence: s is the box itself, cut on
-// s_r alone into independent tiles. The inline run is one tile covering
-// the whole box, so it and the tile executor run the same walker
-// (sweepTile).
+// identity skew and no carried dependence: s is the box itself, cut into
+// independent tiles on s_r, and on s_r+1 too when s_r is short (cuts).
+// The inline run is one tile covering the whole box, so it and the tile
+// executor run the same walker (sweepTile).
 type tileGrid struct {
 	st *plan.Step
 	// sk is the wavefront's skew S (Hyper.Skew); nil for a DOALL.
@@ -858,25 +857,28 @@ func (g *tileGrid) tiled(workers int, grain int64) bool {
 		g.points/planes >= least
 }
 
-// tileWidths cuts the tiled coordinates for a pool of workers, none
-// narrower than one value: each into TilesPerWorker tiles per worker,
-// except that a DOALL leaves s_r+1 whole and a wavefront cuts the
-// innermost coordinate once per worker. There the tiled coordinate is
-// the row, every cut adds a span (its certificate and guard split) per
-// row, and once per worker still keeps every worker in the pipeline. It
-// is a pure function of the box and the worker count.
-func (g *tileGrid) tileWidths(workers int) (w [2]int64) {
+// cuts gives the tile grid for a pool of workers, n[k] tiles on s_r+k
+// none narrower than one value, as a pure function of the box and the
+// worker count. A DOALL cuts s_r into TilesPerWorker tiles per worker
+// or, when s_r is shorter, one per value and s_r+1 into the rest, so
+// its tiles keep the points' order; their widths differ by at most one.
+// A wavefront cuts both coordinates into tiles w[k] wide, TilesPerWorker
+// per worker, but its row only once per worker: every cut there adds a
+// span (its certificate and guard split) per row, and once per worker
+// still keeps every worker in the pipeline.
+func (g *tileGrid) cuts(workers int) (n, w [2]int64) {
+	per := int64(sched.TilesPerWorker * workers)
+	if !g.chained() {
+		return [2]int64{min(per, g.extent(0)), min(ceilDiv(per, g.extent(0)), g.extent(1))}, w
+	}
 	for k := range w {
-		per := int64(sched.TilesPerWorker * workers)
-		switch {
-		case !g.chained() && k == 1:
-			per = 1
-		case g.chained() && g.r+k == len(g.st.Dims)-1:
+		if g.r+k == len(g.st.Dims)-1 {
 			per = int64(workers)
 		}
-		w[k] = (g.extent(k) + per - 1) / per
+		w[k] = ceilDiv(g.extent(k), per)
+		n[k] = ceilDiv(g.extent(k), w[k])
 	}
-	return w
+	return n, w
 }
 
 // sweepTile runs every box point whose s_r lies in [tlo[0], thi[0]] and
@@ -890,10 +892,8 @@ func (p *Program) sweepTile(en *env, fr []int64, g *tileGrid, j int, tlo, thi *[
 	lo, hi := en.bounds[slot][0], en.bounds[slot][1]
 	if k := j - g.r; k >= 0 && k < len(tlo) {
 		var off int64
-		if g.chained() {
-			for i := 0; i < j; i++ {
-				off += g.sk[j][i] * fr[g.st.Dims[i]]
-			}
+		for i := 0; g.chained() && i < j; i++ {
+			off += g.sk[j][i] * fr[g.st.Dims[i]]
 		}
 		lo, hi = max(lo, tlo[k]-off), min(hi, thi[k]-off)
 	}
@@ -980,47 +980,56 @@ func (p *Program) execGrid(en *env, fr []int64, st *plan.Step, bodyLo int) {
 }
 
 // execTiles runs a step's tile grid on the pool. The tiled coordinates
-// are cut by tileWidths. A wavefront's A × B tiles run as a chained
+// are cut as cuts says. A wavefront's A × B tiles run as a chained
 // sched.Grid: tile (a, b) starts once (a−1, b) and (a, b−1) are done,
 // and every dependence of the skewed nest points to a tile with no
-// larger coordinate, reached through that chain. A DOALL's tiles on s_r
-// are the columns of one unchained row. Each tile runs sweepTile over
-// its rectangle, so the points, kernels and per-point order are those of
-// the inline sweep, and the two are bitwise identical.
+// larger coordinate, reached through that chain. A DOALL's A × B tiles
+// are the columns of one unchained row, tile (a, b) its column a·B + b,
+// which is the points' order. Each tile runs sweepTile over its
+// rectangle, so the points, kernels and per-point order are those of the
+// inline sweep, and the two are bitwise identical.
 func (p *Program) execTiles(en *env, fr []int64, g tileGrid) {
 	rs := en.rs
 	chain := g.chained()
-	w := g.tileWidths(rs.pool.Workers())
-	na := int((g.extent(0) + w[0] - 1) / w[0])
-	nb := int((g.extent(1) + w[1] - 1) / w[1])
+	n, w := g.cuts(rs.pool.Workers())
+	na, nb := int(n[0]), int(n[1])
 	grid, step := sched.Grid{Rows: na, Cols: nb, Chain: true}, "wavefront"
 	var stats *sched.Stats
 	rec := rs.rec
 	if !chain {
 		// DOALL tiles count as chunks and record their own spans (the
 		// scope's chunk); sched.Run records nothing for them.
-		grid, step, rec = sched.Grid{Rows: 1, Cols: na}, "doall", nil
+		grid, step, rec = sched.Grid{Rows: 1, Cols: na * nb}, "doall", nil
 	} else if rs.stats != nil {
 		stats = &rs.stats.Doacross
 	}
-	rowPoints := g.points / g.extent(0)
 	scope := workerScope{en: en, fr: fr, chunk: !chain}
 	body := func(ring *obs.Ring, a, b int) bool {
 		if !chain {
-			a, b = b, 0 // column b of a DOALL's row is its tile b on s_r
+			a, b = b/nb, b%nb // column b of a DOALL's row is its tile a*nb+b
 		} else if rs.stats != nil && (b == 0 || a == na-1) {
 			// The first tile of each anti-diagonal counts it once.
 			rs.stats.Planes.Add(1)
 		}
-		tlo := [2]int64{g.slo[0] + int64(a)*w[0], g.slo[1] + int64(b)*w[1]}
-		thi := [2]int64{min(tlo[0]+w[0]-1, g.shi[0]), min(tlo[1]+w[1]-1, g.shi[1])}
+		var tlo, thi [2]int64
+		for k, t := range [2]int64{int64(a), int64(b)} {
+			if chain {
+				tlo[k], thi[k] = g.slo[k]+t*w[k], min(g.slo[k]+(t+1)*w[k]-1, g.shi[k])
+			} else { // n[k] tiles, their widths differing by at most one
+				tlo[k], thi[k] = g.slo[k]+t*g.extent(k)/n[k], g.slo[k]+(t+1)*g.extent(k)/n[k]-1
+			}
+		}
+		var points int64 // a DOALL tile's point count, its chunk span's arg0
+		if !chain {
+			points = g.points / (g.extent(0) * g.extent(1)) * (thi[0] - tlo[0] + 1) * (thi[1] - tlo[1] + 1)
+		}
 		// The tile runs on pooled worker state, which captures a failure.
 		// A failed wavefront tile stops the whole grid here; DOALL tiles
 		// keep running, so the failure re-raised after Run is the lowest
 		// tile's, at its earliest point — the one the inline sweep meets.
 		// A tile that ends with the run's context fired returns false,
 		// which stops the executor claiming tiles.
-		ok := scope.run(a*nb+b, rowPoints*(thi[0]-tlo[0]+1), ring, func(sub *env, wfr []int64) {
+		ok := scope.run(a*nb+b, points, ring, func(sub *env, wfr []int64) {
 			p.sweepTile(sub, wfr, &g, 0, &tlo, &thi)
 		})
 		return (ok || !chain) && !rs.cancelled()
