@@ -27,6 +27,5 @@ ps/serve|repro/ps/serve|75|./ps/serve
 internal/jsonscan|repro/internal/jsonscan|75|./ps ./ps/serve
 internal/core|repro/internal/core|90|./internal/core
 internal/obs|repro/internal/obs|75|./internal/obs . ./ps ./internal/interp
-internal/par|repro/internal/par|75|./internal/par ./internal/sched
 EOF
 exit $fail

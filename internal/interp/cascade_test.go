@@ -62,11 +62,11 @@ func TestPipelineParity(t *testing.T) {
 		opts   interp.Options
 		chunks bool // expects the DOALL copy-outs on the pool
 	}{
-		{"Par2", interp.Options{Workers: 2}, true},
-		{"Par4", interp.Options{Workers: 4}, true},
-		{"Par8", interp.Options{Workers: 8}, true},
-		{"StrictPar2", interp.Options{Workers: 2, Strict: true}, true},
-		{"Par1", interp.Options{Workers: 1}, false},
+		{"Par2", interp.Options{Pool: pool(t, 2)}, true},
+		{"Par4", interp.Options{Pool: pool(t, 4)}, true},
+		{"Par8", interp.Options{Pool: pool(t, 8)}, true},
+		{"StrictPar2", interp.Options{Pool: pool(t, 2), Strict: true}, true},
+		{"Par1", interp.Options{}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stats interp.Stats
@@ -117,9 +117,9 @@ func TestPipelineFirstCascade(t *testing.T) {
 		name string
 		opts interp.Options
 	}{
-		{"AutoPar4", interp.Options{Workers: 4}},
-		{"PipelinePar2", interp.Options{Workers: 2}},
-		{"PipelinePar4", interp.Options{Workers: 4}},
+		{"AutoPar4", interp.Options{Pool: pool(t, 4)}},
+		{"PipelinePar2", interp.Options{Pool: pool(t, 2)}},
+		{"PipelinePar4", interp.Options{Pool: pool(t, 4)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stats interp.Stats
@@ -148,7 +148,7 @@ func TestPipelineCancellation(t *testing.T) {
 	ip := compileSrc(t, psrc.Reflect)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ip.RunCtx(ctx, "Reflect", []any{seed(64), int64(64)}, interp.Options{Workers: 4})
+	_, err := ip.RunCtx(ctx, "Reflect", []any{seed(64), int64(64)}, interp.Options{Pool: pool(t, 4)})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -167,7 +167,7 @@ func TestPipelineCancellation(t *testing.T) {
 	for attempt := 0; attempt < 8; attempt++ {
 		var stats interp.Stats
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
-		_, err := ip.RunCtx(ctx, "Reflect", args, interp.Options{Workers: 2, Stats: &stats})
+		_, err := ip.RunCtx(ctx, "Reflect", args, interp.Options{Pool: pool(t, 2), Stats: &stats})
 		cancel()
 		eqs := stats.EqInstances.Load()
 		var re *interp.RunError

@@ -113,7 +113,7 @@ func TestCopySpan(t *testing.T) {
 				t.Fatalf("reference error %v, want failure: %v", refErr, tc.fails)
 			}
 			eqs := refStats.EqInstances.Load()
-			for _, r := range jamRows() {
+			for _, r := range jamRows(t) {
 				var st interp.Stats
 				opts := r.opts
 				opts.Stats = &st
@@ -198,7 +198,7 @@ func TestDoAllEarliestFailure(t *testing.T) {
 		for _, w := range []int{2, 4} {
 			for rep := 0; rep < 10; rep++ {
 				var st interp.Stats
-				_, err := ip.Run(tc.module, tc.args, interp.Options{Workers: w, Grain: 1, Stats: &st})
+				_, err := ip.Run(tc.module, tc.args, interp.Options{Pool: pool(t, w), Grain: 1, Stats: &st})
 				if st.Chunks.Load() == 0 {
 					t.Fatalf("%s W=%d: the DOALL ran inline", tc.module, w)
 				}

@@ -37,11 +37,11 @@ func TestDoacrossScheduleParity(t *testing.T) {
 		opts  interp.Options
 		tiles bool
 	}{
-		{"DoacrossPar2", interp.Options{Workers: 2, Grain: 1}, true},
-		{"DoacrossPar4", interp.Options{Workers: 4, Grain: 1}, true},
-		{"DoacrossPar3Grain8", interp.Options{Workers: 3, Grain: 8}, true},
-		{"BarrierPar4", interp.Options{Workers: 4, Grain: 1 << 20}, false},
-		{"AutoPar4", interp.Options{Workers: 4}, false},
+		{"DoacrossPar2", interp.Options{Pool: pool(t, 2), Grain: 1}, true},
+		{"DoacrossPar4", interp.Options{Pool: pool(t, 4), Grain: 1}, true},
+		{"DoacrossPar3Grain8", interp.Options{Pool: pool(t, 3), Grain: 8}, true},
+		{"BarrierPar4", interp.Options{Pool: pool(t, 4), Grain: 1 << 20}, false},
+		{"AutoPar4", interp.Options{Pool: pool(t, 4)}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stats interp.Stats
@@ -86,9 +86,9 @@ func TestDoacrossGrainControlsTiles(t *testing.T) {
 	const m, maxK = 13, 7
 	want := runGS(t, ip, m, maxK, interp.Options{Sequential: true})
 	var fine, coarse, inline interp.Stats
-	gotFine := runGS(t, ip, m, maxK, interp.Options{Workers: 4, Grain: 1, Stats: &fine})
-	gotCoarse := runGS(t, ip, m, maxK, interp.Options{Workers: 4, Grain: 8, Stats: &coarse})
-	gotInline := runGS(t, ip, m, maxK, interp.Options{Workers: 4, Grain: 1 << 20, Stats: &inline})
+	gotFine := runGS(t, ip, m, maxK, interp.Options{Pool: pool(t, 4), Grain: 1, Stats: &fine})
+	gotCoarse := runGS(t, ip, m, maxK, interp.Options{Pool: pool(t, 4), Grain: 8, Stats: &coarse})
+	gotInline := runGS(t, ip, m, maxK, interp.Options{Pool: pool(t, 4), Grain: 1 << 20, Stats: &inline})
 	for _, got := range []*value.Array{gotFine, gotCoarse, gotInline} {
 		if !reflect.DeepEqual(got.F, want.F) {
 			t.Error("grain variants diverge from sequential reference")
@@ -114,7 +114,7 @@ func TestDoacrossAutoNarrowPlanes(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		var stats interp.Stats
 		// m=4 gives 12-point average planes against a cutoff of 128.
-		got := runGS(t, ip, 4, 6, interp.Options{Workers: 4, Stats: &stats})
+		got := runGS(t, ip, 4, 6, interp.Options{Pool: pool(t, 4), Stats: &stats})
 		if !reflect.DeepEqual(got.F, want.F) {
 			t.Error("default run diverges from sequential reference")
 		}
@@ -183,7 +183,7 @@ func TestDispatchRule(t *testing.T) {
 	} {
 		// Smooth's one DOALL covers 0..N+1.
 		args := []any{xs(tc.points), tc.points - 2}
-		got := chunks(smooth, "Smooth", args, interp.Options{Workers: 2, Grain: tc.grain})
+		got := chunks(smooth, "Smooth", args, interp.Options{Pool: pool(t, 2), Grain: tc.grain})
 		if (got > 0) != tc.tiles {
 			t.Errorf("%d-point DOALL at grain %d: %d chunks, want tiled = %v", tc.points, tc.grain, got, tc.tiles)
 		}
@@ -196,7 +196,7 @@ func TestDispatchRule(t *testing.T) {
 		for i := range a.F {
 			a.F[i] = float64(i%13) / 13
 		}
-		if got := chunks(scale, "Scale", []any{a, n}, interp.Options{Workers: 2, Grain: 1}); got != 4*2 {
+		if got := chunks(scale, "Scale", []any{a, n}, interp.Options{Pool: pool(t, 2), Grain: 1}); got != 4*2 {
 			t.Errorf("%dx%d DOALL at grain 1 made %d chunks, want %d", n, n, got, 4*2)
 		}
 	}
@@ -205,7 +205,7 @@ func TestDispatchRule(t *testing.T) {
 	// DOALL I around do J leaf runs its loop body per point on tiles.
 	scan := compileSrc(t, rowScan)
 	xsGrid := realBox(value.Axis{Lo: 0, Hi: 15}, value.Axis{Lo: 0, Hi: 15})
-	if got := chunks(scan, "Scan", []any{xsGrid, int64(15)}, interp.Options{Workers: 2, Grain: 1}); got != 2*4*2 {
+	if got := chunks(scan, "Scan", []any{xsGrid, int64(15)}, interp.Options{Pool: pool(t, 2), Grain: 1}); got != 2*4*2 {
 		t.Errorf("row scan at grain 1 made %d chunks, want %d", got, 2*4*2)
 	}
 
@@ -213,13 +213,13 @@ func TestDispatchRule(t *testing.T) {
 	// is cut into 8, so every worker still gets tiles.
 	wideIP := compileSrc(t, wide)
 	wideArgs := []any{realBox(value.Axis{Lo: 1, Hi: 1200}), int64(2), int64(400)}
-	if got := chunks(wideIP, "Wide", wideArgs, interp.Options{Workers: 4, Grain: 1}); got != 4*4 {
+	if got := chunks(wideIP, "Wide", wideArgs, interp.Options{Pool: pool(t, 4), Grain: 1}); got != 4*4 {
 		t.Errorf("2x400 DOALL at W = 4 made %d chunks, want %d", got, 4*4)
 	}
 
 	var stats interp.Stats
 	for _, args := range [][]any{{xs(4), int64(2)}, {xs(5), int64(3)}} {
-		if _, err := smooth.RunCtx(context.Background(), "Smooth", args, interp.Options{Workers: 2, Stats: &stats}); err != nil {
+		if _, err := smooth.RunCtx(context.Background(), "Smooth", args, interp.Options{Pool: pool(t, 2), Stats: &stats}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -126,8 +126,8 @@
 // others running, so the run reports the earliest failing point, as the
 // inline sweep would; a wavefront stops at its first failure. Whether an
 // activation dispatches a step is a pure function of what its bounds
-// resolve to (TilePlane): the step runs as tiles iff the run has a pool
-// of W > 1 workers, the step is not already inside a parallel tile, and
+// resolve to (TilePlane): the step runs as tiles iff the run was handed
+// a pool (Options.Pool; the interpreter builds none) of W > 1 workers, the step is not already inside a parallel tile, and
 //
 //	points / planes ≥ g × W
 //

@@ -22,7 +22,7 @@ define
 end Scalars;
 `
 	ip := compileSrc(t, src)
-	res, err := ip.Run("Scalars", []any{4.0, 6}, interp.Options{Workers: 1})
+	res, err := ip.Run("Scalars", []any{4.0, 6}, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ define
 end Chain;
 `
 	ip := compileSrc(t, src)
-	res, err := ip.Run("Chain", []any{3}, interp.Options{Workers: 1})
+	res, err := ip.Run("Chain", []any{3}, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ define
 end Lights;
 `
 	ip := compileSrc(t, src)
-	res, err := ip.Run("Lights", []any{9}, interp.Options{Workers: 2})
+	res, err := ip.Run("Lights", []any{9}, interp.Options{Pool: pool(t, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ define
 end Chars;
 `
 	ip := compileSrc(t, src)
-	res, err := ip.Run("Chars", []any{int64('q'), "hello"}, interp.Options{Workers: 1})
+	res, err := ip.Run("Chars", []any{int64('q'), "hello"}, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ end Mag;
 		{Name: "x", Type: types.Real}, {Name: "y", Type: types.Real},
 	}}
 	rec := &value.Record{Type: rt, Fields: []any{3.0, 4.0}}
-	res, err := ip.Run("Mag", []any{rec}, interp.Options{Workers: 1})
+	res, err := ip.Run("Mag", []any{rec}, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ define
 end MinMax;
 `
 	ip := compileSrc(t, src)
-	res, err := ip.Run("Main", []any{10.0}, interp.Options{Workers: 1})
+	res, err := ip.Run("Main", []any{10.0}, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ define
 end IsBig;
 `
 	ip := compileSrc(t, src)
-	res, err := ip.Run("Caller", []any{4}, interp.Options{Workers: 2})
+	res, err := ip.Run("Caller", []any{4}, interp.Options{Pool: pool(t, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ define
 end B;
 `
 	ip := compileSrc(t, src)
-	res, err := ip.Run("B", []any{42.0, 3}, interp.Options{Workers: 1})
+	res, err := ip.Run("B", []any{42.0, 3}, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +252,12 @@ D: module (n: int): [y: int];
 define y = 10 div n; end D;
 `
 	ip := compileSrc(t, src)
-	if _, err := ip.Run("D", []any{0}, interp.Options{Workers: 1}); err == nil {
+	if _, err := ip.Run("D", []any{0}, interp.Options{}); err == nil {
 		t.Error("division by zero not reported")
 	} else if !strings.Contains(err.Error(), "division by zero") {
 		t.Errorf("unexpected error %v", err)
 	}
-	if res, err := ip.Run("D", []any{3}, interp.Options{Workers: 1}); err != nil || res[0].(int64) != 3 {
+	if res, err := ip.Run("D", []any{3}, interp.Options{}); err != nil || res[0].(int64) != 3 {
 		t.Errorf("10 div 3: %v, %v", res, err)
 	}
 }
@@ -287,7 +287,7 @@ W: module (n: int): [y: real];
 define y = n + 0.5; end W;
 `
 	ip := compileSrc(t, src)
-	res, err := ip.Run("W", []any{7}, interp.Options{Workers: 1})
+	res, err := ip.Run("W", []any{7}, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ type I = 0 .. N;
 define Odd[I] = I mod 2 = 1; end Flags;
 `
 	ip := compileSrc(t, src)
-	res, err := ip.Run("Flags", []any{6}, interp.Options{Workers: 2})
+	res, err := ip.Run("Flags", []any{6}, interp.Options{Pool: pool(t, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ define
 end Tri;
 `
 	ip := compileSrc(t, src)
-	res, err := ip.Run("Tri", []any{6}, interp.Options{Workers: 1})
+	res, err := ip.Run("Tri", []any{6}, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

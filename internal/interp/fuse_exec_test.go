@@ -60,7 +60,7 @@ end Two;
 			if err != nil {
 				t.Fatal(err)
 			}
-			fused, err := ip.Run(tc.module, tc.args(), interp.Options{Workers: 2})
+			fused, err := ip.Run(tc.module, tc.args(), interp.Options{Pool: pool(t, 2)})
 			if err != nil {
 				t.Fatal(err)
 			}

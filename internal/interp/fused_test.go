@@ -169,7 +169,7 @@ func TestFusedNodeParity(t *testing.T) {
 	if n := int64(len(args[0].(*value.Array).F)); eqs != n*int64(cases[0]+cases[1]+cases[2]+cases[3]) {
 		t.Fatalf("reference ran %d instances", eqs)
 	}
-	for _, row := range jamRows() {
+	for _, row := range jamRows(t) {
 		var st interp.Stats
 		opts := row.opts
 		opts.Stats = &st

@@ -106,7 +106,7 @@ func TestJacobiMatchesReference(t *testing.T) {
 	const m, maxK = 9, 6
 	ip := compileSrc(t, psrc.Relaxation)
 	in := grid(m)
-	got := runRelaxation(t, ip, in, m, maxK, interp.Options{Workers: 1})
+	got := runRelaxation(t, ip, in, m, maxK, interp.Options{})
 	want := jacobiRef(in, m, maxK)
 	if !got.Equal(want) {
 		t.Errorf("Jacobi result differs from reference (max diff %g)", got.MaxAbsDiff(want))
@@ -121,7 +121,7 @@ func TestJacobiParallelEqualsSequential(t *testing.T) {
 	in := grid(m)
 	seq := runRelaxation(t, ip, in, m, maxK, interp.Options{Sequential: true})
 	for _, workers := range []int{2, 4, 8} {
-		par := runRelaxation(t, ip, in, m, maxK, interp.Options{Workers: workers})
+		par := runRelaxation(t, ip, in, m, maxK, interp.Options{Pool: pool(t, workers)})
 		if !seq.Equal(par) {
 			t.Errorf("parallel (%d workers) differs from sequential (max diff %g)",
 				workers, seq.MaxAbsDiff(par))
@@ -135,8 +135,8 @@ func TestJacobiWindowEqualsPhysical(t *testing.T) {
 	const m, maxK = 13, 8
 	ip := compileSrc(t, psrc.Relaxation)
 	in := grid(m)
-	win := runRelaxation(t, ip, in, m, maxK, interp.Options{Workers: 2})
-	phys := runRelaxation(t, ip, in, m, maxK, interp.Options{Workers: 2, NoVirtual: true})
+	win := runRelaxation(t, ip, in, m, maxK, interp.Options{Pool: pool(t, 2)})
+	phys := runRelaxation(t, ip, in, m, maxK, interp.Options{Pool: pool(t, 2), NoVirtual: true})
 	if !win.Equal(phys) {
 		t.Errorf("windowed execution differs from physical (max diff %g)", win.MaxAbsDiff(phys))
 	}
@@ -147,7 +147,7 @@ func TestGaussSeidelMatchesReference(t *testing.T) {
 	const m, maxK = 9, 6
 	ip := compileSrc(t, psrc.RelaxationGS)
 	in := grid(m)
-	got := runRelaxation(t, ip, in, m, maxK, interp.Options{Workers: 1})
+	got := runRelaxation(t, ip, in, m, maxK, interp.Options{})
 	want := gsRef(in, m, maxK)
 	if !got.Equal(want) {
 		t.Errorf("Gauss–Seidel result differs from reference (max diff %g)", got.MaxAbsDiff(want))
@@ -189,7 +189,7 @@ func TestTransformedEqualsOriginal(t *testing.T) {
 
 	in := grid(m)
 	want := runRelaxation(t, orig, in, m, maxK, interp.Options{Sequential: true})
-	got, err := xform.Run("RelaxationH", []any{in, int64(m), int64(maxK)}, interp.Options{Workers: 4})
+	got, err := xform.Run("RelaxationH", []any{in, int64(m), int64(maxK)}, interp.Options{Pool: pool(t, 4)})
 	if err != nil {
 		t.Fatalf("run transformed: %v", err)
 	}
@@ -211,7 +211,7 @@ define
 end Dup;
 `
 	ip := compileSrc(t, src)
-	_, err := ip.Run("Dup", []any{4}, interp.Options{Strict: true, Workers: 1})
+	_, err := ip.Run("Dup", []any{4}, interp.Options{Strict: true})
 	if err == nil {
 		t.Error("expected strict mode to detect a double definition")
 	}
@@ -229,7 +229,7 @@ define
 end Oob;
 `
 	ip := compileSrc(t, src)
-	_, err := ip.Run("Oob", []any{4}, interp.Options{Workers: 1})
+	_, err := ip.Run("Oob", []any{4}, interp.Options{})
 	if err == nil {
 		t.Error("expected out-of-range subscript error")
 	}
@@ -243,7 +243,7 @@ func TestSmallModules(t *testing.T) {
 		for i := int64(1); i <= 5; i++ {
 			xs.SetF([]int64{i}, float64(i))
 		}
-		res, err := ip.Run("Prefix", []any{xs, 5}, interp.Options{Workers: 2})
+		res, err := ip.Run("Prefix", []any{xs, 5}, interp.Options{Pool: pool(t, 2)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestSmallModules(t *testing.T) {
 		for i := int64(0); i <= n+1; i++ {
 			xs.SetF([]int64{i}, float64(i*i))
 		}
-		res, err := ip.Run("Smooth", []any{xs, n}, interp.Options{Workers: 2})
+		res, err := ip.Run("Smooth", []any{xs, n}, interp.Options{Pool: pool(t, 2)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestSmallModules(t *testing.T) {
 		for i := int64(0); i <= n+1; i++ {
 			xs.SetF([]int64{i}, float64(i))
 		}
-		res, err := ip.Run("Pipeline", []any{xs, n}, interp.Options{Workers: 2})
+		res, err := ip.Run("Pipeline", []any{xs, n}, interp.Options{Pool: pool(t, 2)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestSmallModules(t *testing.T) {
 			seed.SetF([]int64{i, 0}, 1)
 			seed.SetF([]int64{0, i}, 1)
 		}
-		res, err := ip.Run("Wavefront2D", []any{seed, n}, interp.Options{Workers: 1})
+		res, err := ip.Run("Wavefront2D", []any{seed, n}, interp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func TestHeat1DConservation(t *testing.T) {
 	n := int64(16)
 	u0 := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: n + 1}})
 	u0.Fill(3.5)
-	res, err := ip.Run("Heat1D", []any{u0, n, 10, 0.25}, interp.Options{Workers: 2})
+	res, err := ip.Run("Heat1D", []any{u0, n, 10, 0.25}, interp.Options{Pool: pool(t, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

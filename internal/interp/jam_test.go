@@ -69,7 +69,7 @@ type jamRow struct {
 // jamRows is Sequential() with and without the direct kernels and
 // strict, then W ∈ {1, 2, 4} × Grain ∈ {default, 1}, then two workers
 // without the direct kernels and strict.
-func jamRows() []jamRow {
+func jamRows(t testing.TB) []jamRow {
 	rows := []jamRow{
 		{"Seq", interp.Options{Sequential: true}, true},
 		{"SeqNoSpec", interp.Options{Sequential: true, NoSpecialize: true}, false},
@@ -77,12 +77,12 @@ func jamRows() []jamRow {
 	}
 	for _, w := range []int{1, 2, 4} {
 		for _, g := range []int64{0, 1} {
-			rows = append(rows, jamRow{fmt.Sprintf("W%dGrain%d", w, g), interp.Options{Workers: w, Grain: g}, true})
+			rows = append(rows, jamRow{fmt.Sprintf("W%dGrain%d", w, g), interp.Options{Pool: pool(t, w), Grain: g}, true})
 		}
 	}
 	return append(rows,
-		jamRow{"W2NoSpec", interp.Options{Workers: 2, Grain: 1, NoSpecialize: true}, false},
-		jamRow{"W2Strict", interp.Options{Workers: 2, Grain: 1, Strict: true}, false},
+		jamRow{"W2NoSpec", interp.Options{Pool: pool(t, 2), Grain: 1, NoSpecialize: true}, false},
+		jamRow{"W2Strict", interp.Options{Pool: pool(t, 2), Grain: 1, Strict: true}, false},
 	)
 }
 
@@ -147,7 +147,7 @@ func TestJammedSpanParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			eqs := refStats.EqInstances.Load()
-			for _, row := range jamRows() {
+			for _, row := range jamRows(t) {
 				var st interp.Stats
 				opts := row.opts
 				opts.Stats = &st
@@ -202,7 +202,7 @@ func TestJammedSpanSlopeBounds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			args := []any{slopeSeed(n), int64(n), tc.c, tc.d}
 			var wantErr string
-			for _, row := range jamRows() {
+			for _, row := range jamRows(t) {
 				_, err := ip.Run("Slope", args, row.opts)
 				var re *interp.RunError
 				if !errors.As(err, &re) || re.Equation != tc.eq {

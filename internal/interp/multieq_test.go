@@ -44,12 +44,12 @@ func TestMultiKernelWavefrontParity(t *testing.T) {
 		opts  interp.Options
 		tiles bool
 	}{
-		{"BarrierPar2", interp.Options{Workers: 2, Grain: 1 << 20}, false},
-		{"BarrierPar4", interp.Options{Workers: 4, Grain: 1 << 20}, false},
-		{"DoacrossPar2", interp.Options{Workers: 2, Grain: 1}, true},
-		{"DoacrossPar4Grain4", interp.Options{Workers: 4, Grain: 4}, true},
-		{"AutoPar4", interp.Options{Workers: 4}, false},
-		{"StrictDoacrossPar2", interp.Options{Workers: 2, Strict: true, Grain: 1}, true},
+		{"BarrierPar2", interp.Options{Pool: pool(t, 2), Grain: 1 << 20}, false},
+		{"BarrierPar4", interp.Options{Pool: pool(t, 4), Grain: 1 << 20}, false},
+		{"DoacrossPar2", interp.Options{Pool: pool(t, 2), Grain: 1}, true},
+		{"DoacrossPar4Grain4", interp.Options{Pool: pool(t, 4), Grain: 4}, true},
+		{"AutoPar4", interp.Options{Pool: pool(t, 4)}, false},
+		{"StrictDoacrossPar2", interp.Options{Pool: pool(t, 2), Strict: true, Grain: 1}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stats interp.Stats

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/sem"
@@ -21,8 +20,9 @@ import (
 
 // Options control execution.
 type Options struct {
-	// Workers is the worker count of DOALL and wavefront steps; <= 0 uses
-	// all CPUs.
+	// Workers is the width ps.Prepare resolves into a pool (Pool); <= 0
+	// asks for the engine's default. The interpreter itself never reads
+	// it: a run's width is its Pool's.
 	Workers int
 	// Sequential forces every loop — including DOALLs — to run serially
 	// (the baseline an iterative-only scheduler would produce), and
@@ -46,11 +46,11 @@ type Options struct {
 	// points, a DOALL being one plane. It sets no tile width: tiles are
 	// cut from the box and the worker count alone. <= 0 means 32.
 	Grain int64
-	// Pool, when non-nil, is a shared worker pool whose loops run every
-	// tiled step of the activation tree (through internal/sched) instead
-	// of a pool spawned per activation. The run does not close it, and its
-	// worker count takes precedence over Workers.
-	Pool *par.Pool
+	// Pool is the worker pool whose loops run every tiled step of the
+	// activation tree (through sched.Run); the run does not close it. A
+	// run is parallel exactly when Pool is set and Sequential is not:
+	// with no pool every step runs inline on the calling goroutine.
+	Pool *sched.Pool
 	// Stats, when non-nil, accumulates execution counters for the run.
 	Stats *Stats
 	// NoSpecialize disables the direct-kernel fast path, forcing every
@@ -216,7 +216,7 @@ type runState struct {
 	// cancellation reaches the tile executor.
 	canceled atomic.Bool
 	stats    *Stats
-	pool     *par.Pool
+	pool     *sched.Pool
 	// rec is the run's event recorder (Options.Trace); nil disables
 	// tracing. labels mirrors Options.ProfileLabels.
 	rec    *obs.Recorder
@@ -316,16 +316,11 @@ type workerState struct {
 }
 
 // workerScope is what the bodies of one parallel dispatch share: the
-// dispatching activation's env and frame, whether a body is a pool
-// chunk, and the failure of the lowest-indexed tile that raised one.
+// dispatching activation's env and frame, and the failure of the
+// lowest-indexed tile that raised one.
 type workerScope struct {
 	en *env
 	fr []int64
-	// chunk is set for DOALL tiles: each body then counts in
-	// Stats.Chunks and, when tracing, emits a KChunk span on a ring of
-	// its own (their sched.Run records nothing). Wavefront tiles leave it
-	// unset: sched.Run records their spans on its own rings.
-	chunk bool
 	// mu guards panicked, the failure kept, and failAt, its tile.
 	mu       sync.Mutex
 	failAt   int
@@ -339,10 +334,10 @@ type workerScope struct {
 // when body returns or fails. A failure (runtimeError, value.Error or a
 // foreign panic) is reported as false and kept, for rethrow on the
 // dispatching goroutine after every body has stopped, unless a tile
-// with a lower index than tile already failed. ring is
-// the event ring the body's executor already owns on this goroutine (a
-// sched worker's, for tiles), or nil; the body emits its instants there.
-func (w *workerScope) run(tile int, points int64, ring *obs.Ring, body func(sub *env, wfr []int64)) (ok bool) {
+// with a lower index than tile already failed. ring is the event ring
+// the sched worker running the tile owns, or nil; the body emits its
+// instants there.
+func (w *workerScope) run(tile int, ring *obs.Ring, body func(sub *env, wfr []int64)) (ok bool) {
 	rs, cm := w.en.rs, w.en.cm
 	ws, _ := cm.ws.Get().(*workerState)
 	if ws == nil {
@@ -359,25 +354,12 @@ func (w *workerScope) run(tile int, points int64, ring *obs.Ring, body func(sub 
 	sub.eqCount = 0
 	sub.specCount = 0
 	// The env copy aliased the dispatcher's ring, and rings are
-	// single-writer: a body emits on its executor's ring, a chunk on one
-	// acquired here, anything else on none.
+	// single-writer: a body emits on its worker's ring.
 	sub.ring = ring
-	var t0 int64
-	if w.chunk && rs.rec != nil {
-		sub.ring = rs.rec.Acquire()
-		t0 = sub.ring.Now()
-	}
 	defer func() {
 		if rs.stats != nil {
-			if w.chunk {
-				rs.stats.Chunks.Add(1)
-			}
 			rs.stats.EqInstances.Add(sub.eqCount)
 			rs.stats.Specialized.Add(sub.specCount)
-		}
-		if w.chunk && sub.ring != nil {
-			sub.ring.Emit(obs.KChunk, t0, sub.ring.Now()-t0, points, 0)
-			rs.rec.Release(sub.ring)
 		}
 		if r := recover(); r != nil {
 			switch e := r.(type) {
@@ -425,49 +407,36 @@ func (p *Program) RunCtx(ctx context.Context, name string, args []any, opts Opti
 	if m == nil {
 		return nil, fmt.Errorf("interp: no module %s", name)
 	}
-	rs, cleanup, err := p.newRunState(ctx, opts)
+	rs, stop, err := p.newRunState(ctx, opts)
 	if err != nil {
 		return nil, &RunError{Module: m.Name, Err: err}
 	}
-	defer cleanup()
+	defer stop()
 	return p.runModule(rs, p.mods[m], args, false, false)
 }
 
 // newRunState builds the shared execution context of one top-level
 // activation and the calls it makes: the resolved context, the
-// cancellation flag, and the worker pool. The returned cleanup
-// unregisters the flag's context.AfterFunc and closes a run-owned pool;
-// call it when the run completes.
+// cancellation flag, and the caller's worker pool (none for a
+// sequential run). The returned stop unregisters the flag's
+// context.AfterFunc; call it when the run completes.
 // A context that is already done is reported as an error before any
 // state is created.
-func (p *Program) newRunState(ctx context.Context, opts Options) (*runState, func(), error) {
+func (p *Program) newRunState(ctx context.Context, opts Options) (*runState, func() bool, error) {
 	rs := &runState{opts: opts, ctx: ctx, stats: opts.Stats, rec: opts.Trace, labels: opts.ProfileLabels}
 	if ctx == nil {
 		rs.ctx = context.Background()
 	} else if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	cleanups := make([]func(), 0, 2)
-	if rs.ctx.Done() != nil {
-		stop := context.AfterFunc(rs.ctx, func() { rs.canceled.Store(true) })
-		cleanups = append(cleanups, func() { stop() })
-	}
 	if !opts.Sequential {
-		if opts.Pool != nil {
-			rs.pool = opts.Pool
-		} else {
-			// No shared pool injected: one persistent pool per activation
-			// tree, so DOALL planes inside an iterative loop reuse parked
-			// workers instead of spawning goroutines per plane.
-			rs.pool = par.NewPool(opts.Workers)
-			cleanups = append(cleanups, rs.pool.Close)
-		}
+		rs.pool = opts.Pool
 	}
-	return rs, func() {
-		for _, f := range cleanups {
-			f()
-		}
-	}, nil
+	stop := func() bool { return false }
+	if rs.ctx.Done() != nil {
+		stop = context.AfterFunc(rs.ctx, func() { rs.canceled.Store(true) })
+	}
+	return rs, stop, nil
 }
 
 // runModule executes one activation. covered marks a nested call whose
@@ -995,15 +964,12 @@ func (p *Program) execTiles(en *env, fr []int64, g tileGrid) {
 	na, nb := int(n[0]), int(n[1])
 	grid, step := sched.Grid{Rows: na, Cols: nb, Chain: true}, "wavefront"
 	var stats *sched.Stats
-	rec := rs.rec
 	if !chain {
-		// DOALL tiles count as chunks and record their own spans (the
-		// scope's chunk); sched.Run records nothing for them.
-		grid, step, rec = sched.Grid{Rows: 1, Cols: na * nb}, "doall", nil
+		grid, step = sched.Grid{Rows: 1, Cols: na * nb}, "doall"
 	} else if rs.stats != nil {
 		stats = &rs.stats.Doacross
 	}
-	scope := workerScope{en: en, fr: fr, chunk: !chain}
+	scope := workerScope{en: en, fr: fr}
 	body := func(ring *obs.Ring, a, b int) bool {
 		if !chain {
 			a, b = b/nb, b%nb // column b of a DOALL's row is its tile a*nb+b
@@ -1019,9 +985,12 @@ func (p *Program) execTiles(en *env, fr []int64, g tileGrid) {
 				tlo[k], thi[k] = g.slo[k]+t*g.extent(k)/n[k], g.slo[k]+(t+1)*g.extent(k)/n[k]-1
 			}
 		}
-		var points int64 // a DOALL tile's point count, its chunk span's arg0
-		if !chain {
-			points = g.points / (g.extent(0) * g.extent(1)) * (thi[0] - tlo[0] + 1) * (thi[1] - tlo[1] + 1)
+		// A DOALL tile is a chunk: it counts in Stats.Chunks and spans
+		// itself as a KChunk on its worker's ring (sched spans only a
+		// chained grid's tiles).
+		var t0 int64
+		if !chain && ring != nil {
+			t0 = ring.Now()
 		}
 		// The tile runs on pooled worker state, which captures a failure.
 		// A failed wavefront tile stops the whole grid here; DOALL tiles
@@ -1029,9 +998,18 @@ func (p *Program) execTiles(en *env, fr []int64, g tileGrid) {
 		// tile's, at its earliest point — the one the inline sweep meets.
 		// A tile that ends with the run's context fired returns false,
 		// which stops the executor claiming tiles.
-		ok := scope.run(a*nb+b, points, ring, func(sub *env, wfr []int64) {
+		ok := scope.run(a*nb+b, ring, func(sub *env, wfr []int64) {
 			p.sweepTile(sub, wfr, &g, 0, &tlo, &thi)
 		})
+		if !chain {
+			if rs.stats != nil {
+				rs.stats.Chunks.Add(1)
+			}
+			if ring != nil {
+				points := g.points / (g.extent(0) * g.extent(1)) * (thi[0] - tlo[0] + 1) * (thi[1] - tlo[1] + 1)
+				ring.Emit(obs.KChunk, t0, ring.Now()-t0, points, 0)
+			}
+		}
 		return (ok || !chain) && !rs.cancelled()
 	}
 	if rs.labels {
@@ -1044,7 +1022,7 @@ func (p *Program) execTiles(en *env, fr []int64, g tileGrid) {
 			return ok
 		}
 	}
-	completed := sched.Run(grid, rs.pool, body, stats, rec)
+	completed := sched.Run(grid, rs.pool, body, stats, rs.rec)
 	scope.rethrow()
 	if !completed {
 		panic(runtimeError{err: rs.ctx.Err()})

@@ -118,14 +118,14 @@ func TestSpanDispatchParity(t *testing.T) {
 		{"Seq", interp.Options{Sequential: true}, true, false},
 		{"SeqNoArena", interp.Options{Sequential: true, NoArena: true}, true, false},
 		{"SeqNoSpec", interp.Options{Sequential: true, NoSpecialize: true}, false, false},
-		{"Par2", interp.Options{Workers: 2}, true, false},
-		{"Par4NoSpec", interp.Options{Workers: 4, NoSpecialize: true}, false, false},
-		{"Par4", interp.Options{Workers: 4}, true, false},
-		{"Par2Grain1", interp.Options{Workers: 2, Grain: 1}, true, true},
-		{"Par4Grain1NoSpec", interp.Options{Workers: 4, Grain: 1, NoSpecialize: true}, false, true},
+		{"Par2", interp.Options{Pool: pool(t, 2)}, true, false},
+		{"Par4NoSpec", interp.Options{Pool: pool(t, 4), NoSpecialize: true}, false, false},
+		{"Par4", interp.Options{Pool: pool(t, 4)}, true, false},
+		{"Par2Grain1", interp.Options{Pool: pool(t, 2), Grain: 1}, true, true},
+		{"Par4Grain1NoSpec", interp.Options{Pool: pool(t, 4), Grain: 1, NoSpecialize: true}, false, true},
 		{"StrictSeq", interp.Options{Sequential: true, Strict: true}, false, false},
-		{"StrictPar2", interp.Options{Workers: 2, Strict: true}, false, false},
-		{"StrictPar2Grain1", interp.Options{Workers: 2, Grain: 1, Strict: true}, false, true},
+		{"StrictPar2", interp.Options{Pool: pool(t, 2), Strict: true}, false, false},
+		{"StrictPar2Grain1", interp.Options{Pool: pool(t, 2), Grain: 1, Strict: true}, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var st interp.Stats
@@ -236,11 +236,11 @@ func TestOperatorTableParity(t *testing.T) {
 		specialized bool
 	}{
 		{"Seq", interp.Options{Sequential: true}, true},
-		{"Par2", interp.Options{Workers: 2}, true},
+		{"Par2", interp.Options{Pool: pool(t, 2)}, true},
 		{"SeqNoSpec", interp.Options{Sequential: true, NoSpecialize: true}, false},
-		{"Par2NoSpec", interp.Options{Workers: 2, NoSpecialize: true}, false},
+		{"Par2NoSpec", interp.Options{Pool: pool(t, 2), NoSpecialize: true}, false},
 		{"SeqStrict", interp.Options{Sequential: true, Strict: true}, false},
-		{"Par2Strict", interp.Options{Workers: 2, Strict: true}, false},
+		{"Par2Strict", interp.Options{Pool: pool(t, 2), Strict: true}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var st interp.Stats

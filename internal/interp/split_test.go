@@ -96,10 +96,10 @@ func TestSplitGuardShapes(t *testing.T) {
 				spec bool
 			}{
 				{"Seq", interp.Options{Sequential: true}, true},
-				{"Par2", interp.Options{Workers: 2}, true},
-				{"Par2Grain1", interp.Options{Workers: 2, Grain: 1}, true},
-				{"NoSpecialize", interp.Options{Workers: 2, NoSpecialize: true}, false},
-				{"Strict", interp.Options{Workers: 2, Strict: true}, false},
+				{"Par2", interp.Options{Pool: pool(t, 2)}, true},
+				{"Par2Grain1", interp.Options{Pool: pool(t, 2), Grain: 1}, true},
+				{"NoSpecialize", interp.Options{Pool: pool(t, 2), NoSpecialize: true}, false},
+				{"Strict", interp.Options{Pool: pool(t, 2), Strict: true}, false},
 			} {
 				var st interp.Stats
 				opts := row.opts

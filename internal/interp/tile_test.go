@@ -114,7 +114,7 @@ func TestTiledWavefrontParity(t *testing.T) {
 			for _, w := range []int{1, 2, 4} {
 				for _, g := range []int64{0, 1} {
 					var stats interp.Stats
-					got, err := ip.Run(tp.module, tp.args, interp.Options{Workers: w, Grain: g, Stats: &stats})
+					got, err := ip.Run(tp.module, tp.args, interp.Options{Pool: pool(t, w), Grain: g, Stats: &stats})
 					if err != nil {
 						t.Fatalf("W=%d grain %d: %v", w, g, err)
 					}
@@ -179,7 +179,7 @@ func TestWavefrontRowSplit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ip.Run(tc.module, tc.args, interp.Options{Workers: 2, Grain: 1})
+		got, err := ip.Run(tc.module, tc.args, interp.Options{Pool: pool(t, 2), Grain: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestWavefrontDegenerateAxis(t *testing.T) {
 		tiles, planes int64
 	}{{0, 0, 1}, {1, 16, 9}} {
 		var stats interp.Stats
-		got := runGS(t, gs, 64, 2, interp.Options{Workers: 2, Grain: tc.grain, Stats: &stats})
+		got := runGS(t, gs, 64, 2, interp.Options{Pool: pool(t, 2), Grain: tc.grain, Stats: &stats})
 		if !sameFloats([]any{got}, []any{want}) {
 			t.Errorf("GS maxK=2 grain %d diverges from Sequential()", tc.grain)
 		}
@@ -223,7 +223,7 @@ func TestWavefrontDegenerateAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats interp.Stats
-	got, err := sl.Run("Slab", args, interp.Options{Workers: 2, Grain: 1, Stats: &stats})
+	got, err := sl.Run("Slab", args, interp.Options{Pool: pool(t, 2), Grain: 1, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +294,14 @@ func TestTileAbortLeavesNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The pools' parked workers outlive the runs; count from after
+	// they started.
+	pool(t, 2)
+	pool(t, 4)
 	base := runtime.NumGoroutine()
 
 	for _, w := range []int{2, 4} {
-		_, err := ip.Run("Boom", []any{seed, int64(n), int64(n)}, interp.Options{Workers: w, Grain: 1})
+		_, err := ip.Run("Boom", []any{seed, int64(n), int64(n)}, interp.Options{Pool: pool(t, w), Grain: 1})
 		var re *interp.RunError
 		if !errors.As(err, &re) || !strings.Contains(err.Error(), "division by zero") || re.Equation == "" {
 			t.Errorf("W=%d: err = %v, want a RunError naming the equation that divided by zero", w, err)
@@ -311,7 +315,7 @@ func TestTileAbortLeavesNoLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	_, err = gs.RunCtx(ctx, "Relaxation", []any{grid(m), int64(m), int64(maxK)}, interp.Options{Workers: 2, Grain: 1})
+	_, err = gs.RunCtx(ctx, "Relaxation", []any{grid(m), int64(m), int64(maxK)}, interp.Options{Pool: pool(t, 2), Grain: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run: err = %v, want context.Canceled", err)
 	}
@@ -326,7 +330,7 @@ func TestTileAbortLeavesNoLeak(t *testing.T) {
 		}
 	}
 	for rep := 0; rep < 6; rep++ {
-		got, err := ip.Run("Boom", ok, interp.Options{Workers: 2, Grain: 1})
+		got, err := ip.Run("Boom", ok, interp.Options{Pool: pool(t, 2), Grain: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

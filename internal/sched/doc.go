@@ -1,15 +1,15 @@
 // Package sched implements the tile executor, the only parallel
-// executor of a run: §4 wavefront nests and §3 DOALL steps both reach
-// the worker pool through Run. internal/par only starts the worker
-// loops. Which plan a run executes is decided at lowering time (the
-// DOALL → wavefront → sequential cascade of internal/plan), and
-// internal/interp decides per activation, from its
-// bounds alone, whether a step is wide enough to dispatch here or runs
-// inline on the calling goroutine; this package holds no schedule
-// selection of its own. Sweeping planes one at a time with a pool-wide
-// fork/join per plane would pay a barrier on every plane, and on the
-// narrow leading and trailing diagonals of every sweep that barrier
-// dominates (it won no workload of this repo's benchmark).
+// executor of a run, and the worker pool it runs on: §4 wavefront nests
+// and §3 DOALL steps both reach the pool through Run. Which plan a run
+// executes is decided at lowering time (the DOALL → wavefront →
+// sequential cascade of internal/plan), and internal/interp decides per
+// activation, from its bounds alone, whether a step is wide enough to
+// dispatch here or runs inline on the calling goroutine; this package
+// holds no schedule selection of its own. Sweeping planes one at a time
+// with a pool-wide fork/join per plane would pay a barrier on every
+// plane, and on the narrow leading and trailing diagonals of every
+// sweep that barrier dominates (it won no workload of this repo's
+// benchmark).
 //
 // # The grid rule
 //
@@ -33,6 +33,15 @@
 // returns as soon as no tile is left unclaimed, so a join waits only for
 // the tiles still running, never for a parked loop's wake-up. Stalls,
 // executed tiles and steals are counted for RunStats.
+//
+// # The pool
+//
+// A Pool plays the role the target MIMD machine's processors played for
+// the paper's generated C. Its owner (ps.Engine, one pool per width)
+// creates and closes it; Run is the only code that dispatches on it. A
+// dispatch's caller runs every worker loop no parked helper claimed, so
+// its join never waits for a helper busy in another caller's step, and
+// a dispatch racing or following Close runs on its calling goroutine.
 //
 // # Contract
 //

@@ -1,4 +1,4 @@
-package par_test
+package sched
 
 import (
 	"sync"
@@ -6,17 +6,14 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"repro/internal/par"
 )
 
 // TestPoolCoverage verifies the persistent pool across many reuses —
 // the wavefront dispatch pattern — from three callers sharing it, as the
 // serving layer's concurrent activations do: every loop index runs
-// exactly once, and
-// Start returns only after all of them.
+// exactly once, and start returns only after all of them.
 func TestPoolCoverage(t *testing.T) {
-	p := par.NewPool(4)
+	p := NewPool(4)
 	defer p.Close()
 	var callers sync.WaitGroup
 	for c := 0; c < 3; c++ {
@@ -26,7 +23,7 @@ func TestPoolCoverage(t *testing.T) {
 			for round := 0; round < 200; round++ {
 				n := round%17 + 1
 				counts := make([]atomic.Int32, n)
-				p.Start(n, func(i int) { counts[i].Add(1) })
+				p.start(n, func(i int) { counts[i].Add(1) })
 				for i := 0; i < n; i++ {
 					if c := counts[i].Load(); c != 1 {
 						t.Errorf("round %d: loop %d ran %d times", round, i, c)
@@ -42,10 +39,10 @@ func TestPoolCoverage(t *testing.T) {
 // TestPoolSingleWorker verifies the degenerate pool runs every loop
 // inline, in order, on the caller.
 func TestPoolSingleWorker(t *testing.T) {
-	p := par.NewPool(1)
+	p := NewPool(1)
 	defer p.Close()
 	sum := 0 // no atomics needed: single worker runs inline
-	p.Start(100, func(i int) { sum = sum*3 + i })
+	p.start(100, func(i int) { sum = sum*3 + i })
 	want := 0
 	for i := 0; i < 100; i++ {
 		want = want*3 + i
@@ -53,12 +50,12 @@ func TestPoolSingleWorker(t *testing.T) {
 	if sum != want {
 		t.Errorf("sum = %d, want %d", sum, want)
 	}
-	p.Start(0, func(int) { t.Error("loop ran for n = 0") })
+	p.start(0, func(int) { t.Error("loop ran for n = 0") })
 }
 
 // TestPoolCloseIdempotent verifies Close can be called twice.
 func TestPoolCloseIdempotent(t *testing.T) {
-	p := par.NewPool(2)
+	p := NewPool(2)
 	p.Close()
 	p.Close()
 }
@@ -66,12 +63,12 @@ func TestPoolCloseIdempotent(t *testing.T) {
 // TestForProperty is a property test: any loop count, on a pool of any
 // width, runs each index once and returns only after all of them.
 func TestForProperty(t *testing.T) {
-	p := par.NewPool(0)
+	p := NewPool(0)
 	defer p.Close()
 	f := func(nRaw uint8) bool {
 		n := int(nRaw % 64)
 		var sum atomic.Int64
-		p.Start(n, func(i int) { sum.Add(int64(i) + 1) })
+		p.start(n, func(i int) { sum.Add(int64(i) + 1) })
 		return sum.Load() == int64(n*(n+1)/2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -84,7 +81,7 @@ func TestForProperty(t *testing.T) {
 // goroutine: its caller must run both loops itself and return, not wait
 // for the busy helper it queued the step for.
 func TestJoinDoesNotWaitForBusyHelper(t *testing.T) {
-	p := par.NewPool(2)
+	p := NewPool(2)
 	defer p.Close()
 	var running sync.WaitGroup
 	running.Add(2)
@@ -92,7 +89,7 @@ func TestJoinDoesNotWaitForBusyHelper(t *testing.T) {
 	held := make(chan struct{})
 	go func() {
 		defer close(held)
-		p.Start(2, func(int) {
+		p.start(2, func(int) {
 			running.Done()
 			<-release
 		})
@@ -102,7 +99,7 @@ func TestJoinDoesNotWaitForBusyHelper(t *testing.T) {
 	var ran atomic.Int32
 	go func() {
 		defer close(done)
-		p.Start(2, func(int) { ran.Add(1) })
+		p.start(2, func(int) { ran.Add(1) })
 	}()
 	select {
 	case <-done:
@@ -119,7 +116,7 @@ func TestJoinDoesNotWaitForBusyHelper(t *testing.T) {
 
 // TestDefaultWorkers sanity-checks the default.
 func TestDefaultWorkers(t *testing.T) {
-	if par.DefaultWorkers() < 1 {
+	if DefaultWorkers() < 1 {
 		t.Error("DefaultWorkers < 1")
 	}
 }

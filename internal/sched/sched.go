@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // Stats accumulates tile executor counters; fields are updated
@@ -38,7 +37,8 @@ const TilesPerWorker = 4
 
 // Body executes tile (a, b) of the grid. ring is the calling
 // worker's event ring (nil when the run is not recorded): the body may
-// emit on it, so events raised inside a tile land beside its KTile span
+// emit on it, so events raised inside a tile land beside its tile's
+// span — sched's KTile for a chained grid, the body's own for a DOALL —
 // without a second ring acquisition. It returns false to abort the whole
 // run (the caller observed cancellation or captured a panic); sched then
 // stops scheduling and Run reports !completed. A body's false is the only
@@ -58,7 +58,7 @@ type run struct {
 	grid    Grid
 	body    Body
 	workers int
-	// loop is r.worker bound once per run object, the loop Start runs.
+	// loop is r.worker bound once per run object, the loop the pool starts.
 	loop func(w int)
 	// done[b] is the last row column b completed; claimed[b] the last
 	// one claimed. claimed leads done by at most one row, so a column
@@ -95,9 +95,10 @@ var runs = sync.Pool{New: func() any {
 // order, calling body once per tile. It reports whether every tile
 // completed: false means a body returned false, aborting the run with
 // tiles unvisited. An empty grid completes trivially. rec, when non-nil,
-// records each worker's tile spans (obs.KTile, with the steal flag) and
-// parked waits (obs.KTileWait) on a per-worker ring.
-func Run(grid Grid, pool *par.Pool, body Body, stats *Stats, rec *obs.Recorder) bool {
+// hands each worker a ring of its own for the run, passed to every body
+// it runs; on a chained grid sched records there each tile's span
+// (obs.KTile, with the steal flag) and each parked wait (obs.KTileWait).
+func Run(grid Grid, pool *Pool, body Body, stats *Stats, rec *obs.Recorder) bool {
 	if grid.Rows <= 0 || grid.Cols <= 0 {
 		return true
 	}
@@ -119,7 +120,7 @@ func Run(grid Grid, pool *par.Pool, body Body, stats *Stats, rec *obs.Recorder) 
 	}
 	r.unclaimed.Store(int64(grid.Rows) * int64(cols))
 	r.aborted.Store(false)
-	pool.Start(r.workers, r.loop)
+	pool.start(r.workers, r.loop)
 	completed := !r.aborted.Load() && r.unclaimed.Load() == 0
 	r.grid, r.body, r.stats, r.rec = Grid{}, nil, nil, nil
 	runs.Put(r)
@@ -156,10 +157,15 @@ func (r *run) ready(b int) (int, bool) {
 // unclaimed — the tiles still in flight belong to their workers.
 func (r *run) worker(w int) {
 	workers, cols := r.workers, r.grid.Cols
-	var ring *obs.Ring
+	// spans is ring when sched spans the tiles and waits itself: in a
+	// chained grid. A DOALL's tiles are spanned by their bodies.
+	var ring, spans *obs.Ring
 	if r.rec != nil {
 		ring = r.rec.Acquire()
 		defer r.rec.Release(ring)
+		if r.grid.Chain {
+			spans = ring
+		}
 	}
 	home := w * cols / workers
 	const spinLimit = 64
@@ -180,8 +186,8 @@ func (r *run) worker(w int) {
 			}
 			r.unclaimed.Add(-1)
 			var t0 int64
-			if ring != nil {
-				t0 = ring.Now()
+			if spans != nil {
+				t0 = spans.Now()
 			}
 			ok = r.body(ring, a, b)
 			// Publish after the body's writes so a readiness check
@@ -194,12 +200,12 @@ func (r *run) worker(w int) {
 					r.stats.Steals.Add(1)
 				}
 			}
-			if ring != nil {
+			if spans != nil {
 				flags := int64(b) << 1
 				if stolen {
 					flags |= 1
 				}
-				ring.Emit(obs.KTile, t0, ring.Now()-t0, int64(a+b), flags)
+				spans.Emit(obs.KTile, t0, spans.Now()-t0, int64(a+b), flags)
 			}
 			r.wake()
 			if !ok {
@@ -218,7 +224,7 @@ func (r *run) worker(w int) {
 			continue
 		}
 		spins = 0
-		if !r.park(ring) {
+		if !r.park(spans) {
 			return
 		}
 	}
@@ -260,7 +266,8 @@ func (r *run) wakeAll() {
 // so a completion between the sample and the receive either shows up in
 // the re-check or observes the registration and closes the sampled
 // channel — no lost wakeups. It returns false when the worker should
-// exit. The blocked interval is recorded on ring as a KTileWait span.
+// exit. The blocked interval is recorded on ring, when non-nil, as a
+// KTileWait span.
 func (r *run) park(ring *obs.Ring) bool {
 	r.waiters.Add(1)
 	defer r.waiters.Add(-1)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // dep is one dependence of a tile on an earlier one: tile (a, b) reads
@@ -44,7 +43,7 @@ func cell(g []int64, rows, cols, a, b int, deps []dep) int64 {
 // per tile, into a flat array (no locks: correctness of the schedule IS
 // the test, and -race verifies the happens-before edges of the
 // completion counters).
-func runGrid(t *testing.T, pool *par.Pool, grid Grid, deps []dep, stats *Stats) []int64 {
+func runGrid(t *testing.T, pool *Pool, grid Grid, deps []dep, stats *Stats) []int64 {
 	t.Helper()
 	g := make([]int64, grid.Rows*grid.Cols)
 	if !Run(grid, pool, func(_ *obs.Ring, a, b int) bool {
@@ -75,7 +74,7 @@ func TestDoacrossMatchesSequential(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2, 3, 8} {
-				pool := par.NewPool(workers)
+				pool := NewPool(workers)
 				for _, rc := range grids {
 					want := refGrid(rc[0], rc[1], sh.deps)
 					got := runGrid(t, pool, Grid{Rows: rc[0], Cols: rc[1], Chain: true}, sh.deps, nil)
@@ -94,7 +93,7 @@ func TestDoacrossMatchesSequential(t *testing.T) {
 // is recycled between Runs, and every result must still match the
 // sequential reference.
 func TestConcurrentRuns(t *testing.T) {
-	pool := par.NewPool(3)
+	pool := NewPool(3)
 	defer pool.Close()
 	deps := []dep{{1, 0}, {0, 1}, {1, 1}}
 	var callers sync.WaitGroup
@@ -139,7 +138,7 @@ func TestConcurrentRuns(t *testing.T) {
 // counted once, and a pipeline whose tiles serialize behind one slow
 // column must record stalls.
 func TestDoacrossStats(t *testing.T) {
-	pool := par.NewPool(4)
+	pool := NewPool(4)
 	defer pool.Close()
 	for _, grid := range []Grid{{Rows: 10, Cols: 4, Chain: true}, {Rows: 1, Cols: 9}, {Rows: 7, Cols: 1, Chain: true}} {
 		var stats Stats
@@ -156,7 +155,7 @@ func TestDoacrossStats(t *testing.T) {
 	// With column 0 artificially slow, the worker homed on column 1
 	// waits on it every row, runs out of ready tiles and must park.
 	var slow Stats
-	pair := par.NewPool(2)
+	pair := NewPool(2)
 	defer pair.Close()
 	completed := Run(Grid{Rows: 6, Cols: 2, Chain: true}, pair, func(_ *obs.Ring, _, b int) bool {
 		if b == 0 {
@@ -176,7 +175,7 @@ func TestDoacrossStats(t *testing.T) {
 // its worker must steal the remaining columns' tiles.
 func TestDoacrossSteals(t *testing.T) {
 	var stats Stats
-	pool := par.NewPool(4)
+	pool := NewPool(4)
 	defer pool.Close()
 	var slowCol atomic.Int64
 	slowCol.Store(7)
@@ -198,9 +197,10 @@ func TestDoacrossSteals(t *testing.T) {
 // the worker executing it: what a body emits there lands in the trace
 // next to the worker's own tile spans, one of each per tile, and an
 // unrecorded run hands out nil. A tile span carries its anti-diagonal
-// and column.
+// and column. A recorded DOALL row hands its bodies rings too, but sched
+// spans none of its tiles: a DOALL tile's span is its body's.
 func TestDoacrossBodyRing(t *testing.T) {
-	pool := par.NewPool(2)
+	pool := NewPool(2)
 	defer pool.Close()
 	grid := Grid{Rows: 10, Cols: 4, Chain: true}
 	rec := obs.NewRecorder(0)
@@ -242,6 +242,26 @@ func TestDoacrossBodyRing(t *testing.T) {
 	}, nil, nil) {
 		t.Fatal("unrecorded run did not complete")
 	}
+	row := obs.NewRecorder(0)
+	if !Run(Grid{Rows: 1, Cols: 40}, pool, func(ring *obs.Ring, _, b int) bool {
+		if ring == nil {
+			t.Error("recorded DOALL row passed a nil ring")
+			return false
+		}
+		ring.Emit(obs.KChunk, ring.Now(), 0, int64(b), 0)
+		return true
+	}, nil, row) {
+		t.Fatal("DOALL row did not complete")
+	}
+	kinds := map[obs.Kind]int{}
+	for _, evs := range row.Snapshot() {
+		for _, ev := range evs {
+			kinds[ev.Kind]++
+		}
+	}
+	if kinds[obs.KChunk] != 40 || len(kinds) != 1 {
+		t.Errorf("DOALL row recorded %v, want 40 body chunk spans and nothing else", kinds)
+	}
 }
 
 // TestDoacrossCancel cancels a chained grid while a worker is parked
@@ -254,7 +274,7 @@ func TestDoacrossBodyRing(t *testing.T) {
 // may not hand a run to its helper (then one loop runs alone and nothing
 // parks), so the run is retried until an attempt parks a worker.
 func TestDoacrossCancel(t *testing.T) {
-	pool := par.NewPool(2)
+	pool := NewPool(2)
 	defer pool.Close()
 	for attempt := 0; attempt < 5; attempt++ {
 		var stats Stats
@@ -289,7 +309,7 @@ func TestDoacrossCancel(t *testing.T) {
 // TestDoacrossBodyAbort checks that a body returning false (the
 // interpreter's panic/cancel path) stops the run.
 func TestDoacrossBodyAbort(t *testing.T) {
-	pool := par.NewPool(3)
+	pool := NewPool(3)
 	defer pool.Close()
 	var ran atomic.Int64
 	completed := Run(Grid{Rows: 1000, Cols: 3, Chain: true}, pool, func(_ *obs.Ring, _, _ int) bool {
@@ -306,7 +326,7 @@ func TestDoacrossBodyAbort(t *testing.T) {
 // TestDoacrossEmpty covers degenerate grids: no rows or no columns
 // complete trivially.
 func TestDoacrossEmpty(t *testing.T) {
-	pool := par.NewPool(2)
+	pool := NewPool(2)
 	defer pool.Close()
 	body := func(_ *obs.Ring, _, _ int) bool { t.Error("body called"); return true }
 	if !Run(Grid{Rows: 0, Cols: 10, Chain: true}, pool, body, nil, nil) {
@@ -362,7 +382,7 @@ func span(b int, w, n int64) (lo, hi int64) {
 // tile is narrower than that minimum unless it is the last one.
 func TestDoAllCoverage(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
-		pool := par.NewPool(workers)
+		pool := NewPool(workers)
 		for n := int64(1); n <= 100; n += 11 {
 			for _, tileW := range []int64{0, 1, 7} {
 				counts := make([]atomic.Int32, n)
@@ -396,7 +416,7 @@ func TestDoAllCoverage(t *testing.T) {
 // TestDoAllEmpty checks an empty DOALL (no points, so no tiles) is a
 // no-op that completes.
 func TestDoAllEmpty(t *testing.T) {
-	pool := par.NewPool(3)
+	pool := NewPool(3)
 	defer pool.Close()
 	row, _ := doall(0, 3, 64)
 	if !Run(row, pool, func(_ *obs.Ring, _, _ int) bool {
@@ -414,7 +434,7 @@ func TestDoAllEmpty(t *testing.T) {
 // tile slow, so draining it takes far longer than any preemption of a
 // worker between its body's false and the abort.
 func TestDoAllCancel(t *testing.T) {
-	pool := par.NewPool(2)
+	pool := NewPool(2)
 	defer pool.Close()
 	var cancelled atomic.Bool
 	started := make(chan struct{})
@@ -444,7 +464,7 @@ func TestDoAllCancel(t *testing.T) {
 // aborts; the others are slow enough that the other worker cannot drain
 // the row while the aborting one is preempted before its abort.
 func TestDoAllBodyAbort(t *testing.T) {
-	pool := par.NewPool(2)
+	pool := NewPool(2)
 	defer pool.Close()
 	var ran atomic.Int64
 	row := Grid{Rows: 1, Cols: 1024}
@@ -467,7 +487,7 @@ func TestDoAllBodyAbort(t *testing.T) {
 // and returns at once — it never parks waiting for the held tile, so the
 // run records no stall.
 func TestWorkersReturnWhenNothingUnclaimed(t *testing.T) {
-	pool := par.NewPool(2)
+	pool := NewPool(2)
 	defer pool.Close()
 	for round := 0; round < 20; round++ {
 		var stats Stats

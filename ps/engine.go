@@ -7,16 +7,16 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/par"
+	"repro/internal/sched"
 )
 
 // Engine is a long-lived, concurrency-safe execution service for PS
-// programs: one shared worker pool serves the DOALLs of every
-// activation, compiled programs are cached by source hash with LRU
-// eviction under a configurable compiled-size budget, and engine-level
-// default options apply to every Runner prepared from its programs. An
-// Engine is the one way to compile a program, whether it serves many
-// concurrent requests or one run.
+// programs: it owns the worker pools (one per width, shared by every
+// activation at that width), compiled programs are cached by source
+// hash with LRU eviction under a configurable compiled-size budget, and
+// engine-level default options apply to every Runner prepared from its
+// programs. An Engine is the one way to compile a program, whether it
+// serves many concurrent requests or one run.
 //
 //	eng := ps.NewEngine(ps.EngineWorkers(8), ps.WithCacheLimit(64<<20))
 //	defer eng.Close()
@@ -24,11 +24,15 @@ import (
 //	run, err := prog.Prepare("Relaxation")
 //	out, stats, err := run.Run(ctx, []any{grid, 256, 64})
 type Engine struct {
-	pool     *par.Pool
+	// workers is the default pool's width.
+	workers  int
 	defaults []RunOption
 	closed   atomic.Bool
 
 	mu sync.Mutex
+	// pools holds one pool per width: the default one from NewEngine,
+	// any other from the first Prepare at that width.
+	pools map[int]*sched.Pool
 	// cache maps source hashes to their LRU list elements; lru orders
 	// entries most-recently-used first, and cacheBytes totals their
 	// compiled-size accounting. With cacheLimit 0 the cache is
@@ -37,10 +41,6 @@ type Engine struct {
 	lru        *list.List
 	cacheBytes int64
 	cacheLimit int64
-	// runnerPools are dedicated pools created for Runners prepared with
-	// a worker count different from the shared pool's; Close shuts them
-	// down with the engine.
-	runnerPools []*par.Pool
 
 	hits, misses, evictions atomic.Int64
 }
@@ -62,7 +62,7 @@ type engineConfig struct {
 // EngineOption configures NewEngine.
 type EngineOption func(*engineConfig)
 
-// EngineWorkers sets the shared pool's worker count (<= 0 uses all
+// EngineWorkers sets the default pool's worker count (<= 0 uses all
 // CPUs).
 func EngineWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.workers = n }
@@ -87,14 +87,16 @@ func EngineDefaults(opts ...RunOption) EngineOption {
 }
 
 // NewEngine starts an engine. Close it when no more runs are needed;
-// until then its worker pool stays parked between activations.
+// until then its worker pools stay parked between activations.
 func NewEngine(opts ...EngineOption) *Engine {
 	var c engineConfig
 	for _, f := range opts {
 		f(&c)
 	}
+	pool := sched.NewPool(c.workers)
 	return &Engine{
-		pool:       par.NewPool(c.workers),
+		workers:    pool.Workers(),
+		pools:      map[int]*sched.Pool{pool.Workers(): pool},
 		defaults:   c.defaults,
 		cache:      make(map[[sha256.Size]byte]*list.Element),
 		lru:        list.New(),
@@ -102,8 +104,8 @@ func NewEngine(opts ...EngineOption) *Engine {
 	}
 }
 
-// Workers returns the shared pool's worker count.
-func (e *Engine) Workers() int { return e.pool.Workers() }
+// Workers returns the default pool's worker count.
+func (e *Engine) Workers() int { return e.workers }
 
 // Compile parses, checks and schedules a PS source text, returning a
 // cached Program when the same (name, source) pair was compiled before.
@@ -210,27 +212,36 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// trackPool registers a Runner-owned pool for shutdown with the
-// engine. It returns false when the engine is already closed.
-func (e *Engine) trackPool(p *par.Pool) bool {
+// pool returns the engine's pool of the given width (<= 0 is the
+// default width), starting it on first use. It returns nil once the
+// engine is closed.
+func (e *Engine) pool(workers int) *sched.Pool {
+	if workers <= 0 {
+		workers = e.workers
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
-		return false
+		return nil
 	}
-	e.runnerPools = append(e.runnerPools, p)
-	return true
+	p := e.pools[workers]
+	if p == nil {
+		p = sched.NewPool(workers)
+		e.pools[workers] = p
+	}
+	return p
 }
 
-// Close shuts the shared pool — and every Runner-owned pool — down.
-// All in-flight runs must have completed; subsequent runs on this
-// engine's programs fail with a typed error.
+// Close stops every pool of the engine; runs that start afterwards on
+// its programs fail with the engine-closed *Error, as does preparing a
+// parallel Runner. A run in flight does not fail: Close waits for the
+// pools' workers to return from the tiles they are running, and the run
+// finishes on the goroutine that called it.
 func (e *Engine) Close() {
 	if e.closed.CompareAndSwap(false, true) {
-		e.pool.Close()
 		e.mu.Lock()
-		pools := e.runnerPools
-		e.runnerPools = nil
+		pools := e.pools
+		e.pools = nil
 		e.mu.Unlock()
 		for _, p := range pools {
 			p.Close()

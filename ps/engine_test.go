@@ -408,8 +408,9 @@ func TestEngineDefaults(t *testing.T) {
 }
 
 // TestRunnerDedicatedPool covers a Runner prepared with a worker count
-// different from the engine pool's: it gets a persistent dedicated
-// pool (created once at Prepare), and Prepare fails typed after Close.
+// different from the engine's default: it runs on the engine's pool of
+// that width (started by the first Prepare at it), and Prepare fails
+// typed after Close.
 func TestRunnerDedicatedPool(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	prog, err := eng.Compile("smooth.ps", psrc.Smooth)
@@ -431,9 +432,9 @@ func TestRunnerDedicatedPool(t *testing.T) {
 			t.Errorf("Workers = %d, want 3", stats.Workers)
 		}
 	}
-	eng.Close() // must also close the dedicated pool without panicking
+	eng.Close() // must also close the width-3 pool without panicking
 	if _, err := prog.Prepare("Smooth", ps.Workers(5)); err == nil {
-		t.Error("Prepare with dedicated pool on closed engine succeeded")
+		t.Error("Prepare at a new width on a closed engine succeeded")
 	}
 }
 

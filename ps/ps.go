@@ -72,7 +72,7 @@ type Program struct {
 	ip      *interp.Program
 	mods    map[string]*Module
 	// eng is the engine this program was compiled through; it supplies
-	// the shared pool and default options to prepared Runners.
+	// its pools and default options to prepared Runners.
 	eng *Engine
 }
 
@@ -140,8 +140,10 @@ func (p *Program) Modules() []string {
 // RunOption configures execution.
 type RunOption func(*interp.Options)
 
-// Workers sets the worker count of DOALL and wavefront steps (default:
-// all CPUs).
+// Workers sets the worker count of DOALL and wavefront steps: the
+// Runner runs on the engine's pool of that width, which the first
+// Prepare at that width starts. n <= 0, or no Workers option, is the
+// engine's default pool.
 func Workers(n int) RunOption { return func(o *interp.Options) { o.Workers = n } }
 
 // Sequential forces serial execution of every loop, DOALLs included.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/interp"
-	"repro/internal/par"
 	"repro/internal/plan"
 	"repro/internal/types"
 )
@@ -23,10 +22,8 @@ type Runner struct {
 	prog *Program
 	mod  *Module
 	// opts are the merged options every run starts from; opts.Pool is
-	// the persistent pool serving this runner's tiled steps: the
-	// engine's shared pool, or a dedicated engine-tracked pool when the
-	// runner was prepared with a different worker count. nil for
-	// sequential runners.
+	// the engine's pool of the runner's width, which serves its tiled
+	// steps. nil for sequential runners.
 	opts interp.Options
 	// workers is the width every run reports in RunStats.Workers and
 	// Explain prints: the pool's worker count, or 1 for a sequential
@@ -41,10 +38,11 @@ type Runner struct {
 // returning a reusable Runner. The engine's default options are applied
 // before opts.
 //
-// A parallel runner is bound to a persistent pool at Prepare time: the
-// engine's shared pool, or — when a Workers option asks for a different
-// width — a dedicated pool created once here and closed with the
-// engine, so the per-Run path never pays pool setup.
+// A parallel runner is bound at Prepare time to the engine's pool of
+// its width: the default pool, or — when a Workers option asks for a
+// different width — the engine's pool of that width, started by the
+// first Prepare to ask for it and shared by every later one, so the
+// per-Run path never pays pool setup.
 func (p *Program) Prepare(module string, opts ...RunOption) (*Runner, error) {
 	m := p.Module(module)
 	if m == nil {
@@ -60,15 +58,8 @@ func (p *Program) Prepare(module string, opts ...RunOption) (*Runner, error) {
 	}
 	r := &Runner{prog: p, mod: m, opts: o, workers: 1}
 	if !o.Sequential {
-		if o.Workers <= 0 || o.Workers == eng.pool.Workers() {
-			r.opts.Pool = eng.pool
-		} else {
-			pool := par.NewPool(o.Workers)
-			if !eng.trackPool(pool) {
-				pool.Close()
-				return nil, &Error{Phase: PhaseRun, Module: module, Err: errors.New("engine is closed")}
-			}
-			r.opts.Pool = pool
+		if r.opts.Pool = eng.pool(o.Workers); r.opts.Pool == nil {
+			return nil, &Error{Phase: PhaseRun, Module: module, Err: errors.New("engine is closed")}
 		}
 		r.workers = r.opts.Pool.Workers()
 	}

@@ -287,8 +287,10 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Close releases the server's resources: admission stops and the
-// server's engine is closed, which fails the activations still running (call
-// Drain first for graceful shutdown).
+// server's engine is closed. A request whose run has not started yet is
+// answered with the engine-closed error (500); a run already executing
+// finishes on its handler's goroutine and is answered as usual. Call
+// Drain first for graceful shutdown.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.eng.Close()

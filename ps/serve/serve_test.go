@@ -507,6 +507,29 @@ func TestServeDrain(t *testing.T) {
 	}
 }
 
+// TestServeCloseMidRun closes the server while its hook holds a run:
+// once released, the held request is answered with a JSON error naming
+// the closed engine, not dropped or panicked.
+func TestServeCloseMidRun(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	hold := holdRuns(t, srv, 0)
+	a := goRun(ts, "", "smooth", "Smooth", 0)
+	waitFor(t, "the run to reach the hook", hold.started(1))
+	srv.Close()
+	hold.release()
+	res := <-a
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(res.body, &er); err != nil {
+		t.Fatalf("held request's reply is not JSON: %v: %q", err, res.body)
+	}
+	if res.code != http.StatusInternalServerError || !strings.Contains(er.Error, "engine is closed") {
+		t.Errorf("held request: %d %q, want 500 naming the closed engine", res.code, er.Error)
+	}
+}
+
 // TestServeCoalescesWhileBusy pins the run bound: of six requests from
 // two tenants, exactly as many as the pool is wide (two) run at once
 // while the others wait for a slot, each wait is observed in
