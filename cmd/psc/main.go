@@ -5,7 +5,7 @@
 // Usage:
 //
 //	psc [-module name] [-dump c|flowchart|plan|components|graph|dot|virtual|source]
-//	    [-openmp] [-no-virtual] [-seq] [-transform eq.N] file.ps
+//	    [-openmp] [-seq] [-transform eq.N] file.ps
 //
 // Examples:
 //
@@ -29,7 +29,6 @@ func main() {
 	module := flag.String("module", "", "module to operate on (default: last in file)")
 	dump := flag.String("dump", "c", "what to emit: c, flowchart, plan, components, graph, dot, virtual, source")
 	openmp := flag.Bool("openmp", false, "emit #pragma omp parallel for above DOALL loops")
-	noVirtual := flag.Bool("no-virtual", false, "allocate every dimension physically")
 	seq := flag.Bool("seq", false, "emit the plan sequential runs execute (the schedule as emitted) instead of the parallel cascade plan")
 	transform := flag.String("transform", "", "apply the §4 hyperplane transformation to the named equation and emit the rewritten PS source")
 	flag.Parse()
@@ -75,7 +74,7 @@ func main() {
 
 	switch *dump {
 	case "c":
-		c, err := m.GenerateCWith(planOpts, ps.CGenOptions{OpenMP: *openmp, NoVirtual: *noVirtual})
+		c, err := m.GenerateCWith(planOpts, ps.CGenOptions{OpenMP: *openmp})
 		if err != nil {
 			fatal(err)
 		}

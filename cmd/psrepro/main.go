@@ -18,7 +18,7 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
@@ -28,11 +28,11 @@ func main() {
 
 	eng := ps.NewEngine()
 	defer eng.Close()
-	jac, err := eng.Compile("relaxation.ps", psrc.Relaxation)
+	jac, err := eng.Compile("relaxation.ps", repro.Source("relaxation"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	gs, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	gs, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestPsrunExplain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("psrun -explain: %v\n%s", err, errOut)
 	}
-	for _, want := range []string{"base plan", "plan Relaxation", "do K"} {
+	for _, want := range []string{"cascade plan", "plan Relaxation", "do K"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-explain output missing %q:\n%s", want, out)
 		}

@@ -18,7 +18,7 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
@@ -31,7 +31,7 @@ func main() {
 
 	eng := ps.NewEngine(ps.EngineWorkers(*workers))
 	defer eng.Close()
-	prog, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	prog, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		log.Fatal(err)
 	}

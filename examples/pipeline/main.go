@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
@@ -23,7 +23,7 @@ func main() {
 	// Runner prepared from this engine's programs.
 	eng := ps.NewEngine(ps.EngineWorkers(4), ps.EngineDefaults(ps.Strict()))
 	defer eng.Close()
-	prog, err := eng.Compile("pipeline.ps", psrc.Pipeline)
+	prog, err := eng.Compile("pipeline.ps", repro.Source("pipeline"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 	"log"
 	"runtime"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
@@ -28,7 +28,7 @@ func main() {
 
 	eng := ps.NewEngine(ps.EngineWorkers(*workers))
 	defer eng.Close()
-	prog, err := eng.Compile("relaxation.ps", psrc.Relaxation)
+	prog, err := eng.Compile("relaxation.ps", repro.Source("relaxation"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,11 +11,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/psrc"
 	"repro/ps"
 )
 
@@ -62,43 +62,42 @@ func goldenModule(t *testing.T, src, module string) *ps.Module {
 // dependence-carrying corpus
 // programs.
 func TestGoldenPlanListings(t *testing.T) {
-	relax := goldenModule(t, psrc.Relaxation, "Relaxation")
+	relax := goldenModule(t, Source("relaxation"), "Relaxation")
 	checkGolden(t, "relaxation_plan.txt", relax.Plan())
 
-	gsSrc := mustRead(t, "testdata/gauss_seidel.ps")
-	gs := goldenModule(t, gsSrc, "Relaxation")
+	gs := goldenModule(t, Source("gauss_seidel"), "Relaxation")
 	checkGolden(t, "gauss_seidel_plan.txt", gs.Plan())
 	checkGolden(t, "gauss_seidel_plan_hyperoff.txt",
 		gs.PlanWith(ps.PlanOptions{Sequential: true}))
 
-	skew := goldenModule(t, mustRead(t, "testdata/skew_stencil.ps"), "SkewStencil")
+	skew := goldenModule(t, Source("skew_stencil"), "SkewStencil")
 	checkGolden(t, "skew_stencil_plan.txt", skew.Plan())
 
-	diag := goldenModule(t, mustRead(t, "testdata/diag_chain.ps"), "DiagChain")
+	diag := goldenModule(t, Source("diag_chain"), "DiagChain")
 	checkGolden(t, "diag_chain_plan.txt", diag.Plan())
 
 	// Multi-equation groups: the coupled component's single two-kernel
 	// wavefront step, and the pair of recurrence nests the cascade fuses
 	// because the merged nest collapses into one wavefront.
-	coupled := goldenModule(t, mustRead(t, "testdata/coupled.ps"), "Coupled")
+	coupled := goldenModule(t, Source("coupled"), "Coupled")
 	checkGolden(t, "coupled_plan.txt", coupled.Plan())
 
-	fp := goldenModule(t, mustRead(t, "testdata/fuse_pair.ps"), "FusePair")
+	fp := goldenModule(t, Source("fuse_pair"), "FusePair")
 	checkGolden(t, "fuse_pair_plan_fused.txt", fp.Plan())
 
 	// The DP-wavefront corpus program: anti-diagonal time vector with
 	// an integer-sequence comparison feeding the recurrence.
-	sw := goldenModule(t, mustRead(t, "testdata/smith_waterman.ps"), "SmithWaterman")
+	sw := goldenModule(t, Source("smith_waterman"), "SmithWaterman")
 	checkGolden(t, "smith_waterman_plan.txt", sw.Plan())
 
 	// The 3-D wavefront: the time vector pi = (1,1,1) spans the whole
 	// cube nest.
-	h3 := goldenModule(t, mustRead(t, "testdata/heat3d.ps"), "Heat3D")
+	h3 := goldenModule(t, Source("heat3d"), "Heat3D")
 	checkGolden(t, "heat3d_plan.txt", h3.Plan())
 
 	// Region-partitioned DP: boundary-row/column DOALL steps scheduled
 	// ahead of the interior wavefront over the 1 .. N subranges.
-	ed := goldenModule(t, mustRead(t, "testdata/edit_distance.ps"), "EditDistance")
+	ed := goldenModule(t, Source("edit_distance"), "EditDistance")
 	checkGolden(t, "edit_distance_plan.txt", ed.Plan())
 }
 
@@ -129,7 +128,7 @@ func TestGoldenPlanCompact(t *testing.T) {
 // as emitted).
 func TestGoldenExplain(t *testing.T) {
 	eng := newEngine(t)
-	prog, err := eng.Compile("gauss_seidel.ps", mustRead(t, "testdata/gauss_seidel.ps"))
+	prog, err := eng.Compile("gauss_seidel.ps", Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func TestGoldenExplain(t *testing.T) {
 
 	// The multi-equation wavefront surface: Explain must show the
 	// kernels sharing one π, indented under the wavefront step.
-	coupled, err := eng.Compile("coupled.ps", mustRead(t, "testdata/coupled.ps"))
+	coupled, err := eng.Compile("coupled.ps", Source("coupled"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestGoldenExplain(t *testing.T) {
 
 	// A two-equation sequential body run as one jammed span, then two
 	// copy-outs Explain must mark as copy spans.
-	reflectProg, err := eng.Compile("reflect.ps", mustRead(t, "testdata/reflect.ps"))
+	reflectProg, err := eng.Compile("reflect.ps", Source("reflect"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,4 +185,20 @@ func TestGoldenPscPlan(t *testing.T) {
 		t.Fatalf("psc -seq: %v\n%s", err, errOut)
 	}
 	checkGolden(t, "gauss_seidel_plan_hyperoff.txt", out)
+}
+
+// TestGoldenPsrepro pins every artifact psrepro regenerates — Figure 1,
+// 3, 5, 6 and 7, §3.4 and §4 — byte for byte, one golden per -only id.
+func TestGoldenPsrepro(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "psrepro")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/psrepro").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, id := range []string{"fig1", "fig3", "fig5", "fig6", "fig7", "sec3.4", "sec4"} {
+		out, err := exec.Command(bin, "-only", id).Output()
+		if err != nil {
+			t.Fatalf("psrepro -only %s: %v", id, err)
+		}
+		checkGolden(t, "psrepro_"+id+".txt", string(out))
+	}
 }

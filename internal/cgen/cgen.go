@@ -29,8 +29,6 @@ type Options struct {
 	// OpenMP adds "#pragma omp parallel for" above DOALL loops and above
 	// the tile loop of each anti-diagonal of a wavefront nest.
 	OpenMP bool
-	// NoVirtual allocates every dimension physically.
-	NoVirtual bool
 }
 
 // Generate emits the C translation unit of module m: one prelude, then
@@ -206,10 +204,7 @@ func (g *generator) prelude(m *sem.Module, pl *plan.Program, wavefront bool) {
 // static when the module is a callee of the unit's entry.
 func (g *generator) module(m *sem.Module, pl *plan.Program, static bool) {
 	g.m, g.pl = m, pl
-	g.windows = make(map[*sem.Symbol]map[int]int)
-	if !g.opts.NoVirtual {
-		g.windows = pl.Windows()
-	}
+	g.windows = pl.Windows()
 
 	// Enum typedefs.
 	for _, d := range m.AST.Types {

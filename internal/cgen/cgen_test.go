@@ -11,13 +11,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/cgen"
 	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/interp"
 	"repro/internal/parser"
 	"repro/internal/plan"
-	"repro/internal/psrc"
 	"repro/internal/sem"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -60,7 +60,7 @@ func lowerer(t *testing.T, opts plan.Options) func(*sem.Module) *plan.Program {
 // TestGeneratedCShape checks the structural properties the paper
 // describes: annotated DO/DOALL loops and the window-2 allocation.
 func TestGeneratedCShape(t *testing.T) {
-	c, _, _ := generate(t, psrc.Relaxation, "Relaxation", cgen.Options{OpenMP: true})
+	c, _, _ := generate(t, repro.Source("relaxation"), "Relaxation", cgen.Options{OpenMP: true})
 	for _, want := range []string{
 		"Relaxation_result Relaxation(const double *InitialA, long M, long maxK)",
 		"/* DOALL I */",
@@ -81,17 +81,6 @@ func TestGeneratedCShape(t *testing.T) {
 	iAt := strings.Index(c[kAt:], "/* DOALL I */")
 	if kAt < 0 || iAt < 0 {
 		t.Error("DO K does not enclose DOALL I")
-	}
-}
-
-// TestGeneratedCNoVirtual checks the ablation path: full allocation.
-func TestGeneratedCNoVirtual(t *testing.T) {
-	c, _, _ := generate(t, psrc.Relaxation, "Relaxation", cgen.Options{NoVirtual: true})
-	if strings.Contains(c, "virtual: window") {
-		t.Error("NoVirtual output still contains a window allocation")
-	}
-	if !strings.Contains(c, "const long A_d0_n = A_d0_hi - A_d0_lo + 1;") {
-		t.Error("NoVirtual output missing physical plane count")
 	}
 }
 
@@ -169,14 +158,16 @@ int main(void) {
 `, n, modName, modName, prints.String())}
 }
 
-// elements lists every element of a real array in row-major order.
-func elements(a *value.Array) []float64 {
-	var out []float64
+// elements lists every element of an array in row-major order, boxed
+// as Array.Get returns it: a real as float64, an integer-backed element
+// (int, char, enum) as int64.
+func elements(a *value.Array) []any {
+	var out []any
 	idx := make([]int64, a.Rank())
 	var walk func(d int)
 	walk = func(d int) {
 		if d == len(idx) {
-			out = append(out, a.GetF(idx))
+			out = append(out, a.Get(idx))
 			return
 		}
 		for idx[d] = a.Axes[d].Lo; idx[d] <= a.Axes[d].Hi; idx[d]++ {
@@ -187,15 +178,33 @@ func elements(a *value.Array) []float64 {
 	return out
 }
 
+// sameElement reports whether line, one value a C main printed (%.17g
+// for a real, %ld for an integer-backed element), equals want bitwise.
+// All NaNs are equal: C and Go produce different payloads and signs.
+func sameElement(line string, want any) (bool, error) {
+	switch w := want.(type) {
+	case int64:
+		v, err := strconv.ParseInt(line, 10, 64)
+		return v == w, err
+	case float64:
+		if strings.TrimPrefix(line, "-") == "nan" {
+			return math.IsNaN(w), nil
+		}
+		v, err := strconv.ParseFloat(line, 64)
+		return math.Float64bits(v) == math.Float64bits(w), err
+	}
+	return false, fmt.Errorf("element of type %T", want)
+}
+
 // ccValidate is the shared compile-run-compare harness for the cc
 // validation tests: it generates C for the case's module under planOpts
 // and each build's generator options, appends the case's main, builds
 // it with the build's cc flags, runs the binary with OMP_NUM_THREADS 1,
 // 2 and 3, and requires every printed element of every run to be
-// bitwise equal to the interpreter's sequential result. A build with
-// -fopenmp that fails to compile is logged and skipped (old compilers);
-// every other build failure is fatal. Skipped entirely when no C
-// compiler is installed.
+// bitwise equal to the interpreter's sequential result, all NaNs
+// counted equal. A build with -fopenmp that fails to compile is logged
+// and skipped (old compilers); every other build failure is fatal.
+// Skipped entirely when no C compiler is installed.
 func ccValidate(t *testing.T, c ccCase, planOpts plan.Options, builds []ccBuild, requireWavefront bool) {
 	t.Helper()
 	ccPath, err := exec.LookPath("cc")
@@ -224,7 +233,7 @@ func ccValidate(t *testing.T, c ccCase, planOpts plan.Options, builds []ccBuild,
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []float64
+	var want []any
 	for _, r := range res {
 		if a, ok := r.(*value.Array); ok {
 			want = append(want, elements(a)...)
@@ -262,12 +271,12 @@ func ccValidate(t *testing.T, c ccCase, planOpts plan.Options, builds []ccBuild,
 				t.Fatalf("C binary printed %d values, want %d", len(lines), len(want))
 			}
 			for k, line := range lines {
-				cv, err := strconv.ParseFloat(line, 64)
+				same, err := sameElement(line, want[k])
 				if err != nil {
 					t.Fatalf("parse %q: %v", line, err)
 				}
-				if math.Float64bits(cv) != math.Float64bits(want[k]) {
-					t.Fatalf("cc %v, %s threads, element %d: C %g, interpreter %g", b.flags, threads, k, cv, want[k])
+				if !same {
+					t.Fatalf("cc %v, %s threads, element %d: C %s, interpreter %v", b.flags, threads, k, line, want[k])
 				}
 			}
 		}
@@ -288,7 +297,7 @@ var ompBuilds = []ccBuild{
 // element against the interpreter — validating the paper's actual
 // artifact end to end.
 func TestCompiledCMatchesInterpreter(t *testing.T) {
-	ccValidate(t, gridCase(psrc.Relaxation, "Relaxation", 8, 5), plan.Options{},
+	ccValidate(t, gridCase(repro.Source("relaxation"), "Relaxation", 8, 5), plan.Options{},
 		[]ccBuild{{cgen.Options{}, []string{"-O2"}}}, false)
 }
 
@@ -353,7 +362,7 @@ func checkTileForm(t *testing.T, c string) string {
 // loop, so Mutual's two split equations pin one row loop each, in body
 // order.
 func TestGeneratedCWavefrontShape(t *testing.T) {
-	c := wavefrontC(t, psrc.RelaxationGS, "Relaxation")
+	c := wavefrontC(t, repro.Source("gauss_seidel"), "Relaxation")
 	for _, want := range []string{
 		"/* WAVEFRONT K, I, J: t = 2*K + I + J, window 3 */",
 		"const long wf_lo_1 = K_lo + I_lo, wf_hi_1 = K_hi + I_hi, wf_per_1 = wf_p > 1 ? 4*wf_p : 1;",
@@ -400,7 +409,7 @@ func TestGeneratedCWavefrontShape(t *testing.T) {
 // element against the interpreter's sequential run: the tile grid
 // validated end to end through the C backend.
 func TestCompiledCWavefrontMatchesInterpreter(t *testing.T) {
-	ccValidate(t, gridCase(psrc.RelaxationGS, "Relaxation", 9, 6), plan.Options{Hyperplane: true},
+	ccValidate(t, gridCase(repro.Source("gauss_seidel"), "Relaxation", 9, 6), plan.Options{Hyperplane: true},
 		ompBuilds, true)
 }
 
@@ -452,7 +461,7 @@ end Main;
 // function ahead of its caller, under one prelude, and it compiles and
 // runs bitwise equal to the interpreter.
 func TestGeneratedCPipeline(t *testing.T) {
-	out, _, _ := generate(t, psrc.Pipeline, "Pipeline", cgen.Options{})
+	out, _, _ := generate(t, repro.Source("pipeline"), "Pipeline", cgen.Options{})
 	if !strings.Contains(out, "Smooth_result") || !strings.Contains(out, "= Smooth(") {
 		t.Errorf("pipeline C missing module call:\n%s", out)
 	}
@@ -476,7 +485,7 @@ func TestGeneratedCPipeline(t *testing.T) {
 	}
 
 	// Ls, Hs = Halves(Xs, N): both array targets take Halves' results.
-	c, _, _ := generate(t, psrc.Halves, "Main", cgen.Options{})
+	c, _, _ := generate(t, repro.Source("halves"), "Main", cgen.Options{})
 	for _, want := range []string{
 		"Halves_result call_eq_1_ = Halves(Xs, N); /* eq.1 */",
 		"Ls = call_eq_1_.Ls;",
@@ -512,10 +521,10 @@ func TestGeneratedCPipeline(t *testing.T) {
 	}
 
 	t.Run("Pipeline", func(t *testing.T) {
-		ccValidate(t, rowCase(psrc.Pipeline, "Pipeline", 9, "Zs"), plan.Options{Hyperplane: true}, ompBuilds, false)
+		ccValidate(t, rowCase(repro.Source("pipeline"), "Pipeline", 9, "Zs"), plan.Options{Hyperplane: true}, ompBuilds, false)
 	})
 	t.Run("Halves", func(t *testing.T) {
-		ccValidate(t, rowCase(psrc.Halves, "Main", 9, "Ls", "Hs"), plan.Options{Hyperplane: true}, ompBuilds, false)
+		ccValidate(t, rowCase(repro.Source("halves"), "Main", 9, "Ls", "Hs"), plan.Options{Hyperplane: true}, ompBuilds, false)
 	})
 	t.Run("ClashingEnums", func(t *testing.T) {
 		ccValidate(t, rowCase(clashingEnums, "Main", 9, "Z"), plan.Options{Hyperplane: true}, ompBuilds, false)
@@ -527,7 +536,7 @@ func TestGeneratedCPipeline(t *testing.T) {
 // row loop in group order (eq.2 before eq.1), since CoupledGrid's rows
 // do not split.
 func TestGeneratedCMultiKernelWavefrontShape(t *testing.T) {
-	c := wavefrontC(t, psrc.CoupledGrid, "CoupledGrid")
+	c := wavefrontC(t, repro.Source("coupled_grid"), "CoupledGrid")
 	if n := strings.Count(c, "/* WAVEFRONT"); n != 1 {
 		t.Errorf("C has %d wavefront nests, want 1:\n%s", n, c)
 	}
@@ -549,8 +558,67 @@ func TestGeneratedCMultiKernelWavefrontShape(t *testing.T) {
 // and without -fopenmp — and compares every element against the
 // interpreter's sequential run.
 func TestCompiledCMultiKernelWavefrontMatchesInterpreter(t *testing.T) {
-	ccValidate(t, gridCase(psrc.CoupledGrid, "CoupledGrid", 9, 3), plan.Options{Hyperplane: true},
+	ccValidate(t, gridCase(repro.Source("coupled_grid"), "CoupledGrid", 9, 3), plan.Options{Hyperplane: true},
 		ompBuilds, true)
+}
+
+// TestCompiledCOperatorTable runs the C of the operator table
+// testdata/ops.ps on the inputs of the interpreter's
+// TestOperatorTableParity — NaN, ±Inf and −0.0 operands, negative
+// div/mod, trunc/round at .5, char codes — plain and under OpenMP, and
+// requires every element to equal the interpreter's sequential run.
+func TestCompiledCOperatorTable(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	reals := [][]float64{
+		{nan, negZero, 0, 1.5, -2.5, inf, -inf, 3, nan, negZero, 1e300, -7.25},
+		{1, 0, negZero, nan, -2.5, 2, -inf, negZero, nan, negZero, 1e300, 0.5},
+		{-2.5, -1.5, -0.5, 0.5, 1.5, 2.5, negZero, 0.49999999999999994, -3.7, 3.7, 1e15 + 0.5, -1e15 - 0.5},
+	}
+	ints := [][]int64{
+		{-7, 7, -7, 7, 0, -1, 9, -9, 6, -6, 1 << 40, -(1 << 40)},
+		{2, -2, -2, 2, 5, 1, -3, 3, 6, -6, 3, 7},
+		{'a', 'z', 'Q', 'A', '{', '`', 'm', ' ', 'q', 'Z', '0', '~'},
+	}
+	n := int64(len(reals[0]))
+	var args []any
+	var main strings.Builder
+	main.WriteString("\n#include <stdio.h>\n#include <string.h>\n")
+	main.WriteString("static double bits(unsigned long long u) { double d; memcpy(&d, &u, sizeof d); return d; }\n")
+	fmt.Fprintf(&main, "int main(void) {\n    long N = %d;\n", n)
+	for k, v := range reals {
+		a := value.NewArray(types.RealKind, []value.Axis{{Lo: 1, Hi: n}})
+		copy(a.F, v)
+		args = append(args, a)
+		fmt.Fprintf(&main, "    double %s[] = {", []string{"Xs", "Ys", "Hs"}[k])
+		for _, x := range v {
+			fmt.Fprintf(&main, "bits(%#xULL), ", math.Float64bits(x))
+		}
+		main.WriteString("};\n")
+	}
+	for k, v := range ints {
+		kind, ctype := types.IntKind, "long"
+		if k == 2 {
+			kind, ctype = types.CharKind, "char"
+		}
+		a := value.NewArray(kind, []value.Axis{{Lo: 1, Hi: n}})
+		copy(a.I, v)
+		args = append(args, a)
+		fmt.Fprintf(&main, "    %s %s[] = {", ctype, []string{"Ps", "Qs", "Cs"}[k])
+		for _, x := range v {
+			fmt.Fprintf(&main, "%d, ", x)
+		}
+		main.WriteString("};\n")
+	}
+	args = append(args, n, 0.75, int64(-3), true)
+	main.WriteString("    Ops_result r = Ops(Xs, Ys, Hs, Ps, Qs, Cs, N, 0.75, -3, 1);\n")
+	for _, res := range []string{"RA", "RB", "RC", "RD", "RE", "RF", "RG", "RH"} {
+		fmt.Fprintf(&main, "    for (long i = 0; i < N; i++) printf(\"%%.17g\\n\", r.%s[i]);\n", res)
+	}
+	for _, res := range []string{"IA", "IB", "IC", "ID", "IE", "IG"} {
+		fmt.Fprintf(&main, "    for (long i = 0; i < N; i++) printf(\"%%ld\\n\", r.%s[i]);\n", res)
+	}
+	main.WriteString("    return 0;\n}\n")
+	ccValidate(t, ccCase{repro.Source("ops"), "Ops", args, main.String()}, plan.Options{Hyperplane: true}, ompBuilds, false)
 }
 
 // TestGeneratedCMinMaxNaN pins the NaN and signed-zero semantics of
@@ -587,81 +655,21 @@ end MinMax;
 		}
 	}
 
-	ccPath, err := exec.LookPath("cc")
-	if err != nil {
-		t.Skip("no C compiler in PATH")
-	}
 	const n = int64(6)
-	prog, err := parser.ParseProgram("t.ps", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := sem.Check(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip, err := interp.Compile(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := value.NewArray(types.RealKind, []value.Axis{{Lo: 1, Hi: n}})
 	for i := int64(1); i <= n; i++ {
 		in.SetF([]int64{i}, float64(i-3)/4.0)
 	}
-	res, err := ip.Run("MinMax", []any{in, n}, interp.Options{Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	main := fmt.Sprintf(`
+	ccValidate(t, ccCase{src, "MinMax", []any{in, n}, fmt.Sprintf(`
 #include <stdio.h>
 int main(void) {
     long N = %d;
     double in[%d];
     for (long i = 0; i < N; i++) in[i] = (double)(i - 2) / 4.0;
     MinMax_result r = MinMax(in, N);
-    for (long i = 0; i < N; i++)
-        if (isnan(r.Lo2[i])) printf("NaN\n"); else printf("%%.17g\n", r.Lo2[i]);
-    for (long i = 0; i < N; i++)
-        if (isnan(r.Hi2[i])) printf("NaN\n"); else printf("%%.17g\n", r.Hi2[i]);
+    for (long i = 0; i < N; i++) printf("%%.17g\n", r.Lo2[i]);
+    for (long i = 0; i < N; i++) printf("%%.17g\n", r.Hi2[i]);
     return 0;
 }
-`, n, n)
-	dir := t.TempDir()
-	cFile := filepath.Join(dir, "minmax.c")
-	if err := os.WriteFile(cFile, []byte(c+main), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(dir, "minmax")
-	if out, err := exec.Command(ccPath, "-O2", "-o", bin, cFile, "-lm").CombinedOutput(); err != nil {
-		t.Fatalf("cc: %v\n%s", err, out)
-	}
-	out, err := exec.Command(bin).Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Fields(strings.TrimSpace(string(out)))
-	if len(lines) != int(2*n) {
-		t.Fatalf("C binary printed %d values, want %d", len(lines), 2*n)
-	}
-	for ri, name := range []string{"Lo2", "Hi2"} {
-		want := res[ri].(*value.Array)
-		for i := int64(1); i <= n; i++ {
-			line := lines[int64(ri)*n+i-1]
-			iv := want.GetF([]int64{i})
-			if line == "NaN" {
-				if !math.IsNaN(iv) {
-					t.Errorf("%s[%d]: C NaN, interpreter %g", name, i, iv)
-				}
-				continue
-			}
-			cv, err := strconv.ParseFloat(line, 64)
-			if err != nil {
-				t.Fatalf("parse %q: %v", line, err)
-			}
-			if math.IsNaN(iv) || math.Float64bits(cv) != math.Float64bits(iv) {
-				t.Errorf("%s[%d]: C %g (%#x), interpreter %g (%#x)", name, i, cv, math.Float64bits(cv), iv, math.Float64bits(iv))
-			}
-		}
-	}
+`, n, n)}, plan.Options{}, []ccBuild{{cgen.Options{}, []string{"-O2"}}}, false)
 }

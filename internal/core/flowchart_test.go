@@ -4,16 +4,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/depgraph"
-	"repro/internal/psrc"
 )
 
 // TestFlowchartString pins the multi-line Figure 6/7 rendering: one
 // descriptor per line, DOALL/DO keywords, four-space indentation per
 // nesting level, and node lines for the scheduled data items.
 func TestFlowchartString(t *testing.T) {
-	_, sched := compile(t, psrc.RelaxationGS)
+	_, sched := compile(t, repro.Source("gauss_seidel"))
 	got := sched.Flowchart.String()
 	for _, want := range []string{
 		"DOALL I (\n    DOALL J (\n        eq.1\n    )\n)",
@@ -31,7 +31,7 @@ func TestFlowchartString(t *testing.T) {
 
 // TestFlowchartLoops pins the outermost-first loop enumeration.
 func TestFlowchartLoops(t *testing.T) {
-	_, sched := compile(t, psrc.RelaxationGS)
+	_, sched := compile(t, repro.Source("gauss_seidel"))
 	loops := sched.Flowchart.Loops()
 	var names []string
 	var iterative int
@@ -87,7 +87,7 @@ end Two;
 
 // TestVirtualFor pins the per-symbol filter over the §3.4 window list.
 func TestVirtualFor(t *testing.T) {
-	m, sched := compile(t, psrc.Relaxation)
+	m, sched := compile(t, repro.Source("relaxation"))
 	sym := m.Lookup("A")
 	if sym == nil {
 		t.Fatal("no symbol A")
@@ -123,7 +123,7 @@ func TestUnschedulableErrorMessage(t *testing.T) {
 // TestFlowchartEquationsOrder pins execution-order equation listing
 // against the compact rendering.
 func TestFlowchartEquationsOrder(t *testing.T) {
-	_, sched := compile(t, psrc.Relaxation)
+	_, sched := compile(t, repro.Source("relaxation"))
 	var names []string
 	for _, n := range sched.Flowchart.Equations() {
 		if n.Kind != depgraph.EquationNode {

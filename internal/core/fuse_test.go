@@ -3,8 +3,8 @@ package core_test
 import (
 	"testing"
 
+	"repro"
 	"repro/internal/core"
-	"repro/internal/psrc"
 )
 
 // TestFuseIndependent merges two DOALL loops over the same subrange when
@@ -118,7 +118,7 @@ end Nest;
 // TestFuseMixedKindsBlocked never merges a DO with a DOALL, or loops over
 // different subranges.
 func TestFuseMixedKindsBlocked(t *testing.T) {
-	_, sched := compile(t, psrc.Relaxation)
+	_, sched := compile(t, repro.Source("relaxation"))
 	fused := core.Fuse(sched.Flowchart).Compact()
 	// eq.1's DOALL I and the recurrence's DO K differ in subrange; the
 	// final DOALL I (eq.2) is separated from eq.1 by the K loop. Nothing

@@ -4,10 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/parser"
-	"repro/internal/psrc"
 	"repro/internal/sem"
 )
 
@@ -34,7 +34,7 @@ func compile(t *testing.T, src string) (*sem.Module, *core.Schedule) {
 // TestFigure6Schedule verifies that the Jacobi relaxation module of
 // Figure 1 schedules exactly as the paper's Figure 6.
 func TestFigure6Schedule(t *testing.T) {
-	_, sched := compile(t, psrc.Relaxation)
+	_, sched := compile(t, repro.Source("relaxation"))
 	got := sched.Flowchart.Compact()
 	want := "DOALL I (DOALL J (eq.1)); DO K (DOALL I (DOALL J (eq.3))); DOALL I (DOALL J (eq.2))"
 	if got != want {
@@ -45,7 +45,7 @@ func TestFigure6Schedule(t *testing.T) {
 // TestFigure7Schedule verifies that the Gauss–Seidel revision (the
 // paper's Equation 2) schedules as the all-iterative nest of Figure 7.
 func TestFigure7Schedule(t *testing.T) {
-	_, sched := compile(t, psrc.RelaxationGS)
+	_, sched := compile(t, repro.Source("gauss_seidel"))
 	got := sched.Flowchart.Compact()
 	want := "DOALL I (DOALL J (eq.1)); DO K (DO I (DO J (eq.3))); DOALL I (DOALL J (eq.2))"
 	if got != want {
@@ -58,7 +58,7 @@ func TestFigure7Schedule(t *testing.T) {
 // only multi-node component, and the per-component flowcharts of the
 // paper's Figure 5 table.
 func TestFigure5Components(t *testing.T) {
-	_, sched := compile(t, psrc.Relaxation)
+	_, sched := compile(t, repro.Source("relaxation"))
 	if len(sched.Components) != 7 {
 		for _, c := range sched.Components {
 			t.Logf("component %d: {%s}", c.Index, c.NodeNames())
@@ -97,7 +97,7 @@ func TestFigure5Components(t *testing.T) {
 // TestVirtualWindowJacobi verifies §3.4: the first dimension of A is
 // virtual with a window of two planes, and no other dimension is virtual.
 func TestVirtualWindowJacobi(t *testing.T) {
-	m, sched := compile(t, psrc.Relaxation)
+	m, sched := compile(t, repro.Source("relaxation"))
 	if len(sched.Virtual) != 1 {
 		t.Fatalf("got %d virtual dimensions, want 1: %+v", len(sched.Virtual), sched.Virtual)
 	}
@@ -121,7 +121,7 @@ func TestVirtualWindowJacobi(t *testing.T) {
 // virtual dimension analysis gives the same result as in the previous
 // version".
 func TestVirtualWindowGS(t *testing.T) {
-	m, sched := compile(t, psrc.RelaxationGS)
+	m, sched := compile(t, repro.Source("gauss_seidel"))
 	if len(sched.Virtual) != 1 {
 		t.Fatalf("got %d virtual dimensions, want 1: %+v", len(sched.Virtual), sched.Virtual)
 	}
@@ -137,10 +137,10 @@ func TestScheduleSmallModules(t *testing.T) {
 	cases := []struct {
 		name, src, want string
 	}{
-		{"Smooth", psrc.Smooth, "DOALL I (eq.1)"},
-		{"Heat1D", psrc.Heat1D, "DOALL X (eq.1); DO T (DOALL X (eq.3)); DOALL X (eq.2)"},
-		{"Prefix", psrc.Prefix, "eq.1; DO I2 (eq.2); DOALL I (eq.3)"},
-		{"Wavefront2D", psrc.Wavefront2D, "DO I (DO J (eq.1)); DOALL I (DOALL J (eq.2))"},
+		{"Smooth", repro.Source("smooth"), "DOALL I (eq.1)"},
+		{"Heat1D", repro.Source("heat1d"), "DOALL X (eq.1); DO T (DOALL X (eq.3)); DOALL X (eq.2)"},
+		{"Prefix", repro.Source("prefix"), "eq.1; DO I2 (eq.2); DOALL I (eq.3)"},
+		{"Wavefront2D", repro.Source("wavefront2d"), "DO I (DO J (eq.1)); DOALL I (DOALL J (eq.2))"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,9 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/depgraph"
 	"repro/internal/parser"
-	"repro/internal/psrc"
 	"repro/internal/sem"
 )
 
@@ -26,7 +26,7 @@ func build(t *testing.T, src, module string) *depgraph.Graph {
 // TestRelaxationGraphStructure verifies the Figure 3 dependency graph:
 // node inventory and the full edge set with labels.
 func TestRelaxationGraphStructure(t *testing.T) {
-	g := build(t, psrc.Relaxation, "Relaxation")
+	g := build(t, repro.Source("relaxation"), "Relaxation")
 	if len(g.Nodes) != 8 {
 		t.Errorf("got %d nodes, want 8 (4 data + 1 result + 1 local is 6... params InitialA, M, maxK + newA + A + 3 equations)", len(g.Nodes))
 	}
@@ -62,7 +62,7 @@ func TestRelaxationGraphStructure(t *testing.T) {
 // TestEdgeLabels verifies the Figure 2 label classification on the
 // Jacobi references.
 func TestEdgeLabels(t *testing.T) {
-	g := build(t, psrc.Relaxation, "Relaxation")
+	g := build(t, repro.Source("relaxation"), "Relaxation")
 	a := g.NodeFor("A")
 	eq3 := g.NodeFor("e:eq.3")
 	eq2 := g.NodeFor("e:eq.2")
@@ -98,7 +98,7 @@ func TestEdgeLabels(t *testing.T) {
 
 // TestLHSEdge verifies the equation→variable edge and its labels.
 func TestLHSEdge(t *testing.T) {
-	g := build(t, psrc.Relaxation, "Relaxation")
+	g := build(t, repro.Source("relaxation"), "Relaxation")
 	eq1 := g.NodeFor("e:eq.1")
 	var lhs *depgraph.Edge
 	for _, e := range eq1.Out {
@@ -126,7 +126,7 @@ func TestLHSEdge(t *testing.T) {
 // expressions and subscripts (M in the boundary conditions, maxK in
 // A[maxK]).
 func TestScalarRefEdges(t *testing.T) {
-	g := build(t, psrc.Relaxation, "Relaxation")
+	g := build(t, repro.Source("relaxation"), "Relaxation")
 	joined := strings.Join(g.EdgeStrings(), "\n")
 	if !strings.Contains(joined, "M --> eq.3") {
 		t.Error("missing data edge M -> eq.3 (boundary conditions reference M)")
@@ -138,7 +138,7 @@ func TestScalarRefEdges(t *testing.T) {
 
 // TestDOTOutput sanity-checks the Graphviz export.
 func TestDOTOutput(t *testing.T) {
-	g := build(t, psrc.Relaxation, "Relaxation")
+	g := build(t, repro.Source("relaxation"), "Relaxation")
 	dot := g.DOT()
 	for _, w := range []string{
 		"digraph \"Relaxation\"",
@@ -155,7 +155,7 @@ func TestDOTOutput(t *testing.T) {
 
 // TestWholeCallEdges verifies call-argument references.
 func TestWholeCallEdges(t *testing.T) {
-	g := build(t, psrc.Pipeline, "Pipeline")
+	g := build(t, repro.Source("pipeline"), "Pipeline")
 	joined := strings.Join(g.EdgeStrings(), "\n")
 	// Xs feeds the first call, Mid the second; Mid is produced by eq.1.
 	for _, w := range []string{"Xs -", "Mid -", "-> Mid", "-> Zs"} {

@@ -5,18 +5,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/hyperplane"
 	"repro/internal/parser"
-	"repro/internal/psrc"
 	"repro/internal/sem"
 )
 
 func analyzeGS(t *testing.T) (*sem.Module, *hyperplane.Analysis) {
 	t.Helper()
-	prog, err := parser.ParseProgram("gs.ps", psrc.RelaxationGS)
+	prog, err := parser.ParseProgram("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -210,7 +210,7 @@ func TestSolveInfeasible(t *testing.T) {
 
 // TestAnalyzeRejects verifies diagnostics for non-transformable equations.
 func TestAnalyzeRejects(t *testing.T) {
-	prog, err := parser.ParseProgram("jacobi.ps", psrc.Relaxation)
+	prog, err := parser.ParseProgram("jacobi.ps", repro.Source("relaxation"))
 	if err != nil {
 		t.Fatal(err)
 	}

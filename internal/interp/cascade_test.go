@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/interp"
 	"repro/internal/plan"
-	"repro/internal/psrc"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -39,7 +39,7 @@ func seed(n int64) *value.Array {
 // sequential reference bitwise and execute the same instances; wider
 // runs dispatch only the copy-outs, fused into one DOALL.
 func TestPipelineParity(t *testing.T) {
-	ip := compileSrc(t, psrc.Reflect)
+	ip := compileSrc(t, repro.Source("reflect"))
 	pl := ip.Plan("Reflect", plan.Options{Hyperplane: true})
 	const want = "DO I (DO J (eq.2; eq.1)); DOALL I×J (eq.3; eq.4)"
 	if got := pl.Compact(); got != want || pl.HasWavefront() {
@@ -95,7 +95,7 @@ func TestPipelineParity(t *testing.T) {
 // rejoins them because the union of dependence vectors admits π = (1,1),
 // and the cascade wavefronts the merged nest. Every row matches the sequential reference.
 func TestPipelineFirstCascade(t *testing.T) {
-	ip := compileSrc(t, psrc.Mutual)
+	ip := compileSrc(t, repro.Source("mutual"))
 	auto := ip.Plan("Mutual", plan.Options{Hyperplane: true})
 	if !auto.HasWavefront() || !auto.Cascade[0].Merged {
 		t.Fatalf("auto cascade did not wavefront the fused nest:\n%s", auto)
@@ -145,7 +145,7 @@ func TestPipelineFirstCascade(t *testing.T) {
 // inside the producer's sequential DO nest stops it there — the error
 // names one of its two equations — well before the nest would finish.
 func TestPipelineCancellation(t *testing.T) {
-	ip := compileSrc(t, psrc.Reflect)
+	ip := compileSrc(t, repro.Source("reflect"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := ip.RunCtx(ctx, "Reflect", []any{seed(64), int64(64)}, interp.Options{Pool: pool(t, 4)})

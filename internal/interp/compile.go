@@ -180,15 +180,14 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 			panic(r)
 		}
 	}()
-	// Lower the schedule once per execution mode; everything below
-	// compiles against the plan's slot assignment, which both plans share
-	// (Bounds come from the module's subrange table).
-	basePl := plan.Lower(m, sched, plan.Options{})
+	// Everything below compiles against the cascade plan's slot
+	// assignment, which the as-emitted plan shares (Bounds come from the
+	// module's subrange table).
 	hyperPl := plan.Lower(m, sched, plan.Options{Hyperplane: true})
 	cm = &compiledModule{
 		m:      m,
 		sched:  sched,
-		slotOf: make(map[*types.Subrange]int, len(basePl.Bounds)),
+		slotOf: make(map[*types.Subrange]int, len(hyperPl.Bounds)),
 		symIdx: make(map[*sem.Symbol]int),
 	}
 	p.mods[m] = cm // registered before equation compilation so calls resolve
@@ -199,9 +198,9 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 		cm.symIdx[sym] = len(cm.syms)
 		cm.syms = append(cm.syms, sym)
 	}
-	cm.nSlots = basePl.NSlots()
+	cm.nSlots = hyperPl.NSlots()
 	cm.bounds = make([][2]evalI, cm.nSlots)
-	for i, b := range basePl.Bounds {
+	for i, b := range hyperPl.Bounds {
 		cm.slotOf[b.Subrange] = i
 		cm.bounds[i] = [2]evalI{c.compileI(b.Lo), c.compileI(b.Hi)}
 	}
@@ -218,11 +217,12 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 	}
 	// A cascade that neither fused nor wavefronted a nest lowered the
 	// schedule as emitted, so both modes share its compiledPlan, whose
-	// Cascade still records each nest's decision for Explain.
+	// Cascade still records each nest's decision for Explain; only a
+	// restructured cascade needs the as-emitted plan lowered as well.
 	cp := cm.bindPlan(hyperPl, kernels, specs)
 	cm.plans = [2]*compiledPlan{cp, cp}
 	if hyperPl.Restructured() {
-		cm.plans[0] = cm.bindPlan(basePl, kernels, specs)
+		cm.plans[0] = cm.bindPlan(plan.Lower(m, sched, plan.Options{}), kernels, specs)
 	}
 	return cm, nil
 }

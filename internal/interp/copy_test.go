@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/interp"
 	"repro/internal/plan"
-	"repro/internal/psrc"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -90,7 +90,7 @@ func TestCopySpan(t *testing.T) {
 	}{
 		{"RealAndIntIdentity", identityCopies, "Ident", []any{sq, ints, int64(n)},
 			map[string][]int{"eq.1": {1}, "eq.2": {1}}, false},
-		{"WindowedSource", psrc.Relaxation, "Relaxation", []any{grid(n), int64(n), int64(5)},
+		{"WindowedSource", repro.Source("relaxation"), "Relaxation", []any{grid(n), int64(n), int64(5)},
 			map[string][]int{"eq.1": {1}, "eq.2": {1}}, false},
 		{"SameArrayShift", shiftedSelf, "Shift", []any{sq, int64(n)},
 			map[string][]int{"eq.1": {1}, "eq.2": {1}}, false},

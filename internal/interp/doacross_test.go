@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro"
 	"repro/internal/interp"
-	"repro/internal/psrc"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -29,7 +29,7 @@ func runGS(t *testing.T, ip *interp.Program, m, maxK int64, opts interp.Options)
 // tiled coordinates K and I+K, 54 — holds grain × workers points. The Doacross*/Barrier* row names predate the single executor:
 // they now pin the tile side and the inline side of the rule.
 func TestDoacrossScheduleParity(t *testing.T) {
-	ip := compileSrc(t, psrc.RelaxationGS)
+	ip := compileSrc(t, repro.Source("gauss_seidel"))
 	const m, maxK = 13, 7
 	want := runGS(t, ip, m, maxK, interp.Options{Sequential: true})
 	for _, tc := range []struct {
@@ -82,7 +82,7 @@ func TestTilePlane(t *testing.T) {
 // 6 × 10 tiles over 15 tile-grid planes. Results stay identical
 // throughout.
 func TestDoacrossGrainControlsTiles(t *testing.T) {
-	ip := compileSrc(t, psrc.RelaxationGS)
+	ip := compileSrc(t, repro.Source("gauss_seidel"))
 	const m, maxK = 13, 7
 	want := runGS(t, ip, m, maxK, interp.Options{Sequential: true})
 	var fine, coarse, inline interp.Stats
@@ -109,7 +109,7 @@ func TestDoacrossGrainControlsTiles(t *testing.T) {
 // under default options — no tile is dispatched, on the first run or any
 // later one.
 func TestDoacrossAutoNarrowPlanes(t *testing.T) {
-	ip := compileSrc(t, psrc.RelaxationGS)
+	ip := compileSrc(t, repro.Source("gauss_seidel"))
 	want := runGS(t, ip, 4, 6, interp.Options{Sequential: true})
 	for run := 0; run < 3; run++ {
 		var stats interp.Stats
@@ -147,7 +147,7 @@ end Scale;
 // per step. Every run matches the sequential reference on fresh storage
 // bitwise.
 func TestDispatchRule(t *testing.T) {
-	smooth := compileSrc(t, psrc.Smooth)
+	smooth := compileSrc(t, repro.Source("smooth"))
 	xs := func(points int64) *value.Array {
 		a := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: points - 1}})
 		for i := int64(0); i < points; i++ {

@@ -3,9 +3,9 @@ package interp_test
 import (
 	"testing"
 
+	"repro"
 	"repro/internal/interp"
 	"repro/internal/plan"
-	"repro/internal/psrc"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -20,13 +20,13 @@ func TestFusedExecutionEquals(t *testing.T) {
 		// fused is the cascade plan's compact form when it merges nests.
 		fused string
 	}{
-		{"Jacobi", psrc.Relaxation, "Relaxation", func() []any {
+		{"Jacobi", repro.Source("relaxation"), "Relaxation", func() []any {
 			return []any{grid(9), int64(9), int64(5)}
 		}, ""},
-		{"GaussSeidel", psrc.RelaxationGS, "Relaxation", func() []any {
+		{"GaussSeidel", repro.Source("gauss_seidel"), "Relaxation", func() []any {
 			return []any{grid(9), int64(9), int64(5)}
 		}, ""},
-		{"Prefix", psrc.Prefix, "Prefix", func() []any {
+		{"Prefix", repro.Source("prefix"), "Prefix", func() []any {
 			xs := value.NewArray(types.RealKind, []value.Axis{{Lo: 1, Hi: 12}})
 			for i := int64(1); i <= 12; i++ {
 				xs.SetF([]int64{i}, float64(i%5))

@@ -4,10 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"repro"
 	"repro/internal/hyperplane"
 	"repro/internal/interp"
 	"repro/internal/parser"
-	"repro/internal/psrc"
 	"repro/internal/sem"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -104,7 +104,7 @@ func runRelaxation(t testing.TB, ip *interp.Program, in *value.Array, m, maxK in
 // against a direct Go implementation, bit for bit.
 func TestJacobiMatchesReference(t *testing.T) {
 	const m, maxK = 9, 6
-	ip := compileSrc(t, psrc.Relaxation)
+	ip := compileSrc(t, repro.Source("relaxation"))
 	in := grid(m)
 	got := runRelaxation(t, ip, in, m, maxK, interp.Options{})
 	want := jacobiRef(in, m, maxK)
@@ -117,7 +117,7 @@ func TestJacobiMatchesReference(t *testing.T) {
 // bitwise identical to sequential execution.
 func TestJacobiParallelEqualsSequential(t *testing.T) {
 	const m, maxK = 17, 9
-	ip := compileSrc(t, psrc.Relaxation)
+	ip := compileSrc(t, repro.Source("relaxation"))
 	in := grid(m)
 	seq := runRelaxation(t, ip, in, m, maxK, interp.Options{Sequential: true})
 	for _, workers := range []int{2, 4, 8} {
@@ -133,7 +133,7 @@ func TestJacobiParallelEqualsSequential(t *testing.T) {
 // virtual dimension produces exactly the full-allocation result.
 func TestJacobiWindowEqualsPhysical(t *testing.T) {
 	const m, maxK = 13, 8
-	ip := compileSrc(t, psrc.Relaxation)
+	ip := compileSrc(t, repro.Source("relaxation"))
 	in := grid(m)
 	win := runRelaxation(t, ip, in, m, maxK, interp.Options{Pool: pool(t, 2)})
 	phys := runRelaxation(t, ip, in, m, maxK, interp.Options{Pool: pool(t, 2), NoVirtual: true})
@@ -145,7 +145,7 @@ func TestJacobiWindowEqualsPhysical(t *testing.T) {
 // TestGaussSeidelMatchesReference checks the Equation 2 module.
 func TestGaussSeidelMatchesReference(t *testing.T) {
 	const m, maxK = 9, 6
-	ip := compileSrc(t, psrc.RelaxationGS)
+	ip := compileSrc(t, repro.Source("gauss_seidel"))
 	in := grid(m)
 	got := runRelaxation(t, ip, in, m, maxK, interp.Options{})
 	want := gsRef(in, m, maxK)
@@ -160,7 +160,7 @@ func TestGaussSeidelMatchesReference(t *testing.T) {
 // Gauss–Seidel module.
 func TestTransformedEqualsOriginal(t *testing.T) {
 	const m, maxK = 11, 7
-	prog, err := parser.ParseProgram("gs.ps", psrc.RelaxationGS)
+	prog, err := parser.ParseProgram("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestTransformedEqualsOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	orig := compileSrc(t, psrc.RelaxationGS)
+	orig := compileSrc(t, repro.Source("gauss_seidel"))
 	xform := compileSrc(t, res.Source)
 
 	in := grid(m)
@@ -238,7 +238,7 @@ end Oob;
 // TestSmallModules runs the auxiliary workloads and checks their values.
 func TestSmallModules(t *testing.T) {
 	t.Run("Prefix", func(t *testing.T) {
-		ip := compileSrc(t, psrc.Prefix)
+		ip := compileSrc(t, repro.Source("prefix"))
 		xs := value.NewArray(types.RealKind, []value.Axis{{Lo: 1, Hi: 5}})
 		for i := int64(1); i <= 5; i++ {
 			xs.SetF([]int64{i}, float64(i))
@@ -257,7 +257,7 @@ func TestSmallModules(t *testing.T) {
 	})
 
 	t.Run("Smooth", func(t *testing.T) {
-		ip := compileSrc(t, psrc.Smooth)
+		ip := compileSrc(t, repro.Source("smooth"))
 		n := int64(6)
 		xs := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: n + 1}})
 		for i := int64(0); i <= n+1; i++ {
@@ -280,7 +280,7 @@ func TestSmallModules(t *testing.T) {
 	})
 
 	t.Run("Pipeline", func(t *testing.T) {
-		ip := compileSrc(t, psrc.Pipeline)
+		ip := compileSrc(t, repro.Source("pipeline"))
 		n := int64(6)
 		xs := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: n + 1}})
 		for i := int64(0); i <= n+1; i++ {
@@ -300,7 +300,7 @@ func TestSmallModules(t *testing.T) {
 	})
 
 	t.Run("Wavefront2D", func(t *testing.T) {
-		ip := compileSrc(t, psrc.Wavefront2D)
+		ip := compileSrc(t, repro.Source("wavefront2d"))
 		n := int64(5)
 		seed := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: n + 1}, {Lo: 0, Hi: n + 1}})
 		for i := int64(0); i <= n+1; i++ {
@@ -327,7 +327,7 @@ func TestSmallModules(t *testing.T) {
 // TestHeat1DConservation checks that the explicit heat step preserves a
 // constant field.
 func TestHeat1DConservation(t *testing.T) {
-	ip := compileSrc(t, psrc.Heat1D)
+	ip := compileSrc(t, repro.Source("heat1d"))
 	n := int64(16)
 	u0 := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: n + 1}})
 	u0.Fill(3.5)
@@ -347,7 +347,7 @@ func TestHeat1DConservation(t *testing.T) {
 // Sequential and on default options and requires both targets to equal
 // a direct run of Halves, with nothing left lent from the arena.
 func TestMultiTargetCallArrays(t *testing.T) {
-	ip := compileSrc(t, psrc.Halves)
+	ip := compileSrc(t, repro.Source("halves"))
 	const n = 6
 	xs := realBox(value.Axis{Hi: n + 1})
 	want, err := ip.Run("Halves", []any{xs, int64(n)}, interp.Options{Sequential: true})
@@ -370,9 +370,9 @@ func TestMultiTargetCallArrays(t *testing.T) {
 	}
 }
 
-// pipelineSkew adds to psrc.Pipeline a driver whose second call hands
-// Smooth a bound one past the array it passes, so that callee fails.
-const pipelineSkew = psrc.Pipeline + `
+// pipelineSkew adds to testdata/pipeline.ps a driver whose second call
+// hands Smooth a bound one past the array it passes, so that callee fails.
+var pipelineSkew = repro.Source("pipeline") + `
 Skew: module (Xs: array[I] of real; N: int): [Zs: array [I] of real];
 type
     I = 0 .. N+1;

@@ -4,9 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro"
 	"repro/internal/interp"
 	"repro/internal/plan"
-	"repro/internal/psrc"
 	"repro/internal/value"
 )
 
@@ -30,7 +30,7 @@ func runCoupled(t *testing.T, ip *interp.Program, m, maxK int64, opts interp.Opt
 // wavefront sweep visits exactly the original points, each running the
 // whole group).
 func TestMultiKernelWavefrontParity(t *testing.T) {
-	ip := compileSrc(t, psrc.CoupledGrid)
+	ip := compileSrc(t, repro.Source("coupled_grid"))
 	if !ip.Plan("CoupledGrid", plan.Options{Hyperplane: true}).HasWavefront() {
 		t.Fatal("CoupledGrid did not lower to a wavefront plan")
 	}

@@ -4,8 +4,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro"
 	"repro/internal/interp"
-	"repro/internal/psrc"
 	"repro/internal/sched"
 	"repro/internal/types"
 	"repro/internal/value"
@@ -56,7 +56,7 @@ func TestNilPoolRunsInline(t *testing.T) {
 		args              []any
 	}{
 		{"DoAll", scale2D, "Scale", []any{a, int64(n)}},
-		{"Wavefront", psrc.RelaxationGS, "Relaxation", []any{grid(24), int64(24), int64(6)}},
+		{"Wavefront", repro.Source("gauss_seidel"), "Relaxation", []any{grid(24), int64(24), int64(6)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ip := compileSrc(t, tc.src)

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/interp"
 	"repro/internal/plan"
-	"repro/internal/psrc"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -112,7 +112,7 @@ func TestSequentialLeafSpans(t *testing.T) {
 		fails bool
 	}{
 		{"SecondOrder", secondOrder, "Fib", []any{line(n), int64(n)}, true, 0, false},
-		{"GaussSeidel", psrc.RelaxationGS, "Relaxation", []any{grid(13), int64(13), int64(7)}, true, 0, false},
+		{"GaussSeidel", repro.Source("gauss_seidel"), "Relaxation", []any{grid(13), int64(13), int64(7)}, true, 0, false},
 		{"WindowedSpanAxis", windowedSpan, "Win", []any{line(n), int64(n)}, false, 3, false},
 		{"OutOfBounds", outOfBounds, "Oob", []any{line(n), int64(n), int64(2)}, true, 0, true},
 	} {
@@ -181,7 +181,7 @@ func TestSequentialLeafSpans(t *testing.T) {
 // to finish: leaf spans poll once per row, the enclosing DOs once per
 // iteration, so the run must stop promptly with context.Canceled.
 func TestSequentialLeafSpanCancel(t *testing.T) {
-	ip := compileSrc(t, psrc.RelaxationGS)
+	ip := compileSrc(t, repro.Source("gauss_seidel"))
 	const m = 16
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

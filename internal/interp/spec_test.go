@@ -4,9 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro"
 	"repro/internal/interp"
 	"repro/internal/plan"
-	"repro/internal/psrc"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -52,17 +52,17 @@ func TestKernelEligibility(t *testing.T) {
 		guards            map[string]int  // equation label -> split comparisons (absent: 0)
 		reasons           map[string]string
 	}{
-		{"RelaxationGS", psrc.RelaxationGS, "Relaxation",
+		{"RelaxationGS", repro.Source("gauss_seidel"), "Relaxation",
 			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, map[string]int{"eq.3": 4}, nil},
-		{"Wavefront2D", psrc.Wavefront2D, "Wavefront2D",
+		{"Wavefront2D", repro.Source("wavefront2d"), "Wavefront2D",
 			map[string]bool{"eq.1": true, "eq.2": true}, map[string]int{"eq.1": 2}, nil},
-		{"Heat1D", psrc.Heat1D, "Heat1D",
+		{"Heat1D", repro.Source("heat1d"), "Heat1D",
 			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, map[string]int{"eq.3": 2}, nil},
-		{"CoupledGrid", psrc.CoupledGrid, "CoupledGrid",
+		{"CoupledGrid", repro.Source("coupled_grid"), "CoupledGrid",
 			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, map[string]int{"eq.1": 2, "eq.2": 2}, nil},
-		{"Prefix", psrc.Prefix, "Prefix",
+		{"Prefix", repro.Source("prefix"), "Prefix",
 			map[string]bool{"eq.1": true, "eq.2": true, "eq.3": true}, nil, nil},
-		{"Pipeline", psrc.Pipeline, "Pipeline",
+		{"Pipeline", repro.Source("pipeline"), "Pipeline",
 			map[string]bool{"eq.1": false, "eq.2": false}, nil,
 			map[string]string{"eq.1": "module call"}},
 		{"Mirror", reflectedRead, "Mirror",
@@ -106,7 +106,7 @@ func TestKernelEligibility(t *testing.T) {
 // positive by default, zero under NoSpecialize and Strict (the
 // certified fast path must never claim checked points).
 func TestSpanDispatchParity(t *testing.T) {
-	ip := compileSrc(t, psrc.RelaxationGS)
+	ip := compileSrc(t, repro.Source("gauss_seidel"))
 	const m, maxK = 11, 6
 	want := runGS(t, ip, m, maxK, interp.Options{Sequential: true, NoSpecialize: true, NoArena: true})
 	for _, tc := range []struct {
@@ -152,49 +152,9 @@ func TestSpanDispatchParity(t *testing.T) {
 	}
 }
 
-// opTable exercises every operator and builtin of the specializable
-// fragment over real and integer-backed (int, char, enum) arrays, so
-// the one expression lowering is checked in both addressing modes.
-const opTable = `
-Ops: module (Xs: array [I] of real; Ys: array [I] of real; Hs: array [I] of real;
-             Ps: array [I] of int; Qs: array [I] of int; Cs: array [I] of char;
-             N: int; s: real; shift: int; flag: bool):
-    [RA: array [I] of real; RB: array [I] of real; RC: array [I] of real;
-     RD: array [I] of real; RE: array [I] of real; RF: array [I] of real;
-     RG: array [I] of real; RH: array [I] of real;
-     IA: array [I] of int; IB: array [I] of int; IC: array [I] of int;
-     ID: array [I] of int; IE: array [I] of int; IG: array [I] of int];
-type
-    I = 1 .. N;
-    Color = (green, yellow, red);
-var
-    Hue: array [1 .. N] of Color;
-define
-    Hue[I] = if Ps[I] mod 3 = 0 then red elsif Ps[I] mod 3 = 1 then green else yellow;
-    RA[I] = Xs[I] + Ys[I] * s - Xs[I] / Ys[I];
-    RB[I] = -Xs[I] - (-(Ys[I] * 0.0));
-    RC[I] = sqrt(abs(Xs[I])) + sin(Xs[I]) * cos(Ys[I]) + exp(min(Xs[I], 3.0))
-            + ln(abs(Ys[I]) + 1.0) + pow(abs(Xs[I]), 0.5);
-    RD[I] = min(Xs[I], Ys[I]);
-    RE[I] = max(Xs[I], Ys[I]);
-    RF[I] = float(Ps[I]) + Qs[I] + float(I) + Hs[I] * shift;
-    RG[I] = if Xs[I] < Ys[I] then 1.0
-            elsif Xs[I] = Ys[I] then (if Xs[I] <= 0.0 then 2.0 else 2.5)
-            elsif Xs[I] > Ys[I] then (if Xs[I] >= 1.0 then 3.0 elsif Ys[I] <> 0.0 then 3.25 else 3.5)
-            else 4.0;
-    RH[I] = if ((Xs[I] <> Ys[I]) = flag) and not ((Ps[I] < Qs[I]) <> flag) then 1.0
-            elsif (Xs[I] > 0.0) or flag then 2.0 else 3.0;
-    IA[I] = Ps[I] + Qs[I] * 2 - Ps[I] div Qs[I] + Ps[I] mod Qs[I] + shift;
-    IB[I] = abs(Ps[I]) + min(Ps[I], Qs[I]) - max(Ps[I], Qs[I]) + (-Ps[I]);
-    IC[I] = trunc(Hs[I]) * 100 + round(Hs[I]);
-    ID[I] = ord(Cs[I]) + (if (Cs[I] >= 'a') and (Cs[I] <= 'z') then 1 elsif Cs[I] = 'Q' then 2 else 0);
-    IE[I] = if Hue[I] = red then 1 elsif Hue[I] < yellow then 2 elsif Hue[I] <> yellow then 3 else 4;
-    IG[I] = if Ps[I] <= Qs[I] then (if Ps[I] = Qs[I] then 0 else -1)
-            elsif Ps[I] >= 2 * Qs[I] then 2 else 1;
-end Ops;
-`
-
-// TestOperatorTableParity runs opTable — NaN, ±Inf and −0.0 operands,
+// TestOperatorTableParity runs the operator table testdata/ops.ps —
+// every operator and builtin of the specializable fragment over real and
+// integer-backed (int, char, enum) arrays, on NaN, ±Inf and −0.0 operands,
 // negative div/mod, min/max with NaN, trunc/round at .5, char, enum and
 // bool comparisons, nested if/elsif — through the direct kernels
 // (default), the checked kernels (NoSpecialize) and strict mode,
@@ -202,7 +162,7 @@ end Ops;
 // Every equation must specialize, and Specialized must be positive in
 // the default rows only.
 func TestOperatorTableParity(t *testing.T) {
-	ip := compileSrc(t, opTable)
+	ip := compileSrc(t, repro.Source("ops"))
 	for _, ks := range ip.Kernels("Ops", plan.Options{}) {
 		if !ks.Specialized {
 			t.Errorf("%s (%s) left the specializable fragment: %s", ks.Eq, ks.Target, ks.Reason)
@@ -300,7 +260,7 @@ func TestOperatorTableParity(t *testing.T) {
 // recycled backings must never leak one run's values into the next
 // (the write-coverage zeroing decision is what is under test).
 func TestSpanParityRepeated(t *testing.T) {
-	ip := compileSrc(t, psrc.Wavefront2D)
+	ip := compileSrc(t, repro.Source("wavefront2d"))
 	const n = 9
 	ref, err := ip.Run("Wavefront2D", []any{grid(n), int64(n)}, interp.Options{Sequential: true, NoArena: true})
 	if err != nil {
@@ -324,17 +284,18 @@ func TestSpanParityRepeated(t *testing.T) {
 
 // BenchmarkKernelDispatch measures the per-point cost of the generic
 // checked closure tree against the specialized span kernel on the
-// 3-point stencil (psrc.Smooth), the smallest body where addressing
-// overhead dominates, and on the boundary-guarded 5-point relaxation
-// (psrc.Relaxation), whose spans split on their four guard comparisons.
+// 3-point stencil (testdata/smooth.ps), the smallest body where
+// addressing overhead dominates, and on the boundary-guarded 5-point
+// relaxation (testdata/relaxation.ps), whose spans split on their four
+// guard comparisons.
 func BenchmarkKernelDispatch(b *testing.B) {
-	smooth := compileSrc(b, psrc.Smooth)
+	smooth := compileSrc(b, repro.Source("smooth"))
 	const n = 4096
 	xs := value.NewArray(types.RealKind, []value.Axis{{Lo: 0, Hi: n + 1}})
 	for i := int64(0); i <= n+1; i++ {
 		xs.SetF([]int64{i}, float64((i*13+5)%23)/7.0)
 	}
-	relax := compileSrc(b, psrc.Relaxation)
+	relax := compileSrc(b, repro.Source("relaxation"))
 	const m = 62
 	for _, tc := range []struct {
 		name   string

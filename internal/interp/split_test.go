@@ -5,9 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"repro"
 	"repro/internal/interp"
 	"repro/internal/plan"
-	"repro/internal/psrc"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -77,7 +77,7 @@ func TestSplitGuardShapes(t *testing.T) {
              else (X[I-1,J] + X[I,J-1]) / 2.0`), "S", splitArgs(n, 0), 0, false},
 		{"Int64Wrap", splitModule(`if (J * 4611686018427387904 > 0) or (I = 0) or (J + B < 0) then Seed[I,J]
              else X[I-1,J] + Seed[I,J]`), "S", splitArgs(n, math.MaxInt64-5), 3, false},
-		{"CoupledGrid", psrc.CoupledGrid, "CoupledGrid", []any{grid(n), int64(n), int64(3)}, 2, false},
+		{"CoupledGrid", repro.Source("coupled_grid"), "CoupledGrid", []any{grid(n), int64(n), int64(3)}, 2, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ip := compileSrc(t, tc.src)
@@ -136,9 +136,9 @@ func TestSplitCorpusFullySpecialized(t *testing.T) {
 		name, src, module string
 		args              []any
 	}{
-		{"RelaxationGS", psrc.RelaxationGS, "Relaxation", []any{grid(n), int64(n), int64(5)}},
-		{"Heat3D", psrc.Heat3D, "Heat3D", []any{cube, int64(n)}},
-		{"Mutual", psrc.Mutual, "Mutual", []any{grid(n), int64(n)}},
+		{"RelaxationGS", repro.Source("gauss_seidel"), "Relaxation", []any{grid(n), int64(n), int64(5)}},
+		{"Heat3D", repro.Source("heat3d_out"), "Heat3D", []any{cube, int64(n)}},
+		{"Mutual", repro.Source("mutual"), "Mutual", []any{grid(n), int64(n)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ip := compileSrc(t, tc.src)

@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/interp"
 	"repro/internal/plan"
-	"repro/internal/psrc"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -199,7 +199,7 @@ func TestWavefrontRowSplit(t *testing.T) {
 // second tiled coordinate takes one value would be one chain of tiles,
 // so it runs inline even at Grain(1). Every run matches Sequential().
 func TestWavefrontDegenerateAxis(t *testing.T) {
-	gs := compileSrc(t, psrc.RelaxationGS)
+	gs := compileSrc(t, repro.Source("gauss_seidel"))
 	want := runGS(t, gs, 64, 2, interp.Options{Sequential: true})
 	for _, tc := range []struct {
 		grain         int64
@@ -308,7 +308,7 @@ func TestTileAbortLeavesNoLeak(t *testing.T) {
 		}
 	}
 
-	gs := compileSrc(t, psrc.RelaxationGS)
+	gs := compileSrc(t, repro.Source("gauss_seidel"))
 	const m, maxK = 48, 2000
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

@@ -5,48 +5,42 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro"
 	"repro/internal/parser"
-	"repro/internal/psrc"
 	"repro/internal/sem"
 )
 
-// addTestdataSeeds seeds f with every checked-in .ps program:
-// testdata/ proper and the testdata/fuzz/ differential-fuzzing corpus.
-// New corpus programs become front-end fuzz seeds automatically.
+// addTestdataSeeds seeds f with every checked-in .ps program: the
+// corpus and the testdata/fuzz/ differential-fuzzing programs. New
+// corpus programs become front-end fuzz seeds automatically.
 func addTestdataSeeds(f *testing.F) {
 	f.Helper()
-	for _, pattern := range []string{"../../testdata/*.ps", "../../testdata/fuzz/*.ps"} {
-		paths, err := filepath.Glob(pattern)
+	for _, name := range repro.Programs() {
+		f.Add(repro.Source(name))
+	}
+	paths, err := filepath.Glob("../../testdata/fuzz/*.ps")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
 		if err != nil {
 			f.Fatal(err)
 		}
-		for _, p := range paths {
-			src, err := os.ReadFile(p)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(string(src))
-		}
+		f.Add(string(src))
 	}
 }
 
 // FuzzParse feeds arbitrary source text through the full front end:
 // lexing, parsing and — when a program parses — semantic checking. The
 // invariant is purely "no panic, no hang": malformed input must come
-// back as diagnostics, never as a crash. The seed corpus covers the
-// whole psrc corpus, every checked-in testdata/ program, plus inputs
-// shaped like the historical sharp edges (unterminated strings and
-// comments, stray pragmas, deep nesting, half-finished declarations).
+// back as diagnostics, never as a crash. The seeds are every checked-in
+// program plus inputs shaped like the historical sharp edges
+// (unterminated strings and comments, stray pragmas, deep nesting,
+// half-finished declarations).
 func FuzzParse(f *testing.F) {
 	addTestdataSeeds(f)
 	for _, seed := range []string{
-		psrc.Relaxation,
-		psrc.RelaxationGS,
-		psrc.Heat1D,
-		psrc.Prefix,
-		psrc.Smooth,
-		psrc.Pipeline,
-		psrc.Wavefront2D,
 		"",
 		"M: module (x: real): [y: real];\ndefine y = x; end M;",
 		"(* unterminated comment",

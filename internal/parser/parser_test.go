@@ -6,16 +6,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro"
 	"repro/internal/ast"
 	"repro/internal/parser"
-	"repro/internal/psrc"
 	"repro/internal/token"
 )
 
 // TestParseRelaxation parses the paper's Figure 1 module and checks its
 // structure.
 func TestParseRelaxation(t *testing.T) {
-	m, err := parser.ParseModule("relax.ps", psrc.Relaxation)
+	m, err := parser.ParseModule("relax.ps", repro.Source("relaxation"))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -280,7 +280,7 @@ func TestPrintParseRoundTrip(t *testing.T) {
 
 // TestModuleRoundTrip prints the relaxation module and reparses it.
 func TestModuleRoundTrip(t *testing.T) {
-	m, err := parser.ParseModule("relax.ps", psrc.Relaxation)
+	m, err := parser.ParseModule("relax.ps", repro.Source("relaxation"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,14 +295,10 @@ func TestModuleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAllWorkloadsParse parses every bundled PS source.
+// TestAllWorkloadsParse parses every corpus program.
 func TestAllWorkloadsParse(t *testing.T) {
-	for name, src := range map[string]string{
-		"Relaxation": psrc.Relaxation, "RelaxationGS": psrc.RelaxationGS,
-		"Heat1D": psrc.Heat1D, "Prefix": psrc.Prefix, "Smooth": psrc.Smooth,
-		"Pipeline": psrc.Pipeline, "Wavefront2D": psrc.Wavefront2D,
-	} {
-		if _, err := parser.ParseProgram(name, src); err != nil {
+	for _, name := range repro.Programs() {
+		if _, err := parser.ParseProgram(name+".ps", repro.Source(name)); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

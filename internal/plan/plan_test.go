@@ -2,16 +2,14 @@ package plan_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/depgraph"
 	"repro/internal/parser"
 	"repro/internal/plan"
-	"repro/internal/psrc"
 	"repro/internal/sem"
 )
 
@@ -39,7 +37,7 @@ func lower(t *testing.T, src, modName string, opts plan.Options) *plan.Program {
 // TestLowerRelaxation checks the Figure 6 schedule lowers to collapsed
 // DOALL planes inside a sequential K loop, with resolved slots.
 func TestLowerRelaxation(t *testing.T) {
-	p := lower(t, psrc.Relaxation, "Relaxation", plan.Options{})
+	p := lower(t, repro.Source("relaxation"), "Relaxation", plan.Options{})
 	got := p.Compact()
 	want := "DOALL I×J (eq.1); DO K (DOALL I×J (eq.3)); DOALL I×J (eq.2)"
 	if got != want {
@@ -82,7 +80,7 @@ func TestLowerRelaxation(t *testing.T) {
 // TestLowerGaussSeidel checks the Figure 7 recurrence lowers to three
 // nested sequential DO loops (its in-plane dependences forbid DOALLs).
 func TestLowerGaussSeidel(t *testing.T) {
-	p := lower(t, psrc.RelaxationGS, "Relaxation", plan.Options{})
+	p := lower(t, repro.Source("gauss_seidel"), "Relaxation", plan.Options{})
 	if got, want := p.Compact(), "DO K (DO I (DO J (eq.3)))"; !strings.Contains(got, want) {
 		t.Errorf("Compact = %q, want substring %q", got, want)
 	}
@@ -115,16 +113,16 @@ func TestLeafDo(t *testing.T) {
 		leaf              map[string]bool // DO dimension -> Leaf
 		pointWise         map[string]string
 	}{
-		{"GaussSeidel", psrc.RelaxationGS, "Relaxation",
+		{"GaussSeidel", repro.Source("gauss_seidel"), "Relaxation",
 			map[string]bool{"K": false, "I": false, "J": true},
 			map[string]string{"eq.1": "", "eq.2": "", "eq.3": ""}},
-		{"Relaxation", psrc.Relaxation, "Relaxation",
+		{"Relaxation", repro.Source("relaxation"), "Relaxation",
 			map[string]bool{"K": false},
 			map[string]string{"eq.1": "", "eq.2": "", "eq.3": ""}},
-		{"CoupledGrid", psrc.CoupledGrid, "CoupledGrid",
+		{"CoupledGrid", repro.Source("coupled_grid"), "CoupledGrid",
 			map[string]bool{"I": false, "J": true},
 			map[string]string{"eq.1": "", "eq.2": "", "eq.3": ""}},
-		{"Prefix", psrc.Prefix, "Prefix",
+		{"Prefix", repro.Source("prefix"), "Prefix",
 			map[string]bool{"I2": true},
 			map[string]string{"eq.1": "no enclosing loop", "eq.2": "", "eq.3": ""}},
 		{"Mixed", mixedBody, "Mixed",
@@ -251,8 +249,8 @@ end M;
 // the transformed subrange is dropped (wavefront order interleaves K
 // planes, so a 2-plane window would be clobbered while live).
 func TestLowerWavefront(t *testing.T) {
-	base := lower(t, psrc.RelaxationGS, "Relaxation", plan.Options{})
-	p := lower(t, psrc.RelaxationGS, "Relaxation", plan.Options{Hyperplane: true})
+	base := lower(t, repro.Source("gauss_seidel"), "Relaxation", plan.Options{})
+	p := lower(t, repro.Source("gauss_seidel"), "Relaxation", plan.Options{Hyperplane: true})
 	if !p.HasWavefront() {
 		t.Fatalf("no wavefront step in %s", p.Compact())
 	}
@@ -292,7 +290,7 @@ func TestLowerWavefront(t *testing.T) {
 // (hyperplane's TestTransformedOffsets pins the vectors), the tiling
 // skew and the row mode.
 func TestWavefrontSchedMetadata(t *testing.T) {
-	p := lower(t, psrc.RelaxationGS, "Relaxation", plan.Options{Hyperplane: true})
+	p := lower(t, repro.Source("gauss_seidel"), "Relaxation", plan.Options{Hyperplane: true})
 	var hy *plan.Hyper
 	for i := range p.Steps {
 		if p.Steps[i].Op == plan.OpWavefront {
@@ -339,9 +337,9 @@ func indexOf(t *testing.T, p *plan.Program, st *plan.Step) int {
 // nest lower identically with the option on.
 func TestLowerWavefrontIneligible(t *testing.T) {
 	for _, tc := range []struct{ name, src string }{
-		{"Prefix", psrc.Prefix},
-		{"Relaxation", psrc.Relaxation},
-		{"Heat1D", psrc.Heat1D},
+		{"Prefix", repro.Source("prefix")},
+		{"Relaxation", repro.Source("relaxation")},
+		{"Heat1D", repro.Source("heat1d")},
 	} {
 		base := lower(t, tc.src, "", plan.Options{})
 		auto := lower(t, tc.src, "", plan.Options{Hyperplane: true})
@@ -357,7 +355,7 @@ func TestLowerWavefrontIneligible(t *testing.T) {
 // TestStepRanges verifies the flat encoding invariants: loop bodies are
 // contiguous, properly nested, and End always moves forward.
 func TestStepRanges(t *testing.T) {
-	for _, src := range []string{psrc.Relaxation, psrc.RelaxationGS, psrc.Prefix, psrc.Wavefront2D} {
+	for _, src := range []string{repro.Source("relaxation"), repro.Source("gauss_seidel"), repro.Source("prefix"), repro.Source("wavefront2d")} {
 		p := lower(t, src, "", plan.Options{})
 		for i, st := range p.Steps {
 			if st.Op == plan.OpEq {
@@ -382,7 +380,7 @@ func TestStepRanges(t *testing.T) {
 // Hyper block carries the union of both equations' transformed
 // dependence vectors, and the predecessor-tile table folds the union.
 func TestLowerMultiEquationWavefront(t *testing.T) {
-	p := lower(t, psrc.CoupledGrid, "CoupledGrid", plan.Options{Hyperplane: true})
+	p := lower(t, repro.Source("coupled_grid"), "CoupledGrid", plan.Options{Hyperplane: true})
 	var wf *plan.Step
 	wfIdx := -1
 	for i := range p.Steps {
@@ -473,27 +471,14 @@ end Reflect;
 }
 
 // TestVerifyTiles runs the tile-legality check over the cascade plan of
-// every module of testdata/ and the psrc corpus, then hand-breaks
-// Gauss–Seidel's plan: with the identity skew its dependence (1,0,−1)
-// maps to a negative coordinate, and split rows are refused on coupled,
-// whose V reads U one column back inside a row.
+// every module of the corpus, then hand-breaks Gauss–Seidel's plan: with
+// the identity skew its dependence (1,0,−1) maps to a negative
+// coordinate, and split rows are refused on coupled, whose V reads U one
+// column back inside a row.
 func TestVerifyTiles(t *testing.T) {
-	srcs := []string{psrc.Relaxation, psrc.RelaxationGS, psrc.Heat1D, psrc.Prefix, psrc.Smooth,
-		psrc.Pipeline, psrc.CoupledGrid, psrc.Wavefront2D, psrc.Reflect, psrc.Mutual, psrc.Heat3D, psrc.EditDistance}
-	files, err := filepath.Glob("../../testdata/*.ps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs = append(srcs, string(b))
-	}
 	wavefronts := 0
-	for _, src := range srcs {
-		prog, err := parser.ParseProgram("t.ps", src)
+	for _, name := range repro.Programs() {
+		prog, err := parser.ParseProgram(name+".ps", repro.Source(name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,21 +528,17 @@ func TestVerifyTiles(t *testing.T) {
 		}
 		return plan.VerifyTiles(p, g)
 	}
-	err = broken(psrc.RelaxationGS, "Relaxation", func(h *plan.Hyper) {
+	err := broken(repro.Source("gauss_seidel"), "Relaxation", func(h *plan.Hyper) {
 		h.Skew = [][]int64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
 	})
 	if err == nil || !strings.Contains(err.Error(), "(1,0,-1)") {
 		t.Errorf("identity skew on Gauss–Seidel: err = %v, want a rejection of (1,0,-1)", err)
 	}
-	err = broken(psrc.RelaxationGS, "Relaxation", func(h *plan.Hyper) { h.Skew[1][2] = 1 })
+	err = broken(repro.Source("gauss_seidel"), "Relaxation", func(h *plan.Hyper) { h.Skew[1][2] = 1 })
 	if err == nil || !strings.Contains(err.Error(), "lower-triangular") {
 		t.Errorf("upper entry in the skew: err = %v, want a triangularity rejection", err)
 	}
-	coupled, err := os.ReadFile("../../testdata/coupled.ps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = broken(string(coupled), "Coupled", func(h *plan.Hyper) { h.RowSplit = true })
+	err = broken(repro.Source("coupled"), "Coupled", func(h *plan.Hyper) { h.RowSplit = true })
 	if err == nil || !strings.Contains(err.Error(), "inside a row") {
 		t.Errorf("split rows on coupled: err = %v, want an in-row rejection", err)
 	}

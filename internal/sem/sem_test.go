@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/parser"
-	"repro/internal/psrc"
 	"repro/internal/sem"
 	"repro/internal/types"
 )
@@ -42,7 +42,7 @@ func wantError(t *testing.T, src, fragment string) {
 
 // TestRelaxationSymbols verifies the checked structure of Figure 1.
 func TestRelaxationSymbols(t *testing.T) {
-	p := mustCheck(t, psrc.Relaxation)
+	p := mustCheck(t, repro.Source("relaxation"))
 	m := p.Module("Relaxation")
 	if m == nil {
 		t.Fatal("module lookup failed")
@@ -75,7 +75,7 @@ func TestRelaxationSymbols(t *testing.T) {
 
 // TestEquationDims verifies explicit and implicit dimension derivation.
 func TestEquationDims(t *testing.T) {
-	p := mustCheck(t, psrc.Relaxation)
+	p := mustCheck(t, repro.Source("relaxation"))
 	m := p.Module("Relaxation")
 	dims := func(label string) []string {
 		for _, eq := range m.Eqs {
@@ -208,7 +208,7 @@ define y = float(x); end M1;`, "integer argument")
 
 // TestModuleCalls covers cross-module invocation checking.
 func TestModuleCalls(t *testing.T) {
-	mustCheck(t, psrc.Pipeline)
+	mustCheck(t, repro.Source("pipeline"))
 
 	wantError(t, `
 A1: module (x: real): [y: real];
@@ -242,7 +242,7 @@ define a, b = x; end Main;`, "requires a module call")
 
 	// Array targets of a call take whole result arrays: no target gets
 	// implicit dimensions.
-	eq := mustCheck(t, psrc.Halves).Module("Main").Eqs[0]
+	eq := mustCheck(t, repro.Source("halves")).Module("Main").Eqs[0]
 	if eq.MultiCall == nil || len(eq.Dims) != 0 || len(eq.Targets) != 2 {
 		t.Fatalf("Ls, Hs = Halves(Xs, N): MultiCall %v, dims %v, %d targets", eq.MultiCall != nil, eq.Dims, len(eq.Targets))
 	}
@@ -277,7 +277,7 @@ define y = pt.z; end M1;`, "no field z")
 
 // TestAffineAnalysis checks the subscript decomposition helper.
 func TestAffineAnalysis(t *testing.T) {
-	p := mustCheck(t, psrc.RelaxationGS)
+	p := mustCheck(t, repro.Source("gauss_seidel"))
 	m := p.Module("Relaxation")
 	k := m.IndexVar("K")
 
@@ -340,7 +340,7 @@ func TestEvalConstInt(t *testing.T) {
 // TestWholeCallNoImplicitDims verifies that array-returning module calls
 // execute as whole values, not element-wise.
 func TestWholeCallNoImplicitDims(t *testing.T) {
-	p := mustCheck(t, psrc.Pipeline)
+	p := mustCheck(t, repro.Source("pipeline"))
 	m := p.Module("Pipeline")
 	for _, eq := range m.Eqs {
 		if eq.WholeCall == nil {

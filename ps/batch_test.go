@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
@@ -36,7 +36,7 @@ func batchGrid(m int64, salt int) *ps.Array {
 
 func batchWorkloads() []batchWorkload {
 	return []batchWorkload{
-		{"smooth", psrc.Smooth, "Smooth", func(i int) ps.Args {
+		{"smooth", repro.Source("smooth"), "Smooth", func(i int) ps.Args {
 			const n = 24
 			xs := ps.NewRealArray(ps.Axis{Lo: 0, Hi: n + 1})
 			for k := int64(0); k <= n+1; k++ {
@@ -44,13 +44,13 @@ func batchWorkloads() []batchWorkload {
 			}
 			return ps.Args{xs, int64(n)}
 		}},
-		{"gauss_seidel", psrc.RelaxationGS, "Relaxation", func(i int) ps.Args {
+		{"gauss_seidel", repro.Source("gauss_seidel"), "Relaxation", func(i int) ps.Args {
 			return ps.Args{batchGrid(10, i), int64(10), int64(3 + i%2)}
 		}},
-		{"coupled", psrc.CoupledGrid, "CoupledGrid", func(i int) ps.Args {
+		{"coupled", repro.Source("coupled_grid"), "CoupledGrid", func(i int) ps.Args {
 			return ps.Args{batchGrid(12, i), int64(12), int64(2 + i%3)}
 		}},
-		{"pipeline", psrc.Pipeline, "Pipeline", func(i int) ps.Args {
+		{"pipeline", repro.Source("pipeline"), "Pipeline", func(i int) ps.Args {
 			const n = 16
 			xs := ps.NewRealArray(ps.Axis{Lo: 0, Hi: n + 1})
 			for k := int64(0); k <= n+1; k++ {
@@ -170,7 +170,7 @@ func TestRunBatchParity(t *testing.T) {
 // TestRunBatchEdgeCases pins the degenerate shapes: empty batch,
 // singleton batch, per-element error isolation, and cancellation.
 func TestRunBatchEdgeCases(t *testing.T) {
-	prog, err := newEngine(t).Compile("smooth.ps", psrc.Smooth)
+	prog, err := newEngine(t).Compile("smooth.ps", repro.Source("smooth"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
@@ -31,7 +31,7 @@ func relaxInput(m int64) *ps.Array {
 func TestEngineConcurrentRunners(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(4))
 	defer eng.Close()
-	prog, err := eng.Compile("relax.ps", psrc.Relaxation)
+	prog, err := eng.Compile("relax.ps", repro.Source("relaxation"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestEngineConcurrentCompile(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := eng.Compile("smooth.ps", psrc.Smooth)
+			p, err := eng.Compile("smooth.ps", repro.Source("smooth"))
 			if err != nil {
 				t.Error(err)
 				return
@@ -121,7 +121,7 @@ func TestEngineConcurrentCompile(t *testing.T) {
 func TestRunCancellation(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(4))
 	defer eng.Close()
-	prog, err := eng.Compile("relax.ps", psrc.Relaxation)
+	prog, err := eng.Compile("relax.ps", repro.Source("relaxation"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestRunCancellation(t *testing.T) {
 func TestRunDeadline(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
-	prog, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	prog, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestRunDeadline(t *testing.T) {
 func TestRunStats(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
-	prog, err := eng.Compile("smooth.ps", psrc.Smooth)
+	prog, err := eng.Compile("smooth.ps", repro.Source("smooth"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRunStats(t *testing.T) {
 func TestRunNamed(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
-	prog, err := eng.Compile("smooth.ps", psrc.Smooth)
+	prog, err := eng.Compile("smooth.ps", repro.Source("smooth"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ end Bad;`
 // panic.
 func TestEngineClosed(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
-	prog, err := eng.Compile("smooth.ps", psrc.Smooth)
+	prog, err := eng.Compile("smooth.ps", repro.Source("smooth"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestEngineClosed(t *testing.T) {
 	eng.Close()
 	eng.Close() // idempotent
 
-	if _, err := eng.Compile("smooth.ps", psrc.Smooth); err == nil {
+	if _, err := eng.Compile("smooth.ps", repro.Source("smooth")); err == nil {
 		t.Error("Compile on closed engine succeeded")
 	}
 	xs := ps.NewRealArray(ps.Axis{Lo: 0, Hi: 3})
@@ -389,7 +389,7 @@ func TestEngineClosed(t *testing.T) {
 func TestEngineDefaults(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2), ps.EngineDefaults(ps.Sequential()))
 	defer eng.Close()
-	prog, err := eng.Compile("smooth.ps", psrc.Smooth)
+	prog, err := eng.Compile("smooth.ps", repro.Source("smooth"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestEngineDefaults(t *testing.T) {
 // typed after Close.
 func TestRunnerDedicatedPool(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
-	prog, err := eng.Compile("smooth.ps", psrc.Smooth)
+	prog, err := eng.Compile("smooth.ps", repro.Source("smooth"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestRunStatsWorkers(t *testing.T) {
 	w := runtime.GOMAXPROCS(0) + 1
 	eng := ps.NewEngine(ps.EngineWorkers(w))
 	defer eng.Close()
-	prog, err := eng.Compile("smooth.ps", psrc.Smooth)
+	prog, err := eng.Compile("smooth.ps", repro.Source("smooth"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
 // TestModulePlan checks the public plan surface: the listing exposes the
 // collapsed DOALL structure, slots and kernel indices of the lowered IR.
 func TestModulePlan(t *testing.T) {
-	prog, err := newEngine(t).Compile("relax.ps", psrc.Relaxation)
+	prog, err := newEngine(t).Compile("relax.ps", repro.Source("relaxation"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestModulePlan(t *testing.T) {
 func TestRunnerExplain(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(3))
 	defer eng.Close()
-	prog, err := eng.Compile("relax.ps", psrc.Relaxation)
+	prog, err := eng.Compile("relax.ps", repro.Source("relaxation"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRunnerExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := run.Explain()
-	for _, want := range []string{"runner Relaxation: 3 workers, grain 64, base plan", "do K"} {
+	for _, want := range []string{"runner Relaxation: 3 workers, grain 64, cascade plan", "do K"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain() missing %q:\n%s", want, out)
 		}
@@ -72,7 +72,7 @@ func TestRunnerExplain(t *testing.T) {
 	// A runner with a DOALL or wavefront step states the one dispatch rule
 	// with its threshold for this worker count and grain; sequential
 	// runners say nothing about dispatch.
-	gs, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	gs, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}

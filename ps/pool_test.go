@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
@@ -17,7 +17,7 @@ import (
 func TestPreparePoolPerWidth(t *testing.T) {
 	base := runtime.NumGoroutine()
 	eng := ps.NewEngine(ps.EngineWorkers(2))
-	prog, err := eng.Compile("smooth.ps", psrc.Smooth)
+	prog, err := eng.Compile("smooth.ps", repro.Source("smooth"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestPreparePoolPerWidth(t *testing.T) {
 func TestEngineCloseMidTiledRun(t *testing.T) {
 	const m, maxK = 64, 500
 	eng := ps.NewEngine(ps.EngineWorkers(2))
-	prog, err := eng.Compile("relax.ps", psrc.Relaxation)
+	prog, err := eng.Compile("relax.ps", repro.Source("relaxation"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
@@ -30,7 +30,7 @@ func runOnce(prog *ps.Program, module string, args []any, opts ...ps.RunOption) 
 // TestPipelineEndToEnd exercises the public API: compile, inspect,
 // execute, transform.
 func TestPipelineEndToEnd(t *testing.T) {
-	prog, err := newEngine(t).Compile("relax.ps", psrc.Relaxation)
+	prog, err := newEngine(t).Compile("relax.ps", repro.Source("relaxation"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 // TestHyperplaneAPI exercises the §4 entry point.
 func TestHyperplaneAPI(t *testing.T) {
 	eng := newEngine(t)
-	prog, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	prog, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestHyperplaneAPI(t *testing.T) {
 
 // TestJSONRoundTrip exercises the psrun conversion layer.
 func TestJSONRoundTrip(t *testing.T) {
-	prog, err := newEngine(t).Compile("smooth.ps", psrc.Smooth)
+	prog, err := newEngine(t).Compile("smooth.ps", repro.Source("smooth"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestJSONRoundTrip(t *testing.T) {
 
 // TestModulesListing covers multi-module programs.
 func TestModulesListing(t *testing.T) {
-	prog, err := newEngine(t).Compile("pipe.ps", psrc.Pipeline)
+	prog, err := newEngine(t).Compile("pipe.ps", repro.Source("pipeline"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,10 @@ func (p *Program) Prepare(module string, opts ...RunOption) (*Runner, error) {
 func (r *Runner) Module() *Module { return r.mod }
 
 // Explain renders the exact loop program this runner executes: a header
-// with the execution mode (workers, grain, strictness, variant) followed
-// by the lowered plan listing. It is the API form of `psrun -explain`.
+// with the execution mode (workers, grain, strictness) and the plan it
+// runs — the cascade plan on a parallel runner, the base plan (the
+// schedule as emitted) on a sequential one — followed by the lowered
+// plan listing. It is the API form of `psrun -explain`.
 func (r *Runner) Explain() string {
 	var sb strings.Builder
 	o := r.opts
@@ -90,9 +92,9 @@ func (r *Runner) Explain() string {
 	}
 	planOpts := plan.Options{Hyperplane: !o.Sequential}
 	pl := r.prog.ip.Plan(r.mod.sem.Name, planOpts)
-	variant := "base plan"
-	if pl.HasWavefront() {
-		variant = "auto-hyperplane base plan"
+	variant := "cascade plan"
+	if o.Sequential {
+		variant = "base plan"
 	}
 	fmt.Fprintf(&sb, "runner %s: %s, %s\n", r.mod.Name(), mode, variant)
 	// The cascade report: per nest, which backend won and why the earlier

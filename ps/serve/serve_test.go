@@ -18,7 +18,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
@@ -28,8 +28,8 @@ var testPrograms = map[string]struct {
 	src    string
 	module string
 }{
-	"smooth":       {psrc.Smooth, "Smooth"},
-	"gauss_seidel": {psrc.RelaxationGS, "Relaxation"},
+	"smooth":       {repro.Source("smooth"), "Smooth"},
+	"gauss_seidel": {repro.Source("gauss_seidel"), "Relaxation"},
 }
 
 // testInputs builds the i-th JSON input set for a program.
@@ -725,8 +725,8 @@ func TestServeReloadExplain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("smooth.ps", psrc.Smooth)
-	write("gauss_seidel.ps", psrc.RelaxationGS)
+	write("smooth.ps", repro.Source("smooth"))
+	write("gauss_seidel.ps", repro.Source("gauss_seidel"))
 
 	srv, err := New(Config{Workers: 2, Dir: dir})
 	if err != nil {
@@ -764,7 +764,7 @@ func TestServeReloadExplain(t *testing.T) {
 	if out := reload(); out["changed"] != 0 || out["programs"] != 2 {
 		t.Errorf("no-op reload: %v", out)
 	}
-	write("smooth.ps", psrc.Smooth+"\n(* edited *)\n")
+	write("smooth.ps", repro.Source("smooth")+"\n(* edited *)\n")
 	if out := reload(); out["changed"] != 1 {
 		t.Errorf("edit reload: %v", out)
 	}

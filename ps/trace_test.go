@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
@@ -80,7 +80,7 @@ func chromeOf(t *testing.T, tr *ps.Trace) (names map[string]int, durNs map[strin
 var realGuardGS = strings.NewReplacer(
 	"(I = 0)", "(float(I) = 0.0)", "(J = 0)", "(float(J) = 0.0)",
 	"(I = M+1)", "(float(I) = float(M+1))", "(J = M+1)", "(float(J) = float(M+1))",
-).Replace(psrc.RelaxationGS)
+).Replace(repro.Source("gauss_seidel"))
 
 // TestTraceRunWavefront traces the Gauss-Seidel wavefront workload on
 // both sides of the dispatch rule: results must match the untraced run
@@ -93,7 +93,7 @@ var realGuardGS = strings.NewReplacer(
 func TestTraceRunWavefront(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
-	prog, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	prog, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestTraceRunWavefront(t *testing.T) {
 func TestTraceRunPipeline(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
-	prog, err := eng.Compile("reflect.ps", psrc.Reflect)
+	prog, err := eng.Compile("reflect.ps", repro.Source("reflect"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestTraceRunPipeline(t *testing.T) {
 		t.Errorf("trace spans %v: want one do span and no stage spans", names)
 	}
 
-	gs, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	gs, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestTraceRunPipeline(t *testing.T) {
 func TestTraceRunSequential(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
-	prog, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	prog, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestTraceRunSequential(t *testing.T) {
 func TestPlainRunHasNoTiming(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
-	prog, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	prog, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}

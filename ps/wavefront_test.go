@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/psrc"
+	"repro"
 	"repro/ps"
 )
 
@@ -35,7 +35,7 @@ func TestWavefrontStats(t *testing.T) {
 	const n = 40
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
-	prog, err := eng.Compile("wf2d.ps", psrc.Wavefront2D)
+	prog, err := eng.Compile("wf2d.ps", repro.Source("wavefront2d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDoacrossStats(t *testing.T) {
 	const n = 40
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
-	prog, err := eng.Compile("wf2d.ps", psrc.Wavefront2D)
+	prog, err := eng.Compile("wf2d.ps", repro.Source("wavefront2d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +192,10 @@ func TestWavefrontDispatchDeterministic(t *testing.T) {
 		args              []any
 		tiled             bool
 	}{
-		{"gauss_seidel/M192", psrc.RelaxationGS, "Relaxation", gs(192), true},
-		{"gauss_seidel/M16", psrc.RelaxationGS, "Relaxation", gs(16), false},
-		{"edit_distance/384x448", psrc.EditDistance, "EditDistance", ed(384, 448), true},
-		{"edit_distance/24x24", psrc.EditDistance, "EditDistance", ed(24, 24), false},
+		{"gauss_seidel/M192", repro.Source("gauss_seidel"), "Relaxation", gs(192), true},
+		{"gauss_seidel/M16", repro.Source("gauss_seidel"), "Relaxation", gs(16), false},
+		{"edit_distance/384x448", repro.Source("edit_distance"), "EditDistance", ed(384, 448), true},
+		{"edit_distance/24x24", repro.Source("edit_distance"), "EditDistance", ed(24, 24), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := int64(-1)
@@ -248,7 +248,7 @@ func TestWavefrontDispatchDeterministic(t *testing.T) {
 func TestDoacrossStalls(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(4))
 	defer eng.Close()
-	prog, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	prog, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestDoacrossStalls(t *testing.T) {
 func TestDoacrossCancellation(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
-	prog, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	prog, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestDoacrossCancellation(t *testing.T) {
 func TestWavefrontCancellation(t *testing.T) {
 	eng := ps.NewEngine(ps.EngineWorkers(2))
 	defer eng.Close()
-	prog, err := eng.Compile("gs.ps", psrc.RelaxationGS)
+	prog, err := eng.Compile("gs.ps", repro.Source("gauss_seidel"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
-// Variant parity tests: every program in testdata/ and the psrc corpus
-// (the sources the examples run) must produce identical results under
-// every execution variant — sequential, parallel at several widths and
+// Variant parity tests: each program of variantPrograms, all from the
+// testdata/*.ps corpus (rows labelled psrc/ run a second input size),
+// must produce identical results under every execution variant — sequential, parallel at several widths and
 // grains, strict, and with virtual windows ablated. Parallel runs execute
 // the cascade plan (§5 fusion and the automatic §4 hyperplane
 // scheduling), sequential runs the schedule as emitted.
@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/interp"
-	"repro/internal/psrc"
 	"repro/ps"
 )
 
@@ -115,49 +114,49 @@ func mustRead(t *testing.T, path string) string {
 func variantPrograms(t *testing.T) []variantProgram {
 	t.Helper()
 	return []variantProgram{
-		{"testdata/relaxation", mustRead(t, "testdata/relaxation.ps"), "Relaxation",
+		{"testdata/relaxation", Source("relaxation"), "Relaxation",
 			[]any{grid2D(6), int64(6), int64(5)}},
-		{"testdata/gauss_seidel", mustRead(t, "testdata/gauss_seidel.ps"), "Relaxation",
+		{"testdata/gauss_seidel", Source("gauss_seidel"), "Relaxation",
 			[]any{grid2D(6), int64(6), int64(5)}},
-		{"testdata/smooth", mustRead(t, "testdata/smooth.ps"), "Smooth",
+		{"testdata/smooth", Source("smooth"), "Smooth",
 			[]any{vector(0, 17), int64(16)}},
-		{"psrc/Relaxation", psrc.Relaxation, "Relaxation",
+		{"psrc/Relaxation", Source("relaxation"), "Relaxation",
 			[]any{grid2D(5), int64(5), int64(4)}},
-		{"psrc/RelaxationGS", psrc.RelaxationGS, "Relaxation",
+		{"psrc/RelaxationGS", Source("gauss_seidel"), "Relaxation",
 			[]any{grid2D(5), int64(5), int64(4)}},
-		{"psrc/Heat1D", psrc.Heat1D, "Heat1D",
+		{"psrc/Heat1D", Source("heat1d"), "Heat1D",
 			[]any{vector(0, 13), int64(12), int64(6), 0.1}},
-		{"psrc/Prefix", psrc.Prefix, "Prefix",
+		{"psrc/Prefix", Source("prefix"), "Prefix",
 			[]any{vector(1, 20), int64(20)}},
-		{"psrc/Smooth", psrc.Smooth, "Smooth",
+		{"psrc/Smooth", Source("smooth"), "Smooth",
 			[]any{vector(0, 17), int64(16)}},
-		{"psrc/Pipeline", psrc.Pipeline, "Pipeline",
+		{"psrc/Pipeline", Source("pipeline"), "Pipeline",
 			[]any{vector(0, 17), int64(16)}},
-		{"psrc/Wavefront2D", psrc.Wavefront2D, "Wavefront2D",
+		{"psrc/Wavefront2D", Source("wavefront2d"), "Wavefront2D",
 			[]any{grid2D(7), int64(7)}},
-		{"testdata/skew_stencil", mustRead(t, "testdata/skew_stencil.ps"), "SkewStencil",
+		{"testdata/skew_stencil", Source("skew_stencil"), "SkewStencil",
 			[]any{grid2D(7), int64(7)}},
-		{"testdata/diag_chain", mustRead(t, "testdata/diag_chain.ps"), "DiagChain",
+		{"testdata/diag_chain", Source("diag_chain"), "DiagChain",
 			[]any{gridRange(1, 9), int64(9)}},
-		{"testdata/mutual", mustRead(t, "testdata/mutual.ps"), "Mutual",
+		{"testdata/mutual", Source("mutual"), "Mutual",
 			[]any{grid2D(6), int64(6)}},
-		{"testdata/coupled", mustRead(t, "testdata/coupled.ps"), "Coupled",
+		{"testdata/coupled", Source("coupled"), "Coupled",
 			[]any{gridRange(1, 9), int64(9)}},
-		{"testdata/fuse_pair", mustRead(t, "testdata/fuse_pair.ps"), "FusePair",
+		{"testdata/fuse_pair", Source("fuse_pair"), "FusePair",
 			[]any{grid2D(6), int64(6)}},
-		{"testdata/reflect", mustRead(t, "testdata/reflect.ps"), "Reflect",
+		{"testdata/reflect", Source("reflect"), "Reflect",
 			[]any{gridRange(1, 8), int64(8)}},
-		{"psrc/CoupledGrid", psrc.CoupledGrid, "CoupledGrid",
+		{"psrc/CoupledGrid", Source("coupled_grid"), "CoupledGrid",
 			[]any{grid2D(7), int64(7), int64(3)}},
-		{"testdata/smith_waterman", mustRead(t, "testdata/smith_waterman.ps"), "SmithWaterman",
+		{"testdata/smith_waterman", Source("smith_waterman"), "SmithWaterman",
 			[]any{intVector(0, 9), intVector(0, 12), int64(9), int64(12)}},
-		{"testdata/heat3d", mustRead(t, "testdata/heat3d.ps"), "Heat3D",
+		{"testdata/heat3d", Source("heat3d"), "Heat3D",
 			[]any{grid3D(6), int64(6)}},
-		{"testdata/edit_distance", mustRead(t, "testdata/edit_distance.ps"), "EditDistance",
+		{"testdata/edit_distance", Source("edit_distance"), "EditDistance",
 			[]any{intVector(1, 8), intVector(1, 11), int64(8), int64(11)}},
-		{"testdata/twin", mustRead(t, "testdata/twin.ps"), "Twin",
+		{"testdata/twin", Source("twin"), "Twin",
 			[]any{vector(0, 40), int64(40)}},
-		{"testdata/shift_pair", mustRead(t, "testdata/shift_pair.ps"), "ShiftPair",
+		{"testdata/shift_pair", Source("shift_pair"), "ShiftPair",
 			[]any{vector(0, 4000), int64(4000)}},
 	}
 }
@@ -275,33 +274,33 @@ func TestAutoHyperplaneEligibility(t *testing.T) {
 		backend string // "wavefront" or "sequential"
 		pi      string // expected pi rendering for wavefront cases
 	}{
-		{"testdata/gauss_seidel", mustRead(t, "testdata/gauss_seidel.ps"), "Relaxation", "wavefront", "pi=(2,1,1)"},
-		{"testdata/skew_stencil", mustRead(t, "testdata/skew_stencil.ps"), "SkewStencil", "wavefront", "pi=(1,1)"},
-		{"testdata/diag_chain", mustRead(t, "testdata/diag_chain.ps"), "DiagChain", "wavefront", "pi=(2,1)"},
-		{"psrc/Wavefront2D", psrc.Wavefront2D, "Wavefront2D", "wavefront", "pi=(1,1)"},
+		{"testdata/gauss_seidel", Source("gauss_seidel"), "Relaxation", "wavefront", "pi=(2,1,1)"},
+		{"testdata/skew_stencil", Source("skew_stencil"), "SkewStencil", "wavefront", "pi=(1,1)"},
+		{"testdata/diag_chain", Source("diag_chain"), "DiagChain", "wavefront", "pi=(2,1)"},
+		{"psrc/Wavefront2D", Source("wavefront2d"), "Wavefront2D", "wavefront", "pi=(1,1)"},
 		// Multi-equation positives: one time vector for the union of the
 		// group's dependence vectors.
-		{"testdata/coupled", mustRead(t, "testdata/coupled.ps"), "Coupled", "wavefront", "pi=(2,1)"},
-		{"psrc/CoupledGrid", psrc.CoupledGrid, "CoupledGrid", "wavefront", "pi=(1,1)"},
-		{"testdata/fuse_pair", mustRead(t, "testdata/fuse_pair.ps"), "FusePair", "wavefront", "pi=(1,1)"}, // one fused two-kernel wavefront
-		{"testdata/smith_waterman", mustRead(t, "testdata/smith_waterman.ps"), "SmithWaterman", "wavefront", "pi=(1,1)"},
+		{"testdata/coupled", Source("coupled"), "Coupled", "wavefront", "pi=(2,1)"},
+		{"psrc/CoupledGrid", Source("coupled_grid"), "CoupledGrid", "wavefront", "pi=(1,1)"},
+		{"testdata/fuse_pair", Source("fuse_pair"), "FusePair", "wavefront", "pi=(1,1)"}, // one fused two-kernel wavefront
+		{"testdata/smith_waterman", Source("smith_waterman"), "SmithWaterman", "wavefront", "pi=(1,1)"},
 		// The 3-D positive: the time vector must span all three
 		// dimensions of the cube.
-		{"testdata/heat3d", mustRead(t, "testdata/heat3d.ps"), "Heat3D", "wavefront", "pi=(1,1,1)"},
+		{"testdata/heat3d", Source("heat3d"), "Heat3D", "wavefront", "pi=(1,1,1)"},
 		// Boundary equations as their own DOALLs ahead of the interior
 		// anti-diagonal wavefront.
-		{"testdata/edit_distance", mustRead(t, "testdata/edit_distance.ps"), "EditDistance", "wavefront", "pi=(1,1)"},
+		{"testdata/edit_distance", Source("edit_distance"), "EditDistance", "wavefront", "pi=(1,1)"},
 		// Fusion positive: the scheduler splits mutual's component into
 		// two adjacent inner nests; the cascade's fusion step merges them
 		// because the union analysis wavefronts the merged nest.
-		{"testdata/mutual", mustRead(t, "testdata/mutual.ps"), "Mutual", "wavefront", "pi=(1,1)"},
+		{"testdata/mutual", Source("mutual"), "Mutual", "wavefront", "pi=(1,1)"},
 		// Negative cases: the DO loops must survive untransformed. The
 		// reflected-column read X[I-1, N+1-J] is not a constant-offset
 		// dependence, so the wavefront analysis refuses reflect's nest.
-		{"testdata/reflect", mustRead(t, "testdata/reflect.ps"), "Reflect", "sequential", ""},
-		{"psrc/Prefix", psrc.Prefix, "Prefix", "sequential", ""},             // 1-D recurrence: no plane
-		{"psrc/Relaxation", psrc.Relaxation, "Relaxation", "sequential", ""}, // inner loops already DOALL
-		{"psrc/Heat1D", psrc.Heat1D, "Heat1D", "sequential", ""},             // inner loop already DOALL
+		{"testdata/reflect", Source("reflect"), "Reflect", "sequential", ""},
+		{"psrc/Prefix", Source("prefix"), "Prefix", "sequential", ""},             // 1-D recurrence: no plane
+		{"psrc/Relaxation", Source("relaxation"), "Relaxation", "sequential", ""}, // inner loops already DOALL
+		{"psrc/Heat1D", Source("heat1d"), "Heat1D", "sequential", ""},             // inner loop already DOALL
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -364,7 +363,7 @@ func TestMultiEquationWavefront(t *testing.T) {
 	countWavefronts := func(compact string) int { return strings.Count(compact, "WAVEFRONT") }
 
 	eng := newEngine(t)
-	coupled, err := eng.Compile("coupled.ps", mustRead(t, "testdata/coupled.ps"))
+	coupled, err := eng.Compile("coupled.ps", Source("coupled"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +420,7 @@ func TestMultiEquationWavefront(t *testing.T) {
 // sibling recurrence nests merge when the merged nest is a wavefront.
 func TestParallelPlanFuses(t *testing.T) {
 	eng := newEngine(t)
-	prog, err := eng.Compile("json_types.ps", mustRead(t, "testdata/json_types.ps"))
+	prog, err := eng.Compile("json_types.ps", Source("json_types"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +474,7 @@ func TestParallelPlanFuses(t *testing.T) {
 // would gain no parallel step; every instance runs on a specialized
 // kernel.
 func TestCascadeKeepsLeafSpans(t *testing.T) {
-	twin, err := newEngine(t).Compile("twin.ps", mustRead(t, "testdata/twin.ps"))
+	twin, err := newEngine(t).Compile("twin.ps", Source("twin"))
 	if err != nil {
 		t.Fatal(err)
 	}
