@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -197,17 +198,15 @@ func TestPsrunExitCodes(t *testing.T) {
 			t.Errorf("diagnostic missing %q:\n%s", want, stderr)
 		}
 	}
-}
-
-// TestPsreproOneArtifact drives the figure reproducer.
-func TestPsreproOneArtifact(t *testing.T) {
-	out, errOut, err := runGo(t, "", "./cmd/psrepro", "-only", "fig5")
-	if err != nil {
-		t.Fatalf("psrepro: %v\n%s", err, errOut)
-	}
-	for _, want := range []string{"A, eq.3", "DO K (DOALL I (DOALL J (eq.3)))"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fig5 output missing %q:\n%s", want, out)
+	// Input diagnostics → 1: a null scalar (not read as 0, which would
+	// fit this Xs) and an undeclared input name.
+	for _, in := range []string{`{"Xs": [0, 1], "N": null}`, `{"Xs": [0, 1, 2], "N": 1, "Bogus": 1}`} {
+		file := filepath.Join(t.TempDir(), "in.json")
+		if err := os.WriteFile(file, []byte(in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, stderr := exitCode("-in", file, "testdata/smooth.ps"); code != 1 {
+			t.Errorf("inputs %s: exit %d, want 1:\n%s", in, code, stderr)
 		}
 	}
 }

@@ -77,6 +77,8 @@ type compiledModule struct {
 	// bounds holds compiled lo/hi thunks per frame slot, evaluated once
 	// per activation into env.bounds.
 	bounds [][2]evalI
+	// params locates each parameter for binding, in declaration order.
+	params []paramSlot
 	// symIdx numbers all data symbols for the env value table.
 	symIdx map[*sem.Symbol]int
 	syms   []*sem.Symbol
@@ -111,6 +113,14 @@ type compiledPlan struct {
 	// activation, with §3.4 windows resolved at compile time. Targets of
 	// module calls are absent: the callee's result fills their slot.
 	allocs []allocInfo
+}
+
+// paramSlot locates one module parameter: its symbol's index in the env
+// value tables and, for an array, the frame slots whose bounds are its
+// declared dimensions (nil for a scalar).
+type paramSlot struct {
+	si   int
+	dims []int
 }
 
 // allocInfo describes one array allocated at activation entry.
@@ -203,6 +213,15 @@ func (p *Program) compileModule(m *sem.Module, sched *core.Schedule) (cm *compil
 	for i, b := range hyperPl.Bounds {
 		cm.slotOf[b.Subrange] = i
 		cm.bounds[i] = [2]evalI{c.compileI(b.Lo), c.compileI(b.Hi)}
+	}
+	cm.params = make([]paramSlot, len(m.Params))
+	for i, sym := range m.Params {
+		cm.params[i].si = cm.symIdx[sym]
+		if arr, isArr := sym.Type.(*types.Array); isArr {
+			for _, sr := range arr.Dims {
+				cm.params[i].dims = append(cm.params[i].dims, cm.slotOf[sr])
+			}
+		}
 	}
 	// Equation kernels compile once and are shared by every variant; the
 	// specializer runs right after each checked kernel, falling back to

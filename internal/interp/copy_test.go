@@ -141,42 +141,46 @@ func TestCopySpan(t *testing.T) {
 	}
 }
 
-// rowScan carries a recurrence along each row of a grid: the rows are
-// independent, so A lowers to doall I around do J leaf, a DOALL whose
-// body holds a loop, and P's copy to a collapsed leaf DOALL.
+// rowScan carries a recurrence along each row of a grid, reading row
+// I + D of Xs: the rows are independent, so A lowers to doall I around
+// do J leaf, a DOALL whose body holds a loop, and P's copy to a
+// collapsed leaf DOALL.
 const rowScan = `
-Scan: module (Xs: array[I,J] of real; N: int): [P: array[I,J] of real];
+Scan: module (Xs: array[I,J] of real; N: int; D: int): [P: array[I,J] of real];
 type
     I, J = 0 .. N;
 var
     A: array [0 .. N, 0 .. N] of real;
 define
-    (*eq.1*) A[I,J] = if J = 0 then Xs[I,J] else 0.5 * A[I,J-1] + Xs[I,J];
+    (*eq.1*) A[I,J] = if J = 0 then Xs[I+D,J] else 0.5 * A[I,J-1] + Xs[I+D,J];
     (*eq.2*) P[I,J] = A[I,J];
 end Scan;
 `
 
-// wide reads row I of B from A at I·N + J: an A short of (M + 1)·N
-// points fails on every row, at a subscript that grows with the row.
+// wide reads row I of B from A at I·N + J + D: a D past N reads beyond
+// A's (M + 1)·N points on every row, at a subscript that grows with the
+// row.
 const wide = `
-Wide: module (A: array [1 .. (M + 1) * N] of real; M: int; N: int): [B: array [I,J] of real];
+Wide: module (A: array [1 .. (M + 1) * N] of real; M: int; N: int; D: int): [B: array [I,J] of real];
 type
     I = 1 .. M;
     J = 1 .. N;
 define
-    B[I,J] = A[I * N + J] * 2.0;
+    B[I,J] = A[I * N + J + D] * 2.0;
 end Wide;
 `
 
 // TestDoAllEarliestFailure runs DOALLs that fail at many points on
 // tiles at W ∈ {2, 4}: the tiles fail in whatever order they are
 // claimed, and each run must still report the earliest failing point's
-// error, the one the inline sweep meets. Overrun's leaf DOALL reads past
+// error, the one the inline sweep meets. Every argument has its
+// declared shape; the reads run past it. Overrun's leaf DOALL reads past
 // S from I = 57 on (subscript 257); rowScan's DOALL I, whose body is a
-// loop, reads past Xs on every row from I = 28 on, inside a tile that no
-// worker claims first. wide's 2 × 400 DOALL, too short in I for 4W
-// tiles, is also cut in J; A ends at 500, so row 1 fails from J = 101
-// on (subscript 501) and row 2 at every point (subscript 801 first).
+// loop, reads 36 rows ahead, past Xs's row 63 on every row from I = 28
+// on (subscript 64), inside a tile that no worker claims first. wide's
+// 2 × 400 DOALL, too short in I for 4W tiles, is also cut in J; it reads
+// 700 points ahead in an A of 1 200, so row 1 fails from J = 101 on
+// (subscript 1201) and row 2 at every point (subscript 1501 first).
 func TestDoAllEarliestFailure(t *testing.T) {
 	const n, d = 256, 200
 	for _, tc := range []struct {
@@ -185,10 +189,10 @@ func TestDoAllEarliestFailure(t *testing.T) {
 	}{
 		{overrun, "Overrun", "subscript 257 ",
 			[]any{realBox(value.Axis{Lo: 1, Hi: n}), int64(n), int64(d)}},
-		{rowScan, "Scan", "subscript 28 ",
-			[]any{realBox(value.Axis{Lo: 0, Hi: 27}, value.Axis{Lo: 0, Hi: 63}), int64(63)}},
-		{wide, "Wide", "subscript 501 ",
-			[]any{realBox(value.Axis{Lo: 1, Hi: 500}), int64(2), int64(400)}},
+		{rowScan, "Scan", "subscript 64 ",
+			[]any{realBox(value.Axis{Lo: 0, Hi: 63}, value.Axis{Lo: 0, Hi: 63}), int64(63), int64(36)}},
+		{wide, "Wide", "subscript 1201 ",
+			[]any{realBox(value.Axis{Lo: 1, Hi: 1200}), int64(2), int64(400), int64(700)}},
 	} {
 		ip := compileSrc(t, tc.src)
 		_, refErr := ip.Run(tc.module, tc.args, interp.Options{Sequential: true})

@@ -205,14 +205,14 @@ func TestDispatchRule(t *testing.T) {
 	// DOALL I around do J leaf runs its loop body per point on tiles.
 	scan := compileSrc(t, rowScan)
 	xsGrid := realBox(value.Axis{Lo: 0, Hi: 15}, value.Axis{Lo: 0, Hi: 15})
-	if got := chunks(scan, "Scan", []any{xsGrid, int64(15)}, interp.Options{Pool: pool(t, 2), Grain: 1}); got != 2*4*2 {
+	if got := chunks(scan, "Scan", []any{xsGrid, int64(15), int64(0)}, interp.Options{Pool: pool(t, 2), Grain: 1}); got != 2*4*2 {
 		t.Errorf("row scan at grain 1 made %d chunks, want %d", got, 2*4*2)
 	}
 
 	// A 2 × 400 DOALL has too few rows for 4W tiles: at W = 4 each row
 	// is cut into 8, so every worker still gets tiles.
 	wideIP := compileSrc(t, wide)
-	wideArgs := []any{realBox(value.Axis{Lo: 1, Hi: 1200}), int64(2), int64(400)}
+	wideArgs := []any{realBox(value.Axis{Lo: 1, Hi: 1200}), int64(2), int64(400), int64(0)}
 	if got := chunks(wideIP, "Wide", wideArgs, interp.Options{Pool: pool(t, 4), Grain: 1}); got != 4*4 {
 		t.Errorf("2x400 DOALL at W = 4 made %d chunks, want %d", got, 4*4)
 	}

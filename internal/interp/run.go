@@ -179,15 +179,6 @@ func (p *Program) compileCallee(m *sem.Module) (*compiledModule, error) {
 	return p.compileModule(m, sched)
 }
 
-// Schedule returns the flowchart computed for a module.
-func (p *Program) Schedule(name string) *core.Schedule {
-	m := p.Prog.Module(name)
-	if m == nil {
-		return nil
-	}
-	return p.Scheds[m]
-}
-
 // Plan returns the lowered loop program for a module with or without the
 // cascade (opts.Hyperplane). It is nil for unknown modules. Where the
 // cascade neither fuses nor wavefronts a nest, both settings return the
@@ -492,9 +483,6 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 	if rs.cancelled() {
 		return nil, &RunError{Module: m.Name, Err: rs.ctx.Err()}
 	}
-	if len(args) != len(m.Params) {
-		return nil, &RunError{Module: m.Name, Err: fmt.Errorf("takes %d arguments, got %d", len(m.Params), len(args))}
-	}
 	opts := rs.opts
 	en = &env{
 		cm:         cm,
@@ -517,27 +505,9 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 		}()
 	}
 
-	// Bind parameters.
-	for i, sym := range m.Params {
-		si := cm.symIdx[sym]
-		v, cerr := coerceArg(args[i], sym.Type)
-		if cerr != nil {
-			return nil, &RunError{Module: m.Name, Err: fmt.Errorf("argument %d (%s): %w", i+1, sym.Name, cerr)}
-		}
-		if a, isArr := v.(*value.Array); isArr {
-			en.arrays[si] = a
-		} else {
-			en.scalars[si] = v
-		}
-	}
-
-	// Evaluate every subrange bound once for this activation: loops and
-	// array allocations below read the resolved values by frame slot.
-	fr := make([]int64, cm.nSlots)
-	en.bounds = make([][2]int64, cm.nSlots)
-	k := en.checked(fr)
-	for i, b := range cm.bounds {
-		en.bounds[i] = [2]int64{b[0](k), b[1](k)}
+	fr, err := en.bind(args, true)
+	if err != nil {
+		return nil, err
 	}
 
 	// Allocate result and local arrays from the plan variant's
@@ -610,6 +580,88 @@ func (p *Program) runModule(rs *runState, cm *compiledModule, args []any, inPara
 		}
 	}
 	return results, nil
+}
+
+// bind binds an activation's arguments and evaluates every subrange
+// bound once over its scalars, returning the activation's frame. Arrays
+// are bound only when arrays is set (ParamAxes wants the shapes before
+// the arrays exist), and each must then have exactly the bounds of its
+// declared dimensions, with no window.
+func (en *env) bind(args []any, arrays bool) ([]int64, error) {
+	cm := en.cm
+	m := cm.m
+	if len(args) != len(m.Params) {
+		return nil, &RunError{Module: m.Name, Err: fmt.Errorf("takes %d arguments, got %d", len(m.Params), len(args))}
+	}
+	for i, sym := range m.Params {
+		pa := cm.params[i]
+		if pa.dims != nil && !arrays {
+			continue
+		}
+		v, err := coerceArg(args[i], sym.Type)
+		if err != nil {
+			return nil, &RunError{Module: m.Name, Err: fmt.Errorf("argument %d (%s): %w", i+1, sym.Name, err)}
+		}
+		if a, isArr := v.(*value.Array); isArr {
+			en.arrays[pa.si] = a
+		} else {
+			en.scalars[pa.si] = v
+		}
+	}
+	fr := make([]int64, cm.nSlots)
+	en.bounds = make([][2]int64, cm.nSlots)
+	k := en.checked(fr)
+	for i, b := range cm.bounds {
+		en.bounds[i] = [2]int64{b[0](k), b[1](k)}
+	}
+	if !arrays {
+		return fr, nil
+	}
+	for i, pa := range cm.params {
+		for d, slot := range pa.dims {
+			ax, b := en.arrays[pa.si].Axes[d], en.bounds[slot]
+			if ax.Lo != b[0] || ax.Hi != b[1] || ax.Window != 0 {
+				win := ""
+				if ax.Window != 0 {
+					win = fmt.Sprintf(" with a window of %d", ax.Window)
+				}
+				return nil, &RunError{Module: m.Name, Err: fmt.Errorf("argument %d (%s): dimension %d is %d..%d%s, declared %d..%d",
+					i+1, m.Params[i].Name, d+1, ax.Lo, ax.Hi, win, b[0], b[1])}
+			}
+		}
+	}
+	return fr, nil
+}
+
+// ParamAxes evaluates, with an activation's binding and bound thunks,
+// the declared axes of each array parameter of the named module for the
+// scalars in args (its array entries are not read); scalars get nil.
+func (p *Program) ParamAxes(name string, args []any) (axes [][]value.Axis, err error) {
+	m := p.Prog.Module(name)
+	if m == nil {
+		return nil, fmt.Errorf("interp: no module %s", name)
+	}
+	cm := p.mods[m]
+	en := &env{cm: cm, scalars: make([]any, len(cm.syms)), arrays: make([]*value.Array, len(cm.syms))}
+	defer func() {
+		if r := recover(); r != nil {
+			e, isRun := r.(runtimeError)
+			if !isRun {
+				panic(r)
+			}
+			axes, err = nil, &RunError{Module: m.Name, Err: e.err}
+		}
+	}()
+	if _, err = en.bind(args, false); err != nil {
+		return nil, err
+	}
+	axes = make([][]value.Axis, len(cm.params))
+	for i, pa := range cm.params {
+		for _, slot := range pa.dims {
+			axes[i] = append(axes[i], value.Axis{Lo: en.bounds[slot][0], Hi: en.bounds[slot][1]})
+		}
+	}
+	return axes, nil
 }
 
 // coerceArg converts a Go argument to the runtime representation of t.

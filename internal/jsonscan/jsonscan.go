@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"unicode/utf8"
 )
 
 // maxDepth bounds how deeply Skip nests, and so its recursion. It is
@@ -149,12 +150,13 @@ func isHex(c byte) bool {
 }
 
 // StringBody scans the rest of a string whose opening quote was
-// consumed and returns its value. Only a string holding an escape goes
-// through encoding/json, to decode it.
+// consumed and returns its value, as encoding/json decodes it. Only a
+// string holding an escape or invalid UTF-8 goes through encoding/json,
+// to decode it.
 func (s *Scanner) StringBody() (string, error) {
 	start := s.Pos - 1
 	body, escaped, err := s.StringBytes()
-	if err != nil || !escaped {
+	if err != nil || !escaped && utf8.Valid(body) {
 		return string(body), err
 	}
 	var str string

@@ -282,10 +282,29 @@ func TestRunNamed(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unknown argument "Bogus"`) {
 		t.Errorf("unknown-argument error = %v", err)
 	}
+}
 
-	params := run.Params()
-	if len(params) != 2 || params[0].Name != "Xs" || !params[0].IsArray || params[1].Name != "N" {
-		t.Errorf("Params() = %+v", params)
+// TestRunArgumentShape holds array arguments to their declared bounds:
+// Smooth declares Xs over 0 .. N+1, so for N = 5 an Xs that is longer,
+// shifted, or windowed is refused before the run, naming Xs and both
+// ranges, where a run would read the wrong elements or wrong values.
+func TestRunArgumentShape(t *testing.T) {
+	prog, err := newEngine(t).Compile("smooth.ps", repro.Source("smooth"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := prog.Prepare("Smooth")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ax := range []ps.Axis{{Lo: 0, Hi: 10}, {Lo: -3, Hi: 6}, {Lo: 0, Hi: 6, Window: 2}} {
+		xs := ps.NewRealArray(ax)
+		_, _, err := run.Run(context.Background(), []any{xs, int64(5)})
+		var pe *ps.Error
+		if !errors.As(err, &pe) || pe.Phase != ps.PhaseRun || !strings.Contains(err.Error(), "(Xs): dimension 1 is ") ||
+			!strings.Contains(err.Error(), "declared 0..6") {
+			t.Errorf("Xs over %+v: err = %v, want a run error naming Xs and its declared 0..6", ax, err)
+		}
 	}
 }
 

@@ -6,10 +6,7 @@ import (
 	"math"
 	"strconv"
 
-	"repro/internal/ast"
 	"repro/internal/jsonscan"
-	"repro/internal/sem"
-	"repro/internal/token"
 	"repro/internal/types"
 	"repro/internal/value"
 )
@@ -52,68 +49,48 @@ func floatFromJSONString(s string) (float64, bool) {
 	return 0, false
 }
 
-// ArgsFromJSON converts a map of JSON parameter values into the argument
-// list for the named module: scalars as numbers/booleans/strings, arrays
-// as nested row-major lists shaped to the declared dimensions (whose
-// bounds may reference the scalar parameters in the same map). Real
-// elements are numbers or the non-finite spellings; elements of
-// integer-backed types (int, subranges, char and enum ordinals) must be
-// exact int64 literals, as int scalars must; bool elements are true or
-// false. Arrays of strings or records are refused.
+// ArgsFromJSON converts JSON parameter values, keyed by exactly the
+// module's parameter names, into its argument list. Scalars and array
+// elements decode alike: reals are numbers or the non-finite spellings,
+// integer-backed values (int, subranges, char and enum ordinals) exact
+// int64 literals, bools true or false, and null is refused. Arrays are
+// nested row-major lists with the bounds a run declares for the scalars
+// in the same map. Arrays of strings or records are refused.
 func ArgsFromJSON(p *Program, module string, inputs map[string]json.RawMessage) ([]any, error) {
 	m := p.Module(module)
 	if m == nil {
 		return nil, &Error{Phase: PhaseRun, Module: module, Err: fmt.Errorf("no module %q", module)}
 	}
-	sm := m.sem
-	inputErr := func(sym string, err error) *Error {
-		return &Error{Phase: PhaseRun, Module: sm.Name, Err: fmt.Errorf("input %s: %w", sym, err)}
+	raws, err := positional(m, inputs)
+	if err != nil {
+		return nil, err
+	}
+	params := m.sem.Params
+	inputErr := func(i int, err error) *Error {
+		return &Error{Phase: PhaseRun, Module: m.Name(), Err: fmt.Errorf("input %s: %w", params[i].Name, err)}
 	}
 
-	// First pass: scalar parameters, needed to evaluate array bounds.
-	env := make(map[string]int64)
-	args := make([]any, len(sm.Params))
-	for i, sym := range sm.Params {
-		raw, ok := inputs[sym.Name]
-		if !ok {
-			return nil, &Error{Phase: PhaseRun, Module: sm.Name, Err: fmt.Errorf("missing input %s", sym.Name)}
-		}
+	// Scalars first: the array bounds are evaluated over them.
+	args := make([]any, len(params))
+	for i, sym := range params {
 		if types.Rank(sym.Type) > 0 {
 			continue
 		}
-		var err error
-		args[i], err = scalarFromJSON(raw, sym.Type)
-		if err != nil {
-			return nil, inputErr(sym.Name, err)
-		}
-		if v, isInt := args[i].(int64); isInt {
-			env[sym.Name] = v
+		if args[i], err = scalarLeaf(raws[i], sym.Type); err != nil {
+			return nil, inputErr(i, err)
 		}
 	}
-
-	// Second pass: arrays, with bounds evaluated against the scalars.
-	for i, sym := range sm.Params {
-		arrT, isArr := sym.Type.(*types.Array)
-		if !isArr {
+	axes, err := p.ip.ParamAxes(m.Name(), args)
+	if err != nil {
+		return nil, runError(m.Name(), err)
+	}
+	for i, ax := range axes {
+		if ax == nil {
 			continue
 		}
-		axes := make([]value.Axis, len(arrT.Dims))
-		for d, sr := range arrT.Dims {
-			lo, err := evalBound(sr.Lo, env)
-			if err != nil {
-				return nil, inputErr(sym.Name, fmt.Errorf("bounds: %w", err))
-			}
-			hi, err := evalBound(sr.Hi, env)
-			if err != nil {
-				return nil, inputErr(sym.Name, fmt.Errorf("bounds: %w", err))
-			}
-			axes[d] = value.Axis{Lo: lo, Hi: hi}
+		if args[i], err = arrayFromJSON(raws[i], params[i].Type.(*types.Array).Elem, ax); err != nil {
+			return nil, inputErr(i, err)
 		}
-		arr, err := arrayFromJSON(inputs[sym.Name], arrT.Elem, axes)
-		if err != nil {
-			return nil, inputErr(sym.Name, err)
-		}
-		args[i] = arr
 	}
 	return args, nil
 }
@@ -142,40 +119,34 @@ func ResultsToJSON(p *Program, module string, results []any) (map[string]any, er
 	return out, nil
 }
 
-func scalarFromJSON(raw json.RawMessage, t types.Type) (any, error) {
+// scalarLeaf decodes one scalar argument with the array leaves' scanner;
+// a string decodes as encoding/json decodes it.
+func scalarLeaf(raw json.RawMessage, t types.Type) (v any, err error) {
+	s := arrayScanner{Scanner: jsonscan.Scanner{Data: raw}}
+	s.Space()
 	switch t.Kind() {
 	case types.RealKind:
-		var v float64
-		if err := json.Unmarshal(raw, &v); err != nil {
-			var s string
-			if serr := json.Unmarshal(raw, &s); serr == nil {
-				if f, ok := floatFromJSONString(s); ok {
-					return f, nil
-				}
-			}
-			return nil, err
-		}
-		return v, nil
+		v, err = s.real()
 	case types.IntKind, types.SubrangeKind, types.CharKind, types.EnumKind:
-		var v int64
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, err
-		}
-		return v, nil
+		v, err = s.integer()
 	case types.BoolKind:
-		var v bool
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, err
-		}
-		return v, nil
+		v, err = s.boolean()
 	case types.StringKind:
-		var v string
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, err
+		if s.Consume('"') {
+			v, err = s.StringBody()
+		} else {
+			err = badLeaf("is not a string")
 		}
-		return v, nil
+	default:
+		return nil, fmt.Errorf("unsupported parameter type %s", t)
 	}
-	return nil, fmt.Errorf("unsupported parameter type %s", t)
+	if bad, isBad := err.(badLeaf); isBad {
+		return nil, fmt.Errorf("value %s", string(bad))
+	}
+	if s.Space(); err == nil && s.Pos < len(s.Data) {
+		err = s.SyntaxError()
+	}
+	return v, err
 }
 
 // arrayFromJSON decodes one array argument: nested lists, one level per
@@ -188,9 +159,6 @@ func scalarFromJSON(raw json.RawMessage, t types.Type) (any, error) {
 // number or a non-finite spelling, an integer-backed element an exact
 // integer literal, a bool true or false.
 func arrayFromJSON(raw json.RawMessage, elem types.Type, axes []value.Axis) (*value.Array, error) {
-	if raw == nil {
-		return nil, fmt.Errorf("missing array input")
-	}
 	kind := elem.Kind()
 	switch kind {
 	case types.RealKind, types.BoolKind, types.IntKind, types.SubrangeKind, types.CharKind, types.EnumKind:
@@ -274,54 +242,75 @@ func (s *arrayScanner) list(d int) error {
 }
 
 // element scans one leaf into the next slot of the backing.
-func (s *arrayScanner) element() error {
+func (s *arrayScanner) element() (err error) {
 	a := s.arr
 	switch {
 	case a.F != nil:
-		var f float64
-		if s.Consume('"') {
-			str, err := s.StringBody()
-			if err != nil {
-				return err
-			}
-			var ok bool
-			if f, ok = floatFromJSONString(str); !ok {
-				return s.elementError("is not a number")
-			}
-		} else {
-			lit, _ := s.Number()
-			if lit == nil {
-				return s.elementError("is not a number")
-			}
-			var err error
-			if f, err = strconv.ParseFloat(string(lit), 64); err != nil {
-				// Only a range error gets here: lit is valid JSON.
-				return s.elementError("is out of range")
-			}
-		}
-		a.F[s.off] = f
+		a.F[s.off], err = s.real()
 	case a.B != nil:
-		switch {
-		case s.Literal("true"):
-			a.B[s.off] = true
-		case s.Literal("false"):
-			a.B[s.off] = false
-		default:
-			return s.elementError("is not a bool")
-		}
+		a.B[s.off], err = s.boolean()
 	default:
-		lit, isInt := s.Number()
-		if !isInt {
-			return s.elementError("is not an integer")
-		}
-		v, err := strconv.ParseInt(string(lit), 10, 64)
-		if err != nil {
-			return s.elementError("is out of range")
-		}
-		a.I[s.off] = v
+		a.I[s.off], err = s.integer()
+	}
+	if bad, isBad := err.(badLeaf); isBad {
+		return s.elementError(string(bad))
 	}
 	s.off++
-	return nil
+	return err
+}
+
+// badLeaf is a leaf that is well-formed JSON but not a value of the
+// kind scanned; the caller names the leaf.
+type badLeaf string
+
+func (b badLeaf) Error() string { return string(b) }
+
+// real scans a real leaf: a number or a non-finite spelling.
+func (s *arrayScanner) real() (float64, error) {
+	if s.Consume('"') {
+		str, err := s.StringBody()
+		if err != nil {
+			return 0, err
+		}
+		if f, ok := floatFromJSONString(str); ok {
+			return f, nil
+		}
+		return 0, badLeaf("is not a number")
+	}
+	lit, _ := s.Number()
+	if lit == nil {
+		return 0, badLeaf("is not a number")
+	}
+	f, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		// Only a range error gets here: lit is valid JSON.
+		return 0, badLeaf("is out of range")
+	}
+	return f, nil
+}
+
+// integer scans an integer-backed leaf: an exact int64 literal.
+func (s *arrayScanner) integer() (int64, error) {
+	lit, isInt := s.Number()
+	if !isInt {
+		return 0, badLeaf("is not an integer")
+	}
+	v, err := strconv.ParseInt(string(lit), 10, 64)
+	if err != nil {
+		return 0, badLeaf("is out of range")
+	}
+	return v, nil
+}
+
+// boolean scans a bool leaf: true or false.
+func (s *arrayScanner) boolean() (bool, error) {
+	switch {
+	case s.Literal("true"):
+		return true, nil
+	case s.Literal("false"):
+		return false, nil
+	}
+	return false, badLeaf("is not a bool")
 }
 
 // elementError reports the element being scanned by its logical index.
@@ -374,56 +363,4 @@ func realRow(row []float64) any {
 		}
 	}
 	return row
-}
-
-// evalBound evaluates a subrange bound expression over scalar parameter
-// values.
-func evalBound(e ast.Expr, env map[string]int64) (int64, error) {
-	if v, ok := sem.EvalConstInt(e); ok {
-		return v, nil
-	}
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if v, ok := env[x.Name]; ok {
-			return v, nil
-		}
-		return 0, fmt.Errorf("bound references %s, which is not a scalar input", x.Name)
-	case *ast.Unary:
-		v, err := evalBound(x.X, env)
-		if err != nil {
-			return 0, err
-		}
-		if x.Op == token.MINUS {
-			return -v, nil
-		}
-		return v, nil
-	case *ast.Binary:
-		l, err := evalBound(x.X, env)
-		if err != nil {
-			return 0, err
-		}
-		r, err := evalBound(x.Y, env)
-		if err != nil {
-			return 0, err
-		}
-		switch x.Op {
-		case token.PLUS:
-			return l + r, nil
-		case token.MINUS:
-			return l - r, nil
-		case token.STAR:
-			return l * r, nil
-		case token.DIV:
-			if r == 0 {
-				return 0, fmt.Errorf("division by zero in bound")
-			}
-			return l / r, nil
-		case token.MOD:
-			if r == 0 {
-				return 0, fmt.Errorf("division by zero in bound")
-			}
-			return l % r, nil
-		}
-	}
-	return 0, fmt.Errorf("cannot evaluate bound %s", ast.ExprString(e))
 }

@@ -1,10 +1,12 @@
 package ps_test
 
-// The array half of the JSON wire format as it stood before the typed
-// scanner and row views replaced it, kept verbatim as the oracle
-// FuzzArrayJSON compares the replacement against: nested []any through
-// encoding/json, written element by element through the boxed
-// value.Array.Set, and boxed back into []any trees for encoding.
+// The JSON wire format as it stood before the typed scanner replaced
+// it, kept verbatim as the oracles the fuzz targets compare the
+// replacement against. The array half, for FuzzArrayJSON: nested []any
+// through encoding/json, written element by element through the boxed
+// value.Array.Set, and boxed back into []any trees for encoding. The
+// scalar half, for FuzzScalarJSON: one json.Unmarshal per scalar into
+// its Go type.
 
 import (
 	"encoding/json"
@@ -46,6 +48,42 @@ func floatFromJSONString(s string) (float64, bool) {
 		return math.Inf(-1), true
 	}
 	return 0, false
+}
+
+func scalarFromJSON(raw json.RawMessage, t types.Type) (any, error) {
+	switch t.Kind() {
+	case types.RealKind:
+		var v float64
+		if err := json.Unmarshal(raw, &v); err != nil {
+			var s string
+			if serr := json.Unmarshal(raw, &s); serr == nil {
+				if f, ok := floatFromJSONString(s); ok {
+					return f, nil
+				}
+			}
+			return nil, err
+		}
+		return v, nil
+	case types.IntKind, types.SubrangeKind, types.CharKind, types.EnumKind:
+		var v int64
+		if err := json.Unmarshal(raw, &v); err != nil {
+			return nil, err
+		}
+		return v, nil
+	case types.BoolKind:
+		var v bool
+		if err := json.Unmarshal(raw, &v); err != nil {
+			return nil, err
+		}
+		return v, nil
+	case types.StringKind:
+		var v string
+		if err := json.Unmarshal(raw, &v); err != nil {
+			return nil, err
+		}
+		return v, nil
+	}
+	return nil, fmt.Errorf("unsupported parameter type %s", t)
 }
 
 func arrayFromJSON(raw json.RawMessage, elem types.Type, axes []value.Axis) (*value.Array, error) {

@@ -176,6 +176,25 @@ func TestJSONAllTypesErrors(t *testing.T) {
 		t.Error("scalar string \"bogus\" accepted as real")
 	}
 
+	// A null scalar is refused, as a null element is; encoding/json
+	// would leave the zero value.
+	for _, name := range []string{"N", "R", "B"} {
+		in = base()
+		in[name] = json.RawMessage(` null `)
+		_, err = ps.ArgsFromJSON(prog, "Types", in)
+		var pe *ps.Error
+		if !errors.As(err, &pe) || !strings.HasPrefix(pe.Err.Error(), "input "+name+": value is not") {
+			t.Errorf("%s = null: %v", name, err)
+		}
+	}
+
+	// Every name must be a declared parameter, as for RunNamed.
+	in = base()
+	in["Bogus"] = json.RawMessage(`1`)
+	if _, err := ps.ArgsFromJSON(prog, "Types", in); err == nil || !strings.Contains(err.Error(), `unknown argument "Bogus"`) {
+		t.Errorf("undeclared input: %v", err)
+	}
+
 	// A number in a bool array is an input error, not a panic.
 	in = base()
 	in["Fs"] = json.RawMessage(`[1, 0]`)
@@ -221,6 +240,24 @@ func TestJSONAllTypesErrors(t *testing.T) {
 
 	if _, err := ps.ArgsFromJSON(prog, "NoSuch", base()); err == nil {
 		t.Error("unknown module accepted")
+	}
+
+	// A bound that fails to evaluate is an input error, not a panic.
+	quot, err := newEngine(t).Compile("quot.ps", `
+Quot: module (N: int; Xs: array[I] of real): [Ys: array[I] of real];
+type I = 1 .. 10 div N;
+define
+    Ys[I] = Xs[I];
+end Quot;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ps.ArgsFromJSON(quot, "Quot", map[string]json.RawMessage{
+		"N": json.RawMessage(`0`), "Xs": json.RawMessage(`[]`),
+	})
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "division by zero") {
+		t.Errorf("bound dividing by N = 0: %v", err)
 	}
 
 	// String and record elements have no JSON form.
@@ -481,6 +518,81 @@ func FuzzArrayJSON(f *testing.F) {
 			raw.B[i] = word(i)&1 == 1
 		}
 		checkEncode(t, prog, raw)
+	})
+}
+
+// scalarParams are the parameters FuzzScalarJSON covers, one per scalar
+// kind, with a valid input for each; their types stand in for the
+// declared ones, whose kinds are all the oracle reads.
+var scalarParams = []struct {
+	name string
+	typ  types.Type
+	ok   string
+}{
+	{"R", types.Real, `1.5`},
+	{"N", types.Int, `2`},
+	{"B", types.Bool, `true`},
+	{"C", types.Char, `113`},
+	{"L", &types.Enum{Name: "Light", Consts: []string{"green", "yellow", "red"}}, `2`},
+	{"W", types.String, `"w"`},
+}
+
+// FuzzScalarJSON holds the scalar decoder, the leaf scanner of the
+// arrays, to the old one json.Unmarshal per scalar
+// (json_oracle_test.go). kind picks the real, int, bool, char, enum or
+// string parameter, which gets data as its input. The decoder must
+// accept exactly what the oracle accepts, into an equal value, except
+// null, which the oracle reads as the zero value and the decoder must
+// refuse.
+func FuzzScalarJSON(f *testing.F) {
+	prog, err := newEngine(f).Compile("scalars.ps", `
+S: module (R: real; N: int; B: bool; C: char; L: Light; W: string): [Z: int];
+type
+    Light = (green, yellow, red);
+define
+    Z = N;
+end S;
+`)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for k, p := range scalarParams {
+		for _, seed := range []string{p.ok, ` null `, `"NaN"`, `"\u004eaN"`, `1e400`, `-0`, `1.0`, "\"\xff\"", `"a\u00e9\ud800"`, `false `} {
+			f.Add([]byte(seed), uint8(k))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, kind uint8) {
+		k := int(kind) % len(scalarParams)
+		in := make(map[string]json.RawMessage, len(scalarParams))
+		for _, p := range scalarParams {
+			in[p.name] = json.RawMessage(p.ok)
+		}
+		p := scalarParams[k]
+		in[p.name] = data
+
+		want, werr := scalarFromJSON(data, p.typ)
+		args, err := ps.ArgsFromJSON(prog, "S", in)
+		if strings.Trim(string(data), " \t\r\n") == "null" {
+			if err == nil {
+				t.Fatalf("%s: null accepted as %v", p.name, args[k])
+			}
+			return
+		}
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%s: error %v, oracle %v", p.name, err, werr)
+		}
+		if err != nil {
+			return
+		}
+		got := args[k]
+		if a, isF := got.(float64); isF {
+			b := want.(float64)
+			if math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+				t.Fatalf("%s: %v (%#x), oracle %v (%#x)", p.name, a, math.Float64bits(a), b, math.Float64bits(b))
+			}
+		} else if got != want {
+			t.Fatalf("%s: %#v, oracle %#v", p.name, got, want)
+		}
 	})
 }
 

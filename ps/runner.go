@@ -4,13 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/interp"
 	"repro/internal/plan"
-	"repro/internal/types"
+	"repro/internal/sem"
 )
 
 // Runner is a prepared activation of one module: the module is
@@ -158,9 +159,12 @@ func (r *Runner) Explain() string {
 
 // Run executes the module with positional arguments. Scalar arguments
 // are Go ints, float64s, bools or strings; array arguments are
-// *ps.Array. One value is returned per declared module result, along
-// with populated RunStats (also on failure, with the counters
-// accumulated up to the abort).
+// *ps.Array, each with exactly the bounds its declared dimensions take
+// for the scalar arguments, and no window: any other array is refused
+// before the run, with an error naming the argument and both ranges.
+// One value is returned per declared module result, along with
+// populated RunStats (also on failure, with the counters accumulated up
+// to the abort).
 //
 // ctx cancellation or deadline expiry stops a leaf DO (a DO around
 // equations only) before its one span, any other DO within one
@@ -234,37 +238,36 @@ func (r *Runner) RunBatch(ctx context.Context, batch []Args) ([]BatchResult, *Ru
 
 // RunNamed executes the module with arguments keyed by parameter name,
 // the natural shape for service payloads. Every declared parameter must
-// be present; unknown names are rejected.
+// be present and every name must be a declared parameter; the values
+// then follow Run's rules.
 func (r *Runner) RunNamed(ctx context.Context, args map[string]any) ([]any, *RunStats, error) {
-	argv, err := r.positional(args)
+	argv, err := positional(r.mod, args)
 	if err != nil {
 		return nil, &RunStats{Workers: r.workers}, err
 	}
 	return r.Run(ctx, argv)
 }
 
-// positional maps named arguments onto the module's declared parameter
-// order.
-func (r *Runner) positional(args map[string]any) ([]any, error) {
-	params := r.mod.sem.Params
-	byName := make(map[string]int, len(params))
+// positional orders named arguments by the module's declared
+// parameters, refusing a missing parameter and an undeclared name. It
+// binds RunNamed's arguments and ArgsFromJSON's inputs alike.
+func positional[V any](m *Module, named map[string]V) ([]V, error) {
+	params := m.sem.Params
+	argv := make([]V, len(params))
 	for i, sym := range params {
-		byName[sym.Name] = i
-	}
-	for name := range args {
-		if _, ok := byName[name]; !ok {
-			return nil, &Error{Phase: PhaseRun, Module: r.mod.Name(),
-				Err: fmt.Errorf("unknown argument %q", name)}
-		}
-	}
-	argv := make([]any, len(params))
-	for i, sym := range params {
-		v, ok := args[sym.Name]
+		v, ok := named[sym.Name]
 		if !ok {
-			return nil, &Error{Phase: PhaseRun, Module: r.mod.Name(),
+			return nil, &Error{Phase: PhaseRun, Module: m.Name(),
 				Err: fmt.Errorf("missing argument %q (%s)", sym.Name, sym.Type)}
 		}
 		argv[i] = v
+	}
+	if len(named) > len(params) {
+		for name := range named {
+			if !slices.ContainsFunc(params, func(sym *sem.Symbol) bool { return sym.Name == name }) {
+				return nil, &Error{Phase: PhaseRun, Module: m.Name(), Err: fmt.Errorf("unknown argument %q", name)}
+			}
+		}
 	}
 	return argv, nil
 }
@@ -276,22 +279,4 @@ func (r *Runner) engineClosed() error {
 		return &Error{Phase: PhaseRun, Module: r.mod.Name(), Err: errors.New("engine is closed")}
 	}
 	return nil
-}
-
-// Params describes the module's declared parameters as (name, type)
-// pairs in positional order — the contract RunNamed checks against.
-func (r *Runner) Params() []ParamInfo {
-	params := r.mod.sem.Params
-	out := make([]ParamInfo, len(params))
-	for i, sym := range params {
-		out[i] = ParamInfo{Name: sym.Name, Type: sym.Type.String(), IsArray: types.Rank(sym.Type) > 0}
-	}
-	return out
-}
-
-// ParamInfo describes one declared module parameter.
-type ParamInfo struct {
-	Name    string
-	Type    string
-	IsArray bool
 }

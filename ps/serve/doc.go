@@ -14,7 +14,9 @@
 // one validating pass, each input handed to ps.ArgsFromJSON as a
 // sub-slice of the buffer; a body outside the canonical subset that
 // pass accepts is decoded by encoding/json, so what is accepted, and
-// every error text, is encoding/json's.
+// every error text, is encoding/json's. The inputs must then name
+// exactly the module's parameters, and decode by ps.ArgsFromJSON's
+// rules (null is refused); any failure there is a 400.
 //
 // Around that core the package provides the operational surface a
 // shared engine needs:

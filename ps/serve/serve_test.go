@@ -831,6 +831,7 @@ end Flags;
 		{"unknown program", `{"program":"nope","module":"Nope","inputs":{}}`, http.StatusNotFound},
 		{"unknown module", `{"program":"smooth","module":"Nope","inputs":{}}`, http.StatusNotFound},
 		{"missing inputs", `{"program":"smooth","module":"Smooth","inputs":{}}`, http.StatusBadRequest},
+		{"undeclared input", `{"program":"smooth","module":"Smooth","inputs":{"Xs":[0,1,2],"N":1,"Bogus":1}}`, http.StatusBadRequest},
 		{"bad input type", `{"program":"smooth","module":"Smooth","inputs":{"Xs":"zap","N":2}}`, http.StatusBadRequest},
 		{"number in a bool array", `{"program":"flags","module":"Flags","inputs":{"N":2,"Fs":[1,0]}}`, http.StatusBadRequest},
 		{"bound beyond the input", `{"program":"smooth","module":"Smooth","inputs":{"Xs":[0,1],"N":1000000000000}}`, http.StatusBadRequest},
